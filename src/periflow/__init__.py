@@ -38,6 +38,7 @@ from .surfaces import (
 )
 from .metric import (
     MetricSample,
+    SpaceTimeGeometry,
     WeightedMeasure,
     assemble_metric,
     cartesian_laplacian_apply,
@@ -46,6 +47,7 @@ from .metric import (
     laplace_beltrami_matrix,
     mean_and_mass,
     pullback_identity_check,
+    space_time_geometry,
     trace_identity,
     transport_formula_residual,
     weighted_measure,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import inspect
 import math
 import sys
 import time
@@ -31,7 +32,7 @@ from .diagnostics import (
     mass_ledger,
 )
 from .errors import ConfigError, ContractionBoundError, PeriflowError
-from .evolution import IVPConfig, solve_ivp
+from .evolution import IVPConfig, Propagator
 from .expressions import compile_expression
 from .fields import ParameterGrid, ScalarField, SpaceTimeField
 from .metric import (
@@ -51,6 +52,7 @@ from .narrowband import (
     os_operator_equivalence,
 )
 from .periodic import (
+    _MAX_DENSE_NODES,
     PeriodicProblem,
     contraction_estimate,
     fixed_point_solve,
@@ -72,12 +74,6 @@ SCENARIOS = {
     "holder": "Hölder estimator suite on a reference field",
 }
 
-_SURFACE_KEYS = {
-    "circle": {"family", "period", "radius"},
-    "breathing": {"family", "period", "amplitude", "r0"},
-    "ellipse": {"family", "period", "a", "b"},
-    "bean": {"family", "period", "dent", "pulse", "skew"},
-}
 _PROBLEM_KEYS = {
     "scenario",
     "zero_order",
@@ -117,6 +113,15 @@ class ExperimentConfig:
     out_dir: str = "periflow-out"
     seed: int = 0
 
+    def __post_init__(self):
+        # presets override their keys here, so the manifest records what runs
+        if self.scenario == "ivp_decay":
+            self.u0_expr = self.u0_expr or "cos(theta)"
+            self.forcing_expr = None
+            self.zero_order = "zero"
+        elif self.scenario == "contraction":
+            self.zero_order = "constant"
+
     def build_surface(self) -> SurfaceFamily:
         return FAMILIES[self.surface_family](period=self.period, **self.surface_params)
 
@@ -137,6 +142,11 @@ class ExperimentConfig:
     def grid(self) -> ParameterGrid:
         return ParameterGrid(self.n_nodes, self.n_steps, self.period)
 
+    def periodic_problem(self) -> PeriodicProblem:
+        return PeriodicProblem(
+            self.build_surface(), self.build_ivp_config(), self.forcing(), self.target_mean
+        )
+
     def forcing(self):
         if self.forcing_expr is None:
             return None
@@ -151,9 +161,12 @@ def _get_float(raw: dict, key: str, default: float | None) -> float | None:
     if key not in raw:
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError as exc:
         raise ConfigError(f"value of {key!r} is not a number: {raw[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"value of {key!r} is not finite: {raw[key]!r}")
+    return value
 
 
 def _get_int(raw: dict, key: str, default: int) -> int:
@@ -190,7 +203,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     family = surface.get("family", "circle")
     if family not in FAMILIES:
         raise ConfigError(f"unknown surface family {family!r}; choose from {sorted(FAMILIES)}")
-    allowed = _SURFACE_KEYS[family]
+    allowed = {"family", *inspect.signature(FAMILIES[family]).parameters}
     for key in surface:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in [surface] for family {family!r}")
@@ -209,7 +222,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     period = _get_float(surface, "period", 1.0)
     surface_params = {
-        k: float(v) for k, v in surface.items() if k not in ("family", "period")
+        k: _get_float(surface, k, None) for k in surface if k not in ("family", "period")
     }
 
     cfg = ExperimentConfig(
@@ -239,16 +252,16 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.n_nodes < 8:
-        raise ConfigError("n_nodes must be >= 8")
-    if cfg.n_steps < 4:
-        raise ConfigError("n_steps must be >= 4")
-    if cfg.scheme not in ("backward_euler", "crank_nicolson"):
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.zero_order not in ("zero", "constant", "divergence", "divergence_plus_constant"):
-        raise ConfigError(f"unknown zero_order mode {cfg.zero_order!r}")
+    try:  # the library constructors own the discretization and surface checks
+        cfg.build_surface()
+        cfg.build_ivp_config()
+        cfg.grid()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.tol <= 0.0:
         raise ConfigError("tol must be positive")
+    if cfg.band_h <= 0.0 or cfg.band_delta <= 0.0:
+        raise ConfigError("band_h and band_delta must be positive")
     if cfg.scenario == "contraction":
         c0 = cfg.c0 if cfg.c0 is not None else 0.0
         threshold = math.log(2.0) / cfg.period
@@ -257,10 +270,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 f"c0 must exceed ln2/T ≈ {threshold:.4f} for the contraction "
                 f"scenario (got c0 = {c0})"
             )
-    if cfg.scenario == "periodic-monodromy" and cfg.n_nodes > 2048:
-        raise ConfigError("monodromy assembly requires n_nodes <= 2048")
-    if cfg.forcing_expr is not None:
-        compile_expression(cfg.forcing_expr, cfg.period)
+    if cfg.scenario == "periodic-monodromy" and cfg.n_nodes > _MAX_DENSE_NODES:
+        raise ConfigError(f"monodromy assembly requires n_nodes <= {_MAX_DENSE_NODES}")
+    cfg.forcing()  # compiles the expression
     if cfg.u0_expr is not None:
         compile_expression(cfg.u0_expr, cfg.period)
 
@@ -338,16 +350,13 @@ def _resolved_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    if cfg.scenario == "ivp_decay":
-        cfg.u0_expr = cfg.u0_expr or "cos(theta)"
-        cfg.forcing_expr = None
-        cfg.zero_order = "zero"
-    surface = cfg.build_surface()
     grid = cfg.grid()
+    config = cfg.build_ivp_config()
     forcing = cfg.forcing()
-    traj = solve_ivp(surface, grid, cfg.build_ivp_config(), cfg.initial_values(grid), forcing)
+    prop = Propagator(cfg.build_surface(), grid, config, forcing)
+    traj = SpaceTimeField(prop.run(cfg.initial_values(grid)), grid.times)
     emit_field_csv(traj, out / "trajectory.csv")
-    ledger = mass_ledger(traj, surface, grid, cfg.build_ivp_config(), forcing)
+    ledger = mass_ledger(traj, prop.geometry, config, forcing)
     ledger.write_csv(out / "mass_ledger.csv")
     manifest.checks.append(
         CheckResult("finite_trajectory", bool(np.all(np.isfinite(traj.values))), 0.0, 0.0)
@@ -358,15 +367,9 @@ def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
 
 
 def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    surface = cfg.build_surface()
-    problem = PeriodicProblem(
-        surface=surface,
-        config=cfg.build_ivp_config(),
-        forcing=cfg.forcing(),
-        target_mean=cfg.target_mean,
-    )
+    problem = cfg.periodic_problem()
     prop = make_propagator(problem)
-    measure0 = prop.measures[0]
+    measure0 = prop.geometry.measure(0)
     if cfg.scenario == "periodic-fixed":
         report = fixed_point_solve(problem, cfg.tol, cfg.max_iter, propagator=prop)
         traj = report.trajectory
@@ -395,25 +398,17 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     mean0 = float(np.dot(measure0.weights, traj.values[0]) / measure0.total)
     mean_err = abs(mean0 - cfg.target_mean)
     manifest.checks.append(CheckResult("initial_mean", mean_err <= 1e-12, mean_err, 1e-12))
-    compat = compatibility_check(problem.forcing, surface, problem.grid)
+    compat = compatibility_check(problem.forcing, prop.geometry)
     if cfg.zero_order == "divergence" and abs(compat) <= 1e-10:
         manifest.checks.append(
             CheckResult("strict_residual", residuals.strict <= tol, residuals.strict, tol)
         )
-    ledger = mass_ledger(traj, surface, problem.grid, problem.config, problem.forcing)
+    ledger = mass_ledger(traj, prop.geometry, problem.config, problem.forcing)
     ledger.write_csv(out / "mass_ledger.csv")
 
 
 def _scenario_contraction(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    surface = cfg.build_surface()
-    if cfg.zero_order != "constant":
-        cfg.zero_order = "constant"
-    problem = PeriodicProblem(
-        surface=surface,
-        config=cfg.build_ivp_config(),
-        forcing=cfg.forcing(),
-        target_mean=cfg.target_mean,
-    )
+    problem = cfg.periodic_problem()
     prop = make_propagator(problem)
     try:
         est = contraction_estimate(problem, seed=cfg.seed, propagator=prop)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .evolution import Forcing, IVPConfig, _forcing_samples
+from .evolution import Forcing, IVPConfig, _forcing_samples, _time_derivative
 from .fields import ParameterGrid, SpaceTimeField
-from .metric import assemble_metric, weighted_measure
+from .metric import SpaceTimeGeometry
 from .narrowband import DistanceField, NarrowBandGrid, _gradient
 from .surfaces import (
     SurfaceFamily,
@@ -119,16 +119,6 @@ def _time_holder_sup(
         diffs = np.linalg.norm(flat[a] - flat[b], axis=-1)
         best = max(best, float(np.max(diffs) / d))
     return best
-
-
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    if values.shape[0] < 3:
-        return np.zeros_like(values)
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    return out
 
 
 def holder_estimate(
@@ -288,8 +278,7 @@ class MassSeries:
 
 def mass_ledger(
     trajectory: SpaceTimeField,
-    surface: SurfaceFamily,
-    grid: ParameterGrid,
+    geometry: SpaceTimeGeometry,
     config: IVPConfig,
     forcing: Forcing = None,
 ) -> MassSeries:
@@ -299,41 +288,30 @@ def mass_ledger(
     level, Crank-Nicolson with the trapezoid of both levels; the defect of
     the divergence zero-order mode is then round-off by construction.
     """
+    grid = geometry.grid
     if trajectory.values.shape != (grid.n_steps + 1, grid.n_nodes):
         raise GridMismatchError("trajectory does not match the grid")
-    measures = [weighted_measure(assemble_metric(surface, grid, t)) for t in grid.times]
-    masses = np.array(
-        [float(np.dot(m.weights, trajectory.values[k])) for k, m in enumerate(measures)]
-    )
+    masses = geometry.integrals(trajectory.values)
     f_samples = _forcing_samples(forcing, grid)
     if f_samples is None:
         f_int = np.zeros(grid.n_steps + 1)
     else:
-        f_int = np.array(
-            [float(np.dot(m.weights, f_samples[k])) for k, m in enumerate(measures)]
-        )
-    dt = grid.dt
+        f_int = geometry.integrals(f_samples)
     if config.scheme == "backward_euler":
         charge = f_int[1:]
     else:
         charge = 0.5 * (f_int[:-1] + f_int[1:])
-    defects = masses[1:] - masses[:-1] + dt * charge
+    defects = masses[1:] - masses[:-1] + grid.dt * charge
     return MassSeries(grid.times, masses, f_int, defects)
 
 
-def compatibility_check(forcing: Forcing, surface: SurfaceFamily, grid: ParameterGrid) -> float:
+def compatibility_check(forcing: Forcing, geometry: SpaceTimeGeometry) -> float:
     """Space-time integral of the forcing (trapezoid in time, weighted
     measure in space); near zero is necessary for strict periodicity."""
-    f_samples = _forcing_samples(forcing, grid)
+    f_samples = _forcing_samples(forcing, geometry.grid)
     if f_samples is None:
         return 0.0
-    total = 0.0
-    time_w = np.full(grid.n_steps + 1, grid.dt)
-    time_w[0] = time_w[-1] = 0.5 * grid.dt
-    for k, t in enumerate(grid.times):
-        measure = weighted_measure(assemble_metric(surface, grid, t))
-        total += time_w[k] * float(np.dot(measure.weights, f_samples[k]))
-    return total
+    return geometry.space_time_integral(f_samples)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,18 @@ Solves ``diffusion(u) - c*u - u_t = f`` on the reference grid with either
 backward Euler or Crank-Nicolson.  The linear system of every step is cyclic
 tridiagonal and is factorized once per level, so repeated propagation (the
 fixed-point iteration and the monodromy probes) reuses the factorizations.
+``Propagator.geometry`` shares the space-time geometry with the ledgers.
 
 Zero-order modes
 ----------------
 ``zero``                       c = 0
-``constant``                   c = c0
+``constant``                   c = ``coefficient``
 ``divergence``                 c equals the metric dilation rate; realized by
                                weighting the previous state with the ratio of
                                measure densities, which makes the discrete
-                               mass law exact for f = 0
-``divergence_plus_constant``   divergence weighting plus a constant rate
+                               mass law exact to round-off for any forcing
+                               (see ``diagnostics.mass_ledger``)
+``divergence_plus_constant``   divergence weighting plus c = ``coefficient``
 ``custom``                     arbitrary closure c(theta, t)
 """
 
@@ -23,17 +25,15 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import GridMismatchError, StepError
 from .fields import ParameterGrid, ScalarField, SpaceTimeField
 from .metric import (
-    MetricSample,
-    assemble_metric,
-    laplace_beltrami_apply,
-    laplace_beltrami_matrix,
-    weighted_measure,
+    SpaceTimeGeometry,
+    _cyclic_tridiagonal,
+    _operator_diagonals,
+    space_time_geometry,
 )
 from .surfaces import SurfaceFamily
 
@@ -61,10 +61,7 @@ class IVPConfig:
             raise ValueError(
                 f"zero_order must be one of {_ZERO_ORDER_MODES}, got {self.zero_order!r}"
             )
-        if self.n_steps < 4:
-            raise ValueError("n_steps must be >= 4")
-        if self.n_nodes < 8:
-            raise ValueError("n_nodes must be >= 8")
+        self.grid(1.0)  # ParameterGrid owns the resolution checks
         if self.zero_order == "custom" and self.custom is None:
             raise ValueError("custom zero-order mode requires a closure")
 
@@ -82,9 +79,14 @@ def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None
                 f"({grid.n_steps + 1}, {grid.n_nodes})"
             )
         return forcing.values
+    return _sample_levels(forcing, grid)
+
+
+def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: ParameterGrid):
+    """(M+1, N) samples of a closure c(theta, t) at every node and time level."""
     theta = grid.nodes
     return np.stack(
-        [np.asarray(forcing(theta, t), dtype=float) + np.zeros_like(theta) for t in grid.times]
+        [np.asarray(fn(theta, t), dtype=float) + np.zeros_like(theta) for t in grid.times]
     )
 
 
@@ -103,16 +105,11 @@ class Propagator:
         self.surface = surface
         self.grid = grid
         self.config = config
-        self.metrics: list[MetricSample] = [
-            assemble_metric(surface, grid, t) for t in grid.times
-        ]
-        self.measures = [weighted_measure(m) for m in self.metrics]
-        self.mu = np.stack([m.sqrt_local_det for m in self.metrics])  # (M+1, N)
-        self.operators = [laplace_beltrami_matrix(m) for m in self.metrics]
+        self.geometry = space_time_geometry(surface, grid)
         self.zero_order = self._zero_order_samples()
         self.forcing = _forcing_samples(forcing, grid)
         self._mu_ratio = config.zero_order in ("divergence", "divergence_plus_constant")
-        self._factors = self._factorize()
+        self.operators, self._factors = self._assemble()
 
     def _zero_order_samples(self) -> np.ndarray:
         grid, config = self.grid, self.config
@@ -121,31 +118,27 @@ class Propagator:
             return np.zeros(shape)
         if config.zero_order in ("constant", "divergence_plus_constant"):
             return np.full(shape, config.coefficient)
-        theta = grid.nodes
-        return np.stack(
-            [
-                np.asarray(config.custom(theta, t), dtype=float) + np.zeros_like(theta)
-                for t in grid.times
-            ]
-        )
+        return _sample_levels(config.custom, grid)
 
-    def _factorize(self):
-        n = self.grid.n_nodes
-        dt = self.grid.dt
-        eye = sparse.identity(n, format="csr")
+    def _assemble(self):
+        """Per-level operators (CSR) and factorized implicit step matrices."""
+        geo, dt = self.geometry, self.grid.dt
+        main, upper, lower = _operator_diagonals(geo.c_half, geo.sqrt_g, self.grid.dtheta)
+        operators = [_cyclic_tridiagonal(*diags) for diags in zip(main, upper, lower)]
+        react = self.zero_order
+        if self.config.scheme == "backward_euler":
+            step_main, step_upper, step_lower = 1.0 / dt - main + react, -upper, -lower
+        else:
+            step_main = 1.0 / dt - 0.5 * (main - react)
+            step_upper, step_lower = -0.5 * upper, -0.5 * lower
         factors = []
-        for k in range(self.grid.n_steps):
-            lap = self.operators[k + 1]
-            react = sparse.diags(self.zero_order[k + 1])
-            if self.config.scheme == "backward_euler":
-                mat = eye / dt - lap + react
-            else:
-                mat = eye / dt - 0.5 * (lap - react)
+        for k in range(1, self.grid.n_steps + 1):
+            mat = _cyclic_tridiagonal(step_main[k], step_upper[k], step_lower[k], "csc")
             try:
-                factors.append(spla.splu(mat.tocsc()))
+                factors.append(spla.splu(mat))
             except RuntimeError as exc:  # singular factorization
-                raise StepError(f"implicit system factorization failed: {exc}", k + 1)
-        return factors
+                raise StepError(f"implicit system factorization failed: {exc}", k)
+        return operators, factors
 
     def step(self, values: np.ndarray, level: int, include_forcing: bool = True) -> np.ndarray:
         """Advance nodal values (N,) or a batch (N, K) from `level` to `level+1`."""
@@ -156,7 +149,8 @@ class Propagator:
         def _col(a):
             return a[:, None] if batched else a
 
-        scale = _col(self.mu[level] / self.mu[level + 1]) if self._mu_ratio else 1.0
+        mu = self.geometry.sqrt_g
+        scale = _col(mu[level] / mu[level + 1]) if self._mu_ratio else 1.0
         if self.config.scheme == "backward_euler":
             rhs = scale * (u / dt)
             if include_forcing and self.forcing is not None:
@@ -267,7 +261,9 @@ def adjoint_solve(
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time differencing of a (M+1, N) trajectory."""
+    """Second-order time differencing of a (M+1, N) trajectory (zero below three levels)."""
+    if values.shape[0] < 3:
+        return np.zeros_like(values)
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
@@ -275,12 +271,7 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def duality_check(
-    surface: SurfaceFamily,
-    grid: ParameterGrid,
-    u: SpaceTimeField,
-    phi: SpaceTimeField,
-) -> float:
+def duality_check(geometry: SpaceTimeGeometry, u: SpaceTimeField, phi: SpaceTimeField) -> float:
     """Residual of the discrete space-time integration-by-parts chain.
 
     Evaluates ``|II(L u, phi) - II(u, diffusion(phi) + phi_t) + boundary|``
@@ -291,29 +282,11 @@ def duality_check(
     """
     if u.values.shape != phi.values.shape:
         raise GridMismatchError("trajectories have different shapes")
-    metrics = [assemble_metric(surface, grid, t) for t in grid.times]
-    measures = [weighted_measure(m) for m in metrics]
-    dt = grid.dt
-    u_t = _time_derivative(u.values, dt)
-    phi_t = _time_derivative(phi.values, dt)
-
-    time_w = np.full(grid.n_steps + 1, dt)
-    time_w[0] = time_w[-1] = 0.5 * dt
-
-    i_forward = 0.0
-    i_adjoint = 0.0
-    for k, (metric, measure) in enumerate(zip(metrics, measures)):
-        lu = (
-            laplace_beltrami_apply(metric, u.values[k])
-            - metric.trace_rate * u.values[k]
-            - u_t[k]
-        )
-        lstar_phi = laplace_beltrami_apply(metric, phi.values[k]) + phi_t[k]
-        i_forward += time_w[k] * float(np.dot(measure.weights, lu * phi.values[k]))
-        i_adjoint += time_w[k] * float(np.dot(measure.weights, u.values[k] * lstar_phi))
-
-    boundary = float(
-        np.dot(measures[-1].weights, u.values[-1] * phi.values[-1])
-        - np.dot(measures[0].weights, u.values[0] * phi.values[0])
-    )
-    return abs(i_forward - i_adjoint + boundary)
+    dt = geometry.grid.dt
+    uu, pp = u.values, phi.values
+    lu = geometry.laplace_beltrami(uu) - geometry.trace_rate * uu - _time_derivative(uu, dt)
+    lstar_phi = geometry.laplace_beltrami(pp) + _time_derivative(pp, dt)
+    i_forward = geometry.space_time_integral(lu * pp)
+    i_adjoint = geometry.space_time_integral(uu * lstar_phi)
+    ends = geometry.integrals(uu * pp)
+    return abs(i_forward - i_adjoint + float(ends[-1] - ends[0]))

@@ -13,6 +13,9 @@ which we discretize conservatively: fluxes at half nodes with
 arithmetic-mean coefficients.  The flux form telescopes on the periodic
 grid, so the discrete operator annihilates constants exactly and its output
 has exactly zero weighted mass — the conservation diagnostics rely on both.
+
+The 1-d solver reads only the scalar per-level data of ``SpaceTimeGeometry``;
+the Cartesian ``MetricSample`` serves the single-time identity checks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import scipy.sparse as sparse
 
 from .errors import DegenerateMetricError, GridMismatchError
 from .fields import AmbientField, ParameterGrid, ScalarField
-from .surfaces import GeometryFrame, SurfaceFamily, build_frame
+from .surfaces import GeometryFrame, SurfaceFamily, _theta_derivative, build_frame
 
 _CONDITION_LIMIT = 1e12
 
@@ -81,6 +84,22 @@ class WeightedMeasure:
         return float(np.sum(self.weights))
 
 
+def _local_metric(surface: SurfaceFamily, theta: np.ndarray, t: float, g_ref: np.ndarray):
+    """X_theta, g = |X_theta|^2, its time derivative g_t and the ratio g/g_ref
+    at time t; rejects metrics whose condition number exceeds the limit."""
+    xd = np.asarray(surface.chart_dtheta(theta, t), dtype=float)
+    xtd = np.asarray(surface.chart_dt_dtheta(theta, t), dtype=float)
+    g = np.einsum("ia,ia->i", xd, xd)
+    g_t = 2.0 * np.einsum("ia,ia->i", xd, xtd)
+    ratio = g / g_ref
+    cond = np.maximum(ratio, 1.0 / ratio)
+    if np.max(cond) > _CONDITION_LIMIT:
+        raise DegenerateMetricError(
+            f"metric condition number {np.max(cond):.3e} exceeds {_CONDITION_LIMIT:.0e}"
+        )
+    return xd, g, g_t, ratio
+
+
 def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> MetricSample:
     """Assemble G, its inverse, determinant and derivatives at time t.
 
@@ -89,22 +108,11 @@ def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Me
     """
     theta = grid.nodes
     frame0 = build_frame(surface, grid, 0.0)
-    xd = np.asarray(surface.chart_dtheta(theta, t), dtype=float)
-    xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
-    xtd = np.asarray(surface.chart_dt_dtheta(theta, t), dtype=float)
-
     g_ref = frame0.speed**2
-    g_loc = np.einsum("ia,ia->i", xd, xd)
-    dg_loc_dt = 2.0 * np.einsum("ia,ia->i", xd, xtd)
+    xd, g_loc, dg_loc_dt, ratio = _local_metric(surface, theta, t, g_ref)
+    xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
     dg_loc_dth = 2.0 * np.einsum("ia,ia->i", xd, xdd)
     dg_ref_dth = 2.0 * frame0.speed * frame0.speed_dtheta
-
-    ratio = g_loc / g_ref
-    cond = np.maximum(ratio, 1.0 / ratio)
-    if np.max(cond) > _CONDITION_LIMIT:
-        raise DegenerateMetricError(
-            f"metric condition number {np.max(cond):.3e} exceeds {_CONDITION_LIMIT:.0e}"
-        )
 
     tau, nu = frame0.tangent, frame0.normal
     tau_tau = np.einsum("ia,ib->iab", tau, tau)
@@ -142,9 +150,84 @@ def weighted_measure(metric: MetricSample) -> WeightedMeasure:
     return WeightedMeasure(metric.sqrt_local_det * metric.dtheta, metric.time)
 
 
-def _half_coefficients(metric: MetricSample) -> np.ndarray:
-    c = metric.flux_coefficient
-    return 0.5 * (c + np.roll(c, -1))  # value at i + 1/2
+def _half_coefficients(c: np.ndarray) -> np.ndarray:
+    return 0.5 * (c + np.roll(c, -1, axis=-1))  # value at i + 1/2
+
+
+def _flux_form_apply(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float, values: np.ndarray):
+    """Conservative stencil along the last axis; rows may be time levels."""
+    flux = c_half * (np.roll(values, -1, axis=-1) - values) / dtheta  # F_{i+1/2}
+    div = (flux - np.roll(flux, 1, axis=-1)) / dtheta
+    return div / sqrt_g
+
+
+def _operator_diagonals(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float):
+    """(main, upper, lower) of the cyclic tridiagonal flux-form operator along
+    the last axis; `upper` couples node i to i+1, `lower` node i to i-1."""
+    c_prev = np.roll(c_half, 1, axis=-1)  # c_{i-1/2}
+    scale = 1.0 / (sqrt_g * dtheta**2)
+    return -(c_half + c_prev) * scale, c_half * scale, c_prev * scale
+
+
+def _cyclic_tridiagonal(main: np.ndarray, upper: np.ndarray, lower: np.ndarray, fmt: str = "csr"):
+    """Sparse matrix with the given diagonals plus the two periodic corners."""
+    n = main.shape[0]
+    return sparse.diags(
+        [main, upper[:-1], lower[1:], upper[-1:], lower[:1]],
+        [0, 1, -1, 1 - n, n - 1],
+        format=fmt,
+    )
+
+
+@dataclass(frozen=True)
+class SpaceTimeGeometry:
+    """Scalar metric data of one surface and grid, one (M+1, N) row per time
+    level: all the 1-d stepper, the ledgers and the space-time checks need."""
+
+    grid: ParameterGrid
+    sqrt_g: np.ndarray  # measure density mu = sqrt(g)
+    weights: np.ndarray  # mu * dtheta, the quadrature weights of each level
+    trace_rate: np.ndarray  # (1/2) g_t / g, the metric dilation rate
+    c_half: np.ndarray  # flux coefficient sqrt(g)/g at the half nodes i + 1/2
+
+    def measure(self, level: int) -> WeightedMeasure:
+        return WeightedMeasure(self.weights[level], float(self.grid.times[level]))
+
+    def integrals(self, values: np.ndarray) -> np.ndarray:
+        """Weighted spatial integral of (M+1, N) samples at every level."""
+        return np.einsum("ki,ki->k", self.weights, values)
+
+    def space_time_integral(self, values: np.ndarray) -> float:
+        """Trapezoid rule in time over the per-level weighted integrals."""
+        dt = self.grid.dt
+        time_w = np.full(self.grid.n_steps + 1, dt)
+        time_w[0] = time_w[-1] = 0.5 * dt
+        return float(np.dot(time_w, self.integrals(values)))
+
+    def laplace_beltrami(self, values: np.ndarray) -> np.ndarray:
+        """Diffusion operator of each level applied to its row of (M+1, N) values."""
+        return _flux_form_apply(self.c_half, self.sqrt_g, self.grid.dtheta, values)
+
+
+def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTimeGeometry:
+    """Evaluate the scalar metric at every time level: one reference frame,
+    then two chart evaluations per level.  The arrays equal the matching
+    `assemble_metric` fields; the dilation rate is the scalar form of the trace.
+    """
+    theta = grid.nodes
+    g_ref = build_frame(surface, grid, 0.0).speed ** 2
+    g = np.empty((grid.n_steps + 1, grid.n_nodes))
+    g_t = np.empty_like(g)
+    for k, t in enumerate(grid.times):
+        _, g[k], g_t[k], _ = _local_metric(surface, theta, t, g_ref)
+    sqrt_g = np.sqrt(g)
+    return SpaceTimeGeometry(
+        grid=grid,
+        sqrt_g=sqrt_g,
+        weights=sqrt_g * grid.dtheta,
+        trace_rate=0.5 * g_t / g,
+        c_half=_half_coefficients(sqrt_g * (1.0 / g)),
+    )
 
 
 def laplace_beltrami_apply(metric: MetricSample, field: ScalarField | np.ndarray) -> np.ndarray:
@@ -154,27 +237,14 @@ def laplace_beltrami_apply(metric: MetricSample, field: ScalarField | np.ndarray
         raise GridMismatchError(
             f"field has {values.shape[0]} nodes, metric has {metric.n_nodes}"
         )
-    c_half = _half_coefficients(metric)
-    flux = c_half * (np.roll(values, -1, axis=0) - values) / metric.dtheta  # F_{i+1/2}
-    div = (flux - np.roll(flux, 1, axis=0)) / metric.dtheta
-    return div / metric.sqrt_local_det
+    c_half = _half_coefficients(metric.flux_coefficient)
+    return _flux_form_apply(c_half, metric.sqrt_local_det, metric.dtheta, values)
 
 
 def laplace_beltrami_matrix(metric: MetricSample) -> sparse.csr_matrix:
     """Cyclic tridiagonal matrix realizing `laplace_beltrami_apply`."""
-    n = metric.n_nodes
-    c_half = _half_coefficients(metric)  # c_{i+1/2}
-    c_prev = np.roll(c_half, 1)  # c_{i-1/2}
-    scale = 1.0 / (metric.sqrt_local_det * metric.dtheta**2)
-    main = -(c_half + c_prev) * scale
-    upper = c_half * scale  # couples node i to i+1
-    lower = c_prev * scale  # couples node i to i-1
-    mat = sparse.lil_matrix((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = main
-    mat[idx, (idx + 1) % n] = upper
-    mat[idx, (idx - 1) % n] = lower
-    return mat.tocsr()
+    c_half = _half_coefficients(metric.flux_coefficient)
+    return _cyclic_tridiagonal(*_operator_diagonals(c_half, metric.sqrt_local_det, metric.dtheta))
 
 
 def cartesian_laplacian_apply(
@@ -193,13 +263,9 @@ def cartesian_laplacian_apply(
         raise GridMismatchError("field/frame/metric node counts disagree")
     dth = metric.dtheta
     tau, speed = frame0.tangent, frame0.speed
-
-    def d_theta(a):
-        return (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * dth)
-
-    grad = (d_theta(values) / speed)[:, None] * tau  # D_b u
+    grad = (_theta_derivative(values, dth) / speed)[:, None] * tau  # D_b u
     flux = np.einsum("iab,ib->ia", metric.cartesian_inv, grad)
-    term1 = np.einsum("ia,ia->i", tau, d_theta(flux)) / speed
+    term1 = np.einsum("ia,ia->i", tau, _theta_derivative(flux, dth)) / speed
 
     # (1/2) P_{ag} Ginv_{ge} Ginv_{br} (D_b G_{ae}) (D_r u) with exact D G
     proj = frame0.projection
@@ -242,7 +308,7 @@ def greens_formula_check(
     """
     uu = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
     ww = w.values if isinstance(w, ScalarField) else np.asarray(w, dtype=float)
-    c_half = _half_coefficients(metric)
+    c_half = _half_coefficients(metric.flux_coefficient)
     du = np.roll(uu, -1) - uu
     dw = np.roll(ww, -1) - ww
     energy = float(np.sum(c_half * du * dw) / metric.dtheta)

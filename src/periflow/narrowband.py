@@ -30,8 +30,8 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import BandError, ExtractionError, GridMismatchError, ProjectionError
-from .metric import MetricSample
-from .surfaces import SurfaceFamily
+from .metric import MetricSample, _cyclic_tridiagonal
+from .surfaces import SurfaceFamily, _frame_pieces, orientation_sign
 
 _HALO_CELLS = 4
 _NEWTON_TOL = 1e-13
@@ -75,24 +75,15 @@ class DistanceField:
     volume_factor: np.ndarray  # (ny, nx)  det A
 
 
-def orientation_sign(surface: SurfaceFamily, t: float, n_samples: int = _SAMPLE_COUNT) -> float:
-    if surface.outward_sign is not None:
-        return float(surface.outward_sign)
-    theta = np.arange(n_samples) * (2.0 * np.pi / n_samples)
-    pos = surface.positions(theta, t)
-    area = 0.5 * np.sum(
-        pos[:, 0] * np.roll(pos[:, 1], -1) - np.roll(pos[:, 0], -1) * pos[:, 1]
-    )
-    return 1.0 if area >= 0.0 else -1.0
+def _curve_samples(surface: SurfaceFamily, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equispaced sample parameters and their chart positions at time t."""
+    theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
+    return theta_s, surface.positions(theta_s, t)
 
 
 def max_curvature(surface: SurfaceFamily, t: float, n_samples: int = _SAMPLE_COUNT) -> float:
     theta = np.arange(n_samples) * (2.0 * np.pi / n_samples)
-    xd = np.asarray(surface.chart_dtheta(theta, t), dtype=float)
-    xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
-    speed = np.linalg.norm(xd, axis=1)
-    cross = xd[:, 0] * xdd[:, 1] - xd[:, 1] * xdd[:, 0]
-    return float(np.max(np.abs(cross) / speed**3))
+    return float(np.max(np.abs(_point_geometry(surface, t, theta, 1.0)[3])))
 
 
 def default_band_width(surface: SurfaceFamily, t: float) -> float:
@@ -143,10 +134,7 @@ def _point_geometry(surface: SurfaceFamily, t: float, theta: np.ndarray, sign: f
     foot = surface.positions(theta, t)
     xd = np.asarray(surface.chart_dtheta(theta, t), dtype=float)
     xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
-    speed = np.linalg.norm(xd, axis=-1)
-    tau = xd / speed[..., None]
-    nu = sign * np.stack([tau[..., 1], -tau[..., 0]], axis=-1)
-    kappa = -np.einsum("...a,...a->...", nu, xdd) / speed**2
+    _, tau, nu, kappa = _frame_pieces(xd, xdd, sign, t)
     return foot, tau, nu, kappa
 
 
@@ -154,9 +142,9 @@ def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray)
     """Closest-point decomposition of arbitrary points: distance, foot,
     lifted frame, gradient factor A, its inverse and det A."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sign = orientation_sign(surface, t)
-    theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
-    tree = cKDTree(surface.positions(theta_s, t))
+    theta_s, samples = _curve_samples(surface, t)
+    sign = orientation_sign(surface, samples)
+    tree = cKDTree(samples)
     _, idx = tree.query(pts)
     theta, ok = _newton_project(surface, t, pts, theta_s[idx])
     if not np.all(ok):
@@ -202,9 +190,8 @@ def build_band(
     if halo_delta * kmax >= 0.75:
         raise BandError("halo exceeds the curvature reach; decrease h or delta")
 
-    sign = orientation_sign(surface, t)
-    theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
-    samples = surface.positions(theta_s, t)
+    theta_s, samples = _curve_samples(surface, t)
+    sign = orientation_sign(surface, samples)
     margin = halo_delta + 2.0 * h
     x_lo = np.floor((samples[:, 0].min() - margin) / h) * h
     y_lo = np.floor((samples[:, 1].min() - margin) / h) * h
@@ -356,10 +343,12 @@ def rescaled_gradient(values: np.ndarray, grid: NarrowBandGrid, dist: DistanceFi
     return np.einsum("...ab,...b->...a", dist.gradient_factor_inv, tangential)
 
 
-def _lift_matrix(
-    metric: MetricSample, component: np.ndarray, dist: DistanceField, grid: NarrowBandGrid
-) -> np.ndarray:
-    return lift_field(component, metric.theta, grid, dist)
+def _rescaled_divergence(vector: np.ndarray, grid: NarrowBandGrid, dist: DistanceField):
+    """D~ . vector: the trace of the rescaled gradients of the components."""
+    out = np.zeros(grid.shape)
+    for a in range(2):
+        out = out + rescaled_gradient(vector[..., a], grid, dist)[..., a]
+    return out
 
 
 def extended_operator_apply(
@@ -387,12 +376,13 @@ def extended_operator_apply(
         flux = V
         term2 = 0.0
     else:
+        theta = metric.theta
         g_inv = np.empty(grid.shape + (2, 2))
         g_mat = np.empty(grid.shape + (2, 2))
         for a in range(2):
             for b in range(2):
-                g_inv[..., a, b] = _lift_matrix(metric, metric.cartesian_inv[:, a, b], dist, grid)
-                g_mat[..., a, b] = _lift_matrix(metric, metric.cartesian[:, a, b], dist, grid)
+                g_inv[..., a, b] = lift_field(metric.cartesian_inv[:, a, b], theta, grid, dist)
+                g_mat[..., a, b] = lift_field(metric.cartesian[:, a, b], theta, grid, dist)
         flux = np.einsum("...ab,...b->...a", g_inv, V)
         d_g = np.empty(grid.shape + (2, 2, 2))  # [..., b, a, e] = rescaled D_b of G_{ae}
         for a in range(2):
@@ -404,9 +394,7 @@ def extended_operator_apply(
             "...ag,...ge,...br,...bae,...r->...", proj, g_inv, g_inv, d_g, V
         )
 
-    term1 = np.zeros(grid.shape)
-    for a in range(2):
-        term1 = term1 + rescaled_gradient(flux[..., a], grid, dist)[..., a]
+    term1 = _rescaled_divergence(flux, grid, dist)
 
     hess = _hessian(values, grid.h)
     normal_second = np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
@@ -434,7 +422,7 @@ def band_average_extract(
     Gauss-Legendre points along each ray, values by local bicubic Lagrange
     interpolation.  Raises ExtractionError when a ray leaves the valid band.
     """
-    sign = orientation_sign(surface, t)
+    sign = orientation_sign(surface, _curve_samples(surface, t)[1])
     foot, _, nu, _ = _point_geometry(surface, t, theta_nodes, sign)
     s_ref, w_ref = np.polynomial.legendre.leggauss(n_quad)
     s = s_ref * grid.delta
@@ -497,10 +485,7 @@ def os_operator_equivalence(
     div = _ddx(flux[..., 0], grid.h) + _ddy(flux[..., 1], grid.h)
     lhs = div / dist.volume_factor
 
-    V = rescaled_gradient(values, grid, dist)
-    dd = np.zeros(grid.shape)
-    for a in range(2):
-        dd = dd + rescaled_gradient(V[..., a], grid, dist)[..., a]
+    dd = _rescaled_divergence(rescaled_gradient(values, grid, dist), grid, dist)
     hess = _hessian(values, grid.h)
     rhs = dd + np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
     diff = np.abs(lhs - rhs)
@@ -513,10 +498,7 @@ def elliptic_part_identity_check(
     """Max interior residual of the expanded elliptic-part identity for the
     identity metric: D~.D~ u + u_nunu against the A^-1-contracted Hessian
     plus first-order corrections."""
-    V = rescaled_gradient(values, grid, dist)
-    dd = np.zeros(grid.shape)
-    for a in range(2):
-        dd = dd + rescaled_gradient(V[..., a], grid, dist)[..., a]
+    dd = _rescaled_divergence(rescaled_gradient(values, grid, dist), grid, dist)
     hess = _hessian(values, grid.h)
     lhs = dd + np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
 
@@ -528,9 +510,7 @@ def elliptic_part_identity_check(
         for i in range(2):
             d_ainv[..., :, a, i] = _gradient(a_inv[..., a, i], grid.h)
     m2 = np.einsum("...ar,...rai,...i->...", a_inv, d_ainv, g)
-    div_nu = np.zeros(grid.shape)
-    for a in range(2):
-        div_nu = div_nu + rescaled_gradient(dist.normal[..., a], grid, dist)[..., a]
+    div_nu = _rescaled_divergence(dist.normal, grid, dist)
     m3 = -div_nu * np.einsum("...a,...a->...", dist.normal, g)
     diff = np.abs(lhs - (m1 + m2 + m3))
     return float(np.nanmax(diff[grid.interior_mask]))
@@ -585,27 +565,19 @@ def flat_strip_step_equivalence(
     prop = Propagator(circle(1.0, period), grid1, config, lambda th, t: f_line)
     u_line = prop.step(profile, 0)
 
-    # 2-d strip step with the same data lifted constantly in y
-    n = n_x * n_y
-    main = np.full(n, 1.0 / dt + 2.0 / hx**2 + 2.0 / hy**2)
-    mat = sparse.lil_matrix((n, n))
-    idx = lambda j, i: j * n_x + i
-    for j in range(n_y):
-        for i in range(n_x):
-            row = idx(j, i)
-            mat[row, row] = main[row]
-            mat[row, idx(j, (i + 1) % n_x)] = -1.0 / hx**2
-            mat[row, idx(j, (i - 1) % n_x)] = -1.0 / hx**2
-            if j == 0:
-                mat[row, idx(1, i)] = -2.0 / hy**2
-            elif j == n_y - 1:
-                mat[row, idx(n_y - 2, i)] = -2.0 / hy**2
-            else:
-                mat[row, idx(j + 1, i)] = -1.0 / hy**2
-                mat[row, idx(j - 1, i)] = -1.0 / hy**2
-    lifted_u0 = np.tile(profile, n_y)
-    lifted_f = np.tile(f_line, n_y)
+    # 2-d strip step with the same data lifted constantly in y; row-major
+    # nodes j * n_x + i, periodic in x, mirrored Neumann rows in y
+    ones_x = np.ones(n_x)
+    lap_x = _cyclic_tridiagonal(-2.0 * ones_x, ones_x, ones_x) / hx**2
+    upper, lower = np.ones(n_y - 1), np.ones(n_y - 1)
+    upper[0] = lower[-1] = 2.0
+    lap_y = sparse.diags([np.full(n_y, -2.0), upper, lower], [0, 1, -1]) / hy**2
+    mat = (
+        sparse.identity(n_x * n_y) / dt
+        - sparse.kron(sparse.identity(n_y), lap_x)
+        - sparse.kron(lap_y, sparse.identity(n_x))
+    )
     solver = spla.splu(mat.tocsc())
-    u_strip = solver.solve(lifted_u0 / dt - lifted_f).reshape(n_y, n_x)
+    u_strip = solver.solve(np.tile(profile, n_y) / dt - np.tile(f_line, n_y)).reshape(n_y, n_x)
     extracted = u_strip.mean(axis=0)
     return float(np.max(np.abs(extracted - u_line)))

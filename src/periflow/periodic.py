@@ -95,7 +95,7 @@ def fixed_point_solve(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     prop = propagator if propagator is not None else make_propagator(problem)
-    measure0 = prop.measures[0]
+    measure0 = prop.geometry.measure(0)
     c = problem.target_mean
 
     if start is None:
@@ -159,7 +159,7 @@ def _zero_order_floor(prop: Propagator) -> float:
     """Pointwise lower bound of the effective zero-order term across levels."""
     floor = float(np.min(prop.zero_order))
     if prop.config.zero_order in ("divergence", "divergence_plus_constant"):
-        floor += min(float(np.min(m.trace_rate)) for m in prop.metrics)
+        floor += float(np.min(prop.geometry.trace_rate))
     return floor
 
 
@@ -181,7 +181,7 @@ def contraction_estimate(
     grid = problem.grid
     if probes is None:
         probes = default_probes(grid, seed)
-    measure0 = prop.measures[0]
+    measure0 = prop.geometry.measure(0)
 
     pair_ratios: list[tuple[float, float]] = []
     worst = 0.0
@@ -271,7 +271,7 @@ def monodromy_solve(
             f"dense monodromy assembly limited to {_MAX_DENSE_NODES} nodes, got {n}"
         )
     prop = propagator if propagator is not None else make_propagator(problem)
-    measure0 = prop.measures[0]
+    measure0 = prop.geometry.measure(0)
     w = measure0.weights
     total = measure0.total
 

@@ -297,6 +297,32 @@ def from_sampled_chart(name: str, chart: ChartFn, period: float, closed: bool = 
     )
 
 
+def orientation_sign(surface: SurfaceFamily, positions: np.ndarray) -> float:
+    """Sign turning the rotated unit tangent into the outward normal: the pinned
+    `outward_sign`, else the sign of the shoelace area of the node polygon."""
+    if surface.outward_sign is not None:
+        return float(surface.outward_sign)
+    area = 0.5 * np.sum(
+        positions[:, 0] * np.roll(positions[:, 1], -1)
+        - np.roll(positions[:, 0], -1) * positions[:, 1]
+    )
+    return 1.0 if area >= 0.0 else -1.0
+
+
+def _frame_pieces(xd: np.ndarray, xdd: np.ndarray, sign: float, t: float):
+    """Speed, unit tangent, outward normal and signed curvature from X_theta and
+    X_theta_theta of shape (..., 2); rejects a failed immersion condition."""
+    speed = np.linalg.norm(xd, axis=-1)
+    if np.min(speed) < _IMMERSION_FLOOR:
+        raise DegenerateSurfaceError(
+            f"|chart_dtheta| = {np.min(speed):.3e} below immersion threshold at t={t}"
+        )
+    tangent = xd / speed[..., None]
+    normal = sign * np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+    curvature = -np.einsum("...a,...a->...", normal, xdd) / speed**2
+    return speed, tangent, normal, curvature
+
+
 def build_frame(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> GeometryFrame:
     """Evaluate position, outward normal, curvature and velocity at time t.
 
@@ -309,24 +335,8 @@ def build_frame(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Geomet
     vel = np.asarray(surface.chart_dt(theta, t), dtype=float)
     vel_dth = np.asarray(surface.chart_dt_dtheta(theta, t), dtype=float)
 
-    speed = np.linalg.norm(xd, axis=1)
-    if np.min(speed) < _IMMERSION_FLOOR:
-        raise DegenerateSurfaceError(
-            f"|chart_dtheta| = {np.min(speed):.3e} below immersion threshold at t={t}"
-        )
-    tangent = xd / speed[:, None]
-
-    if surface.outward_sign is not None:
-        sign = float(surface.outward_sign)
-    else:
-        # shoelace area of the node polygon; positive for counterclockwise charts
-        area = 0.5 * np.sum(
-            pos[:, 0] * np.roll(pos[:, 1], -1) - np.roll(pos[:, 0], -1) * pos[:, 1]
-        )
-        sign = 1.0 if area >= 0.0 else -1.0
-    normal = sign * np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1)
-
-    curvature = -np.einsum("ia,ia->i", normal, xdd) / speed**2
+    sign = orientation_sign(surface, pos)
+    speed, tangent, normal, curvature = _frame_pieces(xd, xdd, sign, t)
     speed_dtheta = np.einsum("ia,ia->i", xd, xdd) / speed
     return GeometryFrame(
         theta, float(t), pos, tangent, normal, speed, speed_dtheta, curvature, vel, vel_dth
@@ -334,8 +344,8 @@ def build_frame(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Geomet
 
 
 def _theta_derivative(values: np.ndarray, dtheta: float) -> np.ndarray:
-    """Second-order central difference on the periodic grid."""
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dtheta)
+    """Second-order central difference on the periodic grid (along axis 0)."""
+    return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * dtheta)
 
 
 def tangential_gradient(
@@ -371,10 +381,7 @@ def second_tangential_derivative(
     exact the result is exact; otherwise central differences are used.
     """
     if dtheta_of_grad is None:
-        dth = 2.0 * np.pi / frame.n_nodes
-        dtheta_of_grad = np.stack(
-            [_theta_derivative(grad[:, 0], dth), _theta_derivative(grad[:, 1], dth)], axis=-1
-        )
+        dtheta_of_grad = _theta_derivative(grad, 2.0 * np.pi / frame.n_nodes)
     arc = dtheta_of_grad / frame.speed[:, None]
     return np.einsum("ia,ib->iab", frame.tangent, arc)
 

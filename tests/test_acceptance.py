@@ -40,6 +40,7 @@ from periflow import (
     pullback_identity_check,
     rotating_ellipse,
     solve_ivp,
+    space_time_geometry,
     trace_identity,
     weighted_measure,
 )
@@ -119,7 +120,7 @@ def test_criterion_3_conservation():
     )
     surface = breathing_circle()
     traj = solve_ivp(surface, grid, config, np.ones(256))
-    series = mass_ledger(traj, surface, grid, config)
+    series = mass_ledger(traj, space_time_geometry(surface, grid), config)
     drift = abs(series.masses[-1] - series.masses[0]) / abs(series.masses[0])
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     closed = np.stack([np.full(256, r(0.0) / r(t)) for t in grid.times])
@@ -174,12 +175,14 @@ def _conservative_forced_problem(n=256, m=512):
 
 def test_criterion_5_conservative_periodic_scenario():
     problem = _conservative_forced_problem()
-    compat = compatibility_check(problem.forcing, problem.surface, problem.grid)
+    compat = compatibility_check(
+        problem.forcing, space_time_geometry(problem.surface, problem.grid)
+    )
     ok = report("criterion-5 compatibility", abs(compat) <= 1e-12, f"integral={compat:.3e}")
     prop = make_propagator(problem)
     traj, solve_report = monodromy_solve(problem, propagator=prop)
-    res = periodicity_residuals(traj, prop.measures[0])
-    mean0, _ = mean_and_mass(prop.measures[0], traj.values[0])
+    res = periodicity_residuals(traj, prop.geometry.measure(0))
+    mean0, _ = mean_and_mass(prop.geometry.measure(0), traj.values[0])
     ok &= report("criterion-5 strict-residual", res.strict <= 1e-8, f"residual={res.strict:.3e}")
     ok &= report("criterion-5 initial-mean", abs(mean0 - 1.0) <= 1e-12, f"|mean-1|={abs(mean0 - 1.0):.3e}")
     ok &= report(
@@ -223,7 +226,7 @@ def test_criterion_7_relaxed_periodicity_ledger():
     problem = PeriodicProblem(surface=breathing_circle(), config=config, target_mean=1.0)
     prop = make_propagator(problem)
     traj, _ = monodromy_solve(problem, propagator=prop)
-    res = periodicity_residuals(traj, prop.measures[0])
+    res = periodicity_residuals(traj, prop.geometry.measure(0))
     expected = 1.0 * (math.exp(-0.5 * 1.0) - 1.0)
     drift_err = abs(res.mean_drift - expected)
     ok = report(

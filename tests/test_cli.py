@@ -198,3 +198,58 @@ n_steps = 16
 def test_main_run_exit_zero(tmp_path):
     path = write_config(tmp_path, SMALL_IVP)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+BAD_VALUE = """
+[surface]
+family = breathing
+{surface}
+
+[problem]
+scenario = band-check
+
+[discretization]
+{discretization}
+"""
+
+
+@pytest.mark.parametrize(
+    "surface, discretization",
+    [
+        ("amplitude = abc", ""),
+        ("amplitude = 1.5", ""),
+        ("period = -1", ""),
+        ("", "band_h = 0"),
+    ],
+    ids=["amplitude-not-a-number", "amplitude-out-of-range", "negative-period", "zero-band-h"],
+)
+def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
+    body = BAD_VALUE.format(surface=surface, discretization=discretization)
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_manifest_records_resolved_presets(tmp_path):
+    contraction = """
+[surface]
+family = circle
+
+[problem]
+scenario = contraction
+zero_order = divergence
+c0 = 1.0
+
+[discretization]
+n_nodes = 32
+n_steps = 32
+"""
+    manifest, _ = run_and_digest(tmp_path, contraction, "contr")
+    assert manifest.resolved["zero_order"] == "constant"
+    assert "zero_order = constant" in (tmp_path / "contr" / "manifest.txt").read_text()
+
+    decay = MINIMAL + "forcing = sin(theta)\n\n[discretization]\nn_nodes = 32\nn_steps = 16\n"
+    manifest, _ = run_and_digest(tmp_path, decay, "decay")
+    assert manifest.resolved["forcing_expr"] is None
+    assert manifest.resolved["u0_expr"] == "cos(theta)"
+    assert "forcing_expr = None" in (tmp_path / "decay" / "manifest.txt").read_text()

@@ -17,6 +17,7 @@ from periflow import (
     max_principle_monitor,
     norm_equivalence_check,
     solve_ivp,
+    space_time_geometry,
 )
 
 
@@ -121,7 +122,7 @@ def test_mass_ledger_conservative_run():
     grid = ParameterGrid(128, 128, 1.0)
     config = IVPConfig(n_nodes=128, n_steps=128, scheme="backward_euler", zero_order="divergence")
     traj = solve_ivp(surface, grid, config, np.ones(128))
-    series = mass_ledger(traj, surface, grid, config)
+    series = mass_ledger(traj, space_time_geometry(surface, grid), config)
     assert np.max(np.abs(series.defects)) <= 1e-8 * abs(series.masses[0])
     assert abs(series.masses[-1] - series.masses[0]) <= 1e-8 * abs(series.masses[0])
     assert np.all(series.forcing_integrals == 0.0)
@@ -132,18 +133,17 @@ def test_mass_ledger_zero_everything():
     grid = ParameterGrid(64, 16, 1.0)
     config = IVPConfig(n_nodes=64, n_steps=16, zero_order="divergence")
     traj = solve_ivp(surface, grid, config, np.zeros(64))
-    series = mass_ledger(traj, surface, grid, config)
+    series = mass_ledger(traj, space_time_geometry(surface, grid), config)
     assert np.all(series.masses == 0.0) and np.all(series.defects == 0.0)
 
 
 def test_compatibility_check_values():
-    surface = circle()
-    grid = ParameterGrid(64, 32, 1.0)
-    assert compatibility_check(None, surface, grid) == 0.0
+    geometry = space_time_geometry(circle(), ParameterGrid(64, 32, 1.0))
+    assert compatibility_check(None, geometry) == 0.0
     harmonic = lambda th, t: np.cos(th) * (1.0 + math.sin(2.0 * math.pi * t))
-    assert abs(compatibility_check(harmonic, surface, grid)) <= 1e-13
+    assert abs(compatibility_check(harmonic, geometry)) <= 1e-13
     const = lambda th, t: np.ones_like(th)
-    assert abs(compatibility_check(const, surface, grid) - 2.0 * math.pi) <= 1e-10
+    assert abs(compatibility_check(const, geometry) - 2.0 * math.pi) <= 1e-10
 
 
 def test_compatibility_of_time_derivative_forcing():
@@ -160,7 +160,7 @@ def test_compatibility_of_time_derivative_forcing():
         rate = 2.0 * math.pi * (math.cos(2.0 * math.pi * t) - 0.6 * math.sin(4.0 * math.pi * t))
         return np.full_like(th, rate / r)
 
-    value = compatibility_check(forcing, surface, grid)
+    value = compatibility_check(forcing, space_time_geometry(surface, grid))
     assert abs(value) <= 1e-12
 
 

@@ -17,6 +17,7 @@ from periflow import (
     fourier_noise,
     mean_and_mass,
     solve_ivp,
+    space_time_geometry,
     weighted_measure,
 )
 
@@ -150,7 +151,7 @@ def test_duality_residual_vanishes_for_zero_field():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16)
     zero = solve_ivp(breathing_circle(), grid, config, np.zeros(64))
-    assert duality_check(breathing_circle(), grid, zero, zero) == 0.0
+    assert duality_check(space_time_geometry(breathing_circle(), grid), zero, zero) == 0.0
 
 
 @pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
@@ -163,7 +164,7 @@ def test_duality_residual_second_order(scheme):
         config = IVPConfig(n_nodes=64, n_steps=m, scheme=scheme, zero_order="divergence")
         u = solve_ivp(surf, grid, config, u0)
         phi = adjoint_solve(surf, grid, config, u)
-        res.append(duality_check(surf, grid, u, phi))
+        res.append(duality_check(space_time_geometry(surf, grid), u, phi))
     # the quadrature identity converges at second order for both schemes,
     # within the first-order bound expected of backward Euler
     assert abs(mean_order(res) - 2.0) <= 0.4

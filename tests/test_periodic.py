@@ -173,7 +173,7 @@ def test_monodromy_mean_constraint_and_periodicity():
     problem = breathing_problem(forcing=harmonic_forcing, mean=1.0, n=64, m=64)
     prop = make_propagator(problem)
     traj, _ = monodromy_solve(problem, propagator=prop)
-    measure0 = prop.measures[0]
+    measure0 = prop.geometry.measure(0)
     mean0, _ = mean_and_mass(measure0, traj.values[0])
     assert abs(mean0 - 1.0) <= 1e-12
     res = periodicity_residuals(traj, measure0)
@@ -200,7 +200,7 @@ def test_periodicity_residuals_constant_trajectory():
     problem = breathing_problem(forcing=None, mean=0.0, n=64, m=64)
     prop = make_propagator(problem)
     traj, _ = monodromy_solve(problem, propagator=prop)
-    res = periodicity_residuals(traj, prop.measures[0])
+    res = periodicity_residuals(traj, prop.geometry.measure(0))
     assert res.relaxed <= 1e-13 and res.strict <= 1e-13 and abs(res.mean_drift) <= 1e-13
 
 
@@ -212,7 +212,7 @@ def test_fixed_point_conservative_closed_form():
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(64, r(0.0) / r(t)) for t in problem.grid.times])
     assert np.max(np.abs(report.trajectory.values - expected)) <= 1e-6
-    res = periodicity_residuals(report.trajectory, prop.measures[0])
+    res = periodicity_residuals(report.trajectory, prop.geometry.measure(0))
     assert res.strict <= 1e-10  # zero forcing satisfies the compatibility integral
 
 
@@ -235,7 +235,7 @@ def test_exponential_decay_scenario_mean_drift():
     problem = PeriodicProblem(surface=breathing_circle(), config=config, target_mean=1.0)
     prop = make_propagator(problem)
     traj, _ = monodromy_solve(problem, propagator=prop)
-    res = periodicity_residuals(traj, prop.measures[0])
+    res = periodicity_residuals(traj, prop.geometry.measure(0))
     expected = math.exp(-0.5) - 1.0
     assert abs(res.mean_drift - expected) <= 1e-4
     assert res.relaxed <= 1e-8

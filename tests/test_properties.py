@@ -1,0 +1,128 @@
+"""Property tests of the invariants that hold exactly by construction.
+
+Each property is drawn over random grid sizes N in [8, 256], all shipped
+families and random nodal fields.  Runs are derandomized, so every run
+checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from periflow import (
+    FAMILIES,
+    IVPConfig,
+    ParameterGrid,
+    Propagator,
+    SpaceTimeField,
+    assemble_metric,
+    greens_formula_check,
+    laplace_beltrami_apply,
+    mass_ledger,
+    mean_and_mass,
+    space_time_geometry,
+    weighted_measure,
+)
+
+PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+FAMILY = st.sampled_from(sorted(FAMILIES))
+NODES = st.integers(8, 256)
+TIME = st.floats(0.0, 1.0)
+EPS = np.finfo(float).eps
+
+
+def half_node_coefficients(metric):
+    c = metric.flux_coefficient
+    return 0.5 * (c + np.roll(c, -1))
+
+
+def nodal_field(data, n, lo=-10.0, hi=10.0):
+    return data.draw(hnp.arrays(np.float64, n, elements=st.floats(lo, hi)))
+
+
+@PROPERTY
+@given(family=FAMILY, n=NODES, m=st.integers(4, 16))
+def test_geometry_matches_assembled_metric(family, n, m):
+    grid = ParameterGrid(n, m, 1.0)
+    surface = FAMILIES[family]()
+    geometry = space_time_geometry(surface, grid)
+    for k, t in enumerate(grid.times):
+        metric = assemble_metric(surface, grid, t)
+        assert np.array_equal(geometry.sqrt_g[k], metric.sqrt_local_det)
+        assert np.array_equal(geometry.weights[k], weighted_measure(metric).weights)
+        assert np.array_equal(geometry.c_half[k], half_node_coefficients(metric))
+        # scalar (1/2) g_t / g against the Cartesian trace: equal up to round-off
+        np.testing.assert_allclose(geometry.trace_rate[k], metric.trace_rate, rtol=0, atol=1e-13)
+
+
+@PROPERTY
+@given(family=FAMILY, n=NODES, t=TIME, c=st.floats(-1e3, 1e3))
+def test_constants_are_annihilated(family, n, t, c):
+    grid = ParameterGrid(n, 4, 1.0)
+    surface = FAMILIES[family]()
+    constant = np.full(n, c)
+    assert np.all(laplace_beltrami_apply(assemble_metric(surface, grid, t), constant) == 0.0)
+    geometry = space_time_geometry(surface, grid)
+    assert np.all(geometry.laplace_beltrami(np.tile(constant, (5, 1))) == 0.0)
+
+
+@PROPERTY
+@given(family=FAMILY, n=NODES, t=TIME, data=st.data())
+def test_operator_output_has_zero_weighted_mass(family, n, t, data):
+    metric = assemble_metric(FAMILIES[family](), ParameterGrid(n, 4, 1.0), t)
+    measure = weighted_measure(metric)
+    out = laplace_beltrami_apply(metric, nodal_field(data, n))
+    _, mass = mean_and_mass(measure, out)
+    # the weighted sum telescopes: only round-off of its n terms remains
+    assert abs(mass) <= 4.0 * n * EPS * float(np.sum(np.abs(measure.weights * out)))
+
+
+@PROPERTY
+@given(family=FAMILY, n=NODES, t=TIME, data=st.data())
+def test_greens_identity(family, n, t, data):
+    metric = assemble_metric(FAMILIES[family](), ParameterGrid(n, 4, 1.0), t)
+    u, w = nodal_field(data, n), nodal_field(data, n)
+    du, dw = np.roll(u, -1) - u, np.roll(w, -1) - w
+    energy_terms = half_node_coefficients(metric) * du * dw / metric.dtheta
+    mass_terms = weighted_measure(metric).weights * u * laplace_beltrami_apply(metric, w)
+    # summation by parts is exact: only round-off of the 2n summed terms remains
+    scale = float(np.sum(np.abs(energy_terms)) + np.sum(np.abs(mass_terms)))
+    assert greens_formula_check(metric, u, w) <= 8.0 * n * EPS * scale
+
+
+@PROPERTY
+@given(family=FAMILY, n=NODES, period=st.floats(0.05, 20.0))
+def test_charts_are_exactly_periodic(family, n, period):
+    surface = FAMILIES[family](period=period)
+    grid = ParameterGrid(n, 4, period)
+    theta, end = grid.nodes, grid.times[-1]
+    for closure in (
+        surface.chart,
+        surface.chart_dtheta,
+        surface.chart_dtheta2,
+        surface.chart_dt,
+        surface.chart_dt_dtheta,
+    ):
+        assert np.array_equal(closure(theta, 0.0), closure(theta, end))
+
+
+@PROPERTY
+@given(
+    family=FAMILY,
+    n=NODES,
+    m=st.integers(4, 32),
+    scheme=st.sampled_from(["backward_euler", "crank_nicolson"]),
+    data=st.data(),
+)
+def test_divergence_mode_mass_law(family, n, m, scheme, data):
+    grid = ParameterGrid(n, m, 1.0)
+    config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme, zero_order="divergence")
+    forcing = SpaceTimeField(
+        data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0))),
+        grid.times,
+    )
+    prop = Propagator(FAMILIES[family](), grid, config, forcing)
+    traj = SpaceTimeField(prop.run(nodal_field(data, n, 0.5, 2.0)), grid.times)
+    ledger = mass_ledger(traj, prop.geometry, config, forcing)
+    assert np.max(np.abs(ledger.defects)) <= 1e-12 * np.max(np.abs(ledger.masses))
