@@ -1,25 +1,24 @@
 """Experiment runner: config parsing, scenario dispatch, reproducible output.
 
 Configs are INI files with sections [surface] [problem] [discretization]
-[output]; unknown keys are rejected.  Every run writes CSV data files plus a
-manifest listing the resolved configuration, per-check pass/fail lines and
-content digests of the outputs.  Identical configs and seeds produce
-byte-identical data files.
+[output]; unknown keys are rejected.  Every run writes CSV data files
+through `tables.write_csv` plus a manifest listing the resolved
+configuration, per-check pass/fail lines and the SHA-256 of each data file
+this run wrote.  Identical configs and seeds produce byte-identical files.
 
-Exit codes: 0 all checks passed, 1 a check or solver failed, 2 usage or
-configuration error.
+Exit codes: 0 all checks passed, 1 a check or solver failed or sampled
+data is not finite, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import inspect
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from .fields import ParameterGrid, ScalarField, SpaceTimeField
 from .metric import (
     assemble_metric,
     greens_formula_check,
+    mean_and_mass,
     pullback_identity_check,
     trace_identity,
 )
@@ -62,6 +62,7 @@ from .periodic import (
 )
 from .fields import AmbientField, AnalyticField
 from .surfaces import FAMILIES, SurfaceFamily, build_frame, commutator_check
+from .tables import write_csv
 
 SCENARIOS = {
     "ivp": "initial value solve with mass ledger",
@@ -74,28 +75,13 @@ SCENARIOS = {
     "holder": "Hölder estimator suite on a reference field",
 }
 
-_PROBLEM_KEYS = {
-    "scenario",
-    "zero_order",
-    "c0",
-    "alpha",
-    "forcing",
-    "u0",
-    "target_mean",
-    "tol",
-    "max_iter",
-    "band_time",
-}
-_DISCRETIZATION_KEYS = {"n_nodes", "n_steps", "scheme", "band_h", "band_delta"}
-_OUTPUT_KEYS = {"directory", "seed"}
-
 
 @dataclass
 class ExperimentConfig:
-    scenario: str
-    surface_family: str
-    surface_params: dict
-    period: float
+    scenario: str = "ivp"
+    surface_family: str = "circle"
+    surface_params: dict = field(default_factory=dict)
+    period: float = 1.0
     n_nodes: int = 256
     n_steps: int = 512
     scheme: str = "crank_nicolson"
@@ -157,25 +143,41 @@ class ExperimentConfig:
         return compile_expression(expr, self.period)(grid.nodes, 0.0)
 
 
-def _get_float(raw: dict, key: str, default: float | None) -> float | None:
-    if key not in raw:
-        return default
+def _parse_value(key: str, text: str, kind: type):
+    """`text` as `kind`: str, int or a finite float."""
     try:
-        value = float(raw[key])
+        value = kind(text)
     except ValueError as exc:
-        raise ConfigError(f"value of {key!r} is not a number: {raw[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"value of {key!r} is not finite: {raw[key]!r}")
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"value of {key!r} is not {expected}: {text!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"value of {key!r} is not finite: {text!r}")
     return value
 
 
-def _get_int(raw: dict, key: str, default: int) -> int:
-    if key not in raw:
-        return default
-    try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"value of {key!r} is not an integer: {raw[key]!r}") from exc
+# INI (section, key) -> (ExperimentConfig field, value type); every other key
+# of [surface] must be a parameter of the chosen family
+_KEYS = {
+    ("surface", "family"): ("surface_family", str),
+    ("surface", "period"): ("period", float),
+    ("problem", "scenario"): ("scenario", str),
+    ("problem", "zero_order"): ("zero_order", str),
+    ("problem", "c0"): ("c0", float),
+    ("problem", "alpha"): ("alpha", float),
+    ("problem", "forcing"): ("forcing_expr", str),
+    ("problem", "u0"): ("u0_expr", str),
+    ("problem", "target_mean"): ("target_mean", float),
+    ("problem", "tol"): ("tol", float),
+    ("problem", "max_iter"): ("max_iter", int),
+    ("problem", "band_time"): ("band_time", float),
+    ("discretization", "n_nodes"): ("n_nodes", int),
+    ("discretization", "n_steps"): ("n_steps", int),
+    ("discretization", "scheme"): ("scheme", str),
+    ("discretization", "band_h"): ("band_h", float),
+    ("discretization", "band_delta"): ("band_delta", float),
+    ("output", "directory"): ("out_dir", str),
+    ("output", "seed"): ("seed", int),
+}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -190,63 +192,29 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    known_sections = {"surface", "problem", "discretization", "output"}
+    values, surface_params = {}, {}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in {known for known, _ in _KEYS}:
             raise ConfigError(f"unknown config section [{section}]")
-
-    surface = dict(parser["surface"]) if parser.has_section("surface") else {}
-    problem = dict(parser["problem"]) if parser.has_section("problem") else {}
-    disc = dict(parser["discretization"]) if parser.has_section("discretization") else {}
-    output = dict(parser["output"]) if parser.has_section("output") else {}
-
-    family = surface.get("family", "circle")
+        for key, text in parser[section].items():
+            if (section, key) in _KEYS:
+                name, kind = _KEYS[section, key]
+                values[name] = _parse_value(key, text, kind)
+            elif section == "surface":
+                surface_params[key] = text
+            else:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+    cfg = ExperimentConfig(**values)
+    if cfg.scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {cfg.scenario!r}; see `periflow list-scenarios`")
+    family = cfg.surface_family
     if family not in FAMILIES:
         raise ConfigError(f"unknown surface family {family!r}; choose from {sorted(FAMILIES)}")
-    allowed = {"family", *inspect.signature(FAMILIES[family]).parameters}
-    for key in surface:
+    allowed = inspect.signature(FAMILIES[family]).parameters
+    for key, text in surface_params.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in [surface] for family {family!r}")
-    for section_name, raw, allowed_keys in (
-        ("problem", problem, _PROBLEM_KEYS),
-        ("discretization", disc, _DISCRETIZATION_KEYS),
-        ("output", output, _OUTPUT_KEYS),
-    ):
-        for key in raw:
-            if key not in allowed_keys:
-                raise ConfigError(f"unknown key {key!r} in [{section_name}]")
-
-    scenario = problem.get("scenario", "ivp")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; see `periflow list-scenarios`")
-
-    period = _get_float(surface, "period", 1.0)
-    surface_params = {
-        k: _get_float(surface, k, None) for k in surface if k not in ("family", "period")
-    }
-
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        surface_family=family,
-        surface_params=surface_params,
-        period=period,
-        n_nodes=_get_int(disc, "n_nodes", 256),
-        n_steps=_get_int(disc, "n_steps", 512),
-        scheme=disc.get("scheme", "crank_nicolson"),
-        zero_order=problem.get("zero_order", "zero"),
-        c0=_get_float(problem, "c0", None),
-        alpha=_get_float(problem, "alpha", None),
-        forcing_expr=problem.get("forcing"),
-        u0_expr=problem.get("u0"),
-        target_mean=_get_float(problem, "target_mean", 1.0),
-        tol=_get_float(problem, "tol", 1e-10),
-        max_iter=_get_int(problem, "max_iter", 40),
-        band_time=_get_float(problem, "band_time", 0.0),
-        band_h=_get_float(disc, "band_h", 1.0 / 128.0),
-        band_delta=_get_float(disc, "band_delta", 0.2),
-        out_dir=output.get("directory", "periflow-out"),
-        seed=_get_int(output, "seed", 0),
-    )
+        cfg.surface_params[key] = _parse_value(key, text, float)
     _validate_config(cfg)
     return cfg
 
@@ -307,41 +275,29 @@ class RunManifest:
         lines.append(f"versions: periflow={__version__} numpy={np.__version__} "
                      f"python={sys.version.split()[0]}")
         lines += [c.line() for c in self.checks]
-        lines += [f"output {name} sha256={digest}" for name, digest in self.outputs]
+        lines += [f"output {name} sha256={digest}" for name, digest in sorted(self.outputs)]
         lines.append(f"wall_clock_s: {self.wall_clock_s:.3f}")
         tmp = path.with_suffix(".tmp")
         tmp.write_text("\n".join(lines) + "\n", newline="\n")
         tmp.replace(path)
 
 
-def emit_field_csv(field_obj: ScalarField | SpaceTimeField, path: str | Path) -> None:
-    """Write (t, theta, u) rows, sorted by time then theta, 17 significant
-    digits, LF separators, locale independent."""
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,theta,u\n")
-        if isinstance(field_obj, ScalarField):
-            levels = [(field_obj.time, field_obj.values)]
-        else:
-            levels = [(float(field_obj.times[k]), field_obj.values[k])
-                      for k in range(field_obj.n_levels)]
-        for t, values in levels:
-            n = values.shape[0]
-            theta = np.arange(n) * (2.0 * np.pi / n)
-            for i in range(n):
-                fh.write(f"{t:.17g},{theta[i]:.17g},{values[i]:.17g}\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def emit_field_csv(field_obj: ScalarField | SpaceTimeField, path: str | Path) -> str:
+    """Write (t, theta, u) rows, sorted by time then theta; returns the
+    SHA-256 of the file (format: `tables.write_csv`)."""
+    if isinstance(field_obj, ScalarField):
+        times, values = np.array([field_obj.time]), field_obj.values[None]
+    else:
+        times, values = field_obj.times, field_obj.values
+    n_levels, n = values.shape
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    columns = [np.repeat(times, n), np.tile(theta, n_levels), values.ravel()]
+    return write_csv(path, ["t", "theta", "u"], columns)
 
 
 def _resolved_dict(cfg: ExperimentConfig) -> dict:
-    keys = (
-        "scenario surface_family period n_nodes n_steps scheme zero_order c0 alpha "
-        "forcing_expr u0_expr target_mean tol max_iter band_time band_h band_delta seed"
-    ).split()
-    out = {k: getattr(cfg, k) for k in keys}
+    skip = ("surface_params", "out_dir")
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
     out.update({f"surface.{k}": v for k, v in cfg.surface_params.items()})
     return out
 
@@ -355,9 +311,9 @@ def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     forcing = cfg.forcing()
     prop = Propagator(cfg.build_surface(), grid, config, forcing)
     traj = SpaceTimeField(prop.run(cfg.initial_values(grid)), grid.times)
-    emit_field_csv(traj, out / "trajectory.csv")
+    manifest.outputs.append(("trajectory.csv", emit_field_csv(traj, out / "trajectory.csv")))
     ledger = mass_ledger(traj, prop.geometry, config, forcing)
-    ledger.write_csv(out / "mass_ledger.csv")
+    manifest.outputs.append(("mass_ledger.csv", ledger.write_csv(out / "mass_ledger.csv")))
     manifest.checks.append(
         CheckResult("finite_trajectory", bool(np.all(np.isfinite(traj.values))), 0.0, 0.0)
     )
@@ -373,11 +329,11 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     if cfg.scenario == "periodic-fixed":
         report = fixed_point_solve(problem, cfg.tol, cfg.max_iter, propagator=prop)
         traj = report.trajectory
-        with open(out / "iteration_ledger.csv", "w", newline="\n") as fh:
-            fh.write("iterate,residual,ratio\n")
-            for k, res in enumerate(report.residuals):
-                ratio = report.ratios[k - 1] if 0 < k <= len(report.ratios) else float("nan")
-                fh.write(f"{k},{res:.17g},{ratio:.17g}\n")
+        ratios = np.full(len(report.residuals), np.nan)  # none for the first iterate
+        ratios[1 : 1 + len(report.ratios)] = report.ratios
+        digest = write_csv(out / "iteration_ledger.csv", ["iterate", "residual", "ratio"],
+                           [np.arange(ratios.size), report.residuals, ratios])
+        manifest.outputs.append(("iteration_ledger.csv", digest))
         manifest.checks.append(
             CheckResult("fixed_point_converged", report.converged,
                         report.final_residual, cfg.tol)
@@ -389,13 +345,13 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
                         solve_report.smallest_singular_value >= 1e-8,
                         solve_report.smallest_singular_value, 1e-8)
         )
-    emit_field_csv(traj, out / "trajectory.csv")
+    manifest.outputs.append(("trajectory.csv", emit_field_csv(traj, out / "trajectory.csv")))
     residuals = periodicity_residuals(traj, measure0)
     tol = max(10.0 * cfg.tol, 1e-8)
     manifest.checks.append(
         CheckResult("relaxed_residual", residuals.relaxed <= tol, residuals.relaxed, tol)
     )
-    mean0 = float(np.dot(measure0.weights, traj.values[0]) / measure0.total)
+    mean0, _ = mean_and_mass(measure0, traj.values[0])
     mean_err = abs(mean0 - cfg.target_mean)
     manifest.checks.append(CheckResult("initial_mean", mean_err <= 1e-12, mean_err, 1e-12))
     compat = compatibility_check(problem.forcing, prop.geometry)
@@ -404,7 +360,7 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
             CheckResult("strict_residual", residuals.strict <= tol, residuals.strict, tol)
         )
     ledger = mass_ledger(traj, prop.geometry, problem.config, problem.forcing)
-    ledger.write_csv(out / "mass_ledger.csv")
+    manifest.outputs.append(("mass_ledger.csv", ledger.write_csv(out / "mass_ledger.csv")))
 
 
 def _scenario_contraction(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -418,10 +374,11 @@ def _scenario_contraction(cfg: ExperimentConfig, out: Path, manifest: RunManifes
         est = None
     manifest.checks.append(CheckResult("end_map_ratio_bound", bound_ok, worst, bound))
     if est is not None:
-        with open(out / "contraction_ledger.csv", "w", newline="\n") as fh:
-            fh.write("probe,end_map_ratio,adjusted_ratio\n")
-            for k, (jr, kr) in enumerate(est.pair_ratios):
-                fh.write(f"{k},{jr:.17g},{kr:.17g}\n")
+        j_ratios, k_ratios = np.array(est.pair_ratios, dtype=float).reshape(-1, 2).T
+        header = ["probe", "end_map_ratio", "adjusted_ratio"]
+        digest = write_csv(out / "contraction_ledger.csv", header,
+                           [np.arange(j_ratios.size), j_ratios, k_ratios])
+        manifest.outputs.append(("contraction_ledger.csv", digest))
         manifest.checks.append(
             CheckResult("adjusted_ratio_below_one", est.adjusted_ratio < 1.0,
                         est.adjusted_ratio, 1.0)
@@ -439,11 +396,8 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     grid, dist = build_band(surface, t, h, delta)
     href = h / (1.0 / 128.0)
 
-    eik = eikonal_residual(grid, dist)
-    manifest.checks.append(
-        CheckResult("eikonal_residual", eik <= 1e-4 * max(1.0, href**2), eik,
-                    1e-4 * max(1.0, href**2))
-    )
+    eik, eik_tol = eikonal_residual(grid, dist), 1e-4 * max(1.0, href**2)
+    manifest.checks.append(CheckResult("eikonal_residual", eik <= eik_tol, eik, eik_tol))
 
     # surface sampling fine enough that lift interpolation stays below the
     # band truncation error at every h in the refinement study
@@ -480,7 +434,8 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
 
     flat = flat_strip_step_equivalence()
     manifest.checks.append(CheckResult("flat_strip_step", flat <= 1e-10, flat, 1e-10))
-    band_field_csv(grid, dist, lifted, out / "band_field.csv")
+    digest = band_field_csv(grid, dist, lifted, out / "band_field.csv")
+    manifest.outputs.append(("band_field.csv", digest))
 
 
 def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -510,18 +465,16 @@ def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest
             for n in (64, 128, 256, 512)
         ]
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
-        rows.append((name, comm, trace_diff, green, float(np.mean(orders))))
-        manifest.checks.append(CheckResult(f"commutator_{name}", comm <= 1e-9, comm, 1e-9))
-        manifest.checks.append(CheckResult(f"trace_{name}", trace_diff <= 1e-9, trace_diff, 1e-9))
-        manifest.checks.append(CheckResult(f"greens_{name}", green <= 1e-9, green, 1e-9))
+        order = float(np.mean(orders))
+        rows.append((name, comm, trace_diff, green, order))
+        for check, value in (("commutator", comm), ("trace", trace_diff), ("greens", green)):
+            manifest.checks.append(CheckResult(f"{check}_{name}", value <= 1e-9, value, 1e-9))
         manifest.checks.append(
-            CheckResult(f"pullback_order_{name}", abs(rows[-1][4] - 2.0) <= 0.3,
-                        rows[-1][4], 2.0)
+            CheckResult(f"pullback_order_{name}", abs(order - 2.0) <= 0.3, order, 2.0)
         )
-    with open(out / "identities.csv", "w", newline="\n") as fh:
-        fh.write("family,commutator,trace,greens,pullback_order\n")
-        for name, comm, tr, gr, order in rows:
-            fh.write(f"{name},{comm:.17g},{tr:.17g},{gr:.17g},{order:.17g}\n")
+    header = ["family", "commutator", "trace", "greens", "pullback_order"]
+    digest = write_csv(out / "identities.csv", header, list(zip(*rows)))
+    manifest.outputs.append(("identities.csv", digest))
 
 
 def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -533,15 +486,12 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     rows = []
     for alpha in (0.5, 1.0):
         est = holder_estimate(fld, surface, alpha, seed=cfg.seed)
-        rows.append((alpha, est))
-    with open(out / "holder.csv", "w", newline="\n") as fh:
-        fh.write("alpha,sup,holder_coefficient,time_holder,norm_alpha,norm_1_alpha,norm_2_alpha\n")
-        for alpha, est in rows:
-            fh.write(
-                f"{alpha},{est.sup_norm:.17g},{est.holder_coefficient:.17g},"
-                f"{est.time_holder:.17g},{est.norm_alpha:.17g},"
-                f"{est.norm_1_alpha:.17g},{est.norm_2_alpha:.17g}\n"
-            )
+        rows.append((str(alpha), est.sup_norm, est.holder_coefficient, est.time_holder,
+                     est.norm_alpha, est.norm_1_alpha, est.norm_2_alpha))
+    # alpha goes through as text so that it prints as 1.0, not 1
+    header = "alpha,sup,holder_coefficient,time_holder,norm_alpha,norm_1_alpha,norm_2_alpha"
+    digest = write_csv(out / "holder.csv", header.split(","), list(zip(*rows)))
+    manifest.outputs.append(("holder.csv", digest))
     checks = interpolation_check(fld, surface, 0.5, [0.5, 0.25, 0.125], seed=cfg.seed)
     worst = max(lhs - rhs for _, lhs, rhs in checks)
     manifest.checks.append(CheckResult("interpolation_inequality", worst <= 0.0, worst, 0.0))
@@ -567,22 +517,18 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ru
     started = time.perf_counter()
     _SCENARIO_RUNNERS[cfg.scenario](cfg, out, manifest)
     manifest.wall_clock_s = time.perf_counter() - started
-    for file in sorted(out.iterdir()):
-        if file.suffix == ".csv":
-            manifest.outputs.append((file.name, _sha256(file)))
     manifest.write(out / "manifest.txt")
     return manifest
 
 
 def main(argv: list[str] | None = None) -> int:
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     parser = argparse.ArgumentParser(
         prog="periflow",
         description="Time-periodic advection-diffusion experiments on moving closed curves.",
-        epilog=(
-            "Config defaults: n_nodes=256, n_steps=512, scheme=crank_nicolson, "
-            "zero_order=zero, target_mean=1.0, tol=1e-10, max_iter=40, "
-            "band_h=1/128, band_delta=0.2, seed=0."
-        ),
+        epilog="Config defaults: "
+        + ", ".join(f"{key}={defaults[name]}" for (_, key), (name, _) in _KEYS.items()
+                    if defaults[name] is not None),
     )
     sub = parser.add_subparsers(dest="command")
     run_p = sub.add_parser("run", help="run one scenario from a config file")

@@ -25,6 +25,7 @@ from .surfaces import (
     second_tangential_derivative,
     tangential_gradient,
 )
+from .tables import write_csv
 
 _FULL_ENUM_LIMIT = 1500  # below this many points, enumerate all pairs
 
@@ -265,15 +266,16 @@ class MassSeries:
     forcing_integrals: np.ndarray
     defects: np.ndarray
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("level,mass,forcing_integral,defect\n")
-            for k in range(self.times.shape[0]):
-                defect = self.defects[k] if k < self.defects.shape[0] else float("nan")
-                fh.write(
-                    f"{k},{self.masses[k]:.17g},"
-                    f"{self.forcing_integrals[k]:.17g},{defect:.17g}\n"
-                )
+    def write_csv(self, path) -> str:
+        """One row per level (the last has no step, so no defect); returns the SHA-256."""
+        n_levels = self.times.shape[0]
+        defects = np.full(n_levels, np.nan)
+        defects[: self.defects.shape[0]] = self.defects
+        return write_csv(
+            path,
+            ["level", "mass", "forcing_integral", "defect"],
+            [np.arange(n_levels), self.masses, self.forcing_integrals, defects],
+        )
 
 
 def mass_ledger(

@@ -69,6 +69,15 @@ class IVPConfig:
         return ParameterGrid(self.n_nodes, self.n_steps, period)
 
 
+def _require_finite(samples: np.ndarray, quantity: str) -> np.ndarray:
+    """Pass (levels, nodes, ...) samples through, or raise StepError naming the
+    quantity, the time level and the node of the first non-finite value."""
+    if not np.all(np.isfinite(samples)):
+        level, node = np.argwhere(~np.isfinite(samples))[0][:2]
+        raise StepError(f"{quantity} is not finite at node {node}", int(level))
+    return samples
+
+
 def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None:
     if forcing is None:
         return None
@@ -78,16 +87,18 @@ def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None
                 f"forcing shape {forcing.values.shape} does not match grid "
                 f"({grid.n_steps + 1}, {grid.n_nodes})"
             )
-        return forcing.values
-    return _sample_levels(forcing, grid)
+        return _require_finite(forcing.values, "forcing")
+    return _sample_levels(forcing, grid, "forcing")
 
 
-def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: ParameterGrid):
+def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: ParameterGrid,
+                   quantity: str) -> np.ndarray:
     """(M+1, N) samples of a closure c(theta, t) at every node and time level."""
     theta = grid.nodes
-    return np.stack(
+    samples = np.stack(
         [np.asarray(fn(theta, t), dtype=float) + np.zeros_like(theta) for t in grid.times]
     )
+    return _require_finite(samples, quantity)
 
 
 class Propagator:
@@ -118,7 +129,7 @@ class Propagator:
             return np.zeros(shape)
         if config.zero_order in ("constant", "divergence_plus_constant"):
             return np.full(shape, config.coefficient)
-        return _sample_levels(config.custom, grid)
+        return _sample_levels(config.custom, grid, "zero-order coefficient")
 
     def _assemble(self):
         """Per-level operators (CSR) and factorized implicit step matrices."""
@@ -181,6 +192,7 @@ class Propagator:
         final state only (same shape as `u0`, which may be a (N, K) batch).
         """
         u = np.array(u0, dtype=float)
+        _require_finite(u[None], "initial state")
         if keep_trajectory:
             if u.ndim != 1:
                 raise GridMismatchError("trajectories are only kept for single states")

@@ -32,6 +32,7 @@ import scipy.sparse.linalg as spla
 from .errors import BandError, ExtractionError, GridMismatchError, ProjectionError
 from .metric import MetricSample, _cyclic_tridiagonal
 from .surfaces import SurfaceFamily, _frame_pieces, orientation_sign
+from .tables import write_csv
 
 _HALO_CELLS = 4
 _NEWTON_TOL = 1e-13
@@ -75,10 +76,12 @@ class DistanceField:
     volume_factor: np.ndarray  # (ny, nx)  det A
 
 
-def _curve_samples(surface: SurfaceFamily, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equispaced sample parameters and their chart positions at time t."""
+def _curve_samples(surface: SurfaceFamily, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Equispaced sample parameters, their chart positions at time t and the
+    orientation sign of the curve."""
     theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
-    return theta_s, surface.positions(theta_s, t)
+    samples = surface.positions(theta_s, t)
+    return theta_s, samples, orientation_sign(surface, samples)
 
 
 def max_curvature(surface: SurfaceFamily, t: float, n_samples: int = _SAMPLE_COUNT) -> float:
@@ -138,12 +141,21 @@ def _point_geometry(surface: SurfaceFamily, t: float, theta: np.ndarray, sign: f
     return foot, tau, nu, kappa
 
 
+def _gradient_factors(dist: np.ndarray, tau: np.ndarray, kappa: np.ndarray):
+    """A = I - d*hess(d), its inverse and 1 + d*kappa = 1/det A per point."""
+    denom = 1.0 + dist * kappa
+    tau_tau = np.einsum("pa,pb->pab", tau, tau)
+    eye = np.eye(2)[None]
+    factor = eye - (dist * kappa / denom)[:, None, None] * tau_tau
+    factor_inv = eye + (dist * kappa)[:, None, None] * tau_tau
+    return factor, factor_inv, denom
+
+
 def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray) -> dict:
     """Closest-point decomposition of arbitrary points: distance, foot,
     lifted frame, gradient factor A, its inverse and det A."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    theta_s, samples = _curve_samples(surface, t)
-    sign = orientation_sign(surface, samples)
+    theta_s, samples, sign = _curve_samples(surface, t)
     tree = cKDTree(samples)
     _, idx = tree.query(pts)
     theta, ok = _newton_project(surface, t, pts, theta_s[idx])
@@ -152,13 +164,9 @@ def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray)
         raise ProjectionError(f"closest-point Newton failed near {where}", location=where)
     foot, tau, nu, kappa = _point_geometry(surface, t, theta, sign)
     dist = np.einsum("pa,pa->p", pts - foot, nu)
-    denom = 1.0 + dist * kappa
+    factor, factor_inv, denom = _gradient_factors(dist, tau, kappa)
     if np.any(denom <= 0.1):
         raise BandError("points beyond the curvature reach of the curve")
-    tau_tau = np.einsum("pa,pb->pab", tau, tau)
-    eye = np.eye(2)[None]
-    factor = eye - (dist * kappa / denom)[:, None, None] * tau_tau
-    factor_inv = eye + (dist * kappa)[:, None, None] * tau_tau
     return {
         "theta": theta,
         "dist": dist,
@@ -190,8 +198,7 @@ def build_band(
     if halo_delta * kmax >= 0.75:
         raise BandError("halo exceeds the curvature reach; decrease h or delta")
 
-    theta_s, samples = _curve_samples(surface, t)
-    sign = orientation_sign(surface, samples)
+    theta_s, samples, sign = _curve_samples(surface, t)
     margin = halo_delta + 2.0 * h
     x_lo = np.floor((samples[:, 0].min() - margin) / h) * h
     y_lo = np.floor((samples[:, 1].min() - margin) / h) * h
@@ -245,13 +252,9 @@ def build_band(
         raise BandError("no active nodes; grid spacing too coarse for this band")
     interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
 
-    denom = 1.0 + dist * kappa
+    factor, factor_inv, denom = _gradient_factors(dist, tau, kappa)
     if np.any(denom[np.abs(dist) < halo_delta] <= 0.1):
         raise BandError("gradient factor nearly singular inside the halo")
-    tau_tau = np.einsum("pa,pb->pab", tau, tau)
-    eye = np.eye(2)[None]
-    factor = eye - (dist * kappa / denom)[:, None, None] * tau_tau
-    factor_inv = eye + (dist * kappa)[:, None, None] * tau_tau
 
     grid = NarrowBandGrid(
         xs=xs,
@@ -422,8 +425,7 @@ def band_average_extract(
     Gauss-Legendre points along each ray, values by local bicubic Lagrange
     interpolation.  Raises ExtractionError when a ray leaves the valid band.
     """
-    sign = orientation_sign(surface, _curve_samples(surface, t)[1])
-    foot, _, nu, _ = _point_geometry(surface, t, theta_nodes, sign)
+    foot, _, nu, _ = _point_geometry(surface, t, theta_nodes, _curve_samples(surface, t)[2])
     s_ref, w_ref = np.polynomial.legendre.leggauss(n_quad)
     s = s_ref * grid.delta
     w = w_ref * grid.delta
@@ -518,18 +520,13 @@ def elliptic_part_identity_check(
 
 def band_field_csv(
     grid: NarrowBandGrid, dist: DistanceField, values: np.ndarray, path
-) -> None:
-    """Write active-node samples as CSV rows (x, y, d, value), row-major."""
+) -> str:
+    """Write active-node samples as CSV rows (x, y, d, value), row-major;
+    returns the SHA-256 of the file."""
     XX, YY = grid.mesh()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,d,value\n")
-        for j in range(grid.shape[0]):
-            for i in range(grid.shape[1]):
-                if grid.active_mask[j, i]:
-                    fh.write(
-                        f"{XX[j, i]:.17g},{YY[j, i]:.17g},"
-                        f"{dist.dist[j, i]:.17g},{values[j, i]:.17g}\n"
-                    )
+    act = grid.active_mask
+    columns = [XX[act], YY[act], dist.dist[act], values[act]]
+    return write_csv(path, ["x", "y", "d", "value"], columns)
 
 
 def flat_strip_step_equivalence(

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ContractionBoundError, GridMismatchError, NonuniquenessError
 from .evolution import Forcing, IVPConfig, Propagator
 from .fields import ParameterGrid, ScalarField, SpaceTimeField, fourier_noise
-from .metric import WeightedMeasure
+from .metric import WeightedMeasure, mean_and_mass
 from .surfaces import SurfaceFamily
 
 _MAX_DENSE_NODES = 2048
@@ -56,9 +56,7 @@ def mean_adjust(field_values: ScalarField | np.ndarray, measure: WeightedMeasure
     values = (
         field_values.values if isinstance(field_values, ScalarField) else np.asarray(field_values)
     )
-    if values.shape[0] != measure.weights.shape[0]:
-        raise GridMismatchError("field and measure sizes disagree")
-    mean = np.dot(measure.weights, values) / measure.total
+    mean, _ = mean_and_mass(measure, values)
     return ScalarField(values - mean, measure.time)
 
 
@@ -320,8 +318,8 @@ def periodicity_residuals(
     """
     first = trajectory.values[0]
     last = trajectory.values[-1]
-    m_first = float(np.dot(measure0.weights, first) / measure0.total)
-    m_last = float(np.dot(measure0.weights, last) / measure0.total)
+    m_first, _ = mean_and_mass(measure0, first)
+    m_last, _ = mean_and_mass(measure0, last)
     relaxed = float(np.max(np.abs((first - m_first) - (last - m_last))))
     strict = float(np.max(np.abs(first - last)))
     return PeriodicityResiduals(relaxed=relaxed, strict=strict, mean_drift=m_last - m_first)

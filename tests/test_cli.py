@@ -178,8 +178,7 @@ n_steps = 32
     assert "contraction_ledger.csv" in digests
 
 
-def test_run_holder_scenario(tmp_path):
-    body = """
+SMALL_HOLDER = """
 [surface]
 family = circle
 
@@ -190,14 +189,42 @@ scenario = holder
 n_nodes = 32
 n_steps = 16
 """
-    manifest, digests = run_and_digest(tmp_path, body, "holder")
+
+
+def test_run_holder_scenario(tmp_path):
+    manifest, digests = run_and_digest(tmp_path, SMALL_HOLDER, "holder")
     assert manifest.all_passed
     assert "holder.csv" in digests
+
+
+def manifest_output_names(out: Path) -> list[str]:
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return [line.split()[1] for line in lines if line.startswith("output ")]
+
+
+def test_manifest_lists_only_files_this_run_wrote(tmp_path):
+    fixed = SMALL_MONO.replace("periodic-monodromy", "periodic-fixed")
+    run_and_digest(tmp_path, fixed, "shared")
+    # listed by name, not in the order the scenario wrote them
+    expected = ["iteration_ledger.csv", "mass_ledger.csv", "trajectory.csv"]
+    assert manifest_output_names(tmp_path / "shared") == expected
+    _, digests = run_and_digest(tmp_path, SMALL_HOLDER, "shared")
+    assert list(digests) == ["holder.csv"]
+    assert manifest_output_names(tmp_path / "shared") == ["holder.csv"]
 
 
 def test_main_run_exit_zero(tmp_path):
     path = write_config(tmp_path, SMALL_IVP)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("key, quantity", [("forcing", "forcing"), ("u0", "initial state")])
+def test_non_finite_samples_are_reported_where_sampled(tmp_path, capsys, key, quantity):
+    body = SMALL_IVP.replace("u0 = 1 + 0*theta", f"{key} = 1/theta")
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"{quantity} is not finite at node 0 (time level 0)" in capsys.readouterr().err
 
 
 BAD_VALUE = """

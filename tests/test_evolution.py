@@ -8,6 +8,7 @@ from periflow import (
     IVPConfig,
     ParameterGrid,
     Propagator,
+    StepError,
     adjoint_solve,
     assemble_metric,
     breathing_circle,
@@ -24,6 +25,21 @@ from periflow import (
 
 def make_grid(n, m, period=1.0):
     return ParameterGrid(n, m, period)
+
+
+def test_non_finite_zero_order_sample_names_level_and_node():
+    grid = make_grid(16, 8)
+
+    def custom(theta, t):
+        out = np.ones_like(theta)
+        if t == grid.times[3]:
+            out[5] = np.nan
+        return out
+
+    config = IVPConfig(n_nodes=16, n_steps=8, zero_order="custom", custom=custom)
+    with pytest.raises(StepError, match="zero-order coefficient is not finite at node 5") as info:
+        Propagator(circle(), grid, config)
+    assert info.value.level == 3
 
 
 def test_constants_preserved_without_forcing():
