@@ -101,8 +101,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # presets override their keys here, so the manifest records what runs
-        if self.scenario == "ivp_decay":
+        if self.scenario in ("ivp", "ivp_decay"):
             self.u0_expr = self.u0_expr or "cos(theta)"
+        if self.scenario == "ivp_decay":
             self.forcing_expr = None
             self.zero_order = "zero"
         elif self.scenario == "contraction":
@@ -139,8 +140,7 @@ class ExperimentConfig:
         return compile_expression(self.forcing_expr, self.period)
 
     def initial_values(self, grid: ParameterGrid) -> np.ndarray:
-        expr = self.u0_expr if self.u0_expr is not None else "cos(theta)"
-        return compile_expression(expr, self.period)(grid.nodes, 0.0)
+        return compile_expression(self.u0_expr, self.period)(grid.nodes, 0.0)
 
 
 def _parse_value(key: str, text: str, kind: type):

@@ -20,6 +20,7 @@ from .fields import ParameterGrid, SpaceTimeField
 from .metric import SpaceTimeGeometry
 from .narrowband import DistanceField, NarrowBandGrid, _gradient
 from .surfaces import (
+    GeometryFrame,
     SurfaceFamily,
     build_frame,
     second_tangential_derivative,
@@ -43,9 +44,8 @@ class HolderEstimate:
     norm_2_alpha: float
 
 
-def _arc_coordinates(surface: SurfaceFamily, grid: ParameterGrid) -> tuple[np.ndarray, float]:
-    frame = build_frame(surface, grid, 0.0)
-    seg = 0.5 * (frame.speed + np.roll(frame.speed, -1)) * grid.dtheta
+def _arc_coordinates(frame: GeometryFrame, dtheta: float) -> tuple[np.ndarray, float]:
+    seg = 0.5 * (frame.speed + np.roll(frame.speed, -1)) * dtheta
     s = np.concatenate([[0.0], np.cumsum(seg[:-1])])
     return s, float(np.sum(seg))
 
@@ -139,7 +139,7 @@ def holder_estimate(
     n_levels, n_nodes = field.values.shape
     grid = ParameterGrid(n_nodes, max(n_levels - 1, 4), max(field.times[-1], 1e-12))
     frame0 = build_frame(surface, grid, 0.0)
-    s, length = _arc_coordinates(surface, grid)
+    s, length = _arc_coordinates(frame0, grid.dtheta)
     rng = np.random.default_rng(seed)
 
     values = field.values
@@ -232,7 +232,7 @@ def norm_equivalence_check(
     """
     rng = np.random.default_rng(seed)
     frame0 = build_frame(surface, grid, 0.0)
-    s, length = _arc_coordinates(surface, grid)
+    s, length = _arc_coordinates(frame0, grid.dtheta)
     zero_t = np.zeros(1)
 
     u = np.asarray(u_values, dtype=float)[None, :]
@@ -286,9 +286,9 @@ def mass_ledger(
 ) -> MassSeries:
     """Per-level masses and the scheme-matched conservation defects.
 
-    Backward Euler charges the step with the forcing integral at the new
-    level, Crank-Nicolson with the trapezoid of both levels; the defect of
-    the divergence zero-order mode is then round-off by construction.
+    A step is charged with the theta-weighted forcing integrals of its two
+    levels, (1 - theta) F_k + theta F_k+1; the defect of the divergence
+    zero-order mode is then round-off by construction.
     """
     grid = geometry.grid
     if trajectory.values.shape != (grid.n_steps + 1, grid.n_nodes):
@@ -299,10 +299,7 @@ def mass_ledger(
         f_int = np.zeros(grid.n_steps + 1)
     else:
         f_int = geometry.integrals(f_samples)
-    if config.scheme == "backward_euler":
-        charge = f_int[1:]
-    else:
-        charge = 0.5 * (f_int[:-1] + f_int[1:])
+    charge = (1.0 - config.theta) * f_int[:-1] + config.theta * f_int[1:]
     defects = masses[1:] - masses[:-1] + grid.dt * charge
     return MassSeries(grid.times, masses, f_int, defects)
 

@@ -1,10 +1,15 @@
 """Implicit time stepping for the pulled-back advection-diffusion problem.
 
-Solves ``diffusion(u) - c*u - u_t = f`` on the reference grid with either
-backward Euler or Crank-Nicolson.  The linear system of every step is cyclic
-tridiagonal and is factorized once per level, so repeated propagation (the
-fixed-point iteration and the monodromy probes) reuses the factorizations.
-``Propagator.geometry`` shares the space-time geometry with the ledgers.
+Solves ``diffusion(u) - c*u - u_t = f`` on the reference grid with the
+theta-scheme: operator, zero-order term and forcing weigh theta at the new
+level and 1 - theta at the old one (backward Euler theta = 1, Crank-Nicolson
+1/2).  A step is one banded matvec of precomputed diagonals and one cyclic
+tridiagonal solve: LAPACK ``dgttrf`` factorizes each level once, ``dgttrs``
+solves, and a rank-one Sherman-Morrison correction adds the periodic corners.
+A step matrix singular to round-off raises ``StepError`` at the level where
+it is factorized.  Repeated propagation (the fixed-point iteration and the
+monodromy probes) reuses the factors; ``Propagator.geometry`` shares the
+space-time geometry with the ledgers.
 
 Zero-order modes
 ----------------
@@ -25,19 +30,16 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import GridMismatchError, StepError
 from .fields import ParameterGrid, ScalarField, SpaceTimeField
-from .metric import (
-    SpaceTimeGeometry,
-    _cyclic_tridiagonal,
-    _operator_diagonals,
-    space_time_geometry,
-)
+from .metric import SpaceTimeGeometry, _operator_diagonals, space_time_geometry
 from .surfaces import SurfaceFamily
 
-_SCHEMES = ("backward_euler", "crank_nicolson")
+_THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
+# relative floor of |1 + v.z|: singular step matrices give < 4e-15, regular ones > 1e-4
+_SINGULAR_TOL = 1e-12
 _ZERO_ORDER_MODES = ("zero", "constant", "divergence", "divergence_plus_constant", "custom")
 
 Forcing = Callable[[np.ndarray, float], np.ndarray] | SpaceTimeField | None
@@ -55,8 +57,8 @@ class IVPConfig:
     custom: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        if self.scheme not in _THETA:
+            raise ValueError(f"scheme must be one of {tuple(_THETA)}, got {self.scheme!r}")
         if self.zero_order not in _ZERO_ORDER_MODES:
             raise ValueError(
                 f"zero_order must be one of {_ZERO_ORDER_MODES}, got {self.zero_order!r}"
@@ -67,6 +69,11 @@ class IVPConfig:
 
     def grid(self, period: float) -> ParameterGrid:
         return ParameterGrid(self.n_nodes, self.n_steps, period)
+
+    @property
+    def theta(self) -> float:
+        """Weight of the operator at the new time level."""
+        return _THETA[self.scheme]
 
 
 def _require_finite(samples: np.ndarray, quantity: str) -> np.ndarray:
@@ -101,8 +108,51 @@ def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: Paramete
     return _require_finite(samples, quantity)
 
 
+def _banded_matvec(diagonals: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Cyclic tridiagonal matrix, given as (main, upper, lower), times `u`
+    along its last axis; `upper` couples node i to i+1, `lower` to i-1."""
+    main, upper, lower = diagonals
+    wrapped = np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
+    out = main * u
+    out += upper * wrapped[..., 2:]
+    out += lower * wrapped[..., :-2]
+    return out
+
+
+class _CyclicFactor:
+    """LAPACK factors of one cyclic tridiagonal matrix A, diagonals as in
+    `_banded_matvec`.  T = A - w v^T is tridiagonal for w = (gamma, 0, ...,
+    upper[-1]), v = (1, 0, ..., lower[0] / gamma), gamma = -main[0]; then
+    x = y - z (v.y) / (1 + v.z) with T y = b, T z = w (Sherman-Morrison).
+    Raises StepError at `level` when T or 1 + v.z is singular to round-off."""
+
+    def __init__(self, main: np.ndarray, upper: np.ndarray, lower: np.ndarray, level: int):
+        gamma = -main[0]
+        self.ratio = lower[0] / gamma
+        diag = main.copy()
+        diag[0] -= gamma
+        diag[-1] -= upper[-1] * self.ratio
+        *self.lu, info = dgttrf(lower[1:], diag, upper[:-1])
+        if info > 0:
+            raise StepError(f"step matrix is singular: zero pivot {info}", level)
+        w = np.zeros_like(main)
+        w[0], w[-1] = gamma, upper[-1]
+        self.z = dgttrs(*self.lu, w)[0]
+        vz = self.z[0] + self.ratio * self.z[-1]
+        self.denominator = 1.0 + vz
+        if not abs(self.denominator) > _SINGULAR_TOL * (1.0 + abs(vz)):
+            raise StepError("step matrix is singular: corner correction vanishes", level)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs for a (N,) or (N, K) `rhs`, which it may overwrite; a
+        Fortran-ordered batch is solved in place."""
+        y = dgttrs(*self.lu, rhs, overwrite_b=1)[0]
+        y -= np.multiply.outer(self.z, (y[0] + self.ratio * y[-1]) / self.denominator)
+        return y
+
+
 class Propagator:
-    """Per-level factorized stepper for one surface/config/forcing triple."""
+    """Per-level factorized theta-scheme stepper for one surface/config/forcing triple."""
 
     def __init__(
         self,
@@ -118,9 +168,7 @@ class Propagator:
         self.config = config
         self.geometry = space_time_geometry(surface, grid)
         self.zero_order = self._zero_order_samples()
-        self.forcing = _forcing_samples(forcing, grid)
-        self._mu_ratio = config.zero_order in ("divergence", "divergence_plus_constant")
-        self.operators, self._factors = self._assemble()
+        self._explicit, self._load, self._factors = self._assemble(_forcing_samples(forcing, grid))
 
     def _zero_order_samples(self) -> np.ndarray:
         grid, config = self.grid, self.config
@@ -131,51 +179,33 @@ class Propagator:
             return np.full(shape, config.coefficient)
         return _sample_levels(config.custom, grid, "zero-order coefficient")
 
-    def _assemble(self):
-        """Per-level operators (CSR) and factorized implicit step matrices."""
-        geo, dt = self.geometry, self.grid.dt
+    def _assemble(self, forcing: np.ndarray | None):
+        """Explicit (M, 3, N) diagonals and (M, N) forcing load of every step,
+        with the divergence-mode measure ratio folded in, and the factors of
+        every new level's 1/dt - theta*(diffusion - c)."""
+        geo, dt, theta = self.geometry, self.grid.dt, self.config.theta
         main, upper, lower = _operator_diagonals(geo.c_half, geo.sqrt_g, self.grid.dtheta)
-        operators = [_cyclic_tridiagonal(*diags) for diags in zip(main, upper, lower)]
-        react = self.zero_order
-        if self.config.scheme == "backward_euler":
-            step_main, step_upper, step_lower = 1.0 / dt - main + react, -upper, -lower
-        else:
-            step_main = 1.0 / dt - 0.5 * (main - react)
-            step_upper, step_lower = -0.5 * upper, -0.5 * lower
-        factors = []
-        for k in range(1, self.grid.n_steps + 1):
-            mat = _cyclic_tridiagonal(step_main[k], step_upper[k], step_lower[k], "csc")
-            try:
-                factors.append(spla.splu(mat))
-            except RuntimeError as exc:  # singular factorization
-                raise StepError(f"implicit system factorization failed: {exc}", k)
-        return operators, factors
+        main = main - self.zero_order
+        scale = 1.0
+        if self.config.zero_order in ("divergence", "divergence_plus_constant"):
+            scale = geo.sqrt_g[:-1] / geo.sqrt_g[1:]
+        old = scale * (1.0 - theta)
+        explicit = np.stack(
+            [scale / dt + old * main[:-1], old * upper[:-1], old * lower[:-1]], axis=1
+        )
+        load = None if forcing is None else old * forcing[:-1] + theta * forcing[1:]
+        factors = [
+            _CyclicFactor(1.0 / dt - theta * main[k], -theta * upper[k], -theta * lower[k], k)
+            for k in range(1, self.grid.n_steps + 1)
+        ]
+        return explicit, load, factors
 
     def step(self, values: np.ndarray, level: int, include_forcing: bool = True) -> np.ndarray:
         """Advance nodal values (N,) or a batch (N, K) from `level` to `level+1`."""
-        dt = self.grid.dt
-        u = np.asarray(values, dtype=float)
-        batched = u.ndim == 2
-
-        def _col(a):
-            return a[:, None] if batched else a
-
-        mu = self.geometry.sqrt_g
-        scale = _col(mu[level] / mu[level + 1]) if self._mu_ratio else 1.0
-        if self.config.scheme == "backward_euler":
-            rhs = scale * (u / dt)
-            if include_forcing and self.forcing is not None:
-                rhs = rhs - _col(self.forcing[level + 1])
-        else:
-            explicit = u / dt + 0.5 * (
-                self.operators[level] @ u - _col(self.zero_order[level]) * u
-            )
-            if include_forcing and self.forcing is not None:
-                explicit = explicit - 0.5 * _col(self.forcing[level])
-            rhs = scale * explicit
-            if include_forcing and self.forcing is not None:
-                rhs = rhs - 0.5 * _col(self.forcing[level + 1])
-        out = self._factors[level].solve(rhs)
+        rhs = _banded_matvec(self._explicit[level], np.asarray(values, dtype=float).T)
+        if include_forcing and self._load is not None:
+            rhs -= self._load[level]
+        out = self._factors[level].solve(rhs.T)
         if not np.all(np.isfinite(out)):
             raise StepError("implicit solve produced non-finite values", level + 1)
         return out
@@ -191,20 +221,16 @@ class Propagator:
         Returns the trajectory (M+1, N) when `keep_trajectory`, otherwise the
         final state only (same shape as `u0`, which may be a (N, K) batch).
         """
-        u = np.array(u0, dtype=float)
+        u = np.array(u0, dtype=float, order="F")  # a Fortran-ordered batch steps without copies
         _require_finite(u[None], "initial state")
-        if keep_trajectory:
-            if u.ndim != 1:
-                raise GridMismatchError("trajectories are only kept for single states")
-            traj = np.empty((self.grid.n_steps + 1, self.grid.n_nodes))
-            traj[0] = u
-            for k in range(self.grid.n_steps):
-                u = self.step(u, k, include_forcing)
-                traj[k + 1] = u
-            return traj
+        if keep_trajectory and u.ndim != 1:
+            raise GridMismatchError("trajectories are only kept for single states")
+        states = [u]
         for k in range(self.grid.n_steps):
             u = self.step(u, k, include_forcing)
-        return u
+            if keep_trajectory:
+                states.append(u)
+        return np.stack(states) if keep_trajectory else u
 
 
 def solve_ivp(

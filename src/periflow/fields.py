@@ -86,23 +86,6 @@ class SpaceTimeField:
                 f"inconsistent space-time shapes {values.shape} vs {times.shape}"
             )
 
-    @property
-    def n_levels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[1]
-
-    def slice(self, level: int) -> ScalarField:
-        return ScalarField(self.values[level], float(self.times[level]))
-
-    def initial(self) -> ScalarField:
-        return self.slice(0)
-
-    def final(self) -> ScalarField:
-        return self.slice(self.n_levels - 1)
-
 
 @dataclass(frozen=True)
 class AnalyticField:

@@ -169,13 +169,13 @@ def _operator_diagonals(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float):
     return -(c_half + c_prev) * scale, c_half * scale, c_prev * scale
 
 
-def _cyclic_tridiagonal(main: np.ndarray, upper: np.ndarray, lower: np.ndarray, fmt: str = "csr"):
-    """Sparse matrix with the given diagonals plus the two periodic corners."""
+def _cyclic_tridiagonal(main: np.ndarray, upper: np.ndarray, lower: np.ndarray):
+    """CSR matrix with the given diagonals plus the two periodic corners."""
     n = main.shape[0]
     return sparse.diags(
         [main, upper[:-1], lower[1:], upper[-1:], lower[:1]],
         [0, 1, -1, 1 - n, n - 1],
-        format=fmt,
+        format="csr",
     )
 
 

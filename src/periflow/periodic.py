@@ -230,13 +230,9 @@ class MonodromyOracle:
 
     matrix: np.ndarray  # (N, N)
     offset: np.ndarray  # (N,)
-    measure0: WeightedMeasure
 
     def end_state(self, u0: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(u0, dtype=float) + self.offset
-
-    def mean_adjusted_end(self, u0: np.ndarray) -> np.ndarray:
-        return mean_adjust(self.end_state(u0), self.measure0).values
 
 
 @dataclass(frozen=True)
@@ -275,7 +271,7 @@ def monodromy_solve(
 
     matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
     offset = prop.run(np.zeros(n), keep_trajectory=False)
-    oracle = MonodromyOracle(matrix, offset, measure0)
+    oracle = MonodromyOracle(matrix, offset)
 
     adjusted = matrix - np.outer(np.ones(n), w @ matrix) / total
     system = np.eye(n) - adjusted

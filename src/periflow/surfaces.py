@@ -370,19 +370,12 @@ def tangential_gradient(
     return arc_derivative[:, None] * frame.tangent
 
 
-def second_tangential_derivative(
-    frame: GeometryFrame,
-    grad: np.ndarray,
-    dtheta_of_grad: np.ndarray | None = None,
-) -> np.ndarray:
+def second_tangential_derivative(frame: GeometryFrame, grad: np.ndarray) -> np.ndarray:
     """D_alpha of an ambient-component field on the curve, shape (N, 2, 2).
 
-    ``result[i, a, b] = D_a (grad_b)`` at node i.  With `dtheta_of_grad`
-    exact the result is exact; otherwise central differences are used.
+    ``result[i, a, b] = D_a (grad_b)`` at node i, by central differences.
     """
-    if dtheta_of_grad is None:
-        dtheta_of_grad = _theta_derivative(grad, 2.0 * np.pi / frame.n_nodes)
-    arc = dtheta_of_grad / frame.speed[:, None]
+    arc = _theta_derivative(grad, 2.0 * np.pi / frame.n_nodes) / frame.speed[:, None]
     return np.einsum("ia,ib->iab", frame.tangent, arc)
 
 

@@ -280,3 +280,9 @@ n_steps = 32
     assert manifest.resolved["forcing_expr"] is None
     assert manifest.resolved["u0_expr"] == "cos(theta)"
     assert "forcing_expr = None" in (tmp_path / "decay" / "manifest.txt").read_text()
+
+    # a plain ivp run without u0 starts from the default cos(theta)
+    plain = "[problem]\nscenario = ivp\n\n[discretization]\nn_nodes = 32\nn_steps = 16\n"
+    manifest, _ = run_and_digest(tmp_path, plain, "plain")
+    assert manifest.resolved["u0_expr"] == "cos(theta)"
+    assert "u0_expr = cos(theta)" in (tmp_path / "plain" / "manifest.txt").read_text()

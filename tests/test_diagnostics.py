@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from periflow import diagnostics
 from periflow import (
     IVPConfig,
     ParameterGrid,
@@ -115,6 +116,25 @@ def test_norm_equivalence_ratios():
         lift_field(np.full(128, 2.0), theta, band_grid, band_dist), alpha=0.5,
     )
     assert abs(const_ratio[0] - 1.0) <= 1e-12
+
+
+def test_holder_diagnostics_build_the_reference_frame_once(monkeypatch):
+    calls = []
+    real = diagnostics.build_frame
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(diagnostics, "build_frame", counted)
+    grid = ParameterGrid(32, 8, 1.0)
+    holder_estimate(sampled(grid, lambda th, t: np.cos(th) * math.exp(-t)), circle(), alpha=0.5)
+    assert len(calls) == 1
+    band_grid, band_dist = build_band(circle(), 0.0, 1.0 / 16.0, 0.3)
+    profile = np.cos(grid.nodes)
+    lifted = lift_field(profile, grid.nodes, band_grid, band_dist)
+    norm_equivalence_check(profile, circle(), grid, band_grid, band_dist, lifted)
+    assert len(calls) == 2
 
 
 def test_mass_ledger_conservative_run():

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import mean_order
 from periflow import (
+    FAMILIES,
     IVPConfig,
     ParameterGrid,
     Propagator,
@@ -40,6 +41,22 @@ def test_non_finite_zero_order_sample_names_level_and_node():
     with pytest.raises(StepError, match="zero-order coefficient is not finite at node 5") as info:
         Propagator(circle(), grid, config)
     assert info.value.level == 3
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("scheme, theta", [("backward_euler", 1.0), ("crank_nicolson", 0.5)])
+@pytest.mark.parametrize("n, m", [(16, 8), (256, 64)])
+def test_singular_step_matrix_raises_where_factorized(family, scheme, theta, n, m):
+    # c = -1/(theta*dt) turns the step matrix 1/dt - theta*(L - c) into -theta*L,
+    # which annihilates constants at every level
+    grid = make_grid(n, m)
+    config = IVPConfig(
+        n_nodes=n, n_steps=m, scheme=scheme, zero_order="constant",
+        coefficient=-1.0 / (theta * grid.dt),
+    )
+    with pytest.raises(StepError, match="step matrix is singular") as info:
+        Propagator(FAMILIES[family](), grid, config)
+    assert info.value.level == 1
 
 
 def test_constants_preserved_without_forcing():
