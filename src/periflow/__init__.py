@@ -64,12 +64,10 @@ from .periodic import (
     ContractionEstimate,
     FixedPointReport,
     MonodromyOracle,
-    PeriodicProblem,
     PeriodicityResiduals,
     SolvabilityReport,
     contraction_estimate,
     fixed_point_solve,
-    make_propagator,
     mean_adjust,
     monodromy_solve,
     periodicity_residuals,

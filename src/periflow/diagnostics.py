@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .evolution import Forcing, IVPConfig, _forcing_samples, _time_derivative
+from .evolution import Propagator, _time_derivative
 from .fields import ParameterGrid, SpaceTimeField
-from .metric import SpaceTimeGeometry
 from .narrowband import DistanceField, NarrowBandGrid, _gradient
 from .surfaces import (
     GeometryFrame,
@@ -278,39 +277,34 @@ class MassSeries:
         )
 
 
-def mass_ledger(
-    trajectory: SpaceTimeField,
-    geometry: SpaceTimeGeometry,
-    config: IVPConfig,
-    forcing: Forcing = None,
-) -> MassSeries:
-    """Per-level masses and the scheme-matched conservation defects.
+def mass_ledger(trajectory: SpaceTimeField, prop: Propagator) -> MassSeries:
+    """Per-level masses and the scheme-matched conservation defects of a
+    trajectory of `prop`, read with its geometry, theta and forcing samples.
 
     A step is charged with the theta-weighted forcing integrals of its two
     levels, (1 - theta) F_k + theta F_k+1; the defect of the divergence
     zero-order mode is then round-off by construction.
     """
-    grid = geometry.grid
+    geometry, grid, theta = prop.geometry, prop.grid, prop.config.theta
     if trajectory.values.shape != (grid.n_steps + 1, grid.n_nodes):
         raise GridMismatchError("trajectory does not match the grid")
     masses = geometry.integrals(trajectory.values)
-    f_samples = _forcing_samples(forcing, grid)
-    if f_samples is None:
+    if prop.forcing is None:
         f_int = np.zeros(grid.n_steps + 1)
     else:
-        f_int = geometry.integrals(f_samples)
-    charge = (1.0 - config.theta) * f_int[:-1] + config.theta * f_int[1:]
+        f_int = geometry.integrals(prop.forcing)
+    charge = (1.0 - theta) * f_int[:-1] + theta * f_int[1:]
     defects = masses[1:] - masses[:-1] + grid.dt * charge
     return MassSeries(grid.times, masses, f_int, defects)
 
 
-def compatibility_check(forcing: Forcing, geometry: SpaceTimeGeometry) -> float:
-    """Space-time integral of the forcing (trapezoid in time, weighted
-    measure in space); near zero is necessary for strict periodicity."""
-    f_samples = _forcing_samples(forcing, geometry.grid)
-    if f_samples is None:
+def compatibility_check(prop: Propagator) -> float:
+    """Space-time integral of the forcing samples of `prop` (trapezoid in
+    time, weighted measure in space); near zero is necessary for strict
+    periodicity."""
+    if prop.forcing is None:
         return 0.0
-    return geometry.space_time_integral(f_samples)
+    return prop.geometry.space_time_integral(prop.forcing)
 
 
 @dataclass(frozen=True)

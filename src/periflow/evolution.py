@@ -7,9 +7,10 @@ level and 1 - theta at the old one (backward Euler theta = 1, Crank-Nicolson
 tridiagonal solve: LAPACK ``dgttrf`` factorizes each level once, ``dgttrs``
 solves, and a rank-one Sherman-Morrison correction adds the periodic corners.
 A step matrix singular to round-off raises ``StepError`` at the level where
-it is factorized.  Repeated propagation (the fixed-point iteration and the
-monodromy probes) reuses the factors; ``Propagator.geometry`` shares the
-space-time geometry with the ledgers.
+it is factorized.  One ``Propagator`` holds a run: it derives the grid from
+the config and the surface's period, builds the space-time geometry and
+samples the forcing once.  The periodic solves reuse its factors and the
+ledgers read its geometry and forcing samples.
 
 Zero-order modes
 ----------------
@@ -152,23 +153,19 @@ class _CyclicFactor:
 
 
 class Propagator:
-    """Per-level factorized theta-scheme stepper for one surface/config/forcing triple."""
+    """Per-level factorized theta-scheme stepper for one surface/config/forcing
+    triple.  It holds what a run shares: the grid the config fixes for the
+    surface's period, the space-time geometry and the zero-order and forcing
+    samples ((M+1, N), or None without forcing)."""
 
-    def __init__(
-        self,
-        surface: SurfaceFamily,
-        grid: ParameterGrid,
-        config: IVPConfig,
-        forcing: Forcing = None,
-    ):
-        if grid.n_nodes != config.n_nodes or grid.n_steps != config.n_steps:
-            raise GridMismatchError("grid does not match config resolution")
+    def __init__(self, surface: SurfaceFamily, config: IVPConfig, forcing: Forcing = None):
         self.surface = surface
-        self.grid = grid
         self.config = config
-        self.geometry = space_time_geometry(surface, grid)
+        self.grid = config.grid(surface.period)
+        self.geometry = space_time_geometry(surface, self.grid)
         self.zero_order = self._zero_order_samples()
-        self._explicit, self._load, self._factors = self._assemble(_forcing_samples(forcing, grid))
+        self.forcing = _forcing_samples(forcing, self.grid)
+        self._explicit, self._load, self._factors = self._assemble()
 
     def _zero_order_samples(self) -> np.ndarray:
         grid, config = self.grid, self.config
@@ -179,7 +176,7 @@ class Propagator:
             return np.full(shape, config.coefficient)
         return _sample_levels(config.custom, grid, "zero-order coefficient")
 
-    def _assemble(self, forcing: np.ndarray | None):
+    def _assemble(self):
         """Explicit (M, 3, N) diagonals and (M, N) forcing load of every step,
         with the divergence-mode measure ratio folded in, and the factors of
         every new level's 1/dt - theta*(diffusion - c)."""
@@ -193,6 +190,7 @@ class Propagator:
         explicit = np.stack(
             [scale / dt + old * main[:-1], old * upper[:-1], old * lower[:-1]], axis=1
         )
+        forcing = self.forcing
         load = None if forcing is None else old * forcing[:-1] + theta * forcing[1:]
         factors = [
             _CyclicFactor(1.0 / dt - theta * main[k], -theta * upper[k], -theta * lower[k], k)
@@ -235,28 +233,26 @@ class Propagator:
 
 def solve_ivp(
     surface: SurfaceFamily,
-    grid: ParameterGrid,
     config: IVPConfig,
     u0: ScalarField | np.ndarray,
     forcing: Forcing = None,
 ) -> SpaceTimeField:
     """Full trajectory of the initial value problem over one period."""
     values = u0.values if isinstance(u0, ScalarField) else np.asarray(u0, dtype=float)
-    prop = Propagator(surface, grid, config, forcing)
-    return SpaceTimeField(prop.run(values), grid.times)
+    prop = Propagator(surface, config, forcing)
+    return SpaceTimeField(prop.run(values), prop.grid.times)
 
 
 def end_map(
     surface: SurfaceFamily,
-    grid: ParameterGrid,
     config: IVPConfig,
     u0: ScalarField | np.ndarray,
     forcing: Forcing = None,
 ) -> ScalarField:
     """Final slice of the initial value problem (the end-of-period map)."""
     values = u0.values if isinstance(u0, ScalarField) else np.asarray(u0, dtype=float)
-    prop = Propagator(surface, grid, config, forcing)
-    return ScalarField(prop.run(values, keep_trajectory=False), grid.period)
+    prop = Propagator(surface, config, forcing)
+    return ScalarField(prop.run(values, keep_trajectory=False), prop.grid.period)
 
 
 def _reversed_forcing(forcing: Forcing, grid: ParameterGrid) -> Forcing:
@@ -270,7 +266,6 @@ def _reversed_forcing(forcing: Forcing, grid: ParameterGrid) -> Forcing:
 
 def adjoint_solve(
     surface: SurfaceFamily,
-    grid: ParameterGrid,
     config: IVPConfig,
     forcing: Forcing,
     terminal: ScalarField | np.ndarray | None = None,
@@ -282,19 +277,18 @@ def adjoint_solve(
     that final state; otherwise the relaxed-periodic problem (zero terminal
     mean) is solved through the monodromy route.
     """
+    grid = config.grid(surface.period)
     reversed_surface = surface.time_reversed()
     rev_config = replace(config, zero_order="zero", coefficient=0.0, custom=None)
     rev_forcing = _reversed_forcing(forcing, grid)
     if terminal is not None:
         values = terminal.values if isinstance(terminal, ScalarField) else np.asarray(terminal)
-        traj = solve_ivp(reversed_surface, grid, rev_config, values, rev_forcing)
+        traj = solve_ivp(reversed_surface, rev_config, values, rev_forcing)
     else:
-        from .periodic import PeriodicProblem, monodromy_solve
+        from .periodic import monodromy_solve
 
-        problem = PeriodicProblem(
-            surface=reversed_surface, config=rev_config, forcing=rev_forcing, target_mean=0.0
-        )
-        traj, _ = monodromy_solve(problem)
+        prop = Propagator(reversed_surface, rev_config, rev_forcing)
+        traj, _ = monodromy_solve(prop, target_mean=0.0)
     return SpaceTimeField(traj.values[::-1].copy(), grid.times)
 
 

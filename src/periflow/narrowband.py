@@ -545,7 +545,6 @@ def flat_strip_step_equivalence(
     with the same dt, and the extracted column averages agree to round-off.
     """
     from .evolution import IVPConfig, Propagator
-    from .fields import ParameterGrid
     from .surfaces import circle
 
     hx = 2.0 * np.pi / n_x
@@ -556,10 +555,8 @@ def flat_strip_step_equivalence(
 
     # 1-d reference step: unit circle has unit chart speed, so its operator
     # is the plain periodic Laplacian in the parameter
-    period = 4.0 * dt
-    grid1 = ParameterGrid(n_x, 4, period)
     config = IVPConfig(n_nodes=n_x, n_steps=4, scheme="backward_euler", zero_order="zero")
-    prop = Propagator(circle(1.0, period), grid1, config, lambda th, t: f_line)
+    prop = Propagator(circle(1.0, 4.0 * dt), config, lambda th, t: f_line)
     u_line = prop.step(profile, 0)
 
     # 2-d strip step with the same data lifted constantly in y; row-major

@@ -3,7 +3,10 @@
 The end-of-period map of the linear solver is affine, ``u0 -> A u0 + b``.
 Composing it with the weighted-mean reset at time zero gives a map whose
 fixed point is the initial state of the relaxed-periodic solution with the
-prescribed initial mean.  Two independent instruments compute it:
+prescribed initial mean.  The end map is one ``Propagator``, which holds the
+surface, the discretization, the forcing samples and the factorized steps;
+every solve takes it and the prescribed mean (``target_mean``) and builds
+nothing else.  Two independent instruments compute the fixed point:
 
 * ``fixed_point_solve`` iterates the mean-reset end map from zero and
   records the measured contraction ratios;
@@ -24,30 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionBoundError, GridMismatchError, NonuniquenessError
-from .evolution import Forcing, IVPConfig, Propagator
+from .evolution import Propagator
 from .fields import ParameterGrid, ScalarField, SpaceTimeField, fourier_noise
 from .metric import WeightedMeasure, mean_and_mass
-from .surfaces import SurfaceFamily
 
 _MAX_DENSE_NODES = 2048
-
-
-@dataclass(frozen=True)
-class PeriodicProblem:
-    """One relaxed-periodic scenario: geometry, discretization, data."""
-
-    surface: SurfaceFamily
-    config: IVPConfig
-    forcing: Forcing = None
-    target_mean: float = 0.0
-
-    @property
-    def grid(self) -> ParameterGrid:
-        return self.config.grid(self.surface.period)
-
-
-def make_propagator(problem: PeriodicProblem) -> Propagator:
-    return Propagator(problem.surface, problem.grid, problem.config, problem.forcing)
 
 
 def mean_adjust(field_values: ScalarField | np.ndarray, measure: WeightedMeasure) -> ScalarField:
@@ -77,11 +61,11 @@ class FixedPointReport:
 
 
 def fixed_point_solve(
-    problem: PeriodicProblem,
+    prop: Propagator,
+    target_mean: float = 0.0,
     tol: float = 1e-10,
     max_iter: int = 40,
     start: np.ndarray | None = None,
-    propagator: Propagator | None = None,
 ) -> FixedPointReport:
     """Iterate the mean-reset end map until the initial state is stationary.
 
@@ -92,12 +76,11 @@ def fixed_point_solve(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    prop = propagator if propagator is not None else make_propagator(problem)
     measure0 = prop.geometry.measure(0)
-    c = problem.target_mean
+    c = target_mean
 
     if start is None:
-        u0 = np.full(problem.grid.n_nodes, c, dtype=float)
+        u0 = np.full(prop.grid.n_nodes, c, dtype=float)
     else:
         u0 = mean_adjust(np.asarray(start, dtype=float), measure0).values + c
 
@@ -118,7 +101,7 @@ def fixed_point_solve(
             converged = True
             break
 
-    trajectory = SpaceTimeField(prop.run(u0), problem.grid.times)
+    trajectory = SpaceTimeField(prop.run(u0), prop.grid.times)
     return FixedPointReport(
         iterations=iterations,
         residuals=residuals,
@@ -162,10 +145,9 @@ def _zero_order_floor(prop: Propagator) -> float:
 
 
 def contraction_estimate(
-    problem: PeriodicProblem,
+    prop: Propagator,
     probes: list[tuple[np.ndarray, np.ndarray]] | None = None,
     seed: int = 0,
-    propagator: Propagator | None = None,
 ) -> ContractionEstimate:
     """Measure end-map contraction ratios over probe pairs.
 
@@ -175,8 +157,7 @@ def contraction_estimate(
     exp(-eps*T)*(1+slack) with eps the midpoint of (ln(2)/T, c0); violations
     raise ContractionBoundError.  Identical probe pairs are skipped.
     """
-    prop = propagator if propagator is not None else make_propagator(problem)
-    grid = problem.grid
+    grid = prop.grid
     if probes is None:
         probes = default_probes(grid, seed)
     measure0 = prop.geometry.measure(0)
@@ -198,7 +179,7 @@ def contraction_estimate(
             worst, worst_index = j_ratio, idx
         worst_adjusted = max(worst_adjusted, k_ratio)
 
-    period = problem.surface.period
+    period = grid.period
     floor = _zero_order_floor(prop)
     applicable = floor > math.log(2.0) / period
     slack = 3.0 * (grid.dt + grid.dtheta**2)
@@ -246,8 +227,7 @@ class SolvabilityReport:
 
 
 def monodromy_solve(
-    problem: PeriodicProblem,
-    propagator: Propagator | None = None,
+    prop: Propagator, target_mean: float = 0.0
 ) -> tuple[SpaceTimeField, SolvabilityReport]:
     """Assemble the dense end map and solve the fixed-point system directly.
 
@@ -258,13 +238,12 @@ def monodromy_solve(
     singular, i.e. the homogeneous relaxed-periodic problem admits nonzero
     states.
     """
-    grid = problem.grid
+    grid = prop.grid
     n = grid.n_nodes
     if n > _MAX_DENSE_NODES:
         raise GridMismatchError(
             f"dense monodromy assembly limited to {_MAX_DENSE_NODES} nodes, got {n}"
         )
-    prop = propagator if propagator is not None else make_propagator(problem)
     measure0 = prop.geometry.measure(0)
     w = measure0.weights
     total = measure0.total
@@ -275,7 +254,7 @@ def monodromy_solve(
 
     adjusted = matrix - np.outer(np.ones(n), w @ matrix) / total
     system = np.eye(n) - adjusted
-    rhs = mean_adjust(offset, measure0).values + problem.target_mean
+    rhs = mean_adjust(offset, measure0).values + target_mean
 
     singular_values = np.linalg.svd(system, compute_uv=False)
     smin, smax = float(singular_values[-1]), float(singular_values[0])

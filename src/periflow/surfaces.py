@@ -51,18 +51,11 @@ class SurfaceFamily:
     chart_dt: ChartFn
     chart_dt_dtheta: ChartFn
     period: float
-    dimension: int = 1
-    closed: bool = True
     outward_sign: int | None = None
 
     def __post_init__(self):
         if self.period <= 0.0:
             raise ValueError("period must be positive")
-        if self.dimension != 1:
-            raise NotImplementedError(
-                "only curves in the plane (dimension 1) are implemented; "
-                "two-parameter surfaces of revolution are outside the verified path"
-            )
 
     def positions(self, theta: np.ndarray, t: float) -> np.ndarray:
         return np.asarray(self.chart(theta, t), dtype=float)
@@ -78,8 +71,6 @@ class SurfaceFamily:
             chart_dt=lambda th, t: -np.asarray(self.chart_dt(th, T - t)),
             chart_dt_dtheta=lambda th, t: -np.asarray(self.chart_dt_dtheta(th, T - t)),
             period=T,
-            dimension=self.dimension,
-            closed=self.closed,
             outward_sign=self.outward_sign,
         )
 
@@ -265,7 +256,7 @@ FAMILIES: dict[str, Callable[..., SurfaceFamily]] = {
 }
 
 
-def from_sampled_chart(name: str, chart: ChartFn, period: float, closed: bool = True) -> SurfaceFamily:
+def from_sampled_chart(name: str, chart: ChartFn, period: float) -> SurfaceFamily:
     """Wrap a chart without derivative closures using 4th-order central
     differences in theta and t.  Intended for user-supplied families; the
     shipped ones carry exact closures."""
@@ -293,7 +284,6 @@ def from_sampled_chart(name: str, chart: ChartFn, period: float, closed: bool = 
         _d(chart, h_t, False),
         _d(dth, h_t, False),
         period,
-        closed=closed,
     )
 
 

@@ -13,7 +13,7 @@ from periflow import (
     AnalyticField,
     IVPConfig,
     ParameterGrid,
-    PeriodicProblem,
+    Propagator,
     assemble_metric,
     band_average_extract,
     bean,
@@ -30,7 +30,6 @@ from periflow import (
     fourier_noise,
     greens_formula_check,
     lift_field,
-    make_propagator,
     mass_ledger,
     max_principle_monitor,
     mean_and_mass,
@@ -40,7 +39,6 @@ from periflow import (
     pullback_identity_check,
     rotating_ellipse,
     solve_ivp,
-    space_time_geometry,
     trace_identity,
     weighted_measure,
 )
@@ -105,7 +103,7 @@ def test_criterion_1_operator_identities():
 def test_criterion_2_heat_kernel():
     grid = ParameterGrid(256, 512, 1.0)
     config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
-    traj = solve_ivp(circle(), grid, config, np.cos(grid.nodes))
+    traj = solve_ivp(circle(), config, np.cos(grid.nodes))
     err = max(
         float(np.max(np.abs(traj.values[k] - math.exp(-t) * np.cos(grid.nodes))))
         for k, t in enumerate(grid.times)
@@ -119,8 +117,8 @@ def test_criterion_3_conservation():
         n_nodes=256, n_steps=1024, scheme="backward_euler", zero_order="divergence"
     )
     surface = breathing_circle()
-    traj = solve_ivp(surface, grid, config, np.ones(256))
-    series = mass_ledger(traj, space_time_geometry(surface, grid), config)
+    traj = solve_ivp(surface, config, np.ones(256))
+    series = mass_ledger(traj, Propagator(surface, config))
     drift = abs(series.masses[-1] - series.masses[0]) / abs(series.masses[0])
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     closed = np.stack([np.full(256, r(0.0) / r(t)) for t in grid.times])
@@ -135,13 +133,10 @@ def test_criterion_4_contraction():
         n_nodes=256, n_steps=512, scheme="backward_euler",
         zero_order="constant", coefficient=1.0,
     )
-    problem = PeriodicProblem(
-        surface=circle(), config=config,
-        forcing=lambda th, t: np.cos(th) * (math.sin(2.0 * math.pi * t) + 0.4),
-        target_mean=0.0,
+    prop = Propagator(
+        circle(), config, lambda th, t: np.cos(th) * (math.sin(2.0 * math.pi * t) + 0.4)
     )
-    prop = make_propagator(problem)
-    est = contraction_estimate(problem, propagator=prop)
+    est = contraction_estimate(prop)
     eps = 0.5 * (math.log(2.0) + 1.0)
     bound = math.exp(-eps) * (1.0 + est.slack)
     ok = report(
@@ -154,7 +149,7 @@ def test_criterion_4_contraction():
         est.adjusted_ratio <= 2.0 * est.end_map_ratio and est.adjusted_ratio < 1.0,
         f"adjusted={est.adjusted_ratio:.4f} 2x-end={2.0 * est.end_map_ratio:.4f}",
     )
-    fp = fixed_point_solve(problem, tol=1e-10, max_iter=40, propagator=prop)
+    fp = fixed_point_solve(prop, target_mean=0.0, tol=1e-10, max_iter=40)
     ok &= report(
         "criterion-4 fixed-point",
         fp.converged and fp.iterations <= 40 and fp.final_residual <= 1e-10,
@@ -163,24 +158,19 @@ def test_criterion_4_contraction():
     assert ok
 
 
-def _conservative_forced_problem(n=256, m=512):
+def _conservative_forced_propagator(n=256, m=512):
     config = IVPConfig(n_nodes=n, n_steps=m, scheme="crank_nicolson", zero_order="divergence")
     forcing = lambda th, t: np.cos(th) * math.sin(2.0 * math.pi * t) + 0.5 * np.sin(
         th
     ) * math.cos(4.0 * math.pi * t)
-    return PeriodicProblem(
-        surface=breathing_circle(), config=config, forcing=forcing, target_mean=1.0
-    )
+    return Propagator(breathing_circle(), config, forcing)
 
 
 def test_criterion_5_conservative_periodic_scenario():
-    problem = _conservative_forced_problem()
-    compat = compatibility_check(
-        problem.forcing, space_time_geometry(problem.surface, problem.grid)
-    )
+    prop = _conservative_forced_propagator()
+    compat = compatibility_check(prop)
     ok = report("criterion-5 compatibility", abs(compat) <= 1e-12, f"integral={compat:.3e}")
-    prop = make_propagator(problem)
-    traj, solve_report = monodromy_solve(problem, propagator=prop)
+    traj, solve_report = monodromy_solve(prop, target_mean=1.0)
     res = periodicity_residuals(traj, prop.geometry.measure(0))
     mean0, _ = mean_and_mass(prop.geometry.measure(0), traj.values[0])
     ok &= report("criterion-5 strict-residual", res.strict <= 1e-8, f"residual={res.strict:.3e}")
@@ -194,10 +184,9 @@ def test_criterion_5_conservative_periodic_scenario():
 
 
 def test_criterion_6_cross_method_agreement():
-    problem = _conservative_forced_problem()
-    prop = make_propagator(problem)
-    traj_m, _ = monodromy_solve(problem, propagator=prop)
-    fp = fixed_point_solve(problem, tol=1e-10, max_iter=60, propagator=prop)
+    prop = _conservative_forced_propagator()
+    traj_m, _ = monodromy_solve(prop, target_mean=1.0)
+    fp = fixed_point_solve(prop, target_mean=1.0, tol=1e-10, max_iter=60)
     gap = float(np.max(np.abs(traj_m.values - fp.trajectory.values)))
     ok = report(
         "criterion-6 agreement",
@@ -206,8 +195,8 @@ def test_criterion_6_cross_method_agreement():
     )
     rng = np.random.default_rng(21)
     fp2 = fixed_point_solve(
-        problem, tol=1e-10, max_iter=60,
-        start=fourier_noise(problem.grid.nodes, rng), propagator=prop,
+        prop, target_mean=1.0, tol=1e-10, max_iter=60,
+        start=fourier_noise(prop.grid.nodes, rng),
     )
     start_gap = float(np.max(np.abs(fp.initial_state.values - fp2.initial_state.values)))
     ok &= report(
@@ -223,9 +212,8 @@ def test_criterion_7_relaxed_periodicity_ledger():
         n_nodes=256, n_steps=512, scheme="crank_nicolson",
         zero_order="divergence_plus_constant", coefficient=0.5,
     )
-    problem = PeriodicProblem(surface=breathing_circle(), config=config, target_mean=1.0)
-    prop = make_propagator(problem)
-    traj, _ = monodromy_solve(problem, propagator=prop)
+    prop = Propagator(breathing_circle(), config)
+    traj, _ = monodromy_solve(prop, target_mean=1.0)
     res = periodicity_residuals(traj, prop.geometry.measure(0))
     expected = 1.0 * (math.exp(-0.5 * 1.0) - 1.0)
     drift_err = abs(res.mean_drift - expected)
@@ -286,12 +274,12 @@ def test_criterion_9_max_principle():
     ok = True
     for name, builder in FAMILY_BUILDERS.items():
         traj = solve_ivp(
-            builder(), grid, config, np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
+            builder(), config, np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
         )
         mp = max_principle_monitor(traj)
         ok &= report(f"criterion-9 monotone {name}", mp.monotone, "node max non-increasing")
     forced = solve_ivp(
-        circle(), grid, config, np.cos(grid.nodes), lambda th, t: -np.ones_like(th)
+        circle(), config, np.cos(grid.nodes), lambda th, t: -np.ones_like(th)
     )
     mp = max_principle_monitor(forced)
     ok &= report(

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periflow import ConfigError, ScalarField, SpaceTimeField
-from periflow.cli import emit_field_csv, main, parse_config, run_scenario
+from periflow import ConfigError, ScalarField, SpaceTimeField, evolution
+from periflow.cli import SCENARIOS, emit_field_csv, main, parse_config, run_scenario
 
 
 def write_config(tmp_path: Path, body: str, name: str = "run.cfg") -> Path:
@@ -120,10 +120,11 @@ def test_run_ivp_scenario_passes(tmp_path):
     assert (tmp_path / "a" / "manifest.txt").exists()
 
 
-def test_determinism_byte_identical(tmp_path):
-    _, first = run_and_digest(tmp_path, SMALL_IVP, "run1")
-    _, second = run_and_digest(tmp_path, SMALL_IVP, "run2")
-    assert first == second
+def test_ivp_divergence_default_u0_exits_0(tmp_path):
+    # the default u0 = cos(theta) has mass ~1e-16, so the drift is measured
+    # against the weighted L1 norm of u0
+    path = write_config(tmp_path, SMALL_IVP.replace("u0 = 1 + 0*theta\n", ""))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 SMALL_MONO = """
@@ -157,8 +158,7 @@ def test_run_fixed_point_scenario(tmp_path):
     assert "iteration_ledger.csv" in digests
 
 
-def test_run_contraction_scenario(tmp_path):
-    body = """
+SMALL_CONTRACTION = """
 [surface]
 family = circle
 
@@ -173,7 +173,10 @@ target_mean = 0.0
 n_nodes = 32
 n_steps = 32
 """
-    manifest, digests = run_and_digest(tmp_path, body, "contr")
+
+
+def test_run_contraction_scenario(tmp_path):
+    manifest, digests = run_and_digest(tmp_path, SMALL_CONTRACTION, "contr")
     assert manifest.all_passed
     assert "contraction_ledger.csv" in digests
 
@@ -195,6 +198,62 @@ def test_run_holder_scenario(tmp_path):
     manifest, digests = run_and_digest(tmp_path, SMALL_HOLDER, "holder")
     assert manifest.all_passed
     assert "holder.csv" in digests
+
+
+SMALL_BAND = """
+[surface]
+family = breathing
+
+[problem]
+scenario = band-check
+"""
+
+SMALL_CONFIGS = {
+    "ivp": SMALL_IVP,
+    "ivp_decay": SMALL_IVP.replace("scenario = ivp", "scenario = ivp_decay"),
+    "periodic-fixed": SMALL_MONO.replace("periodic-monodromy", "periodic-fixed"),
+    "periodic-monodromy": SMALL_MONO,
+    "contraction": SMALL_CONTRACTION,
+    "band-check": SMALL_BAND,
+    "identities": SMALL_HOLDER.replace("scenario = holder", "scenario = identities"),
+    "holder": SMALL_HOLDER,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_determinism_byte_identical(tmp_path, scenario):
+    body = SMALL_CONFIGS[scenario]
+    first_manifest, first = run_and_digest(tmp_path, body, "run1")
+    _, second = run_and_digest(tmp_path, body, "run2")
+    assert first_manifest.scenario == scenario
+    assert first and first == second
+
+
+FORCED_IVP = SMALL_IVP.replace("u0 = 1 + 0*theta", "forcing = cos(theta)*sin(2*pi*t/T)")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [FORCED_IVP, SMALL_CONFIGS["periodic-fixed"], SMALL_MONO],
+    ids=["ivp-forced", "periodic-fixed", "periodic-monodromy"],
+)
+def test_run_builds_one_propagator_and_samples_forcing_once(tmp_path, monkeypatch, body):
+    samplings, builds = [], []
+    sample_levels, init = evolution._sample_levels, evolution.Propagator.__init__
+
+    def counting_sample_levels(fn, grid, quantity):
+        if quantity == "forcing":
+            samplings.append(grid)
+        return sample_levels(fn, grid, quantity)
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_sample_levels", counting_sample_levels)
+    monkeypatch.setattr(evolution.Propagator, "__init__", counting_init)
+    run_and_digest(tmp_path, body, "run")
+    assert (len(samplings), len(builds)) == (1, 1)
 
 
 def manifest_output_names(out: Path) -> list[str]:

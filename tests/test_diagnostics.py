@@ -6,6 +6,7 @@ from periflow import diagnostics
 from periflow import (
     IVPConfig,
     ParameterGrid,
+    Propagator,
     SpaceTimeField,
     breathing_circle,
     build_band,
@@ -18,7 +19,6 @@ from periflow import (
     max_principle_monitor,
     norm_equivalence_check,
     solve_ivp,
-    space_time_geometry,
 )
 
 
@@ -139,10 +139,9 @@ def test_holder_diagnostics_build_the_reference_frame_once(monkeypatch):
 
 def test_mass_ledger_conservative_run():
     surface = breathing_circle()
-    grid = ParameterGrid(128, 128, 1.0)
     config = IVPConfig(n_nodes=128, n_steps=128, scheme="backward_euler", zero_order="divergence")
-    traj = solve_ivp(surface, grid, config, np.ones(128))
-    series = mass_ledger(traj, space_time_geometry(surface, grid), config)
+    traj = solve_ivp(surface, config, np.ones(128))
+    series = mass_ledger(traj, Propagator(surface, config))
     assert np.max(np.abs(series.defects)) <= 1e-8 * abs(series.masses[0])
     assert abs(series.masses[-1] - series.masses[0]) <= 1e-8 * abs(series.masses[0])
     assert np.all(series.forcing_integrals == 0.0)
@@ -150,27 +149,26 @@ def test_mass_ledger_conservative_run():
 
 def test_mass_ledger_zero_everything():
     surface = circle()
-    grid = ParameterGrid(64, 16, 1.0)
     config = IVPConfig(n_nodes=64, n_steps=16, zero_order="divergence")
-    traj = solve_ivp(surface, grid, config, np.zeros(64))
-    series = mass_ledger(traj, space_time_geometry(surface, grid), config)
+    traj = solve_ivp(surface, config, np.zeros(64))
+    series = mass_ledger(traj, Propagator(surface, config))
     assert np.all(series.masses == 0.0) and np.all(series.defects == 0.0)
 
 
 def test_compatibility_check_values():
-    geometry = space_time_geometry(circle(), ParameterGrid(64, 32, 1.0))
-    assert compatibility_check(None, geometry) == 0.0
+    config = IVPConfig(n_nodes=64, n_steps=32)
+    assert compatibility_check(Propagator(circle(), config)) == 0.0
     harmonic = lambda th, t: np.cos(th) * (1.0 + math.sin(2.0 * math.pi * t))
-    assert abs(compatibility_check(harmonic, geometry)) <= 1e-13
+    assert abs(compatibility_check(Propagator(circle(), config, harmonic))) <= 1e-13
     const = lambda th, t: np.ones_like(th)
-    assert abs(compatibility_check(const, geometry) - 2.0 * math.pi) <= 1e-10
+    assert abs(compatibility_check(Propagator(circle(), config, const)) - 2.0 * math.pi) <= 1e-10
 
 
 def test_compatibility_of_time_derivative_forcing():
     # d/dt of a periodic profile integrates to zero over the period exactly
     # for the trapezoid rule (telescoping), the acceptance generator pattern
     surface = breathing_circle()
-    grid = ParameterGrid(64, 64, 1.0)
+    config = IVPConfig(n_nodes=64, n_steps=64)
     profile = lambda t: math.sin(2.0 * math.pi * t) + 0.3 * math.cos(4.0 * math.pi * t)
 
     def forcing(th, t):
@@ -180,7 +178,7 @@ def test_compatibility_of_time_derivative_forcing():
         rate = 2.0 * math.pi * (math.cos(2.0 * math.pi * t) - 0.6 * math.sin(4.0 * math.pi * t))
         return np.full_like(th, rate / r)
 
-    value = compatibility_check(forcing, space_time_geometry(surface, grid))
+    value = compatibility_check(Propagator(surface, config, forcing))
     assert abs(value) <= 1e-12
 
 
@@ -188,15 +186,15 @@ def test_max_principle_monitor_and_negative_control():
     surface = circle()
     grid = ParameterGrid(64, 64, 1.0)
     config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler")
-    decay = solve_ivp(surface, grid, config, np.cos(grid.nodes))
+    decay = solve_ivp(surface, config, np.cos(grid.nodes))
     report = max_principle_monitor(decay)
     assert report.monotone and report.first_violation_level is None
 
-    const = solve_ivp(surface, grid, config, np.full(64, 2.0))
+    const = solve_ivp(surface, config, np.full(64, 2.0))
     assert max_principle_monitor(const).monotone
 
     # a source (negative forcing in this sign convention) raises the maximum
-    forced = solve_ivp(surface, grid, config, np.cos(grid.nodes), lambda th, t: -np.ones_like(th))
+    forced = solve_ivp(surface, config, np.cos(grid.nodes), lambda th, t: -np.ones_like(th))
     report = max_principle_monitor(forced)
     assert not report.monotone
     assert report.first_violation_level == 1

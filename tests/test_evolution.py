@@ -39,7 +39,7 @@ def test_non_finite_zero_order_sample_names_level_and_node():
 
     config = IVPConfig(n_nodes=16, n_steps=8, zero_order="custom", custom=custom)
     with pytest.raises(StepError, match="zero-order coefficient is not finite at node 5") as info:
-        Propagator(circle(), grid, config)
+        Propagator(circle(), config)
     assert info.value.level == 3
 
 
@@ -55,21 +55,21 @@ def test_singular_step_matrix_raises_where_factorized(family, scheme, theta, n, 
         coefficient=-1.0 / (theta * grid.dt),
     )
     with pytest.raises(StepError, match="step matrix is singular") as info:
-        Propagator(FAMILIES[family](), grid, config)
+        Propagator(FAMILIES[family](), config)
     assert info.value.level == 1
 
 
 def test_constants_preserved_without_forcing():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16, scheme="backward_euler")
-    traj = solve_ivp(circle(), grid, config, np.full(64, 3.25))
+    traj = solve_ivp(circle(), config, np.full(64, 3.25))
     assert np.max(np.abs(traj.values - 3.25)) <= 1e-13
 
 
 def test_backward_euler_step_eigenmode():
     grid = make_grid(64, 8)
     config = IVPConfig(n_nodes=64, n_steps=8, scheme="backward_euler")
-    prop = Propagator(circle(), grid, config)
+    prop = Propagator(circle(), config)
     u0 = np.cos(grid.nodes)
     u1 = prop.step(u0, 0)
     lam = (2.0 - 2.0 * math.cos(grid.dtheta)) / grid.dtheta**2
@@ -83,7 +83,7 @@ def test_constant_zero_order_scalar_reduction():
     config = IVPConfig(
         n_nodes=64, n_steps=8, scheme="backward_euler", zero_order="constant", coefficient=2.0
     )
-    prop = Propagator(circle(), grid, config)
+    prop = Propagator(circle(), config)
     u1 = prop.step(np.ones(64), 0)
     assert np.max(np.abs(u1 - 1.0 / (1.0 + 2.0 * grid.dt))) <= 1e-14
 
@@ -91,7 +91,7 @@ def test_constant_zero_order_scalar_reduction():
 def test_heat_kernel_crank_nicolson():
     grid = make_grid(256, 512)
     config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
-    traj = solve_ivp(circle(), grid, config, np.cos(grid.nodes))
+    traj = solve_ivp(circle(), config, np.cos(grid.nodes))
     err = max(
         float(np.max(np.abs(traj.values[k] - math.exp(-t) * np.cos(grid.nodes))))
         for k, t in enumerate(grid.times)
@@ -102,7 +102,7 @@ def test_heat_kernel_crank_nicolson():
 def test_breathing_conservative_closed_form():
     grid = make_grid(128, 256)
     config = IVPConfig(n_nodes=128, n_steps=256, scheme="backward_euler", zero_order="divergence")
-    traj = solve_ivp(breathing_circle(), grid, config, np.ones(128))
+    traj = solve_ivp(breathing_circle(), config, np.ones(128))
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(128, r(0.0) / r(t)) for t in grid.times])
     assert np.max(np.abs(traj.values - expected)) <= 1e-12
@@ -122,7 +122,7 @@ def test_manufactured_solution_orders():
     def run(scheme, n, m):
         grid = make_grid(n, m)
         config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme)
-        traj = solve_ivp(circle(), grid, config, exact(grid.nodes, 0.0), forcing)
+        traj = solve_ivp(circle(), config, exact(grid.nodes, 0.0), forcing)
         return max(
             float(np.max(np.abs(traj.values[k] - exact(grid.nodes, t))))
             for k, t in enumerate(grid.times)
@@ -142,16 +142,16 @@ def test_end_map_affinity_and_forcing_independence():
     rng = np.random.default_rng(4)
     a, b = fourier_noise(grid.nodes, rng), fourier_noise(grid.nodes, rng)
     alpha = 0.3
-    ja = end_map(surf, grid, config, a, forcing).values
-    jb = end_map(surf, grid, config, b, forcing).values
-    jc = end_map(surf, grid, config, alpha * a + (1 - alpha) * b, forcing).values
+    ja = end_map(surf, config, a, forcing).values
+    jb = end_map(surf, config, b, forcing).values
+    jc = end_map(surf, config, alpha * a + (1 - alpha) * b, forcing).values
     assert np.max(np.abs(jc - (alpha * ja + (1 - alpha) * jb))) <= 1e-12
 
     other = lambda th, t: np.sin(th) * math.cos(4.0 * math.pi * t)
-    diff1 = end_map(surf, grid, config, a + b, forcing).values - jb
+    diff1 = end_map(surf, config, a + b, forcing).values - jb
     diff2 = (
-        end_map(surf, grid, config, a + b, other).values
-        - end_map(surf, grid, config, b, other).values
+        end_map(surf, config, a + b, other).values
+        - end_map(surf, config, b, other).values
     )
     assert np.max(np.abs(diff1 - diff2)) <= 1e-12
 
@@ -159,15 +159,15 @@ def test_end_map_affinity_and_forcing_independence():
 def test_zero_data_zero_forcing_gives_zero():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16)
-    final = end_map(breathing_circle(), grid, config, np.zeros(64))
+    final = end_map(breathing_circle(), config, np.zeros(64))
     assert np.max(np.abs(final.values)) == 0.0
 
 
 def test_adjoint_matches_forward_on_stationary_metric():
     grid = make_grid(64, 32)
     config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler")
-    fwd = solve_ivp(circle(), grid, config, np.cos(grid.nodes))
-    adj = adjoint_solve(circle(), grid, config, None, terminal=np.cos(grid.nodes))
+    fwd = solve_ivp(circle(), config, np.cos(grid.nodes))
+    adj = adjoint_solve(circle(), config, None, terminal=np.cos(grid.nodes))
     assert np.max(np.abs(adj.values[::-1] - fwd.values)) <= 1e-12
 
 
@@ -175,7 +175,7 @@ def test_adjoint_constant_forcing_linear_in_time():
     grid = make_grid(64, 32)
     config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler")
     kappa = 0.7
-    adj = adjoint_solve(circle(), grid, config, lambda th, t: np.full_like(th, kappa))
+    adj = adjoint_solve(circle(), config, lambda th, t: np.full_like(th, kappa))
     expected = np.stack([np.full(64, kappa * (t - 1.0)) for t in grid.times])
     assert np.max(np.abs(adj.values - expected)) <= 1e-12
 
@@ -183,7 +183,7 @@ def test_adjoint_constant_forcing_linear_in_time():
 def test_duality_residual_vanishes_for_zero_field():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16)
-    zero = solve_ivp(breathing_circle(), grid, config, np.zeros(64))
+    zero = solve_ivp(breathing_circle(), config, np.zeros(64))
     assert duality_check(space_time_geometry(breathing_circle(), grid), zero, zero) == 0.0
 
 
@@ -195,8 +195,8 @@ def test_duality_residual_second_order(scheme):
     for m in (32, 64, 128):
         grid = make_grid(64, m)
         config = IVPConfig(n_nodes=64, n_steps=m, scheme=scheme, zero_order="divergence")
-        u = solve_ivp(surf, grid, config, u0)
-        phi = adjoint_solve(surf, grid, config, u)
+        u = solve_ivp(surf, config, u0)
+        phi = adjoint_solve(surf, config, u)
         res.append(duality_check(space_time_geometry(surf, grid), u, phi))
     # the quadrature identity converges at second order for both schemes,
     # within the first-order bound expected of backward Euler
@@ -209,7 +209,7 @@ def test_mass_law_per_step_divergence_mode():
     forcing = lambda th, t: np.cos(th) * (1.0 + math.sin(2.0 * math.pi * t))
     for scheme in ("backward_euler", "crank_nicolson"):
         config = IVPConfig(n_nodes=128, n_steps=64, scheme=scheme, zero_order="divergence")
-        traj = solve_ivp(surf, grid, config, 1.0 + 0.5 * np.cos(grid.nodes), forcing)
+        traj = solve_ivp(surf, config, 1.0 + 0.5 * np.cos(grid.nodes), forcing)
         measures = [weighted_measure(assemble_metric(surf, grid, t)) for t in grid.times]
         masses = [mean_and_mass(m, traj.values[k])[1] for k, m in enumerate(measures)]
         f_int = [
@@ -228,6 +228,6 @@ def test_mass_law_per_step_divergence_mode():
 def test_max_over_nodes_non_increasing_backward_euler():
     grid = make_grid(64, 64)
     config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler")
-    traj = solve_ivp(breathing_circle(), grid, config, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
+    traj = solve_ivp(breathing_circle(), config, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
     maxima = np.max(traj.values, axis=1)
     assert np.all(maxima[1:] <= maxima[:-1] + 1e-13)

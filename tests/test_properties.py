@@ -132,9 +132,9 @@ def test_divergence_mode_mass_law(family, n, m, scheme, data):
         data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0))),
         grid.times,
     )
-    prop = Propagator(FAMILIES[family](), grid, config, forcing)
+    prop = Propagator(FAMILIES[family](), config, forcing)
     traj = SpaceTimeField(prop.run(nodal_field(data, n, 0.5, 2.0)), grid.times)
-    ledger = mass_ledger(traj, prop.geometry, config, forcing)
+    ledger = mass_ledger(traj, prop)
     assert np.max(np.abs(ledger.defects)) <= 1e-12 * np.max(np.abs(ledger.masses))
 
 
@@ -149,7 +149,7 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     )
     forcing = data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0)))
     surface = FAMILIES[family]()
-    prop = Propagator(surface, grid, config, SpaceTimeField(forcing, grid.times))
+    prop = Propagator(surface, config, SpaceTimeField(forcing, grid.times))
     level = data.draw(st.integers(0, m - 1))
 
     # theta-scheme step from the CSR operators of the Cartesian metric:

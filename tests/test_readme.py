@@ -1,0 +1,19 @@
+"""The README's library sketch runs against the current API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_sketch() -> str:
+    text = README.read_text()
+    section = text.split("## Library sketch", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match, "no python block under 'Library sketch'"
+    return match.group(1)
+
+
+def test_library_sketch_runs(capsys):
+    exec(compile(library_sketch(), str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -166,7 +166,6 @@ def test_commutator_flat_chart_vanishes():
         chart_dt=lambda th, t: np.zeros(np.shape(th) + (2,)),
         chart_dt_dtheta=lambda th, t: np.zeros(np.shape(th) + (2,)),
         period=1.0,
-        closed=False,
         outward_sign=1,
     )
     frame = build_frame(line, GRID, 0.0)
