@@ -19,8 +19,6 @@ from .fields import (
     AmbientField,
     AnalyticField,
     ParameterGrid,
-    ScalarField,
-    SpaceTimeField,
     fourier_noise,
 )
 from .surfaces import (
@@ -63,7 +61,6 @@ from .evolution import (
 from .periodic import (
     ContractionEstimate,
     FixedPointReport,
-    MonodromyOracle,
     PeriodicityResiduals,
     SolvabilityReport,
     contraction_estimate,

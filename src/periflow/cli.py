@@ -33,7 +33,7 @@ from .diagnostics import (
 from .errors import ConfigError, ContractionBoundError, PeriflowError
 from .evolution import IVPConfig, Propagator
 from .expressions import compile_expression
-from .fields import ParameterGrid, ScalarField, SpaceTimeField
+from .fields import AmbientField, AnalyticField, ParameterGrid
 from .metric import (
     assemble_metric,
     greens_formula_check,
@@ -58,7 +58,6 @@ from .periodic import (
     monodromy_solve,
     periodicity_residuals,
 )
-from .fields import AmbientField, AnalyticField
 from .surfaces import FAMILIES, SurfaceFamily, build_frame, commutator_check
 from .tables import write_csv
 
@@ -275,13 +274,10 @@ class RunManifest:
         tmp.replace(path)
 
 
-def emit_field_csv(field_obj: ScalarField | SpaceTimeField, path: str | Path) -> str:
-    """Write (t, theta, u) rows, sorted by time then theta; returns the
-    SHA-256 of the file (format: `tables.write_csv`)."""
-    if isinstance(field_obj, ScalarField):
-        times, values = np.array([field_obj.time]), field_obj.values[None]
-    else:
-        times, values = field_obj.times, field_obj.values
+def emit_field_csv(times: np.ndarray, values: np.ndarray, path: str | Path) -> str:
+    """Write (t, theta, u) rows of (L, N) nodal `values` at the (L,) `times`,
+    sorted by time then theta; returns the SHA-256 of the file (format:
+    `tables.write_csv`)."""
     n_levels, n = values.shape
     theta = np.arange(n) * (2.0 * np.pi / n)
     columns = [np.repeat(times, n), np.tile(theta, n_levels), values.ravel()]
@@ -300,16 +296,17 @@ def _resolved_dict(cfg: ExperimentConfig) -> dict:
 
 def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     prop = cfg.propagator()
-    traj = SpaceTimeField(prop.run(cfg.initial_values(prop.grid)), prop.grid.times)
-    manifest.outputs.append(("trajectory.csv", emit_field_csv(traj, out / "trajectory.csv")))
+    traj = prop.run(cfg.initial_values(prop.grid))
+    digest = emit_field_csv(prop.grid.times, traj, out / "trajectory.csv")
+    manifest.outputs.append(("trajectory.csv", digest))
     ledger = mass_ledger(traj, prop)
     manifest.outputs.append(("mass_ledger.csv", ledger.write_csv(out / "mass_ledger.csv")))
     manifest.checks.append(
-        CheckResult("finite_trajectory", bool(np.all(np.isfinite(traj.values))), 0.0, 0.0)
+        CheckResult("finite_trajectory", bool(np.all(np.isfinite(traj))), 0.0, 0.0)
     )
-    if cfg.zero_order == "divergence" and prop.forcing is None:
+    if cfg.zero_order == "divergence" and prop.forcing_integrals is None:
         # relative to the weighted L1 norm of u0: the mass of a mean-free u0 is ~1e-16
-        scale = prop.geometry.integrals(np.abs(traj.values[:1]))[0]
+        scale = prop.geometry.integrals(np.abs(traj[:1]))[0]
         drift = abs(ledger.masses[-1] - ledger.masses[0]) / max(scale, 1e-300)
         manifest.checks.append(CheckResult("relative_mass_drift", drift <= 1e-8, drift, 1e-8))
 
@@ -336,13 +333,14 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
                         solve_report.smallest_singular_value >= 1e-8,
                         solve_report.smallest_singular_value, 1e-8)
         )
-    manifest.outputs.append(("trajectory.csv", emit_field_csv(traj, out / "trajectory.csv")))
+    digest = emit_field_csv(prop.grid.times, traj, out / "trajectory.csv")
+    manifest.outputs.append(("trajectory.csv", digest))
     residuals = periodicity_residuals(traj, measure0)
     tol = max(10.0 * cfg.tol, 1e-8)
     manifest.checks.append(
         CheckResult("relaxed_residual", residuals.relaxed <= tol, residuals.relaxed, tol)
     )
-    mean0, _ = mean_and_mass(measure0, traj.values[0])
+    mean0, _ = mean_and_mass(measure0, traj[0])
     mean_err = abs(mean0 - cfg.target_mean)
     manifest.checks.append(CheckResult("initial_mean", mean_err <= 1e-12, mean_err, 1e-12))
     compat = compatibility_check(prop)
@@ -472,17 +470,17 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     grid = ParameterGrid(min(cfg.n_nodes, 64), min(cfg.n_steps, 32), cfg.period)
     theta = grid.nodes
     values = np.stack([np.cos(theta) * math.exp(-t) for t in grid.times])
-    fld = SpaceTimeField(values, grid.times)
     rows = []
     for alpha in (0.5, 1.0):
-        est = holder_estimate(fld, surface, alpha, seed=cfg.seed)
+        est = holder_estimate(values, grid.times, surface, alpha, seed=cfg.seed)
         rows.append((str(alpha), est.sup_norm, est.holder_coefficient, est.time_holder,
                      est.norm_alpha, est.norm_1_alpha, est.norm_2_alpha))
     # alpha goes through as text so that it prints as 1.0, not 1
     header = "alpha,sup,holder_coefficient,time_holder,norm_alpha,norm_1_alpha,norm_2_alpha"
     digest = write_csv(out / "holder.csv", header.split(","), list(zip(*rows)))
     manifest.outputs.append(("holder.csv", digest))
-    checks = interpolation_check(fld, surface, 0.5, [0.5, 0.25, 0.125], seed=cfg.seed)
+    checks = interpolation_check(values, grid.times, surface, 0.5, [0.5, 0.25, 0.125],
+                                 seed=cfg.seed)
     worst = max(lhs - rhs for _, lhs, rhs in checks)
     manifest.checks.append(CheckResult("interpolation_inequality", worst <= 0.0, worst, 0.0))
 

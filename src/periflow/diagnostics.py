@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .evolution import Propagator, _time_derivative
-from .fields import ParameterGrid, SpaceTimeField
+from .fields import ParameterGrid
 from .narrowband import DistanceField, NarrowBandGrid, _gradient
 from .surfaces import (
     GeometryFrame,
@@ -122,34 +122,38 @@ def _time_holder_sup(
 
 
 def holder_estimate(
-    field: SpaceTimeField,
+    values: np.ndarray,
+    times: np.ndarray,
     surface: SurfaceFamily,
     alpha: float,
     subsample_budget: int = 1_000_000,
     seed: int = 0,
 ) -> HolderEstimate:
-    """Finite-pair lower-bound estimates of the parabolic Hölder norms.
+    """Finite-pair lower-bound estimates of the parabolic Hölder norms of
+    (L, N) nodal `values` at the (L,) `times`.
 
     Single-slice fields are supported (the time seminorms vanish).  The
     gradient-bearing norms discretize the tangential derivatives first.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    n_levels, n_nodes = field.values.shape
-    grid = ParameterGrid(n_nodes, max(n_levels - 1, 4), max(field.times[-1], 1e-12))
+    values, times = np.asarray(values, dtype=float), np.asarray(times, dtype=float)
+    if values.ndim != 2 or times.shape != values.shape[:1]:
+        raise GridMismatchError(f"values of shape {values.shape} at {times.shape[0]} times")
+    n_levels, n_nodes = values.shape
+    grid = ParameterGrid(n_nodes, max(n_levels - 1, 4), max(times[-1], 1e-12))
     frame0 = build_frame(surface, grid, 0.0)
     s, length = _arc_coordinates(frame0, grid.dtheta)
     rng = np.random.default_rng(seed)
 
-    values = field.values
     sup_norm = float(np.max(np.abs(values)))
-    h_alpha = _holder_sup_spacetime(values, s, length, field.times, alpha, subsample_budget, rng)
-    time_h = _time_holder_sup(values, field.times, alpha, subsample_budget, rng)
+    h_alpha = _holder_sup_spacetime(values, s, length, times, alpha, subsample_budget, rng)
+    time_h = _time_holder_sup(values, times, alpha, subsample_budget, rng)
 
     grad = np.stack([tangential_gradient(frame0, values[k]) for k in range(n_levels)])
     grad_sup = float(np.max(np.abs(grad)))
-    grad_h = _holder_sup_spacetime(grad, s, length, field.times, alpha, subsample_budget, rng)
-    grad_time_h = _time_holder_sup(grad, field.times, alpha, subsample_budget, rng)
+    grad_h = _holder_sup_spacetime(grad, s, length, times, alpha, subsample_budget, rng)
+    grad_time_h = _time_holder_sup(grad, times, alpha, subsample_budget, rng)
 
     hess = np.stack(
         [
@@ -157,14 +161,14 @@ def holder_estimate(
             for k in range(n_levels)
         ]
     )
-    hess_h = _holder_sup_spacetime(hess, s, length, field.times, alpha, subsample_budget, rng)
+    hess_h = _holder_sup_spacetime(hess, s, length, times, alpha, subsample_budget, rng)
     hess_sup = float(np.max(np.abs(hess)))
 
     if n_levels > 1:
-        dt = float(field.times[1] - field.times[0])
+        dt = float(times[1] - times[0])
         f_t = _time_derivative(values, dt)
         ft_sup = float(np.max(np.abs(f_t)))
-        ft_h = _holder_sup_spacetime(f_t, s, length, field.times, alpha, subsample_budget, rng)
+        ft_h = _holder_sup_spacetime(f_t, s, length, times, alpha, subsample_budget, rng)
     else:
         ft_sup = ft_h = 0.0
 
@@ -180,7 +184,8 @@ def holder_estimate(
 
 
 def interpolation_check(
-    field: SpaceTimeField,
+    values: np.ndarray,
+    times: np.ndarray,
     surface: SurfaceFamily,
     alpha: float,
     eps_list: list[float],
@@ -193,7 +198,7 @@ def interpolation_check(
     rhs = eps^(1-alpha) * |f|_{2+alpha} + (2/eps^alpha) * |f|_0, following
     the near/far pair split.  No violations are expected.
     """
-    est = holder_estimate(field, surface, alpha, subsample_budget, seed)
+    est = holder_estimate(values, times, surface, alpha, subsample_budget, seed)
     out = []
     for eps in eps_list:
         rhs = eps ** (1.0 - alpha) * est.norm_2_alpha + 2.0 / eps**alpha * est.sup_norm
@@ -277,34 +282,37 @@ class MassSeries:
         )
 
 
-def mass_ledger(trajectory: SpaceTimeField, prop: Propagator) -> MassSeries:
-    """Per-level masses and the scheme-matched conservation defects of a
-    trajectory of `prop`, read with its geometry, theta and forcing samples.
+def mass_ledger(trajectory: np.ndarray, prop: Propagator) -> MassSeries:
+    """Per-level masses and the scheme-matched conservation defects of an
+    (M+1, N) trajectory of `prop`, read with its geometry, theta and forcing
+    integrals.
 
     A step is charged with the theta-weighted forcing integrals of its two
     levels, (1 - theta) F_k + theta F_k+1; the defect of the divergence
     zero-order mode is then round-off by construction.
     """
     geometry, grid, theta = prop.geometry, prop.grid, prop.config.theta
-    if trajectory.values.shape != (grid.n_steps + 1, grid.n_nodes):
-        raise GridMismatchError("trajectory does not match the grid")
-    masses = geometry.integrals(trajectory.values)
-    if prop.forcing is None:
+    if np.shape(trajectory) != (grid.n_steps + 1, grid.n_nodes):
+        raise GridMismatchError(
+            f"trajectory shape {np.shape(trajectory)} does not match grid "
+            f"({grid.n_steps + 1}, {grid.n_nodes})"
+        )
+    masses = geometry.integrals(trajectory)
+    f_int = prop.forcing_integrals
+    if f_int is None:
         f_int = np.zeros(grid.n_steps + 1)
-    else:
-        f_int = geometry.integrals(prop.forcing)
     charge = (1.0 - theta) * f_int[:-1] + theta * f_int[1:]
     defects = masses[1:] - masses[:-1] + grid.dt * charge
     return MassSeries(grid.times, masses, f_int, defects)
 
 
 def compatibility_check(prop: Propagator) -> float:
-    """Space-time integral of the forcing samples of `prop` (trapezoid in
-    time, weighted measure in space); near zero is necessary for strict
-    periodicity."""
-    if prop.forcing is None:
+    """Space-time integral of the forcing of `prop`: the trapezoid rule in
+    time over its per-level forcing integrals; near zero is necessary for
+    strict periodicity."""
+    if prop.forcing_integrals is None:
         return 0.0
-    return prop.geometry.space_time_integral(prop.forcing)
+    return prop.geometry.time_integral(prop.forcing_integrals)
 
 
 @dataclass(frozen=True)
@@ -314,9 +322,10 @@ class MaxPrincipleReport:
     maxima: np.ndarray
 
 
-def max_principle_monitor(trajectory: SpaceTimeField, tol: float = 1e-13) -> MaxPrincipleReport:
-    """True iff the nodal maximum is non-increasing across levels."""
-    maxima = np.max(trajectory.values, axis=1)
+def max_principle_monitor(trajectory: np.ndarray, tol: float = 1e-13) -> MaxPrincipleReport:
+    """True iff the nodal maximum of an (M+1, N) trajectory is non-increasing
+    across levels."""
+    maxima = np.max(trajectory, axis=1)
     scale = max(1.0, float(np.max(np.abs(maxima))))
     rises = np.nonzero(maxima[1:] > maxima[:-1] + tol * scale)[0]
     if rises.size == 0:

@@ -10,7 +10,12 @@ A step matrix singular to round-off raises ``StepError`` at the level where
 it is factorized.  One ``Propagator`` holds a run: it derives the grid from
 the config and the surface's period, builds the space-time geometry and
 samples the forcing once.  The periodic solves reuse its factors and the
-ledgers read its geometry and forcing samples.
+ledgers read its geometry and per-level forcing integrals.
+
+States are ``(N,)`` arrays or ``(N, K)`` batches; a trajectory is an
+``(M+1, N)`` array whose rows are the levels of ``prop.grid.times``.  The
+forcing is a closure ``f(theta, t)`` or its ``(M+1, N)`` samples on the
+same levels.
 
 Zero-order modes
 ----------------
@@ -34,7 +39,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import GridMismatchError, StepError
-from .fields import ParameterGrid, ScalarField, SpaceTimeField
+from .fields import ParameterGrid
 from .metric import SpaceTimeGeometry, _operator_diagonals, space_time_geometry
 from .surfaces import SurfaceFamily
 
@@ -43,7 +48,7 @@ _THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
 _SINGULAR_TOL = 1e-12
 _ZERO_ORDER_MODES = ("zero", "constant", "divergence", "divergence_plus_constant", "custom")
 
-Forcing = Callable[[np.ndarray, float], np.ndarray] | SpaceTimeField | None
+Forcing = Callable[[np.ndarray, float], np.ndarray] | np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -89,14 +94,15 @@ def _require_finite(samples: np.ndarray, quantity: str) -> np.ndarray:
 def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None:
     if forcing is None:
         return None
-    if isinstance(forcing, SpaceTimeField):
-        if forcing.values.shape != (grid.n_steps + 1, grid.n_nodes):
-            raise GridMismatchError(
-                f"forcing shape {forcing.values.shape} does not match grid "
-                f"({grid.n_steps + 1}, {grid.n_nodes})"
-            )
-        return _require_finite(forcing.values, "forcing")
-    return _sample_levels(forcing, grid, "forcing")
+    if callable(forcing):
+        return _sample_levels(forcing, grid, "forcing")
+    samples = np.asarray(forcing, dtype=float)
+    if samples.shape != (grid.n_steps + 1, grid.n_nodes):
+        raise GridMismatchError(
+            f"forcing shape {samples.shape} does not match grid "
+            f"({grid.n_steps + 1}, {grid.n_nodes})"
+        )
+    return _require_finite(samples, "forcing")
 
 
 def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: ParameterGrid,
@@ -155,8 +161,9 @@ class _CyclicFactor:
 class Propagator:
     """Per-level factorized theta-scheme stepper for one surface/config/forcing
     triple.  It holds what a run shares: the grid the config fixes for the
-    surface's period, the space-time geometry and the zero-order and forcing
-    samples ((M+1, N), or None without forcing)."""
+    surface's period, the space-time geometry, the (M+1, N) zero-order
+    samples and the (M+1,) weighted integrals of the forcing samples at
+    each level (None without forcing)."""
 
     def __init__(self, surface: SurfaceFamily, config: IVPConfig, forcing: Forcing = None):
         self.surface = surface
@@ -164,8 +171,9 @@ class Propagator:
         self.grid = config.grid(surface.period)
         self.geometry = space_time_geometry(surface, self.grid)
         self.zero_order = self._zero_order_samples()
-        self.forcing = _forcing_samples(forcing, self.grid)
-        self._explicit, self._load, self._factors = self._assemble()
+        samples = _forcing_samples(forcing, self.grid)
+        self.forcing_integrals = None if samples is None else self.geometry.integrals(samples)
+        self._explicit, self._load, self._factors = self._assemble(samples)
 
     def _zero_order_samples(self) -> np.ndarray:
         grid, config = self.grid, self.config
@@ -176,8 +184,8 @@ class Propagator:
             return np.full(shape, config.coefficient)
         return _sample_levels(config.custom, grid, "zero-order coefficient")
 
-    def _assemble(self):
-        """Explicit (M, 3, N) diagonals and (M, N) forcing load of every step,
+    def _assemble(self, forcing: np.ndarray | None):
+        """Explicit (M, 3, N) diagonals and (M, N) load of the forcing samples,
         with the divergence-mode measure ratio folded in, and the factors of
         every new level's 1/dt - theta*(diffusion - c)."""
         geo, dt, theta = self.geometry, self.grid.dt, self.config.theta
@@ -190,7 +198,6 @@ class Propagator:
         explicit = np.stack(
             [scale / dt + old * main[:-1], old * upper[:-1], old * lower[:-1]], axis=1
         )
-        forcing = self.forcing
         load = None if forcing is None else old * forcing[:-1] + theta * forcing[1:]
         factors = [
             _CyclicFactor(1.0 / dt - theta * main[k], -theta * upper[k], -theta * lower[k], k)
@@ -220,6 +227,11 @@ class Propagator:
         final state only (same shape as `u0`, which may be a (N, K) batch).
         """
         u = np.array(u0, dtype=float, order="F")  # a Fortran-ordered batch steps without copies
+        if u.shape[:1] != (self.grid.n_nodes,):
+            raise GridMismatchError(
+                f"initial state of shape {u.shape} does not match the grid's "
+                f"{self.grid.n_nodes} nodes"
+            )
         _require_finite(u[None], "initial state")
         if keep_trajectory and u.ndim != 1:
             raise GridMismatchError("trajectories are only kept for single states")
@@ -232,64 +244,51 @@ class Propagator:
 
 
 def solve_ivp(
-    surface: SurfaceFamily,
-    config: IVPConfig,
-    u0: ScalarField | np.ndarray,
-    forcing: Forcing = None,
-) -> SpaceTimeField:
-    """Full trajectory of the initial value problem over one period."""
-    values = u0.values if isinstance(u0, ScalarField) else np.asarray(u0, dtype=float)
-    prop = Propagator(surface, config, forcing)
-    return SpaceTimeField(prop.run(values), prop.grid.times)
+    surface: SurfaceFamily, config: IVPConfig, u0: np.ndarray, forcing: Forcing = None
+) -> np.ndarray:
+    """Trajectory (M+1, N) of the initial value problem over one period, on
+    the levels of `config.grid(surface.period)`."""
+    return Propagator(surface, config, forcing).run(u0)
 
 
 def end_map(
-    surface: SurfaceFamily,
-    config: IVPConfig,
-    u0: ScalarField | np.ndarray,
-    forcing: Forcing = None,
-) -> ScalarField:
-    """Final slice of the initial value problem (the end-of-period map)."""
-    values = u0.values if isinstance(u0, ScalarField) else np.asarray(u0, dtype=float)
-    prop = Propagator(surface, config, forcing)
-    return ScalarField(prop.run(values, keep_trajectory=False), prop.grid.period)
+    surface: SurfaceFamily, config: IVPConfig, u0: np.ndarray, forcing: Forcing = None
+) -> np.ndarray:
+    """Final slice (N,) of the initial value problem (the end-of-period map)."""
+    return Propagator(surface, config, forcing).run(u0, keep_trajectory=False)
 
 
-def _reversed_forcing(forcing: Forcing, grid: ParameterGrid) -> Forcing:
+def _reversed_forcing(forcing: Forcing, period: float) -> Forcing:
     if forcing is None:
         return None
-    if isinstance(forcing, SpaceTimeField):
-        return SpaceTimeField(forcing.values[::-1].copy(), grid.times)
-    period = grid.period
-    return lambda theta, t: forcing(theta, period - t)
+    if callable(forcing):
+        return lambda theta, t: forcing(theta, period - t)
+    return np.asarray(forcing, dtype=float)[::-1]
 
 
 def adjoint_solve(
     surface: SurfaceFamily,
     config: IVPConfig,
     forcing: Forcing,
-    terminal: ScalarField | np.ndarray | None = None,
-) -> SpaceTimeField:
+    terminal: np.ndarray | None = None,
+) -> np.ndarray:
     """Solve ``diffusion(phi) + phi_t = f`` by running the time-reversed
-    metric family forward and flipping the result.
+    metric family forward and flipping the (M+1, N) result.
 
     With `terminal` given this is the backward initial value problem from
     that final state; otherwise the relaxed-periodic problem (zero terminal
     mean) is solved through the monodromy route.
     """
-    grid = config.grid(surface.period)
     reversed_surface = surface.time_reversed()
     rev_config = replace(config, zero_order="zero", coefficient=0.0, custom=None)
-    rev_forcing = _reversed_forcing(forcing, grid)
+    prop = Propagator(reversed_surface, rev_config, _reversed_forcing(forcing, surface.period))
     if terminal is not None:
-        values = terminal.values if isinstance(terminal, ScalarField) else np.asarray(terminal)
-        traj = solve_ivp(reversed_surface, rev_config, values, rev_forcing)
+        traj = prop.run(terminal)
     else:
         from .periodic import monodromy_solve
 
-        prop = Propagator(reversed_surface, rev_config, rev_forcing)
         traj, _ = monodromy_solve(prop, target_mean=0.0)
-    return SpaceTimeField(traj.values[::-1].copy(), grid.times)
+    return traj[::-1]
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
@@ -303,7 +302,7 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def duality_check(geometry: SpaceTimeGeometry, u: SpaceTimeField, phi: SpaceTimeField) -> float:
+def duality_check(geometry: SpaceTimeGeometry, u: np.ndarray, phi: np.ndarray) -> float:
     """Residual of the discrete space-time integration-by-parts chain.
 
     Evaluates ``|II(L u, phi) - II(u, diffusion(phi) + phi_t) + boundary|``
@@ -312,10 +311,10 @@ def duality_check(geometry: SpaceTimeGeometry, u: SpaceTimeField, phi: SpaceTime
     difference of the weighted end products.  Decays at the scheme order
     when u and phi come from the solvers.
     """
-    if u.values.shape != phi.values.shape:
-        raise GridMismatchError("trajectories have different shapes")
+    uu, pp = np.asarray(u, dtype=float), np.asarray(phi, dtype=float)
+    if uu.shape != pp.shape:
+        raise GridMismatchError(f"trajectories have different shapes {uu.shape} and {pp.shape}")
     dt = geometry.grid.dt
-    uu, pp = u.values, phi.values
     lu = geometry.laplace_beltrami(uu) - geometry.trace_rate * uu - _time_derivative(uu, dt)
     lstar_phi = geometry.laplace_beltrami(pp) + _time_derivative(pp, dt)
     i_forward = geometry.space_time_integral(lu * pp)

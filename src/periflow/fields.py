@@ -1,9 +1,10 @@
-"""Grids and field containers used by every solver module.
+"""The parameter grid and the closed-form fields used by every solver module.
 
 Space is discretized by ``N`` equispaced parameter values ``theta_i = 2*pi*i/N``
 on a periodic grid, time by ``M+1`` equispaced levels spanning one period
-``[0, T]``.  Scalar unknowns are stored nodally; space-time unknowns as one
-row per time level.
+``[0, T]``.  Sampled fields are plain arrays: a state is an ``(N,)`` array
+(or an ``(N, K)`` batch), a trajectory or a sampled forcing an ``(M+1, N)``
+array with one row per level of ``ParameterGrid.times``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import GridMismatchError
 
 
 @dataclass(frozen=True)
@@ -48,43 +47,6 @@ class ParameterGrid:
     @property
     def dt(self) -> float:
         return self.period / self.n_steps
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Nodal values of an unknown at one time."""
-
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise GridMismatchError(f"scalar field must be 1-d, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("scalar field contains non-finite values")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """One nodal slice per time level, levels spanning [0, T]."""
-
-    values: np.ndarray  # (M+1, N)
-    times: np.ndarray  # (M+1,)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "times", times)
-        if values.ndim != 2 or times.ndim != 1 or values.shape[0] != times.shape[0]:
-            raise GridMismatchError(
-                f"inconsistent space-time shapes {values.shape} vs {times.shape}"
-            )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateMetricError, GridMismatchError
-from .fields import AmbientField, ParameterGrid, ScalarField
+from .fields import AmbientField, ParameterGrid
 from .surfaces import GeometryFrame, SurfaceFamily, _theta_derivative, build_frame
 
 _CONDITION_LIMIT = 1e12
@@ -73,7 +73,6 @@ class WeightedMeasure:
     """Trapezoid quadrature weights carrying the evolving surface measure."""
 
     weights: np.ndarray
-    time: float
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -147,7 +146,7 @@ def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Me
 
 
 def weighted_measure(metric: MetricSample) -> WeightedMeasure:
-    return WeightedMeasure(metric.sqrt_local_det * metric.dtheta, metric.time)
+    return WeightedMeasure(metric.sqrt_local_det * metric.dtheta)
 
 
 def _half_coefficients(c: np.ndarray) -> np.ndarray:
@@ -191,18 +190,22 @@ class SpaceTimeGeometry:
     c_half: np.ndarray  # flux coefficient sqrt(g)/g at the half nodes i + 1/2
 
     def measure(self, level: int) -> WeightedMeasure:
-        return WeightedMeasure(self.weights[level], float(self.grid.times[level]))
+        return WeightedMeasure(self.weights[level])
 
     def integrals(self, values: np.ndarray) -> np.ndarray:
         """Weighted spatial integral of (M+1, N) samples at every level."""
         return np.einsum("ki,ki->k", self.weights, values)
 
-    def space_time_integral(self, values: np.ndarray) -> float:
-        """Trapezoid rule in time over the per-level weighted integrals."""
+    def time_integral(self, per_level: np.ndarray) -> float:
+        """Trapezoid rule in time over (M+1,) values, one per level."""
         dt = self.grid.dt
         time_w = np.full(self.grid.n_steps + 1, dt)
         time_w[0] = time_w[-1] = 0.5 * dt
-        return float(np.dot(time_w, self.integrals(values)))
+        return float(np.dot(time_w, per_level))
+
+    def space_time_integral(self, values: np.ndarray) -> float:
+        """Trapezoid rule in time over the per-level weighted integrals."""
+        return self.time_integral(self.integrals(values))
 
     def laplace_beltrami(self, values: np.ndarray) -> np.ndarray:
         """Diffusion operator of each level applied to its row of (M+1, N) values."""
@@ -230,9 +233,9 @@ def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTim
     )
 
 
-def laplace_beltrami_apply(metric: MetricSample, field: ScalarField | np.ndarray) -> np.ndarray:
+def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarray:
     """Conservative-form discrete diffusion operator applied to nodal values."""
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.shape[0] != metric.n_nodes:
         raise GridMismatchError(
             f"field has {values.shape[0]} nodes, metric has {metric.n_nodes}"
@@ -248,7 +251,7 @@ def laplace_beltrami_matrix(metric: MetricSample) -> sparse.csr_matrix:
 
 
 def cartesian_laplacian_apply(
-    metric: MetricSample, frame0: GeometryFrame, field: ScalarField | np.ndarray
+    metric: MetricSample, frame0: GeometryFrame, values: np.ndarray
 ) -> np.ndarray:
     """Ambient-form diffusion operator: first-order tangential derivatives of
     the flux vector plus the metric-gradient correction term.
@@ -257,7 +260,7 @@ def cartesian_laplacian_apply(
     central differences, so the result agrees with the flux form and with
     the true operator to O(dtheta^2).
     """
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
+    values = np.asarray(values, dtype=float)
     n = metric.n_nodes
     if values.shape[0] != n or frame0.n_nodes != n:
         raise GridMismatchError("field/frame/metric node counts disagree")
@@ -288,17 +291,17 @@ def trace_identity(metric: MetricSample, frame: GeometryFrame) -> tuple[np.ndarr
     return left, right, float(np.max(np.abs(left - right)))
 
 
-def mean_and_mass(measure: WeightedMeasure, field: ScalarField | np.ndarray) -> tuple[float, float]:
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
+def mean_and_mass(measure: WeightedMeasure, values: np.ndarray) -> tuple[float, float]:
+    values = np.asarray(values, dtype=float)
     if values.shape[0] != measure.weights.shape[0]:
-        raise GridMismatchError("field and measure sizes disagree")
+        raise GridMismatchError(
+            f"field has {values.shape[0]} nodes, measure has {measure.weights.shape[0]}"
+        )
     mass = float(np.dot(measure.weights, values))
     return mass / measure.total, mass
 
 
-def greens_formula_check(
-    metric: MetricSample, u: ScalarField | np.ndarray, w: ScalarField | np.ndarray
-) -> float:
+def greens_formula_check(metric: MetricSample, u: np.ndarray, w: np.ndarray) -> float:
     """|energy(u, w) + integral of u * (diffusion w)|.
 
     The gradient-energy integral is evaluated at half nodes with the same
@@ -306,8 +309,7 @@ def greens_formula_check(
     (summation by parts telescopes on the closed curve); the residual is
     round-off at any resolution.
     """
-    uu = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-    ww = w.values if isinstance(w, ScalarField) else np.asarray(w, dtype=float)
+    uu, ww = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
     c_half = _half_coefficients(metric.flux_coefficient)
     du = np.roll(uu, -1) - uu
     dw = np.roll(ww, -1) - ww

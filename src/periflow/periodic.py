@@ -4,9 +4,11 @@ The end-of-period map of the linear solver is affine, ``u0 -> A u0 + b``.
 Composing it with the weighted-mean reset at time zero gives a map whose
 fixed point is the initial state of the relaxed-periodic solution with the
 prescribed initial mean.  The end map is one ``Propagator``, which holds the
-surface, the discretization, the forcing samples and the factorized steps;
+surface, the discretization, the forcing load and the factorized steps;
 every solve takes it and the prescribed mean (``target_mean``) and builds
-nothing else.  Two independent instruments compute the fixed point:
+nothing else.  States are ``(N,)`` arrays; a solve returns its trajectory
+as an ``(M+1, N)`` array on the levels of ``prop.grid.times``.  Two
+independent instruments compute the fixed point:
 
 * ``fixed_point_solve`` iterates the mean-reset end map from zero and
   records the measured contraction ratios;
@@ -28,20 +30,17 @@ import numpy as np
 
 from .errors import ContractionBoundError, GridMismatchError, NonuniquenessError
 from .evolution import Propagator
-from .fields import ParameterGrid, ScalarField, SpaceTimeField, fourier_noise
+from .fields import ParameterGrid, fourier_noise
 from .metric import WeightedMeasure, mean_and_mass
 
 _MAX_DENSE_NODES = 2048
 
 
-def mean_adjust(field_values: ScalarField | np.ndarray, measure: WeightedMeasure) -> ScalarField:
+def mean_adjust(values: np.ndarray, measure: WeightedMeasure) -> np.ndarray:
     """Subtract the weighted mean; the result has exactly zero mean up to
     round-off."""
-    values = (
-        field_values.values if isinstance(field_values, ScalarField) else np.asarray(field_values)
-    )
     mean, _ = mean_and_mass(measure, values)
-    return ScalarField(values - mean, measure.time)
+    return np.asarray(values, dtype=float) - mean
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,8 @@ class FixedPointReport:
     residuals: list[float]
     ratios: list[float]
     converged: bool
-    initial_state: ScalarField
-    trajectory: SpaceTimeField
+    initial_state: np.ndarray  # (N,)
+    trajectory: np.ndarray  # (M+1, N) on prop.grid.times
 
     @property
     def final_residual(self) -> float:
@@ -82,7 +81,7 @@ def fixed_point_solve(
     if start is None:
         u0 = np.full(prop.grid.n_nodes, c, dtype=float)
     else:
-        u0 = mean_adjust(np.asarray(start, dtype=float), measure0).values + c
+        u0 = mean_adjust(start, measure0) + c
 
     residuals: list[float] = []
     ratios: list[float] = []
@@ -90,7 +89,7 @@ def fixed_point_solve(
     iterations = 0
     for _ in range(max_iter):
         end_state = prop.run(u0, keep_trajectory=False)
-        new_u0 = mean_adjust(end_state, measure0).values + c
+        new_u0 = mean_adjust(end_state, measure0) + c
         diff = float(np.max(np.abs(new_u0 - u0)))
         if residuals and residuals[-1] > 0.0:
             ratios.append(diff / residuals[-1])
@@ -101,14 +100,13 @@ def fixed_point_solve(
             converged = True
             break
 
-    trajectory = SpaceTimeField(prop.run(u0), prop.grid.times)
     return FixedPointReport(
         iterations=iterations,
         residuals=residuals,
         ratios=ratios,
         converged=converged,
-        initial_state=ScalarField(u0, 0.0),
-        trajectory=trajectory,
+        initial_state=u0,
+        trajectory=prop.run(u0),
     )
 
 
@@ -173,7 +171,7 @@ def contraction_estimate(
             continue
         end_diff = prop.run(diff, include_forcing=False, keep_trajectory=False)
         j_ratio = float(np.max(np.abs(end_diff))) / norm
-        k_ratio = float(np.max(np.abs(mean_adjust(end_diff, measure0).values))) / norm
+        k_ratio = float(np.max(np.abs(mean_adjust(end_diff, measure0)))) / norm
         pair_ratios.append((j_ratio, k_ratio))
         if j_ratio > worst:
             worst, worst_index = j_ratio, idx
@@ -206,29 +204,17 @@ def contraction_estimate(
 
 
 @dataclass(frozen=True)
-class MonodromyOracle:
-    """Dense affine realization of the end-of-period map."""
-
-    matrix: np.ndarray  # (N, N)
-    offset: np.ndarray  # (N,)
-
-    def end_state(self, u0: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(u0, dtype=float) + self.offset
-
-
-@dataclass(frozen=True)
 class SolvabilityReport:
     """Direct-solve metadata for the relaxed-periodic system."""
 
     smallest_singular_value: float
     largest_singular_value: float
-    oracle: MonodromyOracle
-    initial_state: ScalarField
+    initial_state: np.ndarray  # (N,)
 
 
 def monodromy_solve(
     prop: Propagator, target_mean: float = 0.0
-) -> tuple[SpaceTimeField, SolvabilityReport]:
+) -> tuple[np.ndarray, SolvabilityReport]:
     """Assemble the dense end map and solve the fixed-point system directly.
 
     The linear part is assembled by propagating all unit basis states with
@@ -238,8 +224,7 @@ def monodromy_solve(
     singular, i.e. the homogeneous relaxed-periodic problem admits nonzero
     states.
     """
-    grid = prop.grid
-    n = grid.n_nodes
+    n = prop.grid.n_nodes
     if n > _MAX_DENSE_NODES:
         raise GridMismatchError(
             f"dense monodromy assembly limited to {_MAX_DENSE_NODES} nodes, got {n}"
@@ -250,11 +235,10 @@ def monodromy_solve(
 
     matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
     offset = prop.run(np.zeros(n), keep_trajectory=False)
-    oracle = MonodromyOracle(matrix, offset)
 
     adjusted = matrix - np.outer(np.ones(n), w @ matrix) / total
     system = np.eye(n) - adjusted
-    rhs = mean_adjust(offset, measure0).values + target_mean
+    rhs = mean_adjust(offset, measure0) + target_mean
 
     singular_values = np.linalg.svd(system, compute_uv=False)
     smin, smax = float(singular_values[-1]), float(singular_values[0])
@@ -265,14 +249,10 @@ def monodromy_solve(
             smallest_singular_value=smin,
         )
     u0 = np.linalg.solve(system, rhs)
-    trajectory = SpaceTimeField(prop.run(u0), grid.times)
     report = SolvabilityReport(
-        smallest_singular_value=smin,
-        largest_singular_value=smax,
-        oracle=oracle,
-        initial_state=ScalarField(u0, 0.0),
+        smallest_singular_value=smin, largest_singular_value=smax, initial_state=u0
     )
-    return trajectory, report
+    return prop.run(u0), report
 
 
 @dataclass(frozen=True)
@@ -282,17 +262,14 @@ class PeriodicityResiduals:
     mean_drift: float
 
 
-def periodicity_residuals(
-    trajectory: SpaceTimeField, measure0: WeightedMeasure
-) -> PeriodicityResiduals:
+def periodicity_residuals(trajectory: np.ndarray, measure0: WeightedMeasure) -> PeriodicityResiduals:
     """Relaxed and strict periodicity defects of a trajectory.
 
     `relaxed` compares the mean-free parts of the first and last slices
     (both means taken in the time-zero measure), `strict` the slices
     themselves, and `mean_drift` is the difference of the means.
     """
-    first = trajectory.values[0]
-    last = trajectory.values[-1]
+    first, last = trajectory[0], trajectory[-1]
     m_first, _ = mean_and_mass(measure0, first)
     m_last, _ = mean_and_mass(measure0, last)
     relaxed = float(np.max(np.abs((first - m_first) - (last - m_last))))

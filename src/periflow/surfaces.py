@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSurfaceError, GridMismatchError
-from .fields import AnalyticField, ParameterGrid, ScalarField
+from .fields import AnalyticField, ParameterGrid
 
 ChartFn = Callable[[np.ndarray, float], np.ndarray]
 
@@ -340,7 +340,7 @@ def _theta_derivative(values: np.ndarray, dtheta: float) -> np.ndarray:
 
 def tangential_gradient(
     frame: GeometryFrame,
-    field: ScalarField | np.ndarray,
+    values: np.ndarray,
     dtheta_values: np.ndarray | None = None,
 ) -> np.ndarray:
     """Surface gradient in ambient components, shape (N, 2).
@@ -349,7 +349,7 @@ def tangential_gradient(
     theta-derivatives are used when supplied, otherwise second-order central
     differences on the periodic grid.
     """
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.shape[0] != frame.n_nodes:
         raise GridMismatchError(
             f"field has {values.shape[0]} nodes, frame has {frame.n_nodes}"
@@ -371,7 +371,7 @@ def second_tangential_derivative(frame: GeometryFrame, grad: np.ndarray) -> np.n
 
 def commutator_check(
     frame: GeometryFrame,
-    field: AnalyticField | ScalarField | np.ndarray,
+    field: AnalyticField | np.ndarray,
 ) -> float:
     """Residual of the second-derivative commutator identity.
 
@@ -393,8 +393,7 @@ def commutator_check(
         grad_dth = tau_dth * arc[:, None] + frame.tangent * arc_dth[:, None]
         second = np.einsum("ia,ib->iab", frame.tangent, grad_dth / frame.speed[:, None])
     else:
-        values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
-        grad = tangential_gradient(frame, values)
+        grad = tangential_gradient(frame, field)
         second = second_tangential_derivative(frame, grad)
 
     H = frame.weingarten

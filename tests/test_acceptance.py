@@ -105,7 +105,7 @@ def test_criterion_2_heat_kernel():
     config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
     traj = solve_ivp(circle(), config, np.cos(grid.nodes))
     err = max(
-        float(np.max(np.abs(traj.values[k] - math.exp(-t) * np.cos(grid.nodes))))
+        float(np.max(np.abs(traj[k] - math.exp(-t) * np.cos(grid.nodes))))
         for k, t in enumerate(grid.times)
     )
     assert report("criterion-2 heat-kernel", err <= 5e-5, f"max error={err:.3e} tol=5e-5")
@@ -122,7 +122,7 @@ def test_criterion_3_conservation():
     drift = abs(series.masses[-1] - series.masses[0]) / abs(series.masses[0])
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     closed = np.stack([np.full(256, r(0.0) / r(t)) for t in grid.times])
-    sup = float(np.max(np.abs(traj.values - closed)))
+    sup = float(np.max(np.abs(traj - closed)))
     ok = report("criterion-3 mass-drift", drift <= 1e-8, f"relative drift={drift:.3e}")
     ok &= report("criterion-3 closed-form", sup <= 1e-6, f"sup error={sup:.3e}")
     assert ok
@@ -172,7 +172,7 @@ def test_criterion_5_conservative_periodic_scenario():
     ok = report("criterion-5 compatibility", abs(compat) <= 1e-12, f"integral={compat:.3e}")
     traj, solve_report = monodromy_solve(prop, target_mean=1.0)
     res = periodicity_residuals(traj, prop.geometry.measure(0))
-    mean0, _ = mean_and_mass(prop.geometry.measure(0), traj.values[0])
+    mean0, _ = mean_and_mass(prop.geometry.measure(0), traj[0])
     ok &= report("criterion-5 strict-residual", res.strict <= 1e-8, f"residual={res.strict:.3e}")
     ok &= report("criterion-5 initial-mean", abs(mean0 - 1.0) <= 1e-12, f"|mean-1|={abs(mean0 - 1.0):.3e}")
     ok &= report(
@@ -187,7 +187,7 @@ def test_criterion_6_cross_method_agreement():
     prop = _conservative_forced_propagator()
     traj_m, _ = monodromy_solve(prop, target_mean=1.0)
     fp = fixed_point_solve(prop, target_mean=1.0, tol=1e-10, max_iter=60)
-    gap = float(np.max(np.abs(traj_m.values - fp.trajectory.values)))
+    gap = float(np.max(np.abs(traj_m - fp.trajectory)))
     ok = report(
         "criterion-6 agreement",
         fp.converged and gap <= 1e-8,
@@ -198,7 +198,7 @@ def test_criterion_6_cross_method_agreement():
         prop, target_mean=1.0, tol=1e-10, max_iter=60,
         start=fourier_noise(prop.grid.nodes, rng),
     )
-    start_gap = float(np.max(np.abs(fp.initial_state.values - fp2.initial_state.values)))
+    start_gap = float(np.max(np.abs(fp.initial_state - fp2.initial_state)))
     ok &= report(
         "criterion-6 uniqueness-probe",
         fp2.converged and start_gap <= 1e-8,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periflow import ConfigError, ScalarField, SpaceTimeField, evolution
+from periflow import ConfigError, evolution
 from periflow.cli import SCENARIOS, emit_field_csv, main, parse_config, run_scenario
 
 
@@ -73,16 +73,14 @@ def test_list_scenarios(capsys):
 
 
 def test_emit_field_csv_row_counts(tmp_path):
-    static = ScalarField(np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
     path = tmp_path / "static.csv"
-    emit_field_csv(static, path)
+    emit_field_csv(np.zeros(1), np.array([[1.0, 2.0, 3.0, 4.0]]), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 5
     assert lines[0] == "t,theta,u"
 
-    traj = SpaceTimeField(np.arange(12.0).reshape(3, 4), np.array([0.0, 0.5, 1.0]))
     path2 = tmp_path / "traj.csv"
-    emit_field_csv(traj, path2)
+    emit_field_csv(np.array([0.0, 0.5, 1.0]), np.arange(12.0).reshape(3, 4), path2)
     assert len(path2.read_text().splitlines()) == 13
 
 

@@ -7,7 +7,6 @@ from periflow import (
     IVPConfig,
     ParameterGrid,
     Propagator,
-    SpaceTimeField,
     breathing_circle,
     build_band,
     circle,
@@ -23,19 +22,19 @@ from periflow import (
 
 
 def static_field(values):
-    return SpaceTimeField(np.asarray(values, dtype=float)[None, :], np.zeros(1))
+    """(values, times) of a single slice at t = 0."""
+    return np.asarray(values, dtype=float)[None, :], np.zeros(1)
 
 
 def sampled(grid, fn):
-    return SpaceTimeField(
-        np.stack([fn(grid.nodes, t) for t in grid.times]), grid.times
-    )
+    """(values, times) of `fn` at every node and level of `grid`."""
+    return np.stack([fn(grid.nodes, t) for t in grid.times]), grid.times
 
 
 def test_holder_constant_field():
     grid = ParameterGrid(32, 8, 1.0)
     fld = sampled(grid, lambda th, t: np.full_like(th, 4.0))
-    est = holder_estimate(fld, circle(), alpha=0.5)
+    est = holder_estimate(*fld, circle(), alpha=0.5)
     assert est.holder_coefficient == 0.0
     assert est.time_holder == 0.0
     assert est.norm_alpha == est.sup_norm == 4.0
@@ -45,7 +44,7 @@ def test_holder_cosine_lipschitz_bound():
     # static cos on the unit circle has arc-length Lipschitz constant 1
     grid = ParameterGrid(64, 8, 1.0)
     fld = static_field(np.cos(grid.nodes))
-    est = holder_estimate(fld, circle(), alpha=1.0)
+    est = holder_estimate(*fld, circle(), alpha=1.0)
     assert est.holder_coefficient <= 1.0 + 1e-12
     assert est.holder_coefficient >= 0.95
     assert est.norm_alpha >= est.sup_norm
@@ -55,7 +54,7 @@ def test_holder_finite_across_alpha():
     grid = ParameterGrid(64, 8, 1.0)
     fld = static_field(np.cos(grid.nodes))
     for a in (0.25, 0.5, 1.0):
-        est = holder_estimate(fld, circle(), alpha=a)
+        est = holder_estimate(*fld, circle(), alpha=a)
         assert 0.0 < est.holder_coefficient < 10.0
         # |cos x - cos y| <= |x - y| bounds every quotient with d <= pi < 2pi
         assert est.holder_coefficient <= max(2.0, math.pi ** (1.0 - a)) + 1e-12
@@ -66,7 +65,7 @@ def test_sqrt_time_profile_flags_blowup():
     for m in (8, 32, 128):
         grid = ParameterGrid(16, m, 1.0)
         fld = sampled(grid, lambda th, t: np.cos(th) * math.sqrt(t))
-        estimates.append(holder_estimate(fld, circle(), alpha=0.5).time_holder)
+        estimates.append(holder_estimate(*fld, circle(), alpha=0.5).time_holder)
     assert estimates[0] < estimates[1] < estimates[2]
     assert estimates[2] > 1.9 * estimates[0]  # grows like dt^(-1/4) under refinement
 
@@ -76,7 +75,7 @@ def test_estimator_monotone_under_nesting():
     def estimate(n, m):
         grid = ParameterGrid(n, m, 1.0)
         fld = sampled(grid, lambda th, t: np.cos(th) * math.exp(-t) + 0.3 * np.sin(2 * th))
-        return holder_estimate(fld, circle(), alpha=0.5)
+        return holder_estimate(*fld, circle(), alpha=0.5)
 
     coarse = estimate(16, 4)
     fine = estimate(32, 8)
@@ -88,14 +87,14 @@ def test_estimator_monotone_under_nesting():
 def test_interpolation_inequality_examples():
     grid = ParameterGrid(32, 16, 1.0)
     const = sampled(grid, lambda th, t: np.full_like(th, 1.5))
-    for eps, lhs, rhs in interpolation_check(const, circle(), 0.5, [1.0, 0.5, 0.25]):
+    for eps, lhs, rhs in interpolation_check(*const, circle(), 0.5, [1.0, 0.5, 0.25]):
         assert rhs >= 2.0 * 1.5 - 1e-12
         assert lhs <= rhs
     fld = sampled(grid, lambda th, t: np.cos(th) * math.exp(-t))
-    for eps, lhs, rhs in interpolation_check(fld, circle(), 0.5, [0.5, 0.25, 0.125]):
+    for eps, lhs, rhs in interpolation_check(*fld, circle(), 0.5, [0.5, 0.25, 0.125]):
         assert lhs <= rhs
     zero = sampled(grid, lambda th, t: np.zeros_like(th))
-    for eps, lhs, rhs in interpolation_check(zero, circle(), 0.5, [0.5]):
+    for eps, lhs, rhs in interpolation_check(*zero, circle(), 0.5, [0.5]):
         assert lhs == 0.0 and rhs >= 0.0
 
 
@@ -128,7 +127,7 @@ def test_holder_diagnostics_build_the_reference_frame_once(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "build_frame", counted)
     grid = ParameterGrid(32, 8, 1.0)
-    holder_estimate(sampled(grid, lambda th, t: np.cos(th) * math.exp(-t)), circle(), alpha=0.5)
+    holder_estimate(*sampled(grid, lambda th, t: np.cos(th) * math.exp(-t)), circle(), alpha=0.5)
     assert len(calls) == 1
     band_grid, band_dist = build_band(circle(), 0.0, 1.0 / 16.0, 0.3)
     profile = np.cos(grid.nodes)

@@ -6,6 +6,7 @@ import pytest
 from helpers import mean_order
 from periflow import (
     FAMILIES,
+    GridMismatchError,
     IVPConfig,
     ParameterGrid,
     Propagator,
@@ -17,6 +18,7 @@ from periflow import (
     duality_check,
     end_map,
     fourier_noise,
+    mass_ledger,
     mean_and_mass,
     solve_ivp,
     space_time_geometry,
@@ -42,6 +44,44 @@ def test_non_finite_zero_order_sample_names_level_and_node():
         Propagator(circle(), config)
     assert info.value.level == 3
 
+    # the same report for sampled forcing passed as an (M+1, N) array
+    forcing = np.ones((9, 16))
+    forcing[3, 5] = np.inf
+    with pytest.raises(StepError, match="forcing is not finite at node 5") as info:
+        Propagator(circle(), IVPConfig(n_nodes=16, n_steps=8), forcing)
+    assert info.value.level == 3
+
+
+# case -> (call on a 16-node, 8-step propagator, expected message)
+SHAPE_MISMATCHES = {
+    "u0": (lambda p: p.run(np.ones(15)), r"shape \(15,\) does not match the grid's 16 nodes"),
+    "forcing": (
+        lambda p: Propagator(p.surface, p.config, np.zeros((9, 15))),
+        r"forcing shape \(9, 15\) does not match grid \(9, 16\)",
+    ),
+    "mass_ledger": (
+        lambda p: mass_ledger(np.zeros((8, 16)), p),
+        r"trajectory shape \(8, 16\) does not match grid \(9, 16\)",
+    ),
+    "duality_check": (
+        lambda p: duality_check(p.geometry, np.zeros((9, 16)), np.zeros((9, 15))),
+        r"different shapes \(9, 16\) and \(9, 15\)",
+    ),
+    "batch_trajectory": (lambda p: p.run(np.ones((16, 2))), "only kept for single states"),
+    "mean_and_mass": (
+        lambda p: mean_and_mass(p.geometry.measure(0), np.ones(15)),
+        "field has 15 nodes, measure has 16",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
+def test_shape_mismatch_raises_grid_mismatch(case):
+    call, match = SHAPE_MISMATCHES[case]
+    prop = Propagator(circle(), IVPConfig(n_nodes=16, n_steps=8))
+    with pytest.raises(GridMismatchError, match=match):
+        call(prop)
+
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("scheme, theta", [("backward_euler", 1.0), ("crank_nicolson", 0.5)])
@@ -63,7 +103,7 @@ def test_constants_preserved_without_forcing():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16, scheme="backward_euler")
     traj = solve_ivp(circle(), config, np.full(64, 3.25))
-    assert np.max(np.abs(traj.values - 3.25)) <= 1e-13
+    assert np.max(np.abs(traj - 3.25)) <= 1e-13
 
 
 def test_backward_euler_step_eigenmode():
@@ -93,7 +133,7 @@ def test_heat_kernel_crank_nicolson():
     config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
     traj = solve_ivp(circle(), config, np.cos(grid.nodes))
     err = max(
-        float(np.max(np.abs(traj.values[k] - math.exp(-t) * np.cos(grid.nodes))))
+        float(np.max(np.abs(traj[k] - math.exp(-t) * np.cos(grid.nodes))))
         for k, t in enumerate(grid.times)
     )
     assert err <= 5e-5
@@ -105,7 +145,7 @@ def test_breathing_conservative_closed_form():
     traj = solve_ivp(breathing_circle(), config, np.ones(128))
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(128, r(0.0) / r(t)) for t in grid.times])
-    assert np.max(np.abs(traj.values - expected)) <= 1e-12
+    assert np.max(np.abs(traj - expected)) <= 1e-12
 
 
 def test_manufactured_solution_orders():
@@ -124,7 +164,7 @@ def test_manufactured_solution_orders():
         config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme)
         traj = solve_ivp(circle(), config, exact(grid.nodes, 0.0), forcing)
         return max(
-            float(np.max(np.abs(traj.values[k] - exact(grid.nodes, t))))
+            float(np.max(np.abs(traj[k] - exact(grid.nodes, t))))
             for k, t in enumerate(grid.times)
         )
 
@@ -142,16 +182,16 @@ def test_end_map_affinity_and_forcing_independence():
     rng = np.random.default_rng(4)
     a, b = fourier_noise(grid.nodes, rng), fourier_noise(grid.nodes, rng)
     alpha = 0.3
-    ja = end_map(surf, config, a, forcing).values
-    jb = end_map(surf, config, b, forcing).values
-    jc = end_map(surf, config, alpha * a + (1 - alpha) * b, forcing).values
+    ja = end_map(surf, config, a, forcing)
+    jb = end_map(surf, config, b, forcing)
+    jc = end_map(surf, config, alpha * a + (1 - alpha) * b, forcing)
     assert np.max(np.abs(jc - (alpha * ja + (1 - alpha) * jb))) <= 1e-12
 
     other = lambda th, t: np.sin(th) * math.cos(4.0 * math.pi * t)
-    diff1 = end_map(surf, config, a + b, forcing).values - jb
+    diff1 = end_map(surf, config, a + b, forcing) - jb
     diff2 = (
-        end_map(surf, config, a + b, other).values
-        - end_map(surf, config, b, other).values
+        end_map(surf, config, a + b, other)
+        - end_map(surf, config, b, other)
     )
     assert np.max(np.abs(diff1 - diff2)) <= 1e-12
 
@@ -160,7 +200,7 @@ def test_zero_data_zero_forcing_gives_zero():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16)
     final = end_map(breathing_circle(), config, np.zeros(64))
-    assert np.max(np.abs(final.values)) == 0.0
+    assert np.max(np.abs(final)) == 0.0
 
 
 def test_adjoint_matches_forward_on_stationary_metric():
@@ -168,7 +208,7 @@ def test_adjoint_matches_forward_on_stationary_metric():
     config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler")
     fwd = solve_ivp(circle(), config, np.cos(grid.nodes))
     adj = adjoint_solve(circle(), config, None, terminal=np.cos(grid.nodes))
-    assert np.max(np.abs(adj.values[::-1] - fwd.values)) <= 1e-12
+    assert np.max(np.abs(adj[::-1] - fwd)) <= 1e-12
 
 
 def test_adjoint_constant_forcing_linear_in_time():
@@ -177,7 +217,7 @@ def test_adjoint_constant_forcing_linear_in_time():
     kappa = 0.7
     adj = adjoint_solve(circle(), config, lambda th, t: np.full_like(th, kappa))
     expected = np.stack([np.full(64, kappa * (t - 1.0)) for t in grid.times])
-    assert np.max(np.abs(adj.values - expected)) <= 1e-12
+    assert np.max(np.abs(adj - expected)) <= 1e-12
 
 
 def test_duality_residual_vanishes_for_zero_field():
@@ -211,7 +251,7 @@ def test_mass_law_per_step_divergence_mode():
         config = IVPConfig(n_nodes=128, n_steps=64, scheme=scheme, zero_order="divergence")
         traj = solve_ivp(surf, config, 1.0 + 0.5 * np.cos(grid.nodes), forcing)
         measures = [weighted_measure(assemble_metric(surf, grid, t)) for t in grid.times]
-        masses = [mean_and_mass(m, traj.values[k])[1] for k, m in enumerate(measures)]
+        masses = [mean_and_mass(m, traj[k])[1] for k, m in enumerate(measures)]
         f_int = [
             mean_and_mass(m, np.asarray(forcing(grid.nodes, t)))[1]
             for m, t in zip(measures, grid.times)
@@ -229,5 +269,5 @@ def test_max_over_nodes_non_increasing_backward_euler():
     grid = make_grid(64, 64)
     config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler")
     traj = solve_ivp(breathing_circle(), config, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
-    maxima = np.max(traj.values, axis=1)
+    maxima = np.max(traj, axis=1)
     assert np.all(maxima[1:] <= maxima[:-1] + 1e-13)

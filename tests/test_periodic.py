@@ -48,11 +48,11 @@ def test_mean_adjust_examples():
     grid = ParameterGrid(64, 8, 1.0)
     measure = measure_at_zero(circle(), grid)
     already = np.cos(grid.nodes)
-    assert np.max(np.abs(mean_adjust(already, measure).values - already)) <= 1e-14
-    assert np.max(np.abs(mean_adjust(np.full(64, 5.0), measure).values)) <= 1e-14
+    assert np.max(np.abs(mean_adjust(already, measure) - already)) <= 1e-14
+    assert np.max(np.abs(mean_adjust(np.full(64, 5.0), measure))) <= 1e-14
     shifted = np.cos(grid.nodes) + 3.0
-    assert np.max(np.abs(mean_adjust(shifted, measure).values - np.cos(grid.nodes))) <= 1e-13
-    out_mean, _ = mean_and_mass(measure, mean_adjust(shifted, measure).values)
+    assert np.max(np.abs(mean_adjust(shifted, measure) - np.cos(grid.nodes))) <= 1e-13
+    out_mean, _ = mean_and_mass(measure, mean_adjust(shifted, measure))
     assert abs(out_mean) <= 1e-15
 
 
@@ -60,7 +60,7 @@ def test_fixed_point_zero_forcing_converges_immediately():
     prop = constant_rate_propagator(c0=1.0, forcing=None)
     report = fixed_point_solve(prop, target_mean=0.0)
     assert report.converged and report.iterations == 1
-    assert np.max(np.abs(report.initial_state.values)) <= 1e-14
+    assert np.max(np.abs(report.initial_state)) <= 1e-14
 
 
 def test_fixed_point_reaches_tolerance_quickly():
@@ -120,12 +120,15 @@ def test_contraction_bound_violation_raises():
     assert est.end_map_ratio > 1.0  # genuinely expanding
 
 
-def test_monodromy_oracle_reproduces_end_map():
+def test_batched_propagation_plus_offset_reproduces_end_map():
+    # the dense linear part and offset that monodromy_solve assembles
     prop = breathing_propagator(forcing=harmonic_forcing, n=64, m=64)
-    _, report = monodromy_solve(prop, target_mean=1.0)
+    n = prop.grid.n_nodes
+    matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
+    offset = prop.run(np.zeros(n), keep_trajectory=False)
     probe = np.cos(prop.grid.nodes) + 0.2
     direct = prop.run(probe, keep_trajectory=False)
-    assert np.max(np.abs(report.oracle.end_state(probe) - direct)) <= 1e-12
+    assert np.max(np.abs(matrix @ probe + offset - direct)) <= 1e-12
 
 
 def test_monodromy_agrees_with_fixed_point():
@@ -133,7 +136,7 @@ def test_monodromy_agrees_with_fixed_point():
     traj_m, _ = monodromy_solve(prop, target_mean=1.0)
     report = fixed_point_solve(prop, target_mean=1.0, tol=1e-12, max_iter=80)
     assert report.converged
-    assert np.max(np.abs(traj_m.values - report.trajectory.values)) <= 1e-8
+    assert np.max(np.abs(traj_m - report.trajectory)) <= 1e-8
 
 
 def test_uniqueness_probe_two_starts():
@@ -145,7 +148,7 @@ def test_uniqueness_probe_two_starts():
         start=fourier_noise(prop.grid.nodes, rng),
     )
     assert r1.converged and r2.converged
-    assert np.max(np.abs(r1.initial_state.values - r2.initial_state.values)) <= 1e-10
+    assert np.max(np.abs(r1.initial_state - r2.initial_state)) <= 1e-10
 
 
 def test_monodromy_zero_forcing_closed_form():
@@ -153,7 +156,7 @@ def test_monodromy_zero_forcing_closed_form():
     traj, report = monodromy_solve(prop, target_mean=1.0)
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(64, r(0.0) / r(t)) for t in prop.grid.times])
-    assert np.max(np.abs(traj.values - expected)) <= 1e-12
+    assert np.max(np.abs(traj - expected)) <= 1e-12
     assert report.smallest_singular_value >= 1e-8
 
 
@@ -161,7 +164,7 @@ def test_monodromy_mean_constraint_and_periodicity():
     prop = breathing_propagator(forcing=harmonic_forcing, n=64, m=64)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
     measure0 = prop.geometry.measure(0)
-    mean0, _ = mean_and_mass(measure0, traj.values[0])
+    mean0, _ = mean_and_mass(measure0, traj[0])
     assert abs(mean0 - 1.0) <= 1e-12
     res = periodicity_residuals(traj, measure0)
     assert res.relaxed <= 1e-12
@@ -194,7 +197,7 @@ def test_fixed_point_conservative_closed_form():
     assert report.converged
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(64, r(0.0) / r(t)) for t in prop.grid.times])
-    assert np.max(np.abs(report.trajectory.values - expected)) <= 1e-6
+    assert np.max(np.abs(report.trajectory - expected)) <= 1e-6
     res = periodicity_residuals(report.trajectory, prop.geometry.measure(0))
     assert res.strict <= 1e-10  # zero forcing satisfies the compatibility integral
 

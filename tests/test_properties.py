@@ -18,7 +18,6 @@ from periflow import (
     IVPConfig,
     ParameterGrid,
     Propagator,
-    SpaceTimeField,
     assemble_metric,
     greens_formula_check,
     laplace_beltrami_apply,
@@ -126,14 +125,10 @@ def test_charts_are_exactly_periodic(family, n, period):
     data=st.data(),
 )
 def test_divergence_mode_mass_law(family, n, m, scheme, data):
-    grid = ParameterGrid(n, m, 1.0)
     config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme, zero_order="divergence")
-    forcing = SpaceTimeField(
-        data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0))),
-        grid.times,
-    )
+    forcing = data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0)))
     prop = Propagator(FAMILIES[family](), config, forcing)
-    traj = SpaceTimeField(prop.run(nodal_field(data, n, 0.5, 2.0)), grid.times)
+    traj = prop.run(nodal_field(data, n, 0.5, 2.0))
     ledger = mass_ledger(traj, prop)
     assert np.max(np.abs(ledger.defects)) <= 1e-12 * np.max(np.abs(ledger.masses))
 
@@ -149,7 +144,7 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     )
     forcing = data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0)))
     surface = FAMILIES[family]()
-    prop = Propagator(surface, config, SpaceTimeField(forcing, grid.times))
+    prop = Propagator(surface, config, forcing)
     level = data.draw(st.integers(0, m - 1))
 
     # theta-scheme step from the CSR operators of the Cartesian metric:
