@@ -52,7 +52,7 @@ from .narrowband import (
     os_operator_equivalence,
 )
 from .periodic import (
-    _MAX_DENSE_NODES,
+    FixedPointReport,
     contraction_estimate,
     fixed_point_solve,
     monodromy_solve,
@@ -65,7 +65,7 @@ SCENARIOS = {
     "ivp": "initial value solve with mass ledger",
     "ivp_decay": "ivp preset: cosine initial data, no forcing, no zero-order term",
     "periodic-fixed": "relaxed-periodic solve by the contraction iteration",
-    "periodic-monodromy": "relaxed-periodic solve by the dense end-map system",
+    "periodic-monodromy": "relaxed-periodic solve of the end-map system by Krylov shooting",
     "contraction": "measure end-map contraction ratios against the decay bound",
     "band-check": "narrow-band extension identity suite",
     "identities": "operator identity residuals across the shipped families",
@@ -230,8 +230,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 f"c0 must exceed ln2/T ≈ {threshold:.4f} for the contraction "
                 f"scenario (got c0 = {c0})"
             )
-    if cfg.scenario == "periodic-monodromy" and cfg.n_nodes > _MAX_DENSE_NODES:
-        raise ConfigError(f"monodromy assembly requires n_nodes <= {_MAX_DENSE_NODES}")
     cfg.forcing()  # compiles the expression
     if cfg.u0_expr is not None:
         compile_expression(cfg.u0_expr, cfg.period)
@@ -254,6 +252,7 @@ class RunManifest:
     scenario: str
     resolved: dict
     checks: list[CheckResult] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)  # explain a check's verdict
     outputs: list[tuple[str, str]] = field(default_factory=list)  # (name, sha256)
     wall_clock_s: float = 0.0
 
@@ -267,6 +266,7 @@ class RunManifest:
         lines.append(f"versions: periflow={__version__} numpy={np.__version__} "
                      f"python={sys.version.split()[0]}")
         lines += [c.line() for c in self.checks]
+        lines += [f"note {note}" for note in self.notes]
         lines += [f"output {name} sha256={digest}" for name, digest in sorted(self.outputs)]
         lines.append(f"wall_clock_s: {self.wall_clock_s:.3f}")
         tmp = path.with_suffix(".tmp")
@@ -292,6 +292,24 @@ def _resolved_dict(cfg: ExperimentConfig) -> dict:
 
 
 # --- scenario bodies ---------------------------------------------------------
+
+
+def _check_fixed_point(report: FixedPointReport, tol: float, manifest: RunManifest) -> None:
+    """The convergence check and, when it fails, the iteration count the last
+    measured contraction ratio predicts."""
+    manifest.checks.append(
+        CheckResult("fixed_point_converged", report.converged, report.final_residual, tol)
+    )
+    if report.converged:
+        return
+    if report.predicted_iterations is None:
+        manifest.notes.append("fixed_point_converged: no contraction ratio below one "
+                              "was measured, so no iteration count is predicted")
+    else:
+        manifest.notes.append(
+            f"fixed_point_converged: predicted_iterations={report.predicted_iterations} "
+            f"at the last ratio {report.ratios[-1]:.4f} (stopped after {report.iterations})"
+        )
 
 
 def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -322,17 +340,15 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
         digest = write_csv(out / "iteration_ledger.csv", ["iterate", "residual", "ratio"],
                            [np.arange(ratios.size), report.residuals, ratios])
         manifest.outputs.append(("iteration_ledger.csv", digest))
-        manifest.checks.append(
-            CheckResult("fixed_point_converged", report.converged,
-                        report.final_residual, cfg.tol)
-        )
+        _check_fixed_point(report, cfg.tol, manifest)
     else:
         traj, solve_report = monodromy_solve(prop, cfg.target_mean)
-        manifest.checks.append(
-            CheckResult("injectivity_indicator",
-                        solve_report.smallest_singular_value >= 1e-8,
-                        solve_report.smallest_singular_value, 1e-8)
-        )
+        history = solve_report.residuals
+        digest = write_csv(out / "krylov_ledger.csv", ["iterate", "residual"],
+                           [np.arange(1, len(history) + 1), history])
+        manifest.outputs.append(("krylov_ledger.csv", digest))
+        gap = solve_report.spectral_gap
+        manifest.checks.append(CheckResult("injectivity_indicator", gap >= 1e-8, gap, 1e-8))
     digest = emit_field_csv(prop.grid.times, traj, out / "trajectory.csv")
     manifest.outputs.append(("trajectory.csv", digest))
     residuals = periodicity_residuals(traj, measure0)
@@ -372,9 +388,7 @@ def _scenario_contraction(cfg: ExperimentConfig, out: Path, manifest: RunManifes
                         est.adjusted_ratio, 1.0)
         )
     report = fixed_point_solve(prop, cfg.target_mean, cfg.tol, cfg.max_iter)
-    manifest.checks.append(
-        CheckResult("fixed_point_converged", report.converged, report.final_residual, cfg.tol)
-    )
+    _check_fixed_point(report, cfg.tol, manifest)
 
 
 def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -552,6 +566,8 @@ def main(argv: list[str] | None = None) -> int:
 
     for check in manifest.checks:
         print(check.line())
+    for note in manifest.notes:
+        print(f"note {note}")
     return 0 if manifest.all_passed else 1
 
 

@@ -36,11 +36,12 @@ class ContractionBoundError(PeriflowError):
 
 
 class NonuniquenessError(PeriflowError):
-    """Mean-adjusted monodromy system is numerically singular."""
+    """Mean-adjusted monodromy system is numerically singular, or its Krylov
+    solve did not converge; carries the system's spectral gap."""
 
-    def __init__(self, message: str, smallest_singular_value: float):
+    def __init__(self, message: str, spectral_gap: float):
         super().__init__(message)
-        self.smallest_singular_value = smallest_singular_value
+        self.spectral_gap = spectral_gap
 
 
 class ProjectionError(PeriflowError):

@@ -12,10 +12,11 @@ independent instruments compute the fixed point:
 
 * ``fixed_point_solve`` iterates the mean-reset end map from zero and
   records the measured contraction ratios;
-* ``monodromy_solve`` assembles the dense matrix of the linear part by
-  propagating all unit basis states in one batch, solves the fixed-point
-  system directly and reports the smallest singular value of the system
-  matrix as an injectivity indicator.
+* ``monodromy_solve`` solves the fixed-point system ``(I - K) u0 = rhs``
+  matrix-free by GMRES (Krylov shooting), where ``K`` is the mean-reset
+  homogeneous end map and one matrix-vector product is one homogeneous
+  period, and reports the spectral gap of ``I - K`` at the eigenvalue of
+  ``K`` with the largest real part as an injectivity indicator.
 
 When both succeed they agree to solver tolerance; the monodromy result is
 authoritative for acceptance checks, the iteration for rate measurements.
@@ -24,16 +25,31 @@ authoritative for acceptance checks, the iteration for rate measurements.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionBoundError, GridMismatchError, NonuniquenessError
+from .errors import ContractionBoundError, NonuniquenessError
 from .evolution import Propagator
 from .fields import ParameterGrid, fourier_noise
 from .metric import WeightedMeasure, mean_and_mass
 
-_MAX_DENSE_NODES = 2048
+# Krylov shooting settings: GMRES stops at this residual relative to the
+# right-hand side, restarts after this many inner iterations and gives up
+# after this many restart cycles (every converging solve measured needed one)
+_GMRES_RTOL = 1e-13
+_GMRES_RESTART = 60
+_GMRES_MAX_CYCLES = 3
+# ARPACK tolerance of the spectral gap, and the looser one taken when it does
+# not converge within the restart limit: Crank-Nicolson barely damps stiff
+# modes, so at dt * lambda_max >> 1 with an even step count they crowd just
+# below 1 (bean, N=1024, M=64), where only the looser one converges
+_ARPACK_TOL = 1e-6
+_ARPACK_LOOSE_TOL = 1e-3
+_ARPACK_MAX_RESTARTS = 100
+# I - K counts as singular when its spectral gap is below this share of 1 + |lambda|
+_SINGULAR_GAP = 1e-12
 
 
 def mean_adjust(values: np.ndarray, measure: WeightedMeasure) -> np.ndarray:
@@ -51,6 +67,9 @@ class FixedPointReport:
     residuals: list[float]
     ratios: list[float]
     converged: bool
+    # iterations the last ratio needs to reach tol: `iterations` once
+    # converged, None when the last ratio is not below one or not measured
+    predicted_iterations: int | None
     initial_state: np.ndarray  # (N,)
     trajectory: np.ndarray  # (M+1, N) on prop.grid.times
 
@@ -70,8 +89,9 @@ def fixed_point_solve(
 
     The iteration starts from the zero mean-free part unless `start` is
     given (it is mean-adjusted first).  Non-convergence within `max_iter`
-    returns a report flagged `converged=False`; the companion monodromy
-    route stays available in that regime.
+    returns a report flagged `converged=False` with the iteration count the
+    last measured ratio predicts; the companion monodromy route stays
+    available in that regime.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -100,11 +120,16 @@ def fixed_point_solve(
             converged = True
             break
 
+    predicted = iterations if converged else None
+    if not converged and ratios and ratios[-1] < 1.0:
+        # the residual shrinks by the last ratio per iteration
+        predicted = iterations + math.ceil(math.log(tol / residuals[-1]) / math.log(ratios[-1]))
     return FixedPointReport(
         iterations=iterations,
         residuals=residuals,
         ratios=ratios,
         converged=converged,
+        predicted_iterations=predicted,
         initial_state=u0,
         trajectory=prop.run(u0),
     )
@@ -205,52 +230,106 @@ def contraction_estimate(
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    """Direct-solve metadata for the relaxed-periodic system."""
+    """Krylov-solve metadata for the relaxed-periodic system."""
 
-    smallest_singular_value: float
-    largest_singular_value: float
+    spectral_gap: float  # |1 - lambda| at the eigenvalue of K with the largest real part
+    residuals: list[float]  # GMRES residual relative to the rhs, per inner iteration
+    matvecs: int  # homogeneous periods propagated by GMRES
     initial_state: np.ndarray  # (N,)
+
+
+def _eigenvalue_nearest_one(end_map: Callable[[np.ndarray], np.ndarray], n: int) -> complex:
+    """The eigenvalue of the mean-reset end map (`end_map`, a matvec on R^n)
+    that sets the spectral gap: the one with the largest real part.  An
+    expanding mode (real part >= 1, from a negative zero-order term) can
+    hide a unit eigenvalue to its left, so while every eigenvalue found has
+    real part >= 1, twice as many are taken, and the one nearest 1 wins."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
+    operator = LinearOperator((n, n), matvec=end_map, dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)  # fixed, so reruns agree
+
+    def rightmost(k: int) -> np.ndarray:
+        options = dict(k=k, ncv=min(max(6, 2 * k + 1), n - 1), which="LR", v0=start,
+                       maxiter=_ARPACK_MAX_RESTARTS, return_eigenvectors=False)
+        try:
+            return eigs(operator, tol=_ARPACK_TOL, **options)
+        except ArpackNoConvergence:
+            return eigs(operator, tol=_ARPACK_LOOSE_TOL, **options)
+
+    k = 1
+    eigenvalues = rightmost(k)
+    while eigenvalues.real.min() >= 1.0 and 2 * k < n - 3:
+        k *= 2
+        eigenvalues = rightmost(k)
+    return complex(eigenvalues[np.argmin(np.abs(1.0 - eigenvalues))])
 
 
 def monodromy_solve(
     prop: Propagator, target_mean: float = 0.0
 ) -> tuple[np.ndarray, SolvabilityReport]:
-    """Assemble the dense end map and solve the fixed-point system directly.
+    """Solve the relaxed-periodic fixed-point system by Krylov shooting.
 
-    The linear part is assembled by propagating all unit basis states with
-    the forcing switched off (one batched pass through the verified
-    stepper); the offset is the end state of zero with the true forcing.
-    Raises NonuniquenessError when the mean-adjusted system is numerically
-    singular, i.e. the homogeneous relaxed-periodic problem admits nonzero
-    states.
+    ``K`` is the homogeneous end map followed by the weighted-mean reset;
+    the system is ``(I - K) u0 = mean_adjust(offset) + target_mean`` with
+    the offset the end state of zero under the true forcing.  GMRES applies
+    ``K`` as one homogeneous period through the stepper per product, so no
+    N x N matrix is formed.  The injectivity indicator is
+    ``spectral_gap = |1 - lambda|`` for the eigenvalue of ``K`` with the
+    largest real part (ARPACK, fixed start vector; see
+    `_eigenvalue_nearest_one` for expanding modes).  Every eigenvalue of
+    ``I - K`` is at least its smallest singular value in modulus, so the gap
+    bounds that value from above.  Raises NonuniquenessError when the gap
+    is numerically zero, i.e. the homogeneous relaxed-periodic problem
+    admits nonzero states, or when GMRES stops above its tolerance; no
+    unconverged state is returned.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     n = prop.grid.n_nodes
-    if n > _MAX_DENSE_NODES:
-        raise GridMismatchError(
-            f"dense monodromy assembly limited to {_MAX_DENSE_NODES} nodes, got {n}"
-        )
     measure0 = prop.geometry.measure(0)
-    w = measure0.weights
-    total = measure0.total
 
-    matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
-    offset = prop.run(np.zeros(n), keep_trajectory=False)
+    def end_map(x: np.ndarray) -> np.ndarray:
+        end = prop.run(np.ravel(x), include_forcing=False, keep_trajectory=False)
+        return mean_adjust(end, measure0)
 
-    adjusted = matrix - np.outer(np.ones(n), w @ matrix) / total
-    system = np.eye(n) - adjusted
-    rhs = mean_adjust(offset, measure0) + target_mean
-
-    singular_values = np.linalg.svd(system, compute_uv=False)
-    smin, smax = float(singular_values[-1]), float(singular_values[0])
-    if smin < 1e-12 * smax:
+    lam = _eigenvalue_nearest_one(end_map, n)
+    gap = abs(1.0 - lam)
+    if gap < _SINGULAR_GAP * (1.0 + abs(lam)):
         raise NonuniquenessError(
-            "mean-adjusted monodromy system is numerically singular; the "
-            "homogeneous relaxed-periodic problem has nonzero solutions",
-            smallest_singular_value=smin,
+            f"mean-adjusted end map has eigenvalue {lam:.6g}, one to round-off; "
+            "the homogeneous relaxed-periodic problem has nonzero solutions",
+            spectral_gap=gap,
         )
-    u0 = np.linalg.solve(system, rhs)
+
+    matvecs = 0
+
+    def system_matvec(x: np.ndarray) -> np.ndarray:  # (I - K) x
+        nonlocal matvecs
+        matvecs += 1
+        return np.ravel(x) - end_map(x)
+
+    rhs = mean_adjust(prop.run(np.zeros(n), keep_trajectory=False), measure0) + target_mean
+    residuals: list[float] = []
+    u0, info = gmres(
+        LinearOperator((n, n), matvec=system_matvec, dtype=float), rhs,
+        rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART, maxiter=_GMRES_MAX_CYCLES,
+        callback=residuals.append, callback_type="pr_norm",
+    )
+    # GMRES judges convergence by the recomputed residual.  When its own
+    # residual is below rtol and the recomputed one is not, the difference is
+    # the rounding of the period map, which no restart lowers: stiff
+    # Crank-Nicolson steps at N=2050, M=4 leave 1.5e-13, as much as the
+    # dense direct solve leaves
+    if info != 0 and residuals[-1] > _GMRES_RTOL:
+        raise NonuniquenessError(
+            f"GMRES stopped above its tolerance {_GMRES_RTOL:g} after {matvecs} "
+            f"matvecs with relative residual {residuals[-1]:.3e}",
+            spectral_gap=gap,
+        )
     report = SolvabilityReport(
-        smallest_singular_value=smin, largest_singular_value=smax, initial_state=u0
+        spectral_gap=gap, residuals=[float(r) for r in residuals],
+        matvecs=matvecs, initial_state=u0,
     )
     return prop.run(u0), report
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: ambient test fields and convergence-order fits."""
+"""Shared test utilities: ambient test fields, convergence-order fits and the
+dense monodromy oracle."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import math
 
 import numpy as np
 
-from periflow import AmbientField
+from periflow import AmbientField, Propagator, mean_adjust
 
 
 def ambient_x1() -> AmbientField:
@@ -47,3 +48,18 @@ def observed_orders(errors) -> list[float]:
 def mean_order(errors) -> float:
     orders = observed_orders(errors)
     return sum(orders) / len(orders)
+
+
+def dense_monodromy(prop: Propagator, target_mean: float = 0.0) -> tuple[np.ndarray, float]:
+    """Small-N oracle for `monodromy_solve`: the dense mean-reset end map from
+    all unit basis states in one batch, a direct solve of the fixed-point
+    system and its smallest singular value.  Returns (trajectory, sigma_min)."""
+    n = prop.grid.n_nodes
+    measure0 = prop.geometry.measure(0)
+    matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
+    offset = prop.run(np.zeros(n), keep_trajectory=False)
+    adjusted = matrix - np.outer(np.ones(n), measure0.weights @ matrix) / measure0.total
+    system = np.eye(n) - adjusted
+    rhs = mean_adjust(offset, measure0) + target_mean
+    sigma_min = float(np.linalg.svd(system, compute_uv=False)[-1])
+    return prop.run(np.linalg.solve(system, rhs)), sigma_min

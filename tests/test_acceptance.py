@@ -177,8 +177,8 @@ def test_criterion_5_conservative_periodic_scenario():
     ok &= report("criterion-5 initial-mean", abs(mean0 - 1.0) <= 1e-12, f"|mean-1|={abs(mean0 - 1.0):.3e}")
     ok &= report(
         "criterion-5 injectivity",
-        solve_report.smallest_singular_value >= 1e-8,
-        f"sigma_min={solve_report.smallest_singular_value:.3e}",
+        solve_report.spectral_gap >= 1e-8,
+        f"spectral_gap={solve_report.spectral_gap:.3e}",
     )
     assert ok
 

@@ -149,6 +149,58 @@ def test_run_monodromy_scenario(tmp_path):
     assert {"injectivity_indicator", "relaxed_residual", "initial_mean", "strict_residual"} <= names
 
 
+def test_monodromy_writes_krylov_ledger(tmp_path):
+    manifest, digests = run_and_digest(tmp_path, SMALL_MONO, "mono")
+    assert "krylov_ledger.csv" in digests
+    lines = (tmp_path / "mono" / "krylov_ledger.csv").read_text().splitlines()
+    assert lines[0] == "iterate,residual"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, len(lines)))
+    assert float(lines[-1].split(",")[1]) <= 1e-13
+
+
+def test_monodromy_runs_beyond_the_old_dense_node_cap(tmp_path):
+    body = SMALL_MONO.replace("n_nodes = 32", "n_nodes = 2050").replace("n_steps = 16",
+                                                                          "n_steps = 4")
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+SMALL_ELLIPSE_FIXED = """
+[surface]
+family = ellipse
+
+[problem]
+scenario = periodic-fixed
+zero_order = divergence
+forcing = cos(theta)*sin(2*pi*t/T)
+max_iter = 6
+
+[discretization]
+n_nodes = 32
+n_steps = 16
+"""
+
+
+@pytest.mark.parametrize("scenario", ["periodic-fixed", "contraction"])
+def test_fixed_point_fail_states_predicted_iterations(tmp_path, capsys, scenario):
+    body = SMALL_ELLIPSE_FIXED.replace("periodic-fixed", scenario)
+    if scenario == "contraction":
+        body = body.replace("zero_order = divergence", "c0 = 0.8")
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "check fixed_point_converged: FAIL" in capsys.readouterr().out
+    manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    notes = [line for line in manifest if line.startswith("note fixed_point_converged:")]
+    assert len(notes) == 1
+    predicted = int(notes[0].split("predicted_iterations=")[1].split()[0])
+    if scenario == "periodic-fixed":  # the ledger holds the last residual and ratio
+        last = (tmp_path / "o" / "iteration_ledger.csv").read_text().splitlines()[-1]
+        iterate, residual, ratio = (float(x) for x in last.split(","))
+        assert iterate + 1 == 6
+        assert predicted == 6 + math.ceil(math.log(1e-10 / residual) / math.log(ratio))
+    assert predicted > 6
+
+
 def test_run_fixed_point_scenario(tmp_path):
     body = SMALL_MONO.replace("periodic-monodromy", "periodic-fixed")
     manifest, digests = run_and_digest(tmp_path, body, "fixed")

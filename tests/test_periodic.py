@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from helpers import dense_monodromy
 from periflow import (
+    FAMILIES,
     IVPConfig,
     NonuniquenessError,
     ParameterGrid,
@@ -121,7 +124,7 @@ def test_contraction_bound_violation_raises():
 
 
 def test_batched_propagation_plus_offset_reproduces_end_map():
-    # the dense linear part and offset that monodromy_solve assembles
+    # the dense linear part and offset that the dense_monodromy oracle assembles
     prop = breathing_propagator(forcing=harmonic_forcing, n=64, m=64)
     n = prop.grid.n_nodes
     matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
@@ -151,13 +154,60 @@ def test_uniqueness_probe_two_starts():
     assert np.max(np.abs(r1.initial_state - r2.initial_state)) <= 1e-10
 
 
+@pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
+@pytest.mark.parametrize("family", ["circle", "breathing", "ellipse", "bean"])
+def test_krylov_matches_dense_oracle(family, scheme):
+    config = IVPConfig(n_nodes=64, n_steps=64, scheme=scheme, zero_order="divergence")
+    prop = Propagator(FAMILIES[family](), config, harmonic_forcing)
+    traj, report = monodromy_solve(prop, target_mean=1.0)
+    oracle, _ = dense_monodromy(prop, target_mean=1.0)
+    assert np.max(np.abs(traj - oracle)) <= 1e-12
+    assert report.residuals[-1] <= 1e-13
+    assert report.matvecs <= 10
+
+
+@pytest.mark.parametrize(
+    "family, n, m",
+    [("ellipse", 64, 64), ("bean", 64, 64), ("breathing", 256, 15), ("bean", 512, 9)],
+)
+def test_spectral_gap_brackets_dense_sigma_min(family, n, m):
+    # the last two cases put stiff Crank-Nicolson modes near -1
+    config = IVPConfig(n_nodes=n, n_steps=m, scheme="crank_nicolson", zero_order="divergence")
+    prop = Propagator(FAMILIES[family](), config, harmonic_forcing)
+    _, report = monodromy_solve(prop, target_mean=1.0)
+    _, sigma_min = dense_monodromy(prop, target_mean=1.0)
+    assert sigma_min <= report.spectral_gap <= 1.02 * sigma_min
+
+
+@pytest.mark.parametrize("family", ["breathing", "ellipse", "bean"])
+def test_spectral_gap_of_stiff_modes_crowding_below_one(monkeypatch, family):
+    # with M = 4 and dt * lambda_max ~ 1700, Crank-Nicolson leaves the stiff
+    # modes at eigenvalues just below 1, where only the looser ARPACK
+    # tolerance converges; the gap is then good to that tolerance
+    tols = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def recording_eigs(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
+    config = IVPConfig(n_nodes=256, n_steps=4, scheme="crank_nicolson", zero_order="divergence")
+    prop = Propagator(FAMILIES[family](), config, harmonic_forcing)
+    traj, report = monodromy_solve(prop, target_mean=1.0)
+    oracle, sigma_min = dense_monodromy(prop, target_mean=1.0)
+    assert tols == [1e-6, 1e-3]
+    assert sigma_min <= report.spectral_gap <= sigma_min + 1e-3
+    assert np.max(np.abs(traj - oracle)) <= 1e-10
+
+
 def test_monodromy_zero_forcing_closed_form():
     prop = breathing_propagator(forcing=None, n=64, m=64)
     traj, report = monodromy_solve(prop, target_mean=1.0)
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(64, r(0.0) / r(t)) for t in prop.grid.times])
     assert np.max(np.abs(traj - expected)) <= 1e-12
-    assert report.smallest_singular_value >= 1e-8
+    assert report.spectral_gap >= 1e-8
 
 
 def test_monodromy_mean_constraint_and_periodicity():
@@ -182,6 +232,36 @@ def test_nonuniqueness_raises():
     prop = Propagator(circle(), config, lambda th, t: np.cos(th))
     with pytest.raises(NonuniquenessError):
         monodromy_solve(prop)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_nonuniqueness_behind_an_expanding_mode_raises(k):
+    # the first mode grows and the second is neutral, so the rightmost
+    # eigenvalue is far from 1 and the unit one sits to its left
+    n, m = 32, 16
+    grid = ParameterGrid(n, m, 1.0)
+    lam2 = (2.0 - 2.0 * math.cos(2.0 * grid.dtheta)) / grid.dtheta**2
+    config = IVPConfig(
+        n_nodes=n, n_steps=m, scheme="backward_euler", zero_order="constant",
+        coefficient=-lam2,
+    )
+    prop = Propagator(circle(), config, lambda th, t: np.cos(k * th))
+    with pytest.raises(NonuniquenessError, match="one to round-off") as info:
+        monodromy_solve(prop)
+    assert info.value.spectral_gap <= 1e-12
+
+
+def test_krylov_solve_stopped_above_tolerance_raises(monkeypatch):
+    # one inner iteration in one restart cycle cannot reach rtol
+    gmres = scipy.sparse.linalg.gmres
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "gmres",
+        lambda *args, **kwargs: gmres(*args, **{**kwargs, "restart": 1, "maxiter": 1}),
+    )
+    prop = breathing_propagator(forcing=harmonic_forcing, n=64, m=64)
+    with pytest.raises(NonuniquenessError, match="GMRES stopped above its tolerance") as info:
+        monodromy_solve(prop, target_mean=1.0)
+    assert info.value.spectral_gap > 0.5
 
 
 def test_periodicity_residuals_constant_trajectory():
