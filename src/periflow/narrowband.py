@@ -1,26 +1,28 @@
 """Flat-domain extension of the surface problem on a Cartesian strip.
 
 A uniform grid covers a strip of half-width ``delta`` around the curve.
-Each node x carries the oriented distance d(x), the closest point (foot) on
-the curve, the lifted normal ``nu = grad d`` and the distance Hessian.  The
-matrix ``A = I - d * hess(d)`` maps lifted surface gradients to ambient
-gradients of lifts; its inverse defines the rescaled tangential gradient
-used by the extended parabolic operator.  For a curve the distance Hessian
-has the single tangential eigenvalue ``kappa/(1 + d*kappa)`` (curvature of
-the level set through x), so
+Each node x carries its closest point on the curve: the oriented distance
+d(x), the foot, the foot frame (tau, nu = grad d) and the curvature kappa
+there.  The rest are closed forms in the stretch ``s = 1 + d*kappa``: the
+distance Hessian has the single tangential eigenvalue ``kappa/s``, so the
+matrix ``A = I - d * hess(d)``, which maps lifted surface gradients to
+ambient gradients of lifts, and its inverse, which defines the rescaled
+tangential gradient of the extended parabolic operator, are
 
-    A   = I - (d*kappa/(1 + d*kappa)) tau (x) tau,
-    A^-1 = I + d*kappa * tau (x) tau,      det A = 1/(1 + d*kappa).
+    A   = I + (1/s - 1) tau (x) tau,
+    A^-1 = I + (s - 1) tau (x) tau,      det A = 1/s.
 
 Geometry is computed on a halo slightly wider than the active band so that
 every active node has full central stencils; identity checks are evaluated
-on the interior mask.  Closest points come from a damped Newton iteration
-on the chart with multistart fallback from the nearest pre-sampled nodes.
+on the interior mask.  One projection finds closest points: damped Newton
+on the chart from the nearest curve sample, with a multistart fallback.
+`build_band` runs it on grid nodes near the curve, `surface_point_geometry`
+on arbitrary points; both return a `DistanceField`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -37,7 +39,10 @@ from .tables import write_csv
 _HALO_CELLS = 4
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 60
-_SAMPLE_COUNT = 1024
+_SAMPLE_COUNT = 1024  # curve samples: Newton starts and max|kappa|
+_MULTISTART = 8  # fallback Newton starts per failed point
+_EXTRACT_QUAD = 12  # Gauss-Legendre points per extraction ray
+_MIN_STRETCH = 0.1  # reach limit on 1 + d*kappa, i.e. on |A^-1|
 
 
 @dataclass(frozen=True)
@@ -63,30 +68,34 @@ class NarrowBandGrid:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Per-node geometry of the band (NaN outside the halo)."""
+    """Closest-point geometry per point: (P,) arrays for scattered points,
+    (ny, nx) arrays on a band grid (NaN outside the halo)."""
 
-    dist: np.ndarray  # (ny, nx) oriented distance
-    theta_foot: np.ndarray  # (ny, nx) chart parameter of the closest point
-    foot: np.ndarray  # (ny, nx, 2)
-    normal: np.ndarray  # (ny, nx, 2)  grad d, constant along normals
-    tangent: np.ndarray  # (ny, nx, 2)
-    curvature: np.ndarray  # (ny, nx)  signed curvature at the foot
-    gradient_factor: np.ndarray  # (ny, nx, 2, 2)  A = I - d*hess(d)
-    gradient_factor_inv: np.ndarray  # (ny, nx, 2, 2)
-    volume_factor: np.ndarray  # (ny, nx)  det A
+    dist: np.ndarray  # oriented distance
+    theta_foot: np.ndarray  # chart parameter of the closest point, mod 2 pi
+    foot: np.ndarray  # (..., 2)
+    normal: np.ndarray  # (..., 2)  grad d, constant along normals
+    tangent: np.ndarray  # (..., 2)
+    curvature: np.ndarray  # signed curvature at the foot
+
+    @property
+    def stretch(self) -> np.ndarray:
+        """s = 1 + d*kappa: A^-1 = I + (s - 1) tau (x) tau and det A = 1/s."""
+        return 1.0 + self.dist * self.curvature
 
 
-def _curve_samples(surface: SurfaceFamily, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Equispaced sample parameters, their chart positions at time t and the
-    orientation sign of the curve."""
+def _curve_samples(surface: SurfaceFamily, t: float):
+    """Equispaced sample parameters, their chart positions at time t, the
+    orientation sign of the curve and max|kappa| over the samples."""
     theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
     samples = surface.positions(theta_s, t)
-    return theta_s, samples, orientation_sign(surface, samples)
+    sign = orientation_sign(surface, samples)
+    kappa = _point_geometry(surface, t, theta_s, sign)[3]
+    return theta_s, samples, sign, float(np.max(np.abs(kappa)))
 
 
-def max_curvature(surface: SurfaceFamily, t: float, n_samples: int = _SAMPLE_COUNT) -> float:
-    theta = np.arange(n_samples) * (2.0 * np.pi / n_samples)
-    return float(np.max(np.abs(_point_geometry(surface, t, theta, 1.0)[3])))
+def max_curvature(surface: SurfaceFamily, t: float) -> float:
+    return _curve_samples(surface, t)[3]
 
 
 def default_band_width(surface: SurfaceFamily, t: float) -> float:
@@ -141,43 +150,55 @@ def _point_geometry(surface: SurfaceFamily, t: float, theta: np.ndarray, sign: f
     return foot, tau, nu, kappa
 
 
-def _gradient_factors(dist: np.ndarray, tau: np.ndarray, kappa: np.ndarray):
-    """A = I - d*hess(d), its inverse and 1 + d*kappa = 1/det A per point."""
-    denom = 1.0 + dist * kappa
-    tau_tau = np.einsum("pa,pb->pab", tau, tau)
-    eye = np.eye(2)[None]
-    factor = eye - (dist * kappa / denom)[:, None, None] * tau_tau
-    factor_inv = eye + (dist * kappa)[:, None, None] * tau_tau
-    return factor, factor_inv, denom
+def _closest_points(
+    surface: SurfaceFamily, t: float, pts: np.ndarray, curve, bound: float = np.inf
+) -> tuple[np.ndarray, DistanceField]:
+    """Closest-point geometry of the points whose nearest curve sample (of
+    `curve`, the `_curve_samples` tuple) lies within `bound`.
 
-
-def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray) -> dict:
-    """Closest-point decomposition of arbitrary points: distance, foot,
-    lifted frame, gradient factor A, its inverse and det A."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    theta_s, samples, sign = _curve_samples(surface, t)
+    Newton starts at that nearest sample; points where it fails restart
+    from their `_MULTISTART` nearest samples and keep the closest converged
+    foot.  Returns the mask of the projected points and their field of
+    (P,) arrays; raises ProjectionError when every start fails.
+    """
+    theta_s, samples, sign, _ = curve
     tree = cKDTree(samples)
-    _, idx = tree.query(pts)
-    theta, ok = _newton_project(surface, t, pts, theta_s[idx])
+    # cKDTree drops a point exactly at the bound, which the rule keeps
+    coarse, idx = tree.query(pts, distance_upper_bound=np.nextafter(bound, np.inf))
+    near = coarse <= bound
+    pts = pts[near]
+    theta, ok = _newton_project(surface, t, pts, theta_s[idx[near]])
     if not np.all(ok):
-        where = pts[~ok][0]
-        raise ProjectionError(f"closest-point Newton failed near {where}", location=where)
+        bad = pts[~ok]
+        _, starts = tree.query(bad, k=_MULTISTART)
+        best_d2 = np.full(bad.shape[0], np.inf)
+        for col in range(_MULTISTART):
+            th_try, ok_try = _newton_project(surface, t, bad, theta_s[starts[:, col]])
+            d2 = np.sum((bad - surface.positions(th_try, t)) ** 2, axis=1)
+            better = ok_try & (d2 < best_d2)
+            theta[~ok] = np.where(better, th_try, theta[~ok])
+            best_d2 = np.where(better, d2, best_d2)
+        if not np.all(np.isfinite(best_d2)):
+            where = bad[~np.isfinite(best_d2)][0]
+            raise ProjectionError(f"closest-point Newton failed near {where}", location=where)
     foot, tau, nu, kappa = _point_geometry(surface, t, theta, sign)
     dist = np.einsum("pa,pa->p", pts - foot, nu)
-    factor, factor_inv, denom = _gradient_factors(dist, tau, kappa)
-    if np.any(denom <= 0.1):
-        raise BandError("points beyond the curvature reach of the curve")
-    return {
-        "theta": theta,
-        "dist": dist,
-        "foot": foot,
-        "tangent": tau,
-        "normal": nu,
-        "curvature": kappa,
-        "gradient_factor": factor,
-        "gradient_factor_inv": factor_inv,
-        "volume_factor": 1.0 / denom,
-    }
+    return near, DistanceField(dist, theta % (2.0 * np.pi), foot, nu, tau, kappa)
+
+
+def _require_reach(stretch: np.ndarray, message: str) -> None:
+    """BandError where 1 + d*kappa falls to `_MIN_STRETCH`: A^-1 blows up."""
+    if np.any(stretch <= _MIN_STRETCH):
+        raise BandError(message)
+
+
+def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray) -> DistanceField:
+    """Closest-point geometry of arbitrary points as a DistanceField of (P,)
+    arrays; A, A^-1 and det A follow from its `stretch`."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    _, field = _closest_points(surface, t, pts, _curve_samples(surface, t))
+    _require_reach(field.stretch, "points beyond the curvature reach of the curve")
+    return field
 
 
 def build_band(
@@ -189,7 +210,8 @@ def build_band(
     invertible across the band).  Nodes within ``delta + 4h`` get geometry
     so active nodes always have full central stencils.
     """
-    kmax = max_curvature(surface, t)
+    curve = _curve_samples(surface, t)
+    samples, kmax = curve[1], curve[3]
     if delta * kmax >= 0.5:
         raise BandError(
             f"band half-width {delta} too large: delta*max|kappa| = {delta * kmax:.3f} >= 0.5"
@@ -198,7 +220,6 @@ def build_band(
     if halo_delta * kmax >= 0.75:
         raise BandError("halo exceeds the curvature reach; decrease h or delta")
 
-    theta_s, samples, sign = _curve_samples(surface, t)
     margin = halo_delta + 2.0 * h
     x_lo = np.floor((samples[:, 0].min() - margin) / h) * h
     y_lo = np.floor((samples[:, 1].min() - margin) / h) * h
@@ -209,75 +230,24 @@ def build_band(
     XX, YY = np.meshgrid(xs, ys, indexing="xy")
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
 
-    tree = cKDTree(samples)
-    coarse, idx = tree.query(pts)
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
-    cand = coarse <= halo_delta + chord
-    cand_pts = pts[cand]
+    near, flat = _closest_points(surface, t, pts, curve, halo_delta + chord)
 
-    theta, ok = _newton_project(surface, t, cand_pts, theta_s[idx[cand]])
-    if not np.all(ok):
-        # multistart fallback from the nearest pre-sampled nodes
-        bad = ~ok
-        _, idx8 = tree.query(cand_pts[bad], k=8)
-        idx8 = np.atleast_2d(idx8)
-        best_theta = theta[bad].copy()
-        best_ok = np.zeros(np.count_nonzero(bad), dtype=bool)
-        best_d2 = np.full(np.count_nonzero(bad), np.inf)
-        for col in range(idx8.shape[1]):
-            th_try, ok_try = _newton_project(surface, t, cand_pts[bad], theta_s[idx8[:, col]])
-            d2 = np.sum((cand_pts[bad] - surface.positions(th_try, t)) ** 2, axis=1)
-            better = ok_try & (d2 < best_d2)
-            best_theta = np.where(better, th_try, best_theta)
-            best_d2 = np.where(better, d2, best_d2)
-            best_ok |= ok_try
-        if not np.all(best_ok):
-            where = cand_pts[bad][~best_ok][0]
-            raise ProjectionError(f"closest-point Newton failed near {where}", location=where)
-        theta[bad] = best_theta
-        ok[bad] = True
+    def scatter(values):
+        full = np.full((ny * nx, *values.shape[1:]), np.nan)
+        full[near] = values
+        return full.reshape((ny, nx, *values.shape[1:]))
 
-    foot, tau, nu, kappa = _point_geometry(surface, t, theta, sign)
-    dist = np.einsum("pa,pa->p", cand_pts - foot, nu)
-
-    def scatter(flat_values, extra_shape=()):
-        full = np.full((ny * nx, *extra_shape), np.nan)
-        full[cand] = flat_values
-        return full.reshape((ny, nx, *extra_shape))
-
-    dist_g = scatter(dist)
-    halo_mask = np.isfinite(dist_g) & (np.abs(dist_g) < halo_delta)
-    active_mask = np.isfinite(dist_g) & (np.abs(dist_g) < delta)
+    field = DistanceField(**{f.name: scatter(getattr(flat, f.name)) for f in fields(DistanceField)})
+    finite = np.isfinite(field.dist)
+    halo_mask = finite & (np.abs(field.dist) < halo_delta)
+    active_mask = finite & (np.abs(field.dist) < delta)
     if not np.any(active_mask):
         raise BandError("no active nodes; grid spacing too coarse for this band")
     interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
+    _require_reach(field.stretch[halo_mask], "gradient factor nearly singular inside the halo")
 
-    factor, factor_inv, denom = _gradient_factors(dist, tau, kappa)
-    if np.any(denom[np.abs(dist) < halo_delta] <= 0.1):
-        raise BandError("gradient factor nearly singular inside the halo")
-
-    grid = NarrowBandGrid(
-        xs=xs,
-        ys=ys,
-        h=h,
-        delta=delta,
-        halo_delta=halo_delta,
-        active_mask=active_mask,
-        halo_mask=halo_mask,
-        interior_mask=interior_mask,
-    )
-    field = DistanceField(
-        dist=dist_g,
-        theta_foot=scatter(theta % (2.0 * np.pi)),
-        foot=scatter(foot, (2,)),
-        normal=scatter(nu, (2,)),
-        tangent=scatter(tau, (2,)),
-        curvature=scatter(kappa),
-        gradient_factor=scatter(factor, (2, 2)),
-        gradient_factor_inv=scatter(factor_inv, (2, 2)),
-        volume_factor=scatter(1.0 / denom),
-    )
-    return grid, field
+    return NarrowBandGrid(xs, ys, h, delta, halo_delta, active_mask, halo_mask, interior_mask), field
 
 
 # -- differential operators on the rectangle ---------------------------------
@@ -339,11 +309,10 @@ def lift_field(
 
 
 def rescaled_gradient(values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField) -> np.ndarray:
-    """A^{-1} P grad(values): equals the lifted surface gradient on lifts."""
-    g = _gradient(values, grid.h)
-    normal_part = np.einsum("...a,...a->...", dist.normal, g)
-    tangential = g - normal_part[..., None] * dist.normal
-    return np.einsum("...ab,...b->...a", dist.gradient_factor_inv, tangential)
+    """A^{-1} P grad(values) = s (tau . grad(values)) tau, since P = tau (x) tau
+    and A^-1 tau = s tau: equals the lifted surface gradient on lifts."""
+    along = dist.stretch * np.einsum("...a,...a->...", dist.tangent, _gradient(values, grid.h))
+    return along[..., None] * dist.tangent
 
 
 def _rescaled_divergence(vector: np.ndarray, grid: NarrowBandGrid, dist: DistanceField):
@@ -352,6 +321,14 @@ def _rescaled_divergence(vector: np.ndarray, grid: NarrowBandGrid, dist: Distanc
     for a in range(2):
         out = out + rescaled_gradient(vector[..., a], grid, dist)[..., a]
     return out
+
+
+def _elliptic_part(values: np.ndarray, flux: np.ndarray, grid: NarrowBandGrid, dist: DistanceField):
+    """D~ . flux + u_nunu; with flux = D~ u it is the identity-metric
+    elliptic part D~.D~ u + u_nunu."""
+    hess = _hessian(values, grid.h)
+    normal_second = np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
+    return _rescaled_divergence(flux, grid, dist) + normal_second
 
 
 def extended_operator_apply(
@@ -376,8 +353,7 @@ def extended_operator_apply(
     V = rescaled_gradient(values, grid, dist)
 
     if metric is None:
-        flux = V
-        term2 = 0.0
+        out = _elliptic_part(values, V, grid, dist)
     else:
         theta = metric.theta
         g_inv = np.empty(grid.shape + (2, 2))
@@ -396,13 +372,7 @@ def extended_operator_apply(
         term2 = 0.5 * np.einsum(
             "...ag,...ge,...br,...bae,...r->...", proj, g_inv, g_inv, d_g, V
         )
-
-    term1 = _rescaled_divergence(flux, grid, dist)
-
-    hess = _hessian(values, grid.h)
-    normal_second = np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
-
-    out = term1 + term2 + normal_second
+        out = _elliptic_part(values, flux, grid, dist) + term2
     if advection is not None:
         out = out + np.einsum("...a,...a->...", advection, V)
     out = out - reaction * values
@@ -418,7 +388,6 @@ def band_average_extract(
     surface: SurfaceFamily,
     t: float,
     theta_nodes: np.ndarray,
-    n_quad: int = 12,
 ) -> np.ndarray:
     """Average a band field over the normal segment through each surface node.
 
@@ -426,7 +395,7 @@ def band_average_extract(
     interpolation.  Raises ExtractionError when a ray leaves the valid band.
     """
     foot, _, nu, _ = _point_geometry(surface, t, theta_nodes, _curve_samples(surface, t)[2])
-    s_ref, w_ref = np.polynomial.legendre.leggauss(n_quad)
+    s_ref, w_ref = np.polynomial.legendre.leggauss(_EXTRACT_QUAD)
     s = s_ref * grid.delta
     w = w_ref * grid.delta
     pts = foot[None, :, :] + s[:, None, None] * nu[None, :, :]  # (Q, N, 2)
@@ -480,16 +449,14 @@ def os_operator_equivalence(
     values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
 ) -> float:
     """Max interior difference between the weighted-divergence form
-    (1/mu) div(mu A^-2 grad u) and the rescaled form D~.D~ u + u_nunu."""
+    (1/mu) div(mu A^-2 grad u) and the rescaled form D~.D~ u + u_nunu, with
+    mu = det A = 1/s and A^-2 = I + (s^2 - 1) tau (x) tau."""
     g = _gradient(values, grid.h)
-    a_inv2 = np.einsum("...ab,...bc->...ac", dist.gradient_factor_inv, dist.gradient_factor_inv)
-    flux = dist.volume_factor[..., None] * np.einsum("...ab,...b->...a", a_inv2, g)
-    div = _ddx(flux[..., 0], grid.h) + _ddy(flux[..., 1], grid.h)
-    lhs = div / dist.volume_factor
-
-    dd = _rescaled_divergence(rescaled_gradient(values, grid, dist), grid, dist)
-    hess = _hessian(values, grid.h)
-    rhs = dd + np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
+    s = dist.stretch
+    along = (s * s - 1.0) * np.einsum("...a,...a->...", dist.tangent, g)
+    flux = (g + along[..., None] * dist.tangent) / s[..., None]
+    lhs = (_ddx(flux[..., 0], grid.h) + _ddy(flux[..., 1], grid.h)) * s
+    rhs = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
     diff = np.abs(lhs - rhs)
     return float(np.nanmax(diff[grid.interior_mask]))
 
@@ -500,11 +467,11 @@ def elliptic_part_identity_check(
     """Max interior residual of the expanded elliptic-part identity for the
     identity metric: D~.D~ u + u_nunu against the A^-1-contracted Hessian
     plus first-order corrections."""
-    dd = _rescaled_divergence(rescaled_gradient(values, grid, dist), grid, dist)
-    hess = _hessian(values, grid.h)
-    lhs = dd + np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
+    lhs = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
 
-    a_inv = dist.gradient_factor_inv
+    tau_tau = np.einsum("...a,...b->...ab", dist.tangent, dist.tangent)
+    a_inv = np.eye(2) + (dist.stretch - 1.0)[..., None, None] * tau_tau
+    hess = _hessian(values, grid.h)
     g = _gradient(values, grid.h)
     m1 = np.einsum("...ra,...ai,...ri->...", a_inv, a_inv, hess)
     d_ainv = np.empty(grid.shape + (2, 2, 2))  # [..., r, a, i] = D_r Ainv_{a i}

@@ -48,6 +48,9 @@ _GMRES_MAX_CYCLES = 3
 _ARPACK_TOL = 1e-6
 _ARPACK_LOOSE_TOL = 1e-3
 _ARPACK_MAX_RESTARTS = 100
+# restart limit of the tight pass: every separated case measured converged
+# within about 5 restarts (31 periods), so crowded modes fall through early
+_ARPACK_TIGHT_RESTARTS = 20
 # I - K counts as singular when its spectral gap is below this share of 1 + |lambda|
 _SINGULAR_GAP = 1e-12
 
@@ -251,11 +254,11 @@ def _eigenvalue_nearest_one(end_map: Callable[[np.ndarray], np.ndarray], n: int)
 
     def rightmost(k: int) -> np.ndarray:
         options = dict(k=k, ncv=min(max(6, 2 * k + 1), n - 1), which="LR", v0=start,
-                       maxiter=_ARPACK_MAX_RESTARTS, return_eigenvectors=False)
+                       return_eigenvectors=False)
         try:
-            return eigs(operator, tol=_ARPACK_TOL, **options)
+            return eigs(operator, tol=_ARPACK_TOL, maxiter=_ARPACK_TIGHT_RESTARTS, **options)
         except ArpackNoConvergence:
-            return eigs(operator, tol=_ARPACK_LOOSE_TOL, **options)
+            return eigs(operator, tol=_ARPACK_LOOSE_TOL, maxiter=_ARPACK_MAX_RESTARTS, **options)
 
     k = 1
     eigenvalues = rightmost(k)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from periflow import (
     BandError,
     ExtractionError,
     ParameterGrid,
+    ProjectionError,
     assemble_metric,
     band_average_extract,
     bean,
@@ -21,6 +23,7 @@ from periflow import (
     flat_strip_step_equivalence,
     lift_field,
     max_curvature,
+    narrowband,
     os_operator_equivalence,
     rescaled_gradient,
     surface_point_geometry,
@@ -42,26 +45,85 @@ def exact_lift(fn_of_theta, grid, dist):
 
 def test_point_geometry_circle_examples():
     geo = surface_point_geometry(circle(), 0.0, [[0.0, 1.2]])
-    assert abs(geo["dist"][0] - 0.2) <= 1e-12
-    assert np.max(np.abs(geo["foot"][0] - [0.0, 1.0])) <= 1e-12
-    # tangential eigenvalue of A is 1/(1 + d*kappa); determinant matches
-    tau = geo["tangent"][0]
-    a_tau = geo["gradient_factor"][0] @ tau
-    assert abs(float(tau @ a_tau) - 1.0 / 1.2) <= 1e-12
-    assert abs(geo["volume_factor"][0] - 1.0 / 1.2) <= 1e-12
+    assert abs(geo.dist[0] - 0.2) <= 1e-12
+    assert np.max(np.abs(geo.foot[0] - [0.0, 1.0])) <= 1e-12
+    # tangential eigenvalue of A is 1/(1 + d*kappa) = 1/s; so is det A
+    assert abs(1.0 / geo.stretch[0] - 1.0 / 1.2) <= 1e-12
     on_surface = surface_point_geometry(circle(), 0.0, [[0.0, 1.0]])
-    assert np.max(np.abs(on_surface["gradient_factor"][0] - np.eye(2))) <= 1e-12
-    assert abs(on_surface["volume_factor"][0] - 1.0) <= 1e-12
+    assert abs(on_surface.stretch[0] - 1.0) <= 1e-12  # A = I on the curve
 
 
 def test_gradient_relation_at_outer_point():
     # grad of the lift of x1 at (0, 2) is (1/2, 0) = A (grad_M x1)^l
     geo = surface_point_geometry(circle(), 0.0, [[0.0, 2.0]])
     lifted_surface_gradient = np.array([1.0, 0.0])  # grad_M x1 at the foot (0, 1)
-    predicted = geo["gradient_factor"][0] @ lifted_surface_gradient
+    tau = geo.tangent[0]
+    a = np.eye(2) + (1.0 / geo.stretch[0] - 1.0) * np.outer(tau, tau)  # A = I - d*hess(d)
+    predicted = a @ lifted_surface_gradient
     assert np.max(np.abs(predicted - [0.5, 0.0])) <= 1e-12
     # against the ambient closed form grad(x1/|x|) at (0, 2)
     assert np.max(np.abs(predicted - [0.5, 0.0])) <= 1e-12
+
+
+def bean_band(t=0.25):
+    delta = default_band_width(bean(), t)
+    return build_band(bean(), t, delta / 8.0, delta)
+
+
+def band_nodes(grid, dist):
+    """Mask of the nodes that carry geometry, and their coordinates."""
+    XX, YY = grid.mesh()
+    finite = np.isfinite(dist.dist)
+    return finite, np.stack([XX[finite], YY[finite]], axis=-1)
+
+
+def test_point_geometry_reproduces_band_fields():
+    grid, dist = bean_band()
+    finite, nodes = band_nodes(grid, dist)
+    geo = surface_point_geometry(bean(), 0.25, nodes)
+    for f in fields(dist):
+        assert np.array_equal(getattr(geo, f.name), getattr(dist, f.name)[finite])
+
+
+def test_multistart_fallback_recovers_failed_points(monkeypatch):
+    grid, dist = bean_band()
+    finite, nodes = band_nodes(grid, dist)
+    newton, calls = narrowband._newton_project, []
+
+    def first_call_fails_some(surface, t, pts, theta0):
+        theta, ok = newton(surface, t, pts, theta0)
+        if not calls:
+            ok = ok.copy()
+            ok[::7] = False
+        calls.append(pts.shape[0])
+        return theta, ok
+
+    monkeypatch.setattr(narrowband, "_newton_project", first_call_fails_some)
+    grid_fb, dist_fb = bean_band()
+    assert len(calls) == 1 + 8 and calls[1] == (calls[0] + 6) // 7
+    assert np.array_equal(grid_fb.active_mask, grid.active_mask)
+    calls.clear()
+    geo = surface_point_geometry(bean(), 0.25, nodes)
+    assert len(calls) == 1 + 8
+    # Newton runs until its whole batch converges, so a point restarted in
+    # a smaller batch can stop one sweep earlier: round-off, not bits
+    for f in fields(dist):
+        expected = getattr(dist, f.name)
+        assert np.allclose(getattr(dist_fb, f.name), expected, rtol=0.0, atol=1e-12, equal_nan=True)
+        assert np.allclose(getattr(geo, f.name), expected[finite], rtol=0.0, atol=1e-12)
+
+
+def test_projection_error_when_every_start_fails(monkeypatch):
+    def never_converges(surface, t, pts, theta0):
+        return theta0.astype(float), np.zeros(pts.shape[0], dtype=bool)
+
+    monkeypatch.setattr(narrowband, "_newton_project", never_converges)
+    with pytest.raises(ProjectionError) as info:
+        bean_band()
+    assert info.value.location is not None and info.value.location.shape == (2,)
+    with pytest.raises(ProjectionError) as info:
+        surface_point_geometry(circle(), 0.0, [[0.0, 1.2], [0.5, 0.0]])
+    assert np.array_equal(info.value.location, [0.0, 1.2])
 
 
 def test_band_rejects_too_wide():

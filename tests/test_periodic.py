@@ -194,9 +194,20 @@ def test_spectral_gap_of_stiff_modes_crowding_below_one(monkeypatch, family):
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
     config = IVPConfig(n_nodes=256, n_steps=4, scheme="crank_nicolson", zero_order="divergence")
     prop = Propagator(FAMILIES[family](), config, harmonic_forcing)
+    periods = []
+    run = Propagator.run
+
+    def counting_run(self, *args, **kwargs):
+        periods.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "run", counting_run)
     traj, report = monodromy_solve(prop, target_mean=1.0)
+    n_periods = len(periods)
     oracle, sigma_min = dense_monodromy(prop, target_mean=1.0)
     assert tols == [1e-6, 1e-3]
+    # the tight pass gives up after its restart cap, not after ~300 periods
+    assert n_periods <= 250
     assert sigma_min <= report.spectral_gap <= sigma_min + 1e-3
     assert np.max(np.abs(traj - oracle)) <= 1e-10
 
