@@ -37,7 +37,6 @@ from .surfaces import (
 from .metric import (
     MetricSample,
     SpaceTimeGeometry,
-    WeightedMeasure,
     assemble_metric,
     cartesian_laplacian_apply,
     greens_formula_check,
@@ -48,7 +47,6 @@ from .metric import (
     space_time_geometry,
     trace_identity,
     transport_formula_residual,
-    weighted_measure,
 )
 from .evolution import (
     IVPConfig,

@@ -110,17 +110,14 @@ class ExperimentConfig:
         return FAMILIES[self.surface_family](period=self.period, **self.surface_params)
 
     def build_ivp_config(self) -> IVPConfig:
-        coefficient = 0.0
-        if self.zero_order == "constant":
-            coefficient = self.c0 if self.c0 is not None else 0.0
-        elif self.zero_order == "divergence_plus_constant":
-            coefficient = self.alpha if self.alpha is not None else 0.0
+        key = _COEFFICIENT_KEYS.get(self.zero_order)
+        coefficient = getattr(self, key) if key is not None else None
         return IVPConfig(
             n_nodes=self.n_nodes,
             n_steps=self.n_steps,
             scheme=self.scheme,
             zero_order=self.zero_order,
-            coefficient=coefficient,
+            coefficient=coefficient if coefficient is not None else 0.0,
         )
 
     def propagator(self) -> Propagator:
@@ -147,6 +144,9 @@ def _parse_value(key: str, text: str, kind: type):
         raise ConfigError(f"value of {key!r} is not finite: {text!r}")
     return value
 
+
+# zero-order mode -> the [problem] key of its coefficient; the other modes read none
+_COEFFICIENT_KEYS = {"constant": "c0", "divergence_plus_constant": "alpha"}
 
 # INI (section, key) -> (ExperimentConfig field, value type); every other key
 # of [surface] must be a parameter of the chosen family
@@ -218,6 +218,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         cfg.build_ivp_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in _COEFFICIENT_KEYS.values():
+        if getattr(cfg, key) is not None and _COEFFICIENT_KEYS.get(cfg.zero_order) != key:
+            raise ConfigError(f"{key} is not read by zero_order = {cfg.zero_order}")
     if cfg.tol <= 0.0:
         raise ConfigError("tol must be positive")
     if cfg.band_h <= 0.0 or cfg.band_delta <= 0.0:
@@ -331,7 +334,7 @@ def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
 
 def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     prop = cfg.propagator()
-    measure0 = prop.geometry.measure(0)
+    weights0 = prop.geometry.weights[0]
     if cfg.scenario == "periodic-fixed":
         report = fixed_point_solve(prop, cfg.target_mean, cfg.tol, cfg.max_iter)
         traj = report.trajectory
@@ -351,12 +354,12 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
         manifest.checks.append(CheckResult("injectivity_indicator", gap >= 1e-8, gap, 1e-8))
     digest = emit_field_csv(prop.grid.times, traj, out / "trajectory.csv")
     manifest.outputs.append(("trajectory.csv", digest))
-    residuals = periodicity_residuals(traj, measure0)
+    residuals = periodicity_residuals(traj, weights0)
     tol = max(10.0 * cfg.tol, 1e-8)
     manifest.checks.append(
         CheckResult("relaxed_residual", residuals.relaxed <= tol, residuals.relaxed, tol)
     )
-    mean0, _ = mean_and_mass(measure0, traj[0])
+    mean0, _ = mean_and_mass(weights0, traj[0])
     mean_err = abs(mean0 - cfg.target_mean)
     manifest.checks.append(CheckResult("initial_mean", mean_err <= 1e-12, mean_err, 1e-12))
     compat = compatibility_check(prop)
@@ -484,17 +487,15 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     grid = ParameterGrid(min(cfg.n_nodes, 64), min(cfg.n_steps, 32), cfg.period)
     theta = grid.nodes
     values = np.stack([np.cos(theta) * math.exp(-t) for t in grid.times])
-    rows = []
-    for alpha in (0.5, 1.0):
-        est = holder_estimate(values, grid.times, surface, alpha, seed=cfg.seed)
-        rows.append((str(alpha), est.sup_norm, est.holder_coefficient, est.time_holder,
-                     est.norm_alpha, est.norm_1_alpha, est.norm_2_alpha))
+    estimates = [holder_estimate(values, grid.times, surface, alpha, seed=cfg.seed)
+                 for alpha in (0.5, 1.0)]
+    rows = [(str(est.alpha), est.sup_norm, est.holder_coefficient, est.time_holder,
+             est.norm_alpha, est.norm_1_alpha, est.norm_2_alpha) for est in estimates]
     # alpha goes through as text so that it prints as 1.0, not 1
     header = "alpha,sup,holder_coefficient,time_holder,norm_alpha,norm_1_alpha,norm_2_alpha"
     digest = write_csv(out / "holder.csv", header.split(","), list(zip(*rows)))
     manifest.outputs.append(("holder.csv", digest))
-    checks = interpolation_check(values, grid.times, surface, 0.5, [0.5, 0.25, 0.125],
-                                 seed=cfg.seed)
+    checks = interpolation_check(estimates[0], [0.5, 0.25, 0.125])  # the alpha = 0.5 estimate
     worst = max(lhs - rhs for _, lhs, rhs in checks)
     manifest.checks.append(CheckResult("interpolation_inequality", worst <= 0.0, worst, 0.0))
 

@@ -184,26 +184,21 @@ def holder_estimate(
 
 
 def interpolation_check(
-    values: np.ndarray,
-    times: np.ndarray,
-    surface: SurfaceFamily,
-    alpha: float,
-    eps_list: list[float],
-    subsample_budget: int = 1_000_000,
-    seed: int = 0,
+    estimate: HolderEstimate, eps_list: list[float]
 ) -> list[tuple[float, float, float]]:
-    """Evaluate both sides of the interpolation inequality per epsilon.
+    """Evaluate both sides of the interpolation inequality per epsilon from
+    one `holder_estimate` result.
 
     Returns (eps, lhs, rhs) with lhs the alpha-norm estimate and
     rhs = eps^(1-alpha) * |f|_{2+alpha} + (2/eps^alpha) * |f|_0, following
     the near/far pair split.  No violations are expected.
     """
-    est = holder_estimate(values, times, surface, alpha, subsample_budget, seed)
-    out = []
-    for eps in eps_list:
-        rhs = eps ** (1.0 - alpha) * est.norm_2_alpha + 2.0 / eps**alpha * est.sup_norm
-        out.append((eps, est.norm_alpha, rhs))
-    return out
+    alpha = estimate.alpha
+    return [
+        (eps, estimate.norm_alpha,
+         eps ** (1.0 - alpha) * estimate.norm_2_alpha + 2.0 / eps**alpha * estimate.sup_norm)
+        for eps in eps_list
+    ]
 
 
 def _band_holder(

@@ -12,21 +12,22 @@ the config and the surface's period, builds the space-time geometry and
 samples the forcing once.  The periodic solves reuse its factors and the
 ledgers read its geometry and per-level forcing integrals.
 
-States are ``(N,)`` arrays or ``(N, K)`` batches; a trajectory is an
-``(M+1, N)`` array whose rows are the levels of ``prop.grid.times``.  The
-forcing is a closure ``f(theta, t)`` or its ``(M+1, N)`` samples on the
-same levels.
+States are ``(N,)`` arrays; a trajectory is an ``(M+1, N)`` array whose
+rows are the levels of ``prop.grid.times``, and the measure of level k is
+the ``(N,)`` weight row ``prop.geometry.weights[k]``.  The forcing is a
+closure ``f(theta, t)`` or its ``(M+1, N)`` samples on the same levels.
 
 Zero-order modes
 ----------------
 ``zero``                       c = 0
-``constant``                   c = ``coefficient``
+``constant``                   c = ``coefficient`` (config key ``c0``)
 ``divergence``                 c equals the metric dilation rate; realized by
                                weighting the previous state with the ratio of
                                measure densities, which makes the discrete
                                mass law exact to round-off for any forcing
                                (see ``diagnostics.mass_ledger``)
 ``divergence_plus_constant``   divergence weighting plus c = ``coefficient``
+                               (config key ``alpha``)
 ``custom``                     arbitrary closure c(theta, t)
 """
 
@@ -91,6 +92,16 @@ def _require_finite(samples: np.ndarray, quantity: str) -> np.ndarray:
     return samples
 
 
+def _require_state(values: np.ndarray, n_nodes: int, quantity: str) -> np.ndarray:
+    """`values` as an (N,) float array, or GridMismatchError naming its shape."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n_nodes,):
+        raise GridMismatchError(
+            f"{quantity} of shape {values.shape} does not match the grid's {n_nodes} nodes"
+        )
+    return values
+
+
 def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None:
     if forcing is None:
         return None
@@ -116,13 +127,13 @@ def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: Paramete
 
 
 def _banded_matvec(diagonals: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Cyclic tridiagonal matrix, given as (main, upper, lower), times `u`
-    along its last axis; `upper` couples node i to i+1, `lower` to i-1."""
+    """Cyclic tridiagonal matrix, given as (main, upper, lower), times the
+    (N,) state `u`; `upper` couples node i to i+1, `lower` to i-1."""
     main, upper, lower = diagonals
-    wrapped = np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
+    wrapped = np.concatenate((u[-1:], u, u[:1]))
     out = main * u
-    out += upper * wrapped[..., 2:]
-    out += lower * wrapped[..., :-2]
+    out += upper * wrapped[2:]
+    out += lower * wrapped[:-2]
     return out
 
 
@@ -151,10 +162,9 @@ class _CyclicFactor:
             raise StepError("step matrix is singular: corner correction vanishes", level)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs for a (N,) or (N, K) `rhs`, which it may overwrite; a
-        Fortran-ordered batch is solved in place."""
+        """A^-1 rhs for a (N,) `rhs`, which it may overwrite."""
         y = dgttrs(*self.lu, rhs, overwrite_b=1)[0]
-        y -= np.multiply.outer(self.z, (y[0] + self.ratio * y[-1]) / self.denominator)
+        y -= self.z * ((y[0] + self.ratio * y[-1]) / self.denominator)
         return y
 
 
@@ -206,11 +216,12 @@ class Propagator:
         return explicit, load, factors
 
     def step(self, values: np.ndarray, level: int, include_forcing: bool = True) -> np.ndarray:
-        """Advance nodal values (N,) or a batch (N, K) from `level` to `level+1`."""
-        rhs = _banded_matvec(self._explicit[level], np.asarray(values, dtype=float).T)
+        """Advance the (N,) state `values` from `level` to `level+1`."""
+        values = _require_state(values, self.grid.n_nodes, "state")
+        rhs = _banded_matvec(self._explicit[level], values)
         if include_forcing and self._load is not None:
             rhs -= self._load[level]
-        out = self._factors[level].solve(rhs.T)
+        out = self._factors[level].solve(rhs)
         if not np.all(np.isfinite(out)):
             raise StepError("implicit solve produced non-finite values", level + 1)
         return out
@@ -221,20 +232,13 @@ class Propagator:
         include_forcing: bool = True,
         keep_trajectory: bool = True,
     ) -> np.ndarray:
-        """Propagate over the full period.
+        """Propagate the (N,) state `u0` over the full period.
 
         Returns the trajectory (M+1, N) when `keep_trajectory`, otherwise the
-        final state only (same shape as `u0`, which may be a (N, K) batch).
+        final state (N,) only.
         """
-        u = np.array(u0, dtype=float, order="F")  # a Fortran-ordered batch steps without copies
-        if u.shape[:1] != (self.grid.n_nodes,):
-            raise GridMismatchError(
-                f"initial state of shape {u.shape} does not match the grid's "
-                f"{self.grid.n_nodes} nodes"
-            )
+        u = _require_state(np.array(u0, dtype=float), self.grid.n_nodes, "initial state")
         _require_finite(u[None], "initial state")
-        if keep_trajectory and u.ndim != 1:
-            raise GridMismatchError("trajectories are only kept for single states")
         states = [u]
         for k in range(self.grid.n_steps):
             u = self.step(u, k, include_forcing)

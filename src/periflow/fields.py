@@ -2,9 +2,10 @@
 
 Space is discretized by ``N`` equispaced parameter values ``theta_i = 2*pi*i/N``
 on a periodic grid, time by ``M+1`` equispaced levels spanning one period
-``[0, T]``.  Sampled fields are plain arrays: a state is an ``(N,)`` array
-(or an ``(N, K)`` batch), a trajectory or a sampled forcing an ``(M+1, N)``
-array with one row per level of ``ParameterGrid.times``.
+``[0, T]``.  Sampled fields are plain arrays: a state is an ``(N,)`` array,
+a trajectory or a sampled forcing an ``(M+1, N)`` array with one row per
+level of ``ParameterGrid.times``, and a measure the ``(N,)`` row of
+quadrature weights of one level (see ``metric``).
 """
 
 from __future__ import annotations

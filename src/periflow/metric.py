@@ -14,8 +14,12 @@ arithmetic-mean coefficients.  The flux form telescopes on the periodic
 grid, so the discrete operator annihilates constants exactly and its output
 has exactly zero weighted mass — the conservation diagnostics rely on both.
 
-The 1-d solver reads only the scalar per-level data of ``SpaceTimeGeometry``;
-the Cartesian ``MetricSample`` serves the single-time identity checks.
+Every mean, mass and operator call reads two per-node scalars: the measure
+weights ``sqrt(g) * dtheta`` and the flux coefficient ``sqrt(g)/g`` at the
+half nodes.  One helper computes them, for the per-level rows of
+``SpaceTimeGeometry`` that the 1-d solver reads and for the single time
+slice of ``MetricSample``, whose Cartesian fields serve the identity
+checks.  A measure is its ``(N,)`` row of weights.
 """
 
 from __future__ import annotations
@@ -44,43 +48,18 @@ class MetricSample:
     cartesian_det: np.ndarray  # (N,)
     cartesian_dt: np.ndarray  # (N, 2, 2)  time derivative of G
     cartesian_dtheta: np.ndarray  # (N, 2, 2)  exact theta derivative of G
-    local: np.ndarray  # (N,)  g = |X_theta|^2 at this time
-    local_inv: np.ndarray  # (N,)
-    local_det: np.ndarray  # (N,)  equals `local` for a curve
-    reference_local: np.ndarray  # (N,)  |X_theta(., 0)|^2 of the reference curve
+    sqrt_g: np.ndarray  # (N,)  measure density sqrt(g), g = |X_theta|^2 at this time
+    weights: np.ndarray  # (N,)  sqrt(g) * dtheta, the quadrature weights of the measure
+    c_half: np.ndarray  # (N,)  flux coefficient sqrt(g)/g at the half nodes i + 1/2
 
     @property
     def n_nodes(self) -> int:
         return self.theta.shape[0]
 
     @property
-    def sqrt_local_det(self) -> np.ndarray:
-        return np.sqrt(self.local_det)
-
-    @property
     def trace_rate(self) -> np.ndarray:
         """Per-node (1/2) tr(G^{-1} G_t), the metric dilation rate."""
         return 0.5 * np.einsum("iab,iba->i", self.cartesian_inv, self.cartesian_dt)
-
-    @property
-    def flux_coefficient(self) -> np.ndarray:
-        """sqrt(det g) * g^{-1} per node; the conservative-form coefficient."""
-        return self.sqrt_local_det * self.local_inv
-
-
-@dataclass(frozen=True)
-class WeightedMeasure:
-    """Trapezoid quadrature weights carrying the evolving surface measure."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.weights <= 0.0):
-            raise DegenerateMetricError("non-positive quadrature weight")
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def _local_metric(surface: SurfaceFamily, theta: np.ndarray, t: float, g_ref: np.ndarray):
@@ -129,6 +108,7 @@ def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Me
     sym_nu = np.einsum("ia,ib->iab", nu_dth, nu) + np.einsum("ia,ib->iab", nu, nu_dth)
     cart_dth = ratio_dth[:, None, None] * tau_tau + ratio[:, None, None] * sym_tau + sym_nu
 
+    sqrt_g, weights, c_half = _scalar_metric(g_loc, grid.dtheta)
     return MetricSample(
         theta=theta,
         time=float(t),
@@ -138,19 +118,21 @@ def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Me
         cartesian_det=ratio,
         cartesian_dt=cart_dt,
         cartesian_dtheta=cart_dth,
-        local=g_loc,
-        local_inv=1.0 / g_loc,
-        local_det=g_loc,
-        reference_local=g_ref,
+        sqrt_g=sqrt_g,
+        weights=weights,
+        c_half=c_half,
     )
-
-
-def weighted_measure(metric: MetricSample) -> WeightedMeasure:
-    return WeightedMeasure(metric.sqrt_local_det * metric.dtheta)
 
 
 def _half_coefficients(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.roll(c, -1, axis=-1))  # value at i + 1/2
+
+
+def _scalar_metric(g: np.ndarray, dtheta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(g), the measure weights sqrt(g) * dtheta and the flux coefficient
+    sqrt(g)/g at the half nodes, along the last axis of the metric g."""
+    sqrt_g = np.sqrt(g)
+    return sqrt_g, sqrt_g * dtheta, _half_coefficients(sqrt_g * (1.0 / g))
 
 
 def _flux_form_apply(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float, values: np.ndarray):
@@ -189,9 +171,6 @@ class SpaceTimeGeometry:
     trace_rate: np.ndarray  # (1/2) g_t / g, the metric dilation rate
     c_half: np.ndarray  # flux coefficient sqrt(g)/g at the half nodes i + 1/2
 
-    def measure(self, level: int) -> WeightedMeasure:
-        return WeightedMeasure(self.weights[level])
-
     def integrals(self, values: np.ndarray) -> np.ndarray:
         """Weighted spatial integral of (M+1, N) samples at every level."""
         return np.einsum("ki,ki->k", self.weights, values)
@@ -223,13 +202,9 @@ def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTim
     g_t = np.empty_like(g)
     for k, t in enumerate(grid.times):
         _, g[k], g_t[k], _ = _local_metric(surface, theta, t, g_ref)
-    sqrt_g = np.sqrt(g)
+    sqrt_g, weights, c_half = _scalar_metric(g, grid.dtheta)
     return SpaceTimeGeometry(
-        grid=grid,
-        sqrt_g=sqrt_g,
-        weights=sqrt_g * grid.dtheta,
-        trace_rate=0.5 * g_t / g,
-        c_half=_half_coefficients(sqrt_g * (1.0 / g)),
+        grid=grid, sqrt_g=sqrt_g, weights=weights, trace_rate=0.5 * g_t / g, c_half=c_half
     )
 
 
@@ -240,14 +215,12 @@ def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarr
         raise GridMismatchError(
             f"field has {values.shape[0]} nodes, metric has {metric.n_nodes}"
         )
-    c_half = _half_coefficients(metric.flux_coefficient)
-    return _flux_form_apply(c_half, metric.sqrt_local_det, metric.dtheta, values)
+    return _flux_form_apply(metric.c_half, metric.sqrt_g, metric.dtheta, values)
 
 
 def laplace_beltrami_matrix(metric: MetricSample) -> sparse.csr_matrix:
     """Cyclic tridiagonal matrix realizing `laplace_beltrami_apply`."""
-    c_half = _half_coefficients(metric.flux_coefficient)
-    return _cyclic_tridiagonal(*_operator_diagonals(c_half, metric.sqrt_local_det, metric.dtheta))
+    return _cyclic_tridiagonal(*_operator_diagonals(metric.c_half, metric.sqrt_g, metric.dtheta))
 
 
 def cartesian_laplacian_apply(
@@ -291,14 +264,18 @@ def trace_identity(metric: MetricSample, frame: GeometryFrame) -> tuple[np.ndarr
     return left, right, float(np.max(np.abs(left - right)))
 
 
-def mean_and_mass(measure: WeightedMeasure, values: np.ndarray) -> tuple[float, float]:
+def mean_and_mass(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Weighted mean and mass of nodal values under a row of (N,) measure
+    weights, such as `metric.weights` or `prop.geometry.weights[k]`."""
     values = np.asarray(values, dtype=float)
-    if values.shape[0] != measure.weights.shape[0]:
+    if values.shape[0] != weights.shape[0]:
         raise GridMismatchError(
-            f"field has {values.shape[0]} nodes, measure has {measure.weights.shape[0]}"
+            f"field has {values.shape[0]} nodes, measure has {weights.shape[0]}"
         )
-    mass = float(np.dot(measure.weights, values))
-    return mass / measure.total, mass
+    if np.any(weights <= 0.0):
+        raise DegenerateMetricError("non-positive quadrature weight")
+    mass = float(np.dot(weights, values))
+    return mass / float(np.sum(weights)), mass
 
 
 def greens_formula_check(metric: MetricSample, u: np.ndarray, w: np.ndarray) -> float:
@@ -310,12 +287,10 @@ def greens_formula_check(metric: MetricSample, u: np.ndarray, w: np.ndarray) -> 
     round-off at any resolution.
     """
     uu, ww = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
-    c_half = _half_coefficients(metric.flux_coefficient)
     du = np.roll(uu, -1) - uu
     dw = np.roll(ww, -1) - ww
-    energy = float(np.sum(c_half * du * dw) / metric.dtheta)
-    measure = weighted_measure(metric)
-    _, mass = mean_and_mass(measure, uu * laplace_beltrami_apply(metric, ww))
+    energy = float(np.sum(metric.c_half * du * dw) / metric.dtheta)
+    _, mass = mean_and_mass(metric.weights, uu * laplace_beltrami_apply(metric, ww))
     return abs(energy + mass)
 
 
@@ -364,12 +339,12 @@ def transport_formula_residual(
 
     def weighted_integral(s: float) -> float:
         m = assemble_metric(surface, grid, s)
-        return float(np.dot(weighted_measure(m).weights, field.sample(theta, s)))
+        return float(np.dot(m.weights, field.sample(theta, s)))
 
     lhs = (weighted_integral(t + dt_fd) - weighted_integral(t - dt_fd)) / (2.0 * dt_fd)
     metric = assemble_metric(surface, grid, t)
     if field.dt is None:
         raise ValueError("transport residual needs the exact time derivative closure")
     integrand = field.dt(theta, t) + metric.trace_rate * field.sample(theta, t)
-    rhs = float(np.dot(weighted_measure(metric).weights, integrand))
+    rhs = float(np.dot(metric.weights, integrand))
     return abs(lhs - rhs)

@@ -6,8 +6,9 @@ fixed point is the initial state of the relaxed-periodic solution with the
 prescribed initial mean.  The end map is one ``Propagator``, which holds the
 surface, the discretization, the forcing load and the factorized steps;
 every solve takes it and the prescribed mean (``target_mean``) and builds
-nothing else.  States are ``(N,)`` arrays; a solve returns its trajectory
-as an ``(M+1, N)`` array on the levels of ``prop.grid.times``.  Two
+nothing else.  States are ``(N,)`` arrays and the time-zero measure is the
+row ``prop.geometry.weights[0]``; a solve returns its trajectory as an
+``(M+1, N)`` array on the levels of ``prop.grid.times``.  Two
 independent instruments compute the fixed point:
 
 * ``fixed_point_solve`` iterates the mean-reset end map from zero and
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import ContractionBoundError, NonuniquenessError
 from .evolution import Propagator
 from .fields import ParameterGrid, fourier_noise
-from .metric import WeightedMeasure, mean_and_mass
+from .metric import mean_and_mass
 
 # Krylov shooting settings: GMRES stops at this residual relative to the
 # right-hand side, restarts after this many inner iterations and gives up
@@ -55,10 +56,10 @@ _ARPACK_TIGHT_RESTARTS = 20
 _SINGULAR_GAP = 1e-12
 
 
-def mean_adjust(values: np.ndarray, measure: WeightedMeasure) -> np.ndarray:
-    """Subtract the weighted mean; the result has exactly zero mean up to
-    round-off."""
-    mean, _ = mean_and_mass(measure, values)
+def mean_adjust(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Subtract the mean under the (N,) measure weights; the result has
+    exactly zero mean up to round-off."""
+    mean, _ = mean_and_mass(weights, values)
     return np.asarray(values, dtype=float) - mean
 
 
@@ -98,13 +99,13 @@ def fixed_point_solve(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    measure0 = prop.geometry.measure(0)
+    weights0 = prop.geometry.weights[0]
     c = target_mean
 
     if start is None:
         u0 = np.full(prop.grid.n_nodes, c, dtype=float)
     else:
-        u0 = mean_adjust(start, measure0) + c
+        u0 = mean_adjust(start, weights0) + c
 
     residuals: list[float] = []
     ratios: list[float] = []
@@ -112,7 +113,7 @@ def fixed_point_solve(
     iterations = 0
     for _ in range(max_iter):
         end_state = prop.run(u0, keep_trajectory=False)
-        new_u0 = mean_adjust(end_state, measure0) + c
+        new_u0 = mean_adjust(end_state, weights0) + c
         diff = float(np.max(np.abs(new_u0 - u0)))
         if residuals and residuals[-1] > 0.0:
             ratios.append(diff / residuals[-1])
@@ -186,7 +187,7 @@ def contraction_estimate(
     grid = prop.grid
     if probes is None:
         probes = default_probes(grid, seed)
-    measure0 = prop.geometry.measure(0)
+    weights0 = prop.geometry.weights[0]
 
     pair_ratios: list[tuple[float, float]] = []
     worst = 0.0
@@ -199,7 +200,7 @@ def contraction_estimate(
             continue
         end_diff = prop.run(diff, include_forcing=False, keep_trajectory=False)
         j_ratio = float(np.max(np.abs(end_diff))) / norm
-        k_ratio = float(np.max(np.abs(mean_adjust(end_diff, measure0)))) / norm
+        k_ratio = float(np.max(np.abs(mean_adjust(end_diff, weights0)))) / norm
         pair_ratios.append((j_ratio, k_ratio))
         if j_ratio > worst:
             worst, worst_index = j_ratio, idx
@@ -290,11 +291,11 @@ def monodromy_solve(
     from scipy.sparse.linalg import LinearOperator, gmres
 
     n = prop.grid.n_nodes
-    measure0 = prop.geometry.measure(0)
+    weights0 = prop.geometry.weights[0]
 
     def end_map(x: np.ndarray) -> np.ndarray:
         end = prop.run(np.ravel(x), include_forcing=False, keep_trajectory=False)
-        return mean_adjust(end, measure0)
+        return mean_adjust(end, weights0)
 
     lam = _eigenvalue_nearest_one(end_map, n)
     gap = abs(1.0 - lam)
@@ -312,7 +313,7 @@ def monodromy_solve(
         matvecs += 1
         return np.ravel(x) - end_map(x)
 
-    rhs = mean_adjust(prop.run(np.zeros(n), keep_trajectory=False), measure0) + target_mean
+    rhs = mean_adjust(prop.run(np.zeros(n), keep_trajectory=False), weights0) + target_mean
     residuals: list[float] = []
     u0, info = gmres(
         LinearOperator((n, n), matvec=system_matvec, dtype=float), rhs,
@@ -344,16 +345,17 @@ class PeriodicityResiduals:
     mean_drift: float
 
 
-def periodicity_residuals(trajectory: np.ndarray, measure0: WeightedMeasure) -> PeriodicityResiduals:
+def periodicity_residuals(trajectory: np.ndarray, weights0: np.ndarray) -> PeriodicityResiduals:
     """Relaxed and strict periodicity defects of a trajectory.
 
     `relaxed` compares the mean-free parts of the first and last slices
-    (both means taken in the time-zero measure), `strict` the slices
-    themselves, and `mean_drift` is the difference of the means.
+    (both means taken under the time-zero measure weights `weights0`),
+    `strict` the slices themselves, and `mean_drift` is the difference of
+    the means.
     """
     first, last = trajectory[0], trajectory[-1]
-    m_first, _ = mean_and_mass(measure0, first)
-    m_last, _ = mean_and_mass(measure0, last)
+    m_first, _ = mean_and_mass(weights0, first)
+    m_last, _ = mean_and_mass(weights0, last)
     relaxed = float(np.max(np.abs((first - m_first) - (last - m_last))))
     strict = float(np.max(np.abs(first - last)))
     return PeriodicityResiduals(relaxed=relaxed, strict=strict, mean_drift=m_last - m_first)

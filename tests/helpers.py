@@ -50,16 +50,26 @@ def mean_order(errors) -> float:
     return sum(orders) / len(orders)
 
 
-def dense_monodromy(prop: Propagator, target_mean: float = 0.0) -> tuple[np.ndarray, float]:
-    """Small-N oracle for `monodromy_solve`: the dense mean-reset end map from
-    all unit basis states in one batch, a direct solve of the fixed-point
-    system and its smallest singular value.  Returns (trajectory, sigma_min)."""
+def linear_part(prop: Propagator) -> np.ndarray:
+    """The N x N matrix of the homogeneous end map, column j the end state of
+    the j-th unit basis state."""
     n = prop.grid.n_nodes
-    measure0 = prop.geometry.measure(0)
-    matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
+    return np.column_stack(
+        [prop.run(e, include_forcing=False, keep_trajectory=False) for e in np.eye(n)]
+    )
+
+
+def dense_monodromy(prop: Propagator, target_mean: float = 0.0) -> tuple[np.ndarray, float]:
+    """Small-N oracle for `monodromy_solve`: the dense mean-reset end map
+    assembled one unit basis state at a time, a direct solve of the
+    fixed-point system and its smallest singular value.  Returns
+    (trajectory, sigma_min)."""
+    n = prop.grid.n_nodes
+    weights0 = prop.geometry.weights[0]
+    matrix = linear_part(prop)
     offset = prop.run(np.zeros(n), keep_trajectory=False)
-    adjusted = matrix - np.outer(np.ones(n), measure0.weights @ matrix) / measure0.total
+    adjusted = matrix - np.outer(np.ones(n), weights0 @ matrix) / np.sum(weights0)
     system = np.eye(n) - adjusted
-    rhs = mean_adjust(offset, measure0) + target_mean
+    rhs = mean_adjust(offset, weights0) + target_mean
     sigma_min = float(np.linalg.svd(system, compute_uv=False)[-1])
     return prop.run(np.linalg.solve(system, rhs)), sigma_min

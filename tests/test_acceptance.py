@@ -40,7 +40,6 @@ from periflow import (
     rotating_ellipse,
     solve_ivp,
     trace_identity,
-    weighted_measure,
 )
 from periflow.cli import parse_config, run_scenario
 
@@ -171,8 +170,8 @@ def test_criterion_5_conservative_periodic_scenario():
     compat = compatibility_check(prop)
     ok = report("criterion-5 compatibility", abs(compat) <= 1e-12, f"integral={compat:.3e}")
     traj, solve_report = monodromy_solve(prop, target_mean=1.0)
-    res = periodicity_residuals(traj, prop.geometry.measure(0))
-    mean0, _ = mean_and_mass(prop.geometry.measure(0), traj[0])
+    res = periodicity_residuals(traj, prop.geometry.weights[0])
+    mean0, _ = mean_and_mass(prop.geometry.weights[0], traj[0])
     ok &= report("criterion-5 strict-residual", res.strict <= 1e-8, f"residual={res.strict:.3e}")
     ok &= report("criterion-5 initial-mean", abs(mean0 - 1.0) <= 1e-12, f"|mean-1|={abs(mean0 - 1.0):.3e}")
     ok &= report(
@@ -214,7 +213,7 @@ def test_criterion_7_relaxed_periodicity_ledger():
     )
     prop = Propagator(breathing_circle(), config)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    res = periodicity_residuals(traj, prop.geometry.measure(0))
+    res = periodicity_residuals(traj, prop.geometry.weights[0])
     expected = 1.0 * (math.exp(-0.5 * 1.0) - 1.0)
     drift_err = abs(res.mean_drift - expected)
     ok = report(

@@ -366,6 +366,41 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
     assert "config error" in capsys.readouterr().err
 
 
+UNREAD_COEFFICIENT = """
+[problem]
+scenario = {scenario}
+zero_order = {mode}
+{key} = 1.0
+
+[discretization]
+n_nodes = 32
+n_steps = 16
+"""
+
+
+@pytest.mark.parametrize(
+    "scenario, mode, key, resolved",
+    [
+        ("ivp", "divergence", "c0", "divergence"),
+        ("ivp", "divergence", "alpha", "divergence"),
+        ("ivp", "zero", "c0", "zero"),
+        ("ivp", "constant", "alpha", "constant"),
+        ("ivp", "divergence_plus_constant", "c0", "divergence_plus_constant"),
+        ("ivp_decay", "constant", "c0", "zero"),
+        ("contraction", "divergence", "alpha", "constant"),
+    ],
+)
+def test_coefficient_key_the_zero_order_mode_does_not_read_exits_2(
+    tmp_path, capsys, scenario, mode, key, resolved
+):
+    # c0 is read only by `constant`, alpha only by `divergence_plus_constant`,
+    # each after the scenario presets resolve the mode
+    path = write_config(tmp_path, UNREAD_COEFFICIENT.format(scenario=scenario, mode=mode, key=key))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{key} is not read by zero_order = {resolved}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_manifest_records_resolved_presets(tmp_path):
     contraction = """
 [surface]

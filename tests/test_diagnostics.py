@@ -87,14 +87,16 @@ def test_estimator_monotone_under_nesting():
 def test_interpolation_inequality_examples():
     grid = ParameterGrid(32, 16, 1.0)
     const = sampled(grid, lambda th, t: np.full_like(th, 1.5))
-    for eps, lhs, rhs in interpolation_check(*const, circle(), 0.5, [1.0, 0.5, 0.25]):
+    for eps, lhs, rhs in interpolation_check(holder_estimate(*const, circle(), 0.5),
+                                             [1.0, 0.5, 0.25]):
         assert rhs >= 2.0 * 1.5 - 1e-12
         assert lhs <= rhs
     fld = sampled(grid, lambda th, t: np.cos(th) * math.exp(-t))
-    for eps, lhs, rhs in interpolation_check(*fld, circle(), 0.5, [0.5, 0.25, 0.125]):
+    for eps, lhs, rhs in interpolation_check(holder_estimate(*fld, circle(), 0.5),
+                                             [0.5, 0.25, 0.125]):
         assert lhs <= rhs
     zero = sampled(grid, lambda th, t: np.zeros_like(th))
-    for eps, lhs, rhs in interpolation_check(*zero, circle(), 0.5, [0.5]):
+    for eps, lhs, rhs in interpolation_check(holder_estimate(*zero, circle(), 0.5), [0.5]):
         assert lhs == 0.0 and rhs >= 0.0
 
 

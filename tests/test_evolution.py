@@ -22,7 +22,6 @@ from periflow import (
     mean_and_mass,
     solve_ivp,
     space_time_geometry,
-    weighted_measure,
 )
 
 
@@ -67,9 +66,11 @@ SHAPE_MISMATCHES = {
         lambda p: duality_check(p.geometry, np.zeros((9, 16)), np.zeros((9, 15))),
         r"different shapes \(9, 16\) and \(9, 15\)",
     ),
-    "batch_trajectory": (lambda p: p.run(np.ones((16, 2))), "only kept for single states"),
+    "u0_rank": (lambda p: p.run(np.ones((16, 2))), r"shape \(16, 2\) does not match"),
+    # a square batch would broadcast the diagonals along the wrong axis
+    "step_rank": (lambda p: p.step(np.eye(16), 0), r"state of shape \(16, 16\) does not match"),
     "mean_and_mass": (
-        lambda p: mean_and_mass(p.geometry.measure(0), np.ones(15)),
+        lambda p: mean_and_mass(p.geometry.weights[0], np.ones(15)),
         "field has 15 nodes, measure has 16",
     ),
 }
@@ -250,7 +251,7 @@ def test_mass_law_per_step_divergence_mode():
     for scheme in ("backward_euler", "crank_nicolson"):
         config = IVPConfig(n_nodes=128, n_steps=64, scheme=scheme, zero_order="divergence")
         traj = solve_ivp(surf, config, 1.0 + 0.5 * np.cos(grid.nodes), forcing)
-        measures = [weighted_measure(assemble_metric(surf, grid, t)) for t in grid.times]
+        measures = [assemble_metric(surf, grid, t).weights for t in grid.times]
         masses = [mean_and_mass(m, traj[k])[1] for k, m in enumerate(measures)]
         f_int = [
             mean_and_mass(m, np.asarray(forcing(grid.nodes, t)))[1]

@@ -22,7 +22,6 @@ from periflow import (
     rotating_ellipse,
     trace_identity,
     transport_formula_residual,
-    weighted_measure,
 )
 
 GRID = ParameterGrid(256, 8, 1.0)
@@ -40,8 +39,9 @@ def test_breathing_local_metric_and_trace():
     r = 1.0 + 0.25 * math.sin(2 * math.pi * t)
     r_dot = 0.25 * math.cos(2 * math.pi * t) * 2 * math.pi
     m = assemble_metric(breathing_circle(), GRID, t)
-    assert np.max(np.abs(m.local - r * r)) < 1e-12
-    assert np.max(np.abs(m.local_det - r * r)) < 1e-12
+    assert np.max(np.abs(m.sqrt_g**2 - r * r)) < 1e-12
+    assert np.max(np.abs(m.weights - r * GRID.dtheta)) < 1e-12
+    assert np.max(np.abs(m.c_half - 1.0 / r)) < 1e-12  # sqrt(g)/g, constant along the curve
     assert np.max(np.abs(m.trace_rate - r_dot / r)) < 1e-12
 
 
@@ -59,8 +59,9 @@ def test_metric_fixes_normal(surface):
 @pytest.mark.parametrize("surface", ALL_FAMILIES, ids=lambda s: s.name)
 def test_determinant_consistency(surface):
     m = assemble_metric(surface, GRID, 0.3)
+    m0 = assemble_metric(surface, GRID, 0.0)
     dets = np.linalg.det(m.cartesian)
-    assert np.max(np.abs(dets - m.local_det / m.reference_local)) <= 1e-10
+    assert np.max(np.abs(dets - (m.sqrt_g / m0.sqrt_g) ** 2)) <= 1e-10
 
 
 def test_degenerate_metric_raises():
@@ -91,9 +92,8 @@ def test_laplacian_constant_and_radius_scaling():
 def test_laplacian_output_has_zero_mass(surface):
     rng = np.random.default_rng(5)
     m = assemble_metric(surface, GRID, 0.6)
-    measure = weighted_measure(m)
     values = rng.normal(size=GRID.n_nodes)
-    _, mass = mean_and_mass(measure, laplace_beltrami_apply(m, values))
+    _, mass = mean_and_mass(m.weights, laplace_beltrami_apply(m, values))
     assert abs(mass) <= 1e-12 * np.max(np.abs(values))
 
 
@@ -109,17 +109,20 @@ def test_matrix_matches_apply():
 
 def test_mean_and_mass_examples():
     m = assemble_metric(circle(), GRID, 0.0)
-    measure = weighted_measure(m)
-    mean, mass = mean_and_mass(measure, np.ones(GRID.n_nodes))
+    mean, mass = mean_and_mass(m.weights, np.ones(GRID.n_nodes))
     assert abs(mean - 1.0) <= 1e-12
     assert abs(mass - 2.0 * math.pi) <= 1e-10
-    mean, mass = mean_and_mass(measure, np.cos(GRID.nodes))
+    mean, mass = mean_and_mass(m.weights, np.cos(GRID.nodes))
     assert abs(mean) <= 1e-14 and abs(mass) <= 1e-13
     t = 0.61
     r = 1.0 + 0.25 * math.sin(2 * math.pi * t)
-    mb = weighted_measure(assemble_metric(breathing_circle(), GRID, t))
+    mb = assemble_metric(breathing_circle(), GRID, t).weights
     _, mass = mean_and_mass(mb, np.full(GRID.n_nodes, 3.0))
     assert abs(mass - 3.0 * 2.0 * math.pi * r) <= 1e-9
+    degenerate = m.weights.copy()
+    degenerate[7] = 0.0
+    with pytest.raises(DegenerateMetricError, match="non-positive quadrature weight"):
+        mean_and_mass(degenerate, np.ones(GRID.n_nodes))
 
 
 def test_greens_formula_trivial_and_harmonics():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from helpers import dense_monodromy
+from helpers import dense_monodromy, linear_part
 from periflow import (
     FAMILIES,
     IVPConfig,
@@ -21,12 +21,11 @@ from periflow import (
     mean_and_mass,
     monodromy_solve,
     periodicity_residuals,
-    weighted_measure,
 )
 
 
 def measure_at_zero(surface, grid):
-    return weighted_measure(assemble_metric(surface, grid, 0.0))
+    return assemble_metric(surface, grid, 0.0).weights
 
 
 def constant_rate_propagator(c0=1.0, forcing=None, n=128, m=128):
@@ -127,7 +126,7 @@ def test_batched_propagation_plus_offset_reproduces_end_map():
     # the dense linear part and offset that the dense_monodromy oracle assembles
     prop = breathing_propagator(forcing=harmonic_forcing, n=64, m=64)
     n = prop.grid.n_nodes
-    matrix = prop.run(np.eye(n), include_forcing=False, keep_trajectory=False)
+    matrix = linear_part(prop)
     offset = prop.run(np.zeros(n), keep_trajectory=False)
     probe = np.cos(prop.grid.nodes) + 0.2
     direct = prop.run(probe, keep_trajectory=False)
@@ -224,10 +223,10 @@ def test_monodromy_zero_forcing_closed_form():
 def test_monodromy_mean_constraint_and_periodicity():
     prop = breathing_propagator(forcing=harmonic_forcing, n=64, m=64)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    measure0 = prop.geometry.measure(0)
-    mean0, _ = mean_and_mass(measure0, traj[0])
+    weights0 = prop.geometry.weights[0]
+    mean0, _ = mean_and_mass(weights0, traj[0])
     assert abs(mean0 - 1.0) <= 1e-12
-    res = periodicity_residuals(traj, measure0)
+    res = periodicity_residuals(traj, weights0)
     assert res.relaxed <= 1e-12
     assert res.strict <= 1e-12  # harmonic forcing integrates to zero exactly
 
@@ -278,7 +277,7 @@ def test_krylov_solve_stopped_above_tolerance_raises(monkeypatch):
 def test_periodicity_residuals_constant_trajectory():
     prop = breathing_propagator(forcing=None, n=64, m=64)
     traj, _ = monodromy_solve(prop, target_mean=0.0)
-    res = periodicity_residuals(traj, prop.geometry.measure(0))
+    res = periodicity_residuals(traj, prop.geometry.weights[0])
     assert res.relaxed <= 1e-13 and res.strict <= 1e-13 and abs(res.mean_drift) <= 1e-13
 
 
@@ -289,7 +288,7 @@ def test_fixed_point_conservative_closed_form():
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(64, r(0.0) / r(t)) for t in prop.grid.times])
     assert np.max(np.abs(report.trajectory - expected)) <= 1e-6
-    res = periodicity_residuals(report.trajectory, prop.geometry.measure(0))
+    res = periodicity_residuals(report.trajectory, prop.geometry.weights[0])
     assert res.strict <= 1e-10  # zero forcing satisfies the compatibility integral
 
 
@@ -311,7 +310,7 @@ def test_exponential_decay_scenario_mean_drift():
     )
     prop = Propagator(breathing_circle(), config)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    res = periodicity_residuals(traj, prop.geometry.measure(0))
+    res = periodicity_residuals(traj, prop.geometry.weights[0])
     expected = math.exp(-0.5) - 1.0
     assert abs(res.mean_drift - expected) <= 1e-4
     assert res.relaxed <= 1e-8

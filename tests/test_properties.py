@@ -25,7 +25,6 @@ from periflow import (
     mass_ledger,
     mean_and_mass,
     space_time_geometry,
-    weighted_measure,
 )
 from periflow.evolution import _CyclicFactor
 from periflow.metric import _cyclic_tridiagonal
@@ -41,11 +40,6 @@ ZERO_ORDER = st.sampled_from(
 EPS = np.finfo(float).eps
 
 
-def half_node_coefficients(metric):
-    c = metric.flux_coefficient
-    return 0.5 * (c + np.roll(c, -1))
-
-
 def nodal_field(data, n, lo=-10.0, hi=10.0):
     return data.draw(hnp.arrays(np.float64, n, elements=st.floats(lo, hi)))
 
@@ -58,9 +52,9 @@ def test_geometry_matches_assembled_metric(family, n, m):
     geometry = space_time_geometry(surface, grid)
     for k, t in enumerate(grid.times):
         metric = assemble_metric(surface, grid, t)
-        assert np.array_equal(geometry.sqrt_g[k], metric.sqrt_local_det)
-        assert np.array_equal(geometry.weights[k], weighted_measure(metric).weights)
-        assert np.array_equal(geometry.c_half[k], half_node_coefficients(metric))
+        assert np.array_equal(geometry.sqrt_g[k], metric.sqrt_g)
+        assert np.array_equal(geometry.weights[k], metric.weights)
+        assert np.array_equal(geometry.c_half[k], metric.c_half)
         # scalar (1/2) g_t / g against the Cartesian trace: equal up to round-off
         np.testing.assert_allclose(geometry.trace_rate[k], metric.trace_rate, rtol=0, atol=1e-13)
 
@@ -80,11 +74,10 @@ def test_constants_are_annihilated(family, n, t, c):
 @given(family=FAMILY, n=NODES, t=TIME, data=st.data())
 def test_operator_output_has_zero_weighted_mass(family, n, t, data):
     metric = assemble_metric(FAMILIES[family](), ParameterGrid(n, 4, 1.0), t)
-    measure = weighted_measure(metric)
     out = laplace_beltrami_apply(metric, nodal_field(data, n))
-    _, mass = mean_and_mass(measure, out)
+    _, mass = mean_and_mass(metric.weights, out)
     # the weighted sum telescopes: only round-off of its n terms remains
-    assert abs(mass) <= 4.0 * n * EPS * float(np.sum(np.abs(measure.weights * out)))
+    assert abs(mass) <= 4.0 * n * EPS * float(np.sum(np.abs(metric.weights * out)))
 
 
 @PROPERTY
@@ -93,8 +86,8 @@ def test_greens_identity(family, n, t, data):
     metric = assemble_metric(FAMILIES[family](), ParameterGrid(n, 4, 1.0), t)
     u, w = nodal_field(data, n), nodal_field(data, n)
     du, dw = np.roll(u, -1) - u, np.roll(w, -1) - w
-    energy_terms = half_node_coefficients(metric) * du * dw / metric.dtheta
-    mass_terms = weighted_measure(metric).weights * u * laplace_beltrami_apply(metric, w)
+    energy_terms = metric.c_half * du * dw / metric.dtheta
+    mass_terms = metric.weights * u * laplace_beltrami_apply(metric, w)
     # summation by parts is exact: only round-off of the 2n summed terms remains
     scale = float(np.sum(np.abs(energy_terms)) + np.sum(np.abs(mass_terms)))
     assert greens_formula_check(metric, u, w) <= 8.0 * n * EPS * scale
@@ -156,18 +149,15 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     explicit = eye / grid.dt + (1.0 - theta) * (laplace_beltrami_matrix(old) - c_old)
     scale = np.ones(n)
     if zero_order.startswith("divergence"):
-        scale = old.sqrt_local_det / new.sqrt_local_det
+        scale = old.sqrt_g / new.sqrt_g
     load = scale * (1.0 - theta) * forcing[level] + theta * forcing[level + 1]
 
-    for shape in ((n,), (n, 3)):
-        values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
-        columns = values.reshape(n, -1)
-        rhs = scale[:, None] * (explicit @ columns) - load[:, None]
-        expected = spla.spsolve(implicit, rhs).reshape(shape)
-        got = prop.step(values, level)
-        assert got.shape == shape
-        # both solves are backward stable on these diagonally dominant matrices
-        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    values = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    expected = spla.spsolve(implicit, scale * (explicit @ values) - load)
+    got = prop.step(values, level)
+    assert got.shape == (n,)
+    # both solves are backward stable on these diagonally dominant matrices
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 @PROPERTY
@@ -180,10 +170,10 @@ def test_cyclic_solve_matches_dense_solve(n, seed):
             main += np.sign(main) * (np.abs(upper) + np.abs(lower))
         matrix = _cyclic_tridiagonal(main, upper, lower).toarray()
         factor = _CyclicFactor(main, upper, lower, level=0)
-        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            expected = np.linalg.solve(matrix, rhs)
-            got = factor.solve(np.asfortranarray(rhs.copy()))
-            error = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
-            # forward error of a backward-stable solve: a modest multiple of
-            # eps * cond (observed at most 190 eps * cond over 40 000 draws)
-            assert error <= 1e-12 * np.linalg.cond(matrix)
+        rhs = rng.normal(size=n)
+        expected = np.linalg.solve(matrix, rhs)
+        got = factor.solve(rhs.copy())
+        error = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+        # forward error of a backward-stable solve: a modest multiple of
+        # eps * cond (observed at most 190 eps * cond over 40 000 draws)
+        assert error <= 1e-12 * np.linalg.cond(matrix)
