@@ -30,7 +30,6 @@ from .surfaces import (
     build_frame,
     circle,
     commutator_check,
-    from_sampled_chart,
     rotating_ellipse,
     tangential_gradient,
 )
@@ -53,8 +52,6 @@ from .evolution import (
     Propagator,
     adjoint_solve,
     duality_check,
-    end_map,
-    solve_ivp,
 )
 from .periodic import (
     ContractionEstimate,

@@ -53,6 +53,7 @@ from .narrowband import (
 )
 from .periodic import (
     FixedPointReport,
+    _check_iteration,
     contraction_estimate,
     fixed_point_solve,
     monodromy_solve,
@@ -60,18 +61,6 @@ from .periodic import (
 )
 from .surfaces import FAMILIES, SurfaceFamily, build_frame, commutator_check
 from .tables import write_csv
-
-SCENARIOS = {
-    "ivp": "initial value solve with mass ledger",
-    "ivp_decay": "ivp preset: cosine initial data, no forcing, no zero-order term",
-    "periodic-fixed": "relaxed-periodic solve by the contraction iteration",
-    "periodic-monodromy": "relaxed-periodic solve of the end-map system by Krylov shooting",
-    "contraction": "measure end-map contraction ratios against the decay bound",
-    "band-check": "narrow-band extension identity suite",
-    "identities": "operator identity residuals across the shipped families",
-    "holder": "Hölder estimator suite on a reference field",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -213,16 +202,16 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    try:  # the library constructors own the discretization and surface checks
+    try:  # the library owns the discretization, surface and iteration checks
         cfg.build_surface()
         cfg.build_ivp_config()
+        _check_iteration(cfg.tol, cfg.max_iter)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for key in _COEFFICIENT_KEYS.values():
         if getattr(cfg, key) is not None and _COEFFICIENT_KEYS.get(cfg.zero_order) != key:
             raise ConfigError(f"{key} is not read by zero_order = {cfg.zero_order}")
-    if cfg.tol <= 0.0:
-        raise ConfigError("tol must be positive")
+    _require_seed(cfg.seed)
     if cfg.band_h <= 0.0 or cfg.band_delta <= 0.0:
         raise ConfigError("band_h and band_delta must be positive")
     if cfg.scenario == "contraction":
@@ -236,6 +225,12 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     cfg.forcing()  # compiles the expression
     if cfg.u0_expr is not None:
         compile_expression(cfg.u0_expr, cfg.period)
+
+
+def _require_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @dataclass
@@ -500,15 +495,20 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     manifest.checks.append(CheckResult("interpolation_inequality", worst <= 0.0, worst, 0.0))
 
 
-_SCENARIO_RUNNERS = {
-    "ivp": _scenario_ivp,
-    "ivp_decay": _scenario_ivp,
-    "periodic-fixed": _scenario_periodic,
-    "periodic-monodromy": _scenario_periodic,
-    "contraction": _scenario_contraction,
-    "band-check": _scenario_band,
-    "identities": _scenario_identities,
-    "holder": _scenario_holder,
+# scenario name -> (description, runner)
+SCENARIOS = {
+    "ivp": ("initial value solve with mass ledger", _scenario_ivp),
+    "ivp_decay": ("ivp preset: cosine initial data, no forcing, no zero-order term",
+                  _scenario_ivp),
+    "periodic-fixed": ("relaxed-periodic solve by the contraction iteration", _scenario_periodic),
+    "periodic-monodromy": ("relaxed-periodic solve of the end-map system by Krylov shooting",
+                           _scenario_periodic),
+    "contraction": ("measure end-map contraction ratios against the decay bound",
+                    _scenario_contraction),
+    "band-check": ("narrow-band extension identity suite", _scenario_band),
+    "identities": ("operator identity residuals across the shipped families",
+                   _scenario_identities),
+    "holder": ("Hölder estimator suite on a reference field", _scenario_holder),
 }
 
 
@@ -518,7 +518,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ru
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(scenario=cfg.scenario, resolved=_resolved_dict(cfg))
     started = time.perf_counter()
-    _SCENARIO_RUNNERS[cfg.scenario](cfg, out, manifest)
+    SCENARIOS[cfg.scenario][1](cfg, out, manifest)
     manifest.wall_clock_s = time.perf_counter() - started
     manifest.write(out / "manifest.txt")
     return manifest
@@ -546,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     if args.command == "list-scenarios":
-        for name, desc in SCENARIOS.items():
+        for name, (desc, _) in SCENARIOS.items():
             print(f"{name:20s} {desc}")
         return 0
     if args.command != "run":
@@ -556,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _require_seed(args.seed)
         manifest = run_scenario(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,6 +28,10 @@ from .surfaces import (
 from .tables import write_csv
 
 _FULL_ENUM_LIMIT = 1500  # below this many points, enumerate all pairs
+# pairs sampled per supremum beyond the full enumeration, per instrument
+_HOLDER_BUDGET = 1_000_000
+_EQUIVALENCE_BUDGET = 200_000
+_MAX_PRINCIPLE_TOL = 1e-13  # allowed rise of the maximum, relative to max(1, |max|)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,6 @@ def holder_estimate(
     times: np.ndarray,
     surface: SurfaceFamily,
     alpha: float,
-    subsample_budget: int = 1_000_000,
     seed: int = 0,
 ) -> HolderEstimate:
     """Finite-pair lower-bound estimates of the parabolic Hölder norms of
@@ -147,13 +150,13 @@ def holder_estimate(
     rng = np.random.default_rng(seed)
 
     sup_norm = float(np.max(np.abs(values)))
-    h_alpha = _holder_sup_spacetime(values, s, length, times, alpha, subsample_budget, rng)
-    time_h = _time_holder_sup(values, times, alpha, subsample_budget, rng)
+    h_alpha = _holder_sup_spacetime(values, s, length, times, alpha, _HOLDER_BUDGET, rng)
+    time_h = _time_holder_sup(values, times, alpha, _HOLDER_BUDGET, rng)
 
     grad = np.stack([tangential_gradient(frame0, values[k]) for k in range(n_levels)])
     grad_sup = float(np.max(np.abs(grad)))
-    grad_h = _holder_sup_spacetime(grad, s, length, times, alpha, subsample_budget, rng)
-    grad_time_h = _time_holder_sup(grad, times, alpha, subsample_budget, rng)
+    grad_h = _holder_sup_spacetime(grad, s, length, times, alpha, _HOLDER_BUDGET, rng)
+    grad_time_h = _time_holder_sup(grad, times, alpha, _HOLDER_BUDGET, rng)
 
     hess = np.stack(
         [
@@ -161,14 +164,14 @@ def holder_estimate(
             for k in range(n_levels)
         ]
     )
-    hess_h = _holder_sup_spacetime(hess, s, length, times, alpha, subsample_budget, rng)
+    hess_h = _holder_sup_spacetime(hess, s, length, times, alpha, _HOLDER_BUDGET, rng)
     hess_sup = float(np.max(np.abs(hess)))
 
     if n_levels > 1:
         dt = float(times[1] - times[0])
         f_t = _time_derivative(values, dt)
         ft_sup = float(np.max(np.abs(f_t)))
-        ft_h = _holder_sup_spacetime(f_t, s, length, times, alpha, subsample_budget, rng)
+        ft_h = _holder_sup_spacetime(f_t, s, length, times, alpha, _HOLDER_BUDGET, rng)
     else:
         ft_sup = ft_h = 0.0
 
@@ -221,7 +224,6 @@ def norm_equivalence_check(
     band_dist: DistanceField,
     lifted: np.ndarray,
     alpha: float = 0.5,
-    subsample_budget: int = 200_000,
     seed: int = 0,
 ) -> dict[int, float]:
     """Ratios of lifted-band to surface Hölder estimates for k = 0, 1.
@@ -236,20 +238,20 @@ def norm_equivalence_check(
 
     u = np.asarray(u_values, dtype=float)[None, :]
     sup_m = float(np.max(np.abs(u)))
-    h_m = _holder_sup_spacetime(u, s, length, zero_t, alpha, subsample_budget, rng)
+    h_m = _holder_sup_spacetime(u, s, length, zero_t, alpha, _EQUIVALENCE_BUDGET, rng)
     grad_m = tangential_gradient(frame0, u[0])[None]
     gsup_m = float(np.max(np.abs(grad_m)))
-    gh_m = _holder_sup_spacetime(grad_m, s, length, zero_t, alpha, subsample_budget, rng)
+    gh_m = _holder_sup_spacetime(grad_m, s, length, zero_t, alpha, _EQUIVALENCE_BUDGET, rng)
 
     XX, YY = band_grid.mesh()
     act = band_grid.active_mask
     pts = np.stack([XX[act], YY[act]], axis=-1)
-    sup_b, h_b = _band_holder(pts, lifted[act], alpha, subsample_budget, rng)
+    sup_b, h_b = _band_holder(pts, lifted[act], alpha, _EQUIVALENCE_BUDGET, rng)
 
     g_band = _gradient(lifted, band_grid.h)
     interior = band_grid.interior_mask
     pts_i = np.stack([XX[interior], YY[interior]], axis=-1)
-    gsup_b, gh_b = _band_holder(pts_i, g_band[interior], alpha, subsample_budget, rng)
+    gsup_b, gh_b = _band_holder(pts_i, g_band[interior], alpha, _EQUIVALENCE_BUDGET, rng)
 
     ratio0 = (sup_b + h_b) / (sup_m + h_m)
     ratio1 = (sup_b + gsup_b + gh_b) / (sup_m + gsup_m + gh_m)
@@ -317,12 +319,12 @@ class MaxPrincipleReport:
     maxima: np.ndarray
 
 
-def max_principle_monitor(trajectory: np.ndarray, tol: float = 1e-13) -> MaxPrincipleReport:
+def max_principle_monitor(trajectory: np.ndarray) -> MaxPrincipleReport:
     """True iff the nodal maximum of an (M+1, N) trajectory is non-increasing
     across levels."""
     maxima = np.max(trajectory, axis=1)
     scale = max(1.0, float(np.max(np.abs(maxima))))
-    rises = np.nonzero(maxima[1:] > maxima[:-1] + tol * scale)[0]
+    rises = np.nonzero(maxima[1:] > maxima[:-1] + _MAX_PRINCIPLE_TOL * scale)[0]
     if rises.size == 0:
         return MaxPrincipleReport(True, None, maxima)
     return MaxPrincipleReport(False, int(rises[0] + 1), maxima)

@@ -10,7 +10,10 @@ A step matrix singular to round-off raises ``StepError`` at the level where
 it is factorized.  One ``Propagator`` holds a run: it derives the grid from
 the config and the surface's period, builds the space-time geometry and
 samples the forcing once.  The periodic solves reuse its factors and the
-ledgers read its geometry and per-level forcing integrals.
+ledgers read its geometry and per-level forcing integrals.  Of the
+zero-order term it keeps only ``rate_floor``, the pointwise lower bound of
+c plus, in the divergence modes, of the dilation rate, which
+``periodic.contraction_estimate`` reads.
 
 States are ``(N,)`` arrays; a trajectory is an ``(M+1, N)`` array whose
 rows are the levels of ``prop.grid.times``, and the measure of level k is
@@ -171,39 +174,38 @@ class _CyclicFactor:
 class Propagator:
     """Per-level factorized theta-scheme stepper for one surface/config/forcing
     triple.  It holds what a run shares: the grid the config fixes for the
-    surface's period, the space-time geometry, the (M+1, N) zero-order
-    samples and the (M+1,) weighted integrals of the forcing samples at
-    each level (None without forcing)."""
+    surface's period, the space-time geometry, `rate_floor` (the pointwise
+    lower bound over all levels of the zero-order coefficient c plus, in the
+    divergence modes, of the dilation rate `geometry.trace_rate`) and the
+    (M+1,) weighted integrals of the forcing samples at each level (None
+    without forcing)."""
 
     def __init__(self, surface: SurfaceFamily, config: IVPConfig, forcing: Forcing = None):
         self.surface = surface
         self.config = config
         self.grid = config.grid(surface.period)
         self.geometry = space_time_geometry(surface, self.grid)
-        self.zero_order = self._zero_order_samples()
+        mode = config.zero_order
+        c = config.coefficient if mode in ("constant", "divergence_plus_constant") else 0.0
+        if mode == "custom":
+            c = _sample_levels(config.custom, self.grid, "zero-order coefficient")
+        divergence = mode in ("divergence", "divergence_plus_constant")
+        self.rate_floor = float(np.min(c))
+        if divergence:
+            self.rate_floor += float(np.min(self.geometry.trace_rate))
         samples = _forcing_samples(forcing, self.grid)
         self.forcing_integrals = None if samples is None else self.geometry.integrals(samples)
-        self._explicit, self._load, self._factors = self._assemble(samples)
+        self._explicit, self._load, self._factors = self._assemble(c, divergence, samples)
 
-    def _zero_order_samples(self) -> np.ndarray:
-        grid, config = self.grid, self.config
-        shape = (grid.n_steps + 1, grid.n_nodes)
-        if config.zero_order in ("zero", "divergence"):
-            return np.zeros(shape)
-        if config.zero_order in ("constant", "divergence_plus_constant"):
-            return np.full(shape, config.coefficient)
-        return _sample_levels(config.custom, grid, "zero-order coefficient")
-
-    def _assemble(self, forcing: np.ndarray | None):
+    def _assemble(self, c: float | np.ndarray, divergence: bool, forcing: np.ndarray | None):
         """Explicit (M, 3, N) diagonals and (M, N) load of the forcing samples,
         with the divergence-mode measure ratio folded in, and the factors of
-        every new level's 1/dt - theta*(diffusion - c)."""
+        every new level's 1/dt - theta*(diffusion - c) for the scalar or
+        (M+1, N) zero-order coefficient `c`."""
         geo, dt, theta = self.geometry, self.grid.dt, self.config.theta
         main, upper, lower = _operator_diagonals(geo.c_half, geo.sqrt_g, self.grid.dtheta)
-        main = main - self.zero_order
-        scale = 1.0
-        if self.config.zero_order in ("divergence", "divergence_plus_constant"):
-            scale = geo.sqrt_g[:-1] / geo.sqrt_g[1:]
+        main = main - c
+        scale = geo.sqrt_g[:-1] / geo.sqrt_g[1:] if divergence else 1.0
         old = scale * (1.0 - theta)
         explicit = np.stack(
             [scale / dt + old * main[:-1], old * upper[:-1], old * lower[:-1]], axis=1
@@ -245,21 +247,6 @@ class Propagator:
             if keep_trajectory:
                 states.append(u)
         return np.stack(states) if keep_trajectory else u
-
-
-def solve_ivp(
-    surface: SurfaceFamily, config: IVPConfig, u0: np.ndarray, forcing: Forcing = None
-) -> np.ndarray:
-    """Trajectory (M+1, N) of the initial value problem over one period, on
-    the levels of `config.grid(surface.period)`."""
-    return Propagator(surface, config, forcing).run(u0)
-
-
-def end_map(
-    surface: SurfaceFamily, config: IVPConfig, u0: np.ndarray, forcing: Forcing = None
-) -> np.ndarray:
-    """Final slice (N,) of the initial value problem (the end-of-period map)."""
-    return Propagator(surface, config, forcing).run(u0, keep_trajectory=False)
 
 
 def _reversed_forcing(forcing: Forcing, period: float) -> Forcing:

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+_NOISE_MODES = 4  # Fourier modes of `fourier_noise`
+
 
 @dataclass(frozen=True)
 class ParameterGrid:
@@ -81,11 +83,11 @@ class AmbientField:
     hess: Callable[[np.ndarray], np.ndarray]
 
 
-def fourier_noise(theta: np.ndarray, rng: np.random.Generator, kmax: int = 4) -> np.ndarray:
-    """Deterministic smooth random field: low-order Fourier sum with decaying
-    coefficients drawn from `rng`."""
+def fourier_noise(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Deterministic smooth random field: Fourier sum of the modes 1..4 with
+    decaying coefficients drawn from `rng`."""
     out = np.zeros_like(theta)
-    for k in range(1, kmax + 1):
+    for k in range(1, _NOISE_MODES + 1):
         a, b = rng.normal(size=2) / (1.0 + k * k)
         out += a * np.cos(k * theta) + b * np.sin(k * theta)
     return out

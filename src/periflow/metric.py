@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateMetricError, GridMismatchError
-from .fields import AmbientField, ParameterGrid
+from .fields import AmbientField, AnalyticField, ParameterGrid
 from .surfaces import GeometryFrame, SurfaceFamily, _theta_derivative, build_frame
 
 _CONDITION_LIMIT = 1e12
@@ -268,9 +268,9 @@ def mean_and_mass(weights: np.ndarray, values: np.ndarray) -> tuple[float, float
     """Weighted mean and mass of nodal values under a row of (N,) measure
     weights, such as `metric.weights` or `prop.geometry.weights[k]`."""
     values = np.asarray(values, dtype=float)
-    if values.shape[0] != weights.shape[0]:
+    if values.shape != weights.shape:
         raise GridMismatchError(
-            f"field has {values.shape[0]} nodes, measure has {weights.shape[0]}"
+            f"field of shape {values.shape} does not match the measure's {weights.shape[0]} nodes"
         )
     if np.any(weights <= 0.0):
         raise DegenerateMetricError("non-positive quadrature weight")

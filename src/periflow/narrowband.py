@@ -43,6 +43,7 @@ _SAMPLE_COUNT = 1024  # curve samples: Newton starts and max|kappa|
 _MULTISTART = 8  # fallback Newton starts per failed point
 _EXTRACT_QUAD = 12  # Gauss-Legendre points per extraction ray
 _MIN_STRETCH = 0.1  # reach limit on 1 + d*kappa, i.e. on |A^-1|
+_FLAT_STRIP_HALF_WIDTH = 0.2  # of `flat_strip_step_equivalence`
 
 
 @dataclass(frozen=True)
@@ -499,7 +500,6 @@ def band_field_csv(
 def flat_strip_step_equivalence(
     n_x: int = 64,
     n_y: int = 17,
-    delta: float = 0.2,
     dt: float = 1e-2,
     u0=None,
     forcing=None,
@@ -515,7 +515,7 @@ def flat_strip_step_equivalence(
     from .surfaces import circle
 
     hx = 2.0 * np.pi / n_x
-    hy = 2.0 * delta / (n_y - 1)
+    hy = 2.0 * _FLAT_STRIP_HALF_WIDTH / (n_y - 1)
     xs = hx * np.arange(n_x)
     profile = u0(xs) if u0 is not None else np.cos(xs)
     f_line = forcing(xs) if forcing is not None else np.zeros_like(xs)

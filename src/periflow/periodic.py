@@ -6,10 +6,11 @@ fixed point is the initial state of the relaxed-periodic solution with the
 prescribed initial mean.  The end map is one ``Propagator``, which holds the
 surface, the discretization, the forcing load and the factorized steps;
 every solve takes it and the prescribed mean (``target_mean``) and builds
-nothing else.  States are ``(N,)`` arrays and the time-zero measure is the
-row ``prop.geometry.weights[0]``; a solve returns its trajectory as an
-``(M+1, N)`` array on the levels of ``prop.grid.times``.  Two
-independent instruments compute the fixed point:
+nothing else; ``contraction_estimate`` reads the zero-order lower bound
+that the stepper keeps as ``prop.rate_floor``.  States are ``(N,)`` arrays
+and the time-zero measure is the row ``prop.geometry.weights[0]``; a solve
+returns its trajectory as an ``(M+1, N)`` array on the levels of
+``prop.grid.times``.  Two independent instruments compute the fixed point:
 
 * ``fixed_point_solve`` iterates the mean-reset end map from zero and
   records the measured contraction ratios;
@@ -82,6 +83,14 @@ class FixedPointReport:
         return self.residuals[-1] if self.residuals else 0.0
 
 
+def _check_iteration(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless `tol` is positive and `max_iter` at least one."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def fixed_point_solve(
     prop: Propagator,
     target_mean: float = 0.0,
@@ -95,10 +104,10 @@ def fixed_point_solve(
     given (it is mean-adjusted first).  Non-convergence within `max_iter`
     returns a report flagged `converged=False` with the iteration count the
     last measured ratio predicts; the companion monodromy route stays
-    available in that regime.
+    available in that regime.  Raises ValueError unless `tol` > 0 and
+    `max_iter` >= 1.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_iteration(tol, max_iter)
     weights0 = prop.geometry.weights[0]
     c = target_mean
 
@@ -163,14 +172,6 @@ def default_probes(grid: ParameterGrid, seed: int = 0) -> list[tuple[np.ndarray,
     ]
 
 
-def _zero_order_floor(prop: Propagator) -> float:
-    """Pointwise lower bound of the effective zero-order term across levels."""
-    floor = float(np.min(prop.zero_order))
-    if prop.config.zero_order in ("divergence", "divergence_plus_constant"):
-        floor += float(np.min(prop.geometry.trace_rate))
-    return floor
-
-
 def contraction_estimate(
     prop: Propagator,
     probes: list[tuple[np.ndarray, np.ndarray]] | None = None,
@@ -207,7 +208,7 @@ def contraction_estimate(
         worst_adjusted = max(worst_adjusted, k_ratio)
 
     period = grid.period
-    floor = _zero_order_floor(prop)
+    floor = prop.rate_floor
     applicable = floor > math.log(2.0) / period
     slack = 3.0 * (grid.dt + grid.dtheta**2)
     bound = None
@@ -242,15 +243,15 @@ class SolvabilityReport:
     initial_state: np.ndarray  # (N,)
 
 
-def _eigenvalue_nearest_one(end_map: Callable[[np.ndarray], np.ndarray], n: int) -> complex:
-    """The eigenvalue of the mean-reset end map (`end_map`, a matvec on R^n)
+def _eigenvalue_nearest_one(reset_map: Callable[[np.ndarray], np.ndarray], n: int) -> complex:
+    """The eigenvalue of the mean-reset end map (`reset_map`, a matvec on R^n)
     that sets the spectral gap: the one with the largest real part.  An
     expanding mode (real part >= 1, from a negative zero-order term) can
     hide a unit eigenvalue to its left, so while every eigenvalue found has
     real part >= 1, twice as many are taken, and the one nearest 1 wins."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-    operator = LinearOperator((n, n), matvec=end_map, dtype=float)
+    operator = LinearOperator((n, n), matvec=reset_map, dtype=float)
     start = np.random.default_rng(0).standard_normal(n)  # fixed, so reruns agree
 
     def rightmost(k: int) -> np.ndarray:
@@ -293,11 +294,11 @@ def monodromy_solve(
     n = prop.grid.n_nodes
     weights0 = prop.geometry.weights[0]
 
-    def end_map(x: np.ndarray) -> np.ndarray:
+    def reset_map(x: np.ndarray) -> np.ndarray:
         end = prop.run(np.ravel(x), include_forcing=False, keep_trajectory=False)
         return mean_adjust(end, weights0)
 
-    lam = _eigenvalue_nearest_one(end_map, n)
+    lam = _eigenvalue_nearest_one(reset_map, n)
     gap = abs(1.0 - lam)
     if gap < _SINGULAR_GAP * (1.0 + abs(lam)):
         raise NonuniquenessError(
@@ -311,7 +312,7 @@ def monodromy_solve(
     def system_matvec(x: np.ndarray) -> np.ndarray:  # (I - K) x
         nonlocal matvecs
         matvecs += 1
-        return np.ravel(x) - end_map(x)
+        return np.ravel(x) - reset_map(x)
 
     rhs = mean_adjust(prop.run(np.zeros(n), keep_trajectory=False), weights0) + target_mean
     residuals: list[float] = []

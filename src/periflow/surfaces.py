@@ -256,37 +256,6 @@ FAMILIES: dict[str, Callable[..., SurfaceFamily]] = {
 }
 
 
-def from_sampled_chart(name: str, chart: ChartFn, period: float) -> SurfaceFamily:
-    """Wrap a chart without derivative closures using 4th-order central
-    differences in theta and t.  Intended for user-supplied families; the
-    shipped ones carry exact closures."""
-    h_th = 1e-3
-    h_t = 1e-4 * period
-
-    def _d(f, h, in_theta):
-        def g(th, t):
-            if in_theta:
-                return (
-                    -f(th + 2 * h, t) + 8 * f(th + h, t) - 8 * f(th - h, t) + f(th - 2 * h, t)
-                ) / (12 * h)
-            return (
-                -f(th, t + 2 * h) + 8 * f(th, t + h) - 8 * f(th, t - h) + f(th, t - 2 * h)
-            ) / (12 * h)
-
-        return g
-
-    dth = _d(chart, h_th, True)
-    return SurfaceFamily(
-        name,
-        chart,
-        dth,
-        _d(dth, h_th, True),
-        _d(chart, h_t, False),
-        _d(dth, h_t, False),
-        period,
-    )
-
-
 def orientation_sign(surface: SurfaceFamily, positions: np.ndarray) -> float:
     """Sign turning the rotated unit tangent into the outward normal: the pinned
     `outward_sign`, else the sign of the shoelace area of the node polygon."""

@@ -38,7 +38,6 @@ from periflow import (
     periodicity_residuals,
     pullback_identity_check,
     rotating_ellipse,
-    solve_ivp,
     trace_identity,
 )
 from periflow.cli import parse_config, run_scenario
@@ -102,7 +101,7 @@ def test_criterion_1_operator_identities():
 def test_criterion_2_heat_kernel():
     grid = ParameterGrid(256, 512, 1.0)
     config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
-    traj = solve_ivp(circle(), config, np.cos(grid.nodes))
+    traj = Propagator(circle(), config).run(np.cos(grid.nodes))
     err = max(
         float(np.max(np.abs(traj[k] - math.exp(-t) * np.cos(grid.nodes))))
         for k, t in enumerate(grid.times)
@@ -116,8 +115,9 @@ def test_criterion_3_conservation():
         n_nodes=256, n_steps=1024, scheme="backward_euler", zero_order="divergence"
     )
     surface = breathing_circle()
-    traj = solve_ivp(surface, config, np.ones(256))
-    series = mass_ledger(traj, Propagator(surface, config))
+    prop = Propagator(surface, config)
+    traj = prop.run(np.ones(256))
+    series = mass_ledger(traj, prop)
     drift = abs(series.masses[-1] - series.masses[0]) / abs(series.masses[0])
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     closed = np.stack([np.full(256, r(0.0) / r(t)) for t in grid.times])
@@ -272,14 +272,11 @@ def test_criterion_9_max_principle():
     config = IVPConfig(n_nodes=128, n_steps=128, scheme="backward_euler", zero_order="zero")
     ok = True
     for name, builder in FAMILY_BUILDERS.items():
-        traj = solve_ivp(
-            builder(), config, np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
-        )
+        u0 = np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
+        traj = Propagator(builder(), config).run(u0)
         mp = max_principle_monitor(traj)
         ok &= report(f"criterion-9 monotone {name}", mp.monotone, "node max non-increasing")
-    forced = solve_ivp(
-        circle(), config, np.cos(grid.nodes), lambda th, t: -np.ones_like(th)
-    )
+    forced = Propagator(circle(), config, lambda th, t: -np.ones_like(th)).run(np.cos(grid.nodes))
     mp = max_principle_monitor(forced)
     ok &= report(
         "criterion-9 negative-control",

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from periflow import ConfigError, evolution
+from periflow import FAMILIES, ConfigError, evolution
 from periflow.cli import SCENARIOS, emit_field_csv, main, parse_config, run_scenario
 
 
@@ -366,6 +369,24 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, flags, message",
+    [
+        (SMALL_HOLDER + "\n[output]\nseed = -1\n", [], "seed must be non-negative, got -1"),
+        (SMALL_HOLDER, ["--seed", "-1"], "seed must be non-negative, got -1"),
+        (SMALL_CONFIGS["periodic-fixed"].replace("target_mean = 1.0\n",
+                                                 "target_mean = 1.0\nmax_iter = 0\n"),
+         [], "max_iter must be at least 1"),
+    ],
+    ids=["seed-key", "seed-flag", "zero-max-iter"],
+)
+def test_bad_run_settings_exit_2(tmp_path, capsys, body, flags, message):
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 UNREAD_COEFFICIENT = """
 [problem]
 scenario = {scenario}
@@ -430,3 +451,37 @@ n_steps = 32
     manifest, _ = run_and_digest(tmp_path, plain, "plain")
     assert manifest.resolved["u0_expr"] == "cos(theta)"
     assert "u0_expr = cos(theta)" in (tmp_path / "plain" / "manifest.txt").read_text()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    scheme=st.sampled_from(["backward_euler", "crank_nicolson"]),
+    mode=st.sampled_from(["zero", "constant", "divergence", "divergence_plus_constant"]),
+    coefficient=st.floats(0.0, 4.0),
+    forced=st.booleans(),
+    n=st.integers(8, 32),
+    m=st.integers(4, 16),
+    scenario=st.sampled_from(["ivp", "periodic-fixed", "periodic-monodromy"]),
+)
+def test_random_configs_rerun_byte_identical(family, scheme, mode, coefficient, forced, n, m,
+                                             scenario):
+    key = {"constant": "c0", "divergence_plus_constant": "alpha"}.get(mode)
+    body = (
+        f"[surface]\nfamily = {family}\n\n[problem]\nscenario = {scenario}\n"
+        f"zero_order = {mode}\n"
+        + (f"{key} = {coefficient!r}\n" if key else "")
+        + ("forcing = cos(theta)*sin(2*pi*t/T)\n" if forced else "")
+        + f"\n[discretization]\nn_nodes = {n}\nn_steps = {m}\nscheme = {scheme}\n"
+    )
+    codes, files = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), body)
+        for run in ("run1", "run2"):
+            out = Path(tmp) / run
+            codes.append(main(["run", "--config", str(path), "--out", str(out)]))
+            data = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.txt"}
+            assert manifest_output_names(out) == sorted(data)
+            files.append(data)
+    assert codes[0] == codes[1]
+    assert files[0] == files[1]

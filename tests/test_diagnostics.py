@@ -17,7 +17,6 @@ from periflow import (
     mass_ledger,
     max_principle_monitor,
     norm_equivalence_check,
-    solve_ivp,
 )
 
 
@@ -141,8 +140,9 @@ def test_holder_diagnostics_build_the_reference_frame_once(monkeypatch):
 def test_mass_ledger_conservative_run():
     surface = breathing_circle()
     config = IVPConfig(n_nodes=128, n_steps=128, scheme="backward_euler", zero_order="divergence")
-    traj = solve_ivp(surface, config, np.ones(128))
-    series = mass_ledger(traj, Propagator(surface, config))
+    prop = Propagator(surface, config)
+    traj = prop.run(np.ones(128))
+    series = mass_ledger(traj, prop)
     assert np.max(np.abs(series.defects)) <= 1e-8 * abs(series.masses[0])
     assert abs(series.masses[-1] - series.masses[0]) <= 1e-8 * abs(series.masses[0])
     assert np.all(series.forcing_integrals == 0.0)
@@ -151,8 +151,9 @@ def test_mass_ledger_conservative_run():
 def test_mass_ledger_zero_everything():
     surface = circle()
     config = IVPConfig(n_nodes=64, n_steps=16, zero_order="divergence")
-    traj = solve_ivp(surface, config, np.zeros(64))
-    series = mass_ledger(traj, Propagator(surface, config))
+    prop = Propagator(surface, config)
+    traj = prop.run(np.zeros(64))
+    series = mass_ledger(traj, prop)
     assert np.all(series.masses == 0.0) and np.all(series.defects == 0.0)
 
 
@@ -187,15 +188,15 @@ def test_max_principle_monitor_and_negative_control():
     surface = circle()
     grid = ParameterGrid(64, 64, 1.0)
     config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler")
-    decay = solve_ivp(surface, config, np.cos(grid.nodes))
+    decay = Propagator(surface, config).run(np.cos(grid.nodes))
     report = max_principle_monitor(decay)
     assert report.monotone and report.first_violation_level is None
 
-    const = solve_ivp(surface, config, np.full(64, 2.0))
+    const = Propagator(surface, config).run(np.full(64, 2.0))
     assert max_principle_monitor(const).monotone
 
     # a source (negative forcing in this sign convention) raises the maximum
-    forced = solve_ivp(surface, config, np.cos(grid.nodes), lambda th, t: -np.ones_like(th))
+    forced = Propagator(surface, config, lambda th, t: -np.ones_like(th)).run(np.cos(grid.nodes))
     report = max_principle_monitor(forced)
     assert not report.monotone
     assert report.first_violation_level == 1

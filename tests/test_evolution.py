@@ -16,11 +16,9 @@ from periflow import (
     breathing_circle,
     circle,
     duality_check,
-    end_map,
     fourier_noise,
     mass_ledger,
     mean_and_mass,
-    solve_ivp,
     space_time_geometry,
 )
 
@@ -71,7 +69,11 @@ SHAPE_MISMATCHES = {
     "step_rank": (lambda p: p.step(np.eye(16), 0), r"state of shape \(16, 16\) does not match"),
     "mean_and_mass": (
         lambda p: mean_and_mass(p.geometry.weights[0], np.ones(15)),
-        "field has 15 nodes, measure has 16",
+        r"field of shape \(15,\) does not match the measure's 16 nodes",
+    ),
+    "mean_and_mass_batch": (
+        lambda p: mean_and_mass(p.geometry.weights[0], np.ones((16, 2))),
+        r"field of shape \(16, 2\) does not match the measure's 16 nodes",
     ),
 }
 
@@ -103,7 +105,7 @@ def test_singular_step_matrix_raises_where_factorized(family, scheme, theta, n, 
 def test_constants_preserved_without_forcing():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16, scheme="backward_euler")
-    traj = solve_ivp(circle(), config, np.full(64, 3.25))
+    traj = Propagator(circle(), config).run(np.full(64, 3.25))
     assert np.max(np.abs(traj - 3.25)) <= 1e-13
 
 
@@ -132,7 +134,7 @@ def test_constant_zero_order_scalar_reduction():
 def test_heat_kernel_crank_nicolson():
     grid = make_grid(256, 512)
     config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
-    traj = solve_ivp(circle(), config, np.cos(grid.nodes))
+    traj = Propagator(circle(), config).run(np.cos(grid.nodes))
     err = max(
         float(np.max(np.abs(traj[k] - math.exp(-t) * np.cos(grid.nodes))))
         for k, t in enumerate(grid.times)
@@ -143,7 +145,7 @@ def test_heat_kernel_crank_nicolson():
 def test_breathing_conservative_closed_form():
     grid = make_grid(128, 256)
     config = IVPConfig(n_nodes=128, n_steps=256, scheme="backward_euler", zero_order="divergence")
-    traj = solve_ivp(breathing_circle(), config, np.ones(128))
+    traj = Propagator(breathing_circle(), config).run(np.ones(128))
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(128, r(0.0) / r(t)) for t in grid.times])
     assert np.max(np.abs(traj - expected)) <= 1e-12
@@ -163,7 +165,7 @@ def test_manufactured_solution_orders():
     def run(scheme, n, m):
         grid = make_grid(n, m)
         config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme)
-        traj = solve_ivp(circle(), config, exact(grid.nodes, 0.0), forcing)
+        traj = Propagator(circle(), config, forcing).run(exact(grid.nodes, 0.0))
         return max(
             float(np.max(np.abs(traj[k] - exact(grid.nodes, t))))
             for k, t in enumerate(grid.times)
@@ -183,31 +185,29 @@ def test_end_map_affinity_and_forcing_independence():
     rng = np.random.default_rng(4)
     a, b = fourier_noise(grid.nodes, rng), fourier_noise(grid.nodes, rng)
     alpha = 0.3
-    ja = end_map(surf, config, a, forcing)
-    jb = end_map(surf, config, b, forcing)
-    jc = end_map(surf, config, alpha * a + (1 - alpha) * b, forcing)
+    forced = Propagator(surf, config, forcing)
+    ja = forced.run(a, keep_trajectory=False)
+    jb = forced.run(b, keep_trajectory=False)
+    jc = forced.run(alpha * a + (1 - alpha) * b, keep_trajectory=False)
     assert np.max(np.abs(jc - (alpha * ja + (1 - alpha) * jb))) <= 1e-12
 
-    other = lambda th, t: np.sin(th) * math.cos(4.0 * math.pi * t)
-    diff1 = end_map(surf, config, a + b, forcing) - jb
-    diff2 = (
-        end_map(surf, config, a + b, other)
-        - end_map(surf, config, b, other)
-    )
+    other = Propagator(surf, config, lambda th, t: np.sin(th) * math.cos(4.0 * math.pi * t))
+    diff1 = forced.run(a + b, keep_trajectory=False) - jb
+    diff2 = other.run(a + b, keep_trajectory=False) - other.run(b, keep_trajectory=False)
     assert np.max(np.abs(diff1 - diff2)) <= 1e-12
 
 
 def test_zero_data_zero_forcing_gives_zero():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16)
-    final = end_map(breathing_circle(), config, np.zeros(64))
+    final = Propagator(breathing_circle(), config).run(np.zeros(64), keep_trajectory=False)
     assert np.max(np.abs(final)) == 0.0
 
 
 def test_adjoint_matches_forward_on_stationary_metric():
     grid = make_grid(64, 32)
     config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler")
-    fwd = solve_ivp(circle(), config, np.cos(grid.nodes))
+    fwd = Propagator(circle(), config).run(np.cos(grid.nodes))
     adj = adjoint_solve(circle(), config, None, terminal=np.cos(grid.nodes))
     assert np.max(np.abs(adj[::-1] - fwd)) <= 1e-12
 
@@ -224,7 +224,7 @@ def test_adjoint_constant_forcing_linear_in_time():
 def test_duality_residual_vanishes_for_zero_field():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16)
-    zero = solve_ivp(breathing_circle(), config, np.zeros(64))
+    zero = Propagator(breathing_circle(), config).run(np.zeros(64))
     assert duality_check(space_time_geometry(breathing_circle(), grid), zero, zero) == 0.0
 
 
@@ -236,7 +236,7 @@ def test_duality_residual_second_order(scheme):
     for m in (32, 64, 128):
         grid = make_grid(64, m)
         config = IVPConfig(n_nodes=64, n_steps=m, scheme=scheme, zero_order="divergence")
-        u = solve_ivp(surf, config, u0)
+        u = Propagator(surf, config).run(u0)
         phi = adjoint_solve(surf, config, u)
         res.append(duality_check(space_time_geometry(surf, grid), u, phi))
     # the quadrature identity converges at second order for both schemes,
@@ -250,7 +250,7 @@ def test_mass_law_per_step_divergence_mode():
     forcing = lambda th, t: np.cos(th) * (1.0 + math.sin(2.0 * math.pi * t))
     for scheme in ("backward_euler", "crank_nicolson"):
         config = IVPConfig(n_nodes=128, n_steps=64, scheme=scheme, zero_order="divergence")
-        traj = solve_ivp(surf, config, 1.0 + 0.5 * np.cos(grid.nodes), forcing)
+        traj = Propagator(surf, config, forcing).run(1.0 + 0.5 * np.cos(grid.nodes))
         measures = [assemble_metric(surf, grid, t).weights for t in grid.times]
         masses = [mean_and_mass(m, traj[k])[1] for k, m in enumerate(measures)]
         f_int = [
@@ -269,6 +269,7 @@ def test_mass_law_per_step_divergence_mode():
 def test_max_over_nodes_non_increasing_backward_euler():
     grid = make_grid(64, 64)
     config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler")
-    traj = solve_ivp(breathing_circle(), config, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
+    u0 = np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes)
+    traj = Propagator(breathing_circle(), config).run(u0)
     maxima = np.max(traj, axis=1)
     assert np.all(maxima[1:] <= maxima[:-1] + 1e-13)

@@ -140,11 +140,23 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     prop = Propagator(surface, config, forcing)
     level = data.draw(st.integers(0, m - 1))
 
+    # the (M+1, N) zero-order samples c of the config; the stepper keeps
+    # only their minimum, plus that of the dilation rate in the divergence modes
+    if zero_order == "custom":
+        c = np.stack([config.custom(grid.nodes, t) for t in grid.times])
+    else:
+        reads_coefficient = zero_order in ("constant", "divergence_plus_constant")
+        c = np.full((m + 1, n), config.coefficient if reads_coefficient else 0.0)
+    floor = float(np.min(c))
+    if zero_order.startswith("divergence"):
+        floor += float(np.min(prop.geometry.trace_rate))
+    assert prop.rate_floor == floor
+
     # theta-scheme step from the CSR operators of the Cartesian metric:
     # (1/dt - theta (L' - c')) u' = s (1/dt + (1 - theta) (L - c)) u - s (1 - theta) f - theta f'
     old, new = (assemble_metric(surface, grid, grid.times[k]) for k in (level, level + 1))
     theta, eye = config.theta, sparse.identity(n)
-    c_old, c_new = (sparse.diags(prop.zero_order[k]) for k in (level, level + 1))
+    c_old, c_new = (sparse.diags(c[k]) for k in (level, level + 1))
     implicit = (eye / grid.dt - theta * (laplace_beltrami_matrix(new) - c_new)).tocsc()
     explicit = eye / grid.dt + (1.0 - theta) * (laplace_beltrami_matrix(old) - c_old)
     scale = np.ones(n)

@@ -195,18 +195,6 @@ def test_family_registry():
         build_frame(surf, GRID, 0.5)
 
 
-def test_sampled_chart_fallback_derivatives():
-    from periflow import from_sampled_chart
-
-    exact = breathing_circle()
-    wrapped = from_sampled_chart("user", exact.chart, period=1.0)
-    frame_e = build_frame(exact, GRID, 0.3)
-    frame_w = build_frame(wrapped, GRID, 0.3)
-    assert np.max(np.abs(frame_w.normal - frame_e.normal)) < 1e-9
-    assert np.max(np.abs(frame_w.curvature - frame_e.curvature)) < 1e-7
-    assert np.max(np.abs(frame_w.velocity - frame_e.velocity)) < 1e-7
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         ParameterGrid(4, 8, 1.0)
