@@ -403,7 +403,7 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     # band truncation error at every h in the refinement study
     n_surface = 1024
     theta = np.arange(n_surface) * (2.0 * np.pi / n_surface)
-    u_surface = surface.positions(theta, t)[:, 0]  # first ambient coordinate
+    u_surface = surface.jet(theta, t)[0][:, 0]  # first ambient coordinate
     lifted = lift_field(u_surface, theta, grid, dist)
     extracted = band_average_extract(lifted, grid, dist, surface, t, theta)
     rt = float(np.max(np.abs(extracted - u_surface)))
@@ -448,9 +448,9 @@ def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest
         metric = assemble_metric(surface, grid, t)
 
         fld = AnalyticField(
-            fn=lambda th, s, srf=surface: srf.positions(th, s)[:, 0],
-            dtheta=lambda th, s, srf=surface: np.asarray(srf.chart_dtheta(th, s))[:, 0],
-            dtheta2=lambda th, s, srf=surface: np.asarray(srf.chart_dtheta2(th, s))[:, 0],
+            fn=lambda th, s, srf=surface: srf.jet(th, s)[0][:, 0],
+            dtheta=lambda th, s, srf=surface: srf.jet(th, s)[1][:, 0],
+            dtheta2=lambda th, s, srf=surface: srf.jet(th, s)[2][:, 0],
         )
         comm = commutator_check(frame, fld)
         _, _, trace_diff = trace_identity(metric, frame)

@@ -34,6 +34,7 @@ from .fields import AmbientField, AnalyticField, ParameterGrid
 from .surfaces import GeometryFrame, SurfaceFamily, _theta_derivative, build_frame
 
 _CONDITION_LIMIT = 1e12
+_BLOCK_POINTS = 1 << 15  # levels x nodes per chart jet in `space_time_geometry`
 
 
 @dataclass(frozen=True)
@@ -62,33 +63,40 @@ class MetricSample:
         return 0.5 * np.einsum("iab,iba->i", self.cartesian_inv, self.cartesian_dt)
 
 
-def _local_metric(surface: SurfaceFamily, theta: np.ndarray, t: float, g_ref: np.ndarray):
-    """X_theta, g = |X_theta|^2, its time derivative g_t and the ratio g/g_ref
-    at time t; rejects metrics whose condition number exceeds the limit."""
-    xd = np.asarray(surface.chart_dtheta(theta, t), dtype=float)
-    xtd = np.asarray(surface.chart_dt_dtheta(theta, t), dtype=float)
-    g = np.einsum("ia,ia->i", xd, xd)
-    g_t = 2.0 * np.einsum("ia,ia->i", xd, xtd)
+def _local_metric(xd: np.ndarray, xtd: np.ndarray, g_ref: np.ndarray, times,
+                  first_level: int | None = None):
+    """g = |X_theta|^2, its time derivative g_t and the ratio g/g_ref from
+    X_theta and X_t_theta at `times` (a float, or an (L, 1) column for rows of
+    levels counted from `first_level`); rejects a metric whose condition number
+    exceeds the limit, naming the first such time and its worst node."""
+    g = np.einsum("...a,...a->...", xd, xd)
+    g_t = 2.0 * np.einsum("...a,...a->...", xd, xtd)
     ratio = g / g_ref
-    cond = np.maximum(ratio, 1.0 / ratio)
+    cond = np.atleast_2d(np.maximum(ratio, 1.0 / ratio))
     if np.max(cond) > _CONDITION_LIMIT:
+        row = int(np.argmax(np.max(cond, axis=1) > _CONDITION_LIMIT))
+        node = int(np.argmax(cond[row]))
+        where = f"t={float(np.ravel(times)[row])!r}, node {node}"
+        if first_level is not None:
+            where = f"time level {first_level + row} ({where})"
         raise DegenerateMetricError(
-            f"metric condition number {np.max(cond):.3e} exceeds {_CONDITION_LIMIT:.0e}"
+            f"metric condition number {cond[row, node]:.3e} exceeds "
+            f"{_CONDITION_LIMIT:.0e} at {where}"
         )
-    return xd, g, g_t, ratio
+    return g, g_t, ratio
 
 
 def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> MetricSample:
     """Assemble G, its inverse, determinant and derivatives at time t.
 
-    All entries come from exact chart closures; the only approximation in
+    All entries come from the exact chart jet; the only approximation in
     this module is the spatial differencing done by the operator appliers.
     """
     theta = grid.nodes
     frame0 = build_frame(surface, grid, 0.0)
     g_ref = frame0.speed**2
-    xd, g_loc, dg_loc_dt, ratio = _local_metric(surface, theta, t, g_ref)
-    xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
+    _, xd, xdd, _, xtd = surface.jet(theta, t)
+    g_loc, dg_loc_dt, ratio = _local_metric(xd, xtd, g_ref, t)
     dg_loc_dth = 2.0 * np.einsum("ia,ia->i", xd, xdd)
     dg_ref_dth = 2.0 * frame0.speed * frame0.speed_dtheta
 
@@ -193,15 +201,18 @@ class SpaceTimeGeometry:
 
 def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTimeGeometry:
     """Evaluate the scalar metric at every time level: one reference frame,
-    then two chart evaluations per level.  The arrays equal the matching
+    then one chart jet per block of levels.  The arrays equal the matching
     `assemble_metric` fields; the dilation rate is the scalar form of the trace.
     """
     theta = grid.nodes
     g_ref = build_frame(surface, grid, 0.0).speed ** 2
     g = np.empty((grid.n_steps + 1, grid.n_nodes))
     g_t = np.empty_like(g)
-    for k, t in enumerate(grid.times):
-        _, g[k], g_t[k], _ = _local_metric(surface, theta, t, g_ref)
+    rows = max(1, _BLOCK_POINTS // grid.n_nodes)
+    for k in range(0, grid.n_steps + 1, rows):
+        times = grid.times[k : k + rows, None]
+        _, xd, _, _, xtd = surface.jet(theta, times)
+        g[k : k + rows], g_t[k : k + rows], _ = _local_metric(xd, xtd, g_ref, times, k)
     sqrt_g, weights, c_half = _scalar_metric(g, grid.dtheta)
     return SpaceTimeGeometry(
         grid=grid, sqrt_g=sqrt_g, weights=weights, trace_rate=0.5 * g_t / g, c_half=c_half

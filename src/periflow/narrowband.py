@@ -89,9 +89,9 @@ def _curve_samples(surface: SurfaceFamily, t: float):
     """Equispaced sample parameters, their chart positions at time t, the
     orientation sign of the curve and max|kappa| over the samples."""
     theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
-    samples = surface.positions(theta_s, t)
+    samples, xd, xdd, _, _ = surface.jet(theta_s, t)
     sign = orientation_sign(surface, samples)
-    kappa = _point_geometry(surface, t, theta_s, sign)[3]
+    kappa = _frame_pieces(xd, xdd, sign, t)[3]
     return theta_s, samples, sign, float(np.max(np.abs(kappa)))
 
 
@@ -113,16 +113,14 @@ def _newton_project(
     theta = theta0.astype(float).copy()
 
     def residual(th):
-        X = surface.positions(th, t)
-        Xd = np.asarray(surface.chart_dtheta(th, t), dtype=float)
+        X, Xd, Xdd, _, _ = surface.jet(th, t)
         r = pts - X
         g = -np.einsum("pa,pa->p", r, Xd)
         scale = np.einsum("pa,pa->p", Xd, Xd) + 1e-30
-        return g, scale, r, Xd
+        return g, scale, r, Xd, Xdd
 
-    g, scale, r, Xd = residual(theta)
+    g, scale, r, Xd, Xdd = residual(theta)
     for _ in range(_NEWTON_MAX_ITER):
-        Xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
         gp = np.einsum("pa,pa->p", Xd, Xd) - np.einsum("pa,pa->p", r, Xdd)
         floor = 1e-14 * scale
         safe = np.where(np.abs(gp) > floor, gp, np.where(gp >= 0.0, floor, -floor))
@@ -131,12 +129,12 @@ def _newton_project(
         lam = np.ones_like(theta)
         for _ in range(6):
             trial = theta - lam * step
-            g_new, scale_new, r_new, Xd_new = residual(trial)
+            g_new, *rest = residual(trial)
             bad = np.abs(g_new) > np.abs(g)
             if not np.any(bad):
                 break
             lam = np.where(bad, 0.5 * lam, lam)
-        theta, g, scale, r, Xd = trial, g_new, scale_new, r_new, Xd_new
+        theta, g, (scale, r, Xd, Xdd) = trial, g_new, rest
         if np.all(np.abs(g) <= _NEWTON_TOL * scale):
             break
     return theta, np.abs(g) <= 10.0 * _NEWTON_TOL * scale
@@ -144,9 +142,7 @@ def _newton_project(
 
 def _point_geometry(surface: SurfaceFamily, t: float, theta: np.ndarray, sign: float):
     """Frame pieces of the curve evaluated at arbitrary parameters."""
-    foot = surface.positions(theta, t)
-    xd = np.asarray(surface.chart_dtheta(theta, t), dtype=float)
-    xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
+    foot, xd, xdd, _, _ = surface.jet(theta, t)
     _, tau, nu, kappa = _frame_pieces(xd, xdd, sign, t)
     return foot, tau, nu, kappa
 
@@ -175,7 +171,7 @@ def _closest_points(
         best_d2 = np.full(bad.shape[0], np.inf)
         for col in range(_MULTISTART):
             th_try, ok_try = _newton_project(surface, t, bad, theta_s[starts[:, col]])
-            d2 = np.sum((bad - surface.positions(th_try, t)) ** 2, axis=1)
+            d2 = np.sum((bad - surface.jet(th_try, t)[0]) ** 2, axis=1)
             better = ok_try & (d2 < best_d2)
             theta[~ok] = np.where(better, th_try, theta[~ok])
             best_d2 = np.where(better, d2, best_d2)

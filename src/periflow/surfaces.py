@@ -1,10 +1,14 @@
 """Periodically moving closed curves with exact tangential calculus.
 
-A family is described by a global periodic chart ``X(theta, t)`` on
-``theta in [0, 2*pi)`` together with exact derivative closures.  All frame
-quantities (unit normal, projection, Weingarten map, velocity) are evaluated
-from those closures, so operator-identity diagnostics are limited only by
-round-off, not by a differencing scheme.
+A family is described by one jet: a function returning the global periodic
+chart ``X(theta, t)`` on ``theta in [0, 2*pi)`` together with its exact
+derivatives ``(X, X_theta, X_theta_theta, X_t, X_t_theta)``.  For ``N``
+parameters each output has shape ``(N, 2)`` when ``t`` is a float, and
+``(L, N, 2)`` when ``t`` is an ``(L, 1)`` column of times, whose row ``k``
+equals the float call at ``t[k, 0]``.  All frame quantities (unit normal,
+projection, Weingarten map, velocity) are evaluated from the jet, so
+operator-identity diagnostics are limited only by round-off, not by a
+differencing scheme.
 
 Shipped families
 ----------------
@@ -29,8 +33,6 @@ import numpy as np
 from .errors import DegenerateSurfaceError, GridMismatchError
 from .fields import AnalyticField, ParameterGrid
 
-ChartFn = Callable[[np.ndarray, float], np.ndarray]
-
 _IMMERSION_FLOOR = 1e-12
 
 
@@ -38,18 +40,14 @@ _IMMERSION_FLOOR = 1e-12
 class SurfaceFamily:
     """Analytic description of a moving closed curve.
 
-    The chart and its derivatives map ``(theta, t)`` with ``theta`` of shape
-    (N,) to points of shape (N, 2).  ``outward_sign`` pins the normal
+    ``jet(theta, t)`` returns ``(X, X_theta, X_theta_theta, X_t, X_t_theta)``
+    as described in the module docstring.  ``outward_sign`` pins the normal
     orientation; ``None`` selects the outward normal automatically from the
     signed enclosed area (counterclockwise charts get sign +1).
     """
 
     name: str
-    chart: ChartFn
-    chart_dtheta: ChartFn
-    chart_dtheta2: ChartFn
-    chart_dt: ChartFn
-    chart_dt_dtheta: ChartFn
+    jet: Callable[..., tuple[np.ndarray, ...]]
     period: float
     outward_sign: int | None = None
 
@@ -57,22 +55,15 @@ class SurfaceFamily:
         if self.period <= 0.0:
             raise ValueError("period must be positive")
 
-    def positions(self, theta: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(self.chart(theta, t), dtype=float)
-
     def time_reversed(self) -> "SurfaceFamily":
         """Family traversing the same shapes backwards in time."""
         T = self.period
-        return SurfaceFamily(
-            name=f"{self.name}-reversed",
-            chart=lambda th, t: self.chart(th, T - t),
-            chart_dtheta=lambda th, t: self.chart_dtheta(th, T - t),
-            chart_dtheta2=lambda th, t: self.chart_dtheta2(th, T - t),
-            chart_dt=lambda th, t: -np.asarray(self.chart_dt(th, T - t)),
-            chart_dt_dtheta=lambda th, t: -np.asarray(self.chart_dt_dtheta(th, T - t)),
-            period=T,
-            outward_sign=self.outward_sign,
-        )
+
+        def jet(theta, t):
+            x, x_th, x_thth, x_t, x_tth = self.jet(theta, T - t)
+            return x, x_th, x_thth, -x_t, -x_tth
+
+        return SurfaceFamily(f"{self.name}-reversed", jet, T, self.outward_sign)
 
 
 @dataclass(frozen=True)
@@ -108,25 +99,32 @@ class GeometryFrame:
         )
 
 
-def _phase(t: float, period: float) -> float:
+def _phase(t, period: float):
     # exact periodicity: t = period wraps to phase 0.0
-    return math.tau * ((t / period) % 1.0)
+    return math.tau * np.remainder(t / period, 1.0)
+
+
+def _polar_jet(theta, r, r_th, r_thth, r_t, r_tth):
+    """Jet of the polar chart r(theta, t) * (cos theta, sin theta) from the
+    jet of its radius."""
+    c, s = np.cos(theta), np.sin(theta)
+
+    def d_theta(f, f_th):  # d/dtheta of f * (cos, sin)
+        return np.stack([f_th * c - f * s, f_th * s + f * c], axis=-1)
+
+    x_thth = np.stack(
+        [r_thth * c - 2 * r_th * s - r * c, r_thth * s + 2 * r_th * c - r * s], axis=-1
+    )
+    return (np.stack([r * c, r * s], axis=-1), d_theta(r, r_th), x_thth,
+            np.stack([r_t * c, r_t * s], axis=-1), d_theta(r_t, r_tth))
 
 
 def circle(radius: float = 1.0, period: float = 1.0) -> SurfaceFamily:
-    r = float(radius)
+    def jet(th, t):
+        zero = np.zeros(np.shape(t))
+        return _polar_jet(th, zero + float(radius), zero, zero, zero, zero)
 
-    def ch(th, t):
-        return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-
-    def dth(th, t):
-        return np.stack([-r * np.sin(th), r * np.cos(th)], axis=-1)
-
-    def dth2(th, t):
-        return np.stack([-r * np.cos(th), -r * np.sin(th)], axis=-1)
-
-    zero = lambda th, t: np.zeros(np.shape(th) + (2,))
-    return SurfaceFamily("circle", ch, dth, dth2, zero, zero, period)
+    return SurfaceFamily("circle", jet, period)
 
 
 def breathing_circle(amplitude: float = 0.25, period: float = 1.0, r0: float = 1.0) -> SurfaceFamily:
@@ -134,64 +132,33 @@ def breathing_circle(amplitude: float = 0.25, period: float = 1.0, r0: float = 1
     if not 0.0 <= a < 1.0:
         raise ValueError("amplitude must lie in [0, 1)")
 
-    def radius(t):
-        return r0 * (1.0 + a * math.sin(_phase(t, T)))
+    def jet(th, t):
+        phi, zero = _phase(t, T), np.zeros(np.shape(t))
+        r = r0 * (1.0 + a * np.sin(phi))
+        return _polar_jet(th, r, zero, zero, r0 * a * np.cos(phi) * math.tau / T, zero)
 
-    def radius_dt(t):
-        return r0 * a * math.cos(_phase(t, T)) * math.tau / T
-
-    def ch(th, t):
-        return radius(t) * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def dth(th, t):
-        return radius(t) * np.stack([-np.sin(th), np.cos(th)], axis=-1)
-
-    def dth2(th, t):
-        return -radius(t) * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def dt(th, t):
-        return radius_dt(t) * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def dtth(th, t):
-        return radius_dt(t) * np.stack([-np.sin(th), np.cos(th)], axis=-1)
-
-    return SurfaceFamily("breathing_circle", ch, dth, dth2, dt, dtth, T)
+    return SurfaceFamily("breathing_circle", jet, T)
 
 
 def rotating_ellipse(a: float = 2.0, b: float = 1.0, period: float = 1.0) -> SurfaceFamily:
     a, b, T = float(a), float(b), float(period)
 
-    def pieces(th, t):
+    def jet(th, t):
         phi = _phase(t, T)
-        c, s = math.cos(phi), math.sin(phi)
-        rot = np.array([[c, -s], [s, c]])
-        drot = (math.tau / T) * np.array([[-s, -c], [c, -s]])
+        c, s = np.cos(phi), np.sin(phi)
+        # transposed rotation and its time derivative, stacked over the time axes
+        rot_tr = np.moveaxis(np.array([[c, s], [-s, c]]), (0, 1), (-2, -1))
+        drot_tr = (math.tau / T) * np.moveaxis(np.array([[-s, c], [-c, -s]]), (0, 1), (-2, -1))
         base = np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
         base_dth = np.stack([-a * np.sin(th), b * np.cos(th)], axis=-1)
-        base_dth2 = -base
-        return rot, drot, base, base_dth, base_dth2
+        # matmuls, since written-out products round differently; an (L, 1)
+        # column gives (L, 1, N, 2), reshaped to (L, N, 2)
+        shape = np.broadcast_shapes(np.shape(th), np.shape(t)) + (2,)
+        pairs = ((base, rot_tr), (base_dth, rot_tr), (-base, rot_tr),
+                 (base, drot_tr), (base_dth, drot_tr))
+        return tuple((v @ m).reshape(shape) for v, m in pairs)
 
-    def ch(th, t):
-        rot, _, base, _, _ = pieces(th, t)
-        return base @ rot.T
-
-    def dth(th, t):
-        rot, _, _, base_dth, _ = pieces(th, t)
-        return base_dth @ rot.T
-
-    def dth2(th, t):
-        rot, _, _, _, base_dth2 = pieces(th, t)
-        return base_dth2 @ rot.T
-
-    def dt(th, t):
-        _, drot, base, _, _ = pieces(th, t)
-        return base @ drot.T
-
-    def dtth(th, t):
-        _, drot, _, base_dth, _ = pieces(th, t)
-        return base_dth @ drot.T
-
-    return SurfaceFamily("rotating_ellipse", ch, dth, dth2, dt, dtth, T)
+    return SurfaceFamily("rotating_ellipse", jet, T)
 
 
 def bean(
@@ -204,48 +171,19 @@ def bean(
     T = float(period)
     p, q, s = float(dent), float(pulse), float(skew)
 
-    def rho(th, t):
-        return 1.0 + p * np.cos(th) * (1.0 + q * math.sin(_phase(t, T))) + s * np.sin(2 * th)
-
-    def rho_dth(th, t):
-        return -p * np.sin(th) * (1.0 + q * math.sin(_phase(t, T))) + 2 * s * np.cos(2 * th)
-
-    def rho_dth2(th, t):
-        return -p * np.cos(th) * (1.0 + q * math.sin(_phase(t, T))) - 4 * s * np.sin(2 * th)
-
-    def rho_dt(th, t):
-        return p * np.cos(th) * q * math.cos(_phase(t, T)) * math.tau / T
-
-    def rho_dt_dth(th, t):
-        return -p * np.sin(th) * q * math.cos(_phase(t, T)) * math.tau / T
-
-    def _embed(r, rd, th):
-        c, sn = np.cos(th), np.sin(th)
-        return np.stack([r * c, r * sn], axis=-1), np.stack([rd * c - r * sn, rd * sn + r * c], axis=-1)
-
-    def ch(th, t):
-        return _embed(rho(th, t), rho_dth(th, t), th)[0]
-
-    def dth(th, t):
-        return _embed(rho(th, t), rho_dth(th, t), th)[1]
-
-    def dth2(th, t):
-        r, rd, rdd = rho(th, t), rho_dth(th, t), rho_dth2(th, t)
-        c, sn = np.cos(th), np.sin(th)
-        return np.stack(
-            [rdd * c - 2 * rd * sn - r * c, rdd * sn + 2 * rd * c - r * sn], axis=-1
+    def jet(th, t):
+        phi = _phase(t, T)
+        swell, rate = 1.0 + q * np.sin(phi), np.cos(phi)
+        return _polar_jet(
+            th,
+            1.0 + p * np.cos(th) * swell + s * np.sin(2 * th),
+            -p * np.sin(th) * swell + 2 * s * np.cos(2 * th),
+            -p * np.cos(th) * swell - 4 * s * np.sin(2 * th),
+            p * np.cos(th) * q * rate * math.tau / T,
+            -p * np.sin(th) * q * rate * math.tau / T,
         )
 
-    def dt(th, t):
-        rt = rho_dt(th, t)
-        return np.stack([rt * np.cos(th), rt * np.sin(th)], axis=-1)
-
-    def dtth(th, t):
-        rt, rtd = rho_dt(th, t), rho_dt_dth(th, t)
-        c, sn = np.cos(th), np.sin(th)
-        return np.stack([rtd * c - rt * sn, rtd * sn + rt * c], axis=-1)
-
-    return SurfaceFamily("bean", ch, dth, dth2, dt, dtth, T)
+    return SurfaceFamily("bean", jet, T)
 
 
 FAMILIES: dict[str, Callable[..., SurfaceFamily]] = {
@@ -270,11 +208,13 @@ def orientation_sign(surface: SurfaceFamily, positions: np.ndarray) -> float:
 
 def _frame_pieces(xd: np.ndarray, xdd: np.ndarray, sign: float, t: float):
     """Speed, unit tangent, outward normal and signed curvature from X_theta and
-    X_theta_theta of shape (..., 2); rejects a failed immersion condition."""
+    X_theta_theta of shape (P, 2); rejects a failed immersion condition,
+    naming the node of the smallest speed."""
     speed = np.linalg.norm(xd, axis=-1)
-    if np.min(speed) < _IMMERSION_FLOOR:
+    node = int(np.argmin(speed))
+    if speed[node] < _IMMERSION_FLOOR:
         raise DegenerateSurfaceError(
-            f"|chart_dtheta| = {np.min(speed):.3e} below immersion threshold at t={t}"
+            f"|X_theta| = {speed[node]:.3e} below immersion threshold at t={t}, node {node}"
         )
     tangent = xd / speed[..., None]
     normal = sign * np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
@@ -288,12 +228,7 @@ def build_frame(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Geomet
     Raises DegenerateSurfaceError when the immersion condition fails.
     """
     theta = grid.nodes
-    pos = surface.positions(theta, t)
-    xd = np.asarray(surface.chart_dtheta(theta, t), dtype=float)
-    xdd = np.asarray(surface.chart_dtheta2(theta, t), dtype=float)
-    vel = np.asarray(surface.chart_dt(theta, t), dtype=float)
-    vel_dth = np.asarray(surface.chart_dt_dtheta(theta, t), dtype=float)
-
+    pos, xd, xdd, vel, vel_dth = surface.jet(theta, t)
     sign = orientation_sign(surface, pos)
     speed, tangent, normal, curvature = _frame_pieces(xd, xdd, sign, t)
     speed_dtheta = np.einsum("ia,ia->i", xd, xdd) / speed

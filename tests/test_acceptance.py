@@ -57,9 +57,9 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 def x1_closures(surface):
     return AnalyticField(
-        fn=lambda th, t: surface.positions(th, t)[:, 0],
-        dtheta=lambda th, t: np.asarray(surface.chart_dtheta(th, t))[:, 0],
-        dtheta2=lambda th, t: np.asarray(surface.chart_dtheta2(th, t))[:, 0],
+        fn=lambda th, t: surface.jet(th, t)[0][:, 0],
+        dtheta=lambda th, t: surface.jet(th, t)[1][:, 0],
+        dtheta2=lambda th, t: surface.jet(th, t)[2][:, 0],
     )
 
 

@@ -7,7 +7,9 @@ from helpers import ambient_radius_sq, ambient_x1, ambient_x1x2, mean_order
 from periflow import (
     AnalyticField,
     DegenerateMetricError,
+    IVPConfig,
     ParameterGrid,
+    Propagator,
     assemble_metric,
     bean,
     breathing_circle,
@@ -67,8 +69,14 @@ def test_determinant_consistency(surface):
 def test_degenerate_metric_raises():
     surf = breathing_circle(amplitude=1.0 - 1e-14)
     grid = ParameterGrid(16, 4, 1.0)
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(DegenerateMetricError, match=r"at t=0\.75, node \d+$"):
         assemble_metric(surf, grid, 0.75)  # radius collapses near 3T/4
+
+
+def test_degenerate_geometry_names_level_and_node():
+    surf = breathing_circle(amplitude=1.0 - 1e-14)
+    with pytest.raises(DegenerateMetricError, match=r"at time level 3 \(t=0\.75, node \d+\)"):
+        Propagator(surf, IVPConfig(n_nodes=16, n_steps=4))
 
 
 def test_laplacian_eigenfunction_on_circle():

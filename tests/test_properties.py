@@ -6,10 +6,13 @@ for the dense cyclic solve), all shipped families and random nodal fields.
 Runs are derandomized, so every run checks the same examples.
 """
 
+import math
+
 import numpy as np
+import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -46,6 +49,7 @@ def nodal_field(data, n, lo=-10.0, hi=10.0):
 
 @PROPERTY
 @given(family=FAMILY, n=NODES, m=st.integers(4, 16))
+@example(family="bean", n=256, m=300)  # several blocks of levels: block edges are compared too
 def test_geometry_matches_assembled_metric(family, n, m):
     grid = ParameterGrid(n, m, 1.0)
     surface = FAMILIES[family]()
@@ -99,14 +103,37 @@ def test_charts_are_exactly_periodic(family, n, period):
     surface = FAMILIES[family](period=period)
     grid = ParameterGrid(n, 4, period)
     theta, end = grid.nodes, grid.times[-1]
-    for closure in (
-        surface.chart,
-        surface.chart_dtheta,
-        surface.chart_dtheta2,
-        surface.chart_dt,
-        surface.chart_dt_dtheta,
-    ):
-        assert np.array_equal(closure(theta, 0.0), closure(theta, end))
+    for start, finish in zip(surface.jet(theta, 0.0), surface.jet(theta, end)):
+        assert np.array_equal(start, finish)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@PROPERTY
+@given(n=st.integers(8, 64), offset=st.floats(0.0, 1.0), t=TIME)
+def test_jet_matches_centred_differences(family, reverse, n, offset, t):
+    surface = FAMILIES[family]()
+    if reverse:
+        surface = surface.time_reversed()
+    theta = ParameterGrid(n, 4, 1.0).nodes + offset
+    # seven phases: the leading error term cannot vanish at all of them
+    times = t + np.arange(7)[:, None] / 7.0
+    _, x_th, x_thth, x_t, x_tth = surface.jet(theta, times)
+
+    def errors(h):
+        up, down = surface.jet(theta + h, times), surface.jet(theta - h, times)
+        d_theta = [(a - b) / (2.0 * h) for a, b in zip(up, down)]
+        later, earlier = surface.jet(theta, times + h), surface.jet(theta, times - h)
+        d_t = [(a - b) / (2.0 * h) for a, b in zip(later, earlier)]
+        pairs = ((x_th, d_theta[0]), (x_thth, d_theta[1]), (x_t, d_t[0]),
+                 (x_tth, d_t[1]), (x_tth, d_theta[3]))
+        return [float(np.max(np.abs(exact - diff))) for exact, diff in pairs]
+
+    for coarse, fine in zip(errors(1e-2), errors(5e-3)):
+        if coarse == 0.0:  # the stationary circle: its time differences vanish
+            assert fine == 0.0
+        else:
+            assert abs(math.log2(coarse / fine) - 2.0) <= 0.3
 
 
 @PROPERTY

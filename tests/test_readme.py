@@ -1,5 +1,5 @@
-"""The README's library sketch runs, and its config example parses, against
-the current API."""
+"""The README's library and family sketches run, and its config example
+parses, against the current API."""
 
 import re
 from pathlib import Path
@@ -19,6 +19,11 @@ def fenced_block(language: str, after: str = "") -> str:
 
 def test_library_sketch_runs(capsys):
     exec(compile(fenced_block("python", "## Library sketch"), str(README), "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_family_sketch_runs(capsys):
+    exec(compile(fenced_block("python", "## Defining a family"), str(README), "exec"), {})
     assert capsys.readouterr().out
 
 

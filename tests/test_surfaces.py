@@ -25,9 +25,9 @@ ALL_FAMILIES = [circle(), breathing_circle(), rotating_ellipse(), bean()]
 def x1_field(surface):
     """u = x1 restricted to the moving curve, exact derivatives from the chart."""
     return AnalyticField(
-        fn=lambda th, t: surface.positions(th, t)[:, 0],
-        dtheta=lambda th, t: np.asarray(surface.chart_dtheta(th, t))[:, 0],
-        dtheta2=lambda th, t: np.asarray(surface.chart_dtheta2(th, t))[:, 0],
+        fn=lambda th, t: surface.jet(th, t)[0][:, 0],
+        dtheta=lambda th, t: surface.jet(th, t)[1][:, 0],
+        dtheta2=lambda th, t: surface.jet(th, t)[2][:, 0],
     )
 
 
@@ -57,10 +57,8 @@ def test_expanding_circle_velocity():
 def test_ellipse_curvature_against_cross_formula(theta, expected):
     surf = rotating_ellipse(a=2.0, b=1.0)
     frame = build_frame(surf, GRID, 0.0)
-    # cross-product curvature oracle evaluated from the exact closures
-    th = np.array([theta])
-    xd = np.asarray(surf.chart_dtheta(th, 0.0))[0]
-    xdd = np.asarray(surf.chart_dtheta2(th, 0.0))[0]
+    # cross-product curvature oracle evaluated from the exact jet
+    _, xd, xdd, _, _ = (x[0] for x in surf.jet(np.array([theta]), 0.0))
     oracle = (xd[0] * xdd[1] - xd[1] * xdd[0]) / np.linalg.norm(xd) ** 3
     assert abs(oracle - expected) < 1e-12
     node = int(round(theta / GRID.dtheta))
@@ -82,27 +80,24 @@ def test_frame_invariants(surface):
 @pytest.mark.parametrize("surface", ALL_FAMILIES, ids=lambda s: s.name)
 def test_chart_periodicity_exact(surface):
     theta = GRID.nodes
-    gap = surface.positions(theta, surface.period) - surface.positions(theta, 0.0)
+    gap = surface.jet(theta, surface.period)[0] - surface.jet(theta, 0.0)[0]
     assert np.max(np.abs(gap)) == 0.0
 
 
 def test_immersion_failure_raises():
     # a figure-eight style chart degenerates where the speed vanishes
-    bad = SurfaceFamily(
-        name="degenerate",
-        chart=lambda th, t: np.stack([np.sin(th) ** 2, np.zeros_like(th)], axis=-1),
-        chart_dtheta=lambda th, t: np.stack(
-            [2 * np.sin(th) * np.cos(th), np.zeros_like(th)], axis=-1
-        ),
-        chart_dtheta2=lambda th, t: np.stack(
-            [2 * np.cos(2 * th), np.zeros_like(th)], axis=-1
-        ),
-        chart_dt=lambda th, t: np.zeros(np.shape(th) + (2,)),
-        chart_dt_dtheta=lambda th, t: np.zeros(np.shape(th) + (2,)),
-        period=1.0,
-        outward_sign=1,
-    )
-    with pytest.raises(DegenerateSurfaceError):
+    def jet(th, t):
+        zero = np.zeros(np.shape(th) + (2,))
+        return (
+            np.stack([np.sin(th) ** 2, np.zeros_like(th)], axis=-1),
+            np.stack([2 * np.sin(th) * np.cos(th), np.zeros_like(th)], axis=-1),
+            np.stack([2 * np.cos(2 * th), np.zeros_like(th)], axis=-1),
+            zero,
+            zero,
+        )
+
+    bad = SurfaceFamily(name="degenerate", jet=jet, period=1.0, outward_sign=1)
+    with pytest.raises(DegenerateSurfaceError, match=r"node 0$"):
         build_frame(bad, GRID, 0.0)
 
 
@@ -158,16 +153,17 @@ def test_commutator_constant_field():
 
 def test_commutator_flat_chart_vanishes():
     # open straight-segment chart: zero curvature kills every commutator term
-    line = SurfaceFamily(
-        name="segment",
-        chart=lambda th, t: np.stack([th, 0.5 * th], axis=-1),
-        chart_dtheta=lambda th, t: np.stack([np.ones_like(th), 0.5 * np.ones_like(th)], axis=-1),
-        chart_dtheta2=lambda th, t: np.zeros(np.shape(th) + (2,)),
-        chart_dt=lambda th, t: np.zeros(np.shape(th) + (2,)),
-        chart_dt_dtheta=lambda th, t: np.zeros(np.shape(th) + (2,)),
-        period=1.0,
-        outward_sign=1,
-    )
+    def jet(th, t):
+        zero = np.zeros(np.shape(th) + (2,))
+        return (
+            np.stack([th, 0.5 * th], axis=-1),
+            np.stack([np.ones_like(th), 0.5 * np.ones_like(th)], axis=-1),
+            zero,
+            zero,
+            zero,
+        )
+
+    line = SurfaceFamily(name="segment", jet=jet, period=1.0, outward_sign=1)
     frame = build_frame(line, GRID, 0.0)
     field = AnalyticField(
         fn=lambda th, t: np.sin(th),
