@@ -62,16 +62,13 @@ def _pair_indices(
     n_points: int, budget: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     if n_points <= _FULL_ENUM_LIMIT:
-        i, j = np.triu_indices(n_points, k=1)
-        return i, j
+        return np.triu_indices(n_points, k=1)
     draws = rng.integers(0, n_points, size=(int(budget), 2))
     keep = draws[:, 0] != draws[:, 1]
     return draws[keep, 0], draws[keep, 1]
 
 
-def _space_time_sup(
-    diffs: np.ndarray, dist: np.ndarray, alpha: float
-) -> float:
+def _space_time_sup(diffs: np.ndarray, dist: np.ndarray, alpha: float) -> float:
     mask = dist > 0.0
     if not np.any(mask):
         return 0.0
@@ -125,13 +122,8 @@ def _time_holder_sup(
     return best
 
 
-def holder_estimate(
-    values: np.ndarray,
-    times: np.ndarray,
-    surface: SurfaceFamily,
-    alpha: float,
-    seed: int = 0,
-) -> HolderEstimate:
+def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamily, alpha: float,
+                    seed: int = 0) -> HolderEstimate:
     """Finite-pair lower-bound estimates of the parabolic Hölder norms of
     (L, N) nodal `values` at the (L,) `times`.
 
@@ -158,12 +150,8 @@ def holder_estimate(
     grad_h = _holder_sup_spacetime(grad, s, length, times, alpha, _HOLDER_BUDGET, rng)
     grad_time_h = _time_holder_sup(grad, times, alpha, _HOLDER_BUDGET, rng)
 
-    hess = np.stack(
-        [
-            second_tangential_derivative(frame0, grad[k]).reshape(n_nodes, 4)
-            for k in range(n_levels)
-        ]
-    )
+    hess = np.stack([second_tangential_derivative(frame0, grad[k]).reshape(n_nodes, 4)
+                     for k in range(n_levels)])
     hess_h = _holder_sup_spacetime(hess, s, length, times, alpha, _HOLDER_BUDGET, rng)
     hess_sup = float(np.max(np.abs(hess)))
 

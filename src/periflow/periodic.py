@@ -137,15 +137,9 @@ def fixed_point_solve(
     if not converged and ratios and ratios[-1] < 1.0:
         # the residual shrinks by the last ratio per iteration
         predicted = iterations + math.ceil(math.log(tol / residuals[-1]) / math.log(ratios[-1]))
-    return FixedPointReport(
-        iterations=iterations,
-        residuals=residuals,
-        ratios=ratios,
-        converged=converged,
-        predicted_iterations=predicted,
-        initial_state=u0,
-        trajectory=prop.run(u0),
-    )
+    return FixedPointReport(iterations=iterations, residuals=residuals, ratios=ratios,
+                            converged=converged, predicted_iterations=predicted,
+                            initial_state=u0, trajectory=prop.run(u0))
 
 
 @dataclass(frozen=True)
@@ -222,15 +216,9 @@ def contraction_estimate(
                 ratio=worst,
                 bound=bound,
             )
-    return ContractionEstimate(
-        end_map_ratio=worst,
-        adjusted_ratio=worst_adjusted,
-        pair_ratios=pair_ratios,
-        rate_floor=floor,
-        applicable=applicable,
-        bound=bound,
-        slack=slack,
-    )
+    return ContractionEstimate(end_map_ratio=worst, adjusted_ratio=worst_adjusted,
+                               pair_ratios=pair_ratios, rate_floor=floor,
+                               applicable=applicable, bound=bound, slack=slack)
 
 
 @dataclass(frozen=True)

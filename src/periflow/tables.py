@@ -1,11 +1,13 @@
-"""The data-file format: every CSV a run writes goes through `write_csv`.
+"""The data-file formats: every CSV a run writes goes through `write_csv`,
+and the trajectory goes through `write_npy` as a binary array.
 
-One header line, then one row per entry of the columns.  Numeric cells are
-``%.17g`` (round-trip exact, integers print without a decimal point), text
-cells are written as given, line ends are LF and nothing depends on the
-locale.  Rows are formatted in bounded chunks, so a large table never
-exists as one string, and the SHA-256 is taken of the bytes as they are
-written: the manifest records the digest of exactly the file a run wrote.
+A CSV has one header line, then one row per entry of the columns.  Numeric
+cells are ``%.17g`` (round-trip exact, integers print without a decimal
+point), text cells are written as given, line ends are LF and nothing
+depends on the locale.  Rows are formatted in bounded chunks, so a large
+table never exists as one string.  Both writers take the SHA-256 of the
+bytes as they are written: the manifest records the digest of exactly the
+file a run wrote.
 """
 
 from __future__ import annotations
@@ -15,6 +17,17 @@ import hashlib
 import numpy as np
 
 _CHUNK_ROWS = 4096
+
+
+class _DigestingFile:
+    """A binary file whose `write` also feeds the SHA-256 `digest`."""
+
+    def __init__(self, fh):
+        self.fh, self.digest = fh, hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self.fh.write(data)
 
 
 def _encoded_chunks(header: list[str], columns: list[np.ndarray]):
@@ -36,9 +49,18 @@ def write_csv(path, header: list[str], columns) -> str:
     shape = columns[0].shape
     if len(header) != len(columns) or any(c.ndim != 1 or c.shape != shape for c in columns):
         raise ValueError("write_csv needs one 1-d column per header name, all of one length")
-    digest = hashlib.sha256()
     with open(path, "wb") as fh:
+        out = _DigestingFile(fh)
         for data in _encoded_chunks(header, columns):
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
+            out.write(data)
+    return out.digest.hexdigest()
+
+
+def write_npy(path, values: np.ndarray) -> str:
+    """Write `values` as a `.npy` file (no pickles); return the file's SHA-256.
+    NumPy streams the data in bounded chunks after a header fixed by dtype,
+    shape and memory order, so equal arrays give equal files."""
+    with open(path, "wb") as fh:
+        out = _DigestingFile(fh)
+        np.save(out, values, allow_pickle=False)
+    return out.digest.hexdigest()

@@ -75,16 +75,19 @@ def test_list_scenarios(capsys):
         assert name in out
 
 
-def test_emit_field_csv_row_counts(tmp_path):
-    path = tmp_path / "static.csv"
-    emit_field_csv(np.zeros(1), np.array([[1.0, 2.0, 3.0, 4.0]]), path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 5
-    assert lines[0] == "t,theta,u"
-
-    path2 = tmp_path / "traj.csv"
-    emit_field_csv(np.array([0.0, 0.5, 1.0]), np.arange(12.0).reshape(3, 4), path2)
-    assert len(path2.read_text().splitlines()) == 13
+def test_emit_field_csv_round_trips(tmp_path):
+    # the trajectory writer keeps its old name; it writes a .npy array
+    values = np.random.default_rng(1).standard_normal((3, 4))
+    values[0, 1], values[2, 3], values[1, 0] = -0.0, np.nan, 5e-324
+    path = tmp_path / "trajectory.npy"
+    digest = emit_field_csv(values, path)
+    loaded = np.load(path, allow_pickle=False)
+    assert loaded.dtype == np.float64 and loaded.shape == (3, 4)
+    assert loaded.flags.c_contiguous
+    assert np.array_equal(loaded.view(np.uint64), values.view(np.uint64))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the header is fixed by dtype, shape and order, so equal arrays give equal files
+    assert emit_field_csv(values.copy(order="F"), tmp_path / "again.npy") == digest
 
 
 def run_and_digest(tmp_path, body, sub):
@@ -117,7 +120,7 @@ n_steps = 16
 def test_run_ivp_scenario_passes(tmp_path):
     manifest, digests = run_and_digest(tmp_path, SMALL_IVP, "a")
     assert manifest.all_passed
-    assert "trajectory.csv" in digests and "mass_ledger.csv" in digests
+    assert "trajectory.npy" in digests and "mass_ledger.csv" in digests
     assert (tmp_path / "a" / "manifest.txt").exists()
 
 
@@ -285,6 +288,17 @@ def test_determinism_byte_identical(tmp_path, scenario):
 FORCED_IVP = SMALL_IVP.replace("u0 = 1 + 0*theta", "forcing = cos(theta)*sin(2*pi*t/T)")
 
 
+def test_ivp_trajectory_file_is_the_propagated_array(tmp_path):
+    cfg = parse_config(write_config(tmp_path, FORCED_IVP))
+    run_scenario(cfg, tmp_path / "o")
+    prop = evolution.Propagator(FAMILIES["breathing"](amplitude=0.25), cfg.build_ivp_config(),
+                                cfg.forcing())
+    expected = prop.run(np.cos(prop.grid.nodes))  # the default u0 = cos(theta)
+    written = np.load(tmp_path / "o" / "trajectory.npy", allow_pickle=False)
+    assert written.shape == (cfg.n_steps + 1, cfg.n_nodes)
+    assert np.array_equal(written.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "body",
     [FORCED_IVP, SMALL_CONFIGS["periodic-fixed"], SMALL_MONO],
@@ -318,7 +332,7 @@ def test_manifest_lists_only_files_this_run_wrote(tmp_path):
     fixed = SMALL_MONO.replace("periodic-monodromy", "periodic-fixed")
     run_and_digest(tmp_path, fixed, "shared")
     # listed by name, not in the order the scenario wrote them
-    expected = ["iteration_ledger.csv", "mass_ledger.csv", "trajectory.csv"]
+    expected = ["iteration_ledger.csv", "mass_ledger.csv", "trajectory.npy"]
     assert manifest_output_names(tmp_path / "shared") == expected
     _, digests = run_and_digest(tmp_path, SMALL_HOLDER, "shared")
     assert list(digests) == ["holder.csv"]
@@ -419,6 +433,33 @@ def test_coefficient_key_the_zero_order_mode_does_not_read_exits_2(
     path = write_config(tmp_path, UNREAD_COEFFICIENT.format(scenario=scenario, mode=mode, key=key))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"{key} is not read by zero_order = {resolved}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+UNREAD_U0 = """
+[surface]
+family = breathing
+
+[problem]
+scenario = {scenario}
+u0 = 5 + sin(theta)
+{extra}
+[discretization]
+n_nodes = 32
+n_steps = 16
+"""
+
+
+@pytest.mark.parametrize(
+    "scenario", ["periodic-fixed", "periodic-monodromy", "contraction", "band-check",
+                 "identities", "holder"],
+)
+def test_u0_in_a_scenario_that_does_not_read_it_exits_2(tmp_path, capsys, scenario):
+    # only ivp and ivp_decay start from u0; the manifest must not record an unread one
+    extra = "c0 = 1.0\n" if scenario == "contraction" else ""
+    path = write_config(tmp_path, UNREAD_U0.format(scenario=scenario, extra=extra))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"u0 is not read by scenario = {scenario}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
