@@ -31,7 +31,7 @@ from .diagnostics import (
     interpolation_check,
     mass_ledger,
 )
-from .errors import ConfigError, ContractionBoundError, PeriflowError
+from .errors import ConfigError, PeriflowError
 from .evolution import IVPConfig, Propagator
 from .expressions import compile_expression
 from .fields import AmbientField, AnalyticField, ParameterGrid
@@ -253,6 +253,13 @@ class RunManifest:
     outputs: list[tuple[str, str]] = field(default_factory=list)  # (name, sha256)
     wall_clock_s: float = 0.0
 
+    def check(self, name: str, value: float, threshold: float,
+              passed: bool | None = None) -> None:
+        """Record a check of a measured `value`; it passes when `value` <=
+        `threshold` unless `passed` gives the verdict."""
+        passed = value <= threshold if passed is None else passed
+        self.checks.append(CheckResult(name, passed, value, threshold))
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -292,9 +299,7 @@ def _resolved_dict(cfg: ExperimentConfig) -> dict:
 def _check_fixed_point(report: FixedPointReport, tol: float, manifest: RunManifest) -> None:
     """The convergence check and, when it fails, the iteration count the last
     measured contraction ratio predicts."""
-    manifest.checks.append(
-        CheckResult("fixed_point_converged", report.converged, report.final_residual, tol)
-    )
+    manifest.check("fixed_point_converged", report.final_residual, tol, passed=report.converged)
     if report.converged:
         return
     if report.predicted_iterations is None:
@@ -313,14 +318,12 @@ def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     manifest.outputs.append(("trajectory.npy", emit_field_csv(traj, out / "trajectory.npy")))
     ledger = mass_ledger(traj, prop)
     manifest.outputs.append(("mass_ledger.csv", ledger.write_csv(out / "mass_ledger.csv")))
-    manifest.checks.append(
-        CheckResult("finite_trajectory", bool(np.all(np.isfinite(traj))), 0.0, 0.0)
-    )
+    manifest.check("finite_trajectory", 0.0, 0.0, passed=bool(np.all(np.isfinite(traj))))
     if cfg.zero_order == "divergence" and prop.forcing_integrals is None:
         # relative to the weighted L1 norm of u0: the mass of a mean-free u0 is ~1e-16
         scale = prop.geometry.integrals(np.abs(traj[:1]))[0]
         drift = abs(ledger.masses[-1] - ledger.masses[0]) / max(scale, 1e-300)
-        manifest.checks.append(CheckResult("relative_mass_drift", drift <= 1e-8, drift, 1e-8))
+        manifest.check("relative_mass_drift", drift, 1e-8)
 
 
 def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -342,44 +345,32 @@ def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
                            [np.arange(1, len(history) + 1), history])
         manifest.outputs.append(("krylov_ledger.csv", digest))
         gap = solve_report.spectral_gap
-        manifest.checks.append(CheckResult("injectivity_indicator", gap >= 1e-8, gap, 1e-8))
+        manifest.check("injectivity_indicator", gap, 1e-8, passed=gap >= 1e-8)
     manifest.outputs.append(("trajectory.npy", emit_field_csv(traj, out / "trajectory.npy")))
     residuals = periodicity_residuals(traj, weights0)
     tol = max(10.0 * cfg.tol, 1e-8)
-    manifest.checks.append(
-        CheckResult("relaxed_residual", residuals.relaxed <= tol, residuals.relaxed, tol)
-    )
+    manifest.check("relaxed_residual", residuals.relaxed, tol)
     mean0, _ = mean_and_mass(weights0, traj[0])
     mean_err = abs(mean0 - cfg.target_mean)
-    manifest.checks.append(CheckResult("initial_mean", mean_err <= 1e-12, mean_err, 1e-12))
+    manifest.check("initial_mean", mean_err, 1e-12)
     compat = compatibility_check(prop)
     if cfg.zero_order == "divergence" and abs(compat) <= 1e-10:
-        manifest.checks.append(
-            CheckResult("strict_residual", residuals.strict <= tol, residuals.strict, tol)
-        )
+        manifest.check("strict_residual", residuals.strict, tol)
     ledger = mass_ledger(traj, prop)
     manifest.outputs.append(("mass_ledger.csv", ledger.write_csv(out / "mass_ledger.csv")))
 
 
 def _scenario_contraction(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     prop = cfg.propagator()
-    try:
-        est = contraction_estimate(prop, seed=cfg.seed)
-        bound_ok, worst, bound = True, est.end_map_ratio, est.bound or float("inf")
-    except ContractionBoundError as exc:
-        bound_ok, worst, bound = False, exc.ratio, exc.bound
-        est = None
-    manifest.checks.append(CheckResult("end_map_ratio_bound", bound_ok, worst, bound))
-    if est is not None:
-        j_ratios, k_ratios = np.array(est.pair_ratios, dtype=float).reshape(-1, 2).T
-        header = ["probe", "end_map_ratio", "adjusted_ratio"]
-        digest = write_csv(out / "contraction_ledger.csv", header,
-                           [np.arange(j_ratios.size), j_ratios, k_ratios])
-        manifest.outputs.append(("contraction_ledger.csv", digest))
-        manifest.checks.append(
-            CheckResult("adjusted_ratio_below_one", est.adjusted_ratio < 1.0,
-                        est.adjusted_ratio, 1.0)
-        )
+    est = contraction_estimate(prop, seed=cfg.seed)
+    manifest.check("end_map_ratio_bound", est.end_map_ratio, est.bound or math.inf)
+    j_ratios, k_ratios = np.array(est.pair_ratios, dtype=float).reshape(-1, 2).T
+    header = ["probe", "end_map_ratio", "adjusted_ratio"]
+    digest = write_csv(out / "contraction_ledger.csv", header,
+                       [np.arange(j_ratios.size), j_ratios, k_ratios])
+    manifest.outputs.append(("contraction_ledger.csv", digest))
+    manifest.check("adjusted_ratio_below_one", est.adjusted_ratio, 1.0,
+                   passed=est.adjusted_ratio < 1.0)
     report = fixed_point_solve(prop, cfg.target_mean, cfg.tol, cfg.max_iter)
     _check_fixed_point(report, cfg.tol, manifest)
 
@@ -392,7 +383,7 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     href = h / (1.0 / 128.0)
 
     eik, eik_tol = eikonal_residual(grid, dist), 1e-4 * max(1.0, href**2)
-    manifest.checks.append(CheckResult("eikonal_residual", eik <= eik_tol, eik, eik_tol))
+    manifest.check("eikonal_residual", eik, eik_tol)
 
     # surface sampling fine enough that lift interpolation stays below the
     # band truncation error at every h in the refinement study
@@ -403,7 +394,7 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     extracted = band_average_extract(lifted, grid, dist, surface, t, theta)
     rt = float(np.max(np.abs(extracted - u_surface)))
     rt_tol = 1e-6 * max(1.0, href**3) * max(1.0, float(np.max(np.abs(u_surface))))
-    manifest.checks.append(CheckResult("lift_extract_roundtrip", rt <= rt_tol, rt, rt_tol))
+    manifest.check("lift_extract_roundtrip", rt, rt_tol)
 
     # identity-metric extension against the exact image of the first
     # coordinate: its surface Laplacian is -curvature * normal_x at the foot
@@ -416,19 +407,15 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     grid2, dist2 = build_band(surface, t, 2.0 * h, delta)
     err, err2 = identity_error(grid, dist), identity_error(grid2, dist2)
     order = math.log2(err2 / err) if err > 0 else float("inf")
-    manifest.checks.append(
-        CheckResult("extension_identity_order", 1.4 <= order <= 2.7, order, 2.0)
-    )
+    manifest.check("extension_identity_order", order, 2.0, passed=1.4 <= order <= 2.7)
 
     os_res = os_operator_equivalence(dist.foot[..., 0], grid, dist)
     os_res2 = os_operator_equivalence(dist2.foot[..., 0], grid2, dist2)
     os_order = math.log2(os_res2 / os_res) if os_res > 0 else float("inf")
-    manifest.checks.append(
-        CheckResult("os_equivalence_order", 1.4 <= os_order <= 2.7, os_order, 2.0)
-    )
+    manifest.check("os_equivalence_order", os_order, 2.0, passed=1.4 <= os_order <= 2.7)
 
     flat = flat_strip_step_equivalence()
-    manifest.checks.append(CheckResult("flat_strip_step", flat <= 1e-10, flat, 1e-10))
+    manifest.check("flat_strip_step", flat, 1e-10)
     digest = band_field_csv(grid, dist, lifted, out / "band_field.csv")
     manifest.outputs.append(("band_field.csv", digest))
 
@@ -463,10 +450,8 @@ def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest
         order = float(np.mean(orders))
         rows.append((name, comm, trace_diff, green, order))
         for check, value in (("commutator", comm), ("trace", trace_diff), ("greens", green)):
-            manifest.checks.append(CheckResult(f"{check}_{name}", value <= 1e-9, value, 1e-9))
-        manifest.checks.append(
-            CheckResult(f"pullback_order_{name}", abs(order - 2.0) <= 0.3, order, 2.0)
-        )
+            manifest.check(f"{check}_{name}", value, 1e-9)
+        manifest.check(f"pullback_order_{name}", order, 2.0, passed=abs(order - 2.0) <= 0.3)
     header = ["family", "commutator", "trace", "greens", "pullback_order"]
     digest = write_csv(out / "identities.csv", header, list(zip(*rows)))
     manifest.outputs.append(("identities.csv", digest))
@@ -487,7 +472,7 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     manifest.outputs.append(("holder.csv", digest))
     checks = interpolation_check(estimates[0], [0.5, 0.25, 0.125])  # the alpha = 0.5 estimate
     worst = max(lhs - rhs for _, lhs, rhs in checks)
-    manifest.checks.append(CheckResult("interpolation_inequality", worst <= 0.0, worst, 0.0))
+    manifest.check("interpolation_inequality", worst, 0.0)
 
 
 # scenario name -> (description, runner)
@@ -510,7 +495,10 @@ SCENARIOS = {
 def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunManifest:
     """Dispatch a parsed config, write outputs and the manifest."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     manifest = RunManifest(scenario=cfg.scenario, resolved=_resolved_dict(cfg))
     started = time.perf_counter()
     SCENARIOS[cfg.scenario][1](cfg, out, manifest)

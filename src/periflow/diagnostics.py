@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .evolution import Propagator, _time_derivative
-from .fields import ParameterGrid
+from .fields import ParameterGrid, _require_shape
 from .narrowband import DistanceField, NarrowBandGrid, _gradient
 from .surfaces import (
     GeometryFrame,
@@ -277,11 +277,7 @@ def mass_ledger(trajectory: np.ndarray, prop: Propagator) -> MassSeries:
     zero-order mode is then round-off by construction.
     """
     geometry, grid, theta = prop.geometry, prop.grid, prop.config.theta
-    if np.shape(trajectory) != (grid.n_steps + 1, grid.n_nodes):
-        raise GridMismatchError(
-            f"trajectory shape {np.shape(trajectory)} does not match grid "
-            f"({grid.n_steps + 1}, {grid.n_nodes})"
-        )
+    trajectory = _require_shape(trajectory, (grid.n_steps + 1, grid.n_nodes), "trajectory")
     masses = geometry.integrals(trajectory)
     f_int = prop.forcing_integrals
     if f_int is None:

@@ -25,16 +25,6 @@ class StepError(PeriflowError):
         self.level = level
 
 
-class ContractionBoundError(PeriflowError):
-    """Measured contraction ratio violates the asserted bound."""
-
-    def __init__(self, message: str, probe_index: int, ratio: float, bound: float):
-        super().__init__(message)
-        self.probe_index = probe_index
-        self.ratio = ratio
-        self.bound = bound
-
-
 class NonuniquenessError(PeriflowError):
     """Mean-adjusted monodromy system is numerically singular, or its Krylov
     solve did not converge; carries the system's spectral gap."""

@@ -42,8 +42,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import GridMismatchError, StepError
-from .fields import ParameterGrid
+from .errors import StepError
+from .fields import ParameterGrid, _require_shape
 from .metric import SpaceTimeGeometry, _operator_diagonals, space_time_geometry
 from .surfaces import SurfaceFamily
 
@@ -95,27 +95,12 @@ def _require_finite(samples: np.ndarray, quantity: str) -> np.ndarray:
     return samples
 
 
-def _require_state(values: np.ndarray, n_nodes: int, quantity: str) -> np.ndarray:
-    """`values` as an (N,) float array, or GridMismatchError naming its shape."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (n_nodes,):
-        raise GridMismatchError(
-            f"{quantity} of shape {values.shape} does not match the grid's {n_nodes} nodes"
-        )
-    return values
-
-
 def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None:
     if forcing is None:
         return None
     if callable(forcing):
         return _sample_levels(forcing, grid, "forcing")
-    samples = np.asarray(forcing, dtype=float)
-    if samples.shape != (grid.n_steps + 1, grid.n_nodes):
-        raise GridMismatchError(
-            f"forcing shape {samples.shape} does not match grid "
-            f"({grid.n_steps + 1}, {grid.n_nodes})"
-        )
+    samples = _require_shape(forcing, (grid.n_steps + 1, grid.n_nodes), "forcing")
     return _require_finite(samples, "forcing")
 
 
@@ -219,7 +204,7 @@ class Propagator:
 
     def step(self, values: np.ndarray, level: int, include_forcing: bool = True) -> np.ndarray:
         """Advance the (N,) state `values` from `level` to `level+1`."""
-        values = _require_state(values, self.grid.n_nodes, "state")
+        values = _require_shape(values, (self.grid.n_nodes,), "state")
         rhs = _banded_matvec(self._explicit[level], values)
         if include_forcing and self._load is not None:
             rhs -= self._load[level]
@@ -239,7 +224,7 @@ class Propagator:
         Returns the trajectory (M+1, N) when `keep_trajectory`, otherwise the
         final state (N,) only.
         """
-        u = _require_state(np.array(u0, dtype=float), self.grid.n_nodes, "initial state")
+        u = _require_shape(u0, (self.grid.n_nodes,), "initial state")
         _require_finite(u[None], "initial state")
         states = [u]
         for k in range(self.grid.n_steps):
@@ -302,9 +287,8 @@ def duality_check(geometry: SpaceTimeGeometry, u: np.ndarray, phi: np.ndarray) -
     difference of the weighted end products.  Decays at the scheme order
     when u and phi come from the solvers.
     """
-    uu, pp = np.asarray(u, dtype=float), np.asarray(phi, dtype=float)
-    if uu.shape != pp.shape:
-        raise GridMismatchError(f"trajectories have different shapes {uu.shape} and {pp.shape}")
+    uu = _require_shape(u, geometry.weights.shape, "u")
+    pp = _require_shape(phi, geometry.weights.shape, "phi")
     dt = geometry.grid.dt
     lu = geometry.laplace_beltrami(uu) - geometry.trace_rate * uu - _time_derivative(uu, dt)
     lstar_phi = geometry.laplace_beltrami(pp) + _time_derivative(pp, dt)

@@ -2,7 +2,10 @@
 
 Expressions may use the names ``theta``, ``t``, ``pi``, ``T``, the calls
 ``sin``, ``cos``, ``exp``, numeric literals and the operators + - * / **.
-Anything else is rejected at parse time.
+Anything else is rejected at parse time.  An evaluation that Python's own
+arithmetic rejects (division by zero, overflow, a complex result) raises
+``ConfigError`` naming the expression; numpy arrays give inf or nan there
+instead, which the stepper reports where they are sampled.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ def compile_expression(source: str, period: float) -> Callable[[np.ndarray, floa
 
     def closure(theta: np.ndarray, t: float) -> np.ndarray:
         local = {"theta": theta, "t": t}
-        return np.asarray(eval(code, {"__builtins__": {}}, {**env, **local}), dtype=float) + np.zeros_like(theta)
+        try:  # Python scalars raise where numpy arrays give inf or nan
+            value = np.asarray(eval(code, {"__builtins__": {}}, {**env, **local}), dtype=float)
+        except (ArithmeticError, TypeError) as exc:  # TypeError: a complex result
+            raise ConfigError(f"cannot evaluate expression {source!r}: {exc}") from exc
+        return value + np.zeros_like(theta)
 
     return closure

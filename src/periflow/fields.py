@@ -5,7 +5,10 @@ on a periodic grid, time by ``M+1`` equispaced levels spanning one period
 ``[0, T]``.  Sampled fields are plain arrays: a state is an ``(N,)`` array,
 a trajectory or a sampled forcing an ``(M+1, N)`` array with one row per
 level of ``ParameterGrid.times``, and a measure the ``(N,)`` row of
-quadrature weights of one level (see ``metric``).
+quadrature weights of one level (see ``metric``).  The stepper, the
+operators, the ledgers and the lift check the full shape of such an array
+through ``_require_shape``, so a wrong shape raises ``GridMismatchError``
+instead of broadcasting.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .errors import GridMismatchError
 
 _NOISE_MODES = 4  # Fourier modes of `fourier_noise`
 
@@ -50,6 +55,15 @@ class ParameterGrid:
     @property
     def dt(self) -> float:
         return self.period / self.n_steps
+
+
+def _require_shape(values, shape: tuple[int, ...], quantity: str) -> np.ndarray:
+    """`values` as a float array of exactly `shape`, or GridMismatchError
+    naming the quantity and both shapes."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise GridMismatchError(f"{quantity} of shape {values.shape} does not match {shape}")
+    return values
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import DegenerateMetricError, GridMismatchError
-from .fields import AmbientField, AnalyticField, ParameterGrid
+from .errors import DegenerateMetricError
+from .fields import AmbientField, AnalyticField, ParameterGrid, _require_shape
 from .surfaces import GeometryFrame, SurfaceFamily, _theta_derivative, build_frame
 
 _CONDITION_LIMIT = 1e12
@@ -221,11 +221,7 @@ def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTim
 
 def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarray:
     """Conservative-form discrete diffusion operator applied to nodal values."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != metric.n_nodes:
-        raise GridMismatchError(
-            f"field has {values.shape[0]} nodes, metric has {metric.n_nodes}"
-        )
+    values = _require_shape(values, (metric.n_nodes,), "field")
     return _flux_form_apply(metric.c_half, metric.sqrt_g, metric.dtheta, values)
 
 
@@ -244,10 +240,8 @@ def cartesian_laplacian_apply(
     central differences, so the result agrees with the flux form and with
     the true operator to O(dtheta^2).
     """
-    values = np.asarray(values, dtype=float)
-    n = metric.n_nodes
-    if values.shape[0] != n or frame0.n_nodes != n:
-        raise GridMismatchError("field/frame/metric node counts disagree")
+    values = _require_shape(values, (metric.n_nodes,), "field")
+    _require_shape(frame0.theta, metric.theta.shape, "frame nodes")
     dth = metric.dtheta
     tau, speed = frame0.tangent, frame0.speed
     grad = (_theta_derivative(values, dth) / speed)[:, None] * tau  # D_b u
@@ -278,11 +272,7 @@ def trace_identity(metric: MetricSample, frame: GeometryFrame) -> tuple[np.ndarr
 def mean_and_mass(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Weighted mean and mass of nodal values under a row of (N,) measure
     weights, such as `metric.weights` or `prop.geometry.weights[k]`."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != weights.shape:
-        raise GridMismatchError(
-            f"field of shape {values.shape} does not match the measure's {weights.shape[0]} nodes"
-        )
+    values = _require_shape(values, weights.shape, "field")
     if np.any(weights <= 0.0):
         raise DegenerateMetricError("non-positive quadrature weight")
     mass = float(np.dot(weights, values))
@@ -297,7 +287,8 @@ def greens_formula_check(metric: MetricSample, u: np.ndarray, w: np.ndarray) -> 
     (summation by parts telescopes on the closed curve); the residual is
     round-off at any resolution.
     """
-    uu, ww = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    uu = _require_shape(u, (metric.n_nodes,), "u")
+    ww = _require_shape(w, (metric.n_nodes,), "w")
     du = np.roll(uu, -1) - uu
     dw = np.roll(ww, -1) - ww
     energy = float(np.sum(metric.c_half * du * dw) / metric.dtheta)

@@ -31,7 +31,8 @@ from scipy.spatial import cKDTree
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .errors import BandError, ExtractionError, GridMismatchError, ProjectionError
+from .errors import BandError, ExtractionError, ProjectionError
+from .fields import _require_shape
 from .metric import MetricSample, _cyclic_tridiagonal
 from .surfaces import SurfaceFamily, _frame_pieces, orientation_sign
 from .tables import write_csv
@@ -291,9 +292,7 @@ def lift_field(
 ) -> np.ndarray:
     """Lift nodal surface values to the band: constant along normals, values
     taken at the foot via periodic cubic interpolation in theta."""
-    u = np.asarray(u_values, dtype=float)
-    if u.shape[0] != theta_nodes.shape[0]:
-        raise GridMismatchError("surface values and nodes disagree")
+    u = _require_shape(u_values, theta_nodes.shape, "surface values")
     spline = CubicSpline(
         np.append(theta_nodes, theta_nodes[0] + 2.0 * np.pi),
         np.append(u, u[0]),
@@ -345,8 +344,7 @@ def extended_operator_apply(
     supplied time-derivative samples.  Valid on the interior mask; NaN
     elsewhere.
     """
-    if values.shape != grid.shape:
-        raise GridMismatchError("band field shape does not match the grid")
+    values = _require_shape(values, grid.shape, "band field")
     V = rescaled_gradient(values, grid, dist)
 
     if metric is None:

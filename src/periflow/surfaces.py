@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSurfaceError, GridMismatchError
-from .fields import AnalyticField, ParameterGrid
+from .errors import DegenerateSurfaceError
+from .fields import AnalyticField, ParameterGrid, _require_shape
 
 _IMMERSION_FLOOR = 1e-12
 
@@ -253,14 +253,10 @@ def tangential_gradient(
     theta-derivatives are used when supplied, otherwise second-order central
     differences on the periodic grid.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != frame.n_nodes:
-        raise GridMismatchError(
-            f"field has {values.shape[0]} nodes, frame has {frame.n_nodes}"
-        )
+    values = _require_shape(values, (frame.n_nodes,), "field")
     if dtheta_values is None:
         dtheta_values = _theta_derivative(values, 2.0 * np.pi / frame.n_nodes)
-    arc_derivative = dtheta_values / frame.speed
+    arc_derivative = _require_shape(dtheta_values, values.shape, "dtheta_values") / frame.speed
     return arc_derivative[:, None] * frame.tangent
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periflow import FAMILIES, ConfigError, evolution
+from periflow import FAMILIES, ConfigError, contraction_estimate, evolution
 from periflow.cli import SCENARIOS, emit_field_csv, main, parse_config, run_scenario
 
 
@@ -351,6 +351,51 @@ def test_non_finite_samples_are_reported_where_sampled(tmp_path, capsys, key, qu
     path = write_config(tmp_path, body)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert f"{quantity} is not finite at node 0 (time level 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, expression",
+    [("u0", "1/0"), ("forcing", "10.0**400"), ("u0", "(-1)**0.5")],
+    ids=["division-by-zero", "overflow", "complex-result"],
+)
+def test_expression_evaluation_error_exits_2(tmp_path, capsys, key, expression):
+    body = SMALL_IVP.replace("u0 = 1 + 0*theta", f"{key} = {expression}")
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot evaluate expression {expression!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["flag", "key"])
+def test_output_directory_naming_a_file_exits_2(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    body, flags = SMALL_HOLDER, ["--out", str(taken)]
+    if where == "key":
+        body, flags = SMALL_HOLDER + f"\n[output]\ndirectory = {taken}\n", []
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), *flags]) == 2
+    assert f"config error: cannot create output directory {taken}" in capsys.readouterr().err
+
+
+def test_violated_contraction_bound_fails_and_keeps_the_ledger(tmp_path, capsys, monkeypatch):
+    # scaling every end state by 4 lifts the end-map ratio above its decay bound
+    run = evolution.Propagator.run
+
+    def inflated_run(self, u0, include_forcing=True, keep_trajectory=True):
+        out = run(self, u0, include_forcing, keep_trajectory)
+        return out if keep_trajectory else 4.0 * out
+
+    monkeypatch.setattr(evolution.Propagator, "run", inflated_run)
+    path = write_config(tmp_path, SMALL_CONTRACTION)
+    est = contraction_estimate(parse_config(path).propagator())
+    assert est.end_map_ratio > est.bound
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    line = (f"check end_map_ratio_bound: FAIL (value={est.end_map_ratio:.6e}, "
+            f"tol={est.bound:.6e})")
+    assert line in capsys.readouterr().out
+    assert "contraction_ledger.csv" in manifest_output_names(tmp_path / "o")
 
 
 BAD_VALUE = """

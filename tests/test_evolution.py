@@ -14,12 +14,17 @@ from periflow import (
     adjoint_solve,
     assemble_metric,
     breathing_circle,
+    build_frame,
     circle,
     duality_check,
     fourier_noise,
+    greens_formula_check,
+    laplace_beltrami_apply,
+    lift_field,
     mass_ledger,
     mean_and_mass,
     space_time_geometry,
+    tangential_gradient,
 )
 
 
@@ -51,29 +56,53 @@ def test_non_finite_zero_order_sample_names_level_and_node():
 
 # case -> (call on a 16-node, 8-step propagator, expected message)
 SHAPE_MISMATCHES = {
-    "u0": (lambda p: p.run(np.ones(15)), r"shape \(15,\) does not match the grid's 16 nodes"),
+    "u0": (lambda p: p.run(np.ones(15)), r"initial state of shape \(15,\) does not match \(16,\)"),
     "forcing": (
         lambda p: Propagator(p.surface, p.config, np.zeros((9, 15))),
-        r"forcing shape \(9, 15\) does not match grid \(9, 16\)",
+        r"forcing of shape \(9, 15\) does not match \(9, 16\)",
     ),
     "mass_ledger": (
         lambda p: mass_ledger(np.zeros((8, 16)), p),
-        r"trajectory shape \(8, 16\) does not match grid \(9, 16\)",
+        r"trajectory of shape \(8, 16\) does not match \(9, 16\)",
     ),
     "duality_check": (
         lambda p: duality_check(p.geometry, np.zeros((9, 16)), np.zeros((9, 15))),
-        r"different shapes \(9, 16\) and \(9, 15\)",
+        r"phi of shape \(9, 15\) does not match \(9, 16\)",
     ),
     "u0_rank": (lambda p: p.run(np.ones((16, 2))), r"shape \(16, 2\) does not match"),
     # a square batch would broadcast the diagonals along the wrong axis
     "step_rank": (lambda p: p.step(np.eye(16), 0), r"state of shape \(16, 16\) does not match"),
     "mean_and_mass": (
         lambda p: mean_and_mass(p.geometry.weights[0], np.ones(15)),
-        r"field of shape \(15,\) does not match the measure's 16 nodes",
+        r"field of shape \(15,\) does not match \(16,\)",
     ),
     "mean_and_mass_batch": (
         lambda p: mean_and_mass(p.geometry.weights[0], np.ones((16, 2))),
-        r"field of shape \(16, 2\) does not match the measure's 16 nodes",
+        r"field of shape \(16, 2\) does not match \(16,\)",
+    ),
+    # a square batch would be differenced along the wrong axis
+    "laplace_beltrami_apply": (
+        lambda p: laplace_beltrami_apply(assemble_metric(p.surface, p.grid, 0.0), np.eye(16)),
+        r"field of shape \(16, 16\) does not match \(16,\)",
+    ),
+    "tangential_gradient": (
+        lambda p: tangential_gradient(build_frame(p.surface, p.grid, 0.0), np.ones((16, 2))),
+        r"field of shape \(16, 2\) does not match \(16,\)",
+    ),
+    "tangential_gradient_dtheta": (
+        lambda p: tangential_gradient(build_frame(p.surface, p.grid, 0.0), np.ones(16),
+                                      np.ones((16, 1))),
+        r"dtheta_values of shape \(16, 1\) does not match \(16,\)",
+    ),
+    "greens_formula_check": (
+        lambda p: greens_formula_check(assemble_metric(p.surface, p.grid, 0.0), np.ones(15),
+                                       np.ones(15)),
+        r"u of shape \(15,\) does not match \(16,\)",
+    ),
+    # the shape is checked before the band is read
+    "lift_field": (
+        lambda p: lift_field(np.ones((16, 2)), p.grid.nodes, None, None),
+        r"surface values of shape \(16, 2\) does not match \(16,\)",
     ),
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from helpers import dense_monodromy, linear_part
+from helpers import dense_monodromy, linear_part, mean_order
 from periflow import (
     FAMILIES,
     IVPConfig,
@@ -107,15 +107,13 @@ def test_identical_probes_skipped():
     assert len(est.pair_ratios) == 1
 
 
-def test_contraction_bound_violation_raises():
-    # growth regime: negative rate makes the end map expanding, while the
-    # declared floor feeds an impossible bound
+def test_contraction_bound_not_applicable_below_ln2_over_t():
+    # growth regime: a negative rate makes the end map expanding; its floor
+    # -2.0 is below ln(2)/T, so the estimate carries no bound to compare with
     config = IVPConfig(
         n_nodes=32, n_steps=16, scheme="backward_euler", zero_order="custom",
         custom=lambda th, t: np.full_like(th, -2.0),
     )
-    # floor is -2.0 < ln 2, so no assertion is made; force one by lying about
-    # the floor via a custom closure that is positive only at the samples used
     est = contraction_estimate(Propagator(circle(), config))
     assert not est.applicable
     assert est.bound is None
@@ -314,3 +312,45 @@ def test_exponential_decay_scenario_mean_drift():
     expected = math.exp(-0.5) - 1.0
     assert abs(res.mean_drift - expected) <= 1e-4
     assert res.relaxed <= 1e-8
+
+
+def manufactured_problem(surface, grid, zero_order):
+    """u* = cos(2 theta + sin 2 pi t)(1 + 0.3 sin 2 pi t) + 0.5, periodic with
+    period 1, and the forcing (1/sqrt g) d_theta(d_theta u* / sqrt g) - d_t u*
+    - c u* that makes it the periodic solution, with c = X_theta . X_t_theta / g
+    in the divergence mode and 0 in the zero mode; both as (M+1, N) samples
+    from the chart jets."""
+    theta, t = grid.nodes, grid.times[:, None]
+    _, xd, xdd, _, xtd = surface.jet(theta, t)
+    g = np.einsum("...a,...a->...", xd, xd)
+    g_theta = 2.0 * np.einsum("...a,...a->...", xd, xdd)
+    phase = 2.0 * np.pi * t
+    psi, amp = 2.0 * theta + np.sin(phase), 1.0 + 0.3 * np.sin(phase)
+    u = np.cos(psi) * amp + 0.5
+    u_theta, u_theta2 = -2.0 * np.sin(psi) * amp, -4.0 * np.cos(psi) * amp
+    u_t = 2.0 * np.pi * np.cos(phase) * (0.3 * np.cos(psi) - np.sin(psi) * amp)
+    diffusion = u_theta2 / g - 0.5 * u_theta * g_theta / g**2
+    c = np.einsum("...a,...a->...", xd, xtd) / g if zero_order == "divergence" else 0.0
+    return u, diffusion - u_t - c * u
+
+
+@pytest.mark.parametrize("scheme, steps_per_node, order", [("crank_nicolson", 1, 2.0),
+                                                           ("backward_euler", 4, 1.0)])
+@pytest.mark.parametrize("zero_order", ["zero", "divergence"])
+@pytest.mark.parametrize("family", ["breathing", "ellipse", "bean"])
+def test_manufactured_periodic_solution_converges_at_scheme_order(family, zero_order, scheme,
+                                                                  steps_per_node, order):
+    surface, errors = FAMILIES[family](), []
+    for n in (32, 64, 128):
+        config = IVPConfig(n_nodes=n, n_steps=steps_per_node * n, scheme=scheme,
+                           zero_order=zero_order)
+        exact, forcing = manufactured_problem(surface, config.grid(surface.period), zero_order)
+        prop = Propagator(surface, config, forcing)
+        target_mean, _ = mean_and_mass(prop.geometry.weights[0], exact[0])
+        traj, _ = monodromy_solve(prop, target_mean)
+        errors.append(float(np.max(np.abs(traj - exact))))
+        if n == 64:
+            report = fixed_point_solve(prop, target_mean, tol=1e-12, max_iter=100)
+            assert report.converged
+            assert np.max(np.abs(report.trajectory - traj)) <= 1e-11
+    assert abs(mean_order(errors) - order) <= 0.3
