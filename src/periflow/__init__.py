@@ -36,7 +36,6 @@ from .metric import (
     MetricSample,
     SpaceTimeGeometry,
     assemble_metric,
-    cartesian_laplacian_apply,
     greens_formula_check,
     laplace_beltrami_apply,
     laplace_beltrami_matrix,
@@ -44,13 +43,10 @@ from .metric import (
     pullback_identity_check,
     space_time_geometry,
     trace_identity,
-    transport_formula_residual,
 )
 from .evolution import (
     IVPConfig,
     Propagator,
-    adjoint_solve,
-    duality_check,
 )
 from .periodic import (
     ContractionEstimate,
@@ -69,25 +65,18 @@ from .narrowband import (
     band_average_extract,
     band_field_csv,
     build_band,
-    default_band_width,
     eikonal_residual,
-    elliptic_part_identity_check,
     extended_operator_apply,
     flat_strip_step_equivalence,
     lift_field,
-    max_curvature,
     os_operator_equivalence,
     rescaled_gradient,
-    surface_point_geometry,
 )
 from .diagnostics import (
     HolderEstimate,
     MassSeries,
-    MaxPrincipleReport,
     compatibility_check,
     holder_estimate,
     interpolation_check,
     mass_ledger,
-    max_principle_monitor,
-    norm_equivalence_check,
 )

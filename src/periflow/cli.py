@@ -493,15 +493,24 @@ SCENARIOS = {
 
 
 def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunManifest:
-    """Dispatch a parsed config, write outputs and the manifest."""
+    """Dispatch a parsed config, write outputs and the manifest.  A config
+    error raised inside the scenario removes the directories this call
+    created, which are still empty then: expressions are evaluated before
+    any file is written."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     manifest = RunManifest(scenario=cfg.scenario, resolved=_resolved_dict(cfg))
     started = time.perf_counter()
-    SCENARIOS[cfg.scenario][1](cfg, out, manifest)
+    try:
+        SCENARIOS[cfg.scenario][1](cfg, out, manifest)
+    except ConfigError:
+        for directory in created:
+            directory.rmdir()
+        raise
     manifest.wall_clock_s = time.perf_counter() - started
     manifest.write(out / "manifest.txt")
     return manifest

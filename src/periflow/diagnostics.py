@@ -1,4 +1,4 @@
-"""Quantitative instruments: norm estimators, conservation ledgers, monitors.
+"""Quantitative instruments: Hölder norm estimators and conservation ledgers.
 
 The Hölder quantities are finite-pair suprema over grid points, hence lower
 bounds of the continuum norms; every asserted property uses only directions
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import GridMismatchError
 from .evolution import Propagator, _time_derivative
 from .fields import ParameterGrid, _require_shape
-from .narrowband import DistanceField, NarrowBandGrid, _gradient
 from .surfaces import (
     GeometryFrame,
     SurfaceFamily,
@@ -28,10 +27,8 @@ from .surfaces import (
 from .tables import write_csv
 
 _FULL_ENUM_LIMIT = 1500  # below this many points, enumerate all pairs
-# pairs sampled per supremum beyond the full enumeration, per instrument
+# pairs sampled per supremum beyond the full enumeration
 _HOLDER_BUDGET = 1_000_000
-_EQUIVALENCE_BUDGET = 200_000
-_MAX_PRINCIPLE_TOL = 1e-13  # allowed rise of the maximum, relative to max(1, |max|)
 
 
 @dataclass(frozen=True)
@@ -192,60 +189,6 @@ def interpolation_check(
     ]
 
 
-def _band_holder(
-    points: np.ndarray, values: np.ndarray, alpha: float, budget: int, rng
-) -> tuple[float, float]:
-    """(sup, Hölder sup) over band nodes with Euclidean separations."""
-    sup = float(np.max(np.abs(values)))
-    p, q = _pair_indices(points.shape[0], budget, rng)
-    dist = np.linalg.norm(points[p] - points[q], axis=-1)
-    flat = values.reshape(points.shape[0], -1)
-    diffs = np.linalg.norm(flat[p] - flat[q], axis=-1)
-    return sup, _space_time_sup(diffs, dist, alpha)
-
-
-def norm_equivalence_check(
-    u_values: np.ndarray,
-    surface: SurfaceFamily,
-    grid: ParameterGrid,
-    band_grid: NarrowBandGrid,
-    band_dist: DistanceField,
-    lifted: np.ndarray,
-    alpha: float = 0.5,
-    seed: int = 0,
-) -> dict[int, float]:
-    """Ratios of lifted-band to surface Hölder estimates for k = 0, 1.
-
-    Both sides use the same estimator family; ratios are expected inside
-    [1/10, 10] for the shipped geometries.
-    """
-    rng = np.random.default_rng(seed)
-    frame0 = build_frame(surface, grid, 0.0)
-    s, length = _arc_coordinates(frame0, grid.dtheta)
-    zero_t = np.zeros(1)
-
-    u = np.asarray(u_values, dtype=float)[None, :]
-    sup_m = float(np.max(np.abs(u)))
-    h_m = _holder_sup_spacetime(u, s, length, zero_t, alpha, _EQUIVALENCE_BUDGET, rng)
-    grad_m = tangential_gradient(frame0, u[0])[None]
-    gsup_m = float(np.max(np.abs(grad_m)))
-    gh_m = _holder_sup_spacetime(grad_m, s, length, zero_t, alpha, _EQUIVALENCE_BUDGET, rng)
-
-    XX, YY = band_grid.mesh()
-    act = band_grid.active_mask
-    pts = np.stack([XX[act], YY[act]], axis=-1)
-    sup_b, h_b = _band_holder(pts, lifted[act], alpha, _EQUIVALENCE_BUDGET, rng)
-
-    g_band = _gradient(lifted, band_grid.h)
-    interior = band_grid.interior_mask
-    pts_i = np.stack([XX[interior], YY[interior]], axis=-1)
-    gsup_b, gh_b = _band_holder(pts_i, g_band[interior], alpha, _EQUIVALENCE_BUDGET, rng)
-
-    ratio0 = (sup_b + h_b) / (sup_m + h_m)
-    ratio1 = (sup_b + gsup_b + gh_b) / (sup_m + gsup_m + gh_m)
-    return {0: float(ratio0), 1: float(ratio1)}
-
-
 @dataclass(frozen=True)
 class MassSeries:
     """Mass per level, forcing integrals, and per-step conservation defects."""
@@ -294,21 +237,3 @@ def compatibility_check(prop: Propagator) -> float:
     if prop.forcing_integrals is None:
         return 0.0
     return prop.geometry.time_integral(prop.forcing_integrals)
-
-
-@dataclass(frozen=True)
-class MaxPrincipleReport:
-    monotone: bool
-    first_violation_level: int | None
-    maxima: np.ndarray
-
-
-def max_principle_monitor(trajectory: np.ndarray) -> MaxPrincipleReport:
-    """True iff the nodal maximum of an (M+1, N) trajectory is non-increasing
-    across levels."""
-    maxima = np.max(trajectory, axis=1)
-    scale = max(1.0, float(np.max(np.abs(maxima))))
-    rises = np.nonzero(maxima[1:] > maxima[:-1] + _MAX_PRINCIPLE_TOL * scale)[0]
-    if rises.size == 0:
-        return MaxPrincipleReport(True, None, maxima)
-    return MaxPrincipleReport(False, int(rises[0] + 1), maxima)

@@ -36,7 +36,7 @@ Zero-order modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import StepError
 from .fields import ParameterGrid, _require_shape
-from .metric import SpaceTimeGeometry, _operator_diagonals, space_time_geometry
+from .metric import _operator_diagonals, space_time_geometry
 from .surfaces import SurfaceFamily
 
 _THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
@@ -106,12 +106,16 @@ def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None
 
 def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: ParameterGrid,
                    quantity: str) -> np.ndarray:
-    """(M+1, N) samples of a closure c(theta, t) at every node and time level."""
+    """(M+1, N) samples of a closure c(theta, t) at every node and time level;
+    each level's value is a scalar or an (N,) array, else GridMismatchError."""
     theta = grid.nodes
-    samples = np.stack(
-        [np.asarray(fn(theta, t), dtype=float) + np.zeros_like(theta) for t in grid.times]
-    )
-    return _require_finite(samples, quantity)
+    levels = []
+    for t in grid.times:
+        value = np.asarray(fn(theta, t), dtype=float)
+        if value.shape not in ((), (1,)):
+            value = _require_shape(value, theta.shape, quantity)
+        levels.append(value + np.zeros_like(theta))
+    return _require_finite(np.stack(levels), quantity)
 
 
 def _banded_matvec(diagonals: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -234,39 +238,6 @@ class Propagator:
         return np.stack(states) if keep_trajectory else u
 
 
-def _reversed_forcing(forcing: Forcing, period: float) -> Forcing:
-    if forcing is None:
-        return None
-    if callable(forcing):
-        return lambda theta, t: forcing(theta, period - t)
-    return np.asarray(forcing, dtype=float)[::-1]
-
-
-def adjoint_solve(
-    surface: SurfaceFamily,
-    config: IVPConfig,
-    forcing: Forcing,
-    terminal: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve ``diffusion(phi) + phi_t = f`` by running the time-reversed
-    metric family forward and flipping the (M+1, N) result.
-
-    With `terminal` given this is the backward initial value problem from
-    that final state; otherwise the relaxed-periodic problem (zero terminal
-    mean) is solved through the monodromy route.
-    """
-    reversed_surface = surface.time_reversed()
-    rev_config = replace(config, zero_order="zero", coefficient=0.0, custom=None)
-    prop = Propagator(reversed_surface, rev_config, _reversed_forcing(forcing, surface.period))
-    if terminal is not None:
-        traj = prop.run(terminal)
-    else:
-        from .periodic import monodromy_solve
-
-        traj, _ = monodromy_solve(prop, target_mean=0.0)
-    return traj[::-1]
-
-
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """Second-order time differencing of a (M+1, N) trajectory (zero below three levels)."""
     if values.shape[0] < 3:
@@ -276,23 +247,3 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
     return out
-
-
-def duality_check(geometry: SpaceTimeGeometry, u: np.ndarray, phi: np.ndarray) -> float:
-    """Residual of the discrete space-time integration-by-parts chain.
-
-    Evaluates ``|II(L u, phi) - II(u, diffusion(phi) + phi_t) + boundary|``
-    where L is the conservative operator with the dilation-rate zero-order
-    term, II the trapezoid space-time quadrature and `boundary` the
-    difference of the weighted end products.  Decays at the scheme order
-    when u and phi come from the solvers.
-    """
-    uu = _require_shape(u, geometry.weights.shape, "u")
-    pp = _require_shape(phi, geometry.weights.shape, "phi")
-    dt = geometry.grid.dt
-    lu = geometry.laplace_beltrami(uu) - geometry.trace_rate * uu - _time_derivative(uu, dt)
-    lstar_phi = geometry.laplace_beltrami(pp) + _time_derivative(pp, dt)
-    i_forward = geometry.space_time_integral(lu * pp)
-    i_adjoint = geometry.space_time_integral(uu * lstar_phi)
-    ends = geometry.integrals(uu * pp)
-    return abs(i_forward - i_adjoint + float(ends[-1] - ends[0]))

@@ -79,9 +79,6 @@ class AnalyticField:
     dtheta2: Callable[[np.ndarray, float], np.ndarray] | None = None
     dt: Callable[[np.ndarray, float], np.ndarray] | None = None
 
-    def sample(self, theta: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(self.fn(theta, t), dtype=float) + np.zeros_like(theta)
-
 
 @dataclass(frozen=True)
 class AmbientField:

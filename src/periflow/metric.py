@@ -30,8 +30,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateMetricError
-from .fields import AmbientField, AnalyticField, ParameterGrid, _require_shape
-from .surfaces import GeometryFrame, SurfaceFamily, _theta_derivative, build_frame
+from .fields import AmbientField, ParameterGrid, _require_shape
+from .surfaces import GeometryFrame, SurfaceFamily, build_frame
 
 _CONDITION_LIMIT = 1e12
 _BLOCK_POINTS = 1 << 15  # levels x nodes per chart jet in `space_time_geometry`
@@ -171,7 +171,7 @@ def _cyclic_tridiagonal(main: np.ndarray, upper: np.ndarray, lower: np.ndarray):
 @dataclass(frozen=True)
 class SpaceTimeGeometry:
     """Scalar metric data of one surface and grid, one (M+1, N) row per time
-    level: all the 1-d stepper, the ledgers and the space-time checks need."""
+    level: all the 1-d stepper and the ledgers need."""
 
     grid: ParameterGrid
     sqrt_g: np.ndarray  # measure density mu = sqrt(g)
@@ -189,14 +189,6 @@ class SpaceTimeGeometry:
         time_w = np.full(self.grid.n_steps + 1, dt)
         time_w[0] = time_w[-1] = 0.5 * dt
         return float(np.dot(time_w, per_level))
-
-    def space_time_integral(self, values: np.ndarray) -> float:
-        """Trapezoid rule in time over the per-level weighted integrals."""
-        return self.time_integral(self.integrals(values))
-
-    def laplace_beltrami(self, values: np.ndarray) -> np.ndarray:
-        """Diffusion operator of each level applied to its row of (M+1, N) values."""
-        return _flux_form_apply(self.c_half, self.sqrt_g, self.grid.dtheta, values)
 
 
 def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTimeGeometry:
@@ -228,33 +220,6 @@ def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarr
 def laplace_beltrami_matrix(metric: MetricSample) -> sparse.csr_matrix:
     """Cyclic tridiagonal matrix realizing `laplace_beltrami_apply`."""
     return _cyclic_tridiagonal(*_operator_diagonals(metric.c_half, metric.sqrt_g, metric.dtheta))
-
-
-def cartesian_laplacian_apply(
-    metric: MetricSample, frame0: GeometryFrame, values: np.ndarray
-) -> np.ndarray:
-    """Ambient-form diffusion operator: first-order tangential derivatives of
-    the flux vector plus the metric-gradient correction term.
-
-    Metric data is exact; the unknown is differentiated with second-order
-    central differences, so the result agrees with the flux form and with
-    the true operator to O(dtheta^2).
-    """
-    values = _require_shape(values, (metric.n_nodes,), "field")
-    _require_shape(frame0.theta, metric.theta.shape, "frame nodes")
-    dth = metric.dtheta
-    tau, speed = frame0.tangent, frame0.speed
-    grad = (_theta_derivative(values, dth) / speed)[:, None] * tau  # D_b u
-    flux = np.einsum("iab,ib->ia", metric.cartesian_inv, grad)
-    term1 = np.einsum("ia,ia->i", tau, _theta_derivative(flux, dth)) / speed
-
-    # (1/2) P_{ag} Ginv_{ge} Ginv_{br} (D_b G_{ae}) (D_r u) with exact D G
-    proj = frame0.projection
-    d_g = np.einsum("ib,iae->ibae", tau / speed[:, None], metric.cartesian_dtheta)
-    term2 = 0.5 * np.einsum(
-        "iag,ige,ibr,ibae,ir->i", proj, metric.cartesian_inv, metric.cartesian_inv, d_g, grad
-    )
-    return term1 + term2
 
 
 def trace_identity(metric: MetricSample, frame: GeometryFrame) -> tuple[np.ndarray, np.ndarray, float]:
@@ -323,30 +288,3 @@ def pullback_identity_check(
     discrete = laplace_beltrami_apply(metric, pulled_back)
     exact = surface_laplacian_exact(frame, ambient)
     return float(np.max(np.abs(discrete - exact)))
-
-
-def transport_formula_residual(
-    surface: SurfaceFamily,
-    grid: ParameterGrid,
-    t: float,
-    field: AnalyticField,
-    dt_fd: float,
-) -> float:
-    """Centered-difference residual of the measure transport formula.
-
-    Compares d/dt of the weighted integral of ``field`` against the integral
-    of ``field_t + trace_rate * field``; decays at second order in `dt_fd`.
-    """
-    theta = grid.nodes
-
-    def weighted_integral(s: float) -> float:
-        m = assemble_metric(surface, grid, s)
-        return float(np.dot(m.weights, field.sample(theta, s)))
-
-    lhs = (weighted_integral(t + dt_fd) - weighted_integral(t - dt_fd)) / (2.0 * dt_fd)
-    metric = assemble_metric(surface, grid, t)
-    if field.dt is None:
-        raise ValueError("transport residual needs the exact time derivative closure")
-    integrand = field.dt(theta, t) + metric.trace_rate * field.sample(theta, t)
-    rhs = float(np.dot(metric.weights, integrand))
-    return abs(lhs - rhs)

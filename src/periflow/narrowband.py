@@ -16,8 +16,8 @@ Geometry is computed on a halo slightly wider than the active band so that
 every active node has full central stencils; identity checks are evaluated
 on the interior mask.  One projection finds closest points: damped Newton
 on the chart from the nearest curve sample, with a multistart fallback.
-`build_band` runs it on grid nodes near the curve, `surface_point_geometry`
-on arbitrary points; both return a `DistanceField`.
+`build_band` runs it on the grid nodes near the curve and returns their
+`DistanceField`.
 """
 
 from __future__ import annotations
@@ -96,15 +96,6 @@ def _curve_samples(surface: SurfaceFamily, t: float):
     return theta_s, samples, sign, float(np.max(np.abs(kappa)))
 
 
-def max_curvature(surface: SurfaceFamily, t: float) -> float:
-    return _curve_samples(surface, t)[3]
-
-
-def default_band_width(surface: SurfaceFamily, t: float) -> float:
-    """0.2 / max|kappa|: comfortably inside the invertibility limit 1/2."""
-    return 0.2 / max_curvature(surface, t)
-
-
 def _newton_project(
     surface: SurfaceFamily, t: float, pts: np.ndarray, theta0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +169,8 @@ def _closest_points(
             best_d2 = np.where(better, d2, best_d2)
         if not np.all(np.isfinite(best_d2)):
             where = bad[~np.isfinite(best_d2)][0]
-            raise ProjectionError(f"closest-point Newton failed near {where}", location=where)
+            raise ProjectionError(f"closest-point Newton failed near {where} at t={float(t)!r}",
+                                  location=where)
     foot, tau, nu, kappa = _point_geometry(surface, t, theta, sign)
     dist = np.einsum("pa,pa->p", pts - foot, nu)
     return near, DistanceField(dist, theta % (2.0 * np.pi), foot, nu, tau, kappa)
@@ -188,15 +180,6 @@ def _require_reach(stretch: np.ndarray, message: str) -> None:
     """BandError where 1 + d*kappa falls to `_MIN_STRETCH`: A^-1 blows up."""
     if np.any(stretch <= _MIN_STRETCH):
         raise BandError(message)
-
-
-def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray) -> DistanceField:
-    """Closest-point geometry of arbitrary points as a DistanceField of (P,)
-    arrays; A, A^-1 and det A follow from its `stretch`."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, field = _closest_points(surface, t, pts, _curve_samples(surface, t))
-    _require_reach(field.stretch, "points beyond the curvature reach of the curve")
-    return field
 
 
 def build_band(
@@ -387,7 +370,8 @@ def band_average_extract(
     """Average a band field over the normal segment through each surface node.
 
     Gauss-Legendre points along each ray, values by local bicubic Lagrange
-    interpolation.  Raises ExtractionError when a ray leaves the valid band.
+    interpolation.  Raises ExtractionError naming the surface node and theta
+    of the first ray that leaves the valid band or the grid rectangle.
     """
     foot, _, nu, _ = _point_geometry(surface, t, theta_nodes, _curve_samples(surface, t)[2])
     s_ref, w_ref = np.polynomial.legendre.leggauss(_EXTRACT_QUAD)
@@ -396,21 +380,24 @@ def band_average_extract(
     pts = foot[None, :, :] + s[:, None, None] * nu[None, :, :]  # (Q, N, 2)
     sampled = _lagrange_interp(values, grid, pts)
     if not np.all(np.isfinite(sampled)):
-        raise ExtractionError("extraction ray sampled outside the valid band")
+        node = int(np.argmax(~np.all(np.isfinite(sampled), axis=0)))  # first bad ray
+        where = f"surface node {node} (theta={float(theta_nodes[node])!r})"
+        raise ExtractionError(f"extraction ray of {where} samples outside the valid band")
     return np.einsum("q,qn->n", w, sampled) / (2.0 * grid.delta)
 
 
 def _lagrange_interp(F: np.ndarray, grid: NarrowBandGrid, pts: np.ndarray) -> np.ndarray:
-    """Local 4x4 tensor-product Lagrange interpolation (fourth order)."""
+    """Local 4x4 tensor-product Lagrange interpolation (fourth order); NaN
+    where the stencil leaves the grid rectangle."""
     x = pts[..., 0]
     y = pts[..., 1]
     h = grid.h
     ix = np.floor((x - grid.xs[0]) / h).astype(int)
     iy = np.floor((y - grid.ys[0]) / h).astype(int)
-    if np.any(ix < 1) or np.any(ix > grid.xs.size - 3) or np.any(iy < 1) or np.any(iy > grid.ys.size - 3):
-        raise ExtractionError("interpolation stencil leaves the grid rectangle")
     xi = (x - grid.xs[0]) / h - ix
     eta = (y - grid.ys[0]) / h - iy
+    inside = (ix >= 1) & (ix <= grid.xs.size - 3) & (iy >= 1) & (iy <= grid.ys.size - 3)
+    ix, iy = np.where(inside, ix, 1), np.where(inside, iy, 1)
 
     def basis(s):
         return np.stack(
@@ -430,7 +417,7 @@ def _lagrange_interp(F: np.ndarray, grid: NarrowBandGrid, pts: np.ndarray) -> np
         (iy[..., None, None] + offsets[None, :, None]),
         (ix[..., None, None] + offsets[None, None, :]),
     ]  # (..., 4, 4) rows y, cols x
-    return np.einsum("...j,...jk,...k->...", wy, patch, wx)
+    return np.where(inside, np.einsum("...j,...jk,...k->...", wy, patch, wx), np.nan)
 
 
 def eikonal_residual(grid: NarrowBandGrid, dist: DistanceField) -> float:
@@ -453,30 +440,6 @@ def os_operator_equivalence(
     lhs = (_ddx(flux[..., 0], grid.h) + _ddy(flux[..., 1], grid.h)) * s
     rhs = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
     diff = np.abs(lhs - rhs)
-    return float(np.nanmax(diff[grid.interior_mask]))
-
-
-def elliptic_part_identity_check(
-    values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
-) -> float:
-    """Max interior residual of the expanded elliptic-part identity for the
-    identity metric: D~.D~ u + u_nunu against the A^-1-contracted Hessian
-    plus first-order corrections."""
-    lhs = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
-
-    tau_tau = np.einsum("...a,...b->...ab", dist.tangent, dist.tangent)
-    a_inv = np.eye(2) + (dist.stretch - 1.0)[..., None, None] * tau_tau
-    hess = _hessian(values, grid.h)
-    g = _gradient(values, grid.h)
-    m1 = np.einsum("...ra,...ai,...ri->...", a_inv, a_inv, hess)
-    d_ainv = np.empty(grid.shape + (2, 2, 2))  # [..., r, a, i] = D_r Ainv_{a i}
-    for a in range(2):
-        for i in range(2):
-            d_ainv[..., :, a, i] = _gradient(a_inv[..., a, i], grid.h)
-    m2 = np.einsum("...ar,...rai,...i->...", a_inv, d_ainv, g)
-    div_nu = _rescaled_divergence(dist.normal, grid, dist)
-    m3 = -div_nu * np.einsum("...a,...a->...", dist.normal, g)
-    diff = np.abs(lhs - (m1 + m2 + m3))
     return float(np.nanmax(diff[grid.interior_mask]))
 
 

@@ -6,9 +6,8 @@ derivatives ``(X, X_theta, X_theta_theta, X_t, X_t_theta)``.  For ``N``
 parameters each output has shape ``(N, 2)`` when ``t`` is a float, and
 ``(L, N, 2)`` when ``t`` is an ``(L, 1)`` column of times, whose row ``k``
 equals the float call at ``t[k, 0]``.  All frame quantities (unit normal,
-projection, Weingarten map, velocity) are evaluated from the jet, so
-operator-identity diagnostics are limited only by round-off, not by a
-differencing scheme.
+Weingarten map, velocity) are evaluated from the jet, so operator-identity
+diagnostics are limited only by round-off, not by a differencing scheme.
 
 Shipped families
 ----------------
@@ -55,16 +54,6 @@ class SurfaceFamily:
         if self.period <= 0.0:
             raise ValueError("period must be positive")
 
-    def time_reversed(self) -> "SurfaceFamily":
-        """Family traversing the same shapes backwards in time."""
-        T = self.period
-
-        def jet(theta, t):
-            x, x_th, x_thth, x_t, x_tth = self.jet(theta, T - t)
-            return x, x_th, x_thth, -x_t, -x_tth
-
-        return SurfaceFamily(f"{self.name}-reversed", jet, T, self.outward_sign)
-
 
 @dataclass(frozen=True)
 class GeometryFrame:
@@ -84,12 +73,6 @@ class GeometryFrame:
     @property
     def n_nodes(self) -> int:
         return self.theta.shape[0]
-
-    @property
-    def projection(self) -> np.ndarray:
-        """Tangential projector P = 1 - nu (x) nu, shape (N, 2, 2)."""
-        eye = np.eye(2)[None, :, :]
-        return eye - np.einsum("ia,ib->iab", self.normal, self.normal)
 
     @property
     def weingarten(self) -> np.ndarray:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from helpers import ambient_x1, ambient_x1x2, mean_order
+from oracles import max_principle_monitor
 from periflow import (
     AnalyticField,
     IVPConfig,
@@ -31,7 +32,6 @@ from periflow import (
     greens_formula_check,
     lift_field,
     mass_ledger,
-    max_principle_monitor,
     mean_and_mass,
     monodromy_solve,
     os_operator_equivalence,

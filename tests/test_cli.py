@@ -367,6 +367,19 @@ def test_expression_evaluation_error_exits_2(tmp_path, capsys, key, expression):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, expression", [("u0", "1/0"), ("forcing", "10.0**400")])
+def test_config_error_in_a_scenario_leaves_no_directory_behind(tmp_path, key, expression):
+    body = SMALL_IVP.replace("u0 = 1 + 0*theta", f"{key} = {expression}")
+    path = write_config(tmp_path, body)
+    fresh = tmp_path / "fresh" / "o"
+    assert main(["run", "--config", str(path), "--out", str(fresh)]) == 2
+    assert not (tmp_path / "fresh").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["run", "--config", str(path), "--out", str(kept)]) == 2
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
 @pytest.mark.parametrize("where", ["flag", "key"])
 def test_output_directory_naming_a_file_exits_2(tmp_path, capsys, where):
     taken = tmp_path / "taken"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import mean_order
+from oracles import adjoint_solve, duality_check
 from periflow import (
     FAMILIES,
     GridMismatchError,
@@ -11,12 +12,10 @@ from periflow import (
     ParameterGrid,
     Propagator,
     StepError,
-    adjoint_solve,
     assemble_metric,
     breathing_circle,
     build_frame,
     circle,
-    duality_check,
     fourier_noise,
     greens_formula_check,
     laplace_beltrami_apply,
@@ -60,6 +59,19 @@ SHAPE_MISMATCHES = {
     "forcing": (
         lambda p: Propagator(p.surface, p.config, np.zeros((9, 15))),
         r"forcing of shape \(9, 15\) does not match \(9, 16\)",
+    ),
+    "forcing_closure_rank": (
+        lambda p: Propagator(p.surface, p.config, lambda th, t: np.zeros((2, th.size))),
+        r"forcing of shape \(2, 16\) does not match \(16,\)",
+    ),
+    "forcing_closure_length": (
+        lambda p: Propagator(p.surface, p.config, lambda th, t: np.zeros(th.size + 1)),
+        r"forcing of shape \(17,\) does not match \(16,\)",
+    ),
+    "custom_zero_order_rank": (
+        lambda p: Propagator(p.surface, IVPConfig(n_nodes=16, n_steps=8, zero_order="custom",
+                                                  custom=lambda th, t: np.ones((2, th.size)))),
+        r"zero-order coefficient of shape \(2, 16\) does not match \(16,\)",
     ),
     "mass_ledger": (
         lambda p: mass_ledger(np.zeros((8, 16)), p),

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import observed_orders
+from oracles import (
+    default_band_width,
+    elliptic_part_identity_check,
+    max_curvature,
+    surface_point_geometry,
+)
 from periflow import (
     BandError,
     ExtractionError,
@@ -16,17 +22,13 @@ from periflow import (
     breathing_circle,
     build_band,
     circle,
-    default_band_width,
     eikonal_residual,
-    elliptic_part_identity_check,
     extended_operator_apply,
     flat_strip_step_equivalence,
     lift_field,
-    max_curvature,
     narrowband,
     os_operator_equivalence,
     rescaled_gradient,
-    surface_point_geometry,
 )
 
 SURF_THETA = np.arange(1024) * (2.0 * np.pi / 1024)
@@ -118,10 +120,10 @@ def test_projection_error_when_every_start_fails(monkeypatch):
         return theta0.astype(float), np.zeros(pts.shape[0], dtype=bool)
 
     monkeypatch.setattr(narrowband, "_newton_project", never_converges)
-    with pytest.raises(ProjectionError) as info:
+    with pytest.raises(ProjectionError, match=r"at t=0\.25") as info:
         bean_band()
     assert info.value.location is not None and info.value.location.shape == (2,)
-    with pytest.raises(ProjectionError) as info:
+    with pytest.raises(ProjectionError, match=r"at t=0\.0") as info:
         surface_point_geometry(circle(), 0.0, [[0.0, 1.2], [0.5, 0.0]])
     assert np.array_equal(info.value.location, [0.0, 1.2])
 
@@ -272,8 +274,15 @@ def test_extraction_error_outside_band():
     values = exact_lift(np.cos, grid, dist)
     # rays of half-width 0.3 leave the delta = 0.1 halo
     wide_grid = NarrowBandGridWithDelta(grid, 0.3)
-    with pytest.raises(ExtractionError):
+    # the first ray (theta = 0) leaves the grid rectangle
+    with pytest.raises(ExtractionError, match=r"surface node 0 \(theta=0\.0\)"):
         band_average_extract(values, wide_grid, dist, circle(), 0.0, SURF_THETA[::8])
+    # inside the rectangle: the diagonal ray of node 1 meets values missing
+    # from the first quadrant, the ray of node 0 does not
+    XX, YY = grid.mesh()
+    holed = np.where((XX > 0.5) & (YY > 0.5), np.nan, values)
+    with pytest.raises(ExtractionError, match=r"surface node 1 \(theta=0\.785398"):
+        band_average_extract(holed, grid, dist, circle(), 0.0, np.array([0.0, 0.25 * np.pi]))
 
 
 def NarrowBandGridWithDelta(grid, delta):
