@@ -416,8 +416,8 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
 
     flat = flat_strip_step_equivalence()
     manifest.check("flat_strip_step", flat, 1e-10)
-    digest = band_field_csv(grid, dist, lifted, out / "band_field.csv")
-    manifest.outputs.append(("band_field.csv", digest))
+    digest = band_field_csv(grid, dist, lifted, out / "band_field.npy")
+    manifest.outputs.append(("band_field.npy", digest))
 
 
 def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:

@@ -87,10 +87,10 @@ def _phase(t, period: float):
     return math.tau * np.remainder(t / period, 1.0)
 
 
-def _polar_jet(theta, r, r_th, r_thth, r_t, r_tth):
-    """Jet of the polar chart r(theta, t) * (cos theta, sin theta) from the
-    jet of its radius."""
-    c, s = np.cos(theta), np.sin(theta)
+def _polar_jet(c, s, r, r_th, r_thth, r_t, r_tth):
+    """Jet of the polar chart r(theta, t) * (c, s) from the jet of its radius,
+    where ``c, s = cos theta, sin theta`` come from the caller, which may
+    need them for the radius too."""
 
     def d_theta(f, f_th):  # d/dtheta of f * (cos, sin)
         return np.stack([f_th * c - f * s, f_th * s + f * c], axis=-1)
@@ -105,7 +105,7 @@ def _polar_jet(theta, r, r_th, r_thth, r_t, r_tth):
 def circle(radius: float = 1.0, period: float = 1.0) -> SurfaceFamily:
     def jet(th, t):
         zero = np.zeros(np.shape(t))
-        return _polar_jet(th, zero + float(radius), zero, zero, zero, zero)
+        return _polar_jet(np.cos(th), np.sin(th), zero + float(radius), zero, zero, zero, zero)
 
     return SurfaceFamily("circle", jet, period)
 
@@ -118,7 +118,8 @@ def breathing_circle(amplitude: float = 0.25, period: float = 1.0, r0: float = 1
     def jet(th, t):
         phi, zero = _phase(t, T), np.zeros(np.shape(t))
         r = r0 * (1.0 + a * np.sin(phi))
-        return _polar_jet(th, r, zero, zero, r0 * a * np.cos(phi) * math.tau / T, zero)
+        r_t = r0 * a * np.cos(phi) * math.tau / T
+        return _polar_jet(np.cos(th), np.sin(th), r, zero, zero, r_t, zero)
 
     return SurfaceFamily("breathing_circle", jet, T)
 
@@ -132,8 +133,9 @@ def rotating_ellipse(a: float = 2.0, b: float = 1.0, period: float = 1.0) -> Sur
         # transposed rotation and its time derivative, stacked over the time axes
         rot_tr = np.moveaxis(np.array([[c, s], [-s, c]]), (0, 1), (-2, -1))
         drot_tr = (math.tau / T) * np.moveaxis(np.array([[-s, c], [-c, -s]]), (0, 1), (-2, -1))
-        base = np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
-        base_dth = np.stack([-a * np.sin(th), b * np.cos(th)], axis=-1)
+        cos_th, sin_th = np.cos(th), np.sin(th)
+        base = np.stack([a * cos_th, b * sin_th], axis=-1)
+        base_dth = np.stack([-a * sin_th, b * cos_th], axis=-1)
         # matmuls, since written-out products round differently; an (L, 1)
         # column gives (L, 1, N, 2), reshaped to (L, N, 2)
         shape = np.broadcast_shapes(np.shape(th), np.shape(t)) + (2,)
@@ -157,13 +159,15 @@ def bean(
     def jet(th, t):
         phi = _phase(t, T)
         swell, rate = 1.0 + q * np.sin(phi), np.cos(phi)
+        cos_th, sin_th, cos_2th, sin_2th = np.cos(th), np.sin(th), np.cos(2 * th), np.sin(2 * th)
         return _polar_jet(
-            th,
-            1.0 + p * np.cos(th) * swell + s * np.sin(2 * th),
-            -p * np.sin(th) * swell + 2 * s * np.cos(2 * th),
-            -p * np.cos(th) * swell - 4 * s * np.sin(2 * th),
-            p * np.cos(th) * q * rate * math.tau / T,
-            -p * np.sin(th) * q * rate * math.tau / T,
+            cos_th,
+            sin_th,
+            1.0 + p * cos_th * swell + s * sin_2th,
+            -p * sin_th * swell + 2 * s * cos_2th,
+            -p * cos_th * swell - 4 * s * sin_2th,
+            p * cos_th * q * rate * math.tau / T,
+            -p * sin_th * q * rate * math.tau / T,
         )
 
     return SurfaceFamily("bean", jet, T)

@@ -1,5 +1,6 @@
 """The data-file formats: every CSV a run writes goes through `write_csv`,
-and the trajectory goes through `write_npy` as a binary array.
+and the trajectory and the band field go through `write_npy` as binary
+arrays.
 
 A CSV has one header line, then one row per entry of the columns.  Numeric
 cells are ``%.17g`` (round-trip exact, integers print without a decimal

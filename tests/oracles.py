@@ -1,6 +1,8 @@
 """Instruments of the paper's claims that no scenario runs: the maximum
 principle, the duality chain behind uniqueness, transport of the measure,
-band/surface norm equivalence and the ambient form of the operator.
+band/surface norm equivalence and the ambient form of the operator; and
+the closest-point pass over every node of the band's rectangle, which the
+block cull of `build_band` must reproduce bit for bit.
 
 They read the library's private helpers, so they check the discretization
 the program uses; the tests, among them `test_acceptance.py` (criterion 9),
@@ -10,9 +12,10 @@ instruments read are functions here taking the instance first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.ndimage import binary_erosion
 
 from periflow.diagnostics import (
     _arc_coordinates,
@@ -209,9 +212,35 @@ def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray)
     """Closest-point geometry of arbitrary points as a DistanceField of (P,)
     arrays; A, A^-1 and det A follow from its `stretch`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, field = _closest_points(surface, t, pts, _curve_samples(surface, t))
+    _, field = _closest_points(surface, t, pts, _curve_samples(surface, t), np.inf)
     _require_reach(field.stretch, "points beyond the curvature reach of the curve")
     return field
+
+
+def full_rectangle_band(
+    surface: SurfaceFamily, t: float, grid: NarrowBandGrid
+) -> tuple[NarrowBandGrid, DistanceField]:
+    """`build_band` without its block cull: `_closest_points` on every node of
+    the rectangle of `grid`, under the same bound, and the masks from that."""
+    curve = _curve_samples(surface, t)
+    samples = curve[1]
+    chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
+    XX, YY = grid.mesh()
+    pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
+    near, flat = _closest_points(surface, t, pts, curve, grid.halo_delta + chord)
+
+    def scatter(values):
+        full = np.full((near.size, *values.shape[1:]), np.nan)
+        full[near] = values
+        return full.reshape((*grid.shape, *values.shape[1:]))
+
+    field = DistanceField(**{f.name: scatter(getattr(flat, f.name)) for f in fields(DistanceField)})
+    finite = np.isfinite(field.dist)
+    halo_mask = finite & (np.abs(field.dist) < grid.halo_delta)
+    active_mask = finite & (np.abs(field.dist) < grid.delta)
+    interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
+    masks = dict(active_mask=active_mask, halo_mask=halo_mask, interior_mask=interior_mask)
+    return replace(grid, **masks), field
 
 
 def elliptic_part_identity_check(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periflow import FAMILIES, ConfigError, contraction_estimate, evolution
+from periflow import FAMILIES, ConfigError, build_band, contraction_estimate, evolution, lift_field
 from periflow.cli import SCENARIOS, emit_field_csv, main, parse_config, run_scenario
 
 
@@ -297,6 +297,25 @@ def test_ivp_trajectory_file_is_the_propagated_array(tmp_path):
     written = np.load(tmp_path / "o" / "trajectory.npy", allow_pickle=False)
     assert written.shape == (cfg.n_steps + 1, cfg.n_nodes)
     assert np.array_equal(written.view(np.uint64), expected.view(np.uint64))
+
+
+def test_band_field_file_is_the_active_node_array(tmp_path):
+    cfg = parse_config(write_config(tmp_path, SMALL_BAND))
+    manifest = run_scenario(cfg, tmp_path / "o")
+    surface, t = cfg.build_surface(), cfg.band_time
+    grid, dist = build_band(surface, t, cfg.band_h, cfg.band_delta)
+    theta = np.arange(1024) * (2.0 * np.pi / 1024)  # the scenario's surface sampling
+    lifted = lift_field(surface.jet(theta, t)[0][:, 0], theta, grid, dist)
+    XX, YY = grid.mesh()
+    act = grid.active_mask
+    expected = np.stack([XX[act], YY[act], dist.dist[act], lifted[act]], 1)
+    path = tmp_path / "o" / "band_field.npy"
+    written = np.load(path, allow_pickle=False)
+    assert written.dtype == np.float64 and written.flags.c_contiguous
+    assert written.shape == (np.count_nonzero(act), 4)
+    assert np.array_equal(written.view(np.uint64), expected.view(np.uint64))
+    assert dict(manifest.outputs)["band_field.npy"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert not (tmp_path / "o" / "band_field.csv").exists()
 
 
 @pytest.mark.parametrize(

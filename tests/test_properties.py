@@ -2,11 +2,13 @@
 of the banded stepper against sparse and dense reference solves.
 
 Each property is drawn over random grid sizes N in [8, 256] (N in [3, 64]
-for the dense cyclic solve), all shipped families and random nodal fields.
+for the dense cyclic solve), all shipped families and random nodal fields;
+the band's block cull is drawn over families, times, spacings and widths.
 Runs are derandomized, so every run checks the same examples.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,13 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import laplace_beltrami, time_reversed
+from oracles import full_rectangle_band, laplace_beltrami, time_reversed
 from periflow import (
     FAMILIES,
     IVPConfig,
     ParameterGrid,
     Propagator,
     assemble_metric,
+    build_band,
     greens_formula_check,
     laplace_beltrami_apply,
     laplace_beltrami_matrix,
@@ -217,3 +220,18 @@ def test_cyclic_solve_matches_dense_solve(n, seed):
         # forward error of a backward-stable solve: a modest multiple of
         # eps * cond (observed at most 190 eps * cond over 40 000 draws)
         assert error <= 1e-12 * np.linalg.cond(matrix)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(family=FAMILY, t=TIME, h=st.floats(1.0 / 256.0, 1.0 / 32.0), delta=st.floats(0.05, 0.2))
+# the seed-0 band workload: 651 x 646 nodes, so 8 x 8 blocks are partial on both axes
+@example(family="bean", t=0.5239831268672519, h=1.0 / 256.0, delta=0.2)
+def test_block_cull_projects_exactly_the_nodes_a_full_query_keeps(family, t, h, delta):
+    surface = FAMILIES[family]()
+    grid, dist = build_band(surface, t, h, delta)
+    full_grid, full_dist = full_rectangle_band(surface, t, grid)
+    for name in ("active_mask", "halo_mask", "interior_mask"):
+        assert np.array_equal(getattr(grid, name), getattr(full_grid, name))
+    for f in fields(dist):
+        assert np.array_equal(getattr(dist, f.name).view(np.uint64),
+                              getattr(full_dist, f.name).view(np.uint64))
