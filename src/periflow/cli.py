@@ -496,7 +496,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ru
     """Dispatch a parsed config, write outputs and the manifest.  A config
     error raised inside the scenario removes the directories this call
     created, which are still empty then: expressions are evaluated before
-    any file is written."""
+    any file is written.  The scenario runs with numpy's floating-point
+    warnings off: the finiteness checks of the samples and of every step
+    report non-finite values instead, with their time level."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
@@ -506,7 +508,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ru
     manifest = RunManifest(scenario=cfg.scenario, resolved=_resolved_dict(cfg))
     started = time.perf_counter()
     try:
-        SCENARIOS[cfg.scenario][1](cfg, out, manifest)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            SCENARIOS[cfg.scenario][1](cfg, out, manifest)
     except ConfigError:
         for directory in created:
             directory.rmdir()

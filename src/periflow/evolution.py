@@ -11,8 +11,8 @@ it is factorized.  One ``Propagator`` holds a run: it derives the grid from
 the config and the surface's period, builds the space-time geometry and
 samples the forcing once.  The periodic solves reuse its factors and the
 ledgers read its geometry and per-level forcing integrals.  Of the
-zero-order term it keeps only ``rate_floor``, the pointwise lower bound of
-c plus, in the divergence modes, of the dilation rate, which
+zero-order term it keeps only ``rate_floor``, the constant c plus, in the
+divergence modes, the pointwise lower bound of the dilation rate, which
 ``periodic.contraction_estimate`` reads.
 
 States are ``(N,)`` arrays; a trajectory is an ``(M+1, N)`` array whose
@@ -31,7 +31,6 @@ Zero-order modes
                                (see ``diagnostics.mass_ledger``)
 ``divergence_plus_constant``   divergence weighting plus c = ``coefficient``
                                (config key ``alpha``)
-``custom``                     arbitrary closure c(theta, t)
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .surfaces import SurfaceFamily
 _THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
 # relative floor of |1 + v.z|: singular step matrices give < 4e-15, regular ones > 1e-4
 _SINGULAR_TOL = 1e-12
-_ZERO_ORDER_MODES = ("zero", "constant", "divergence", "divergence_plus_constant", "custom")
+_ZERO_ORDER_MODES = ("zero", "constant", "divergence", "divergence_plus_constant")
 
 Forcing = Callable[[np.ndarray, float], np.ndarray] | np.ndarray | None
 
@@ -64,7 +63,6 @@ class IVPConfig:
     scheme: str = "crank_nicolson"
     zero_order: str = "zero"
     coefficient: float = 0.0  # c0 for `constant`, alpha for `divergence_plus_constant`
-    custom: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.scheme not in _THETA:
@@ -74,8 +72,6 @@ class IVPConfig:
                 f"zero_order must be one of {_ZERO_ORDER_MODES}, got {self.zero_order!r}"
             )
         self.grid(1.0)  # ParameterGrid owns the resolution checks
-        if self.zero_order == "custom" and self.custom is None:
-            raise ValueError("custom zero-order mode requires a closure")
 
     def grid(self, period: float) -> ParameterGrid:
         return ParameterGrid(self.n_nodes, self.n_steps, period)
@@ -99,23 +95,23 @@ def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None
     if forcing is None:
         return None
     if callable(forcing):
-        return _sample_levels(forcing, grid, "forcing")
+        return _sample_levels(forcing, grid)
     samples = _require_shape(forcing, (grid.n_steps + 1, grid.n_nodes), "forcing")
     return _require_finite(samples, "forcing")
 
 
-def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray], grid: ParameterGrid,
-                   quantity: str) -> np.ndarray:
-    """(M+1, N) samples of a closure c(theta, t) at every node and time level;
-    each level's value is a scalar or an (N,) array, else GridMismatchError."""
+def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray],
+                   grid: ParameterGrid) -> np.ndarray:
+    """(M+1, N) samples of a forcing closure f(theta, t) at every node and time
+    level; each level's value is a scalar or an (N,) array, else GridMismatchError."""
     theta = grid.nodes
     levels = []
     for t in grid.times:
         value = np.asarray(fn(theta, t), dtype=float)
         if value.shape not in ((), (1,)):
-            value = _require_shape(value, theta.shape, quantity)
+            value = _require_shape(value, theta.shape, "forcing")
         levels.append(value + np.zeros_like(theta))
-    return _require_finite(np.stack(levels), quantity)
+    return _require_finite(np.stack(levels), "forcing")
 
 
 def _banded_matvec(diagonals: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -163,9 +159,9 @@ class _CyclicFactor:
 class Propagator:
     """Per-level factorized theta-scheme stepper for one surface/config/forcing
     triple.  It holds what a run shares: the grid the config fixes for the
-    surface's period, the space-time geometry, `rate_floor` (the pointwise
-    lower bound over all levels of the zero-order coefficient c plus, in the
-    divergence modes, of the dilation rate `geometry.trace_rate`) and the
+    surface's period, the space-time geometry, `rate_floor` (the zero-order
+    coefficient c plus, in the divergence modes, the pointwise lower bound over
+    all levels of the dilation rate `geometry.trace_rate`) and the
     (M+1,) weighted integrals of the forcing samples at each level (None
     without forcing)."""
 
@@ -176,21 +172,19 @@ class Propagator:
         self.geometry = space_time_geometry(surface, self.grid)
         mode = config.zero_order
         c = config.coefficient if mode in ("constant", "divergence_plus_constant") else 0.0
-        if mode == "custom":
-            c = _sample_levels(config.custom, self.grid, "zero-order coefficient")
         divergence = mode in ("divergence", "divergence_plus_constant")
-        self.rate_floor = float(np.min(c))
+        self.rate_floor = float(c)
         if divergence:
             self.rate_floor += float(np.min(self.geometry.trace_rate))
         samples = _forcing_samples(forcing, self.grid)
         self.forcing_integrals = None if samples is None else self.geometry.integrals(samples)
         self._explicit, self._load, self._factors = self._assemble(c, divergence, samples)
 
-    def _assemble(self, c: float | np.ndarray, divergence: bool, forcing: np.ndarray | None):
+    def _assemble(self, c: float, divergence: bool, forcing: np.ndarray | None):
         """Explicit (M, 3, N) diagonals and (M, N) load of the forcing samples,
         with the divergence-mode measure ratio folded in, and the factors of
-        every new level's 1/dt - theta*(diffusion - c) for the scalar or
-        (M+1, N) zero-order coefficient `c`."""
+        every new level's 1/dt - theta*(diffusion - c) for the zero-order
+        coefficient `c`."""
         geo, dt, theta = self.geometry, self.grid.dt, self.config.theta
         main, upper, lower = _operator_diagonals(geo.c_half, geo.sqrt_g, self.grid.dtheta)
         main = main - c

@@ -68,7 +68,7 @@ def _require_shape(values, shape: tuple[int, ...], quantity: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Closed-form field ``u(theta, t)`` with optional exact derivatives.
+    """Closed-form field ``u(theta, t)`` with optional exact theta derivatives.
 
     Operator-identity diagnostics use the derivative closures when present;
     otherwise callers fall back to discrete differencing.
@@ -77,7 +77,6 @@ class AnalyticField:
     fn: Callable[[np.ndarray, float], np.ndarray]
     dtheta: Callable[[np.ndarray, float], np.ndarray] | None = None
     dtheta2: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dt: Callable[[np.ndarray, float], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import BandError, ExtractionError, ProjectionError
 from .fields import _require_shape
-from .metric import MetricSample, _cyclic_tridiagonal
+from .metric import _cyclic_tridiagonal
 from .surfaces import SurfaceFamily, _frame_pieces, orientation_sign
 from .tables import write_npy
 
@@ -51,7 +51,6 @@ _SAMPLE_COUNT = 1024  # curve samples: Newton starts and max|kappa|
 _MULTISTART = 8  # fallback Newton starts per failed point
 _EXTRACT_QUAD = 12  # Gauss-Legendre points per extraction ray
 _MIN_STRETCH = 0.1  # reach limit on 1 + d*kappa, i.e. on |A^-1|
-_FLAT_STRIP_HALF_WIDTH = 0.2  # of `flat_strip_step_equivalence`
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def _curve_samples(surface: SurfaceFamily, t: float):
     orientation sign of the curve and max|kappa| over the samples."""
     theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
     samples, xd, xdd, _, _ = surface.jet(theta_s, t)
-    sign = orientation_sign(surface, samples)
+    sign = orientation_sign(samples)
     kappa = _frame_pieces(xd, xdd, sign, t)[3]
     return theta_s, samples, sign, float(np.max(np.abs(kappa)))
 
@@ -334,51 +333,15 @@ def _elliptic_part(values: np.ndarray, flux: np.ndarray, grid: NarrowBandGrid, d
 
 
 def extended_operator_apply(
-    values: np.ndarray,
-    grid: NarrowBandGrid,
-    dist: DistanceField,
-    metric: MetricSample | None = None,
-    advection: np.ndarray | None = None,
-    reaction: np.ndarray | float = 0.0,
-    du_dt: np.ndarray | None = None,
+    values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
 ) -> np.ndarray:
-    """Apply the extended parabolic operator on the band.
-
-    Terms: rescaled divergence of the (lifted-)metric flux, the metric
-    gradient correction, the plain second derivative along the normal, an
-    optional advection by a lifted vector field, minus reaction and the
-    supplied time-derivative samples.  Valid on the interior mask; NaN
+    """Apply the identity-metric extended operator D~.D~ u + u_nunu on the
+    band: the rescaled divergence of the rescaled gradient plus the plain
+    second derivative along the normal.  Valid on the interior mask; NaN
     elsewhere.
     """
     values = _require_shape(values, grid.shape, "band field")
-    V = rescaled_gradient(values, grid, dist)
-
-    if metric is None:
-        out = _elliptic_part(values, V, grid, dist)
-    else:
-        theta = metric.theta
-        g_inv = np.empty(grid.shape + (2, 2))
-        g_mat = np.empty(grid.shape + (2, 2))
-        for a in range(2):
-            for b in range(2):
-                g_inv[..., a, b] = lift_field(metric.cartesian_inv[:, a, b], theta, grid, dist)
-                g_mat[..., a, b] = lift_field(metric.cartesian[:, a, b], theta, grid, dist)
-        flux = np.einsum("...ab,...b->...a", g_inv, V)
-        d_g = np.empty(grid.shape + (2, 2, 2))  # [..., b, a, e] = rescaled D_b of G_{ae}
-        for a in range(2):
-            for e in range(2):
-                d_g[..., :, a, e] = rescaled_gradient(g_mat[..., a, e], grid, dist)
-        eye = np.eye(2)
-        proj = eye - np.einsum("...a,...b->...ab", dist.normal, dist.normal)
-        term2 = 0.5 * np.einsum(
-            "...ag,...ge,...br,...bae,...r->...", proj, g_inv, g_inv, d_g, V
-        )
-        out = _elliptic_part(values, flux, grid, dist) + term2
-    if advection is not None:
-        out = out + np.einsum("...a,...a->...", advection, V)
-    out = out - reaction * values
-    if du_dt is not None:
-        out = out - du_dt
+    out = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
     return np.where(grid.interior_mask, out, np.nan)
 
 
@@ -478,34 +441,27 @@ def band_field_csv(
     return write_npy(path, np.stack([XX[act], YY[act], dist.dist[act], values[act]], axis=1))
 
 
-def flat_strip_step_equivalence(
-    n_x: int = 64,
-    n_y: int = 17,
-    dt: float = 1e-2,
-    u0=None,
-    forcing=None,
-) -> float:
+def flat_strip_step_equivalence() -> float:
     """One implicit step on a flat periodic strip versus the 1-d solver.
 
-    The strip hosts the two-dimensional operator with mirrored Neumann rows
-    at the top and bottom; the surface problem lives on the periodic line.
-    Lifted data is constant across the strip, both steps are backward Euler
-    with the same dt, and the extracted column averages agree to round-off.
+    The strip of half-width 0.2 hosts the two-dimensional operator with
+    mirrored Neumann rows at the top and bottom; the surface problem lives
+    on the periodic line.  The data cos(x), without forcing, is lifted
+    constantly across the strip, both steps are backward Euler with the
+    same dt, and the extracted column averages agree to round-off.
     """
     from .evolution import IVPConfig, Propagator
     from .surfaces import circle
 
+    n_x, n_y, dt, half_width = 64, 17, 1e-2, 0.2
     hx = 2.0 * np.pi / n_x
-    hy = 2.0 * _FLAT_STRIP_HALF_WIDTH / (n_y - 1)
-    xs = hx * np.arange(n_x)
-    profile = u0(xs) if u0 is not None else np.cos(xs)
-    f_line = forcing(xs) if forcing is not None else np.zeros_like(xs)
+    hy = 2.0 * half_width / (n_y - 1)
+    profile = np.cos(hx * np.arange(n_x))
 
     # 1-d reference step: unit circle has unit chart speed, so its operator
     # is the plain periodic Laplacian in the parameter
     config = IVPConfig(n_nodes=n_x, n_steps=4, scheme="backward_euler", zero_order="zero")
-    prop = Propagator(circle(1.0, 4.0 * dt), config, lambda th, t: f_line)
-    u_line = prop.step(profile, 0)
+    u_line = Propagator(circle(1.0, 4.0 * dt), config).step(profile, 0)
 
     # 2-d strip step with the same data lifted constantly in y; row-major
     # nodes j * n_x + i, periodic in x, mirrored Neumann rows in y
@@ -520,6 +476,6 @@ def flat_strip_step_equivalence(
         - sparse.kron(lap_y, sparse.identity(n_x))
     )
     solver = spla.splu(mat.tocsc())
-    u_strip = solver.solve(np.tile(profile, n_y) / dt - np.tile(f_line, n_y)).reshape(n_y, n_x)
+    u_strip = solver.solve(np.tile(profile, n_y) / dt).reshape(n_y, n_x)
     extracted = u_strip.mean(axis=0)
     return float(np.max(np.abs(extracted - u_line)))

@@ -167,33 +167,25 @@ def default_probes(grid: ParameterGrid, seed: int = 0) -> list[tuple[np.ndarray,
     ]
 
 
-def contraction_estimate(
-    prop: Propagator,
-    probes: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    seed: int = 0,
-) -> ContractionEstimate:
-    """Measure end-map contraction ratios over probe pairs.
+def contraction_estimate(prop: Propagator, seed: int = 0) -> ContractionEstimate:
+    """Measure end-map contraction ratios over the `default_probes` pairs.
 
     Differences of the affine end map are propagated homogeneously, which is
     exact and halves the work.  When the zero-order term admits a pointwise
     lower bound c0 > ln(2)/T, the estimate carries the decay bound
     exp(-eps*T)*(1+slack) with eps the midpoint of (ln(2)/T, c0); otherwise
     `bound` is None.  Nothing is raised: the caller compares
-    `end_map_ratio` with `bound`.  Identical probe pairs are skipped.
+    `end_map_ratio` with `bound`.
     """
     grid = prop.grid
-    if probes is None:
-        probes = default_probes(grid, seed)
     weights0 = prop.geometry.weights[0]
 
     pair_ratios: list[tuple[float, float]] = []
     worst = 0.0
     worst_adjusted = 0.0
-    for a, b in probes:
-        diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    for a, b in default_probes(grid, seed):
+        diff = a - b
         norm = float(np.max(np.abs(diff)))
-        if norm == 0.0:
-            continue
         end_diff = prop.run(diff, include_forcing=False, keep_trajectory=False)
         j_ratio = float(np.max(np.abs(end_diff))) / norm
         k_ratio = float(np.max(np.abs(mean_adjust(end_diff, weights0)))) / norm

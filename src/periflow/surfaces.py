@@ -40,15 +40,14 @@ class SurfaceFamily:
     """Analytic description of a moving closed curve.
 
     ``jet(theta, t)`` returns ``(X, X_theta, X_theta_theta, X_t, X_t_theta)``
-    as described in the module docstring.  ``outward_sign`` pins the normal
-    orientation; ``None`` selects the outward normal automatically from the
+    as described in the module docstring.  The normal points outward for
+    either orientation of the chart: `orientation_sign` reads it from the
     signed enclosed area (counterclockwise charts get sign +1).
     """
 
     name: str
     jet: Callable[..., tuple[np.ndarray, ...]]
     period: float
-    outward_sign: int | None = None
 
     def __post_init__(self):
         if self.period <= 0.0:
@@ -181,11 +180,9 @@ FAMILIES: dict[str, Callable[..., SurfaceFamily]] = {
 }
 
 
-def orientation_sign(surface: SurfaceFamily, positions: np.ndarray) -> float:
-    """Sign turning the rotated unit tangent into the outward normal: the pinned
-    `outward_sign`, else the sign of the shoelace area of the node polygon."""
-    if surface.outward_sign is not None:
-        return float(surface.outward_sign)
+def orientation_sign(positions: np.ndarray) -> float:
+    """Sign turning the rotated unit tangent into the outward normal: the sign
+    of the shoelace area of the (P, 2) node polygon."""
     area = 0.5 * np.sum(
         positions[:, 0] * np.roll(positions[:, 1], -1)
         - np.roll(positions[:, 0], -1) * positions[:, 1]
@@ -216,7 +213,7 @@ def build_frame(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Geomet
     """
     theta = grid.nodes
     pos, xd, xdd, vel, vel_dth = surface.jet(theta, t)
-    sign = orientation_sign(surface, pos)
+    sign = orientation_sign(pos)
     speed, tangent, normal, curvature = _frame_pieces(xd, xdd, sign, t)
     speed_dtheta = np.einsum("ia,ia->i", xd, xdd) / speed
     return GeometryFrame(
@@ -229,21 +226,14 @@ def _theta_derivative(values: np.ndarray, dtheta: float) -> np.ndarray:
     return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * dtheta)
 
 
-def tangential_gradient(
-    frame: GeometryFrame,
-    values: np.ndarray,
-    dtheta_values: np.ndarray | None = None,
-) -> np.ndarray:
+def tangential_gradient(frame: GeometryFrame, values: np.ndarray) -> np.ndarray:
     """Surface gradient in ambient components, shape (N, 2).
 
-    For a curve this is ``(dU/dtheta / |X_theta|) * tau``.  Exact nodal
-    theta-derivatives are used when supplied, otherwise second-order central
-    differences on the periodic grid.
+    For a curve this is ``(dU/dtheta / |X_theta|) * tau``, with dU/dtheta by
+    second-order central differences on the periodic grid.
     """
     values = _require_shape(values, (frame.n_nodes,), "field")
-    if dtheta_values is None:
-        dtheta_values = _theta_derivative(values, 2.0 * np.pi / frame.n_nodes)
-    arc_derivative = _require_shape(dtheta_values, values.shape, "dtheta_values") / frame.speed
+    arc_derivative = _theta_derivative(values, 2.0 * np.pi / frame.n_nodes) / frame.speed
     return arc_derivative[:, None] * frame.tangent
 
 

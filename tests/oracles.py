@@ -12,6 +12,7 @@ instruments read are functions here taking the instance first.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -62,7 +63,7 @@ def time_reversed(surface: SurfaceFamily) -> SurfaceFamily:
         x, x_th, x_thth, x_t, x_tth = surface.jet(theta, T - t)
         return x, x_th, x_thth, -x_t, -x_tth
 
-    return SurfaceFamily(f"{surface.name}-reversed", jet, T, surface.outward_sign)
+    return SurfaceFamily(f"{surface.name}-reversed", jet, T)
 
 
 def projection(frame: GeometryFrame) -> np.ndarray:
@@ -120,12 +121,14 @@ def transport_formula_residual(
     grid: ParameterGrid,
     t: float,
     field: AnalyticField,
+    field_dt: Callable[[np.ndarray, float], np.ndarray],
     dt_fd: float,
 ) -> float:
     """Centered-difference residual of the measure transport formula.
 
     Compares d/dt of the weighted integral of ``field`` against the integral
-    of ``field_t + trace_rate * field``; decays at second order in `dt_fd`.
+    of ``field_dt + trace_rate * field``, where the closure ``field_dt`` is
+    the exact time derivative of ``field``; decays at second order in `dt_fd`.
     """
     theta = grid.nodes
 
@@ -135,9 +138,7 @@ def transport_formula_residual(
 
     lhs = (weighted_integral(t + dt_fd) - weighted_integral(t - dt_fd)) / (2.0 * dt_fd)
     metric = assemble_metric(surface, grid, t)
-    if field.dt is None:
-        raise ValueError("transport residual needs the exact time derivative closure")
-    integrand = field.dt(theta, t) + metric.trace_rate * sample(field, theta, t)
+    integrand = field_dt(theta, t) + metric.trace_rate * sample(field, theta, t)
     rhs = float(np.dot(metric.weights, integrand))
     return abs(lhs - rhs)
 
@@ -167,7 +168,7 @@ def adjoint_solve(
     mean) is solved through the monodromy route.
     """
     reversed_surface = time_reversed(surface)
-    rev_config = replace(config, zero_order="zero", coefficient=0.0, custom=None)
+    rev_config = replace(config, zero_order="zero", coefficient=0.0)
     prop = Propagator(reversed_surface, rev_config, _reversed_forcing(forcing, surface.period))
     if terminal is not None:
         traj = prop.run(terminal)

@@ -327,10 +327,9 @@ def test_run_builds_one_propagator_and_samples_forcing_once(tmp_path, monkeypatc
     samplings, builds = [], []
     sample_levels, init = evolution._sample_levels, evolution.Propagator.__init__
 
-    def counting_sample_levels(fn, grid, quantity):
-        if quantity == "forcing":
-            samplings.append(grid)
-        return sample_levels(fn, grid, quantity)
+    def counting_sample_levels(fn, grid):
+        samplings.append(grid)
+        return sample_levels(fn, grid)
 
     def counting_init(self, *args, **kwargs):
         builds.append(args)
@@ -363,13 +362,40 @@ def test_main_run_exit_zero(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 @pytest.mark.parametrize("key, quantity", [("forcing", "forcing"), ("u0", "initial state")])
 def test_non_finite_samples_are_reported_where_sampled(tmp_path, capsys, key, quantity):
     body = SMALL_IVP.replace("u0 = 1 + 0*theta", f"{key} = 1/theta")
     path = write_config(tmp_path, body)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert f"{quantity} is not finite at node 0 (time level 0)" in capsys.readouterr().err
+
+
+EXPANDING_FIXED = """
+[problem]
+scenario = periodic-fixed
+zero_order = constant
+c0 = -30
+
+[discretization]
+n_nodes = 16
+n_steps = 8
+"""
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (SMALL_IVP.replace("u0 = 1 + 0*theta", "forcing = 1e300*cos(theta)*exp(700)"),
+         "forcing is not finite at node 0 (time level 0)"),
+        (EXPANDING_FIXED, "implicit solve produced non-finite values (time level 8)"),
+    ],
+    ids=["forcing-overflow", "expanding-step-overflow"],
+)
+def test_overflow_ends_with_its_one_error_line(tmp_path, capsys, body, message):
+    # numpy's overflow warnings stay silent; the finiteness checks report the values
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"scenario {path} failed: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -468,8 +494,11 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
         (SMALL_CONFIGS["periodic-fixed"].replace("target_mean = 1.0\n",
                                                  "target_mean = 1.0\nmax_iter = 0\n"),
          [], "max_iter must be at least 1"),
+        (SMALL_IVP.replace("zero_order = divergence", "zero_order = custom"), [],
+         "zero_order must be one of ('zero', 'constant', 'divergence', "
+         "'divergence_plus_constant'), got 'custom'"),
     ],
-    ids=["seed-key", "seed-flag", "zero-max-iter"],
+    ids=["seed-key", "seed-flag", "zero-max-iter", "custom-zero-order"],
 )
 def test_bad_run_settings_exit_2(tmp_path, capsys, body, flags, message):
     path = write_config(tmp_path, body)

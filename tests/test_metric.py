@@ -206,12 +206,10 @@ def test_cartesian_form_consistency():
 
 
 def test_transport_formula_second_order_in_dt():
-    field = AnalyticField(
-        fn=lambda th, t: (1.0 + 0.5 * np.cos(th)) * math.exp(math.sin(t)),
-        dt=lambda th, t: (1.0 + 0.5 * np.cos(th)) * math.exp(math.sin(t)) * math.cos(t),
-    )
+    field = AnalyticField(fn=lambda th, t: (1.0 + 0.5 * np.cos(th)) * math.exp(math.sin(t)))
+    field_dt = lambda th, t: (1.0 + 0.5 * np.cos(th)) * math.exp(math.sin(t)) * math.cos(t)
     res = [
-        transport_formula_residual(breathing_circle(), GRID, 0.31, field, dt_fd)
+        transport_formula_residual(breathing_circle(), GRID, 0.31, field, field_dt, dt_fd)
         for dt_fd in (2e-2, 1e-2, 5e-3)
     ]
     assert abs(mean_order(res) - 2.0) <= 0.2

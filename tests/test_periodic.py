@@ -80,8 +80,8 @@ def test_fixed_point_reaches_tolerance_quickly():
 def test_contraction_bound_and_product_formula():
     prop = constant_rate_propagator(c0=1.0)
     grid = prop.grid
-    probes = [(np.ones(grid.n_nodes), np.zeros(grid.n_nodes))]
-    est = contraction_estimate(prop, probes=probes)
+    est = contraction_estimate(prop)
+    # the constant probe pair decays slowest, since diffusion also damps the others
     exact = (1.0 + 1.0 * grid.dt) ** (-grid.n_steps)  # scalar product formula
     assert abs(est.end_map_ratio - exact) <= 1e-12
     # the product exceeds exp(-c0 T) by O(dt) but stays inside the decay bound
@@ -100,19 +100,11 @@ def test_contraction_default_probes_and_k_ratio():
     assert len(est.pair_ratios) == 4
 
 
-def test_identical_probes_skipped():
-    prop = constant_rate_propagator(c0=1.0)
-    same = np.cos(prop.grid.nodes)
-    est = contraction_estimate(prop, probes=[(same, same), (same, np.zeros_like(same))])
-    assert len(est.pair_ratios) == 1
-
-
 def test_contraction_bound_not_applicable_below_ln2_over_t():
     # growth regime: a negative rate makes the end map expanding; its floor
     # -2.0 is below ln(2)/T, so the estimate carries no bound to compare with
     config = IVPConfig(
-        n_nodes=32, n_steps=16, scheme="backward_euler", zero_order="custom",
-        custom=lambda th, t: np.full_like(th, -2.0),
+        n_nodes=32, n_steps=16, scheme="backward_euler", zero_order="constant", coefficient=-2.0
     )
     est = contraction_estimate(Propagator(circle(), config))
     assert not est.applicable
@@ -296,7 +288,7 @@ def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         IVPConfig(zero_order="nonsense")
     with pytest.raises(ValueError):
-        IVPConfig(zero_order="custom")  # closure required
+        IVPConfig(zero_order="custom")  # not a mode
     with pytest.raises(ValueError):
         fixed_point_solve(breathing_propagator(n=32, m=16), target_mean=1.0, tol=-1.0)
 

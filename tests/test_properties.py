@@ -41,9 +41,7 @@ FAMILY = st.sampled_from(sorted(FAMILIES))
 NODES = st.integers(8, 256)
 TIME = st.floats(0.0, 1.0)
 SCHEME = st.sampled_from(["backward_euler", "crank_nicolson"])
-ZERO_ORDER = st.sampled_from(
-    ["zero", "constant", "divergence", "divergence_plus_constant", "custom"]
-)
+ZERO_ORDER = st.sampled_from(["zero", "constant", "divergence", "divergence_plus_constant"])
 EPS = np.finfo(float).eps
 
 
@@ -163,21 +161,18 @@ def test_divergence_mode_mass_law(family, n, m, scheme, data):
 def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     grid = ParameterGrid(n, m, 1.0)
     config = IVPConfig(
-        n_nodes=n, n_steps=m, scheme=scheme, zero_order=zero_order, coefficient=0.8,
-        custom=lambda th, t: 1.0 + 0.5 * np.cos(th + 2.0 * np.pi * t),
+        n_nodes=n, n_steps=m, scheme=scheme, zero_order=zero_order, coefficient=0.8
     )
     forcing = data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0)))
     surface = FAMILIES[family]()
     prop = Propagator(surface, config, forcing)
     level = data.draw(st.integers(0, m - 1))
 
-    # the (M+1, N) zero-order samples c of the config; the stepper keeps
-    # only their minimum, plus that of the dilation rate in the divergence modes
-    if zero_order == "custom":
-        c = np.stack([config.custom(grid.nodes, t) for t in grid.times])
-    else:
-        reads_coefficient = zero_order in ("constant", "divergence_plus_constant")
-        c = np.full((m + 1, n), config.coefficient if reads_coefficient else 0.0)
+    # the zero-order coefficient c of the config as (M+1, N) samples; the
+    # stepper keeps only their minimum, plus that of the dilation rate in the
+    # divergence modes
+    reads_coefficient = zero_order in ("constant", "divergence_plus_constant")
+    c = np.full((m + 1, n), config.coefficient if reads_coefficient else 0.0)
     floor = float(np.min(c))
     if zero_order.startswith("divergence"):
         floor += float(np.min(prop.geometry.trace_rate))

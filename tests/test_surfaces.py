@@ -16,6 +16,7 @@ from periflow import (
     circle,
     commutator_check,
     rotating_ellipse,
+    surfaces,
     tangential_gradient,
 )
 
@@ -78,6 +79,28 @@ def test_frame_invariants(surface):
         assert np.max(np.abs(np.einsum("iab,ib->ia", H, frame.normal))) <= 1e-12
 
 
+def reflected(surface):
+    """The same curve traversed clockwise: the chart theta -> X(-theta, t)."""
+
+    def jet(th, t):
+        x, x_th, x_thth, x_t, x_tth = surface.jet(-th, t)
+        return x, -x_th, x_thth, x_t, -x_tth
+
+    return SurfaceFamily(f"{surface.name}-reflected", jet, surface.period)
+
+
+@pytest.mark.parametrize("surface", ALL_FAMILIES, ids=lambda s: s.name)
+def test_clockwise_chart_gets_the_outward_normal(surface):
+    grid = ParameterGrid(64, 4, 1.0)
+    mirror = -np.arange(grid.n_nodes) % grid.n_nodes  # node -j mod N sits at node j
+    for t in (0.0, 0.3):
+        frame = build_frame(surface, grid, t)
+        flipped = build_frame(reflected(surface), grid, t)
+        assert surfaces.orientation_sign(flipped.position) == -1.0
+        for name in ("position", "normal", "curvature"):
+            assert np.max(np.abs(getattr(flipped, name)[mirror] - getattr(frame, name))) <= 1e-13
+
+
 @pytest.mark.parametrize("surface", ALL_FAMILIES, ids=lambda s: s.name)
 def test_chart_periodicity_exact(surface):
     theta = GRID.nodes
@@ -97,7 +120,7 @@ def test_immersion_failure_raises():
             zero,
         )
 
-    bad = SurfaceFamily(name="degenerate", jet=jet, period=1.0, outward_sign=1)
+    bad = SurfaceFamily(name="degenerate", jet=jet, period=1.0)
     with pytest.raises(DegenerateSurfaceError, match=r"node 0$"):
         build_frame(bad, GRID, 0.0)
 
@@ -106,18 +129,6 @@ def test_tangential_gradient_constant_is_zero():
     frame = build_frame(bean(), GRID, 0.2)
     grad = tangential_gradient(frame, np.ones(GRID.n_nodes))
     assert np.max(np.abs(grad)) == 0.0
-
-
-def test_tangential_gradient_x1_on_circle():
-    frame = build_frame(circle(), GRID, 0.0)
-    values = np.cos(GRID.nodes)
-    grad = tangential_gradient(frame, values, dtheta_values=-np.sin(GRID.nodes))
-    expected = -np.sin(GRID.nodes)[:, None] * frame.tangent
-    assert np.max(np.abs(grad - expected)) < 1e-14
-    # theta = pi/2 gives (1, 0); theta = 0 gives the zero vector
-    i_quarter = GRID.n_nodes // 4
-    assert np.allclose(grad[i_quarter], [1.0, 0.0], atol=1e-13)
-    assert np.allclose(grad[0], [0.0, 0.0], atol=1e-13)
 
 
 def test_tangential_gradient_is_tangential():
@@ -164,7 +175,7 @@ def test_commutator_flat_chart_vanishes():
             zero,
         )
 
-    line = SurfaceFamily(name="segment", jet=jet, period=1.0, outward_sign=1)
+    line = SurfaceFamily(name="segment", jet=jet, period=1.0)
     frame = build_frame(line, GRID, 0.0)
     field = AnalyticField(
         fn=lambda th, t: np.sin(th),
