@@ -16,7 +16,6 @@ from .errors import (
 )
 from .fields import (
     AmbientField,
-    AnalyticField,
     ParameterGrid,
     fourier_noise,
 )

@@ -34,7 +34,7 @@ from .diagnostics import (
 from .errors import ConfigError, PeriflowError
 from .evolution import IVPConfig, Propagator
 from .expressions import compile_expression
-from .fields import AmbientField, AnalyticField, ParameterGrid
+from .fields import AmbientField, ParameterGrid
 from .metric import (
     assemble_metric,
     greens_formula_check,
@@ -87,14 +87,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # presets override their keys here, so the manifest records what runs
+        # presets set their keys here, so the manifest records what runs
         if self.scenario in ("ivp", "ivp_decay"):
             self.u0_expr = self.u0_expr or "cos(theta)"
-        if self.scenario == "ivp_decay":
-            self.forcing_expr = None
-            self.zero_order = "zero"
-        elif self.scenario == "contraction":
-            self.zero_order = "constant"
+        for key, value in _PRESETS.get(self.scenario, {}).items():
+            setattr(self, _KEYS["problem", key][0], value)
 
     def build_surface(self) -> SurfaceFamily:
         return FAMILIES[self.surface_family](period=self.period, **self.surface_params)
@@ -127,6 +124,12 @@ def _parse_value(key: str, text: str, kind: type):
     return value
 
 
+# scenario -> the [problem] keys its preset sets, with their values; a config
+# that gives such a key another value is a configuration error
+_PRESETS = {
+    "ivp_decay": {"forcing": None, "zero_order": "zero"},
+    "contraction": {"zero_order": "constant"},
+}
 # zero-order mode -> the [problem] key of its coefficient; the other modes read none
 _COEFFICIENT_KEYS = {"constant": "c0", "divergence_plus_constant": "alpha"}
 # [problem] keys read only under some settings: key -> (field, setting, values that read it)
@@ -184,6 +187,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 surface_params[key] = text
             else:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+    scenario = values.get("scenario")
+    for key, preset in _PRESETS.get(scenario, {}).items():
+        given = values.get(_KEYS["problem", key][0], preset)
+        if given != preset:
+            runs = f"no {key}" if preset is None else f"{key} = {preset}"
+            raise ConfigError(f"{key} = {given} conflicts with scenario = {scenario}, "
+                              f"which runs {runs}")
     cfg = ExperimentConfig(**values)
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}; see `periflow list-scenarios`")
@@ -429,12 +439,8 @@ def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest
         frame = build_frame(surface, grid, t)
         metric = assemble_metric(surface, grid, t)
 
-        fld = AnalyticField(
-            fn=lambda th, s, srf=surface: srf.jet(th, s)[0][:, 0],
-            dtheta=lambda th, s, srf=surface: srf.jet(th, s)[1][:, 0],
-            dtheta2=lambda th, s, srf=surface: srf.jet(th, s)[2][:, 0],
-        )
-        comm = commutator_check(frame, fld)
+        _, x_th, x_thth, _, _ = surface.jet(grid.nodes, t)
+        comm = commutator_check(frame, x_th[:, 0], x_thth[:, 0])  # the field x1 on the curve
         _, _, trace_diff = trace_identity(metric, frame)
         green = greens_formula_check(metric, np.cos(grid.nodes), np.sin(2.0 * grid.nodes))
         x1 = AmbientField(
@@ -492,14 +498,15 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunManifest:
-    """Dispatch a parsed config, write outputs and the manifest.  A config
-    error raised inside the scenario removes the directories this call
-    created, which are still empty then: expressions are evaluated before
-    any file is written.  The scenario runs with numpy's floating-point
-    warnings off: the finiteness checks of the samples and of every step
-    report non-finite values instead, with their time level."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+def run_scenario(cfg: ExperimentConfig, out_dir: str | Path) -> RunManifest:
+    """Dispatch a parsed config, write outputs and the manifest to `out_dir`
+    (`main` passes `--out`, else the config's `[output] directory`).  A
+    config error raised inside the scenario removes the directories this
+    call created, which are still empty then: expressions are evaluated
+    before any file is written.  The scenario runs with numpy's
+    floating-point warnings off: the finiteness checks of the samples and of
+    every step report non-finite values instead, with their time level."""
+    out = Path(out_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -552,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = _require_seed(args.seed)
-        manifest = run_scenario(cfg, args.out)
+        manifest = run_scenario(cfg, cfg.out_dir if args.out is None else args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -120,12 +120,13 @@ def _time_holder_sup(
 
 
 def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamily, alpha: float,
-                    seed: int = 0) -> HolderEstimate:
+                    seed: int) -> HolderEstimate:
     """Finite-pair lower-bound estimates of the parabolic Hölder norms of
     (L, N) nodal `values` at the (L,) `times`.
 
     Single-slice fields are supported (the time seminorms vanish).  The
     gradient-bearing norms discretize the tangential derivatives first.
+    `seed` draws the sampled pairs beyond the full enumeration.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")

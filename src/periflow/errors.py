@@ -35,9 +35,9 @@ class NonuniquenessError(PeriflowError):
 
 
 class ProjectionError(PeriflowError):
-    """Closest-point Newton iteration failed at some grid node."""
+    """Closest-point Newton iteration failed; carries the (2,) point as `location`."""
 
-    def __init__(self, message: str, location=None):
+    def __init__(self, message: str, location):
         super().__init__(message)
         self.location = location
 

@@ -58,10 +58,10 @@ Forcing = Callable[[np.ndarray, float], np.ndarray] | np.ndarray | None
 class IVPConfig:
     """Discretization and zero-order-term selection for one solve."""
 
-    n_nodes: int = 256
-    n_steps: int = 512
-    scheme: str = "crank_nicolson"
-    zero_order: str = "zero"
+    n_nodes: int
+    n_steps: int
+    scheme: str
+    zero_order: str
     coefficient: float = 0.0  # c0 for `constant`, alpha for `divergence_plus_constant`
 
     def __post_init__(self):

@@ -1,4 +1,5 @@
-"""The parameter grid and the closed-form fields used by every solver module.
+"""The parameter grid, the shape check of sampled fields and the closed-form
+ambient fields of the identity checks.
 
 Space is discretized by ``N`` equispaced parameter values ``theta_i = 2*pi*i/N``
 on a periodic grid, time by ``M+1`` equispaced levels spanning one period
@@ -8,7 +9,9 @@ level of ``ParameterGrid.times``, and a measure the ``(N,)`` row of
 quadrature weights of one level (see ``metric``).  The stepper, the
 operators, the ledgers and the lift check the full shape of such an array
 through ``_require_shape``, so a wrong shape raises ``GridMismatchError``
-instead of broadcasting.
+instead of broadcasting.  A closed form on the plane is an ``AmbientField``;
+a field on the curve, and its exact theta derivatives, are sampled arrays
+(see ``surfaces.commutator_check``).
 """
 
 from __future__ import annotations
@@ -64,19 +67,6 @@ def _require_shape(values, shape: tuple[int, ...], quantity: str) -> np.ndarray:
     if values.shape != shape:
         raise GridMismatchError(f"{quantity} of shape {values.shape} does not match {shape}")
     return values
-
-
-@dataclass(frozen=True)
-class AnalyticField:
-    """Closed-form field ``u(theta, t)`` with optional exact theta derivatives.
-
-    Operator-identity diagnostics use the derivative closures when present;
-    otherwise callers fall back to discrete differencing.
-    """
-
-    fn: Callable[[np.ndarray, float], np.ndarray]
-    dtheta: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dtheta2: Callable[[np.ndarray, float], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)

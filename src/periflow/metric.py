@@ -1,4 +1,4 @@
-"""Cartesian metric assembly and the diffusion operator in divergence form.
+"""Metric assembly and the diffusion operator in divergence form.
 
 The moving-curve problem is pulled back to the fixed reference curve
 ``M = Gamma(0)``.  The time-dependent geometry enters through a symmetric
@@ -18,8 +18,9 @@ Every mean, mass and operator call reads two per-node scalars: the measure
 weights ``sqrt(g) * dtheta`` and the flux coefficient ``sqrt(g)/g`` at the
 half nodes.  One helper computes them, for the per-level rows of
 ``SpaceTimeGeometry`` that the 1-d solver reads and for the single time
-slice of ``MetricSample``, whose Cartesian fields serve the identity
-checks.  A measure is its ``(N,)`` row of weights.
+slice of ``MetricSample``.  Of the Cartesian ``G`` a slice keeps only what
+the trace identity reads: ``G^{-1}`` and ``G_t``.  A measure is its ``(N,)``
+row of weights.
 """
 
 from __future__ import annotations
@@ -39,16 +40,14 @@ _BLOCK_POINTS = 1 << 15  # levels x nodes per chart jet in `space_time_geometry`
 
 @dataclass(frozen=True)
 class MetricSample:
-    """Metric data of one time slice on the reference parameter grid."""
+    """Metric data of one time slice on the reference parameter grid: the
+    scalar metric of the operator and the measure, and the two Cartesian
+    fields of the dilation rate."""
 
     theta: np.ndarray
-    time: float
     dtheta: float
-    cartesian: np.ndarray  # (N, 2, 2)  G
-    cartesian_inv: np.ndarray  # (N, 2, 2)
-    cartesian_det: np.ndarray  # (N,)
+    cartesian_inv: np.ndarray  # (N, 2, 2)  G^{-1}
     cartesian_dt: np.ndarray  # (N, 2, 2)  time derivative of G
-    cartesian_dtheta: np.ndarray  # (N, 2, 2)  exact theta derivative of G
     sqrt_g: np.ndarray  # (N,)  measure density sqrt(g), g = |X_theta|^2 at this time
     weights: np.ndarray  # (N,)  sqrt(g) * dtheta, the quadrature weights of the measure
     c_half: np.ndarray  # (N,)  flux coefficient sqrt(g)/g at the half nodes i + 1/2
@@ -87,7 +86,7 @@ def _local_metric(xd: np.ndarray, xtd: np.ndarray, g_ref: np.ndarray, times,
 
 
 def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> MetricSample:
-    """Assemble G, its inverse, determinant and derivatives at time t.
+    """Assemble the scalar metric, G^{-1} and G_t at time t.
 
     All entries come from the exact chart jet; the only approximation in
     this module is the spatial differencing done by the operator appliers.
@@ -95,37 +94,21 @@ def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Me
     theta = grid.nodes
     frame0 = build_frame(surface, grid, 0.0)
     g_ref = frame0.speed**2
-    _, xd, xdd, _, xtd = surface.jet(theta, t)
+    _, xd, _, _, xtd = surface.jet(theta, t)
     g_loc, dg_loc_dt, ratio = _local_metric(xd, xtd, g_ref, t)
-    dg_loc_dth = 2.0 * np.einsum("ia,ia->i", xd, xdd)
-    dg_ref_dth = 2.0 * frame0.speed * frame0.speed_dtheta
 
     tau, nu = frame0.tangent, frame0.normal
     tau_tau = np.einsum("ia,ib->iab", tau, tau)
     nu_nu = np.einsum("ia,ib->iab", nu, nu)
-    cart = ratio[:, None, None] * tau_tau + nu_nu
     cart_inv = (1.0 / ratio)[:, None, None] * tau_tau + nu_nu
     cart_dt = (dg_loc_dt / g_ref)[:, None, None] * tau_tau
-
-    # exact theta derivative of G; frame derivative identities
-    # tau' = -kappa*speed*nu, nu' = +kappa*speed*tau on the reference curve
-    tau_dth = -(frame0.curvature * frame0.speed)[:, None] * nu
-    nu_dth = (frame0.curvature * frame0.speed)[:, None] * tau
-    ratio_dth = (dg_loc_dth * g_ref - g_loc * dg_ref_dth) / g_ref**2
-    sym_tau = np.einsum("ia,ib->iab", tau_dth, tau) + np.einsum("ia,ib->iab", tau, tau_dth)
-    sym_nu = np.einsum("ia,ib->iab", nu_dth, nu) + np.einsum("ia,ib->iab", nu, nu_dth)
-    cart_dth = ratio_dth[:, None, None] * tau_tau + ratio[:, None, None] * sym_tau + sym_nu
 
     sqrt_g, weights, c_half = _scalar_metric(g_loc, grid.dtheta)
     return MetricSample(
         theta=theta,
-        time=float(t),
         dtheta=grid.dtheta,
-        cartesian=cart,
         cartesian_inv=cart_inv,
-        cartesian_det=ratio,
         cartesian_dt=cart_dt,
-        cartesian_dtheta=cart_dth,
         sqrt_g=sqrt_g,
         weights=weights,
         c_half=c_half,

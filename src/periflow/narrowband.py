@@ -55,15 +55,16 @@ _MIN_STRETCH = 0.1  # reach limit on 1 + d*kappa, i.e. on |A^-1|
 
 @dataclass(frozen=True)
 class NarrowBandGrid:
-    """Uniform Cartesian grid hosting the band, with node masks."""
+    """Uniform Cartesian grid hosting the band, with node masks.  `build_band`
+    gives geometry to a halo `_HALO_CELLS` cells wider than the band, so that
+    interior nodes have full stencils; the halo is the nodes with
+    ``|d| < delta + _HALO_CELLS * h``, and no mask keeps it."""
 
     xs: np.ndarray  # (nx,)
     ys: np.ndarray  # (ny,)
     h: float
     delta: float
-    halo_delta: float
     active_mask: np.ndarray  # (ny, nx) |d| < delta
-    halo_mask: np.ndarray  # (ny, nx) |d| < halo_delta
     interior_mask: np.ndarray  # active nodes with full two-layer stencils
 
     @property
@@ -250,7 +251,7 @@ def build_band(
     interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
     _require_reach(field.stretch[halo_mask], "gradient factor nearly singular inside the halo")
 
-    return NarrowBandGrid(xs, ys, h, delta, halo_delta, active_mask, halo_mask, interior_mask), field
+    return NarrowBandGrid(xs, ys, h, delta, active_mask, interior_mask), field
 
 
 # -- differential operators on the rectangle ---------------------------------

@@ -77,8 +77,7 @@ class FixedPointReport:
     # iterations the last ratio needs to reach tol: `iterations` once
     # converged, None when the last ratio is not below one or not measured
     predicted_iterations: int | None
-    initial_state: np.ndarray  # (N,)
-    trajectory: np.ndarray  # (M+1, N) on prop.grid.times
+    trajectory: np.ndarray  # (M+1, N) on prop.grid.times, from the last initial state
 
     @property
     def final_residual(self) -> float:
@@ -95,9 +94,9 @@ def _check_iteration(tol: float, max_iter: int) -> None:
 
 def fixed_point_solve(
     prop: Propagator,
-    target_mean: float = 0.0,
-    tol: float = 1e-10,
-    max_iter: int = 40,
+    target_mean: float,
+    tol: float,
+    max_iter: int,
     start: np.ndarray | None = None,
 ) -> FixedPointReport:
     """Iterate the mean-reset end map until the initial state is stationary.
@@ -141,22 +140,22 @@ def fixed_point_solve(
         predicted = iterations + math.ceil(math.log(tol / residuals[-1]) / math.log(ratios[-1]))
     return FixedPointReport(iterations=iterations, residuals=residuals, ratios=ratios,
                             converged=converged, predicted_iterations=predicted,
-                            initial_state=u0, trajectory=prop.run(u0))
+                            trajectory=prop.run(u0))
 
 
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """Measured Lipschitz ratios of the end map and its mean-reset composite."""
+    """Measured Lipschitz ratios of the end map and its mean-reset composite,
+    and the decay bound of the zero-order floor."""
 
     end_map_ratio: float  # sup over probe pairs for the plain end map
     adjusted_ratio: float  # same for the mean-reset composite
     pair_ratios: list[tuple[float, float]]
-    applicable: bool  # floor exceeds ln(2)/T, so the decay bound applies
-    bound: float | None  # exp(-eps*T)*(1+slack) when applicable, else None
-    slack: float
+    # exp(-eps*T) * (1 + 3*(dt + dtheta^2)) when the floor exceeds ln(2)/T, else None
+    bound: float | None
 
 
-def default_probes(grid: ParameterGrid, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+def default_probes(grid: ParameterGrid, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     theta = grid.nodes
     rng = np.random.default_rng(seed)
     return [
@@ -167,15 +166,15 @@ def default_probes(grid: ParameterGrid, seed: int = 0) -> list[tuple[np.ndarray,
     ]
 
 
-def contraction_estimate(prop: Propagator, seed: int = 0) -> ContractionEstimate:
+def contraction_estimate(prop: Propagator, seed: int) -> ContractionEstimate:
     """Measure end-map contraction ratios over the `default_probes` pairs.
 
     Differences of the affine end map are propagated homogeneously, which is
     exact and halves the work.  When the zero-order term admits a pointwise
     lower bound c0 > ln(2)/T, the estimate carries the decay bound
-    exp(-eps*T)*(1+slack) with eps the midpoint of (ln(2)/T, c0); otherwise
-    `bound` is None.  Nothing is raised: the caller compares
-    `end_map_ratio` with `bound`.
+    exp(-eps*T)*(1+slack) with eps the midpoint of (ln(2)/T, c0) and the
+    discretization slack 3*(dt + dtheta^2); otherwise `bound` is None.
+    Nothing is raised: the caller compares `end_map_ratio` with `bound`.
     """
     grid = prop.grid
     weights0 = prop.geometry.weights[0]
@@ -195,15 +194,12 @@ def contraction_estimate(prop: Propagator, seed: int = 0) -> ContractionEstimate
 
     period = grid.period
     floor = prop.rate_floor
-    applicable = floor > math.log(2.0) / period
-    slack = 3.0 * (grid.dt + grid.dtheta**2)
     bound = None
-    if applicable:
+    if floor > math.log(2.0) / period:
         eps = 0.5 * (math.log(2.0) / period + floor)
-        bound = math.exp(-eps * period) * (1.0 + slack)
+        bound = math.exp(-eps * period) * (1.0 + 3.0 * (grid.dt + grid.dtheta**2))
     return ContractionEstimate(end_map_ratio=worst, adjusted_ratio=worst_adjusted,
-                               pair_ratios=pair_ratios, applicable=applicable, bound=bound,
-                               slack=slack)
+                               pair_ratios=pair_ratios, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -212,8 +208,6 @@ class SolvabilityReport:
 
     spectral_gap: float  # |1 - lambda| at the eigenvalue of K with the largest real part
     residuals: list[float]  # GMRES residual relative to the rhs, per inner iteration
-    matvecs: int  # homogeneous periods propagated by GMRES
-    initial_state: np.ndarray  # (N,)
 
 
 def _eigenvalue_nearest_one(reset_map: Callable[[np.ndarray], np.ndarray], n: int) -> complex:
@@ -244,7 +238,7 @@ def _eigenvalue_nearest_one(reset_map: Callable[[np.ndarray], np.ndarray], n: in
 
 
 def monodromy_solve(
-    prop: Propagator, target_mean: float = 0.0
+    prop: Propagator, target_mean: float
 ) -> tuple[np.ndarray, SolvabilityReport]:
     """Solve the relaxed-periodic fixed-point system by Krylov shooting.
 
@@ -280,11 +274,7 @@ def monodromy_solve(
             spectral_gap=gap,
         )
 
-    matvecs = 0
-
     def system_matvec(x: np.ndarray) -> np.ndarray:  # (I - K) x
-        nonlocal matvecs
-        matvecs += 1
         return np.ravel(x) - reset_map(x)
 
     rhs = mean_adjust(prop.run(np.zeros(n), keep_trajectory=False), weights0) + target_mean
@@ -301,14 +291,11 @@ def monodromy_solve(
     # dense direct solve leaves
     if info != 0 and residuals[-1] > _GMRES_RTOL:
         raise NonuniquenessError(
-            f"GMRES stopped above its tolerance {_GMRES_RTOL:g} after {matvecs} "
-            f"matvecs with relative residual {residuals[-1]:.3e}",
+            f"GMRES stopped above its tolerance {_GMRES_RTOL:g} after {len(residuals)} "
+            f"iterations with relative residual {residuals[-1]:.3e}",
             spectral_gap=gap,
         )
-    report = SolvabilityReport(
-        spectral_gap=gap, residuals=[float(r) for r in residuals],
-        matvecs=matvecs, initial_state=u0,
-    )
+    report = SolvabilityReport(spectral_gap=gap, residuals=[float(r) for r in residuals])
     return prop.run(u0), report
 
 
@@ -316,20 +303,18 @@ def monodromy_solve(
 class PeriodicityResiduals:
     relaxed: float
     strict: float
-    mean_drift: float
 
 
 def periodicity_residuals(trajectory: np.ndarray, weights0: np.ndarray) -> PeriodicityResiduals:
     """Relaxed and strict periodicity defects of a trajectory.
 
     `relaxed` compares the mean-free parts of the first and last slices
-    (both means taken under the time-zero measure weights `weights0`),
-    `strict` the slices themselves, and `mean_drift` is the difference of
-    the means.
+    (both means taken under the time-zero measure weights `weights0`), and
+    `strict` the slices themselves.
     """
     first, last = trajectory[0], trajectory[-1]
     m_first, _ = mean_and_mass(weights0, first)
     m_last, _ = mean_and_mass(weights0, last)
     relaxed = float(np.max(np.abs((first - m_first) - (last - m_last))))
     strict = float(np.max(np.abs(first - last)))
-    return PeriodicityResiduals(relaxed=relaxed, strict=strict, mean_drift=m_last - m_first)
+    return PeriodicityResiduals(relaxed=relaxed, strict=strict)

@@ -6,8 +6,9 @@ derivatives ``(X, X_theta, X_theta_theta, X_t, X_t_theta)``.  For ``N``
 parameters each output has shape ``(N, 2)`` when ``t`` is a float, and
 ``(L, N, 2)`` when ``t`` is an ``(L, 1)`` column of times, whose row ``k``
 equals the float call at ``t[k, 0]``.  All frame quantities (unit normal,
-Weingarten map, velocity) are evaluated from the jet, so operator-identity
-diagnostics are limited only by round-off, not by a differencing scheme.
+Weingarten map, mixed velocity derivative) are evaluated from the jet, so
+operator-identity diagnostics are limited only by round-off, not by a
+differencing scheme.
 
 Shipped families
 ----------------
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSurfaceError
-from .fields import AnalyticField, ParameterGrid, _require_shape
+from .fields import ParameterGrid, _require_shape
 
 _IMMERSION_FLOOR = 1e-12
 
@@ -59,14 +60,12 @@ class GeometryFrame:
     """Frame quantities of one time slice, evaluated at the grid nodes."""
 
     theta: np.ndarray  # (N,)
-    time: float
     position: np.ndarray  # (N, 2)
     tangent: np.ndarray  # (N, 2) unit tangent
     normal: np.ndarray  # (N, 2) outward unit normal
     speed: np.ndarray  # (N,)   |X_theta|
     speed_dtheta: np.ndarray  # (N,)   d|X_theta|/dtheta
     curvature: np.ndarray  # (N,)   signed curvature w.r.t. the outward normal
-    velocity: np.ndarray  # (N, 2) chart velocity X_t
     velocity_dtheta: np.ndarray  # (N, 2) mixed derivative X_{t theta}
 
     @property
@@ -207,18 +206,17 @@ def _frame_pieces(xd: np.ndarray, xdd: np.ndarray, sign: float, t: float):
 
 
 def build_frame(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> GeometryFrame:
-    """Evaluate position, outward normal, curvature and velocity at time t.
+    """Evaluate position, outward normal, curvature and the mixed velocity
+    derivative at time t.
 
     Raises DegenerateSurfaceError when the immersion condition fails.
     """
     theta = grid.nodes
-    pos, xd, xdd, vel, vel_dth = surface.jet(theta, t)
+    pos, xd, xdd, _, vel_dth = surface.jet(theta, t)
     sign = orientation_sign(pos)
     speed, tangent, normal, curvature = _frame_pieces(xd, xdd, sign, t)
     speed_dtheta = np.einsum("ia,ia->i", xd, xdd) / speed
-    return GeometryFrame(
-        theta, float(t), pos, tangent, normal, speed, speed_dtheta, curvature, vel, vel_dth
-    )
+    return GeometryFrame(theta, pos, tangent, normal, speed, speed_dtheta, curvature, vel_dth)
 
 
 def _theta_derivative(values: np.ndarray, dtheta: float) -> np.ndarray:
@@ -246,33 +244,10 @@ def second_tangential_derivative(frame: GeometryFrame, grad: np.ndarray) -> np.n
     return np.einsum("ia,ib->iab", frame.tangent, arc)
 
 
-def commutator_check(
-    frame: GeometryFrame,
-    field: AnalyticField | np.ndarray,
-) -> float:
-    """Residual of the second-derivative commutator identity.
-
-    Returns ``max_i max_{a,b} |D_a D_b f - D_b D_a f -
-    (H_{b e} nu_a - H_{a e} nu_b) D_e f|``.  Exact chart/field derivatives
-    are used when the field is analytic with closures, discrete central
-    differences otherwise.
-    """
-    theta, t = frame.theta, frame.time
-    if isinstance(field, AnalyticField) and field.dtheta is not None and field.dtheta2 is not None:
-        u_th = np.asarray(field.dtheta(theta, t), dtype=float) + np.zeros_like(theta)
-        u_th2 = np.asarray(field.dtheta2(theta, t), dtype=float) + np.zeros_like(theta)
-        arc = u_th / frame.speed
-        grad = arc[:, None] * frame.tangent
-        # d/dtheta of (tau_b * U_s) from exact pieces:
-        #   tau_theta = -kappa * |X_theta| * nu,   U_s' = U_tt/|X'| - U_t |X'|'/|X'|^2
-        arc_dth = u_th2 / frame.speed - u_th * frame.speed_dtheta / frame.speed**2
-        tau_dth = -frame.curvature[:, None] * frame.speed[:, None] * frame.normal
-        grad_dth = tau_dth * arc[:, None] + frame.tangent * arc_dth[:, None]
-        second = np.einsum("ia,ib->iab", frame.tangent, grad_dth / frame.speed[:, None])
-    else:
-        grad = tangential_gradient(frame, field)
-        second = second_tangential_derivative(frame, grad)
-
+def _commutator_residual(frame: GeometryFrame, grad: np.ndarray, second: np.ndarray) -> float:
+    """``max_i max_{a,b} |D_a D_b f - D_b D_a f - (H_{b e} nu_a - H_{a e} nu_b) D_e f|``
+    from the (N, 2) gradient ``D_e f`` and the (N, 2, 2) second derivatives
+    ``second[i, a, b] = D_a D_b f``."""
     H = frame.weingarten
     nu = frame.normal
     rhs = np.einsum("ibe,ia,ie->iab", H, nu, grad) - np.einsum(
@@ -280,3 +255,24 @@ def commutator_check(
     )
     lhs = second - np.transpose(second, (0, 2, 1))
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def commutator_check(frame: GeometryFrame, u_th: np.ndarray, u_th2: np.ndarray) -> float:
+    """Residual of the second-derivative commutator identity for a field
+    given by its exact first and second theta derivatives `u_th` and `u_th2`
+    at the (N,) nodes of `frame`.
+
+    The tangential derivatives follow from them and the exact frame, so the
+    residual is round-off.
+    """
+    u_th = _require_shape(u_th, (frame.n_nodes,), "theta derivative")
+    u_th2 = _require_shape(u_th2, (frame.n_nodes,), "second theta derivative")
+    arc = u_th / frame.speed
+    grad = arc[:, None] * frame.tangent
+    # d/dtheta of (tau_b * U_s) from exact pieces:
+    #   tau_theta = -kappa * |X_theta| * nu,   U_s' = U_tt/|X'| - U_t |X'|'/|X'|^2
+    arc_dth = u_th2 / frame.speed - u_th * frame.speed_dtheta / frame.speed**2
+    tau_dth = -frame.curvature[:, None] * frame.speed[:, None] * frame.normal
+    grad_dth = tau_dth * arc[:, None] + frame.tangent * arc_dth[:, None]
+    second = np.einsum("ia,ib->iab", frame.tangent, grad_dth / frame.speed[:, None])
+    return _commutator_residual(frame, grad, second)

@@ -1,8 +1,10 @@
 """Instruments of the paper's claims that no scenario runs: the maximum
 principle, the duality chain behind uniqueness, transport of the measure,
-band/surface norm equivalence and the ambient form of the operator; and
-the closest-point pass over every node of the band's rectangle, which the
-block cull of `build_band` must reproduce bit for bit.
+band/surface norm equivalence, the ambient form of the operator with the
+exact theta derivative of the Cartesian metric it reads, and the commutator
+identity on differenced derivatives; and the closest-point pass over every
+node of the band's rectangle, which the block cull of `build_band` must
+reproduce bit for bit.
 
 They read the library's private helpers, so they check the discretization
 the program uses; the tests, among them `test_acceptance.py` (criterion 9),
@@ -25,9 +27,16 @@ from periflow.diagnostics import (
     _space_time_sup,
 )
 from periflow.evolution import Forcing, IVPConfig, Propagator, _time_derivative
-from periflow.fields import AnalyticField, ParameterGrid, _require_shape
-from periflow.metric import MetricSample, SpaceTimeGeometry, _flux_form_apply, assemble_metric
+from periflow.fields import ParameterGrid, _require_shape
+from periflow.metric import (
+    MetricSample,
+    SpaceTimeGeometry,
+    _flux_form_apply,
+    _local_metric,
+    assemble_metric,
+)
 from periflow.narrowband import (
+    _HALO_CELLS,
     DistanceField,
     NarrowBandGrid,
     _closest_points,
@@ -43,8 +52,10 @@ from periflow.periodic import monodromy_solve
 from periflow.surfaces import (
     GeometryFrame,
     SurfaceFamily,
+    _commutator_residual,
     _theta_derivative,
     build_frame,
+    second_tangential_derivative,
     tangential_gradient,
 )
 
@@ -72,8 +83,12 @@ def projection(frame: GeometryFrame) -> np.ndarray:
     return eye - np.einsum("ia,ib->iab", frame.normal, frame.normal)
 
 
-def sample(field: AnalyticField, theta: np.ndarray, t: float) -> np.ndarray:
-    return np.asarray(field.fn(theta, t), dtype=float) + np.zeros_like(theta)
+def discrete_commutator_check(frame: GeometryFrame, values: np.ndarray) -> float:
+    """`commutator_check` of the (N,) nodal `values`, with the tangential
+    derivatives by central differences: the residual is their truncation
+    error, second order in dtheta."""
+    grad = tangential_gradient(frame, values)
+    return _commutator_residual(frame, grad, second_tangential_derivative(frame, grad))
 
 
 # -- metric --------------------------------------------------------------------
@@ -89,11 +104,34 @@ def laplace_beltrami(geometry: SpaceTimeGeometry, values: np.ndarray) -> np.ndar
     return _flux_form_apply(geometry.c_half, geometry.sqrt_g, geometry.grid.dtheta, values)
 
 
+def metric_dtheta(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> np.ndarray:
+    """Exact theta derivative of the Cartesian metric G = (g/g_ref) tau (x) tau
+    + nu (x) nu at time t, shape (N, 2, 2), with tau and nu of the reference
+    curve, from the identities tau' = -kappa*speed*nu and nu' = kappa*speed*tau."""
+    frame0 = build_frame(surface, grid, 0.0)
+    g_ref = frame0.speed**2
+    _, xd, xdd, _, xtd = surface.jet(grid.nodes, t)
+    g_loc, _, ratio = _local_metric(xd, xtd, g_ref, t)
+    dg_loc_dth = 2.0 * np.einsum("ia,ia->i", xd, xdd)
+    dg_ref_dth = 2.0 * frame0.speed * frame0.speed_dtheta
+
+    tau, nu = frame0.tangent, frame0.normal
+    tau_tau = np.einsum("ia,ib->iab", tau, tau)
+    tau_dth = -(frame0.curvature * frame0.speed)[:, None] * nu
+    nu_dth = (frame0.curvature * frame0.speed)[:, None] * tau
+    ratio_dth = (dg_loc_dth * g_ref - g_loc * dg_ref_dth) / g_ref**2
+    sym_tau = np.einsum("ia,ib->iab", tau_dth, tau) + np.einsum("ia,ib->iab", tau, tau_dth)
+    sym_nu = np.einsum("ia,ib->iab", nu_dth, nu) + np.einsum("ia,ib->iab", nu, nu_dth)
+    return ratio_dth[:, None, None] * tau_tau + ratio[:, None, None] * sym_tau + sym_nu
+
+
 def cartesian_laplacian_apply(
-    metric: MetricSample, frame0: GeometryFrame, values: np.ndarray
+    metric: MetricSample, frame0: GeometryFrame, g_dtheta: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Ambient-form diffusion operator: first-order tangential derivatives of
-    the flux vector plus the metric-gradient correction term.
+    the flux vector plus the metric-gradient correction term, which reads the
+    exact theta derivative `g_dtheta` of G (`metric_dtheta` at the time of
+    `metric`).
 
     Metric data is exact; the unknown is differentiated with second-order
     central differences, so the result agrees with the flux form and with
@@ -109,7 +147,7 @@ def cartesian_laplacian_apply(
 
     # (1/2) P_{ag} Ginv_{ge} Ginv_{br} (D_b G_{ae}) (D_r u) with exact D G
     proj = projection(frame0)
-    d_g = np.einsum("ib,iae->ibae", tau / speed[:, None], metric.cartesian_dtheta)
+    d_g = np.einsum("ib,iae->ibae", tau / speed[:, None], g_dtheta)
     term2 = 0.5 * np.einsum(
         "iag,ige,ibr,ibae,ir->i", proj, metric.cartesian_inv, metric.cartesian_inv, d_g, grad
     )
@@ -120,25 +158,26 @@ def transport_formula_residual(
     surface: SurfaceFamily,
     grid: ParameterGrid,
     t: float,
-    field: AnalyticField,
+    field: Callable[[np.ndarray, float], np.ndarray],
     field_dt: Callable[[np.ndarray, float], np.ndarray],
     dt_fd: float,
 ) -> float:
     """Centered-difference residual of the measure transport formula.
 
-    Compares d/dt of the weighted integral of ``field`` against the integral
-    of ``field_dt + trace_rate * field``, where the closure ``field_dt`` is
-    the exact time derivative of ``field``; decays at second order in `dt_fd`.
+    Compares d/dt of the weighted integral of the closure ``field(theta, t)``
+    against the integral of ``field_dt + trace_rate * field``, where the
+    closure ``field_dt`` is the exact time derivative of ``field``; decays at
+    second order in `dt_fd`.
     """
     theta = grid.nodes
 
     def weighted_integral(s: float) -> float:
         m = assemble_metric(surface, grid, s)
-        return float(np.dot(m.weights, sample(field, theta, s)))
+        return float(np.dot(m.weights, field(theta, s)))
 
     lhs = (weighted_integral(t + dt_fd) - weighted_integral(t - dt_fd)) / (2.0 * dt_fd)
     metric = assemble_metric(surface, grid, t)
-    integrand = field_dt(theta, t) + metric.trace_rate * sample(field, theta, t)
+    integrand = field_dt(theta, t) + metric.trace_rate * field(theta, t)
     rhs = float(np.dot(metric.weights, integrand))
     return abs(lhs - rhs)
 
@@ -228,7 +267,8 @@ def full_rectangle_band(
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
     XX, YY = grid.mesh()
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
-    near, flat = _closest_points(surface, t, pts, curve, grid.halo_delta + chord)
+    halo_delta = grid.delta + _HALO_CELLS * grid.h
+    near, flat = _closest_points(surface, t, pts, curve, halo_delta + chord)
 
     def scatter(values):
         full = np.full((near.size, *values.shape[1:]), np.nan)
@@ -237,11 +277,10 @@ def full_rectangle_band(
 
     field = DistanceField(**{f.name: scatter(getattr(flat, f.name)) for f in fields(DistanceField)})
     finite = np.isfinite(field.dist)
-    halo_mask = finite & (np.abs(field.dist) < grid.halo_delta)
+    halo_mask = finite & (np.abs(field.dist) < halo_delta)
     active_mask = finite & (np.abs(field.dist) < grid.delta)
     interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
-    masks = dict(active_mask=active_mask, halo_mask=halo_mask, interior_mask=interior_mask)
-    return replace(grid, **masks), field
+    return replace(grid, active_mask=active_mask, interior_mask=interior_mask), field
 
 
 def elliptic_part_identity_check(

@@ -11,7 +11,6 @@ import numpy as np
 from helpers import ambient_x1, ambient_x1x2, mean_order
 from oracles import max_principle_monitor
 from periflow import (
-    AnalyticField,
     IVPConfig,
     ParameterGrid,
     Propagator,
@@ -55,12 +54,10 @@ def report(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def x1_closures(surface):
-    return AnalyticField(
-        fn=lambda th, t: surface.jet(th, t)[0][:, 0],
-        dtheta=lambda th, t: surface.jet(th, t)[1][:, 0],
-        dtheta2=lambda th, t: surface.jet(th, t)[2][:, 0],
-    )
+def x1_derivatives(surface, grid, t):
+    """Exact first and second theta derivatives of u = x1 on the curve."""
+    _, x_th, x_thth, _, _ = surface.jet(grid.nodes, t)
+    return x_th[:, 0], x_thth[:, 0]
 
 
 def test_criterion_1_operator_identities():
@@ -71,7 +68,7 @@ def test_criterion_1_operator_identities():
         surface = builder()
         frame = build_frame(surface, grid, t)
         metric = assemble_metric(surface, grid, t)
-        comm = commutator_check(frame, x1_closures(surface))
+        comm = commutator_check(frame, *x1_derivatives(surface, grid, t))
         _, _, trace_diff = trace_identity(metric, frame)
         green = greens_formula_check(metric, np.cos(grid.nodes), np.sin(2.0 * grid.nodes))
         ok &= report(f"criterion-1 commutator {name}", comm <= 1e-9, f"residual={comm:.3e}")
@@ -100,7 +97,7 @@ def test_criterion_1_operator_identities():
 
 def test_criterion_2_heat_kernel():
     grid = ParameterGrid(256, 512, 1.0)
-    config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
+    config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson", zero_order="zero")
     traj = Propagator(circle(), config).run(np.cos(grid.nodes))
     err = max(
         float(np.max(np.abs(traj[k] - math.exp(-t) * np.cos(grid.nodes))))
@@ -135,9 +132,9 @@ def test_criterion_4_contraction():
     prop = Propagator(
         circle(), config, lambda th, t: np.cos(th) * (math.sin(2.0 * math.pi * t) + 0.4)
     )
-    est = contraction_estimate(prop)
+    est = contraction_estimate(prop, seed=0)
     eps = 0.5 * (math.log(2.0) + 1.0)
-    bound = math.exp(-eps) * (1.0 + est.slack)
+    bound = math.exp(-eps) * (1.0 + 3.0 * (prop.grid.dt + prop.grid.dtheta**2))
     ok = report(
         "criterion-4 end-map-ratio",
         est.end_map_ratio <= bound,
@@ -197,7 +194,7 @@ def test_criterion_6_cross_method_agreement():
         prop, target_mean=1.0, tol=1e-10, max_iter=60,
         start=fourier_noise(prop.grid.nodes, rng),
     )
-    start_gap = float(np.max(np.abs(fp.initial_state - fp2.initial_state)))
+    start_gap = float(np.max(np.abs(fp.trajectory[0] - fp2.trajectory[0])))
     ok &= report(
         "criterion-6 uniqueness-probe",
         fp2.converged and start_gap <= 1e-8,
@@ -213,13 +210,15 @@ def test_criterion_7_relaxed_periodicity_ledger():
     )
     prop = Propagator(breathing_circle(), config)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    res = periodicity_residuals(traj, prop.geometry.weights[0])
+    weights0 = prop.geometry.weights[0]
+    res = periodicity_residuals(traj, weights0)
+    mean_drift = mean_and_mass(weights0, traj[-1])[0] - mean_and_mass(weights0, traj[0])[0]
     expected = 1.0 * (math.exp(-0.5 * 1.0) - 1.0)
-    drift_err = abs(res.mean_drift - expected)
+    drift_err = abs(mean_drift - expected)
     ok = report(
         "criterion-7 mean-drift",
         drift_err <= 1e-4,
-        f"drift={res.mean_drift:.6f} expected={expected:.6f} err={drift_err:.3e}",
+        f"drift={mean_drift:.6f} expected={expected:.6f} err={drift_err:.3e}",
     )
     ok &= report("criterion-7 relaxed-residual", res.relaxed <= 1e-8, f"residual={res.relaxed:.3e}")
     assert ok

@@ -266,7 +266,9 @@ scenario = band-check
 
 SMALL_CONFIGS = {
     "ivp": SMALL_IVP,
-    "ivp_decay": SMALL_IVP.replace("scenario = ivp", "scenario = ivp_decay"),
+    # SMALL_IVP's zero_order = divergence would conflict with the preset's zero
+    "ivp_decay": SMALL_IVP.replace("scenario = ivp", "scenario = ivp_decay")
+                          .replace("zero_order = divergence\n", ""),
     "periodic-fixed": SMALL_MONO.replace("periodic-monodromy", "periodic-fixed"),
     "periodic-monodromy": SMALL_MONO,
     "contraction": SMALL_CONTRACTION,
@@ -447,7 +449,7 @@ def test_violated_contraction_bound_fails_and_keeps_the_ledger(tmp_path, capsys,
 
     monkeypatch.setattr(evolution.Propagator, "run", inflated_run)
     path = write_config(tmp_path, SMALL_CONTRACTION)
-    est = contraction_estimate(parse_config(path).propagator())
+    est = contraction_estimate(parse_config(path).propagator(), seed=0)
     assert est.end_map_ratio > est.bound
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     line = (f"check end_map_ratio_bound: FAIL (value={est.end_map_ratio:.6e}, "
@@ -497,8 +499,17 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
         (SMALL_IVP.replace("zero_order = divergence", "zero_order = custom"), [],
          "zero_order must be one of ('zero', 'constant', 'divergence', "
          "'divergence_plus_constant'), got 'custom'"),
+        (SMALL_CONFIGS["ivp_decay"].replace("u0 = 1 + 0*theta", "forcing = cos(theta)"), [],
+         "forcing = cos(theta) conflicts with scenario = ivp_decay, which runs no forcing"),
+        (SMALL_IVP.replace("scenario = ivp", "scenario = ivp_decay"), [],
+         "zero_order = divergence conflicts with scenario = ivp_decay, "
+         "which runs zero_order = zero"),
+        (SMALL_CONTRACTION.replace("zero_order = constant", "zero_order = divergence"), [],
+         "zero_order = divergence conflicts with scenario = contraction, "
+         "which runs zero_order = constant"),
     ],
-    ids=["seed-key", "seed-flag", "zero-max-iter", "custom-zero-order"],
+    ids=["seed-key", "seed-flag", "zero-max-iter", "custom-zero-order", "ivp-decay-forcing",
+         "ivp-decay-zero-order", "contraction-zero-order"],
 )
 def test_bad_run_settings_exit_2(tmp_path, capsys, body, flags, message):
     path = write_config(tmp_path, body)
@@ -527,15 +538,15 @@ n_steps = 16
         ("ivp", "zero", "c0", "zero"),
         ("ivp", "constant", "alpha", "constant"),
         ("ivp", "divergence_plus_constant", "c0", "divergence_plus_constant"),
-        ("ivp_decay", "constant", "c0", "zero"),
-        ("contraction", "divergence", "alpha", "constant"),
+        ("ivp_decay", "zero", "c0", "zero"),
+        ("contraction", "constant", "alpha", "constant"),
     ],
 )
 def test_coefficient_key_the_zero_order_mode_does_not_read_exits_2(
     tmp_path, capsys, scenario, mode, key, resolved
 ):
-    # c0 is read only by `constant`, alpha only by `divergence_plus_constant`,
-    # each after the scenario presets resolve the mode
+    # c0 is read only by `constant`, alpha only by `divergence_plus_constant`;
+    # the preset scenarios accept only their own mode
     path = write_config(tmp_path, UNREAD_COEFFICIENT.format(scenario=scenario, mode=mode, key=key))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"{key} is not read by zero_order = {resolved}" in capsys.readouterr().err
@@ -570,24 +581,26 @@ def test_u0_in_a_scenario_that_does_not_read_it_exits_2(tmp_path, capsys, scenar
 
 
 def test_manifest_records_resolved_presets(tmp_path):
+    # a preset key left out takes the preset's value; repeating it changes nothing
     contraction = """
 [surface]
 family = circle
 
 [problem]
 scenario = contraction
-zero_order = divergence
 c0 = 1.0
 
 [discretization]
 n_nodes = 32
 n_steps = 32
 """
-    manifest, _ = run_and_digest(tmp_path, contraction, "contr")
+    manifest, digests = run_and_digest(tmp_path, contraction, "contr")
     assert manifest.resolved["zero_order"] == "constant"
     assert "zero_order = constant" in (tmp_path / "contr" / "manifest.txt").read_text()
+    repeated = contraction.replace("c0 = 1.0", "zero_order = constant\nc0 = 1.0")
+    assert run_and_digest(tmp_path, repeated, "repeated")[1] == digests
 
-    decay = MINIMAL + "forcing = sin(theta)\n\n[discretization]\nn_nodes = 32\nn_steps = 16\n"
+    decay = MINIMAL + "zero_order = zero\n\n[discretization]\nn_nodes = 32\nn_steps = 16\n"
     manifest, _ = run_and_digest(tmp_path, decay, "decay")
     assert manifest.resolved["forcing_expr"] is None
     assert manifest.resolved["u0_expr"] == "cos(theta)"

@@ -33,7 +33,7 @@ def sampled(grid, fn):
 def test_holder_constant_field():
     grid = ParameterGrid(32, 8, 1.0)
     fld = sampled(grid, lambda th, t: np.full_like(th, 4.0))
-    est = holder_estimate(*fld, circle(), alpha=0.5)
+    est = holder_estimate(*fld, circle(), alpha=0.5, seed=0)
     assert est.holder_coefficient == 0.0
     assert est.time_holder == 0.0
     assert est.norm_alpha == est.sup_norm == 4.0
@@ -43,7 +43,7 @@ def test_holder_cosine_lipschitz_bound():
     # static cos on the unit circle has arc-length Lipschitz constant 1
     grid = ParameterGrid(64, 8, 1.0)
     fld = static_field(np.cos(grid.nodes))
-    est = holder_estimate(*fld, circle(), alpha=1.0)
+    est = holder_estimate(*fld, circle(), alpha=1.0, seed=0)
     assert est.holder_coefficient <= 1.0 + 1e-12
     assert est.holder_coefficient >= 0.95
     assert est.norm_alpha >= est.sup_norm
@@ -53,7 +53,7 @@ def test_holder_finite_across_alpha():
     grid = ParameterGrid(64, 8, 1.0)
     fld = static_field(np.cos(grid.nodes))
     for a in (0.25, 0.5, 1.0):
-        est = holder_estimate(*fld, circle(), alpha=a)
+        est = holder_estimate(*fld, circle(), alpha=a, seed=0)
         assert 0.0 < est.holder_coefficient < 10.0
         # |cos x - cos y| <= |x - y| bounds every quotient with d <= pi < 2pi
         assert est.holder_coefficient <= max(2.0, math.pi ** (1.0 - a)) + 1e-12
@@ -64,7 +64,7 @@ def test_sqrt_time_profile_flags_blowup():
     for m in (8, 32, 128):
         grid = ParameterGrid(16, m, 1.0)
         fld = sampled(grid, lambda th, t: np.cos(th) * math.sqrt(t))
-        estimates.append(holder_estimate(*fld, circle(), alpha=0.5).time_holder)
+        estimates.append(holder_estimate(*fld, circle(), alpha=0.5, seed=0).time_holder)
     assert estimates[0] < estimates[1] < estimates[2]
     assert estimates[2] > 1.9 * estimates[0]  # grows like dt^(-1/4) under refinement
 
@@ -74,7 +74,7 @@ def test_estimator_monotone_under_nesting():
     def estimate(n, m):
         grid = ParameterGrid(n, m, 1.0)
         fld = sampled(grid, lambda th, t: np.cos(th) * math.exp(-t) + 0.3 * np.sin(2 * th))
-        return holder_estimate(*fld, circle(), alpha=0.5)
+        return holder_estimate(*fld, circle(), alpha=0.5, seed=0)
 
     coarse = estimate(16, 4)
     fine = estimate(32, 8)
@@ -86,16 +86,17 @@ def test_estimator_monotone_under_nesting():
 def test_interpolation_inequality_examples():
     grid = ParameterGrid(32, 16, 1.0)
     const = sampled(grid, lambda th, t: np.full_like(th, 1.5))
-    for eps, lhs, rhs in interpolation_check(holder_estimate(*const, circle(), 0.5),
+    for eps, lhs, rhs in interpolation_check(holder_estimate(*const, circle(), 0.5, seed=0),
                                              [1.0, 0.5, 0.25]):
         assert rhs >= 2.0 * 1.5 - 1e-12
         assert lhs <= rhs
     fld = sampled(grid, lambda th, t: np.cos(th) * math.exp(-t))
-    for eps, lhs, rhs in interpolation_check(holder_estimate(*fld, circle(), 0.5),
+    for eps, lhs, rhs in interpolation_check(holder_estimate(*fld, circle(), 0.5, seed=0),
                                              [0.5, 0.25, 0.125]):
         assert lhs <= rhs
     zero = sampled(grid, lambda th, t: np.zeros_like(th))
-    for eps, lhs, rhs in interpolation_check(holder_estimate(*zero, circle(), 0.5), [0.5]):
+    estimate = holder_estimate(*zero, circle(), 0.5, seed=0)
+    for eps, lhs, rhs in interpolation_check(estimate, [0.5]):
         assert lhs == 0.0 and rhs >= 0.0
 
 
@@ -129,7 +130,8 @@ def test_holder_diagnostics_build_the_reference_frame_once(monkeypatch):
     monkeypatch.setattr(diagnostics, "build_frame", counted)
     monkeypatch.setattr(oracles, "build_frame", counted)
     grid = ParameterGrid(32, 8, 1.0)
-    holder_estimate(*sampled(grid, lambda th, t: np.cos(th) * math.exp(-t)), circle(), alpha=0.5)
+    values = sampled(grid, lambda th, t: np.cos(th) * math.exp(-t))
+    holder_estimate(*values, circle(), alpha=0.5, seed=0)
     assert len(calls) == 1
     band_grid, band_dist = build_band(circle(), 0.0, 1.0 / 16.0, 0.3)
     profile = np.cos(grid.nodes)
@@ -151,7 +153,7 @@ def test_mass_ledger_conservative_run():
 
 def test_mass_ledger_zero_everything():
     surface = circle()
-    config = IVPConfig(n_nodes=64, n_steps=16, zero_order="divergence")
+    config = IVPConfig(n_nodes=64, n_steps=16, scheme="crank_nicolson", zero_order="divergence")
     prop = Propagator(surface, config)
     traj = prop.run(np.zeros(64))
     series = mass_ledger(traj, prop)
@@ -159,7 +161,7 @@ def test_mass_ledger_zero_everything():
 
 
 def test_compatibility_check_values():
-    config = IVPConfig(n_nodes=64, n_steps=32)
+    config = IVPConfig(n_nodes=64, n_steps=32, scheme="crank_nicolson", zero_order="zero")
     assert compatibility_check(Propagator(circle(), config)) == 0.0
     harmonic = lambda th, t: np.cos(th) * (1.0 + math.sin(2.0 * math.pi * t))
     assert abs(compatibility_check(Propagator(circle(), config, harmonic))) <= 1e-13
@@ -171,7 +173,7 @@ def test_compatibility_of_time_derivative_forcing():
     # d/dt of a periodic profile integrates to zero over the period exactly
     # for the trapezoid rule (telescoping), the acceptance generator pattern
     surface = breathing_circle()
-    config = IVPConfig(n_nodes=64, n_steps=64)
+    config = IVPConfig(n_nodes=64, n_steps=64, scheme="crank_nicolson", zero_order="zero")
     profile = lambda t: math.sin(2.0 * math.pi * t) + 0.3 * math.cos(4.0 * math.pi * t)
 
     def forcing(th, t):
@@ -188,7 +190,7 @@ def test_compatibility_of_time_derivative_forcing():
 def test_max_principle_monitor_and_negative_control():
     surface = circle()
     grid = ParameterGrid(64, 64, 1.0)
-    config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler")
+    config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler", zero_order="zero")
     decay = Propagator(surface, config).run(np.cos(grid.nodes))
     report = max_principle_monitor(decay)
     assert report.monotone and report.first_violation_level is None

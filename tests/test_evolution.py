@@ -16,6 +16,7 @@ from periflow import (
     breathing_circle,
     build_frame,
     circle,
+    commutator_check,
     fourier_noise,
     greens_formula_check,
     laplace_beltrami_apply,
@@ -37,7 +38,7 @@ def test_non_finite_zero_order_sample_names_level_and_node():
     forcing = np.ones((9, 16))
     forcing[3, 5] = np.inf
     with pytest.raises(StepError, match="forcing is not finite at node 5") as info:
-        Propagator(circle(), IVPConfig(n_nodes=16, n_steps=8), forcing)
+        Propagator(circle(), IVPConfig(16, 8, "crank_nicolson", "zero"), forcing)
     assert info.value.level == 3
 
 
@@ -84,6 +85,10 @@ SHAPE_MISMATCHES = {
         lambda p: tangential_gradient(build_frame(p.surface, p.grid, 0.0), np.ones((16, 2))),
         r"field of shape \(16, 2\) does not match \(16,\)",
     ),
+    "commutator_check": (
+        lambda p: commutator_check(build_frame(p.surface, p.grid, 0.0), np.ones(16), np.ones(15)),
+        r"second theta derivative of shape \(15,\) does not match \(16,\)",
+    ),
     "greens_formula_check": (
         lambda p: greens_formula_check(assemble_metric(p.surface, p.grid, 0.0), np.ones(15),
                                        np.ones(15)),
@@ -100,7 +105,7 @@ SHAPE_MISMATCHES = {
 @pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
 def test_shape_mismatch_raises_grid_mismatch(case):
     call, match = SHAPE_MISMATCHES[case]
-    prop = Propagator(circle(), IVPConfig(n_nodes=16, n_steps=8))
+    prop = Propagator(circle(), IVPConfig(16, 8, "crank_nicolson", "zero"))
     with pytest.raises(GridMismatchError, match=match):
         call(prop)
 
@@ -123,14 +128,14 @@ def test_singular_step_matrix_raises_where_factorized(family, scheme, theta, n, 
 
 def test_constants_preserved_without_forcing():
     grid = make_grid(64, 16)
-    config = IVPConfig(n_nodes=64, n_steps=16, scheme="backward_euler")
+    config = IVPConfig(n_nodes=64, n_steps=16, scheme="backward_euler", zero_order="zero")
     traj = Propagator(circle(), config).run(np.full(64, 3.25))
     assert np.max(np.abs(traj - 3.25)) <= 1e-13
 
 
 def test_backward_euler_step_eigenmode():
     grid = make_grid(64, 8)
-    config = IVPConfig(n_nodes=64, n_steps=8, scheme="backward_euler")
+    config = IVPConfig(n_nodes=64, n_steps=8, scheme="backward_euler", zero_order="zero")
     prop = Propagator(circle(), config)
     u0 = np.cos(grid.nodes)
     u1 = prop.step(u0, 0)
@@ -152,7 +157,7 @@ def test_constant_zero_order_scalar_reduction():
 
 def test_heat_kernel_crank_nicolson():
     grid = make_grid(256, 512)
-    config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson")
+    config = IVPConfig(n_nodes=256, n_steps=512, scheme="crank_nicolson", zero_order="zero")
     traj = Propagator(circle(), config).run(np.cos(grid.nodes))
     err = max(
         float(np.max(np.abs(traj[k] - math.exp(-t) * np.cos(grid.nodes))))
@@ -183,7 +188,7 @@ def test_manufactured_solution_orders():
 
     def run(scheme, n, m):
         grid = make_grid(n, m)
-        config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme)
+        config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme, zero_order="zero")
         traj = Propagator(circle(), config, forcing).run(exact(grid.nodes, 0.0))
         return max(
             float(np.max(np.abs(traj[k] - exact(grid.nodes, t))))
@@ -218,14 +223,14 @@ def test_end_map_affinity_and_forcing_independence():
 
 def test_zero_data_zero_forcing_gives_zero():
     grid = make_grid(64, 16)
-    config = IVPConfig(n_nodes=64, n_steps=16)
+    config = IVPConfig(n_nodes=64, n_steps=16, scheme="crank_nicolson", zero_order="zero")
     final = Propagator(breathing_circle(), config).run(np.zeros(64), keep_trajectory=False)
     assert np.max(np.abs(final)) == 0.0
 
 
 def test_adjoint_matches_forward_on_stationary_metric():
     grid = make_grid(64, 32)
-    config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler")
+    config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler", zero_order="zero")
     fwd = Propagator(circle(), config).run(np.cos(grid.nodes))
     adj = adjoint_solve(circle(), config, None, terminal=np.cos(grid.nodes))
     assert np.max(np.abs(adj[::-1] - fwd)) <= 1e-12
@@ -233,7 +238,7 @@ def test_adjoint_matches_forward_on_stationary_metric():
 
 def test_adjoint_constant_forcing_linear_in_time():
     grid = make_grid(64, 32)
-    config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler")
+    config = IVPConfig(n_nodes=64, n_steps=32, scheme="backward_euler", zero_order="zero")
     kappa = 0.7
     adj = adjoint_solve(circle(), config, lambda th, t: np.full_like(th, kappa))
     expected = np.stack([np.full(64, kappa * (t - 1.0)) for t in grid.times])
@@ -242,7 +247,7 @@ def test_adjoint_constant_forcing_linear_in_time():
 
 def test_duality_residual_vanishes_for_zero_field():
     grid = make_grid(64, 16)
-    config = IVPConfig(n_nodes=64, n_steps=16)
+    config = IVPConfig(n_nodes=64, n_steps=16, scheme="crank_nicolson", zero_order="zero")
     zero = Propagator(breathing_circle(), config).run(np.zeros(64))
     assert duality_check(space_time_geometry(breathing_circle(), grid), zero, zero) == 0.0
 
@@ -287,7 +292,7 @@ def test_mass_law_per_step_divergence_mode():
 
 def test_max_over_nodes_non_increasing_backward_euler():
     grid = make_grid(64, 64)
-    config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler")
+    config = IVPConfig(n_nodes=64, n_steps=64, scheme="backward_euler", zero_order="zero")
     u0 = np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes)
     traj = Propagator(breathing_circle(), config).run(u0)
     maxima = np.max(traj, axis=1)

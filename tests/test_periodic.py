@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dense_monodromy, linear_part, mean_order
 from periflow import (
@@ -60,16 +62,16 @@ def test_mean_adjust_examples():
 
 def test_fixed_point_zero_forcing_converges_immediately():
     prop = constant_rate_propagator(c0=1.0, forcing=None)
-    report = fixed_point_solve(prop, target_mean=0.0)
+    report = fixed_point_solve(prop, target_mean=0.0, tol=1e-10, max_iter=40)
     assert report.converged and report.iterations == 1
-    assert np.max(np.abs(report.initial_state)) <= 1e-14
+    assert np.max(np.abs(report.trajectory[0])) <= 1e-14
 
 
 def test_fixed_point_reaches_tolerance_quickly():
     prop = constant_rate_propagator(
         c0=1.0, forcing=lambda th, t: np.cos(th) * (math.sin(2 * math.pi * t) + 0.4)
     )
-    report = fixed_point_solve(prop, tol=1e-10, max_iter=40)
+    report = fixed_point_solve(prop, target_mean=0.0, tol=1e-10, max_iter=40)
     assert report.converged
     assert report.iterations <= 40
     assert report.final_residual <= 1e-10
@@ -80,20 +82,20 @@ def test_fixed_point_reaches_tolerance_quickly():
 def test_contraction_bound_and_product_formula():
     prop = constant_rate_propagator(c0=1.0)
     grid = prop.grid
-    est = contraction_estimate(prop)
+    est = contraction_estimate(prop, seed=0)
     # the constant probe pair decays slowest, since diffusion also damps the others
     exact = (1.0 + 1.0 * grid.dt) ** (-grid.n_steps)  # scalar product formula
     assert abs(est.end_map_ratio - exact) <= 1e-12
     # the product exceeds exp(-c0 T) by O(dt) but stays inside the decay bound
     assert math.exp(-1.0) < est.end_map_ratio <= math.exp(-1.0) * (1.0 + grid.dt)
-    assert est.applicable
     eps = 0.5 * (math.log(2.0) + 1.0)
-    assert est.bound == pytest.approx(math.exp(-eps) * (1.0 + est.slack))
+    slack = 3.0 * (grid.dt + grid.dtheta**2)
+    assert est.bound == pytest.approx(math.exp(-eps) * (1.0 + slack))
     assert est.adjusted_ratio <= 2.0 * est.end_map_ratio
 
 
 def test_contraction_default_probes_and_k_ratio():
-    est = contraction_estimate(constant_rate_propagator(c0=1.0))
+    est = contraction_estimate(constant_rate_propagator(c0=1.0), seed=0)
     assert est.end_map_ratio <= est.bound
     assert est.adjusted_ratio < 1.0
     assert est.adjusted_ratio <= 2.0 * est.end_map_ratio + 1e-12
@@ -106,8 +108,7 @@ def test_contraction_bound_not_applicable_below_ln2_over_t():
     config = IVPConfig(
         n_nodes=32, n_steps=16, scheme="backward_euler", zero_order="constant", coefficient=-2.0
     )
-    est = contraction_estimate(Propagator(circle(), config))
-    assert not est.applicable
+    est = contraction_estimate(Propagator(circle(), config), seed=0)
     assert est.bound is None
     assert est.end_map_ratio > 1.0  # genuinely expanding
 
@@ -140,7 +141,7 @@ def test_uniqueness_probe_two_starts():
         start=fourier_noise(prop.grid.nodes, rng),
     )
     assert r1.converged and r2.converged
-    assert np.max(np.abs(r1.initial_state - r2.initial_state)) <= 1e-10
+    assert np.max(np.abs(r1.trajectory[0] - r2.trajectory[0])) <= 1e-10
 
 
 @pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
@@ -152,7 +153,8 @@ def test_krylov_matches_dense_oracle(family, scheme):
     oracle, _ = dense_monodromy(prop, target_mean=1.0)
     assert np.max(np.abs(traj - oracle)) <= 1e-12
     assert report.residuals[-1] <= 1e-13
-    assert report.matvecs <= 10
+    # one restart cycle takes one product more than its inner iterations
+    assert len(report.residuals) <= 9
 
 
 @pytest.mark.parametrize(
@@ -231,7 +233,7 @@ def test_nonuniqueness_raises():
     )
     prop = Propagator(circle(), config, lambda th, t: np.cos(th))
     with pytest.raises(NonuniquenessError):
-        monodromy_solve(prop)
+        monodromy_solve(prop, target_mean=0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -247,7 +249,7 @@ def test_nonuniqueness_behind_an_expanding_mode_raises(k):
     )
     prop = Propagator(circle(), config, lambda th, t: np.cos(k * th))
     with pytest.raises(NonuniquenessError, match="one to round-off") as info:
-        monodromy_solve(prop)
+        monodromy_solve(prop, target_mean=0.0)
     assert info.value.spectral_gap <= 1e-12
 
 
@@ -267,13 +269,15 @@ def test_krylov_solve_stopped_above_tolerance_raises(monkeypatch):
 def test_periodicity_residuals_constant_trajectory():
     prop = breathing_propagator(forcing=None, n=64, m=64)
     traj, _ = monodromy_solve(prop, target_mean=0.0)
-    res = periodicity_residuals(traj, prop.geometry.weights[0])
-    assert res.relaxed <= 1e-13 and res.strict <= 1e-13 and abs(res.mean_drift) <= 1e-13
+    weights0 = prop.geometry.weights[0]
+    res = periodicity_residuals(traj, weights0)
+    mean_drift = mean_and_mass(weights0, traj[-1])[0] - mean_and_mass(weights0, traj[0])[0]
+    assert res.relaxed <= 1e-13 and res.strict <= 1e-13 and abs(mean_drift) <= 1e-13
 
 
 def test_fixed_point_conservative_closed_form():
     prop = breathing_propagator(forcing=None, n=64, m=64)
-    report = fixed_point_solve(prop, target_mean=1.0, tol=1e-10)
+    report = fixed_point_solve(prop, target_mean=1.0, tol=1e-10, max_iter=40)
     assert report.converged
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(64, r(0.0) / r(t)) for t in prop.grid.times])
@@ -284,13 +288,14 @@ def test_fixed_point_conservative_closed_form():
 
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
-        IVPConfig(scheme="leapfrog")
+        IVPConfig(256, 512, "leapfrog", "zero")
     with pytest.raises(ValueError):
-        IVPConfig(zero_order="nonsense")
+        IVPConfig(256, 512, "crank_nicolson", "nonsense")
     with pytest.raises(ValueError):
-        IVPConfig(zero_order="custom")  # not a mode
+        IVPConfig(256, 512, "crank_nicolson", "custom")  # not a mode
     with pytest.raises(ValueError):
-        fixed_point_solve(breathing_propagator(n=32, m=16), target_mean=1.0, tol=-1.0)
+        fixed_point_solve(breathing_propagator(n=32, m=16), target_mean=1.0, tol=-1.0,
+                          max_iter=40)
 
 
 def test_exponential_decay_scenario_mean_drift():
@@ -300,30 +305,46 @@ def test_exponential_decay_scenario_mean_drift():
     )
     prop = Propagator(breathing_circle(), config)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    res = periodicity_residuals(traj, prop.geometry.weights[0])
+    weights0 = prop.geometry.weights[0]
+    res = periodicity_residuals(traj, weights0)
+    mean_drift = mean_and_mass(weights0, traj[-1])[0] - mean_and_mass(weights0, traj[0])[0]
     expected = math.exp(-0.5) - 1.0
-    assert abs(res.mean_drift - expected) <= 1e-4
+    assert abs(mean_drift - expected) <= 1e-4
     assert res.relaxed <= 1e-8
 
 
-def manufactured_problem(surface, grid, zero_order):
-    """u* = cos(2 theta + sin 2 pi t)(1 + 0.3 sin 2 pi t) + 0.5, periodic with
-    period 1, and the forcing (1/sqrt g) d_theta(d_theta u* / sqrt g) - d_t u*
-    - c u* that makes it the periodic solution, with c = X_theta . X_t_theta / g
-    in the divergence mode and 0 in the zero mode; both as (M+1, N) samples
-    from the chart jets."""
+def manufactured_problem(surface, grid, zero_order, k, phi, a):
+    """u* = cos(k theta + phi + sin 2 pi t)(1 + a sin 2 pi t) + 0.5, periodic
+    with period 1, and the forcing (1/sqrt g) d_theta(d_theta u* / sqrt g)
+    - d_t u* - c u* that makes it the periodic solution, with
+    c = X_theta . X_t_theta / g in the divergence mode and 0 in the zero mode;
+    both as (M+1, N) samples from the chart jets."""
     theta, t = grid.nodes, grid.times[:, None]
     _, xd, xdd, _, xtd = surface.jet(theta, t)
     g = np.einsum("...a,...a->...", xd, xd)
     g_theta = 2.0 * np.einsum("...a,...a->...", xd, xdd)
     phase = 2.0 * np.pi * t
-    psi, amp = 2.0 * theta + np.sin(phase), 1.0 + 0.3 * np.sin(phase)
+    psi, amp = k * theta + phi + np.sin(phase), 1.0 + a * np.sin(phase)
     u = np.cos(psi) * amp + 0.5
-    u_theta, u_theta2 = -2.0 * np.sin(psi) * amp, -4.0 * np.cos(psi) * amp
-    u_t = 2.0 * np.pi * np.cos(phase) * (0.3 * np.cos(psi) - np.sin(psi) * amp)
+    u_theta, u_theta2 = -k * np.sin(psi) * amp, -k * k * np.cos(psi) * amp
+    u_t = 2.0 * np.pi * np.cos(phase) * (a * np.cos(psi) - np.sin(psi) * amp)
     diffusion = u_theta2 / g - 0.5 * u_theta * g_theta / g**2
     c = np.einsum("...a,...a->...", xd, xtd) / g if zero_order == "divergence" else 0.0
     return u, diffusion - u_t - c * u
+
+
+def manufactured_solves(family, zero_order, scheme, steps_per_node, k, phi, a):
+    """(prop, exact, target mean, monodromy trajectory) of the manufactured
+    problem at N = 32, 64, 128."""
+    surface = FAMILIES[family]()
+    for n in (32, 64, 128):
+        config = IVPConfig(n, steps_per_node * n, scheme, zero_order)
+        exact, forcing = manufactured_problem(surface, config.grid(surface.period), zero_order,
+                                              k, phi, a)
+        prop = Propagator(surface, config, forcing)
+        target_mean, _ = mean_and_mass(prop.geometry.weights[0], exact[0])
+        traj, _ = monodromy_solve(prop, target_mean)
+        yield prop, exact, target_mean, traj
 
 
 @pytest.mark.parametrize("scheme, steps_per_node, order", [("crank_nicolson", 1, 2.0),
@@ -332,17 +353,36 @@ def manufactured_problem(surface, grid, zero_order):
 @pytest.mark.parametrize("family", ["breathing", "ellipse", "bean"])
 def test_manufactured_periodic_solution_converges_at_scheme_order(family, zero_order, scheme,
                                                                   steps_per_node, order):
-    surface, errors = FAMILIES[family](), []
-    for n in (32, 64, 128):
-        config = IVPConfig(n_nodes=n, n_steps=steps_per_node * n, scheme=scheme,
-                           zero_order=zero_order)
-        exact, forcing = manufactured_problem(surface, config.grid(surface.period), zero_order)
-        prop = Propagator(surface, config, forcing)
-        target_mean, _ = mean_and_mass(prop.geometry.weights[0], exact[0])
-        traj, _ = monodromy_solve(prop, target_mean)
+    errors = []
+    for prop, exact, target_mean, traj in manufactured_solves(family, zero_order, scheme,
+                                                              steps_per_node, k=2, phi=0.0, a=0.3):
         errors.append(float(np.max(np.abs(traj - exact))))
-        if n == 64:
+        if prop.grid.n_nodes == 64:
             report = fixed_point_solve(prop, target_mean, tol=1e-12, max_iter=100)
             assert report.converged
             assert np.max(np.abs(report.trajectory - traj)) <= 1e-11
+    assert abs(mean_order(errors) - order) <= 0.3
+
+
+@st.composite
+def scheme_and_wave_number(draw):
+    """(scheme, M/N, order, k): backward Euler draws k <= 2 only.  At k = 3
+    and 4 its O(k^2 dtheta^2) spatial error still matches the O(dt) time
+    error at these N, so the observed order is mixed (1.3 to 2.0 measured),
+    which says nothing against the scheme; Crank-Nicolson stays within 0.03
+    of order 2 up to k = 4."""
+    scheme, steps_per_node, order = draw(st.sampled_from([("crank_nicolson", 1, 2.0),
+                                                          ("backward_euler", 4, 1.0)]))
+    return scheme, steps_per_node, order, draw(st.integers(1, 4 if order == 2.0 else 2))
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(case=scheme_and_wave_number(), family=st.sampled_from(["breathing", "ellipse", "bean"]),
+       zero_order=st.sampled_from(["zero", "divergence"]),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True), a=st.floats(0.0, 0.5))
+def test_manufactured_periodic_solutions_of_any_phase_wave_and_amplitude(case, family,
+                                                                         zero_order, phi, a):
+    scheme, steps_per_node, order, k = case
+    errors = [float(np.max(np.abs(traj - exact))) for _, exact, _, traj in
+              manufactured_solves(family, zero_order, scheme, steps_per_node, k, phi, a)]
     assert abs(mean_order(errors) - order) <= 0.3

@@ -1,15 +1,22 @@
-"""The library is what the program runs: every definition in `src/periflow`
-is reached from the CLI, and instruments no scenario runs live in
-`tests/oracles.py`.  Reach follows name and attribute references from
-`cli.main`, `parse_config`, `run_scenario` and every module-level statement
-but imports; an attribute reaches every method of its name, and a reached
-class reaches its dunder methods.
+"""The library is what the program runs, and the program uses all of it.
 
-Every option has a caller too: each parameter with a default, and each field
-with a default of a frozen dataclass, is passed by some call in `src` by
-position, by keyword or through `**`.  A call matches a definition by name,
-as above; a class call passes the fields of a dataclass or the parameters of
-`__init__`."""
+Four scans of the package sources, each a function of the source directory,
+so that `test_scans_report_their_plants` can run them on a planted package:
+
+* `unreached`: every definition in `src/periflow` is reached from the CLI;
+  instruments no scenario runs live in `tests/oracles.py`.  Reach follows
+  name and attribute references from `main`, `parse_config`, `run_scenario`
+  and every module-level statement but imports; an attribute reaches every
+  method of its name, and a reached class reaches its dunder methods.
+* `unset_defaults` and `overridden_defaults`: every option has two values in
+  use.  Each parameter with a default, and each field with a default of a
+  frozen dataclass, is passed by some call in `src` (by position, by keyword
+  or through `*` or `**`) and left unset by another.  A call matches a
+  definition by name, as above; a class call passes the fields of a
+  dataclass or the parameters of `__init__`.
+* `unread_fields`: every field of a dataclass, and every property, is loaded
+  as an attribute somewhere in `src`, matched by name as above.
+"""
 
 import ast
 from pathlib import Path
@@ -18,6 +25,32 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "periflow"
 # no scenario calls it, but perfbench/spans.py traces it by name, so it
 # leaves with the next change to the benchmark
 ALLOWED = {"metric.laplace_beltrami_matrix"}
+_FAMILY_PARAMETERS = {
+    f"surfaces.{family}.{name}"
+    for family, names in (("circle", ("period", "radius")),
+                          ("breathing_circle", ("amplitude", "period", "r0")),
+                          ("rotating_ellipse", ("a", "b", "period")),
+                          ("bean", ("period", "dent", "pulse", "skew")))
+    for name in names
+}
+# parameter -> why no call in src passes it
+UNSET_ALLOWED = {
+    "cli.main.argv": "the tests pass argv; the console script passes none",
+    "periodic.fixed_point_solve.start": "acceptance criterion 6 starts the iteration from noise",
+    **{name: "set from [surface] keys by FAMILIES[family](period=..., **params), a call "
+       "through a subscript" for name in _FAMILY_PARAMETERS - {"surfaces.circle.radius",
+                                                               "surfaces.circle.period"}},
+}
+# parameter -> why every call in src passes it
+OVERRIDDEN_ALLOWED = {
+    name: "the [surface] schema: parse_config reads the keys and defaults of a family "
+    "from its signature" for name in _FAMILY_PARAMETERS
+}
+
+
+def modules(src: Path) -> list[tuple[str, ast.Module]]:
+    """(module name, syntax tree) of each module of the package at `src`."""
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
 
 
 def names(nodes) -> set[str]:
@@ -25,19 +58,20 @@ def names(nodes) -> set[str]:
             for node in nodes for sub in ast.walk(node)} - {None}
 
 
-def test_every_definition_is_reached():
+def unreached(src: Path) -> set[str]:
+    """Qualified names of the definitions no reference chain from the roots reaches."""
     defs, roots = {}, []  # name -> [(qualified name, node)]; module-level statements
 
     def define(qualname, node):
         defs.setdefault(node.name, []).append((qualname, node))
 
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for stem, tree in modules(src):
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                define(f"{path.stem}.{node.name}", node)
+                define(f"{stem}.{node.name}", node)
                 for member in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(member, ast.FunctionDef):
-                        define(f"{path.stem}.{node.name}.{member.name}", member)
+                        define(f"{stem}.{node.name}.{member.name}", member)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots.append(node)
     todo, seen, reached = {"main", "parse_config", "run_scenario"} | names(roots), set(), set()
@@ -52,22 +86,12 @@ def test_every_definition_is_reached():
                 reached |= {f"{qualname}.{s.name}" for s in parts if isinstance(s, ast.FunctionDef)}
             reached.add(qualname)
             todo |= names(parts) - seen
-    unreached = {qualname for found in defs.values() for qualname, _ in found} - reached
-    assert not unreached - ALLOWED, f"reached by no scenario: {sorted(unreached - ALLOWED)}"
-    assert ALLOWED <= unreached, "an allowed exception is reached now; drop it"
+    return {qualname for found in defs.values() for qualname, _ in found} - reached
 
 
-# parameter -> why no call in src passes it
-UNSET_ALLOWED = {
-    "cli.main.argv": "the tests pass argv; the console script passes none",
-    "periodic.fixed_point_solve.start": "acceptance criterion 6 starts the iteration from noise",
-    **{f"surfaces.{family}.{name}": "set from [surface] keys by "
-       "FAMILIES[family](period=..., **params), a call through a subscript"
-       for family, names in (("breathing_circle", ("amplitude", "period", "r0")),
-                             ("rotating_ellipse", ("a", "b", "period")),
-                             ("bean", ("period", "dent", "pulse", "skew")))
-       for name in names},
-}
+def decorated(node, name: str) -> bool:
+    """Whether `node` carries the decorator `name`, called or not."""
+    return any(getattr(getattr(d, "func", d), "id", None) == name for d in node.decorator_list)
 
 
 def frozen_dataclass(node: ast.ClassDef) -> bool:
@@ -84,36 +108,129 @@ def with_defaults(args: ast.arguments) -> list[tuple[str, int | None]]:
         (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
 
 
-def test_every_default_is_set_by_the_program():
-    options, calls = [], []  # (qualified name, callee, parameter, position); calls
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
+def options_and_calls(src: Path):
+    """Every default as (qualified name, callee, parameter, position) and every
+    call as (callee, positional count, starred, keywords), where a `**`
+    argument puts None among the keywords."""
+    options, calls = [], []
+    for stem, tree in modules(src):
         methods = {id(m): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                    for m in c.body if isinstance(m, ast.FunctionDef)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and frozen_dataclass(node):
                 annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
-                options += [(f"{path.stem}.{node.name}.{s.target.id}", node.name, s.target.id, i)
+                options += [(f"{stem}.{node.name}.{s.target.id}", node.name, s.target.id, i)
                             for i, s in enumerate(annotated) if s.value is not None]
             elif isinstance(node, ast.FunctionDef):
                 owner, callee, qualname, shift = methods.get(id(node)), node.name, node.name, 0
                 if owner is not None:  # the instance or class fills the first parameter
                     qualname, shift = f"{owner.name}.{node.name}", 1
                     callee = owner.name if node.name == "__init__" else node.name
-                options += [(f"{path.stem}.{qualname}.{name}", callee, name,
+                options += [(f"{stem}.{qualname}.{name}", callee, name,
                              None if i is None else i - shift)
                             for name, i in with_defaults(node.args)]
             elif isinstance(node, ast.Call):
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
                 calls.append((getattr(node.func, "id", None) or getattr(node.func, "attr", None),
                               len(node.args), starred, {k.arg for k in node.keywords}))
+    return options, calls
 
-    def passed(callee, name, position):
-        return any(called == callee and (None in keywords or starred or name in keywords
-                                         or (position is not None and n_args > position))
-                   for called, n_args, starred, keywords in calls)
 
-    unset = {qualname for qualname, *option in options if not passed(*option)}
+def sets(call, name: str, position: int | None) -> bool:
+    """Whether `call` passes the parameter `name` at `position`."""
+    _, n_args, starred, keywords = call
+    return starred or None in keywords or name in keywords or (
+        position is not None and n_args > position)
+
+
+def unset_defaults(src: Path) -> set[str]:
+    """Defaults that no call of their callee passes."""
+    options, calls = options_and_calls(src)
+    return {qualname for qualname, callee, name, position in options
+            if not any(sets(c, name, position) for c in calls if c[0] == callee)}
+
+
+def overridden_defaults(src: Path) -> set[str]:
+    """Defaults that every call of their callee passes, so no call uses the value."""
+    options, calls = options_and_calls(src)
+    return {qualname for qualname, callee, name, position in options
+            if all(sets(c, name, position) for c in calls if c[0] == callee)}
+
+
+def unread_fields(src: Path) -> set[str]:
+    """Dataclass fields and properties whose name no attribute load reads."""
+    members, loaded = set(), set()
+    for stem, tree in modules(src):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                prefix = f"{stem}.{node.name}"
+                if decorated(node, "dataclass"):
+                    members |= {(f"{prefix}.{s.target.id}", s.target.id)
+                                for s in node.body if isinstance(s, ast.AnnAssign)}
+                members |= {(f"{prefix}.{s.name}", s.name) for s in node.body
+                            if isinstance(s, ast.FunctionDef) and decorated(s, "property")}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return {qualname for qualname, name in members if name not in loaded}
+
+
+def test_every_definition_is_reached():
+    found = unreached(SRC)
+    assert not found - ALLOWED, f"reached by no scenario: {sorted(found - ALLOWED)}"
+    assert ALLOWED <= found, "an allowed exception is reached now; drop it"
+
+
+def test_every_default_is_set_by_the_program():
+    unset = unset_defaults(SRC)
     missing = unset - UNSET_ALLOWED.keys()
     assert not missing, f"set by no call in src: {sorted(missing)}"
     assert UNSET_ALLOWED.keys() <= unset, "an allowed default is set now; drop it"
+
+
+def test_every_default_is_relied_on_by_the_program():
+    overridden = overridden_defaults(SRC)
+    missing = overridden - OVERRIDDEN_ALLOWED.keys()
+    assert not missing, f"passed by every call in src: {sorted(missing)}"
+    assert OVERRIDDEN_ALLOWED.keys() <= overridden, "an allowed default is relied on now; drop it"
+
+
+def test_every_field_is_read_by_the_program():
+    unread = unread_fields(SRC)
+    assert not unread, f"read by nothing in src: {sorted(unread)}"
+
+
+PLANTED = '''
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Report:
+    value: float
+    unread: float
+
+    @property
+    def doubled(self) -> float:
+        return 2.0 * self.value
+
+
+def scale(x, factor=2.0, offset=0.0):
+    return factor * x + offset
+
+
+def orphan():
+    return 0
+
+
+def main():
+    doubled = scale(1.0, offset=1.0)  # a variable of the property's name, not a read of it
+    return Report(doubled, 0.0).value
+'''
+
+
+def test_scans_report_their_plants(tmp_path):
+    # one violation of each kind, so that a scan which stopped matching fails here
+    (tmp_path / "tool.py").write_text(PLANTED)
+    assert unreached(tmp_path) == {"tool.orphan"}
+    assert unset_defaults(tmp_path) == {"tool.scale.factor"}
+    assert overridden_defaults(tmp_path) == {"tool.scale.offset"}
+    assert unread_fields(tmp_path) == {"tool.Report.unread", "tool.Report.doubled"}

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import projection
+from oracles import discrete_commutator_check, projection
 from periflow import (
-    AnalyticField,
     DegenerateSurfaceError,
     FAMILIES,
     ParameterGrid,
@@ -24,13 +23,11 @@ GRID = ParameterGrid(128, 8, 1.0)
 ALL_FAMILIES = [circle(), breathing_circle(), rotating_ellipse(), bean()]
 
 
-def x1_field(surface):
-    """u = x1 restricted to the moving curve, exact derivatives from the chart."""
-    return AnalyticField(
-        fn=lambda th, t: surface.jet(th, t)[0][:, 0],
-        dtheta=lambda th, t: surface.jet(th, t)[1][:, 0],
-        dtheta2=lambda th, t: surface.jet(th, t)[2][:, 0],
-    )
+def x1_derivatives(surface, t):
+    """The exact first and second theta derivatives of u = x1 on the moving
+    curve, from the chart."""
+    _, x_th, x_thth, _, _ = surface.jet(GRID.nodes, t)
+    return x_th[:, 0], x_thth[:, 0]
 
 
 def test_unit_circle_frame():
@@ -45,11 +42,11 @@ def test_unit_circle_frame():
 def test_expanding_circle_velocity():
     surf = breathing_circle(amplitude=0.25)
     t = 0.1
-    frame = build_frame(surf, GRID, t)
+    velocity = surf.jet(GRID.nodes, t)[3]  # the chart velocity X_t
     r_dot = 0.25 * math.cos(2 * math.pi * t) * 2 * math.pi
     expected = r_dot * np.stack([np.cos(GRID.nodes), np.sin(GRID.nodes)], axis=-1)
-    assert np.max(np.abs(frame.velocity - expected)) < 1e-13
-    assert np.max(np.abs(np.linalg.norm(frame.velocity, axis=1) - abs(r_dot))) < 1e-13
+    assert np.max(np.abs(velocity - expected)) < 1e-13
+    assert np.max(np.abs(np.linalg.norm(velocity, axis=1) - abs(r_dot))) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -155,12 +152,12 @@ def test_discrete_gradient_second_order():
 @pytest.mark.parametrize("surface", ALL_FAMILIES, ids=lambda s: s.name)
 def test_commutator_exact_path(surface):
     frame = build_frame(surface, GRID, 0.3)
-    assert commutator_check(frame, x1_field(surface)) <= 1e-12
+    assert commutator_check(frame, *x1_derivatives(surface, 0.3)) <= 1e-12
 
 
 def test_commutator_constant_field():
     frame = build_frame(bean(), GRID, 0.1)
-    assert commutator_check(frame, np.ones(GRID.n_nodes)) <= 1e-14
+    assert discrete_commutator_check(frame, np.ones(GRID.n_nodes)) <= 1e-14
 
 
 def test_commutator_flat_chart_vanishes():
@@ -177,13 +174,9 @@ def test_commutator_flat_chart_vanishes():
 
     line = SurfaceFamily(name="segment", jet=jet, period=1.0)
     frame = build_frame(line, GRID, 0.0)
-    field = AnalyticField(
-        fn=lambda th, t: np.sin(th),
-        dtheta=lambda th, t: np.cos(th),
-        dtheta2=lambda th, t: -np.sin(th),
-    )
+    theta = GRID.nodes  # the field sin(theta)
     assert np.max(np.abs(frame.curvature)) == 0.0
-    assert commutator_check(frame, field) <= 1e-13
+    assert commutator_check(frame, np.cos(theta), -np.sin(theta)) <= 1e-13
 
 
 def test_commutator_discrete_second_order():
@@ -191,7 +184,7 @@ def test_commutator_discrete_second_order():
     for n in (64, 128):
         grid = ParameterGrid(n, 4, 1.0)
         frame = build_frame(circle(), grid, 0.0)
-        errs.append(commutator_check(frame, np.cos(grid.nodes)))
+        errs.append(discrete_commutator_check(frame, np.cos(grid.nodes)))
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
