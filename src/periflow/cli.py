@@ -406,21 +406,21 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     rt_tol = 1e-6 * max(1.0, href**3) * max(1.0, float(np.max(np.abs(u_surface))))
     manifest.check("lift_extract_roundtrip", rt, rt_tol)
 
-    # identity-metric extension against the exact image of the first
-    # coordinate: its surface Laplacian is -curvature * normal_x at the foot
-    def identity_error(band_grid, band_dist):
+    # identity-metric extension of the first coordinate, applied once per
+    # grid: against its exact image, -curvature * normal_x at the foot, and
+    # against the weighted-divergence form
+    def band_errors(band_grid, band_dist):
         lift = band_dist.foot[..., 0]
         exact = -band_dist.curvature * band_dist.normal[..., 0]
         applied = extended_operator_apply(lift, band_grid, band_dist)
-        return float(np.nanmax(np.abs((applied - exact)[band_grid.interior_mask])))
+        identity = float(np.nanmax(np.abs((applied - exact)[band_grid.interior_mask])))
+        return identity, os_operator_equivalence(lift, applied, band_grid, band_dist)
 
     grid2, dist2 = build_band(surface, t, 2.0 * h, delta)
-    err, err2 = identity_error(grid, dist), identity_error(grid2, dist2)
+    (err, os_res), (err2, os_res2) = band_errors(grid, dist), band_errors(grid2, dist2)
     order = math.log2(err2 / err) if err > 0 else float("inf")
     manifest.check("extension_identity_order", order, 2.0, passed=1.4 <= order <= 2.7)
 
-    os_res = os_operator_equivalence(dist.foot[..., 0], grid, dist)
-    os_res2 = os_operator_equivalence(dist2.foot[..., 0], grid2, dist2)
     os_order = math.log2(os_res2 / os_res) if os_res > 0 else float("inf")
     manifest.check("os_equivalence_order", os_order, 2.0, passed=1.4 <= os_order <= 2.7)
 
@@ -505,7 +505,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str | Path) -> RunManifest:
     call created, which are still empty then: expressions are evaluated
     before any file is written.  The scenario runs with numpy's
     floating-point warnings off: the finiteness checks of the samples and of
-    every step report non-finite values instead, with their time level."""
+    each period's end state report non-finite values instead, with their
+    time level and node."""
     out = Path(out_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:

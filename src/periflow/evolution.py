@@ -9,7 +9,10 @@ solves, and a rank-one Sherman-Morrison correction adds the periodic corners.
 A step matrix singular to round-off raises ``StepError`` at the level where
 it is factorized.  One ``Propagator`` holds a run: it derives the grid from
 the config and the surface's period, builds the space-time geometry and
-samples the forcing once.  The periodic solves reuse its factors and the
+samples the forcing once.  ``Propagator.run`` is the one entry point that
+steps; it checks the initial state on entry and the end state once per
+period, and a non-finite state raises ``StepError`` naming its first time
+level and node.  The periodic solves reuse its factors and the
 ledgers read its geometry and per-level forcing integrals.  Of the
 zero-order term it keeps only ``rate_floor``, the constant c plus, in the
 divergence modes, the pointwise lower bound of the dilation rate, which
@@ -166,7 +169,6 @@ class Propagator:
     without forcing)."""
 
     def __init__(self, surface: SurfaceFamily, config: IVPConfig, forcing: Forcing = None):
-        self.surface = surface
         self.config = config
         self.grid = config.grid(surface.period)
         self.geometry = space_time_geometry(surface, self.grid)
@@ -200,17 +202,6 @@ class Propagator:
         ]
         return explicit, load, factors
 
-    def step(self, values: np.ndarray, level: int, include_forcing: bool = True) -> np.ndarray:
-        """Advance the (N,) state `values` from `level` to `level+1`."""
-        values = _require_shape(values, (self.grid.n_nodes,), "state")
-        rhs = _banded_matvec(self._explicit[level], values)
-        if include_forcing and self._load is not None:
-            rhs -= self._load[level]
-        out = self._factors[level].solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise StepError("implicit solve produced non-finite values", level + 1)
-        return out
-
     def run(
         self,
         u0: np.ndarray,
@@ -220,16 +211,29 @@ class Propagator:
         """Propagate the (N,) state `u0` over the full period.
 
         Returns the trajectory (M+1, N) when `keep_trajectory`, otherwise the
-        final state (N,) only.
+        final state (N,) only.  A non-finite state raises StepError naming its
+        first time level and node.
         """
         u = _require_shape(u0, (self.grid.n_nodes,), "initial state")
         _require_finite(u[None], "initial state")
+        load = self._load if include_forcing else None
         states = [u]
-        for k in range(self.grid.n_steps):
-            u = self.step(u, k, include_forcing)
+        for k, factor in enumerate(self._factors):
+            rhs = _banded_matvec(self._explicit[k], u)
+            if load is not None:
+                rhs -= load[k]
+            u = factor.solve(rhs)
             if keep_trajectory:
                 states.append(u)
-        return np.stack(states) if keep_trajectory else u
+        out = np.stack(states) if keep_trajectory else u
+        # The end-state check misses nothing because a non-finite value is
+        # absorbing: every off-diagonal of each step matrix is nonzero (c_half > 0,
+        # theta in {1/2, 1}), so the cyclic solve spreads an inf or NaN to every
+        # node, and a step only multiplies states by finite coefficients and adds
+        # them, so no later step makes it finite again.
+        if not np.all(np.isfinite(u)):
+            _require_finite(out if keep_trajectory else self.run(u0, include_forcing), "state")
+        return out
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:

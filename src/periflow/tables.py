@@ -5,10 +5,10 @@ arrays.
 A CSV has one header line, then one row per entry of the columns.  Numeric
 cells are ``%.17g`` (round-trip exact, integers print without a decimal
 point), text cells are written as given, line ends are LF and nothing
-depends on the locale.  Rows are formatted in bounded chunks, so a large
-table never exists as one string.  Both writers take the SHA-256 of the
-bytes as they are written: the manifest records the digest of exactly the
-file a run wrote.
+depends on the locale.  The rows are formatted in one pass; the largest
+table a run writes is the (M+1)-row mass ledger.  Both writers take the
+SHA-256 of the bytes they write: the manifest records the digest of
+exactly the file a run wrote.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-_CHUNK_ROWS = 4096
 
 
 class _DigestingFile:
@@ -31,30 +29,21 @@ class _DigestingFile:
         return self.fh.write(data)
 
 
-def _encoded_chunks(header: list[str], columns: list[np.ndarray]):
-    yield (",".join(header) + "\n").encode()
-    n_rows = columns[0].shape[0]
-    is_text = [col.dtype.kind in "OSU" for col in columns]
-    row = ",".join("%s" if text else "%.17g" for text in is_text) + "\n"
-    cells = np.empty((min(n_rows, _CHUNK_ROWS), len(columns)), object if any(is_text) else float)
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n_rows - start)
-        for j, col in enumerate(columns):
-            cells[:rows, j] = col[start : start + rows]
-        yield (row * rows % tuple(cells[:rows].ravel().tolist())).encode()
-
-
 def write_csv(path, header: list[str], columns) -> str:
     """Write equal-length `columns` under `header`; return the file's SHA-256."""
     columns = [np.asarray(col) for col in columns]
     shape = columns[0].shape
     if len(header) != len(columns) or any(c.ndim != 1 or c.shape != shape for c in columns):
         raise ValueError("write_csv needs one 1-d column per header name, all of one length")
+    is_text = [col.dtype.kind in "OSU" for col in columns]
+    row = ",".join("%s" if text else "%.17g" for text in is_text) + "\n"
+    cells = np.empty((shape[0], len(columns)), object if any(is_text) else float)
+    for j, col in enumerate(columns):
+        cells[:, j] = col
+    data = (",".join(header) + "\n" + row * shape[0] % tuple(cells.ravel().tolist())).encode()
     with open(path, "wb") as fh:
-        out = _DigestingFile(fh)
-        for data in _encoded_chunks(header, columns):
-            out.write(data)
-    return out.digest.hexdigest()
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_npy(path, values: np.ndarray) -> str:

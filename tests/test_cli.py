@@ -389,7 +389,7 @@ n_steps = 8
     [
         (SMALL_IVP.replace("u0 = 1 + 0*theta", "forcing = 1e300*cos(theta)*exp(700)"),
          "forcing is not finite at node 0 (time level 0)"),
-        (EXPANDING_FIXED, "implicit solve produced non-finite values (time level 8)"),
+        (EXPANDING_FIXED, "state is not finite at node 0 (time level 8)"),
     ],
     ids=["forcing-overflow", "expanding-step-overflow"],
 )

@@ -42,19 +42,20 @@ def test_non_finite_zero_order_sample_names_level_and_node():
     assert info.value.level == 3
 
 
-# case -> (call on a 16-node, 8-step propagator, expected message)
+# case -> (call on a 16-node, 8-step propagator of CIRCLE, expected message)
+CIRCLE = circle()
 SHAPE_MISMATCHES = {
     "u0": (lambda p: p.run(np.ones(15)), r"initial state of shape \(15,\) does not match \(16,\)"),
     "forcing": (
-        lambda p: Propagator(p.surface, p.config, np.zeros((9, 15))),
+        lambda p: Propagator(CIRCLE, p.config, np.zeros((9, 15))),
         r"forcing of shape \(9, 15\) does not match \(9, 16\)",
     ),
     "forcing_closure_rank": (
-        lambda p: Propagator(p.surface, p.config, lambda th, t: np.zeros((2, th.size))),
+        lambda p: Propagator(CIRCLE, p.config, lambda th, t: np.zeros((2, th.size))),
         r"forcing of shape \(2, 16\) does not match \(16,\)",
     ),
     "forcing_closure_length": (
-        lambda p: Propagator(p.surface, p.config, lambda th, t: np.zeros(th.size + 1)),
+        lambda p: Propagator(CIRCLE, p.config, lambda th, t: np.zeros(th.size + 1)),
         r"forcing of shape \(17,\) does not match \(16,\)",
     ),
     "mass_ledger": (
@@ -67,7 +68,7 @@ SHAPE_MISMATCHES = {
     ),
     "u0_rank": (lambda p: p.run(np.ones((16, 2))), r"shape \(16, 2\) does not match"),
     # a square batch would broadcast the diagonals along the wrong axis
-    "step_rank": (lambda p: p.step(np.eye(16), 0), r"state of shape \(16, 16\) does not match"),
+    "step_rank": (lambda p: p.run(np.eye(16)), r"state of shape \(16, 16\) does not match"),
     "mean_and_mass": (
         lambda p: mean_and_mass(p.geometry.weights[0], np.ones(15)),
         r"field of shape \(15,\) does not match \(16,\)",
@@ -78,19 +79,19 @@ SHAPE_MISMATCHES = {
     ),
     # a square batch would be differenced along the wrong axis
     "laplace_beltrami_apply": (
-        lambda p: laplace_beltrami_apply(assemble_metric(p.surface, p.grid, 0.0), np.eye(16)),
+        lambda p: laplace_beltrami_apply(assemble_metric(CIRCLE, p.grid, 0.0), np.eye(16)),
         r"field of shape \(16, 16\) does not match \(16,\)",
     ),
     "tangential_gradient": (
-        lambda p: tangential_gradient(build_frame(p.surface, p.grid, 0.0), np.ones((16, 2))),
+        lambda p: tangential_gradient(build_frame(CIRCLE, p.grid, 0.0), np.ones((16, 2))),
         r"field of shape \(16, 2\) does not match \(16,\)",
     ),
     "commutator_check": (
-        lambda p: commutator_check(build_frame(p.surface, p.grid, 0.0), np.ones(16), np.ones(15)),
+        lambda p: commutator_check(build_frame(CIRCLE, p.grid, 0.0), np.ones(16), np.ones(15)),
         r"second theta derivative of shape \(15,\) does not match \(16,\)",
     ),
     "greens_formula_check": (
-        lambda p: greens_formula_check(assemble_metric(p.surface, p.grid, 0.0), np.ones(15),
+        lambda p: greens_formula_check(assemble_metric(CIRCLE, p.grid, 0.0), np.ones(15),
                                        np.ones(15)),
         r"u of shape \(15,\) does not match \(16,\)",
     ),
@@ -105,7 +106,7 @@ SHAPE_MISMATCHES = {
 @pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
 def test_shape_mismatch_raises_grid_mismatch(case):
     call, match = SHAPE_MISMATCHES[case]
-    prop = Propagator(circle(), IVPConfig(16, 8, "crank_nicolson", "zero"))
+    prop = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", "zero"))
     with pytest.raises(GridMismatchError, match=match):
         call(prop)
 
@@ -138,7 +139,7 @@ def test_backward_euler_step_eigenmode():
     config = IVPConfig(n_nodes=64, n_steps=8, scheme="backward_euler", zero_order="zero")
     prop = Propagator(circle(), config)
     u0 = np.cos(grid.nodes)
-    u1 = prop.step(u0, 0)
+    u1 = prop.run(u0)[1]
     lam = (2.0 - 2.0 * math.cos(grid.dtheta)) / grid.dtheta**2
     assert np.max(np.abs(u1 - u0 / (1.0 + grid.dt * lam))) <= 1e-13
     # the discrete eigenvalue is within O(dtheta^2) of the continuum value 1
@@ -151,7 +152,7 @@ def test_constant_zero_order_scalar_reduction():
         n_nodes=64, n_steps=8, scheme="backward_euler", zero_order="constant", coefficient=2.0
     )
     prop = Propagator(circle(), config)
-    u1 = prop.step(np.ones(64), 0)
+    u1 = prop.run(np.ones(64))[1]
     assert np.max(np.abs(u1 - 1.0 / (1.0 + 2.0 * grid.dt))) <= 1e-14
 
 

@@ -24,6 +24,7 @@ from periflow import (
     IVPConfig,
     ParameterGrid,
     Propagator,
+    StepError,
     assemble_metric,
     build_band,
     greens_formula_check,
@@ -155,6 +156,23 @@ def test_divergence_mode_mass_law(family, n, m, scheme, data):
     assert np.max(np.abs(ledger.defects)) <= 1e-12 * np.max(np.abs(ledger.masses))
 
 
+def sparse_step(surface, grid, config, forcing, level, values):
+    """The theta-scheme step of `values` from `level` to `level + 1` with the
+    CSR operators of the Cartesian metric and the constant zero-order coefficient c:
+    (1/dt - theta (L' - c)) u' = s (1/dt + (1 - theta) (L - c)) u - s (1 - theta) f - theta f'"""
+    old, new = (assemble_metric(surface, grid, grid.times[k]) for k in (level, level + 1))
+    reads_coefficient = config.zero_order in ("constant", "divergence_plus_constant")
+    c = config.coefficient if reads_coefficient else 0.0
+    theta, eye = config.theta, sparse.identity(grid.n_nodes)
+    implicit = (eye / grid.dt - theta * (laplace_beltrami_matrix(new) - c * eye)).tocsc()
+    explicit = eye / grid.dt + (1.0 - theta) * (laplace_beltrami_matrix(old) - c * eye)
+    scale = np.ones(grid.n_nodes)
+    if config.zero_order.startswith("divergence"):
+        scale = old.sqrt_g / new.sqrt_g
+    load = scale * (1.0 - theta) * forcing[level] + theta * forcing[level + 1]
+    return spla.spsolve(implicit, scale * (explicit @ values) - load)
+
+
 @PROPERTY
 @given(family=FAMILY, n=NODES, m=st.integers(4, 16), scheme=SCHEME, zero_order=ZERO_ORDER,
        data=st.data())
@@ -178,24 +196,49 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
         floor += float(np.min(prop.geometry.trace_rate))
     assert prop.rate_floor == floor
 
-    # theta-scheme step from the CSR operators of the Cartesian metric:
-    # (1/dt - theta (L' - c')) u' = s (1/dt + (1 - theta) (L - c)) u - s (1 - theta) f - theta f'
-    old, new = (assemble_metric(surface, grid, grid.times[k]) for k in (level, level + 1))
-    theta, eye = config.theta, sparse.identity(n)
-    c_old, c_new = (sparse.diags(c[k]) for k in (level, level + 1))
-    implicit = (eye / grid.dt - theta * (laplace_beltrami_matrix(new) - c_new)).tocsc()
-    explicit = eye / grid.dt + (1.0 - theta) * (laplace_beltrami_matrix(old) - c_old)
-    scale = np.ones(n)
-    if zero_order.startswith("divergence"):
-        scale = old.sqrt_g / new.sqrt_g
-    load = scale * (1.0 - theta) * forcing[level] + theta * forcing[level + 1]
-
-    values = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
-    expected = spla.spsolve(implicit, scale * (explicit @ values) - load)
-    got = prop.step(values, level)
-    assert got.shape == (n,)
+    traj = prop.run(nodal_field(data, n))
+    assert traj.shape == (m + 1, n)
+    expected = sparse_step(surface, grid, config, forcing, level, traj[level])
+    got = traj[level + 1]
     # both solves are backward stable on these diagonally dominant matrices
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+@PROPERTY
+@given(family=FAMILY, n=NODES, m=st.integers(4, 16), scheme=SCHEME,
+       zero_order=st.sampled_from(["constant", "divergence_plus_constant"]), data=st.data())
+def test_non_finite_state_is_reported_where_a_sparse_reference_first_turns_non_finite(
+    family, n, m, scheme, zero_order, data
+):
+    # c = -(1 - 1e-8)/(theta*dt) leaves the step matrix regular but scales the
+    # constant mode by 1e8 or more per step.  The unforced run is linear, so a
+    # start scaled to put the level before the drawn `overflow` level at 1e303
+    # overflows there, and both solvers agree on where: the growth of one step
+    # clears the float range by decades their round-off cannot bridge
+    grid = ParameterGrid(n, m, 1.0)
+    theta = 1.0 if scheme == "backward_euler" else 0.5
+    config = IVPConfig(n, m, scheme, zero_order, coefficient=-(1.0 - 1e-8) / (theta * grid.dt))
+    surface = FAMILIES[family]()
+    forcing = np.zeros((m + 1, n))
+    overflow = data.draw(st.integers(1, m))
+    u0 = u = nodal_field(data, n, 0.5, 2.0)
+    for level in range(overflow - 1):
+        u = sparse_step(surface, grid, config, forcing, level, u)
+    u0 = 1e303 / np.max(np.abs(u)) * u0
+
+    states = [u0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(m):
+            states.append(sparse_step(surface, grid, config, forcing, level, states[-1]))
+        first = np.argwhere(~np.isfinite(np.stack(states)))
+        assert first.size, "the sparse reference stayed finite"
+        level, node = first[0]
+        message = rf"^state is not finite at node {node} \(time level {level}\)$"
+        prop = Propagator(surface, config)
+        for keep_trajectory in (True, False):
+            with pytest.raises(StepError, match=message) as info:
+                prop.run(u0, keep_trajectory=keep_trajectory)
+            assert info.value.level == level
 
 
 @PROPERTY

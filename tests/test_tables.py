@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from periflow.tables import _CHUNK_ROWS, write_csv
+from periflow.tables import write_csv
 
 
 def reference_bytes(header, rows, formats):
@@ -26,9 +26,9 @@ def test_write_csv_matches_fstring_reference(tmp_path):
     assert digest == hashlib.sha256(expected).hexdigest()
 
 
-def test_write_csv_chunks_join_seamlessly(tmp_path):
+def test_write_csv_long_and_empty_tables_match_fstring_reference(tmp_path):
     rng = np.random.default_rng(3)
-    n = 2 * _CHUNK_ROWS + 5
+    n = 8197
     a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
     b = rng.random(n)
     path = tmp_path / "long.csv"
