@@ -14,10 +14,12 @@ tangential gradient of the extended parabolic operator, are
 
 Geometry is computed on a halo slightly wider than the active band so that
 every active node has full central stencils; identity checks are evaluated
-on the interior mask.  One projection finds closest points: damped Newton
-on the chart from the nearest curve sample, with a multistart fallback.
-`build_band` runs it on the grid nodes near the curve and returns their
-`DistanceField`.  It first culls whole blocks of nodes by one KD query of
+on the interior mask, the active nodes whose 5x5 window lies in the halo.
+`lift_field` interpolates values at the N parameters 2 pi j / N by their
+periodic cubic spline, solved by `evolution._CyclicFactor`.  One projection
+finds closest points: damped Newton on the chart from the nearest curve
+sample, with a multistart fallback, run by `build_band` on the grid nodes
+near the curve.  It first culls whole blocks of nodes by one KD query of
 the block centres, with the radius widened by the block's half-diagonal,
 so the projected nodes are exactly those a query of every node would keep.
 
@@ -31,16 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.ndimage import binary_erosion
 from scipy.spatial import cKDTree
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import BandError, ExtractionError, ProjectionError
+from .evolution import IVPConfig, Propagator, _CyclicFactor
 from .fields import _require_shape
 from .metric import _cyclic_tridiagonal
-from .surfaces import SurfaceFamily, _frame_pieces, orientation_sign
+from .surfaces import SurfaceFamily, _frame_pieces, circle, orientation_sign
 from .tables import write_npy
 
 _HALO_CELLS = 4
@@ -248,10 +249,17 @@ def build_band(
     active_mask = finite & (np.abs(field.dist) < delta)
     if not np.any(active_mask):
         raise BandError("no active nodes; grid spacing too coarse for this band")
-    interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
+    interior_mask = active_mask & _stencil_interior(halo_mask)
     _require_reach(field.stretch[halo_mask], "gradient factor nearly singular inside the halo")
 
     return NarrowBandGrid(xs, ys, h, delta, active_mask, interior_mask), field
+
+
+def _stencil_interior(mask: np.ndarray) -> np.ndarray:
+    """Nodes whose 5x5 window lies in `mask`; outside the rectangle is False."""
+    rows = np.pad(mask, 2)
+    rows = np.logical_and.reduce([rows[:, k : k + mask.shape[1]] for k in range(5)])
+    return np.logical_and.reduce([rows[k : k + mask.shape[0]] for k in range(5)])
 
 
 # -- differential operators on the rectangle ---------------------------------
@@ -290,23 +298,21 @@ def _hessian(F: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def lift_field(
-    u_values: np.ndarray,
-    theta_nodes: np.ndarray,
-    grid: NarrowBandGrid,
-    dist: DistanceField,
-) -> np.ndarray:
-    """Lift nodal surface values to the band: constant along normals, values
-    taken at the foot via periodic cubic interpolation in theta."""
-    u = _require_shape(u_values, theta_nodes.shape, "surface values")
-    spline = CubicSpline(
-        np.append(theta_nodes, theta_nodes[0] + 2.0 * np.pi),
-        np.append(u, u[0]),
-        bc_type="periodic",
-    )
+def lift_field(u_values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField) -> np.ndarray:
+    """Lift surface values at the N >= 3 equispaced parameters 2 pi j / N to the
+    band: constant along normals, taken at the foot from their periodic cubic
+    spline (de Boor, ch. IV), whose second derivatives m / h^2, h = 2 pi / N,
+    solve m[j-1] + 4 m[j] + m[j+1] = 6 (u[j+1] - 2 u[j] + u[j-1])."""
+    u = _require_shape(u_values, np.shape(u_values)[:1], "surface values")
+    n, ones, second = u.size, np.ones(u.size), np.roll(u, -1) - 2.0 * u + np.roll(u, 1)
+    m = _CyclicFactor(4.0 * ones, ones, ones, 0).solve(6.0 * second)
+    h, mask = 2.0 * np.pi / n, np.isfinite(dist.theta_foot)
+    j = np.floor(dist.theta_foot[mask] / h)
+    t = (dist.theta_foot[mask] - j * h) / h  # foot / h - j would keep foot / h's n * eps rounding
+    s, j = 1.0 - t, j.astype(int) % n  # a foot just below 2 pi can round to j = n
+    k = (j + 1) % n
     out = np.full(grid.shape, np.nan)
-    mask = np.isfinite(dist.theta_foot)
-    out[mask] = spline(dist.theta_foot[mask] % (2.0 * np.pi))
+    out[mask] = s * u[j] + t * u[k] - s * t * ((1.0 + s) * m[j] + (1.0 + t) * m[k]) / 6.0
     return out
 
 
@@ -451,9 +457,6 @@ def flat_strip_step_equivalence() -> float:
     constantly across the strip, both steps are backward Euler with the
     same dt, and the extracted column averages agree to round-off.
     """
-    from .evolution import IVPConfig, Propagator
-    from .surfaces import circle
-
     n_x, n_y, dt, half_width = 64, 17, 1e-2, 0.2
     hx = 2.0 * np.pi / n_x
     hy = 2.0 * half_width / (n_y - 1)

@@ -101,6 +101,9 @@ def _polar_jet(c, s, r, r_th, r_thth, r_t, r_tth):
 
 
 def circle(radius: float = 1.0, period: float = 1.0) -> SurfaceFamily:
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
+
     def jet(th, t):
         zero = np.zeros(np.shape(t))
         return _polar_jet(np.cos(th), np.sin(th), zero + float(radius), zero, zero, zero, zero)
@@ -112,6 +115,8 @@ def breathing_circle(amplitude: float = 0.25, period: float = 1.0, r0: float = 1
     a, T = float(amplitude), float(period)
     if not 0.0 <= a < 1.0:
         raise ValueError("amplitude must lie in [0, 1)")
+    if not r0 > 0.0:
+        raise ValueError(f"r0 must be positive, got {r0!r}")
 
     def jet(th, t):
         phi, zero = _phase(t, T), np.zeros(np.shape(t))
@@ -124,6 +129,8 @@ def breathing_circle(amplitude: float = 0.25, period: float = 1.0, r0: float = 1
 
 def rotating_ellipse(a: float = 2.0, b: float = 1.0, period: float = 1.0) -> SurfaceFamily:
     a, b, T = float(a), float(b), float(period)
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"semi-axes a and b must be positive, got a={a!r}, b={b!r}")
 
     def jet(th, t):
         phi = _phase(t, T)

@@ -233,7 +233,7 @@ def test_criterion_8_appendix_suite():
     eik = eikonal_residual(grid, dist)
     ok = report("criterion-8 eikonal", eik <= 1e-4, f"residual={eik:.3e}")
 
-    lifted = lift_field(u, theta, grid, dist)
+    lifted = lift_field(u, grid, dist)
     extracted = band_average_extract(lifted, grid, dist, surface, 0.0, theta)
     rt = float(np.max(np.abs(extracted - u)))
     ok &= report("criterion-8 roundtrip", rt <= 1e-6, f"error={rt:.3e}")
@@ -241,8 +241,8 @@ def test_criterion_8_appendix_suite():
     ext_errs, os_errs = [], []
     for h in (1.0 / 64.0, 1.0 / 128.0, 1.0 / 256.0):
         g, d = build_band(surface, 0.0, h, 0.2)
-        lf = lift_field(u, theta, g, d)
-        exact = lift_field(-u, theta, g, d)
+        lf = lift_field(u, g, d)
+        exact = lift_field(-u, g, d)
         from periflow import extended_operator_apply
 
         applied = extended_operator_apply(lf, g, d)

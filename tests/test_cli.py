@@ -307,7 +307,7 @@ def test_band_field_file_is_the_active_node_array(tmp_path):
     surface, t = cfg.build_surface(), cfg.band_time
     grid, dist = build_band(surface, t, cfg.band_h, cfg.band_delta)
     theta = np.arange(1024) * (2.0 * np.pi / 1024)  # the scenario's surface sampling
-    lifted = lift_field(surface.jet(theta, t)[0][:, 0], theta, grid, dist)
+    lifted = lift_field(surface.jet(theta, t)[0][:, 0], grid, dist)
     XX, YY = grid.mesh()
     act = grid.active_mask
     expected = np.stack([XX[act], YY[act], dist.dist[act], lifted[act]], 1)
@@ -507,9 +507,18 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
         (SMALL_CONTRACTION.replace("zero_order = constant", "zero_order = divergence"), [],
          "zero_order = divergence conflicts with scenario = contraction, "
          "which runs zero_order = constant"),
+        (SMALL_HOLDER.replace("family = circle\n", "family = circle\nradius = 0\n"), [],
+         "radius must be positive, got 0.0"),
+        (SMALL_HOLDER.replace("family = circle\n", "family = circle\nradius = -1\n"), [],
+         "radius must be positive, got -1.0"),
+        (SMALL_IVP.replace("amplitude = 0.25\n", "amplitude = 0.25\nr0 = 0\n"), [],
+         "r0 must be positive, got 0.0"),
+        (SMALL_HOLDER.replace("family = circle\n", "family = ellipse\na = 0\n"), [],
+         "semi-axes a and b must be positive, got a=0.0, b=1.0"),
     ],
     ids=["seed-key", "seed-flag", "zero-max-iter", "custom-zero-order", "ivp-decay-forcing",
-         "ivp-decay-zero-order", "contraction-zero-order"],
+         "ivp-decay-zero-order", "contraction-zero-order", "zero-radius", "negative-radius",
+         "zero-r0", "zero-semi-axis"],
 )
 def test_bad_run_settings_exit_2(tmp_path, capsys, body, flags, message):
     path = write_config(tmp_path, body)

@@ -106,7 +106,7 @@ def test_norm_equivalence_ratios():
     band_grid, band_dist = build_band(surface, 0.0, 1.0 / 64.0, 0.3)
     theta = grid.nodes
     for profile in (np.full(128, 2.0), np.cos(theta), np.cos(3.0 * theta)):
-        lifted = lift_field(profile, theta, band_grid, band_dist)
+        lifted = lift_field(profile, band_grid, band_dist)
         ratios = norm_equivalence_check(
             profile, surface, grid, band_grid, band_dist, lifted, alpha=0.5
         )
@@ -114,7 +114,7 @@ def test_norm_equivalence_ratios():
         assert 0.1 <= ratios[1] <= 10.0
     const_ratio = norm_equivalence_check(
         np.full(128, 2.0), surface, grid, band_grid, band_dist,
-        lift_field(np.full(128, 2.0), theta, band_grid, band_dist), alpha=0.5,
+        lift_field(np.full(128, 2.0), band_grid, band_dist), alpha=0.5,
     )
     assert abs(const_ratio[0] - 1.0) <= 1e-12
 
@@ -135,7 +135,7 @@ def test_holder_diagnostics_build_the_reference_frame_once(monkeypatch):
     assert len(calls) == 1
     band_grid, band_dist = build_band(circle(), 0.0, 1.0 / 16.0, 0.3)
     profile = np.cos(grid.nodes)
-    lifted = lift_field(profile, grid.nodes, band_grid, band_dist)
+    lifted = lift_field(profile, band_grid, band_dist)
     norm_equivalence_check(profile, circle(), grid, band_grid, band_dist, lifted)
     assert len(calls) == 2
 

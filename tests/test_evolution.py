@@ -97,7 +97,7 @@ SHAPE_MISMATCHES = {
     ),
     # the shape is checked before the band is read
     "lift_field": (
-        lambda p: lift_field(np.ones((16, 2)), p.grid.nodes, None, None),
+        lambda p: lift_field(np.ones((16, 2)), None, None),
         r"surface values of shape \(16, 2\) does not match \(16,\)",
     ),
 }

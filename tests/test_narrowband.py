@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,9 +173,9 @@ def test_eikonal_residual_small_and_second_order():
 
 def test_lift_constant_and_closed_form():
     grid, dist = circle_band()
-    ones = lift_field(np.ones(SURF_THETA.size), SURF_THETA, grid, dist)
+    ones = lift_field(np.ones(SURF_THETA.size), grid, dist)
     assert np.nanmax(np.abs(ones[halo(grid, dist)] - 1.0)) <= 1e-13
-    lifted = lift_field(np.cos(SURF_THETA), SURF_THETA, grid, dist)
+    lifted = lift_field(np.cos(SURF_THETA), grid, dist)
     XX, YY = grid.mesh()
     with np.errstate(invalid="ignore"):
         exact = XX / np.sqrt(XX**2 + YY**2)
@@ -236,7 +240,7 @@ def test_band_average_extract_examples():
 def test_lift_extract_roundtrip():
     grid, dist = circle_band()
     u = np.cos(SURF_THETA)
-    lifted = lift_field(u, SURF_THETA, grid, dist)
+    lifted = lift_field(u, grid, dist)
     out = band_average_extract(lifted, grid, dist, circle(), 0.0, SURF_THETA)
     assert np.max(np.abs(out - u)) <= 1e-6
 
@@ -305,3 +309,13 @@ def test_bean_band_builds_and_checks():
 
 def test_flat_strip_round_off_equivalence():
     assert flat_strip_step_equivalence() <= 1e-10
+
+
+def test_cli_import_loads_neither_scipy_interpolate_nor_ndimage():
+    # a fresh interpreter, since the property tests import both as oracles
+    code = ("import sys, periflow.cli; "
+            "print([m for m in ('scipy.interpolate', 'scipy.ndimage') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(narrowband.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"

@@ -3,17 +3,22 @@ of the banded stepper against sparse and dense reference solves.
 
 Each property is drawn over random grid sizes N in [8, 256] (N in [3, 64]
 for the dense cyclic solve), all shipped families and random nodal fields;
-the band's block cull is drawn over families, times, spacings and widths.
+the band's block cull is drawn over families, times, spacings and widths,
+the band lift over N in [8, 2048] against scipy's periodic spline, and the
+interior mask over random masks against scipy's binary erosion.
 Runs are derandomized, so every run checks the same examples.
 """
 
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.interpolate import CubicSpline
+from scipy.ndimage import binary_erosion
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -30,12 +35,14 @@ from periflow import (
     greens_formula_check,
     laplace_beltrami_apply,
     laplace_beltrami_matrix,
+    lift_field,
     mass_ledger,
     mean_and_mass,
     space_time_geometry,
 )
 from periflow.evolution import _CyclicFactor
 from periflow.metric import _cyclic_tridiagonal
+from periflow.narrowband import _stencil_interior
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 FAMILY = st.sampled_from(sorted(FAMILIES))
@@ -274,3 +281,42 @@ def test_block_cull_projects_exactly_the_nodes_a_full_query_keeps(family, t, h, 
     for f in fields(dist):
         assert np.array_equal(getattr(dist, f.name).view(np.uint64),
                               getattr(full_dist, f.name).view(np.uint64))
+
+
+@PROPERTY
+@given(n=st.integers(8, 2048), rough=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=2048, rough=True, seed=0)
+def test_lift_matches_scipy_periodic_cubic_spline(n, rough, seed):
+    rng = np.random.default_rng(seed)
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    if rough:  # independent values: second differences as large as the values
+        u = rng.normal(size=n)
+    else:
+        phase = rng.uniform(0.0, 2.0 * np.pi, (3, 1))
+        u = rng.normal() + rng.normal(size=3) @ np.cos(np.arange(1, 4)[:, None] * theta + phase)
+    feet = np.concatenate([[0.0, np.nextafter(2.0 * np.pi, 0.0)], theta,
+                           rng.uniform(0.0, 2.0 * np.pi, 256), [np.nan]])
+    # lift_field reads the band only through grid.shape and dist.theta_foot
+    lifted = lift_field(u, SimpleNamespace(shape=feet.shape), SimpleNamespace(theta_foot=feet))
+    spline = CubicSpline(np.append(theta, 2.0 * np.pi), np.append(u, u[0]), bc_type="periodic")
+    assert np.isnan(lifted[-1])
+    # scipy's breakpoints, the rounded j * 2 pi / n and 2 pi, are spaced
+    # unevenly by up to n * eps relative, which moves its spline by about
+    # n * eps * max|u[j+1] - u[j]|: about 2 pi eps max|u'| on smooth data,
+    # up to 2e-13 * max|u| on rough data at n = 2048
+    jump = np.max(np.abs(np.diff(np.append(u, u[0]))))
+    tol = 1e-14 * np.max(np.abs(u)) + n * EPS * jump
+    assert np.max(np.abs(lifted[:-1] - spline(feet[:-1]))) <= tol
+
+
+@PROPERTY
+@given(ny=st.integers(1, 40), nx=st.integers(1, 40), p=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(ny=12, nx=9, p=1.0, seed=0)  # all True: only the border rows and columns erode
+@example(ny=12, nx=9, p=0.0, seed=0)  # all False
+@example(ny=4, nx=40, p=1.0, seed=0)  # narrower than the window: nothing is interior
+@example(ny=5, nx=5, p=1.0, seed=0)  # exactly one full window
+def test_interior_mask_matches_binary_erosion(ny, nx, p, seed):
+    # densities p ** 0.05, mostly above 0.9: sparser masks have no full 5 x 5 window
+    mask = np.random.default_rng(seed).random((ny, nx)) < p ** 0.05
+    assert np.array_equal(_stencil_interior(mask), binary_erosion(mask, np.ones((5, 5))))
