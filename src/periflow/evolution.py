@@ -3,20 +3,22 @@
 Solves ``diffusion(u) - c*u - u_t = f`` on the reference grid with the
 theta-scheme: operator, zero-order term and forcing weigh theta at the new
 level and 1 - theta at the old one (backward Euler theta = 1, Crank-Nicolson
-1/2).  A step is one banded matvec of precomputed diagonals and one cyclic
-tridiagonal solve: LAPACK ``dgttrf`` factorizes each level once, ``dgttrs``
-solves, and a rank-one Sherman-Morrison correction adds the periodic corners.
-A step matrix singular to round-off raises ``StepError`` at the level where
-it is factorized.  One ``Propagator`` holds a run: it derives the grid from
-the config and the surface's period, builds the space-time geometry and
-samples the forcing once.  ``Propagator.run`` is the one entry point that
-steps; it checks the initial state on entry and the end state once per
-period, and a non-finite state raises ``StepError`` naming its first time
-level and node.  The periodic solves reuse its factors and the
-ledgers read its geometry and per-level forcing integrals.  Of the
-zero-order term it keeps only ``rate_floor``, the constant c plus, in the
-divergence modes, the pointwise lower bound of the dilation rate, which
-``periodic.contraction_estimate`` reads.
+1/2).  Weighted by the measure density, ``W_k = diag(sqrt_g[k])``, the step
+matrix ``B_k = W_k (1/dt - theta (L_k - c))`` is symmetric cyclic tridiagonal
+(the operator is in flux form), and with c the config's constant it is
+positive definite exactly when ``1/dt + theta c > 0``; otherwise, or when it
+is singular to round-off, ``StepError`` is raised.  Each level is factorized
+once as LDL^T (LAPACK ``dpttrf``; ``dpttrs`` solves), and a rank-one
+Sherman-Morrison correction adds the periodic corners.  A step needs no
+matvec: the explicit operator is ``1/(theta dt) - beta (1/dt - theta (L_k -
+c))``, beta = (1 - theta)/theta, and B_k u_k is the right side just solved,
+so each right side is carried from the previous one.  One ``Propagator``
+holds a run's grid, geometry, forcing samples and factors; its ``run`` is
+the one entry point that steps, and a non-finite state, checked on entry and
+once per period, raises ``StepError`` naming its first time level and node.
+The periodic solves reuse its factors, the ledgers its geometry and
+per-level forcing integrals, and ``periodic.contraction_estimate`` its
+``rate_floor``, all it keeps of the zero-order term (see ``Propagator``).
 
 States are ``(N,)`` arrays; a trajectory is an ``(M+1, N)`` array whose
 rows are the levels of ``prop.grid.times``, and the measure of level k is
@@ -42,15 +44,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import StepError
 from .fields import ParameterGrid, _require_shape
-from .metric import _operator_diagonals, space_time_geometry
+from .metric import _flux_form_apply, space_time_geometry
 from .surfaces import SurfaceFamily
 
 _THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
-# relative floor of |1 + v.z|: singular step matrices give < 4e-15, regular ones > 1e-4
+# relative floor of |1 + v.z|: singular step matrices give < 1.2e-14, regular ones > 1e-3
 _SINGULAR_TOL = 1e-12
 _ZERO_ORDER_MODES = ("zero", "constant", "divergence", "divergence_plus_constant")
 
@@ -117,90 +120,75 @@ def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray],
     return _require_finite(np.stack(levels), "forcing")
 
 
-def _banded_matvec(diagonals: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Cyclic tridiagonal matrix, given as (main, upper, lower), times the
-    (N,) state `u`; `upper` couples node i to i+1, `lower` to i-1."""
-    main, upper, lower = diagonals
-    wrapped = np.concatenate((u[-1:], u, u[:1]))
-    out = main * u
-    out += upper * wrapped[2:]
-    out += lower * wrapped[:-2]
-    return out
-
-
 class _CyclicFactor:
-    """LAPACK factors of one cyclic tridiagonal matrix A, diagonals as in
-    `_banded_matvec`.  T = A - w v^T is tridiagonal for w = (gamma, 0, ...,
-    upper[-1]), v = (1, 0, ..., lower[0] / gamma), gamma = -main[0]; then
-    x = y - z (v.y) / (1 + v.z) with T y = b, T z = w (Sherman-Morrison).
-    Raises StepError at `level` when T or 1 + v.z is singular to round-off."""
+    """LAPACK LDL^T factors of a symmetric cyclic tridiagonal matrix A of N >= 3
+    nodes: diagonal `main`, and `off`, whose off[i] couples node i to i + 1.
+    T = A - w w^T / gamma, w = (gamma, 0, ..., off[-1]), gamma = -main[0], is
+    tridiagonal and positive definite when A is; x = y - z (v.y) / (1 + v.z)
+    with T y = b, T z = w, v = w / gamma (Sherman-Morrison), and A is positive
+    definite exactly when T is and 1 + v.z > 0.  Raises StepError at `level`
+    when A is not positive definite or is singular to round-off."""
 
-    def __init__(self, main: np.ndarray, upper: np.ndarray, lower: np.ndarray, level: int):
-        gamma = -main[0]
-        self.ratio = lower[0] / gamma
+    def __init__(self, main: np.ndarray, off: np.ndarray, level: int):
+        if main.shape[0] < 3:
+            raise ValueError(f"a cyclic tridiagonal matrix needs >= 3 nodes, got {main.shape[0]}")
+        gamma = -main[0]  # gamma >= 0 leaves diag[0] = 2 main[0] <= 0: dpttrf rejects it
+        self.ratio = off[-1] / gamma if gamma else 0.0
         diag = main.copy()
         diag[0] -= gamma
-        diag[-1] -= upper[-1] * self.ratio
-        *self.lu, info = dgttrf(lower[1:], diag, upper[:-1])
-        if info > 0:
-            raise StepError(f"step matrix is singular: zero pivot {info}", level)
+        diag[-1] -= off[-1] * self.ratio
+        self.d, self.e, info = dpttrf(diag, off[:-1])
+        if info:
+            raise StepError("step matrix is not positive definite", level)
         w = np.zeros_like(main)
-        w[0], w[-1] = gamma, upper[-1]
-        self.z = dgttrs(*self.lu, w)[0]
+        w[0], w[-1] = gamma, off[-1]
+        self.z = dpttrs(self.d, self.e, w)[0]
         vz = self.z[0] + self.ratio * self.z[-1]
         self.denominator = 1.0 + vz
         if not abs(self.denominator) > _SINGULAR_TOL * (1.0 + abs(vz)):
             raise StepError("step matrix is singular: corner correction vanishes", level)
+        if self.denominator < 0.0:
+            raise StepError("step matrix is not positive definite", level)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs for a (N,) `rhs`, which it may overwrite."""
-        y = dgttrs(*self.lu, rhs, overwrite_b=1)[0]
-        y -= self.z * ((y[0] + self.ratio * y[-1]) / self.denominator)
-        return y
+        """A^-1 rhs for a (N,) `rhs`, solved in place."""
+        y = dpttrs(self.d, self.e, rhs, overwrite_b=1)[0]
+        return daxpy(self.z, y, a=-(y[0] + self.ratio * y[-1]) / self.denominator)
 
 
 class Propagator:
     """Per-level factorized theta-scheme stepper for one surface/config/forcing
     triple.  It holds what a run shares: the grid the config fixes for the
-    surface's period, the space-time geometry, `rate_floor` (the zero-order
-    coefficient c plus, in the divergence modes, the pointwise lower bound over
-    all levels of the dilation rate `geometry.trace_rate`) and the
-    (M+1,) weighted integrals of the forcing samples at each level (None
+    surface's period, the space-time geometry, `rate_floor` (c plus, in the
+    divergence modes, the pointwise lower bound of `geometry.trace_rate` over
+    all levels) and the (M+1,) weighted forcing integrals per level (None
     without forcing)."""
 
     def __init__(self, surface: SurfaceFamily, config: IVPConfig, forcing: Forcing = None):
         self.config = config
-        self.grid = config.grid(surface.period)
-        self.geometry = space_time_geometry(surface, self.grid)
+        self.grid = grid = config.grid(surface.period)
+        self.geometry = geo = space_time_geometry(surface, grid)
         mode = config.zero_order
         c = config.coefficient if mode in ("constant", "divergence_plus_constant") else 0.0
         divergence = mode in ("divergence", "divergence_plus_constant")
-        self.rate_floor = float(c)
-        if divergence:
-            self.rate_floor += float(np.min(self.geometry.trace_rate))
-        samples = _forcing_samples(forcing, self.grid)
-        self.forcing_integrals = None if samples is None else self.geometry.integrals(samples)
-        self._explicit, self._load, self._factors = self._assemble(c, divergence, samples)
-
-    def _assemble(self, c: float, divergence: bool, forcing: np.ndarray | None):
-        """Explicit (M, 3, N) diagonals and (M, N) load of the forcing samples,
-        with the divergence-mode measure ratio folded in, and the factors of
-        every new level's 1/dt - theta*(diffusion - c) for the zero-order
-        coefficient `c`."""
-        geo, dt, theta = self.geometry, self.grid.dt, self.config.theta
-        main, upper, lower = _operator_diagonals(geo.c_half, geo.sqrt_g, self.grid.dtheta)
-        main = main - c
-        scale = geo.sqrt_g[:-1] / geo.sqrt_g[1:] if divergence else 1.0
-        old = scale * (1.0 - theta)
-        explicit = np.stack(
-            [scale / dt + old * main[:-1], old * upper[:-1], old * lower[:-1]], axis=1
-        )
-        load = None if forcing is None else old * forcing[:-1] + theta * forcing[1:]
-        factors = [
-            _CyclicFactor(1.0 / dt - theta * main[k], -theta * upper[k], -theta * lower[k], k)
-            for k in range(1, self.grid.n_steps + 1)
-        ]
-        return explicit, load, factors
+        self.rate_floor = float(c) + (float(np.min(geo.trace_rate)) if divergence else 0.0)
+        samples = _forcing_samples(forcing, grid)
+        self.forcing_integrals = None if samples is None else geo.integrals(samples)
+        theta, dt = config.theta, grid.dt
+        self._shift = 1.0 / dt + theta * c
+        if self._shift < 0.0:  # then 1^T B_k 1 < 0 at every level
+            raise StepError("step matrix is not positive definite: "
+                            f"1/dt + theta*c = {self._shift:.6g}", 1)
+        coupling = (theta / grid.dtheta**2) * geo.c_half  # theta c_{i+1/2} / dtheta^2
+        main = geo.sqrt_g * self._shift + coupling + np.roll(coupling, 1, axis=-1)
+        self._factors = [_CyclicFactor(main[k], -coupling[k], k)
+                         for k in range(1, grid.n_steps + 1)]
+        self._weight = None if divergence else geo.sqrt_g  # None: `run` carries B_k u_k itself
+        self._rate = (geo.sqrt_g[:-1] if divergence else np.ones(grid.n_steps)) / (theta * dt)
+        self._load = None
+        if samples is not None:
+            weighted = geo.sqrt_g * samples if divergence else samples
+            self._load = (1.0 - theta) * weighted[:-1] + theta * weighted[1:]
 
     def run(
         self,
@@ -210,30 +198,46 @@ class Propagator:
     ) -> np.ndarray:
         """Propagate the (N,) state `u0` over the full period.
 
-        Returns the trajectory (M+1, N) when `keep_trajectory`, otherwise the
-        final state (N,) only.  A non-finite state raises StepError naming its
-        first time level and node.
+        Returns the trajectory (M+1, N), solved row by row into one array,
+        when `keep_trajectory`, else the final state (N,).  A non-finite
+        state raises StepError naming its first time level and node.  The
+        solve for level k + 1 has the right side r_k = a_k u_k -
+        beta r_{k-1} - l_k (r_{-1} from B_0 u0, one flux-form apply), times
+        sqrt_g[k+1] outside the divergence modes, where a_k = 1 / (theta dt)
+        and l_k = (1 - theta) f_k + theta f_{k+1}.  The divergence modes
+        fold in the measure ratio: a_k = sqrt_g[k] / (theta dt) and
+        l_k = (1 - theta) sqrt_g[k] f_k + theta sqrt_g[k+1] f_{k+1}.
         """
         u = _require_shape(u0, (self.grid.n_nodes,), "initial state")
         _require_finite(u[None], "initial state")
+        geo, theta = self.geometry, self.config.theta
+        beta = (1.0 - theta) / theta
         load = self._load if include_forcing else None
-        states = [u]
+        out = np.empty((self.grid.n_steps + 1, self.grid.n_nodes)) if keep_trajectory else None
+        if keep_trajectory:
+            out[0] = u
+        if beta:  # beta r_{-1}
+            flux = _flux_form_apply(geo.c_half[0], geo.sqrt_g[0], self.grid.dtheta, u)
+            density = geo.sqrt_g[0] if self._weight is None else 1.0
+            carried = (beta * density) * (self._shift * u - theta * flux)
         for k, factor in enumerate(self._factors):
-            rhs = _banded_matvec(self._explicit[k], u)
+            rhs = np.multiply(self._rate[k], u, out=out[k + 1] if keep_trajectory else None)
             if load is not None:
                 rhs -= load[k]
+            if beta:
+                rhs -= carried
+                carried = beta * rhs
+            if self._weight is not None:
+                rhs *= self._weight[k + 1]
             u = factor.solve(rhs)
-            if keep_trajectory:
-                states.append(u)
-        out = np.stack(states) if keep_trajectory else u
         # The end-state check misses nothing because a non-finite value is
-        # absorbing: every off-diagonal of each step matrix is nonzero (c_half > 0,
-        # theta in {1/2, 1}), so the cyclic solve spreads an inf or NaN to every
-        # node, and a step only multiplies states by finite coefficients and adds
-        # them, so no later step makes it finite again.
+        # absorbing: every off-diagonal of each step matrix is nonzero (theta and
+        # c_half > 0), so the cyclic solve spreads an inf or NaN in its right side to
+        # every node; one in the state or the carried right side makes the next right
+        # side non-finite; and no step makes it finite again, as it only scales and adds.
         if not np.all(np.isfinite(u)):
             _require_finite(out if keep_trajectory else self.run(u0, include_forcing), "state")
-        return out
+        return out if keep_trajectory else u
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:

@@ -133,14 +133,6 @@ def _flux_form_apply(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float, valu
     return div / sqrt_g
 
 
-def _operator_diagonals(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float):
-    """(main, upper, lower) of the cyclic tridiagonal flux-form operator along
-    the last axis; `upper` couples node i to i+1, `lower` node i to i-1."""
-    c_prev = np.roll(c_half, 1, axis=-1)  # c_{i-1/2}
-    scale = 1.0 / (sqrt_g * dtheta**2)
-    return -(c_half + c_prev) * scale, c_half * scale, c_prev * scale
-
-
 def _cyclic_tridiagonal(main: np.ndarray, upper: np.ndarray, lower: np.ndarray):
     """CSR matrix with the given diagonals plus the two periodic corners."""
     n = main.shape[0]
@@ -202,7 +194,10 @@ def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarr
 
 def laplace_beltrami_matrix(metric: MetricSample) -> sparse.csr_matrix:
     """Cyclic tridiagonal matrix realizing `laplace_beltrami_apply`."""
-    return _cyclic_tridiagonal(*_operator_diagonals(metric.c_half, metric.sqrt_g, metric.dtheta))
+    c_prev = np.roll(metric.c_half, 1)  # c_{i-1/2}
+    scale = 1.0 / (metric.sqrt_g * metric.dtheta**2)
+    return _cyclic_tridiagonal(-(metric.c_half + c_prev) * scale, metric.c_half * scale,
+                               c_prev * scale)
 
 
 def trace_identity(metric: MetricSample, frame: GeometryFrame) -> tuple[np.ndarray, np.ndarray, float]:

@@ -305,7 +305,7 @@ def lift_field(u_values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField) 
     solve m[j-1] + 4 m[j] + m[j+1] = 6 (u[j+1] - 2 u[j] + u[j-1])."""
     u = _require_shape(u_values, np.shape(u_values)[:1], "surface values")
     n, ones, second = u.size, np.ones(u.size), np.roll(u, -1) - 2.0 * u + np.roll(u, 1)
-    m = _CyclicFactor(4.0 * ones, ones, ones, 0).solve(6.0 * second)
+    m = _CyclicFactor(4.0 * ones, ones, 0).solve(6.0 * second)
     h, mask = 2.0 * np.pi / n, np.isfinite(dist.theta_foot)
     j = np.floor(dist.theta_foot[mask] / h)
     t = (dist.theta_foot[mask] - j * h) / h  # foot / h - j would keep foot / h's n * eps rounding

@@ -372,11 +372,13 @@ def test_non_finite_samples_are_reported_where_sampled(tmp_path, capsys, key, qu
     assert f"{quantity} is not finite at node 0 (time level 0)" in capsys.readouterr().err
 
 
+# c0 = -15 keeps 1/dt + theta*c0 = 0.5 > 0, so every step matrix is positive
+# definite, while the mean-free modes grow until the state overflows
 EXPANDING_FIXED = """
 [problem]
 scenario = periodic-fixed
 zero_order = constant
-c0 = -30
+c0 = -15
 
 [discretization]
 n_nodes = 16
@@ -390,8 +392,10 @@ n_steps = 8
         (SMALL_IVP.replace("u0 = 1 + 0*theta", "forcing = 1e300*cos(theta)*exp(700)"),
          "forcing is not finite at node 0 (time level 0)"),
         (EXPANDING_FIXED, "state is not finite at node 0 (time level 8)"),
+        (EXPANDING_FIXED.replace("c0 = -15", "c0 = -30"),
+         "step matrix is not positive definite: 1/dt + theta*c = -7 (time level 1)"),
     ],
-    ids=["forcing-overflow", "expanding-step-overflow"],
+    ids=["forcing-overflow", "expanding-step-overflow", "indefinite-step-matrix"],
 )
 def test_overflow_ends_with_its_one_error_line(tmp_path, capsys, body, message):
     # numpy's overflow warnings stay silent; the finiteness checks report the values
