@@ -93,24 +93,13 @@ def _holder_sup_spacetime(
     return _space_time_sup(diffs, dist, alpha)
 
 
-def _time_holder_sup(
-    values: np.ndarray,  # (L, N) or (L, N, C)
-    times: np.ndarray,
-    alpha: float,
-    budget: int,
-    rng: np.random.Generator,
-) -> float:
-    n_levels, n_nodes = values.shape[0], values.shape[1]
+def _time_holder_sup(values: np.ndarray, times: np.ndarray, alpha: float) -> float:
+    """Time Hölder sup of (L, N) or (L, N, C) `values` over every pair of levels."""
+    n_levels = values.shape[0]
     if n_levels < 2:
         return 0.0
-    flat = values.reshape(n_levels, n_nodes, -1)
-    n_time_pairs = n_levels * (n_levels - 1) // 2
-    if n_nodes * n_time_pairs <= budget:
-        ka, kb = np.triu_indices(n_levels, k=1)
-    else:
-        draws = rng.integers(0, n_levels, size=(int(budget) // max(n_nodes, 1) + 1, 2))
-        keep = draws[:, 0] != draws[:, 1]
-        ka, kb = draws[keep, 0], draws[keep, 1]
+    flat = values.reshape(n_levels, values.shape[1], -1)
+    ka, kb = np.triu_indices(n_levels, k=1)
     best = 0.0
     denom = np.abs(times[ka] - times[kb]) ** (0.5 * (1.0 + alpha))
     for a, b, d in zip(ka, kb, denom):
@@ -141,12 +130,12 @@ def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamil
 
     sup_norm = float(np.max(np.abs(values)))
     h_alpha = _holder_sup_spacetime(values, s, length, times, alpha, _HOLDER_BUDGET, rng)
-    time_h = _time_holder_sup(values, times, alpha, _HOLDER_BUDGET, rng)
+    time_h = _time_holder_sup(values, times, alpha)
 
     grad = np.stack([tangential_gradient(frame0, values[k]) for k in range(n_levels)])
     grad_sup = float(np.max(np.abs(grad)))
     grad_h = _holder_sup_spacetime(grad, s, length, times, alpha, _HOLDER_BUDGET, rng)
-    grad_time_h = _time_holder_sup(grad, times, alpha, _HOLDER_BUDGET, rng)
+    grad_time_h = _time_holder_sup(grad, times, alpha)
 
     hess = np.stack([second_tangential_derivative(frame0, grad[k]).reshape(n_nodes, 4)
                      for k in range(n_levels)])

@@ -133,16 +133,6 @@ def _flux_form_apply(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float, valu
     return div / sqrt_g
 
 
-def _cyclic_tridiagonal(main: np.ndarray, upper: np.ndarray, lower: np.ndarray):
-    """CSR matrix with the given diagonals plus the two periodic corners."""
-    n = main.shape[0]
-    return sparse.diags(
-        [main, upper[:-1], lower[1:], upper[-1:], lower[:1]],
-        [0, 1, -1, 1 - n, n - 1],
-        format="csr",
-    )
-
-
 @dataclass(frozen=True)
 class SpaceTimeGeometry:
     """Scalar metric data of one surface and grid, one (M+1, N) row per time
@@ -193,11 +183,14 @@ def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarr
 
 
 def laplace_beltrami_matrix(metric: MetricSample) -> sparse.csr_matrix:
-    """Cyclic tridiagonal matrix realizing `laplace_beltrami_apply`."""
+    """Cyclic tridiagonal CSR matrix realizing `laplace_beltrami_apply`: the
+    three diagonals plus the two periodic corners."""
+    n = metric.n_nodes
     c_prev = np.roll(metric.c_half, 1)  # c_{i-1/2}
     scale = 1.0 / (metric.sqrt_g * metric.dtheta**2)
-    return _cyclic_tridiagonal(-(metric.c_half + c_prev) * scale, metric.c_half * scale,
-                               c_prev * scale)
+    upper, lower = metric.c_half * scale, c_prev * scale
+    return sparse.diags([-(metric.c_half + c_prev) * scale, upper[:-1], lower[1:], upper[-1:],
+                         lower[:1]], [0, 1, -1, 1 - n, n - 1], format="csr")
 
 
 def trace_identity(metric: MetricSample, frame: GeometryFrame) -> tuple[np.ndarray, np.ndarray, float]:

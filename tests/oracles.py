@@ -2,9 +2,10 @@
 principle, the duality chain behind uniqueness, transport of the measure,
 band/surface norm equivalence, the ambient form of the operator with the
 exact theta derivative of the Cartesian metric it reads, and the commutator
-identity on differenced derivatives; and the closest-point pass over every
+identity on differenced derivatives; the closest-point pass over every
 node of the band's rectangle, which the block cull of `build_band` must
-reproduce bit for bit.
+reproduce bit for bit; and the flat-strip step by sparse LU of its
+Kronecker-assembled matrix, which the tensor-product step must match.
 
 They read the library's private helpers, so they check the discretization
 the program uses; the tests, among them `test_acceptance.py` (criterion 9),
@@ -18,6 +19,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from scipy.ndimage import binary_erosion
 
 from periflow.diagnostics import (
@@ -281,6 +284,26 @@ def full_rectangle_band(
     active_mask = finite & (np.abs(field.dist) < grid.delta)
     interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
     return replace(grid, active_mask=active_mask, interior_mask=interior_mask), field
+
+
+def kronecker_strip_step(values: np.ndarray, dt: float, half_width: float) -> np.ndarray:
+    """`narrowband._flat_strip_step` by one sparse LU solve of the assembled
+    step matrix 1/dt - I (x) L_x - L_y (x) I on row-major nodes j * nx + i."""
+    n_y, n_x = values.shape
+    hx = 2.0 * np.pi / n_x
+    hy = 2.0 * half_width / (n_y - 1)
+    ones_x = np.ones(n_x)
+    lap_x = sparse.diags([-2.0 * ones_x, ones_x[1:], ones_x[1:], [1.0], [1.0]],
+                         [0, 1, -1, 1 - n_x, n_x - 1]) / hx**2  # periodic corners
+    upper, lower = np.ones(n_y - 1), np.ones(n_y - 1)
+    upper[0] = lower[-1] = 2.0  # mirrored Neumann rows
+    lap_y = sparse.diags([np.full(n_y, -2.0), upper, lower], [0, 1, -1]) / hy**2
+    mat = (
+        sparse.identity(n_x * n_y) / dt
+        - sparse.kron(sparse.identity(n_y), lap_x)
+        - sparse.kron(lap_y, sparse.identity(n_x))
+    )
+    return spla.splu(mat.tocsc()).solve(values.ravel() / dt).reshape(n_y, n_x)
 
 
 def elliptic_part_identity_check(

@@ -11,6 +11,7 @@ from helpers import observed_orders
 from oracles import (
     default_band_width,
     elliptic_part_identity_check,
+    kronecker_strip_step,
     max_curvature,
     surface_point_geometry,
 )
@@ -311,10 +312,18 @@ def test_flat_strip_round_off_equivalence():
     assert flat_strip_step_equivalence() <= 1e-10
 
 
-def test_cli_import_loads_neither_scipy_interpolate_nor_ndimage():
-    # a fresh interpreter, since the property tests import both as oracles
-    code = ("import sys, periflow.cli; "
-            "print([m for m in ('scipy.interpolate', 'scipy.ndimage') if m in sys.modules])")
+def test_flat_strip_step_matches_sparse_lu_step_on_data_varying_in_y():
+    # random rows load every y mode, not only the constant one the check lifts
+    values = np.random.default_rng(0).normal(size=(17, 64))
+    expected = kronecker_strip_step(values, 1e-2, 0.2)
+    got = narrowband._flat_strip_step(values, 1e-2, 0.2)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_cli_import_loads_no_scipy_interpolate_ndimage_or_sparse_linalg():
+    # a fresh interpreter, since the tests import all three as oracles
+    code = ("import sys, periflow.cli; print([m for m in ('scipy.interpolate', 'scipy.ndimage',"
+            " 'scipy.sparse.linalg') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(narrowband.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
