@@ -4,8 +4,7 @@ The Hölder quantities are finite-pair suprema over grid points, hence lower
 bounds of the continuum norms; every asserted property uses only directions
 valid for lower bounds.  Spatial separation is measured by chart arc length
 (an upper bound of the chord, biasing the quotients down), time separation
-by the square-root parabolic scale.  Pair enumeration beyond the budget is
-replaced by a fixed-seed uniform sample, so diagnostics are deterministic.
+by the square-root parabolic scale.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .evolution import Propagator, _time_derivative
+from .evolution import Propagator
 from .fields import ParameterGrid, _require_shape
 from .surfaces import (
     GeometryFrame,
@@ -25,11 +24,6 @@ from .surfaces import (
     tangential_gradient,
 )
 from .tables import write_csv
-
-_FULL_ENUM_LIMIT = 1500  # below this many points, enumerate all pairs
-# pairs sampled per supremum beyond the full enumeration
-_HOLDER_BUDGET = 1_000_000
-
 
 @dataclass(frozen=True)
 class HolderEstimate:
@@ -50,72 +44,60 @@ def _arc_coordinates(frame: GeometryFrame, dtheta: float) -> tuple[np.ndarray, f
     return s, float(np.sum(seg))
 
 
-def _arc_distance(s: np.ndarray, length: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    d = np.abs(s[i] - s[j])
-    return np.minimum(d, length - d)
-
-
-def _pair_indices(
-    n_points: int, budget: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    if n_points <= _FULL_ENUM_LIMIT:
-        return np.triu_indices(n_points, k=1)
-    draws = rng.integers(0, n_points, size=(int(budget), 2))
-    keep = draws[:, 0] != draws[:, 1]
-    return draws[keep, 0], draws[keep, 1]
-
-
-def _space_time_sup(diffs: np.ndarray, dist: np.ndarray, alpha: float) -> float:
-    mask = dist > 0.0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(diffs[mask] / dist[mask] ** alpha))
-
-
-def _holder_sup_spacetime(
+def _holder_sups(
     values: np.ndarray,  # (L, N) or (L, N, C)
     s: np.ndarray,
     length: float,
     times: np.ndarray,
     alpha: float,
-    budget: int,
-    rng: np.random.Generator,
-) -> float:
+) -> tuple[float, float]:
+    """Exact (space-time, time) Hölder sups of `values` over every pair of grid points.
+
+    The space-time quotient divides the norm of the difference by
+    max(arc distance, sqrt|dt|)^alpha over pairs at positive distance; the
+    time quotient compares one node across two levels with |dt|^((1+alpha)/2).
+    Each level is compared with itself and every later level as one
+    (L-a, N, N) array of difference norms, whose same-node diagonal gives the
+    time pairs, so the cost is O(L^2 N^2 C) time and O(L N^2 C) memory; the
+    `holder` scenario caps its grid at 64 nodes and 33 levels.
+    """
     n_levels, n_nodes = values.shape[0], values.shape[1]
-    flat = values.reshape(n_levels * n_nodes, -1)
-    p, q = _pair_indices(n_levels * n_nodes, budget, rng)
-    ki, ii = np.divmod(p, n_nodes)
-    kj, jj = np.divmod(q, n_nodes)
-    d_space = _arc_distance(s, length, ii, jj)
-    d_time = np.sqrt(np.abs(times[ki] - times[kj]))
-    dist = np.maximum(d_space, d_time)
-    diffs = np.linalg.norm(flat[p] - flat[q], axis=-1)
-    return _space_time_sup(diffs, dist, alpha)
+    flat = values.reshape(n_levels, n_nodes, -1)
+    gap = np.abs(s[:, None] - s[None, :])
+    d_space = np.minimum(gap, length - gap)
+    space_time = time_sup = 0.0
+    for a in range(n_levels):
+        diffs = np.linalg.norm(flat[a, :, None] - flat[a:, None, :], axis=-1)  # (L-a, N, N)
+        d_time = np.abs(times[a:] - times[a])
+        dist = np.maximum(d_space, np.sqrt(d_time)[:, None, None])
+        mask = dist > 0.0
+        space_time = max(space_time, float(np.max(diffs[mask] / dist[mask] ** alpha, initial=0.0)))
+        same_node = np.diagonal(diffs[1:], axis1=1, axis2=2)  # (L-a-1, N)
+        denom = d_time[1:, None] ** (0.5 * (1.0 + alpha))
+        time_sup = max(time_sup, float(np.max(same_node / denom, initial=0.0)))
+    return space_time, time_sup
 
 
-def _time_holder_sup(values: np.ndarray, times: np.ndarray, alpha: float) -> float:
-    """Time Hölder sup of (L, N) or (L, N, C) `values` over every pair of levels."""
-    n_levels = values.shape[0]
-    if n_levels < 2:
-        return 0.0
-    flat = values.reshape(n_levels, values.shape[1], -1)
-    ka, kb = np.triu_indices(n_levels, k=1)
-    best = 0.0
-    denom = np.abs(times[ka] - times[kb]) ** (0.5 * (1.0 + alpha))
-    for a, b, d in zip(ka, kb, denom):
-        diffs = np.linalg.norm(flat[a] - flat[b], axis=-1)
-        best = max(best, float(np.max(diffs) / d))
-    return best
+def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
+    """Second-order time differencing of a (M+1, N) trajectory (zero below three levels)."""
+    if values.shape[0] < 3:
+        return np.zeros_like(values)
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
+    return out
 
 
-def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamily, alpha: float,
-                    seed: int) -> HolderEstimate:
-    """Finite-pair lower-bound estimates of the parabolic Hölder norms of
-    (L, N) nodal `values` at the (L,) `times`.
+def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamily,
+                    alpha: float) -> HolderEstimate:
+    """Parabolic Hölder norms of (L, N) nodal `values` at the (L,) `times`.
 
+    The suprema are exact over every pair of grid points, hence lower bounds
+    of the continuum norms; one sweep per quantity (the values, their
+    gradient, the Hessian and f_t) costs O(L^2 N^2) (see `_holder_sups`).
     Single-slice fields are supported (the time seminorms vanish).  The
     gradient-bearing norms discretize the tangential derivatives first.
-    `seed` draws the sampled pairs beyond the full enumeration.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -126,27 +108,24 @@ def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamil
     grid = ParameterGrid(n_nodes, max(n_levels - 1, 4), max(times[-1], 1e-12))
     frame0 = build_frame(surface, grid, 0.0)
     s, length = _arc_coordinates(frame0, grid.dtheta)
-    rng = np.random.default_rng(seed)
 
     sup_norm = float(np.max(np.abs(values)))
-    h_alpha = _holder_sup_spacetime(values, s, length, times, alpha, _HOLDER_BUDGET, rng)
-    time_h = _time_holder_sup(values, times, alpha)
+    h_alpha, time_h = _holder_sups(values, s, length, times, alpha)
 
     grad = np.stack([tangential_gradient(frame0, values[k]) for k in range(n_levels)])
     grad_sup = float(np.max(np.abs(grad)))
-    grad_h = _holder_sup_spacetime(grad, s, length, times, alpha, _HOLDER_BUDGET, rng)
-    grad_time_h = _time_holder_sup(grad, times, alpha)
+    grad_h, grad_time_h = _holder_sups(grad, s, length, times, alpha)
 
     hess = np.stack([second_tangential_derivative(frame0, grad[k]).reshape(n_nodes, 4)
                      for k in range(n_levels)])
-    hess_h = _holder_sup_spacetime(hess, s, length, times, alpha, _HOLDER_BUDGET, rng)
+    hess_h, _ = _holder_sups(hess, s, length, times, alpha)
     hess_sup = float(np.max(np.abs(hess)))
 
     if n_levels > 1:
         dt = float(times[1] - times[0])
         f_t = _time_derivative(values, dt)
         ft_sup = float(np.max(np.abs(f_t)))
-        ft_h = _holder_sup_spacetime(f_t, s, length, times, alpha, _HOLDER_BUDGET, rng)
+        ft_h, _ = _holder_sups(f_t, s, length, times, alpha)
     else:
         ft_sup = ft_h = 0.0
 

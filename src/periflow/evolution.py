@@ -239,13 +239,3 @@ class Propagator:
             _require_finite(out if keep_trajectory else self.run(u0, include_forcing), "state")
         return out if keep_trajectory else u
 
-
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time differencing of a (M+1, N) trajectory (zero below three levels)."""
-    if values.shape[0] < 3:
-        return np.zeros_like(values)
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    return out

@@ -4,8 +4,10 @@ band/surface norm equivalence, the ambient form of the operator with the
 exact theta derivative of the Cartesian metric it reads, and the commutator
 identity on differenced derivatives; the closest-point pass over every
 node of the band's rectangle, which the block cull of `build_band` must
-reproduce bit for bit; and the flat-strip step by sparse LU of its
-Kronecker-assembled matrix, which the tensor-product step must match.
+reproduce bit for bit; the flat-strip step by sparse LU of its
+Kronecker-assembled matrix, which the tensor-product step must match; and
+the Hölder sups by enumeration of all pairs of grid points, which the
+level-pair sweep of `holder_estimate` must match.
 
 They read the library's private helpers, so they check the discretization
 the program uses; the tests, among them `test_acceptance.py` (criterion 9),
@@ -23,13 +25,8 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.ndimage import binary_erosion
 
-from periflow.diagnostics import (
-    _arc_coordinates,
-    _holder_sup_spacetime,
-    _pair_indices,
-    _space_time_sup,
-)
-from periflow.evolution import Forcing, IVPConfig, Propagator, _time_derivative
+from periflow.diagnostics import _arc_coordinates, _holder_sups, _time_derivative
+from periflow.evolution import Forcing, IVPConfig, Propagator
 from periflow.fields import ParameterGrid, _require_shape
 from periflow.metric import (
     MetricSample,
@@ -63,6 +60,7 @@ from periflow.surfaces import (
 )
 
 _EQUIVALENCE_BUDGET = 200_000  # pairs sampled per supremum of `norm_equivalence_check`
+_FULL_ENUM_LIMIT = 1500  # below this many band nodes, `_pair_indices` enumerates all pairs
 _MAX_PRINCIPLE_TOL = 1e-13  # allowed rise of the maximum, relative to max(1, |max|)
 
 
@@ -333,10 +331,50 @@ def elliptic_part_identity_check(
 # -- diagnostics ---------------------------------------------------------------
 
 
+def all_pairs_holder(
+    values: np.ndarray, s: np.ndarray, length: float, times: np.ndarray, alpha: float
+) -> tuple[float, float]:
+    """`diagnostics._holder_sups` by enumerating all pairs of the L*N points
+    with `np.triu_indices`: the (space-time, time) Hölder sups of (L, N) or
+    (L, N, C) `values`."""
+    n_levels, n_nodes = values.shape[0], values.shape[1]
+    flat = values.reshape(n_levels * n_nodes, -1)
+    p, q = np.triu_indices(n_levels * n_nodes, k=1)
+    ki, ii = np.divmod(p, n_nodes)
+    kj, jj = np.divmod(q, n_nodes)
+    gap = np.abs(s[ii] - s[jj])
+    d_time = np.abs(times[ki] - times[kj])
+    dist = np.maximum(np.minimum(gap, length - gap), np.sqrt(d_time))
+    diffs = np.linalg.norm(flat[p] - flat[q], axis=-1)
+    space = dist > 0.0
+    time = ii == jj  # p < q, so the levels differ
+    space_time = float(np.max(diffs[space] / dist[space] ** alpha, initial=0.0))
+    time_sup = float(np.max(diffs[time] / d_time[time] ** (0.5 * (1.0 + alpha)), initial=0.0))
+    return space_time, time_sup
+
+
+def _pair_indices(
+    n_points: int, budget: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    if n_points <= _FULL_ENUM_LIMIT:
+        return np.triu_indices(n_points, k=1)
+    draws = rng.integers(0, n_points, size=(int(budget), 2))
+    keep = draws[:, 0] != draws[:, 1]
+    return draws[keep, 0], draws[keep, 1]
+
+
+def _space_time_sup(diffs: np.ndarray, dist: np.ndarray, alpha: float) -> float:
+    mask = dist > 0.0
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(diffs[mask] / dist[mask] ** alpha))
+
+
 def _band_holder(
     points: np.ndarray, values: np.ndarray, alpha: float, budget: int, rng
 ) -> tuple[float, float]:
-    """(sup, Hölder sup) over band nodes with Euclidean separations."""
+    """(sup, Hölder sup) over band nodes with Euclidean separations, from a
+    uniform sample of `budget` pairs beyond `_FULL_ENUM_LIMIT` nodes."""
     sup = float(np.max(np.abs(values)))
     p, q = _pair_indices(points.shape[0], budget, rng)
     dist = np.linalg.norm(points[p] - points[q], axis=-1)
@@ -367,10 +405,10 @@ def norm_equivalence_check(
 
     u = np.asarray(u_values, dtype=float)[None, :]
     sup_m = float(np.max(np.abs(u)))
-    h_m = _holder_sup_spacetime(u, s, length, zero_t, alpha, _EQUIVALENCE_BUDGET, rng)
+    h_m, _ = _holder_sups(u, s, length, zero_t, alpha)
     grad_m = tangential_gradient(frame0, u[0])[None]
     gsup_m = float(np.max(np.abs(grad_m)))
-    gh_m = _holder_sup_spacetime(grad_m, s, length, zero_t, alpha, _EQUIVALENCE_BUDGET, rng)
+    gh_m, _ = _holder_sups(grad_m, s, length, zero_t, alpha)
 
     XX, YY = band_grid.mesh()
     act = band_grid.active_mask

@@ -207,6 +207,22 @@ def test_fixed_point_fail_states_predicted_iterations(tmp_path, capsys, scenario
     assert predicted > 6
 
 
+def test_ellipse_fixed_point_predicts_the_iterations_it_takes(tmp_path, capsys):
+    # the known slow contraction at the default grid: ratio 0.657 needs 49 iterations
+    body = SMALL_ELLIPSE_FIXED.split("\n[discretization]")[0]
+    short = write_config(tmp_path, body.replace("max_iter = 6", "max_iter = 40"), "short.cfg")
+    assert main(["run", "--config", str(short), "--out", str(tmp_path / "short")]) == 1
+    assert "check fixed_point_converged: FAIL" in capsys.readouterr().out
+    note = ("note fixed_point_converged: predicted_iterations=49 at the last ratio 0.6567 "
+            "(stopped after 40)")
+    assert note in (tmp_path / "short" / "manifest.txt").read_text().splitlines()
+
+    long = write_config(tmp_path, body.replace("max_iter = 6", "max_iter = 80"), "long.cfg")
+    assert main(["run", "--config", str(long), "--out", str(tmp_path / "long")]) == 0
+    ledger = (tmp_path / "long" / "iteration_ledger.csv").read_text().splitlines()
+    assert int(ledger[-1].split(",")[0]) + 1 == 49  # iterates count from 0
+
+
 def test_run_fixed_point_scenario(tmp_path):
     body = SMALL_MONO.replace("periodic-monodromy", "periodic-fixed")
     manifest, digests = run_and_digest(tmp_path, body, "fixed")
@@ -254,6 +270,19 @@ def test_run_holder_scenario(tmp_path):
     manifest, digests = run_and_digest(tmp_path, SMALL_HOLDER, "holder")
     assert manifest.all_passed
     assert "holder.csv" in digests
+
+
+def test_holder_csv_does_not_depend_on_the_seed(tmp_path):
+    # 64 x 33 points, the scenario's largest grid
+    body = SMALL_HOLDER.replace("n_nodes = 32", "n_nodes = 64").replace("n_steps = 16",
+                                                                          "n_steps = 32")
+    path = write_config(tmp_path, body)
+    tables = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", seed]) == 0
+        tables.append((out / "holder.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 SMALL_BAND = """

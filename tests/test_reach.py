@@ -1,6 +1,6 @@
 """The library is what the program runs, and the program uses all of it.
 
-Four scans of the package sources, each a function of the source directory,
+Five scans of the package sources, each a function of the source directory,
 so that `test_scans_report_their_plants` can run them on a planted package:
 
 * `unreached`: every definition in `src/periflow` is reached from the CLI;
@@ -17,6 +17,8 @@ so that `test_scans_report_their_plants` can run them on a planted package:
 * `unread_fields`: every field of a dataclass, every property and every
   `self.<name>` assigned in an `__init__` is loaded as an attribute somewhere
   in `src`, matched by name as above.
+* `random_draws`: the functions that call `np.random`, so that a result
+  depends on no random draw its caller does not control.
 """
 
 import ast
@@ -48,6 +50,11 @@ UNSET_ALLOWED = {
 _PAYLOAD = ("the fault record for a caller that catches the error, kept as safety code; "
             "main prints the message, which names it already")
 UNREAD_ALLOWED = {"errors.StepError.level": _PAYLOAD, "errors.ProjectionError.location": _PAYLOAD}
+# function -> why its np.random call leaves the result to the caller
+RANDOM_ALLOWED = {
+    "periodic.default_probes": "draws the noise probes from the caller's seed",
+    "periodic._eigenvalue_nearest_one": "a fixed ARPACK start vector, so reruns agree",
+}
 # parameter -> why every call in src passes it
 OVERRIDDEN_ALLOWED = {
     name: "the [surface] schema: parse_config reads the keys and defaults of a family "
@@ -190,6 +197,26 @@ def unread_fields(src: Path) -> set[str]:
     return {qualname for qualname, name in members if name not in loaded}
 
 
+def random_draws(src: Path) -> set[str]:
+    """Qualified names of the functions and methods (the module name for
+    module-level code) holding a call `np.random.<name>(...)`."""
+    found = set()
+    for stem, tree in modules(src):
+        scopes = [(f"{stem}.{node.name}", node) for node in tree.body
+                  if isinstance(node, ast.FunctionDef)]
+        scopes += [(f"{stem}.{node.name}.{member.name}", member) for node in tree.body
+                   if isinstance(node, ast.ClassDef) for member in node.body
+                   if isinstance(member, ast.FunctionDef)]
+        scopes += [(stem, node) for node in tree.body
+                   if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        found |= {qualname for qualname, scope in scopes for sub in ast.walk(scope)
+                  if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                  and isinstance(module := sub.func.value, ast.Attribute)
+                  and module.attr == "random"
+                  and getattr(module.value, "id", None) in ("np", "numpy")}
+    return found
+
+
 def test_every_definition_is_reached():
     found = unreached(SRC)
     assert not found - ALLOWED, f"reached by no scenario: {sorted(found - ALLOWED)}"
@@ -220,6 +247,8 @@ def test_every_field_is_read_by_the_program():
 PLANTED = '''
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Report:
@@ -236,7 +265,7 @@ def scale(x, factor=2.0, offset=0.0):
 
 
 def orphan():
-    return 0
+    return np.random.default_rng().random()
 
 
 class Tally:
@@ -250,6 +279,13 @@ def main():
 '''
 
 
+def test_random_draws_are_left_to_the_caller():
+    drawn = random_draws(SRC)
+    missing = drawn - RANDOM_ALLOWED.keys()
+    assert not missing, f"np.random called in: {sorted(missing)}"
+    assert RANDOM_ALLOWED.keys() <= drawn, "an allowed function draws no more; drop it"
+
+
 def test_scans_report_their_plants(tmp_path):
     # one violation of each kind, so that a scan which stopped matching fails here
     (tmp_path / "tool.py").write_text(PLANTED)
@@ -258,3 +294,4 @@ def test_scans_report_their_plants(tmp_path):
     assert overridden_defaults(tmp_path) == {"tool.scale.offset"}
     assert unread_fields(tmp_path) == {"tool.Report.unread", "tool.Report.doubled",
                                        "tool.Tally.first"}
+    assert random_draws(tmp_path) == {"tool.orphan"}
