@@ -57,9 +57,10 @@ def _holder_sups(
     max(arc distance, sqrt|dt|)^alpha over pairs at positive distance; the
     time quotient compares one node across two levels with |dt|^((1+alpha)/2).
     Each level is compared with itself and every later level as one
-    (L-a, N, N) array of difference norms, whose same-node diagonal gives the
-    time pairs, so the cost is O(L^2 N^2 C) time and O(L N^2 C) memory; the
-    `holder` scenario caps its grid at 64 nodes and 33 levels.
+    (L-a, N, N) array of difference norms, summed one component at a time,
+    whose same-node diagonal gives the time pairs, so the cost is
+    O(L^2 N^2 C) time and O(L N^2) memory; the `holder` scenario caps its
+    grid at 64 nodes and 33 levels.
     """
     n_levels, n_nodes = values.shape[0], values.shape[1]
     flat = values.reshape(n_levels, n_nodes, -1)
@@ -67,7 +68,8 @@ def _holder_sups(
     d_space = np.minimum(gap, length - gap)
     space_time = time_sup = 0.0
     for a in range(n_levels):
-        diffs = np.linalg.norm(flat[a, :, None] - flat[a:, None, :], axis=-1)  # (L-a, N, N)
+        diffs = np.sqrt(sum((flat[a, :, None, c] - flat[a:, None, :, c]) ** 2
+                            for c in range(flat.shape[2])))  # (L-a, N, N)
         d_time = np.abs(times[a:] - times[a])
         dist = np.maximum(d_space, np.sqrt(d_time)[:, None, None])
         mask = dist > 0.0
@@ -91,7 +93,8 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamily,
                     alpha: float) -> HolderEstimate:
-    """Parabolic Hölder norms of (L, N) nodal `values` at the (L,) `times`.
+    """Parabolic Hölder norms of (L, N) nodal `values` at the (L,) uniform
+    `times` (steps equal to 1e-9 relative, or GridMismatchError).
 
     The suprema are exact over every pair of grid points, hence lower bounds
     of the continuum norms; one sweep per quantity (the values, their
@@ -104,6 +107,11 @@ def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamil
     values, times = np.asarray(values, dtype=float), np.asarray(times, dtype=float)
     if values.ndim != 2 or times.shape != values.shape[:1]:
         raise GridMismatchError(f"values of shape {values.shape} at {times.shape[0]} times")
+    steps = np.diff(times)
+    uneven = np.flatnonzero(np.abs(steps - steps[:1]) > 1e-9 * np.abs(steps[:1])) + 1
+    if uneven.size:
+        raise GridMismatchError(f"times must be uniform: level {uneven[0]} follows a step of "
+                                f"{steps[uneven[0] - 1].item()}, not {steps[0].item()}")
     n_levels, n_nodes = values.shape
     grid = ParameterGrid(n_nodes, max(n_levels - 1, 4), max(times[-1], 1e-12))
     frame0 = build_frame(surface, grid, 0.0)
@@ -122,8 +130,7 @@ def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamil
     hess_sup = float(np.max(np.abs(hess)))
 
     if n_levels > 1:
-        dt = float(times[1] - times[0])
-        f_t = _time_derivative(values, dt)
+        f_t = _time_derivative(values, float(steps[0]))
         ft_sup = float(np.max(np.abs(f_t)))
         ft_h, _ = _holder_sups(f_t, s, length, times, alpha)
     else:

@@ -17,11 +17,12 @@ every active node has full central stencils; identity checks are evaluated
 on the interior mask, the active nodes whose 5x5 window lies in the halo.
 `lift_field` interpolates values at the N parameters 2 pi j / N by their
 periodic cubic spline, solved by `evolution._CyclicFactor`.  One projection
-finds closest points: damped Newton on the chart from the nearest curve
-sample, with a multistart fallback, run by `build_band` on the grid nodes
-near the curve.  It first culls whole blocks of nodes by one KD query of
-the block centres, with the radius widened by the block's half-diagonal,
-so the projected nodes are exactly those a query of every node would keep.
+finds closest points: Newton on the chart, steps clipped to half a radian,
+from the nearest curve sample, with a multistart fallback run as one more
+Newton call, made by `build_band` on the grid nodes near the curve.  It
+first culls whole blocks of nodes by one KD query of the block centres,
+with the radius widened by the block's half-diagonal, so the projected
+nodes are exactly those a query of every node would keep.
 
 `flat_strip_step_equivalence` checks that the extension reduces to the
 surface problem on a flat periodic strip.  Its 2-d backward-Euler step is a
@@ -109,36 +110,25 @@ def _curve_samples(surface: SurfaceFamily, t: float):
 def _newton_project(
     surface: SurfaceFamily, t: float, pts: np.ndarray, theta0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton for the stationarity condition (x - X(theta)).X'(theta)=0.
+    """Newton, steps clipped to half a radian, for the stationarity condition
+    g = -(x - X(theta)).X'(theta) = 0: after one chart evaluation at the
+    start, a sweep is one step ``theta -= clip(g / g', +-0.5)`` and one
+    evaluation, until every point converges.  It needs no line search: at
+    the foot ``g' = |X'|^2 (1 + d kappa) >= |X'|^2 / 4`` inside the halo,
+    which `build_band` limits to ``(delta + 4h) max|kappa| < 3/4``.
 
     Returns refined parameters and a convergence mask."""
-    theta = theta0.astype(float).copy()
-
-    def residual(th):
-        X, Xd, Xdd, _, _ = surface.jet(th, t)
-        r = pts - X
-        g = -np.einsum("pa,pa->p", r, Xd)
-        scale = np.einsum("pa,pa->p", Xd, Xd) + 1e-30
-        return g, scale, r, Xd, Xdd
-
-    g, scale, r, Xd, Xdd = residual(theta)
-    for _ in range(_NEWTON_MAX_ITER):
-        gp = np.einsum("pa,pa->p", Xd, Xd) - np.einsum("pa,pa->p", r, Xdd)
+    theta = theta0.astype(float)
+    for sweep in range(_NEWTON_MAX_ITER + 1):
+        X, Xd, Xdd, _, _ = surface.jet(theta, t)
+        r, speed2 = pts - X, np.einsum("pa,pa->p", Xd, Xd)
+        g, scale = -np.einsum("pa,pa->p", r, Xd), speed2 + 1e-30
+        if sweep == _NEWTON_MAX_ITER or np.all(np.abs(g) <= _NEWTON_TOL * scale):
+            break
+        gp = speed2 - np.einsum("pa,pa->p", r, Xdd)
         floor = 1e-14 * scale
         safe = np.where(np.abs(gp) > floor, gp, np.where(gp >= 0.0, floor, -floor))
-        step = np.clip(g / safe, -0.5, 0.5)
-        # damping: halve steps that fail to reduce |g|
-        lam = np.ones_like(theta)
-        for _ in range(6):
-            trial = theta - lam * step
-            g_new, *rest = residual(trial)
-            bad = np.abs(g_new) > np.abs(g)
-            if not np.any(bad):
-                break
-            lam = np.where(bad, 0.5 * lam, lam)
-        theta, g, (scale, r, Xd, Xdd) = trial, g_new, rest
-        if np.all(np.abs(g) <= _NEWTON_TOL * scale):
-            break
+        theta = theta - np.clip(g / safe, -0.5, 0.5)
     return theta, np.abs(g) <= 10.0 * _NEWTON_TOL * scale
 
 
@@ -155,10 +145,12 @@ def _closest_points(
     """Closest-point geometry of the points whose nearest curve sample (of
     `curve`, the `_curve_samples` tuple) lies within `bound`.
 
-    Newton starts at that nearest sample; points where it fails restart
-    from their `_MULTISTART` nearest samples and keep the closest converged
-    foot.  Returns the mask of the projected points and their field of
-    (P,) arrays; raises ProjectionError when every start fails.
+    Newton, steps clipped to half a radian, starts at that nearest sample.
+    Points where it fails restart from their `_MULTISTART` nearest samples,
+    all in one Newton call, and keep the closest converged foot (of equal
+    ones, the first start's).  Returns the mask of the projected points and
+    their field of (P,) arrays; raises ProjectionError when every start of a
+    point fails.
     """
     theta_s, samples, sign, _ = curve
     tree = cKDTree(samples)
@@ -170,17 +162,17 @@ def _closest_points(
     if not np.all(ok):
         bad = pts[~ok]
         _, starts = tree.query(bad, k=_MULTISTART)
-        best_d2 = np.full(bad.shape[0], np.inf)
-        for col in range(_MULTISTART):
-            th_try, ok_try = _newton_project(surface, t, bad, theta_s[starts[:, col]])
-            d2 = np.sum((bad - surface.jet(th_try, t)[0]) ** 2, axis=1)
-            better = ok_try & (d2 < best_d2)
-            theta[~ok] = np.where(better, th_try, theta[~ok])
-            best_d2 = np.where(better, d2, best_d2)
-        if not np.all(np.isfinite(best_d2)):
-            where = bad[~np.isfinite(best_d2)][0]
+        tries = np.repeat(bad, _MULTISTART, axis=0)
+        th_try, ok_try = _newton_project(surface, t, tries, theta_s[starts.ravel()])
+        d2 = np.sum((tries - surface.jet(th_try, t)[0]) ** 2, axis=1)
+        d2 = np.where(ok_try, d2, np.inf).reshape(-1, _MULTISTART)
+        best = np.argmin(d2, axis=1)  # the first of equal distances
+        failed = np.isinf(d2.min(axis=1))
+        if np.any(failed):
+            where = bad[failed][0]
             raise ProjectionError(f"closest-point Newton failed near {where} at t={float(t)!r}",
                                   location=where)
+        theta[~ok] = th_try[_MULTISTART * np.arange(bad.shape[0]) + best]
     foot, tau, nu, kappa = _point_geometry(surface, t, theta, sign)
     dist = np.einsum("pa,pa->p", pts - foot, nu)
     return near, DistanceField(dist, theta % (2.0 * np.pi), foot, nu, tau, kappa)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from oracles import max_principle_monitor, norm_equivalence_check
 from periflow import diagnostics
 from periflow import (
     FAMILIES,
+    GridMismatchError,
     IVPConfig,
     ParameterGrid,
     Propagator,
@@ -61,6 +63,19 @@ def test_holder_finite_across_alpha():
         assert 0.0 < est.holder_coefficient < 10.0
         # |cos x - cos y| <= |x - y| bounds every quotient with d <= pi < 2pi
         assert est.holder_coefficient <= max(2.0, math.pi ** (1.0 - a)) + 1e-12
+
+
+def test_holder_rejects_non_uniform_times():
+    # f_t differences with the first step, so t^2 at these times would read
+    # sup|f_t| = 10.05 where the derivative 2t is at most 2
+    times = np.array([0.0, 0.1, 0.5, 1.0])
+    with pytest.raises(GridMismatchError, match=r"level 2 follows a step of 0\.4, not 0\.1"):
+        holder_estimate(np.tile(times[:, None] ** 2, 16), times, circle(), alpha=0.5)
+    grid = ParameterGrid(16, 8, 1.0)
+    values, times = sampled(grid, lambda th, t: np.cos(th) * t)
+    times[-1] += 1e-6 * grid.dt
+    with pytest.raises(GridMismatchError, match="level 8 "):
+        holder_estimate(values, times, circle(), alpha=0.5)
 
 
 def test_sqrt_time_profile_flags_blowup():

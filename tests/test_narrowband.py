@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from helpers import observed_orders
 from oracles import (
@@ -16,6 +19,7 @@ from oracles import (
     surface_point_geometry,
 )
 from periflow import (
+    FAMILIES,
     BandError,
     ExtractionError,
     ProjectionError,
@@ -108,13 +112,13 @@ def test_multistart_fallback_recovers_failed_points(monkeypatch):
 
     monkeypatch.setattr(narrowband, "_newton_project", first_call_fails_some)
     grid_fb, dist_fb = bean_band()
-    assert len(calls) == 1 + 8 and calls[1] == (calls[0] + 6) // 7
+    assert len(calls) == 2 and calls[1] == 8 * ((calls[0] + 6) // 7)
     assert np.array_equal(grid_fb.active_mask, grid.active_mask)
     calls.clear()
     geo = surface_point_geometry(bean(), 0.25, nodes)
-    assert len(calls) == 1 + 8
+    assert len(calls) == 2
     # Newton runs until its whole batch converges, so a point restarted in
-    # a smaller batch can stop one sweep earlier: round-off, not bits
+    # another batch can stop one sweep earlier: round-off, not bits
     for f in fields(dist):
         expected = getattr(dist, f.name)
         assert np.allclose(getattr(dist_fb, f.name), expected, rtol=0.0, atol=1e-12, equal_nan=True)
@@ -132,6 +136,59 @@ def test_projection_error_when_every_start_fails(monkeypatch):
     with pytest.raises(ProjectionError, match=r"at t=0\.0") as info:
         surface_point_geometry(circle(), 0.0, [[0.0, 1.2], [0.5, 0.0]])
     assert np.array_equal(info.value.location, [0.0, 1.2])
+
+
+def test_fallback_keeps_the_closest_converged_start_and_the_first_of_a_tie(monkeypatch):
+    # from sample k, at offset m = k or k - 1024 from theta = 0, the fake
+    # returns theta = m / 10, converged where |m| >= 2: its results depend on
+    # the start alone, not on the batch the start sits in
+    curve = narrowband._curve_samples(circle(), 0.0)
+    step = curve[0][1]
+
+    def by_start(surface, t, pts, theta0):
+        m = np.round(theta0 / step).astype(int)
+        m = np.where(m >= 512, m - 1024, m)
+        return 0.1 * m, np.abs(m) >= 2
+
+    monkeypatch.setattr(narrowband, "_newton_project", by_start)
+    pts = np.array([[1.5, 0.0], [1.5, 0.005], [0.0, 1.5]])
+    _, field = narrowband._closest_points(circle(), 0.0, pts, curve, np.inf)
+    # the first point starts at m = 0 and the second at m = 1, so both
+    # restart; m = +-1 gives a closer foot than any converged start does
+    _, starts = cKDTree(curve[1]).query(pts[:2], k=narrowband._MULTISTART)
+    assert {0, 1, 1023, 2, 1022} <= set(starts[0]) and {1, 2, 1022} <= set(starts[1])
+    # the first point's feet at theta = +-0.2 are exactly as close
+    ends = circle().jet(np.array([0.2, -0.2]), 0.0)[0]
+    assert np.sum((pts[0] - ends[0]) ** 2) == np.sum((pts[0] - ends[1]) ** 2)
+    first_of_tie = 0.2 if list(starts[0]).index(2) < list(starts[0]).index(1022) else -0.2
+    expected = np.array([first_of_tie, 0.2, 25.6]) % (2.0 * np.pi)
+    assert np.array_equal(field.theta_foot, expected)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), t=st.floats(0.0, 1.0, exclude_max=True),
+       reach=st.floats(0.05, 0.49), h=st.sampled_from([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]))
+# the halo at its limit: (delta + 4h) max|kappa| = 0.7499, so 1 + d kappa >= 0.25
+@example(family="ellipse", t=0.0, reach=0.2499, h=1.0 / 16.0)
+def test_first_newton_call_converges_at_every_projected_node(family, t, reach, h):
+    # the premise of Newton without a line search: no band node needs the
+    # multistart fallback.  A draw whose halo outgrows the curvature reach
+    # raises BandError and is skipped: none of the 60 draws here
+    surface, newton, flags = FAMILIES[family](), narrowband._newton_project, []
+
+    def recording(*args):
+        theta, ok = newton(*args)
+        flags.append(ok)
+        return theta, ok
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(narrowband, "_newton_project", recording)
+        try:
+            build_band(surface, t, h, reach / max_curvature(surface, t))
+        except BandError:
+            reject()
+    missed = int(np.sum(~flags[0]))
+    assert missed == 0, f"Newton missed {missed} of {flags[0].size} nodes; the fallback ran"
 
 
 def test_band_rejects_too_wide():
