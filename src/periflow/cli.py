@@ -331,14 +331,14 @@ def _scenario_ivp(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     manifest.check("finite_trajectory", 0.0, 0.0, passed=bool(np.all(np.isfinite(traj))))
     if cfg.zero_order == "divergence" and prop.forcing_integrals is None:
         # relative to the weighted L1 norm of u0: the mass of a mean-free u0 is ~1e-16
-        scale = float(np.dot(prop.geometry.weights[0], np.abs(traj[0])))
+        scale = float(np.dot(prop.geometry.weights0, np.abs(traj[0])))
         drift = abs(ledger.masses[-1] - ledger.masses[0]) / max(scale, 1e-300)
         manifest.check("relative_mass_drift", drift, 1e-8)
 
 
 def _scenario_periodic(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     prop = cfg.propagator()
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
     if cfg.scenario == "periodic-fixed":
         report = fixed_point_solve(prop, cfg.target_mean, cfg.tol, cfg.max_iter)
         traj = report.trajectory

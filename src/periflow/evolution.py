@@ -12,18 +12,28 @@ once as LDL^T (LAPACK ``dpttrf``; ``dpttrs`` solves), and a rank-one
 Sherman-Morrison correction adds the periodic corners.  A step needs no
 matvec: the explicit operator is ``1/(theta dt) - beta (1/dt - theta (L_k -
 c))``, beta = (1 - theta)/theta, and B_k u_k is the right side just solved,
-so each right side is carried from the previous one.  One ``Propagator``
-holds a run's grid, geometry, forcing samples and factors; its ``run`` is
-the one entry point that steps, and a non-finite state, checked on entry and
-once per period, raises ``StepError`` naming its first time level and node.
-The periodic solves reuse its factors, the ledgers its geometry and
-per-level forcing integrals, and ``periodic.contraction_estimate`` its
-``rate_floor``, all it keeps of the zero-order term (see ``Propagator``).
+so each right side is carried from the previous one; in the divergence
+modes the rate 1/(theta dt) is weighted by ``sqrt_g[k]``, formed from the
+geometry's rows one block of levels at a time.  One ``Propagator`` holds a run's grid, geometry,
+forcing load and factors, and no other ``(M+1, N)``-sized array; its
+``run`` is the one entry point that steps, and a non-finite state, checked
+on entry and once per period, raises ``StepError`` naming its first time
+level and node.  The periodic solves reuse its factors, the ledgers its
+geometry and per-level forcing integrals, and
+``periodic.contraction_estimate`` its ``rate_floor``, all it keeps of the
+zero-order term (see ``Propagator``).
 
 States are ``(N,)`` arrays; a trajectory is an ``(M+1, N)`` array whose
 rows are the levels of ``prop.grid.times``, and the measure of level k is
-the ``(N,)`` weight row ``prop.geometry.weights[k]``.  The forcing is a
-closure ``f(theta, t)`` or its ``(M+1, N)`` samples on the same levels.
+the ``(N,)`` weight row ``prop.geometry.sqrt_g[k] * prop.grid.dtheta``
+(``prop.geometry.weights0`` at time zero).  The forcing is a closure or its
+``(M+1, N)`` samples on the same levels, which the stepper reads and never
+writes.  A closure is called once, as ``f(prop.grid.nodes,
+prop.grid.times[:, None])``: the times are an ``(M+1, 1)`` column, as in
+``SurfaceFamily.jet``, so it must compute with numpy (``np.sin(t)``, not
+``math.sin(t)``).  Its result is broadcast to ``(M+1, N)``: a scalar, an
+``(N,)`` row or an ``(M+1, 1)`` column will do, and a shape that does not
+broadcast raises ``GridMismatchError``.
 
 Zero-order modes
 ----------------
@@ -40,6 +50,7 @@ Zero-order modes
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,9 +58,9 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import StepError
+from .errors import GridMismatchError, StepError
 from .fields import ParameterGrid, _require_shape
-from .metric import _flux_form_apply, space_time_geometry
+from .metric import _flux_form_apply, _level_blocks, space_time_geometry
 from .surfaces import SurfaceFamily
 
 _THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
@@ -57,7 +68,7 @@ _THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
 _SINGULAR_TOL = 1e-12
 _ZERO_ORDER_MODES = ("zero", "constant", "divergence", "divergence_plus_constant")
 
-Forcing = Callable[[np.ndarray, float], np.ndarray] | np.ndarray | None
+Forcing = Callable[[np.ndarray, np.ndarray], np.ndarray] | np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,8 @@ def _require_finite(samples: np.ndarray, quantity: str) -> np.ndarray:
 
 
 def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None:
+    """(M+1, N) forcing samples, read but never written: an array forcing as
+    passed, a closure's from its one call."""
     if forcing is None:
         return None
     if callable(forcing):
@@ -106,18 +119,20 @@ def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None
     return _require_finite(samples, "forcing")
 
 
-def _sample_levels(fn: Callable[[np.ndarray, float], np.ndarray],
+def _sample_levels(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    grid: ParameterGrid) -> np.ndarray:
-    """(M+1, N) samples of a forcing closure f(theta, t) at every node and time
-    level; each level's value is a scalar or an (N,) array, else GridMismatchError."""
-    theta = grid.nodes
-    levels = []
-    for t in grid.times:
-        value = np.asarray(fn(theta, t), dtype=float)
-        if value.shape not in ((), (1,)):
-            value = _require_shape(value, theta.shape, "forcing")
-        levels.append(value + np.zeros_like(theta))
-    return _require_finite(np.stack(levels), "forcing")
+    """(M+1, N) samples of a forcing closure from one call f(nodes, times),
+    the times an (M+1, 1) column as in `SurfaceFamily.jet`; a result that does
+    not broadcast to (M+1, N) raises GridMismatchError naming both shapes."""
+    shape = (grid.n_steps + 1, grid.n_nodes)
+    value = np.asarray(fn(grid.nodes, grid.times[:, None]), dtype=float)
+    if value.shape != shape:
+        try:
+            value = np.broadcast_to(value, shape).copy()
+        except ValueError:
+            raise GridMismatchError(
+                f"forcing of shape {value.shape} does not match {shape}") from None
+    return _require_finite(value, "forcing")
 
 
 class _CyclicFactor:
@@ -160,9 +175,10 @@ class Propagator:
     """Per-level factorized theta-scheme stepper for one surface/config/forcing
     triple.  It holds what a run shares: the grid the config fixes for the
     surface's period, the space-time geometry, `rate_floor` (c plus, in the
-    divergence modes, the pointwise lower bound of `geometry.trace_rate` over
-    all levels) and the (M+1,) weighted forcing integrals per level (None
-    without forcing)."""
+    divergence modes, `geometry.min_dilation_rate`) and the (M+1,) weighted
+    forcing integrals per level (None without forcing).  Of (M+1, N)-sized
+    data it stores only the geometry's two arrays, the factors of the B_k and
+    the forcing load, each built one block of levels at a time."""
 
     def __init__(self, surface: SurfaceFamily, config: IVPConfig, forcing: Forcing = None):
         self.config = config
@@ -171,7 +187,7 @@ class Propagator:
         mode = config.zero_order
         c = config.coefficient if mode in ("constant", "divergence_plus_constant") else 0.0
         divergence = mode in ("divergence", "divergence_plus_constant")
-        self.rate_floor = float(c) + (float(np.min(geo.trace_rate)) if divergence else 0.0)
+        self.rate_floor = float(c) + (geo.min_dilation_rate if divergence else 0.0)
         samples = _forcing_samples(forcing, grid)
         self.forcing_integrals = None if samples is None else geo.integrals(samples)
         theta, dt = config.theta, grid.dt
@@ -179,16 +195,25 @@ class Propagator:
         if self._shift < 0.0:  # then 1^T B_k 1 < 0 at every level
             raise StepError("step matrix is not positive definite: "
                             f"1/dt + theta*c = {self._shift:.6g}", 1)
-        coupling = (theta / grid.dtheta**2) * geo.c_half  # theta c_{i+1/2} / dtheta^2
-        main = geo.sqrt_g * self._shift + coupling + np.roll(coupling, 1, axis=-1)
-        self._factors = [_CyclicFactor(main[k], -coupling[k], k)
-                         for k in range(1, grid.n_steps + 1)]
+        self._factors = []
+        for rows in _level_blocks(grid, 1):
+            coupling = (theta / grid.dtheta**2) * geo.c_half[rows]  # theta c_{i+1/2} / dtheta^2
+            main = geo.sqrt_g[rows] * self._shift + coupling
+            main[:, 1:] += coupling[:, :-1]
+            main[:, 0] += coupling[:, -1]
+            self._factors += [_CyclicFactor(main[j], -coupling[j], rows.start + j)
+                              for j in range(main.shape[0])]
         self._weight = None if divergence else geo.sqrt_g  # None: `run` carries B_k u_k itself
-        self._rate = (geo.sqrt_g[:-1] if divergence else np.ones(grid.n_steps)) / (theta * dt)
         self._load = None
-        if samples is not None:
-            weighted = geo.sqrt_g * samples if divergence else samples
-            self._load = (1.0 - theta) * weighted[:-1] + theta * weighted[1:]
+        if samples is not None:  # (1 - theta) f_k + theta f_{k+1}, measure-weighted
+            self._load = np.empty((grid.n_steps, grid.n_nodes))
+            for rows in _level_blocks(grid, 0, grid.n_steps):
+                later = slice(rows.start + 1, rows.stop + 1)
+                old, new = samples[rows], samples[later]
+                if divergence:
+                    old, new = geo.sqrt_g[rows] * old, geo.sqrt_g[later] * new
+                np.multiply(1.0 - theta, old, out=self._load[rows])
+                self._load[rows] += theta * new
 
     def run(
         self,
@@ -205,13 +230,14 @@ class Propagator:
         beta r_{k-1} - l_k (r_{-1} from B_0 u0, one flux-form apply), times
         sqrt_g[k+1] outside the divergence modes, where a_k = 1 / (theta dt)
         and l_k = (1 - theta) f_k + theta f_{k+1}.  The divergence modes
-        fold in the measure ratio: a_k = sqrt_g[k] / (theta dt) and
-        l_k = (1 - theta) sqrt_g[k] f_k + theta sqrt_g[k+1] f_{k+1}.
+        fold in the measure ratio: a_k = sqrt_g[k] / (theta dt), formed one
+        block of levels at a time, and l_k = (1 - theta) sqrt_g[k] f_k +
+        theta sqrt_g[k+1] f_{k+1}.
         """
         u = _require_shape(u0, (self.grid.n_nodes,), "initial state")
         _require_finite(u[None], "initial state")
         geo, theta = self.geometry, self.config.theta
-        beta = (1.0 - theta) / theta
+        beta, scale = (1.0 - theta) / theta, theta * self.grid.dt
         load = self._load if include_forcing else None
         out = np.empty((self.grid.n_steps + 1, self.grid.n_nodes)) if keep_trajectory else None
         if keep_trajectory:
@@ -220,8 +246,13 @@ class Propagator:
             flux = _flux_form_apply(geo.c_half[0], geo.sqrt_g[0], self.grid.dtheta, u)
             density = geo.sqrt_g[0] if self._weight is None else 1.0
             carried = (beta * density) * (self._shift * u - theta * flux)
-        for k, factor in enumerate(self._factors):
-            rhs = np.multiply(self._rate[k], u, out=out[k + 1] if keep_trajectory else None)
+        if self._weight is None:  # a_k for one block of levels at a time
+            blocks = _level_blocks(self.grid, 0, self.grid.n_steps)
+            rates = (rate for rows in blocks for rate in geo.sqrt_g[rows] / scale)
+        else:
+            rates = itertools.repeat(1.0 / scale)
+        for k, (factor, rate) in enumerate(zip(self._factors, rates)):
+            rhs = np.multiply(rate, u, out=out[k + 1] if keep_trajectory else None)
             if load is not None:
                 rhs -= load[k]
             if beta:
@@ -238,4 +269,3 @@ class Propagator:
         if not np.all(np.isfinite(u)):
             _require_finite(out if keep_trajectory else self.run(u0, include_forcing), "state")
         return out if keep_trajectory else u
-

@@ -15,12 +15,15 @@ grid, so the discrete operator annihilates constants exactly and its output
 has exactly zero weighted mass — the conservation diagnostics rely on both.
 
 Every mean, mass and operator call reads two per-node scalars: the measure
-weights ``sqrt(g) * dtheta`` and the flux coefficient ``sqrt(g)/g`` at the
-half nodes.  One helper computes them, for the per-level rows of
-``SpaceTimeGeometry`` that the 1-d solver reads and for the single time
-slice of ``MetricSample``.  Of the Cartesian ``G`` a slice keeps only what
-the trace identity reads: ``G^{-1}`` and ``G_t``.  A measure is its ``(N,)``
-row of weights.
+density ``sqrt(g)``, whose product with ``dtheta`` is the quadrature
+weights, and the flux coefficient ``sqrt(g)/g`` at the half nodes.  One
+helper computes them, for the per-level rows of ``SpaceTimeGeometry`` that
+the 1-d solver reads and for the single time slice of ``MetricSample``.
+The space-time geometry stores only those two ``(M+1, N)`` arrays, built
+one block of levels at a time with no full-size temporary, and the least
+dilation rate; weights are formed where they are read.  Of the Cartesian
+``G`` a slice keeps only what the trace identity reads: ``G^{-1}`` and
+``G_t``.  A measure is its ``(N,)`` row of weights.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .fields import AmbientField, ParameterGrid, _require_shape
 from .surfaces import GeometryFrame, SurfaceFamily, build_frame
 
 _CONDITION_LIMIT = 1e12
-_BLOCK_POINTS = 1 << 15  # levels x nodes per chart jet in `space_time_geometry`
+_BLOCK_POINTS = 1 << 15  # levels x nodes per block of levels (`_level_blocks`)
 
 
 @dataclass(frozen=True)
@@ -103,14 +106,14 @@ def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Me
     cart_inv = (1.0 / ratio)[:, None, None] * tau_tau + nu_nu
     cart_dt = (dg_loc_dt / g_ref)[:, None, None] * tau_tau
 
-    sqrt_g, weights, c_half = _scalar_metric(g_loc, grid.dtheta)
+    sqrt_g, c_half = _scalar_metric(g_loc)
     return MetricSample(
         theta=theta,
         dtheta=grid.dtheta,
         cartesian_inv=cart_inv,
         cartesian_dt=cart_dt,
         sqrt_g=sqrt_g,
-        weights=weights,
+        weights=sqrt_g * grid.dtheta,
         c_half=c_half,
     )
 
@@ -119,11 +122,11 @@ def _half_coefficients(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.roll(c, -1, axis=-1))  # value at i + 1/2
 
 
-def _scalar_metric(g: np.ndarray, dtheta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sqrt(g), the measure weights sqrt(g) * dtheta and the flux coefficient
-    sqrt(g)/g at the half nodes, along the last axis of the metric g."""
+def _scalar_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(g) and the flux coefficient sqrt(g)/g at the half nodes, along the
+    last axis of the metric g."""
     sqrt_g = np.sqrt(g)
-    return sqrt_g, sqrt_g * dtheta, _half_coefficients(sqrt_g * (1.0 / g))
+    return sqrt_g, _half_coefficients(sqrt_g * (1.0 / g))
 
 
 def _flux_form_apply(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float, values: np.ndarray):
@@ -133,20 +136,39 @@ def _flux_form_apply(c_half: np.ndarray, sqrt_g: np.ndarray, dtheta: float, valu
     return div / sqrt_g
 
 
+def _level_blocks(grid: ParameterGrid, first: int = 0, stop: int | None = None) -> list[slice]:
+    """Consecutive runs of the levels first .. stop - 1 (default: through the
+    last level), each of at most `_BLOCK_POINTS` nodes in all."""
+    stop = grid.n_steps + 1 if stop is None else stop
+    rows = max(1, _BLOCK_POINTS // grid.n_nodes)
+    return [slice(k, min(k + rows, stop)) for k in range(first, stop, rows)]
+
+
 @dataclass(frozen=True)
 class SpaceTimeGeometry:
-    """Scalar metric data of one surface and grid, one (M+1, N) row per time
-    level: all the 1-d stepper and the ledgers need."""
+    """Scalar metric data of one surface and grid, all the 1-d stepper and the
+    ledgers need: one (M+1, N) row per time level of the measure density and
+    of the flux coefficient, and the least dilation rate over all levels.
+    Level k's quadrature weights are ``sqrt_g[k] * dtheta``, formed where
+    they are read."""
 
     grid: ParameterGrid
     sqrt_g: np.ndarray  # measure density mu = sqrt(g)
-    weights: np.ndarray  # mu * dtheta, the quadrature weights of each level
-    trace_rate: np.ndarray  # (1/2) g_t / g, the metric dilation rate
     c_half: np.ndarray  # flux coefficient sqrt(g)/g at the half nodes i + 1/2
+    min_dilation_rate: float  # least (1/2) g_t / g over every node and level
+
+    @property
+    def weights0(self) -> np.ndarray:
+        """(N,) quadrature weights sqrt(g) * dtheta of the time-zero measure."""
+        return self.sqrt_g[0] * self.grid.dtheta
 
     def integrals(self, values: np.ndarray) -> np.ndarray:
-        """Weighted spatial integral of (M+1, N) samples at every level."""
-        return np.einsum("ki,ki->k", self.weights, values)
+        """Weighted spatial integral of (M+1, N) samples at every level, the
+        weights formed one block of levels at a time."""
+        out = np.empty(self.grid.n_steps + 1)
+        for rows in _level_blocks(self.grid):
+            out[rows] = np.einsum("ki,ki->k", self.sqrt_g[rows] * self.grid.dtheta, values[rows])
+        return out
 
     def time_integral(self, per_level: np.ndarray) -> float:
         """Trapezoid rule in time over (M+1,) values, one per level."""
@@ -158,22 +180,23 @@ class SpaceTimeGeometry:
 
 def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTimeGeometry:
     """Evaluate the scalar metric at every time level: one reference frame,
-    then one chart jet per block of levels.  The arrays equal the matching
-    `assemble_metric` fields; the dilation rate is the scalar form of the trace.
+    then one chart jet per block of levels, written straight into the rows
+    it fills.  The rows equal the matching `assemble_metric` fields; the
+    dilation rate is the scalar form of the trace, of which only the
+    minimum is kept.
     """
     theta = grid.nodes
     g_ref = build_frame(surface, grid, 0.0).speed ** 2
-    g = np.empty((grid.n_steps + 1, grid.n_nodes))
-    g_t = np.empty_like(g)
-    rows = max(1, _BLOCK_POINTS // grid.n_nodes)
-    for k in range(0, grid.n_steps + 1, rows):
-        times = grid.times[k : k + rows, None]
+    sqrt_g = np.empty((grid.n_steps + 1, grid.n_nodes))
+    c_half = np.empty_like(sqrt_g)
+    min_rate = np.inf
+    for rows in _level_blocks(grid):
+        times = grid.times[rows, None]
         _, xd, _, _, xtd = surface.jet(theta, times)
-        g[k : k + rows], g_t[k : k + rows], _ = _local_metric(xd, xtd, g_ref, times, k)
-    sqrt_g, weights, c_half = _scalar_metric(g, grid.dtheta)
-    return SpaceTimeGeometry(
-        grid=grid, sqrt_g=sqrt_g, weights=weights, trace_rate=0.5 * g_t / g, c_half=c_half
-    )
+        g, g_t, _ = _local_metric(xd, xtd, g_ref, times, rows.start)
+        sqrt_g[rows], c_half[rows] = _scalar_metric(g)
+        min_rate = min(min_rate, float(np.min(0.5 * g_t / g)))
+    return SpaceTimeGeometry(grid=grid, sqrt_g=sqrt_g, c_half=c_half, min_dilation_rate=min_rate)
 
 
 def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarray:
@@ -207,7 +230,7 @@ def trace_identity(metric: MetricSample, frame: GeometryFrame) -> tuple[np.ndarr
 
 def mean_and_mass(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Weighted mean and mass of nodal values under a row of (N,) measure
-    weights, such as `metric.weights` or `prop.geometry.weights[k]`."""
+    weights, such as `metric.weights` or `prop.geometry.weights0`."""
     values = _require_shape(values, weights.shape, "field")
     if np.any(weights <= 0.0):
         raise DegenerateMetricError("non-positive quadrature weight")

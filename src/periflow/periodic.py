@@ -10,7 +10,7 @@ nothing else; ``contraction_estimate`` reads the zero-order lower bound
 that the stepper keeps as ``prop.rate_floor`` and returns the measured
 ratios with the decay bound that floor implies, judging nothing: the
 caller's checks compare the two.  States are ``(N,)`` arrays
-and the time-zero measure is the row ``prop.geometry.weights[0]``; a solve
+and the time-zero measure is the row ``prop.geometry.weights0``; a solve
 returns its trajectory as an ``(M+1, N)`` array on the levels of
 ``prop.grid.times``.  Two independent instruments compute the fixed point:
 
@@ -109,7 +109,7 @@ def fixed_point_solve(
     `max_iter` >= 1.
     """
     _check_iteration(tol, max_iter)
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
     c = target_mean
 
     if start is None:
@@ -177,7 +177,7 @@ def contraction_estimate(prop: Propagator, seed: int) -> ContractionEstimate:
     Nothing is raised: the caller compares `end_map_ratio` with `bound`.
     """
     grid = prop.grid
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
 
     pair_ratios: list[tuple[float, float]] = []
     worst = 0.0
@@ -259,7 +259,7 @@ def monodromy_solve(
     from scipy.sparse.linalg import LinearOperator, gmres
 
     n = prop.grid.n_nodes
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
 
     def reset_map(x: np.ndarray) -> np.ndarray:
         end = prop.run(np.ravel(x), include_forcing=False, keep_trajectory=False)

@@ -65,7 +65,7 @@ def dense_monodromy(prop: Propagator, target_mean: float = 0.0) -> tuple[np.ndar
     fixed-point system and its smallest singular value.  Returns
     (trajectory, sigma_min)."""
     n = prop.grid.n_nodes
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
     matrix = linear_part(prop)
     offset = prop.run(np.zeros(n), keep_trajectory=False)
     adjusted = matrix - np.outer(np.ones(n), weights0 @ matrix) / np.sum(weights0)

@@ -34,6 +34,7 @@ from periflow.metric import (
     _flux_form_apply,
     _local_metric,
     assemble_metric,
+    space_time_geometry,
 )
 from periflow.narrowband import (
     _HALO_CELLS,
@@ -217,7 +218,18 @@ def adjoint_solve(
     return traj[::-1]
 
 
-def duality_check(geometry: SpaceTimeGeometry, u: np.ndarray, phi: np.ndarray) -> float:
+def dilation_rate(surface: SurfaceFamily, grid: ParameterGrid) -> np.ndarray:
+    """(M+1, N) metric dilation rate (1/2) g_t / g at every node and level,
+    from the chart jet; the geometry keeps only its minimum."""
+    g_ref = build_frame(surface, grid, 0.0).speed ** 2
+    times = grid.times[:, None]
+    _, xd, _, _, xtd = surface.jet(grid.nodes, times)
+    g, g_t, _ = _local_metric(xd, xtd, g_ref, times, 0)
+    return 0.5 * g_t / g
+
+
+def duality_check(surface: SurfaceFamily, grid: ParameterGrid, u: np.ndarray,
+                  phi: np.ndarray) -> float:
     """Residual of the discrete space-time integration-by-parts chain.
 
     Evaluates ``|II(L u, phi) - II(u, diffusion(phi) + phi_t) + boundary|``
@@ -226,10 +238,13 @@ def duality_check(geometry: SpaceTimeGeometry, u: np.ndarray, phi: np.ndarray) -
     difference of the weighted end products.  Decays at the scheme order
     when u and phi come from the solvers.
     """
-    uu = _require_shape(u, geometry.weights.shape, "u")
-    pp = _require_shape(phi, geometry.weights.shape, "phi")
-    dt = geometry.grid.dt
-    lu = laplace_beltrami(geometry, uu) - geometry.trace_rate * uu - _time_derivative(uu, dt)
+    shape = (grid.n_steps + 1, grid.n_nodes)
+    uu = _require_shape(u, shape, "u")
+    pp = _require_shape(phi, shape, "phi")
+    geometry = space_time_geometry(surface, grid)
+    dt = grid.dt
+    rate = dilation_rate(surface, grid)
+    lu = laplace_beltrami(geometry, uu) - rate * uu - _time_derivative(uu, dt)
     lstar_phi = laplace_beltrami(geometry, pp) + _time_derivative(pp, dt)
     i_forward = space_time_integral(geometry, lu * pp)
     i_adjoint = space_time_integral(geometry, uu * lstar_phi)

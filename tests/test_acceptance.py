@@ -130,7 +130,7 @@ def test_criterion_4_contraction():
         zero_order="constant", coefficient=1.0,
     )
     prop = Propagator(
-        circle(), config, lambda th, t: np.cos(th) * (math.sin(2.0 * math.pi * t) + 0.4)
+        circle(), config, lambda th, t: np.cos(th) * (np.sin(2.0 * math.pi * t) + 0.4)
     )
     est = contraction_estimate(prop, seed=0)
     eps = 0.5 * (math.log(2.0) + 1.0)
@@ -156,9 +156,9 @@ def test_criterion_4_contraction():
 
 def _conservative_forced_propagator(n=256, m=512):
     config = IVPConfig(n_nodes=n, n_steps=m, scheme="crank_nicolson", zero_order="divergence")
-    forcing = lambda th, t: np.cos(th) * math.sin(2.0 * math.pi * t) + 0.5 * np.sin(
+    forcing = lambda th, t: np.cos(th) * np.sin(2.0 * math.pi * t) + 0.5 * np.sin(
         th
-    ) * math.cos(4.0 * math.pi * t)
+    ) * np.cos(4.0 * math.pi * t)
     return Propagator(breathing_circle(), config, forcing)
 
 
@@ -167,8 +167,8 @@ def test_criterion_5_conservative_periodic_scenario():
     compat = compatibility_check(prop)
     ok = report("criterion-5 compatibility", abs(compat) <= 1e-12, f"integral={compat:.3e}")
     traj, solve_report = monodromy_solve(prop, target_mean=1.0)
-    res = periodicity_residuals(traj, prop.geometry.weights[0])
-    mean0, _ = mean_and_mass(prop.geometry.weights[0], traj[0])
+    res = periodicity_residuals(traj, prop.geometry.weights0)
+    mean0, _ = mean_and_mass(prop.geometry.weights0, traj[0])
     ok &= report("criterion-5 strict-residual", res.strict <= 1e-8, f"residual={res.strict:.3e}")
     ok &= report("criterion-5 initial-mean", abs(mean0 - 1.0) <= 1e-12, f"|mean-1|={abs(mean0 - 1.0):.3e}")
     ok &= report(
@@ -210,7 +210,7 @@ def test_criterion_7_relaxed_periodicity_ledger():
     )
     prop = Propagator(breathing_circle(), config)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
     res = periodicity_residuals(traj, weights0)
     mean_drift = mean_and_mass(weights0, traj[-1])[0] - mean_and_mass(weights0, traj[0])[0]
     expected = 1.0 * (math.exp(-0.5 * 1.0) - 1.0)

@@ -201,7 +201,7 @@ def test_mass_ledger_zero_everything():
 def test_compatibility_check_values():
     config = IVPConfig(n_nodes=64, n_steps=32, scheme="crank_nicolson", zero_order="zero")
     assert compatibility_check(Propagator(circle(), config)) == 0.0
-    harmonic = lambda th, t: np.cos(th) * (1.0 + math.sin(2.0 * math.pi * t))
+    harmonic = lambda th, t: np.cos(th) * (1.0 + np.sin(2.0 * math.pi * t))
     assert abs(compatibility_check(Propagator(circle(), config, harmonic))) <= 1e-13
     const = lambda th, t: np.ones_like(th)
     assert abs(compatibility_check(Propagator(circle(), config, const)) - 2.0 * math.pi) <= 1e-10
@@ -217,9 +217,9 @@ def test_compatibility_of_time_derivative_forcing():
     def forcing(th, t):
         # measure-corrected: divide by the density so the spatial integral
         # is proportional to the plain profile derivative
-        r = 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
-        rate = 2.0 * math.pi * (math.cos(2.0 * math.pi * t) - 0.6 * math.sin(4.0 * math.pi * t))
-        return np.full_like(th, rate / r)
+        r = 1.0 + 0.25 * np.sin(2.0 * math.pi * t)
+        rate = 2.0 * math.pi * (np.cos(2.0 * math.pi * t) - 0.6 * np.sin(4.0 * math.pi * t))
+        return rate / r + 0.0 * th
 
     value = compatibility_check(Propagator(surface, config, forcing))
     assert abs(value) <= 1e-12

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from periflow import (
     Propagator,
     StepError,
     assemble_metric,
+    bean,
     breathing_circle,
     build_frame,
     circle,
@@ -23,9 +26,9 @@ from periflow import (
     lift_field,
     mass_ledger,
     mean_and_mass,
-    space_time_geometry,
     tangential_gradient,
 )
+from periflow.expressions import compile_expression
 
 
 def make_grid(n, m, period=1.0):
@@ -52,29 +55,29 @@ SHAPE_MISMATCHES = {
     ),
     "forcing_closure_rank": (
         lambda p: Propagator(CIRCLE, p.config, lambda th, t: np.zeros((2, th.size))),
-        r"forcing of shape \(2, 16\) does not match \(16,\)",
+        r"forcing of shape \(2, 16\) does not match \(9, 16\)",
     ),
     "forcing_closure_length": (
         lambda p: Propagator(CIRCLE, p.config, lambda th, t: np.zeros(th.size + 1)),
-        r"forcing of shape \(17,\) does not match \(16,\)",
+        r"forcing of shape \(17,\) does not match \(9, 16\)",
     ),
     "mass_ledger": (
         lambda p: mass_ledger(np.zeros((8, 16)), p),
         r"trajectory of shape \(8, 16\) does not match \(9, 16\)",
     ),
     "duality_check": (
-        lambda p: duality_check(p.geometry, np.zeros((9, 16)), np.zeros((9, 15))),
+        lambda p: duality_check(CIRCLE, p.grid, np.zeros((9, 16)), np.zeros((9, 15))),
         r"phi of shape \(9, 15\) does not match \(9, 16\)",
     ),
     "u0_rank": (lambda p: p.run(np.ones((16, 2))), r"shape \(16, 2\) does not match"),
     # a square batch would broadcast the diagonals along the wrong axis
     "step_rank": (lambda p: p.run(np.eye(16)), r"state of shape \(16, 16\) does not match"),
     "mean_and_mass": (
-        lambda p: mean_and_mass(p.geometry.weights[0], np.ones(15)),
+        lambda p: mean_and_mass(p.geometry.weights0, np.ones(15)),
         r"field of shape \(15,\) does not match \(16,\)",
     ),
     "mean_and_mass_batch": (
-        lambda p: mean_and_mass(p.geometry.weights[0], np.ones((16, 2))),
+        lambda p: mean_and_mass(p.geometry.weights0, np.ones((16, 2))),
         r"field of shape \(16, 2\) does not match \(16,\)",
     ),
     # a square batch would be differenced along the wrong axis
@@ -125,6 +128,67 @@ def test_singular_step_matrix_raises_where_factorized(family, scheme, theta, n, 
     with pytest.raises(StepError, match="step matrix is singular") as info:
         Propagator(FAMILIES[family](), config)
     assert info.value.level == 1
+
+
+def test_forcing_closure_is_called_once_with_the_column_of_times():
+    calls = []
+
+    def forcing(theta, t):
+        calls.append((theta.shape, t.shape))
+        return np.cos(theta) * np.sin(2.0 * math.pi * t)
+
+    prop = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", "divergence"), forcing)
+    prop.run(np.ones(16))
+    assert calls == [((16,), (9, 1))]
+
+
+@pytest.mark.parametrize("zero_order", ["zero", "divergence"])
+def test_array_forcing_is_read_and_never_written(zero_order):
+    forcing = np.random.default_rng(5).uniform(-1.0, 1.0, (9, 16))
+    before = forcing.copy()
+    prop = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", zero_order), forcing)
+    prop.run(np.ones(16))
+    prop.run(np.ones(16), keep_trajectory=False)
+    assert np.array_equal(forcing, before)
+
+
+@pytest.mark.parametrize("shape", [(17,), (2, 16), (9, 15), (10, 1), (9, 16, 1)], ids=str)
+def test_forcing_closure_of_a_wrong_shape_names_both_shapes(shape):
+    config = IVPConfig(16, 8, "crank_nicolson", "zero")
+    with pytest.raises(GridMismatchError) as info:
+        Propagator(CIRCLE, config, lambda theta, t: np.zeros(shape))
+    assert str(info.value) == f"forcing of shape {shape} does not match (9, 16)"
+
+
+@pytest.mark.parametrize("result", [lambda th, t: 2.0, lambda th, t: np.cos(th),
+                                    lambda th, t: np.sin(t), lambda th, t: np.cos(th) * t])
+def test_forcing_closure_result_broadcasts_to_every_level(result):
+    grid = make_grid(16, 8)
+    prop = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", "zero"), result)
+    per_level = [np.broadcast_to(result(grid.nodes, t), (16,)) for t in grid.times]
+    expected = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", "zero"), np.stack(per_level))
+    assert np.array_equal(prop.forcing_integrals, expected.forcing_integrals)
+
+
+def test_propagator_memory_budget():
+    # held: the geometry's sqrt_g and c_half (8 bytes each per node and level),
+    # the LDL^T factors d, e and z of every step matrix (24) and the forcing
+    # load (8), so 48 bytes and a little per-level overhead; construction adds
+    # the forcing samples and one block of levels of temporaries
+    n, m = 512, 256
+    surface = bean()
+    config = IVPConfig(n, m, "crank_nicolson", "divergence")
+    forcing = compile_expression("1.5*cos(2*theta+0.3)*sin(2*pi*t/T)", surface.period)
+    Propagator(surface, config, forcing)  # first-call allocations of numpy and scipy
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prop = Propagator(surface, config, forcing)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = prop.grid.n_nodes * (prop.grid.n_steps + 1)
+    assert held / cells <= 52.0 and peak / cells <= 72.0
 
 
 def test_constants_preserved_without_forcing():
@@ -183,9 +247,9 @@ def test_manufactured_solution_orders():
 
     def forcing(theta, t):
         # diffusion of sin is -sin on the unit circle; no zero-order term
-        return -np.sin(theta) * math.cos(2.0 * math.pi * t) + 2.0 * math.pi * np.sin(
+        return -np.sin(theta) * np.cos(2.0 * math.pi * t) + 2.0 * math.pi * np.sin(
             theta
-        ) * math.sin(2.0 * math.pi * t)
+        ) * np.sin(2.0 * math.pi * t)
 
     def run(scheme, n, m):
         grid = make_grid(n, m)
@@ -206,7 +270,7 @@ def test_end_map_affinity_and_forcing_independence():
     grid = make_grid(64, 32)
     config = IVPConfig(n_nodes=64, n_steps=32, scheme="crank_nicolson", zero_order="divergence")
     surf = breathing_circle()
-    forcing = lambda th, t: np.cos(th) * math.sin(2.0 * math.pi * t)
+    forcing = lambda th, t: np.cos(th) * np.sin(2.0 * math.pi * t)
     rng = np.random.default_rng(4)
     a, b = fourier_noise(grid.nodes, rng), fourier_noise(grid.nodes, rng)
     alpha = 0.3
@@ -216,7 +280,7 @@ def test_end_map_affinity_and_forcing_independence():
     jc = forced.run(alpha * a + (1 - alpha) * b, keep_trajectory=False)
     assert np.max(np.abs(jc - (alpha * ja + (1 - alpha) * jb))) <= 1e-12
 
-    other = Propagator(surf, config, lambda th, t: np.sin(th) * math.cos(4.0 * math.pi * t))
+    other = Propagator(surf, config, lambda th, t: np.sin(th) * np.cos(4.0 * math.pi * t))
     diff1 = forced.run(a + b, keep_trajectory=False) - jb
     diff2 = other.run(a + b, keep_trajectory=False) - other.run(b, keep_trajectory=False)
     assert np.max(np.abs(diff1 - diff2)) <= 1e-12
@@ -250,7 +314,7 @@ def test_duality_residual_vanishes_for_zero_field():
     grid = make_grid(64, 16)
     config = IVPConfig(n_nodes=64, n_steps=16, scheme="crank_nicolson", zero_order="zero")
     zero = Propagator(breathing_circle(), config).run(np.zeros(64))
-    assert duality_check(space_time_geometry(breathing_circle(), grid), zero, zero) == 0.0
+    assert duality_check(breathing_circle(), grid, zero, zero) == 0.0
 
 
 @pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
@@ -263,7 +327,7 @@ def test_duality_residual_second_order(scheme):
         config = IVPConfig(n_nodes=64, n_steps=m, scheme=scheme, zero_order="divergence")
         u = Propagator(surf, config).run(u0)
         phi = adjoint_solve(surf, config, u)
-        res.append(duality_check(space_time_geometry(surf, grid), u, phi))
+        res.append(duality_check(surf, grid, u, phi))
     # the quadrature identity converges at second order for both schemes,
     # within the first-order bound expected of backward Euler
     assert abs(mean_order(res) - 2.0) <= 0.4
@@ -272,7 +336,7 @@ def test_duality_residual_second_order(scheme):
 def test_mass_law_per_step_divergence_mode():
     surf = breathing_circle()
     grid = make_grid(128, 64)
-    forcing = lambda th, t: np.cos(th) * (1.0 + math.sin(2.0 * math.pi * t))
+    forcing = lambda th, t: np.cos(th) * (1.0 + np.sin(2.0 * math.pi * t))
     for scheme in ("backward_euler", "crank_nicolson"):
         config = IVPConfig(n_nodes=128, n_steps=64, scheme=scheme, zero_order="divergence")
         traj = Propagator(surf, config, forcing).run(1.0 + 0.5 * np.cos(grid.nodes))

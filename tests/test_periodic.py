@@ -43,7 +43,7 @@ def breathing_propagator(forcing=None, n=128, m=128, scheme="crank_nicolson"):
 
 
 def harmonic_forcing(theta, t):
-    return np.cos(theta) * math.sin(2.0 * math.pi * t) + 0.5 * np.sin(theta) * math.cos(
+    return np.cos(theta) * np.sin(2.0 * math.pi * t) + 0.5 * np.sin(theta) * np.cos(
         4.0 * math.pi * t
     )
 
@@ -69,7 +69,7 @@ def test_fixed_point_zero_forcing_converges_immediately():
 
 def test_fixed_point_reaches_tolerance_quickly():
     prop = constant_rate_propagator(
-        c0=1.0, forcing=lambda th, t: np.cos(th) * (math.sin(2 * math.pi * t) + 0.4)
+        c0=1.0, forcing=lambda th, t: np.cos(th) * (np.sin(2 * math.pi * t) + 0.4)
     )
     report = fixed_point_solve(prop, target_mean=0.0, tol=1e-10, max_iter=40)
     assert report.converged
@@ -215,7 +215,7 @@ def test_monodromy_zero_forcing_closed_form():
 def test_monodromy_mean_constraint_and_periodicity():
     prop = breathing_propagator(forcing=harmonic_forcing, n=64, m=64)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
     mean0, _ = mean_and_mass(weights0, traj[0])
     assert abs(mean0 - 1.0) <= 1e-12
     res = periodicity_residuals(traj, weights0)
@@ -269,7 +269,7 @@ def test_krylov_solve_stopped_above_tolerance_raises(monkeypatch):
 def test_periodicity_residuals_constant_trajectory():
     prop = breathing_propagator(forcing=None, n=64, m=64)
     traj, _ = monodromy_solve(prop, target_mean=0.0)
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
     res = periodicity_residuals(traj, weights0)
     mean_drift = mean_and_mass(weights0, traj[-1])[0] - mean_and_mass(weights0, traj[0])[0]
     assert res.relaxed <= 1e-13 and res.strict <= 1e-13 and abs(mean_drift) <= 1e-13
@@ -282,7 +282,7 @@ def test_fixed_point_conservative_closed_form():
     r = lambda t: 1.0 + 0.25 * math.sin(2.0 * math.pi * t)
     expected = np.stack([np.full(64, r(0.0) / r(t)) for t in prop.grid.times])
     assert np.max(np.abs(report.trajectory - expected)) <= 1e-6
-    res = periodicity_residuals(report.trajectory, prop.geometry.weights[0])
+    res = periodicity_residuals(report.trajectory, prop.geometry.weights0)
     assert res.strict <= 1e-10  # zero forcing satisfies the compatibility integral
 
 
@@ -305,7 +305,7 @@ def test_exponential_decay_scenario_mean_drift():
     )
     prop = Propagator(breathing_circle(), config)
     traj, _ = monodromy_solve(prop, target_mean=1.0)
-    weights0 = prop.geometry.weights[0]
+    weights0 = prop.geometry.weights0
     res = periodicity_residuals(traj, weights0)
     mean_drift = mean_and_mass(weights0, traj[-1])[0] - mean_and_mass(weights0, traj[0])[0]
     expected = math.exp(-0.5) - 1.0
@@ -342,7 +342,7 @@ def manufactured_solves(family, zero_order, scheme, steps_per_node, k, phi, a):
         exact, forcing = manufactured_problem(surface, config.grid(surface.period), zero_order,
                                               k, phi, a)
         prop = Propagator(surface, config, forcing)
-        target_mean, _ = mean_and_mass(prop.geometry.weights[0], exact[0])
+        target_mean, _ = mean_and_mass(prop.geometry.weights0, exact[0])
         traj, _ = monodromy_solve(prop, target_mean)
         yield prop, exact, target_mean, traj
 

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import full_rectangle_band, laplace_beltrami, time_reversed
+from oracles import dilation_rate, full_rectangle_band, laplace_beltrami, time_reversed
 from periflow import (
     FAMILIES,
     IVPConfig,
@@ -40,7 +40,8 @@ from periflow import (
     mean_and_mass,
     space_time_geometry,
 )
-from periflow.evolution import _CyclicFactor
+from periflow.evolution import _CyclicFactor, _sample_levels
+from periflow.expressions import compile_expression
 from periflow.narrowband import _stencil_interior
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -64,13 +65,16 @@ def test_geometry_matches_assembled_metric(family, n, m):
     grid = ParameterGrid(n, m, 1.0)
     surface = FAMILIES[family]()
     geometry = space_time_geometry(surface, grid)
+    rate = dilation_rate(surface, grid)
+    assert geometry.min_dilation_rate == float(np.min(rate))
+    assert np.array_equal(geometry.weights0, assemble_metric(surface, grid, 0.0).weights)
     for k, t in enumerate(grid.times):
         metric = assemble_metric(surface, grid, t)
         assert np.array_equal(geometry.sqrt_g[k], metric.sqrt_g)
-        assert np.array_equal(geometry.weights[k], metric.weights)
+        assert np.array_equal(geometry.sqrt_g[k] * grid.dtheta, metric.weights)
         assert np.array_equal(geometry.c_half[k], metric.c_half)
         # scalar (1/2) g_t / g against the Cartesian trace: equal up to round-off
-        np.testing.assert_allclose(geometry.trace_rate[k], metric.trace_rate, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rate[k], metric.trace_rate, rtol=0, atol=1e-13)
 
 
 @PROPERTY
@@ -200,7 +204,7 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     c = np.full((m + 1, n), config.coefficient if reads_coefficient else 0.0)
     floor = float(np.min(c))
     if zero_order.startswith("divergence"):
-        floor += float(np.min(prop.geometry.trace_rate))
+        floor += float(np.min(dilation_rate(surface, grid)))
     assert prop.rate_floor == floor
 
     traj = prop.run(nodal_field(data, n))
@@ -211,15 +215,14 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("zero_order", ZERO_ORDERS)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_carried_right_side_holds_over_a_long_period(family, zero_order):
-    # the properties above carry the right side of each solve over at most 32
-    # steps; after 2047 the last step still matches the sparse reference step
-    n, m = 256, 2048
+def long_period_last_step(family, zero_order, m, scheme):
+    """The last step of a period of `m` steps (N = 256, random forcing and
+    start) against the sparse reference step, and the defects of its mass
+    ledger in the divergence mode."""
+    n = 256
     rng = np.random.default_rng(0)
     grid = ParameterGrid(n, m, 1.0)
-    config = IVPConfig(n, m, "crank_nicolson", zero_order, coefficient=0.8)
+    config = IVPConfig(n, m, scheme, zero_order, coefficient=0.8)
     forcing = rng.uniform(-1.0, 1.0, (m + 1, n))
     surface = FAMILIES[family]()
     prop = Propagator(surface, config, forcing)
@@ -229,6 +232,42 @@ def test_carried_right_side_holds_over_a_long_period(family, zero_order):
     if zero_order == "divergence":
         ledger = mass_ledger(traj, prop)
         assert np.max(np.abs(ledger.defects)) <= 1e-12 * np.max(np.abs(ledger.masses))
+
+
+@pytest.mark.parametrize("zero_order", ZERO_ORDERS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_carried_right_side_holds_over_a_long_period(family, zero_order):
+    # the properties above carry the right side of each solve over at most 32
+    # steps; after 2047 the last step still matches the sparse reference step
+    long_period_last_step(family, zero_order, 2048, "crank_nicolson")
+
+
+@pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
+@pytest.mark.parametrize("zero_order", ZERO_ORDERS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_carried_right_side_holds_where_theta_dt_is_inexact(family, zero_order, scheme):
+    # at M = 1000 neither dt nor theta dt is a power of two, so the rate
+    # 1/(theta dt) and every carried right side are rounded; after 999 steps
+    # the last step still matches the sparse reference step
+    long_period_last_step(family, zero_order, 1000, scheme)
+
+
+SAMPLED_EXPRESSIONS = st.one_of(
+    st.builds("{}*cos({}*theta+{})*sin(2*pi*t/T)".format, st.floats(0.5, 2.0),
+              st.integers(1, 4), st.floats(0.0, 2.0 * math.pi)),
+    st.sampled_from(["2.0", "t", "exp(-t)*cos(theta)", "theta**2"]),
+)
+
+
+@PROPERTY
+@given(source=SAMPLED_EXPRESSIONS, n=NODES, m=st.integers(4, 64), period=st.floats(0.5, 4.0))
+def test_one_call_forcing_samples_equal_a_per_level_loop(source, n, m, period):
+    # the stepper calls a closure once with the (M+1, 1) column of times; each
+    # row equals the closure's value at that level alone, bit for bit
+    grid = ParameterGrid(n, m, period)
+    fn = compile_expression(source, period)
+    per_level = np.stack([fn(grid.nodes, t) + np.zeros(n) for t in grid.times])
+    assert np.array_equal(_sample_levels(fn, grid), per_level)
 
 
 @PROPERTY
