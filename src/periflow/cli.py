@@ -43,6 +43,7 @@ from .metric import (
     trace_identity,
 )
 from .narrowband import (
+    _check_band_sizes,
     band_average_extract,
     band_field_csv,
     build_band,
@@ -55,6 +56,7 @@ from .narrowband import (
 from .periodic import (
     FixedPointReport,
     _check_iteration,
+    _decay_rate,
     contraction_estimate,
     fixed_point_solve,
     monodromy_solve,
@@ -210,27 +212,21 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    try:  # the library owns the discretization, surface and iteration checks
+    try:  # the library owns the discretization, surface, iteration, band and decay checks
+        # and raises ValueError; the key and seed checks keep their place between them
         cfg.build_surface()
         cfg.build_ivp_config()
         _check_iteration(cfg.tol, cfg.max_iter)
+        for key, (name, setting, readers) in _CONDITIONAL_KEYS.items():
+            value = getattr(cfg, setting)
+            if getattr(cfg, name) is not None and value not in readers:
+                raise ConfigError(f"{key} is not read by {setting} = {value}")
+        _require_seed(cfg.seed)
+        _check_band_sizes(cfg.band_h, cfg.band_delta)
+        if cfg.scenario == "contraction":  # its preset mode `constant` has the floor c0
+            _decay_rate(cfg.c0 or 0.0, cfg.period)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key, (name, setting, readers) in _CONDITIONAL_KEYS.items():
-        value = getattr(cfg, setting)
-        if getattr(cfg, name) is not None and value not in readers:
-            raise ConfigError(f"{key} is not read by {setting} = {value}")
-    _require_seed(cfg.seed)
-    if cfg.band_h <= 0.0 or cfg.band_delta <= 0.0:
-        raise ConfigError("band_h and band_delta must be positive")
-    if cfg.scenario == "contraction":
-        c0 = cfg.c0 if cfg.c0 is not None else 0.0
-        threshold = math.log(2.0) / cfg.period
-        if c0 <= threshold:
-            raise ConfigError(
-                f"c0 must exceed ln2/T ≈ {threshold:.4f} for the contraction "
-                f"scenario (got c0 = {c0})"
-            )
     cfg.forcing()  # compiles the expression
     if cfg.u0_expr is not None:
         compile_expression(cfg.u0_expr, cfg.period)
@@ -374,10 +370,10 @@ def _scenario_contraction(cfg: ExperimentConfig, out: Path, manifest: RunManifes
     prop = cfg.propagator()
     est = contraction_estimate(prop, seed=cfg.seed)
     manifest.check("end_map_ratio_bound", est.end_map_ratio, est.bound or math.inf)
-    j_ratios, k_ratios = np.array(est.pair_ratios, dtype=float).reshape(-1, 2).T
     header = ["probe", "end_map_ratio", "adjusted_ratio"]
     digest = write_csv(out / "contraction_ledger.csv", header,
-                       [np.arange(j_ratios.size), j_ratios, k_ratios])
+                       [np.arange(len(est.end_map_ratios)), est.end_map_ratios,
+                        est.adjusted_ratios])
     manifest.outputs.append(("contraction_ledger.csv", digest))
     manifest.check("adjusted_ratio_below_one", est.adjusted_ratio, 1.0,
                    passed=est.adjusted_ratio < 1.0)
@@ -468,7 +464,7 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     grid = ParameterGrid(min(cfg.n_nodes, 64), min(cfg.n_steps, 32), cfg.period)
     theta = grid.nodes
     values = np.stack([np.cos(theta) * math.exp(-t) for t in grid.times])
-    estimates = [holder_estimate(values, grid.times, surface, alpha) for alpha in (0.5, 1.0)]
+    estimates = [holder_estimate(values, grid, surface, alpha) for alpha in (0.5, 1.0)]
     rows = [(str(est.alpha), est.sup_norm, est.holder_coefficient, est.time_holder,
              est.norm_alpha, est.norm_1_alpha, est.norm_2_alpha) for est in estimates]
     # alpha goes through as text so that it prints as 1.0, not 1

@@ -1,10 +1,12 @@
 """Quantitative instruments: Hölder norm estimators and conservation ledgers.
 
-The Hölder quantities are finite-pair suprema over grid points, hence lower
-bounds of the continuum norms; every asserted property uses only directions
-valid for lower bounds.  Spatial separation is measured by chart arc length
-(an upper bound of the chord, biasing the quotients down), time separation
-by the square-root parabolic scale.
+The Hölder quantities are finite-pair suprema over the points of the run's
+space-time grid, an ``(M+1, N)`` array of values on a ``ParameterGrid``,
+hence lower bounds of the continuum norms; every asserted property uses
+only directions valid for lower bounds.  Spatial separation is measured by
+chart arc length (an upper bound of the chord, biasing the quotients down),
+time separation by the square-root parabolic scale.  The ledgers read a
+trajectory with the ``Propagator`` that computed it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .evolution import Propagator
 from .fields import ParameterGrid, _require_shape
 from .surfaces import (
@@ -81,9 +82,7 @@ def _holder_sups(
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time differencing of a (M+1, N) trajectory (zero below three levels)."""
-    if values.shape[0] < 3:
-        return np.zeros_like(values)
+    """Second-order time differencing of a (M+1, N) trajectory, M >= 4."""
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
@@ -91,29 +90,22 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamily,
+def holder_estimate(values: np.ndarray, grid: ParameterGrid, surface: SurfaceFamily,
                     alpha: float) -> HolderEstimate:
-    """Parabolic Hölder norms of (L, N) nodal `values` at the (L,) uniform
-    `times` (steps equal to 1e-9 relative, or GridMismatchError).
+    """Parabolic Hölder norms of the (M+1, N) nodal `values` on the levels
+    and nodes of `grid`, the run's space-time grid.
 
     The suprema are exact over every pair of grid points, hence lower bounds
     of the continuum norms; one sweep per quantity (the values, their
-    gradient, the Hessian and f_t) costs O(L^2 N^2) (see `_holder_sups`).
-    Single-slice fields are supported (the time seminorms vanish).  The
+    gradient, the Hessian and f_t) costs O(M^2 N^2) (see `_holder_sups`).
+    A time-constant field gives the single slice's spatial sups exactly: a
+    pair across levels has the same difference at a greater distance.  The
     gradient-bearing norms discretize the tangential derivatives first.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    values, times = np.asarray(values, dtype=float), np.asarray(times, dtype=float)
-    if values.ndim != 2 or times.shape != values.shape[:1]:
-        raise GridMismatchError(f"values of shape {values.shape} at {times.shape[0]} times")
-    steps = np.diff(times)
-    uneven = np.flatnonzero(np.abs(steps - steps[:1]) > 1e-9 * np.abs(steps[:1])) + 1
-    if uneven.size:
-        raise GridMismatchError(f"times must be uniform: level {uneven[0]} follows a step of "
-                                f"{steps[uneven[0] - 1].item()}, not {steps[0].item()}")
-    n_levels, n_nodes = values.shape
-    grid = ParameterGrid(n_nodes, max(n_levels - 1, 4), max(times[-1], 1e-12))
+    n_levels, n_nodes, times = grid.n_steps + 1, grid.n_nodes, grid.times
+    values = _require_shape(values, (n_levels, n_nodes), "values")
     frame0 = build_frame(surface, grid, 0.0)
     s, length = _arc_coordinates(frame0, grid.dtheta)
 
@@ -129,12 +121,9 @@ def holder_estimate(values: np.ndarray, times: np.ndarray, surface: SurfaceFamil
     hess_h, _ = _holder_sups(hess, s, length, times, alpha)
     hess_sup = float(np.max(np.abs(hess)))
 
-    if n_levels > 1:
-        f_t = _time_derivative(values, float(steps[0]))
-        ft_sup = float(np.max(np.abs(f_t)))
-        ft_h, _ = _holder_sups(f_t, s, length, times, alpha)
-    else:
-        ft_sup = ft_h = 0.0
+    f_t = _time_derivative(values, grid.dt)
+    ft_sup = float(np.max(np.abs(f_t)))
+    ft_h, _ = _holder_sups(f_t, s, length, times, alpha)
 
     return HolderEstimate(
         alpha=alpha,

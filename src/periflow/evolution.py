@@ -26,14 +26,15 @@ zero-order term (see ``Propagator``).
 States are ``(N,)`` arrays; a trajectory is an ``(M+1, N)`` array whose
 rows are the levels of ``prop.grid.times``, and the measure of level k is
 the ``(N,)`` weight row ``prop.geometry.sqrt_g[k] * prop.grid.dtheta``
-(``prop.geometry.weights0`` at time zero).  The forcing is a closure or its
-``(M+1, N)`` samples on the same levels, which the stepper reads and never
-writes.  A closure is called once, as ``f(prop.grid.nodes,
-prop.grid.times[:, None])``: the times are an ``(M+1, 1)`` column, as in
-``SurfaceFamily.jet``, so it must compute with numpy (``np.sin(t)``, not
-``math.sin(t)``).  Its result is broadcast to ``(M+1, N)``: a scalar, an
-``(N,)`` row or an ``(M+1, 1)`` column will do, and a shape that does not
-broadcast raises ``GridMismatchError``.
+(``prop.geometry.weights0`` at time zero).  The forcing is a closure or
+None.  It is called once, as ``f(prop.grid.nodes, prop.grid.times[:, None])``:
+the times are an ``(M+1, 1)`` column, as in ``SurfaceFamily.jet``, so it
+must compute with numpy (``np.sin(t)``, not ``math.sin(t)``).  Its result
+is broadcast to ``(M+1, N)``: a scalar, an ``(N,)`` row or an ``(M+1, 1)``
+column will do, and a shape that does not broadcast raises
+``GridMismatchError``.  Samples at hand are the closure ``lambda theta, t:
+samples``, whose float ``(M+1, N)`` result is read as it is and never
+written.
 
 Zero-order modes
 ----------------
@@ -58,7 +59,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import GridMismatchError, StepError
+from .errors import StepError
 from .fields import ParameterGrid, _require_shape
 from .metric import _flux_form_apply, _level_blocks, space_time_geometry
 from .surfaces import SurfaceFamily
@@ -68,7 +69,7 @@ _THETA = {"backward_euler": 1.0, "crank_nicolson": 0.5}
 _SINGULAR_TOL = 1e-12
 _ZERO_ORDER_MODES = ("zero", "constant", "divergence", "divergence_plus_constant")
 
-Forcing = Callable[[np.ndarray, np.ndarray], np.ndarray] | np.ndarray | None
+Forcing = Callable[[np.ndarray, np.ndarray], np.ndarray] | None
 
 
 @dataclass(frozen=True)
@@ -108,31 +109,20 @@ def _require_finite(samples: np.ndarray, quantity: str) -> np.ndarray:
     return samples
 
 
-def _forcing_samples(forcing: Forcing, grid: ParameterGrid) -> np.ndarray | None:
-    """(M+1, N) forcing samples, read but never written: an array forcing as
-    passed, a closure's from its one call."""
-    if forcing is None:
-        return None
-    if callable(forcing):
-        return _sample_levels(forcing, grid)
-    samples = _require_shape(forcing, (grid.n_steps + 1, grid.n_nodes), "forcing")
-    return _require_finite(samples, "forcing")
-
-
 def _sample_levels(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    grid: ParameterGrid) -> np.ndarray:
     """(M+1, N) samples of a forcing closure from one call f(nodes, times),
-    the times an (M+1, 1) column as in `SurfaceFamily.jet`; a result that does
-    not broadcast to (M+1, N) raises GridMismatchError naming both shapes."""
+    the times an (M+1, 1) column as in `SurfaceFamily.jet`; a float result of
+    that shape is returned as it is, and one that does not broadcast to it
+    raises GridMismatchError naming both shapes."""
     shape = (grid.n_steps + 1, grid.n_nodes)
     value = np.asarray(fn(grid.nodes, grid.times[:, None]), dtype=float)
     if value.shape != shape:
         try:
             value = np.broadcast_to(value, shape).copy()
         except ValueError:
-            raise GridMismatchError(
-                f"forcing of shape {value.shape} does not match {shape}") from None
-    return _require_finite(value, "forcing")
+            pass  # `_require_shape` names both shapes
+    return _require_finite(_require_shape(value, shape, "forcing"), "forcing")
 
 
 class _CyclicFactor:
@@ -188,7 +178,7 @@ class Propagator:
         c = config.coefficient if mode in ("constant", "divergence_plus_constant") else 0.0
         divergence = mode in ("divergence", "divergence_plus_constant")
         self.rate_floor = float(c) + (geo.min_dilation_rate if divergence else 0.0)
-        samples = _forcing_samples(forcing, grid)
+        samples = None if forcing is None else _sample_levels(forcing, grid)
         self.forcing_integrals = None if samples is None else geo.integrals(samples)
         theta, dt = config.theta, grid.dt
         self._shift = 1.0 / dt + theta * c

@@ -184,15 +184,24 @@ def _require_reach(stretch: np.ndarray, message: str) -> None:
         raise BandError(message)
 
 
+def _check_band_sizes(h: float, delta: float) -> None:
+    """Raise ValueError unless the grid spacing `h` and half-width `delta` are positive."""
+    if not (h > 0.0 and delta > 0.0):
+        raise ValueError(f"h (band_h) and delta (band_delta) must be positive, "
+                         f"got h={h}, delta={delta}")
+
+
 def build_band(
     surface: SurfaceFamily, t: float, h: float, delta: float
 ) -> tuple[NarrowBandGrid, DistanceField]:
     """Construct the band grid and per-node distance geometry at time t.
 
-    Preconditions: ``delta * max|kappa| < 1/2`` (gradient factor stays
-    invertible across the band).  Nodes within ``delta + 4h`` get geometry
-    so active nodes always have full central stencils.
+    Preconditions: ``h > 0`` and ``delta > 0`` (else ValueError), and
+    ``delta * max|kappa| < 1/2`` (gradient factor stays invertible across
+    the band).  Nodes within ``delta + 4h`` get geometry so active nodes
+    always have full central stencils.
     """
+    _check_band_sizes(h, delta)
     curve = _curve_samples(surface, t)
     samples, kmax = curve[1], curve[3]
     if delta * kmax >= 0.5:

@@ -6,13 +6,15 @@ fixed point is the initial state of the relaxed-periodic solution with the
 prescribed initial mean.  The end map is one ``Propagator``, which holds the
 surface, the discretization, the forcing load and the factorized steps;
 every solve takes it and the prescribed mean (``target_mean``) and builds
-nothing else; ``contraction_estimate`` reads the zero-order lower bound
-that the stepper keeps as ``prop.rate_floor`` and returns the measured
-ratios with the decay bound that floor implies, judging nothing: the
-caller's checks compare the two.  States are ``(N,)`` arrays
-and the time-zero measure is the row ``prop.geometry.weights0``; a solve
-returns its trajectory as an ``(M+1, N)`` array on the levels of
-``prop.grid.times``.  Two independent instruments compute the fixed point:
+nothing else; ``contraction_estimate`` propagates the state differences
+of ``default_probes``, reads the zero-order lower bound that the stepper
+keeps as ``prop.rate_floor`` and returns the measured ratios with the
+decay bound that floor implies (``_decay_rate`` holds the rule: the floor
+must exceed ln(2)/T), judging nothing: the caller's checks compare the
+two.  States are ``(N,)`` arrays and the time-zero measure is the row
+``prop.geometry.weights0``; a solve returns its trajectory as an
+``(M+1, N)`` array on the levels of ``prop.grid.times``.  Two independent
+instruments compute the fixed point:
 
 * ``fixed_point_solve`` iterates the mean-reset end map from zero and
   records the measured contraction ratios;
@@ -81,7 +83,7 @@ class FixedPointReport:
 
     @property
     def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else 0.0
+        return self.residuals[-1]
 
 
 def _check_iteration(tol: float, max_iter: int) -> None:
@@ -146,28 +148,43 @@ def fixed_point_solve(
 @dataclass(frozen=True)
 class ContractionEstimate:
     """Measured Lipschitz ratios of the end map and its mean-reset composite,
-    and the decay bound of the zero-order floor."""
+    per `default_probes` difference and their maxima, and the decay bound of
+    the zero-order floor."""
 
-    end_map_ratio: float  # sup over probe pairs for the plain end map
-    adjusted_ratio: float  # same for the mean-reset composite
-    pair_ratios: list[tuple[float, float]]
+    end_map_ratio: float  # max of `end_map_ratios`
+    adjusted_ratio: float  # max of `adjusted_ratios`
+    end_map_ratios: list[float]  # |J d| / |d| per probe difference d, J the plain end map
+    adjusted_ratios: list[float]  # the same for the mean-reset composite
     # exp(-eps*T) * (1 + 3*(dt + dtheta^2)) when the floor exceeds ln(2)/T, else None
     bound: float | None
 
 
-def default_probes(grid: ParameterGrid, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _decay_rate(floor: float, period: float) -> float:
+    """The decay rate eps midway between ln(2)/T and a zero-order `floor`
+    above it; ValueError when the floor does not exceed ln(2)/T, where no
+    decay bound holds."""
+    threshold = math.log(2.0) / period
+    if not floor > threshold:
+        raise ValueError(f"the zero-order floor (c0 in mode constant) must exceed "
+                         f"ln2/T ≈ {threshold:.4f}, got {floor}")
+    return 0.5 * (threshold + floor)
+
+
+def default_probes(grid: ParameterGrid, seed: int) -> list[np.ndarray]:
+    """The four (N,) state differences the contraction ratios measure; the
+    last is the difference of two `fourier_noise` fields drawn from `seed`."""
     theta = grid.nodes
     rng = np.random.default_rng(seed)
     return [
-        (np.cos(theta), np.zeros_like(theta)),
-        (np.cos(theta), np.sin(theta)),
-        (np.ones_like(theta), np.zeros_like(theta)),
-        (fourier_noise(theta, rng), fourier_noise(theta, rng)),
+        np.cos(theta),
+        np.cos(theta) - np.sin(theta),
+        np.ones_like(theta),
+        fourier_noise(theta, rng) - fourier_noise(theta, rng),
     ]
 
 
 def contraction_estimate(prop: Propagator, seed: int) -> ContractionEstimate:
-    """Measure end-map contraction ratios over the `default_probes` pairs.
+    """Measure end-map contraction ratios over the `default_probes` differences.
 
     Differences of the affine end map are propagated homogeneously, which is
     exact and halves the work.  When the zero-order term admits a pointwise
@@ -178,28 +195,22 @@ def contraction_estimate(prop: Propagator, seed: int) -> ContractionEstimate:
     """
     grid = prop.grid
     weights0 = prop.geometry.weights0
-
-    pair_ratios: list[tuple[float, float]] = []
-    worst = 0.0
-    worst_adjusted = 0.0
-    for a, b in default_probes(grid, seed):
-        diff = a - b
+    end_map_ratios, adjusted_ratios = [], []
+    for diff in default_probes(grid, seed):
         norm = float(np.max(np.abs(diff)))
         end_diff = prop.run(diff, include_forcing=False, keep_trajectory=False)
-        j_ratio = float(np.max(np.abs(end_diff))) / norm
-        k_ratio = float(np.max(np.abs(mean_adjust(end_diff, weights0)))) / norm
-        pair_ratios.append((j_ratio, k_ratio))
-        worst = max(worst, j_ratio)
-        worst_adjusted = max(worst_adjusted, k_ratio)
-
-    period = grid.period
-    floor = prop.rate_floor
-    bound = None
-    if floor > math.log(2.0) / period:
-        eps = 0.5 * (math.log(2.0) / period + floor)
-        bound = math.exp(-eps * period) * (1.0 + 3.0 * (grid.dt + grid.dtheta**2))
-    return ContractionEstimate(end_map_ratio=worst, adjusted_ratio=worst_adjusted,
-                               pair_ratios=pair_ratios, bound=bound)
+        end_map_ratios.append(float(np.max(np.abs(end_diff))) / norm)
+        adjusted_ratios.append(float(np.max(np.abs(mean_adjust(end_diff, weights0)))) / norm)
+    try:
+        eps = _decay_rate(prop.rate_floor, grid.period)
+    except ValueError:
+        bound = None
+    else:
+        bound = math.exp(-eps * grid.period) * (1.0 + 3.0 * (grid.dt + grid.dtheta**2))
+    return ContractionEstimate(end_map_ratio=max(end_map_ratios),
+                               adjusted_ratio=max(adjusted_ratios),
+                               end_map_ratios=end_map_ratios, adjusted_ratios=adjusted_ratios,
+                               bound=bound)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from scipy.ndimage import binary_erosion
 
 from periflow.diagnostics import _arc_coordinates, _holder_sups, _time_derivative
-from periflow.evolution import Forcing, IVPConfig, Propagator
+from periflow.evolution import Forcing, IVPConfig, Propagator, _sample_levels
 from periflow.fields import ParameterGrid, _require_shape
 from periflow.metric import (
     MetricSample,
@@ -187,12 +187,13 @@ def transport_formula_residual(
 # -- evolution -----------------------------------------------------------------
 
 
-def _reversed_forcing(forcing: Forcing, period: float) -> Forcing:
+def _reversed_forcing(forcing: Forcing, grid: ParameterGrid) -> Forcing:
+    """The forcing of the time-reversed run: the closure's samples on the
+    levels of `grid`, last level first."""
     if forcing is None:
         return None
-    if callable(forcing):
-        return lambda theta, t: forcing(theta, period - t)
-    return np.asarray(forcing, dtype=float)[::-1]
+    samples = _sample_levels(forcing, grid)[::-1]
+    return lambda theta, t: samples
 
 
 def adjoint_solve(
@@ -210,7 +211,8 @@ def adjoint_solve(
     """
     reversed_surface = time_reversed(surface)
     rev_config = replace(config, zero_order="zero", coefficient=0.0)
-    prop = Propagator(reversed_surface, rev_config, _reversed_forcing(forcing, surface.period))
+    reversed_forcing = _reversed_forcing(forcing, config.grid(surface.period))
+    prop = Propagator(reversed_surface, rev_config, reversed_forcing)
     if terminal is not None:
         traj = prop.run(terminal)
     else:

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +522,7 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
     path = write_config(tmp_path, body)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -687,3 +691,104 @@ def test_random_configs_rerun_byte_identical(family, scheme, mode, coefficient, 
             files.append(data)
     assert codes[0] == codes[1]
     assert files[0] == files[1]
+
+
+FUZZ_EXPRESSIONS = ["cos(theta)*sin(2*pi*t/T)", "1 + 0*theta", "exp(-t)*cos(2*theta)"]
+# (section, key, value) that parse_config rejects in every scenario
+FUZZ_BAD_VALUES = [("discretization", "n_nodes", "abc"), ("discretization", "n_steps", "2"),
+                   ("surface", "period", "-1"), ("discretization", "band_h", "0"),
+                   ("discretization", "band_delta", "-0.2"), ("output", "seed", "-1"),
+                   ("problem", "max_iter", "0"), ("problem", "tol", "-1"),
+                   ("discretization", "scheme", "leapfrog")]
+FUZZ_UNKNOWN_KEYS = [("discretization", "whatever", "3"), ("problem", "colour", "red"),
+                     ("surface", "wobble", "0.1"), ("extra", "key", "1")]
+
+
+@st.composite
+def fuzzed_config(draw):
+    """(INI text, perturbed): a consistent config whose keys appear only
+    where read, plus at most one bad value, unknown key, unread key or
+    conflicting preset."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    period = draw(st.sampled_from([None, 0.5, 2.0]))
+    sections = {"surface": {"family": draw(st.sampled_from(sorted(FAMILIES)))},
+                "problem": {"scenario": scenario}, "discretization": {}, "output": {}}
+    if period is not None:
+        sections["surface"]["period"] = repr(period)
+    problem, disc = sections["problem"], sections["discretization"]
+    mode = {"contraction": "constant"}.get(scenario)
+    if scenario in ("ivp", "periodic-fixed", "periodic-monodromy"):
+        mode = draw(st.sampled_from([None, "zero", "constant", "divergence",
+                                     "divergence_plus_constant"]))
+        if mode is not None:
+            problem["zero_order"] = mode
+    if mode == "constant":  # the contraction scenario needs c0 > ln2/T, T >= 0.5
+        low = 1.5 if scenario == "contraction" else -2.0
+        problem["c0"] = repr(draw(st.floats(low, 4.0)))
+    elif mode == "divergence_plus_constant":
+        problem["alpha"] = repr(draw(st.floats(-2.0, 4.0)))
+    if scenario in ("ivp", "periodic-fixed", "periodic-monodromy", "contraction"):
+        if draw(st.booleans()):
+            problem["forcing"] = draw(st.sampled_from(FUZZ_EXPRESSIONS))
+    if scenario in ("ivp", "ivp_decay") and draw(st.booleans()):
+        problem["u0"] = draw(st.sampled_from(FUZZ_EXPRESSIONS))
+    if scenario in ("periodic-fixed", "periodic-monodromy", "contraction"):
+        problem["target_mean"] = repr(draw(st.floats(-1.0, 2.0)))
+        problem["max_iter"] = str(draw(st.integers(1, 40)))
+    if scenario == "contraction":
+        sections["output"]["seed"] = str(draw(st.integers(0, 5)))
+    if scenario == "band-check":
+        problem["band_time"] = repr(draw(st.floats(0.0, 1.0)))
+        disc["band_h"] = repr(draw(st.sampled_from([1.0 / 32.0, 1.0 / 16.0])))
+        disc["band_delta"] = repr(draw(st.sampled_from([0.15, 0.2])))
+    else:
+        disc["n_nodes"] = str(draw(st.integers(8, 32)))
+        disc["n_steps"] = str(draw(st.integers(4, 16)))
+        disc["scheme"] = draw(st.sampled_from(["backward_euler", "crank_nicolson"]))
+
+    perturbations = FUZZ_BAD_VALUES + FUZZ_UNKNOWN_KEYS
+    if mode != "divergence_plus_constant":
+        perturbations.append(("problem", "alpha", "1.0"))
+    if scenario not in ("ivp", "ivp_decay"):
+        perturbations.append(("problem", "u0", "cos(theta)"))
+    if scenario == "ivp_decay":
+        perturbations += [("problem", "zero_order", "divergence"),
+                          ("problem", "forcing", "cos(theta)")]
+    if scenario == "contraction":
+        perturbations.append(("problem", "zero_order", "zero"))
+    perturbation = draw(st.none() | st.sampled_from(perturbations))
+    if perturbation is not None:
+        section, key, value = perturbation
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()) + "\n"
+                   for name, body in sections.items() if body)
+    return text, perturbation is not None
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(case=fuzzed_config())
+def test_fuzzed_configs_keep_the_exit_code_contract(case):
+    # exit 0 or 1 on a consistent config, 2 on a perturbed one; stderr is
+    # empty or its one error line, no warning escapes, a config error leaves
+    # no output directory behind and a run that ends in its checks leaves a
+    # manifest.  A band too wide for the curvature stays a scenario failure
+    # (exit 1): `build_band` finds max|kappa| only at the band time
+    text, perturbed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out" / "o")])
+        lines = err.getvalue().splitlines()
+        assert code == 2 if perturbed else code in (0, 1), (code, lines)
+        assert not caught, [str(w.message) for w in caught]
+        assert len(lines) <= 1 and err.getvalue() == "".join(f"{line}\n" for line in lines)
+        if code == 2:
+            assert lines[0].startswith("config error: ")
+            assert not (Path(tmp) / "out").exists()
+        elif lines:
+            assert code == 1 and lines[0].startswith(f"scenario {path} failed: ")
+        else:
+            assert (Path(tmp) / "out" / "o" / "manifest.txt").is_file()

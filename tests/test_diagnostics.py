@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +9,6 @@ from oracles import max_principle_monitor, norm_equivalence_check
 from periflow import diagnostics
 from periflow import (
     FAMILIES,
-    GridMismatchError,
     IVPConfig,
     ParameterGrid,
     Propagator,
@@ -26,14 +24,14 @@ from periflow import (
 )
 
 
-def static_field(values):
-    """(values, times) of a single slice at t = 0."""
-    return np.asarray(values, dtype=float)[None, :], np.zeros(1)
+def static_field(grid, values):
+    """(values, grid) of the time-constant field `values` on every level of `grid`."""
+    return np.tile(np.asarray(values, dtype=float), (grid.n_steps + 1, 1)), grid
 
 
 def sampled(grid, fn):
-    """(values, times) of `fn` at every node and level of `grid`."""
-    return np.stack([fn(grid.nodes, t) for t in grid.times]), grid.times
+    """(values, grid) of `fn` at every node and level of `grid`."""
+    return np.stack([fn(grid.nodes, t) for t in grid.times]), grid
 
 
 def test_holder_constant_field():
@@ -48,7 +46,7 @@ def test_holder_constant_field():
 def test_holder_cosine_lipschitz_bound():
     # static cos on the unit circle has arc-length Lipschitz constant 1
     grid = ParameterGrid(64, 8, 1.0)
-    fld = static_field(np.cos(grid.nodes))
+    fld = static_field(grid, np.cos(grid.nodes))
     est = holder_estimate(*fld, circle(), alpha=1.0)
     assert est.holder_coefficient <= 1.0 + 1e-12
     assert est.holder_coefficient >= 0.95
@@ -57,25 +55,12 @@ def test_holder_cosine_lipschitz_bound():
 
 def test_holder_finite_across_alpha():
     grid = ParameterGrid(64, 8, 1.0)
-    fld = static_field(np.cos(grid.nodes))
+    fld = static_field(grid, np.cos(grid.nodes))
     for a in (0.25, 0.5, 1.0):
         est = holder_estimate(*fld, circle(), alpha=a)
         assert 0.0 < est.holder_coefficient < 10.0
         # |cos x - cos y| <= |x - y| bounds every quotient with d <= pi < 2pi
         assert est.holder_coefficient <= max(2.0, math.pi ** (1.0 - a)) + 1e-12
-
-
-def test_holder_rejects_non_uniform_times():
-    # f_t differences with the first step, so t^2 at these times would read
-    # sup|f_t| = 10.05 where the derivative 2t is at most 2
-    times = np.array([0.0, 0.1, 0.5, 1.0])
-    with pytest.raises(GridMismatchError, match=r"level 2 follows a step of 0\.4, not 0\.1"):
-        holder_estimate(np.tile(times[:, None] ** 2, 16), times, circle(), alpha=0.5)
-    grid = ParameterGrid(16, 8, 1.0)
-    values, times = sampled(grid, lambda th, t: np.cos(th) * t)
-    times[-1] += 1e-6 * grid.dt
-    with pytest.raises(GridMismatchError, match="level 8 "):
-        holder_estimate(values, times, circle(), alpha=0.5)
 
 
 def test_sqrt_time_profile_flags_blowup():

@@ -22,6 +22,7 @@ from periflow import (
     commutator_check,
     fourier_noise,
     greens_formula_check,
+    holder_estimate,
     laplace_beltrami_apply,
     lift_field,
     mass_ledger,
@@ -37,11 +38,11 @@ def make_grid(n, m, period=1.0):
 
 def test_non_finite_zero_order_sample_names_level_and_node():
     # the zero-order coefficient is one constant; the per-node samples the
-    # stepper checks are the forcing's, here passed as an (M+1, N) array
+    # stepper checks are the forcing's, here a closure's (M+1, N) result
     forcing = np.ones((9, 16))
     forcing[3, 5] = np.inf
     with pytest.raises(StepError, match="forcing is not finite at node 5") as info:
-        Propagator(circle(), IVPConfig(16, 8, "crank_nicolson", "zero"), forcing)
+        Propagator(circle(), IVPConfig(16, 8, "crank_nicolson", "zero"), lambda th, t: forcing)
     assert info.value.level == 3
 
 
@@ -50,7 +51,7 @@ CIRCLE = circle()
 SHAPE_MISMATCHES = {
     "u0": (lambda p: p.run(np.ones(15)), r"initial state of shape \(15,\) does not match \(16,\)"),
     "forcing": (
-        lambda p: Propagator(CIRCLE, p.config, np.zeros((9, 15))),
+        lambda p: Propagator(CIRCLE, p.config, lambda th, t: np.zeros((9, 15))),
         r"forcing of shape \(9, 15\) does not match \(9, 16\)",
     ),
     "forcing_closure_rank": (
@@ -60,6 +61,10 @@ SHAPE_MISMATCHES = {
     "forcing_closure_length": (
         lambda p: Propagator(CIRCLE, p.config, lambda th, t: np.zeros(th.size + 1)),
         r"forcing of shape \(17,\) does not match \(9, 16\)",
+    ),
+    "holder_estimate": (
+        lambda p: holder_estimate(np.zeros((8, 16)), p.grid, CIRCLE, 0.5),
+        r"values of shape \(8, 16\) does not match \(9, 16\)",
     ),
     "mass_ledger": (
         lambda p: mass_ledger(np.zeros((8, 16)), p),
@@ -144,9 +149,11 @@ def test_forcing_closure_is_called_once_with_the_column_of_times():
 
 @pytest.mark.parametrize("zero_order", ["zero", "divergence"])
 def test_array_forcing_is_read_and_never_written(zero_order):
+    # a closure's (M+1, N) result is read as it is, without a copy
     forcing = np.random.default_rng(5).uniform(-1.0, 1.0, (9, 16))
     before = forcing.copy()
-    prop = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", zero_order), forcing)
+    prop = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", zero_order),
+                      lambda th, t: forcing)
     prop.run(np.ones(16))
     prop.run(np.ones(16), keep_trajectory=False)
     assert np.array_equal(forcing, before)
@@ -166,7 +173,8 @@ def test_forcing_closure_result_broadcasts_to_every_level(result):
     grid = make_grid(16, 8)
     prop = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", "zero"), result)
     per_level = [np.broadcast_to(result(grid.nodes, t), (16,)) for t in grid.times]
-    expected = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", "zero"), np.stack(per_level))
+    expected = Propagator(CIRCLE, IVPConfig(16, 8, "crank_nicolson", "zero"),
+                          lambda th, t: np.stack(per_level))
     assert np.array_equal(prop.forcing_integrals, expected.forcing_integrals)
 
 
@@ -326,7 +334,7 @@ def test_duality_residual_second_order(scheme):
         grid = make_grid(64, m)
         config = IVPConfig(n_nodes=64, n_steps=m, scheme=scheme, zero_order="divergence")
         u = Propagator(surf, config).run(u0)
-        phi = adjoint_solve(surf, config, u)
+        phi = adjoint_solve(surf, config, lambda th, t: u)
         res.append(duality_check(surf, grid, u, phi))
     # the quadrature identity converges at second order for both schemes,
     # within the first-order bound expected of backward Euler

@@ -196,6 +196,15 @@ def test_band_rejects_too_wide():
         build_band(circle(), 0.0, 1.0 / 64.0, 0.6)  # delta*kappa = 0.6 >= 1/2
 
 
+@pytest.mark.parametrize("h, delta", [(0.0, 0.2), (-1.0 / 128.0, 0.2), (1.0 / 128.0, -0.2),
+                                      (1.0 / 128.0, 0.0)],
+                         ids=["zero-h", "negative-h", "negative-delta", "zero-delta"])
+def test_band_rejects_a_non_positive_spacing_or_half_width(h, delta):
+    # before the check: a NaN grid size, an argmin of nothing, or "no active nodes"
+    with pytest.raises(ValueError, match=f"got h={h}, delta={delta}$"):
+        build_band(bean(), 0.3, h, delta)
+
+
 def test_default_band_width():
     assert abs(default_band_width(circle(), 0.0) - 0.2) <= 1e-12
     assert max_curvature(rotating_ellipse_like(), 0.0) > 1.0

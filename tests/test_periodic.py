@@ -99,7 +99,9 @@ def test_contraction_default_probes_and_k_ratio():
     assert est.end_map_ratio <= est.bound
     assert est.adjusted_ratio < 1.0
     assert est.adjusted_ratio <= 2.0 * est.end_map_ratio + 1e-12
-    assert len(est.pair_ratios) == 4
+    assert len(est.end_map_ratios) == len(est.adjusted_ratios) == 4
+    assert (max(est.end_map_ratios), max(est.adjusted_ratios)) == (est.end_map_ratio,
+                                                                  est.adjusted_ratio)
 
 
 def test_contraction_bound_not_applicable_below_ln2_over_t():
@@ -341,7 +343,7 @@ def manufactured_solves(family, zero_order, scheme, steps_per_node, k, phi, a):
         config = IVPConfig(n, steps_per_node * n, scheme, zero_order)
         exact, forcing = manufactured_problem(surface, config.grid(surface.period), zero_order,
                                               k, phi, a)
-        prop = Propagator(surface, config, forcing)
+        prop = Propagator(surface, config, lambda th, t: forcing)
         target_mean, _ = mean_and_mass(prop.geometry.weights0, exact[0])
         traj, _ = monodromy_solve(prop, target_mean)
         yield prop, exact, target_mean, traj

@@ -161,7 +161,7 @@ def test_jet_matches_centred_differences(family, reverse, n, offset, t):
 def test_divergence_mode_mass_law(family, n, m, scheme, data):
     config = IVPConfig(n_nodes=n, n_steps=m, scheme=scheme, zero_order="divergence")
     forcing = data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0)))
-    prop = Propagator(FAMILIES[family](), config, forcing)
+    prop = Propagator(FAMILIES[family](), config, lambda th, t: forcing)
     traj = prop.run(nodal_field(data, n, 0.5, 2.0))
     ledger = mass_ledger(traj, prop)
     assert np.max(np.abs(ledger.defects)) <= 1e-12 * np.max(np.abs(ledger.masses))
@@ -194,7 +194,7 @@ def test_step_matches_sparse_solve(family, n, m, scheme, zero_order, data):
     )
     forcing = data.draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0)))
     surface = FAMILIES[family]()
-    prop = Propagator(surface, config, forcing)
+    prop = Propagator(surface, config, lambda th, t: forcing)
     level = data.draw(st.integers(0, m - 1))
 
     # the zero-order coefficient c of the config as (M+1, N) samples; the
@@ -225,7 +225,7 @@ def long_period_last_step(family, zero_order, m, scheme):
     config = IVPConfig(n, m, scheme, zero_order, coefficient=0.8)
     forcing = rng.uniform(-1.0, 1.0, (m + 1, n))
     surface = FAMILIES[family]()
-    prop = Propagator(surface, config, forcing)
+    prop = Propagator(surface, config, lambda th, t: forcing)
     traj = prop.run(rng.uniform(-10.0, 10.0, n))
     expected = sparse_step(surface, grid, config, forcing, m - 1, traj[m - 1])
     assert np.max(np.abs(traj[m] - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))

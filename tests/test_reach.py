@@ -1,6 +1,6 @@
 """The library is what the program runs, and the program uses all of it.
 
-Five scans of the package sources, each a function of the source directory,
+Six scans of the package sources, each a function of the source directory,
 so that `test_scans_report_their_plants` can run them on a planted package:
 
 * `unreached`: every definition in `src/periflow` is reached from the CLI;
@@ -19,6 +19,9 @@ so that `test_scans_report_their_plants` can run them on a planted package:
   in `src`, matched by name as above.
 * `random_draws`: the functions that call `np.random`, so that a result
   depends on no random draw its caller does not control.
+* `shape_error_sites`: the functions that build a `GridMismatchError`,
+  so that every shape error comes from `fields._require_shape` in its one
+  message form.
 """
 
 import ast
@@ -197,24 +200,35 @@ def unread_fields(src: Path) -> set[str]:
     return {qualname for qualname, name in members if name not in loaded}
 
 
-def random_draws(src: Path) -> set[str]:
-    """Qualified names of the functions and methods (the module name for
-    module-level code) holding a call `np.random.<name>(...)`."""
-    found = set()
+def scopes(src: Path) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each function and method, and of each
+    module-level statement under its module's name."""
+    found = []
     for stem, tree in modules(src):
-        scopes = [(f"{stem}.{node.name}", node) for node in tree.body
+        found += [(f"{stem}.{node.name}", node) for node in tree.body
                   if isinstance(node, ast.FunctionDef)]
-        scopes += [(f"{stem}.{node.name}.{member.name}", member) for node in tree.body
-                   if isinstance(node, ast.ClassDef) for member in node.body
-                   if isinstance(member, ast.FunctionDef)]
-        scopes += [(stem, node) for node in tree.body
-                   if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        found |= {qualname for qualname, scope in scopes for sub in ast.walk(scope)
-                  if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-                  and isinstance(module := sub.func.value, ast.Attribute)
-                  and module.attr == "random"
-                  and getattr(module.value, "id", None) in ("np", "numpy")}
+        found += [(f"{stem}.{node.name}.{member.name}", member) for node in tree.body
+                  if isinstance(node, ast.ClassDef) for member in node.body
+                  if isinstance(member, ast.FunctionDef)]
+        found += [(stem, node) for node in tree.body
+                  if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     return found
+
+
+def random_draws(src: Path) -> set[str]:
+    """Qualified names of the scopes holding a call `np.random.<name>(...)`."""
+    return {qualname for qualname, scope in scopes(src) for sub in ast.walk(scope)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+            and isinstance(module := sub.func.value, ast.Attribute)
+            and module.attr == "random" and getattr(module.value, "id", None) in ("np", "numpy")}
+
+
+def shape_error_sites(src: Path) -> set[str]:
+    """Qualified names of the scopes holding a call `GridMismatchError(...)`."""
+    return {qualname for qualname, scope in scopes(src) for sub in ast.walk(scope)
+            if isinstance(sub, ast.Call)
+            and "GridMismatchError" in (getattr(sub.func, "id", None),
+                                        getattr(sub.func, "attr", None))}
 
 
 def test_every_definition_is_reached():
@@ -249,6 +263,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
+
 
 @dataclass(frozen=True)
 class Report:
@@ -270,6 +286,8 @@ def orphan():
 
 class Tally:
     def __init__(self, start):
+        if np.ndim(start):
+            raise errors.GridMismatchError(f"start of shape {np.shape(start)} is not a scalar")
         self.total, self.first = start, start
 
 
@@ -286,6 +304,11 @@ def test_random_draws_are_left_to_the_caller():
     assert RANDOM_ALLOWED.keys() <= drawn, "an allowed function draws no more; drop it"
 
 
+def test_shape_errors_are_built_in_one_place():
+    # one message form, "<quantity> of shape <got> does not match <expected>"
+    assert shape_error_sites(SRC) == {"fields._require_shape"}
+
+
 def test_scans_report_their_plants(tmp_path):
     # one violation of each kind, so that a scan which stopped matching fails here
     (tmp_path / "tool.py").write_text(PLANTED)
@@ -295,3 +318,4 @@ def test_scans_report_their_plants(tmp_path):
     assert unread_fields(tmp_path) == {"tool.Report.unread", "tool.Report.doubled",
                                        "tool.Tally.first"}
     assert random_draws(tmp_path) == {"tool.orphan"}
+    assert shape_error_sites(tmp_path) == {"tool.Tally.__init__"}
