@@ -1,10 +1,11 @@
 """Experiment runner: config parsing, scenario dispatch, reproducible output.
 
 Configs are INI files with sections [surface] [problem] [discretization]
-[output]; unknown keys are rejected.  Every run writes its data files
-through `tables` (the trajectory as `trajectory.npy`, everything else as
-CSV) plus a manifest listing the resolved configuration, per-check
-pass/fail lines and the SHA-256 of each data file this run wrote.
+[output]; unknown keys, and keys the run does not read (`SCENARIOS` lists
+them), are rejected.  Every run writes its data files through `tables`
+(the trajectory as `trajectory.npy`, everything else as CSV) plus a
+manifest listing the configuration it read, per-check pass/fail lines and
+the SHA-256 of each data file this run wrote.
 Identical configs and seeds produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 a check or solver failed or sampled
@@ -75,10 +76,10 @@ class ExperimentConfig:
     n_steps: int = 512
     scheme: str = "crank_nicolson"
     zero_order: str = "zero"
-    c0: float | None = None
-    alpha: float | None = None
+    c0: float = 0.0
+    alpha: float = 0.0
     forcing_expr: str | None = None
-    u0_expr: str | None = None
+    u0_expr: str = "cos(theta)"
     target_mean: float = 1.0
     tol: float = 1e-10
     max_iter: int = 40
@@ -88,21 +89,13 @@ class ExperimentConfig:
     out_dir: str = "periflow-out"
     seed: int = 0
 
-    def __post_init__(self):
-        # presets set their keys here, so the manifest records what runs
-        if self.scenario in ("ivp", "ivp_decay"):
-            self.u0_expr = self.u0_expr or "cos(theta)"
-        for key, value in _PRESETS.get(self.scenario, {}).items():
-            setattr(self, _KEYS["problem", key][0], value)
-
     def build_surface(self) -> SurfaceFamily:
         return FAMILIES[self.surface_family](period=self.period, **self.surface_params)
 
     def build_ivp_config(self) -> IVPConfig:
         key = _COEFFICIENT_KEYS.get(self.zero_order)
-        coefficient = getattr(self, key) if key is not None else None
         return IVPConfig(self.n_nodes, self.n_steps, self.scheme, self.zero_order,
-                         coefficient if coefficient is not None else 0.0)
+                         getattr(self, key) if key else 0.0)
 
     def propagator(self) -> Propagator:
         """The run's one stepper: surface, discretization and forcing."""
@@ -112,6 +105,14 @@ class ExperimentConfig:
         if self.forcing_expr is None:
             return None
         return compile_expression(self.forcing_expr, self.period)
+
+    def _unread_by(self, key: str) -> str | None:
+        """The setting under which this run leaves the INI `key` unread, or None."""
+        if key in _RULED and key not in SCENARIOS[self.scenario][2]:
+            return f"scenario = {self.scenario}"
+        if key in _COEFFICIENT_KEYS.values() and key != _COEFFICIENT_KEYS.get(self.zero_order):
+            return f"zero_order = {self.zero_order}"
+        return None
 
 
 def _parse_value(key: str, text: str, kind: type):
@@ -126,19 +127,16 @@ def _parse_value(key: str, text: str, kind: type):
     return value
 
 
-# scenario -> the [problem] keys its preset sets, with their values; a config
-# that gives such a key another value is a configuration error
+# scenario -> the [problem] keys its preset sets, with their values; no config may change them
 _PRESETS = {
     "ivp_decay": {"forcing": None, "zero_order": "zero"},
     "contraction": {"zero_order": "constant"},
 }
 # zero-order mode -> the [problem] key of its coefficient; the other modes read none
 _COEFFICIENT_KEYS = {"constant": "c0", "divergence_plus_constant": "alpha"}
-# [problem] keys read only under some settings: key -> (field, setting, values that read it)
-_CONDITIONAL_KEYS = {
-    **{key: (key, "zero_order", (mode,)) for mode, key in _COEFFICIENT_KEYS.items()},
-    "u0": ("u0_expr", "scenario", ("ivp", "ivp_decay")),
-}
+_GRID = {"n_nodes", "n_steps"}
+_STEPPING = _GRID | {"scheme", "zero_order", "c0", "alpha", "forcing"}
+_PERIODIC = _STEPPING | {"target_mean", "tol"}
 
 # INI (section, key) -> (ExperimentConfig field, value type); every other key
 # of [surface] must be a parameter of the chosen family
@@ -163,6 +161,8 @@ _KEYS = {
     ("output", "directory"): ("out_dir", str),
     ("output", "seed"): ("seed", int),
 }
+# the keys on which SCENARIOS rules; every run reads the others
+_RULED = {key for section, key in _KEYS if section in ("problem", "discretization")} - {"scenario"}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -191,7 +191,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     scenario = values.get("scenario")
     for key, preset in _PRESETS.get(scenario, {}).items():
-        given = values.get(_KEYS["problem", key][0], preset)
+        given = values.setdefault(_KEYS["problem", key][0], preset)
         if given != preset:
             runs = f"no {key}" if preset is None else f"{key} = {preset}"
             raise ConfigError(f"{key} = {given} conflicts with scenario = {scenario}, "
@@ -202,6 +202,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     family = cfg.surface_family
     if family not in FAMILIES:
         raise ConfigError(f"unknown surface family {family!r}; choose from {sorted(FAMILIES)}")
+    for (_, key), (name, _) in _KEYS.items():
+        if name in values and (setting := cfg._unread_by(key)):
+            raise ConfigError(f"{key} is not read by {setting}")
     allowed = inspect.signature(FAMILIES[family]).parameters
     for key, text in surface_params.items():
         if key not in allowed:
@@ -217,19 +220,14 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         cfg.build_surface()
         cfg.build_ivp_config()
         _check_iteration(cfg.tol, cfg.max_iter)
-        for key, (name, setting, readers) in _CONDITIONAL_KEYS.items():
-            value = getattr(cfg, setting)
-            if getattr(cfg, name) is not None and value not in readers:
-                raise ConfigError(f"{key} is not read by {setting} = {value}")
         _require_seed(cfg.seed)
         _check_band_sizes(cfg.band_h, cfg.band_delta)
         if cfg.scenario == "contraction":  # its preset mode `constant` has the floor c0
-            _decay_rate(cfg.c0 or 0.0, cfg.period)
+            _decay_rate(cfg.c0, cfg.period)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg.forcing()  # compiles the expression
-    if cfg.u0_expr is not None:
-        compile_expression(cfg.u0_expr, cfg.period)
+    compile_expression(cfg.u0_expr, cfg.period)
 
 
 def _require_seed(seed: int) -> int:
@@ -293,10 +291,9 @@ def emit_field_csv(values: np.ndarray, path: str | Path) -> str:
 
 
 def _resolved_dict(cfg: ExperimentConfig) -> dict:
-    skip = ("surface_params", "out_dir")
-    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
-    out.update({f"surface.{k}": v for k, v in cfg.surface_params.items()})
-    return out
+    surface = {f"surface.{k}": v for k, v in cfg.surface_params.items()}
+    return surface | {name: getattr(cfg, name) for (_, key), (name, _) in _KEYS.items()
+                      if key != "directory" and cfg._unread_by(key) is None}
 
 
 # --- scenario bodies ---------------------------------------------------------
@@ -462,6 +459,7 @@ def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest
 def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     surface = cfg.build_surface()
     grid = ParameterGrid(min(cfg.n_nodes, 64), min(cfg.n_steps, 32), cfg.period)
+    manifest.resolved.update(n_nodes=grid.n_nodes, n_steps=grid.n_steps)  # the grid it ran on
     theta = grid.nodes
     values = np.stack([np.cos(theta) * math.exp(-t) for t in grid.times])
     estimates = [holder_estimate(values, grid, surface, alpha) for alpha in (0.5, 1.0)]
@@ -476,20 +474,22 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     manifest.check("interpolation_inequality", worst, 0.0)
 
 
-# scenario name -> (description, runner)
+# scenario name -> (description, runner, the [problem] and [discretization] keys it reads)
 SCENARIOS = {
-    "ivp": ("initial value solve with mass ledger", _scenario_ivp),
+    "ivp": ("initial value solve with mass ledger", _scenario_ivp, _STEPPING | {"u0"}),
     "ivp_decay": ("ivp preset: cosine initial data, no forcing, no zero-order term",
-                  _scenario_ivp),
-    "periodic-fixed": ("relaxed-periodic solve by the contraction iteration", _scenario_periodic),
+                  _scenario_ivp, _STEPPING | {"u0"}),
+    "periodic-fixed": ("relaxed-periodic solve by the contraction iteration", _scenario_periodic,
+                       _PERIODIC | {"max_iter"}),
     "periodic-monodromy": ("relaxed-periodic solve of the end-map system by Krylov shooting",
-                           _scenario_periodic),
+                           _scenario_periodic, _PERIODIC),
     "contraction": ("measure end-map contraction ratios against the decay bound",
-                    _scenario_contraction),
-    "band-check": ("narrow-band extension identity suite", _scenario_band),
+                    _scenario_contraction, _PERIODIC | {"max_iter"}),
+    "band-check": ("narrow-band extension identity suite", _scenario_band,
+                   {"band_time", "band_h", "band_delta"}),
     "identities": ("operator identity residuals across the shipped families",
-                   _scenario_identities),
-    "holder": ("Hölder estimator suite on a reference field", _scenario_holder),
+                   _scenario_identities, _GRID),
+    "holder": ("Hölder estimator suite on a reference field", _scenario_holder, _GRID),
 }
 
 
@@ -544,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     if args.command == "list-scenarios":
-        for name, (desc, _) in SCENARIOS.items():
+        for name, (desc, *_) in SCENARIOS.items():
             print(f"{name:20s} {desc}")
         return 0
     if args.command != "run":

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periflow import FAMILIES, ConfigError, build_band, contraction_estimate, evolution, lift_field
-from periflow.cli import SCENARIOS, emit_field_csv, main, parse_config, run_scenario
+from periflow.cli import (SCENARIOS, ExperimentConfig, RunManifest, emit_field_csv, main,
+                          parse_config, run_scenario)
 
 
 def write_config(tmp_path: Path, body: str, name: str = "run.cfg") -> Path:
@@ -273,6 +275,14 @@ def test_run_holder_scenario(tmp_path):
     manifest, digests = run_and_digest(tmp_path, SMALL_HOLDER, "holder")
     assert manifest.all_passed
     assert "holder.csv" in digests
+
+
+def test_holder_manifest_records_the_grid_it_ran_on(tmp_path):
+    # the default 256 x 512 grid is capped to the scenario's largest, 64 x 32
+    path = write_config(tmp_path, "[problem]\nscenario = holder\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    assert "  n_nodes = 64" in lines and "  n_steps = 32" in lines
 
 
 def test_holder_csv_does_not_depend_on_the_seed(tmp_path):
@@ -599,31 +609,89 @@ def test_coefficient_key_the_zero_order_mode_does_not_read_exits_2(
     assert not (tmp_path / "o").exists()
 
 
-UNREAD_U0 = """
-[surface]
-family = breathing
-
-[problem]
-scenario = {scenario}
-u0 = 5 + sin(theta)
-{extra}
-[discretization]
-n_nodes = 32
-n_steps = 16
-"""
+# the [problem] and [discretization] keys each scenario reads, stated here
+# apart from cli.SCENARIOS
+GRID_KEYS = {"n_nodes", "n_steps"}
+STEPPING_KEYS = GRID_KEYS | {"scheme", "zero_order", "c0", "alpha", "forcing"}
+PERIODIC_KEYS = STEPPING_KEYS | {"target_mean", "tol"}
+READS = {
+    "ivp": STEPPING_KEYS | {"u0"}, "ivp_decay": STEPPING_KEYS | {"u0"},
+    "periodic-fixed": PERIODIC_KEYS | {"max_iter"}, "periodic-monodromy": PERIODIC_KEYS,
+    "contraction": PERIODIC_KEYS | {"max_iter"}, "identities": GRID_KEYS, "holder": GRID_KEYS,
+    "band-check": {"band_time", "band_h", "band_delta"},
+}
+# each of those keys -> (its section, a value that parses)
+KEY_VALUES = {
+    "zero_order": ("problem", "zero"), "c0": ("problem", "1.0"), "alpha": ("problem", "1.0"),
+    "forcing": ("problem", "cos(theta)"), "u0": ("problem", "5 + sin(theta)"),
+    "target_mean": ("problem", "7.0"), "tol": ("problem", "1e-10"), "max_iter": ("problem", "10"),
+    "band_time": ("problem", "0.5"), "n_nodes": ("discretization", "32"),
+    "n_steps": ("discretization", "16"), "scheme": ("discretization", "backward_euler"),
+    "band_h": ("discretization", "0.5"), "band_delta": ("discretization", "0.2"),
+}
 
 
 @pytest.mark.parametrize(
-    "scenario", ["periodic-fixed", "periodic-monodromy", "contraction", "band-check",
-                 "identities", "holder"],
+    "scenario, key",
+    [*[(scenario, "u0") for scenario in ("periodic-fixed", "periodic-monodromy", "contraction",
+                                         "band-check", "identities", "holder")],
+     ("holder", "forcing"), ("holder", "target_mean"), ("holder", "band_time"),
+     ("holder", "band_h"), ("band-check", "forcing"), ("band-check", "n_nodes"),
+     ("identities", "scheme"), ("periodic-monodromy", "max_iter"), ("ivp", "target_mean"),
+     ("periodic-fixed", "band_h")],
+    ids=lambda value: value,
 )
-def test_u0_in_a_scenario_that_does_not_read_it_exits_2(tmp_path, capsys, scenario):
-    # only ivp and ivp_decay start from u0; the manifest must not record an unread one
-    extra = "c0 = 1.0\n" if scenario == "contraction" else ""
-    path = write_config(tmp_path, UNREAD_U0.format(scenario=scenario, extra=extra))
+def test_key_the_scenario_does_not_read_exits_2(tmp_path, capsys, scenario, key):
+    # the manifest must not record a key the run did not read
+    section, value = KEY_VALUES[key]
+    lines = {"problem": "c0 = 1.0\n" if scenario == "contraction" else "", "discretization": ""}
+    lines[section] += f"{key} = {value}\n"
+    body = (f"[surface]\nfamily = breathing\n\n[problem]\nscenario = {scenario}\n"
+            f"{lines['problem']}\n[discretization]\n{lines['discretization']}")
+    path = write_config(tmp_path, body)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert f"u0 is not read by scenario = {scenario}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {key} is not read by scenario = {scenario}\n"
     assert not (tmp_path / "o").exists()
+
+
+def resolved_names(out: Path) -> set[str]:
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return {line.split(" = ")[0].strip() for line in lines if line.startswith("  ")}
+
+
+def test_manifest_records_only_the_keys_the_run_read(tmp_path):
+    run_and_digest(tmp_path, SMALL_BAND, "band")
+    # no grid, stepping or periodic-solve key
+    assert resolved_names(tmp_path / "band") == {"scenario", "surface_family", "period", "seed",
+                                                 "band_time", "band_h", "band_delta"}
+    run_and_digest(tmp_path, SMALL_IVP, "ivp")  # zero_order = divergence reads no coefficient
+    ivp = resolved_names(tmp_path / "ivp")
+    assert "zero_order" in ivp and not ivp & {"c0", "alpha"}
+
+
+# INI key -> its ExperimentConfig field, where the names differ
+FIELD_OF_KEY = {"forcing": "forcing_expr", "u0": "u0_expr"}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_each_runner_reads_the_keys_its_scenario_declares(tmp_path, monkeypatch, scenario):
+    cfg = parse_config(write_config(tmp_path, SMALL_CONFIGS[scenario]))
+    read = set()
+
+    def recording(self, name):
+        read.add(name)
+        return object.__getattribute__(self, name)
+
+    monkeypatch.setattr(ExperimentConfig, "__getattribute__", recording)
+    SCENARIOS[scenario][1](cfg, tmp_path, RunManifest(scenario, {}))
+    monkeypatch.undo()
+    read &= {f.name for f in dataclasses.fields(ExperimentConfig)}
+    declared = {FIELD_OF_KEY.get(key, key) for key in SCENARIOS[scenario][2]}
+    # `scenario` picks the runner's branch; [surface] and [output] are outside the table
+    outside = {"scenario", "surface_family", "surface_params", "period", "out_dir", "seed"}
+    assert read <= declared | outside
+    in_use = {"constant": "c0", "divergence_plus_constant": "alpha"}.get(cfg.zero_order)
+    assert declared - ({"c0", "alpha"} - {in_use}) <= read
 
 
 def test_manifest_records_resolved_presets(tmp_path):
@@ -734,6 +802,7 @@ def fuzzed_config(draw):
         problem["u0"] = draw(st.sampled_from(FUZZ_EXPRESSIONS))
     if scenario in ("periodic-fixed", "periodic-monodromy", "contraction"):
         problem["target_mean"] = repr(draw(st.floats(-1.0, 2.0)))
+    if "max_iter" in READS[scenario]:
         problem["max_iter"] = str(draw(st.integers(1, 40)))
     if scenario == "contraction":
         sections["output"]["seed"] = str(draw(st.integers(0, 5)))
@@ -744,13 +813,16 @@ def fuzzed_config(draw):
     else:
         disc["n_nodes"] = str(draw(st.integers(8, 32)))
         disc["n_steps"] = str(draw(st.integers(4, 16)))
+    if "scheme" in READS[scenario]:
         disc["scheme"] = draw(st.sampled_from(["backward_euler", "crank_nicolson"]))
 
+    # every key the run leaves unread: those the scenario does not read and
+    # the coefficient of a zero-order mode not drawn
+    unread = set(KEY_VALUES) - READS[scenario]
+    unread |= {key for key_mode, key in (("constant", "c0"), ("divergence_plus_constant", "alpha"))
+               if key_mode != mode}
     perturbations = FUZZ_BAD_VALUES + FUZZ_UNKNOWN_KEYS
-    if mode != "divergence_plus_constant":
-        perturbations.append(("problem", "alpha", "1.0"))
-    if scenario not in ("ivp", "ivp_decay"):
-        perturbations.append(("problem", "u0", "cos(theta)"))
+    perturbations += [(KEY_VALUES[key][0], key, KEY_VALUES[key][1]) for key in sorted(unread)]
     if scenario == "ivp_decay":
         perturbations += [("problem", "zero_order", "divergence"),
                           ("problem", "forcing", "cos(theta)")]
