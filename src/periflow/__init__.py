@@ -1,4 +1,8 @@
-"""Time-periodic advection-diffusion solves on periodically moving closed curves."""
+"""Time-periodic advection-diffusion solves on periodically moving closed curves.
+
+The narrow-band check suite is imported from `periflow.narrowband`, which
+loads scipy.spatial; importing the package itself loads no scipy.
+"""
 
 __version__ = "0.1.0"
 
@@ -57,19 +61,6 @@ from .periodic import (
     mean_adjust,
     monodromy_solve,
     periodicity_residuals,
-)
-from .narrowband import (
-    DistanceField,
-    NarrowBandGrid,
-    band_average_extract,
-    band_field_csv,
-    build_band,
-    eikonal_residual,
-    extended_operator_apply,
-    flat_strip_step_equivalence,
-    lift_field,
-    os_operator_equivalence,
-    rescaled_gradient,
 )
 from .diagnostics import (
     HolderEstimate,

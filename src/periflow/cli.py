@@ -2,10 +2,13 @@
 
 Configs are INI files with sections [surface] [problem] [discretization]
 [output]; unknown keys, and keys the run does not read (`SCENARIOS` lists
-them), are rejected.  Every run writes its data files through `tables`
-(the trajectory as `trajectory.npy`, everything else as CSV) plus a
-manifest listing the configuration it read, per-check pass/fail lines and
-the SHA-256 of each data file this run wrote.
+them), are rejected.  A config's parse also imports the modules its
+scenario needs beyond the numpy core (`SCENARIOS` lists them too): only
+`band-check` and `periodic-monodromy` load scipy.  Every run writes its
+data files through `tables` (the trajectory as `trajectory.npy`,
+everything else as CSV) plus a manifest listing the configuration it
+read, per-check pass/fail lines and the SHA-256 of each data file this run
+wrote.
 Identical configs and seeds produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 a check or solver failed or sampled
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import inspect
 import math
 import sys
@@ -42,17 +46,6 @@ from .metric import (
     mean_and_mass,
     pullback_identity_check,
     trace_identity,
-)
-from .narrowband import (
-    _check_band_sizes,
-    band_average_extract,
-    band_field_csv,
-    build_band,
-    eikonal_residual,
-    extended_operator_apply,
-    flat_strip_step_equivalence,
-    lift_field,
-    os_operator_equivalence,
 )
 from .periodic import (
     FixedPointReport,
@@ -210,6 +203,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in [surface] for family {family!r}")
         cfg.surface_params[key] = _parse_value(key, text, float)
+    for module in SCENARIOS[cfg.scenario][3]:
+        try:
+            importlib.import_module(module)
+        except ImportError as exc:
+            raise ConfigError(f"scenario {cfg.scenario} needs {module}: {exc}") from exc
     _validate_config(cfg)
     return cfg
 
@@ -221,7 +219,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         cfg.build_ivp_config()
         _check_iteration(cfg.tol, cfg.max_iter)
         _require_seed(cfg.seed)
-        _check_band_sizes(cfg.band_h, cfg.band_delta)
+        if "band_h" in SCENARIOS[cfg.scenario][2]:
+            from .narrowband import _check_band_sizes
+
+            _check_band_sizes(cfg.band_h, cfg.band_delta)
         if cfg.scenario == "contraction":  # its preset mode `constant` has the floor c0
             _decay_rate(cfg.c0, cfg.period)
     except ValueError as exc:
@@ -379,6 +380,17 @@ def _scenario_contraction(cfg: ExperimentConfig, out: Path, manifest: RunManifes
 
 
 def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
+    from .narrowband import (
+        band_average_extract,
+        band_field_csv,
+        build_band,
+        eikonal_residual,
+        extended_operator_apply,
+        flat_strip_step_equivalence,
+        lift_field,
+        os_operator_equivalence,
+    )
+
     surface = cfg.build_surface()
     t = cfg.band_time
     h, delta = cfg.band_h, cfg.band_delta
@@ -474,22 +486,24 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     manifest.check("interpolation_inequality", worst, 0.0)
 
 
-# scenario name -> (description, runner, the [problem] and [discretization] keys it reads)
+# scenario name -> (description, runner, the [problem] and [discretization] keys
+# it reads, the modules it loads beyond the numpy core); `parse_config` imports
+# those, so that a run that needs no scipy loads none
 SCENARIOS = {
-    "ivp": ("initial value solve with mass ledger", _scenario_ivp, _STEPPING | {"u0"}),
+    "ivp": ("initial value solve with mass ledger", _scenario_ivp, _STEPPING | {"u0"}, ()),
     "ivp_decay": ("ivp preset: cosine initial data, no forcing, no zero-order term",
-                  _scenario_ivp, _STEPPING | {"u0"}),
+                  _scenario_ivp, _STEPPING | {"u0"}, ()),
     "periodic-fixed": ("relaxed-periodic solve by the contraction iteration", _scenario_periodic,
-                       _PERIODIC | {"max_iter"}),
+                       _PERIODIC | {"max_iter"}, ()),
     "periodic-monodromy": ("relaxed-periodic solve of the end-map system by Krylov shooting",
-                           _scenario_periodic, _PERIODIC),
+                           _scenario_periodic, _PERIODIC, ("scipy.sparse.linalg",)),
     "contraction": ("measure end-map contraction ratios against the decay bound",
-                    _scenario_contraction, _PERIODIC | {"max_iter"}),
+                    _scenario_contraction, _PERIODIC | {"max_iter"}, ()),
     "band-check": ("narrow-band extension identity suite", _scenario_band,
-                   {"band_time", "band_h", "band_delta"}),
+                   {"band_time", "band_h", "band_delta"}, ("periflow.narrowband",)),
     "identities": ("operator identity residuals across the shipped families",
-                   _scenario_identities, _GRID),
-    "holder": ("Hölder estimator suite on a reference field", _scenario_holder, _GRID),
+                   _scenario_identities, _GRID, ()),
+    "holder": ("Hölder estimator suite on a reference field", _scenario_holder, _GRID, ()),
 }
 
 

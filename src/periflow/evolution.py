@@ -9,12 +9,20 @@ matrix ``B_k = W_k (1/dt - theta (L_k - c))`` is symmetric cyclic tridiagonal
 positive definite exactly when ``1/dt + theta c > 0``; otherwise, or when it
 is singular to round-off, ``StepError`` is raised.  Each level is factorized
 once as LDL^T (LAPACK ``dpttrf``; ``dpttrs`` solves), and a rank-one
-Sherman-Morrison correction adds the periodic corners.  A step needs no
+Sherman-Morrison correction adds the periodic corners (BLAS ``daxpy``); the
+factors of all M levels are stacked ``(M, N)`` arrays of one
+``_CyclicFactor``.  The three routines are called through ``ctypes`` from
+the OpenBLAS that numpy's wheels bundle, so stepping imports no scipy;
+other builds of numpy take them from scipy.linalg, with the same bits (see
+``_lapack``).  Their ctypes arguments are built with the factors and once
+per run, so a step moves only the address of its right side.  A step needs no
 matvec: the explicit operator is ``1/(theta dt) - beta (1/dt - theta (L_k -
 c))``, beta = (1 - theta)/theta, and B_k u_k is the right side just solved,
 so each right side is carried from the previous one; in the divergence
 modes the rate 1/(theta dt) is weighted by ``sqrt_g[k]``, formed from the
-geometry's rows one block of levels at a time.  One ``Propagator`` holds a run's grid, geometry,
+geometry's rows one block of levels at a time.  A step allocates nothing:
+each right side is formed and solved in place, in its trajectory row or in
+one of two rows used in turn.  One ``Propagator`` holds a run's grid, geometry,
 forcing load and factors, and no other ``(M+1, N)``-sized array; its
 ``run`` is the one entry point that steps, and a non-finite state, checked
 on entry and once per period, raises ``StepError`` naming its first time
@@ -51,13 +59,12 @@ Zero-order modes
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import StepError
 from .fields import ParameterGrid, _require_shape
@@ -125,40 +132,133 @@ def _sample_levels(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return _require_finite(_require_shape(value, shape, "forcing"), "forcing")
 
 
+def _lapack() -> tuple:
+    """LAPACK `dpttrf` and `dpttrs` and BLAS `daxpy` as ctypes functions, and
+    the ctypes type of their integers.
+
+    numpy's wheels bundle an OpenBLAS that exports them as `scipy_<name>_64_`
+    (64-bit integers), which the symbol lookup of numpy's core extension
+    reaches; importing scipy.linalg for three routines would cost more than
+    a periodic solve.  Other builds of numpy (conda's MKL, macOS Accelerate)
+    lack the symbols and take the routines from scipy.linalg's Cython
+    exports (C `int`).  Both give the bits of scipy.linalg's own wrappers,
+    so the source changes no result and needs no setting.  No `argtypes` are
+    declared: converting them costs about 1 us a call, a seventh of a step
+    at N = 256, so `_CyclicFactor` builds each argument with its exact type
+    and checks the layout of the arrays it passes instead."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+        names = ("scipy_dpttrf_64_", "scipy_dpttrs_64_", "scipy_daxpy_64_")
+        routines = [getattr(library, name) for name in names]
+    except (ImportError, OSError, AttributeError):
+        return _scipy_lapack()
+    return (*routines, ctypes.c_int64)
+
+
+def _scipy_lapack() -> tuple:
+    """`_lapack`'s routines from the function pointers that
+    scipy.linalg.cython_lapack and cython_blas export (C `int` arguments)."""
+    from scipy.linalg import cython_blas, cython_lapack
+
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    capsules = (cython_lapack.__pyx_capi__["dpttrf"], cython_lapack.__pyx_capi__["dpttrs"],
+                cython_blas.__pyx_capi__["daxpy"])
+    return (*(ctypes.CFUNCTYPE(None)(pointer(c, name(c))) for c in capsules), ctypes.c_int)
+
+
+_LAPACK = _lapack()
+
+
+def _require_rows(n: int, *arrays: np.ndarray) -> None:
+    """Raise ValueError unless each array holds rows of `n` float64 values in
+    C order, the layout whose rows `_CyclicFactor` hands to LAPACK by address."""
+    if not all(a.dtype == np.float64 and a.flags.c_contiguous and a.ndim == 2
+               and a.shape[1] == n for a in arrays):
+        raise ValueError(f"cyclic systems and right sides must be float64 C-order rows of {n}")
+
+
 class _CyclicFactor:
-    """LAPACK LDL^T factors of a symmetric cyclic tridiagonal matrix A of N >= 3
-    nodes: diagonal `main`, and `off`, whose off[i] couples node i to i + 1.
-    T = A - w w^T / gamma, w = (gamma, 0, ..., off[-1]), gamma = -main[0], is
-    tridiagonal and positive definite when A is; x = y - z (v.y) / (1 + v.z)
-    with T y = b, T z = w, v = w / gamma (Sherman-Morrison), and A is positive
-    definite exactly when T is and 1 + v.z > 0.  Raises StepError at `level`
-    when A is not positive definite or is singular to round-off."""
+    """LAPACK LDL^T factors of K symmetric cyclic tridiagonal matrices A_k of
+    N >= 3 nodes, given as (K, N) float C-order arrays: diagonals `main`,
+    and `off`, whose off[k, i] couples node i to i + 1.  T = A - w w^T /
+    gamma, w = (gamma, 0, ..., off[-1]), gamma = -main[0], is tridiagonal and
+    positive definite when A is; x = y - z (v.y) / (1 + v.z) with T y = b,
+    T z = w, v = w / gamma (Sherman-Morrison), and A is positive definite
+    exactly when T is and 1 + v.z > 0.  The factors overwrite `main` and
+    `off`, kept as `d` and `e` (whose last column still holds the corner),
+    beside the (K, N) `z` and the (K,) `ratio` = v[-1] and `denominator` =
+    1 + v.z.  Raises StepError at time level `level` + k for the first A_k
+    that is not positive definite or is singular to round-off."""
 
     def __init__(self, main: np.ndarray, off: np.ndarray, level: int):
-        if main.shape[0] < 3:
-            raise ValueError(f"a cyclic tridiagonal matrix needs >= 3 nodes, got {main.shape[0]}")
-        gamma = -main[0]  # gamma >= 0 leaves diag[0] = 2 main[0] <= 0: dpttrf rejects it
-        self.ratio = off[-1] / gamma if gamma else 0.0
-        diag = main.copy()
-        diag[0] -= gamma
-        diag[-1] -= off[-1] * self.ratio
-        self.d, self.e, info = dpttrf(diag, off[:-1])
-        if info:
-            raise StepError("step matrix is not positive definite", level)
-        w = np.zeros_like(main)
-        w[0], w[-1] = gamma, off[-1]
-        self.z = dpttrs(self.d, self.e, w)[0]
-        vz = self.z[0] + self.ratio * self.z[-1]
+        n_systems, n = main.shape
+        _require_rows(n, main, off)
+        if n < 3:
+            raise ValueError(f"a cyclic tridiagonal matrix needs >= 3 nodes, got {n}")
+        pttrf, self._pttrs, self._axpy, integer = _LAPACK
+        gamma = -main[:, 0]  # gamma >= 0 leaves d[0] = 2 main[0] <= 0: dpttrf rejects it
+        self.ratio = np.divide(off[:, -1], gamma, out=np.zeros(n_systems), where=gamma != 0.0)
+        main[:, 0] -= gamma
+        main[:, -1] -= off[:, -1] * self.ratio
+        self.d, self.e = main, off
+        self.z = np.zeros_like(main)
+        self.z[:, 0], self.z[:, -1] = gamma, off[:, -1]
+        self._n, self._one, info = integer(n), integer(1), integer(0)
+        self._info = ctypes.byref(info)
+        n_ref, one = ctypes.byref(self._n), ctypes.byref(self._one)
+        # row k of d, e and z as ctypes arguments, built once: a step then sets
+        # no address of theirs, for about 500 bytes per system
+        d0, e0, z0 = (a.ctypes.data for a in (self.d, self.e, self.z))
+        self._levels = [(ctypes.c_void_p(d0 + row), ctypes.c_void_p(e0 + row),
+                         ctypes.c_void_p(z0 + row)) for row in range(0, 8 * n * n_systems, 8 * n)]
+        factored = n_systems  # the systems before the first that dpttrf rejects
+        for k, (d, e, z) in enumerate(self._levels):
+            pttrf(n_ref, d, e, self._info)
+            if info.value:
+                factored = k
+                break
+            self._pttrs(n_ref, one, d, e, z, n_ref, self._info)
+        vz = self.z[:, 0] + self.ratio * self.z[:, -1]
         self.denominator = 1.0 + vz
-        if not abs(self.denominator) > _SINGULAR_TOL * (1.0 + abs(vz)):
-            raise StepError("step matrix is singular: corner correction vanishes", level)
-        if self.denominator < 0.0:
-            raise StepError("step matrix is not positive definite", level)
+        singular = ~(np.abs(self.denominator) > _SINGULAR_TOL * (1.0 + np.abs(vz)))
+        failed = np.flatnonzero((singular | (self.denominator < 0.0))[:factored])
+        if failed.size:
+            k = int(failed[0])
+            raise StepError("step matrix is singular: corner correction vanishes" if singular[k]
+                            else "step matrix is not positive definite", level + k)
+        if factored < n_systems:
+            raise StepError("step matrix is not positive definite", level + factored)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs for a (N,) `rhs`, solved in place."""
-        y = dpttrs(self.d, self.e, rhs, overwrite_b=1)[0]
-        return daxpy(self.z, y, a=-(y[0] + self.ratio * y[-1]) / self.denominator)
+    def solver(self, rows: np.ndarray) -> Callable[[int, int], None]:
+        """solve(k, j), which overwrites row j of the (J, N) float C-order
+        array `rows` with A_k^-1 rows[j].  Its ctypes arguments are built
+        here and with the factor, once; a call only moves the right side's
+        pointer to row j.  It holds the factor and `rows` alive."""
+        size = self._n.value
+        _require_rows(size, rows)
+        pttrs, axpy, info = self._pttrs, self._axpy, self._info
+        n, one = ctypes.byref(self._n), ctypes.byref(self._one)
+        b = rows.ctypes.data_as(ctypes.c_void_p)
+        b0, stride = b.value, 8 * size
+        a = ctypes.c_double()
+        alpha = ctypes.byref(a)
+        values = memoryview(rows.reshape(-1))  # its items are Python floats: a quicker read
+        ratio, denominator = self.ratio.tolist(), self.denominator.tolist()
+
+        def solve(k: int, j: int) -> None:
+            d, e, z = self._levels[k]
+            b.value = b0 + stride * j
+            pttrs(n, one, d, e, b, n, info)
+            first = size * j
+            a.value = -(values[first] + ratio[k] * values[first + size - 1]) / denominator[k]
+            axpy(n, alpha, z, one, b, one)
+
+        return solve
 
 
 class Propagator:
@@ -185,14 +285,17 @@ class Propagator:
         if self._shift < 0.0:  # then 1^T B_k 1 < 0 at every level
             raise StepError("step matrix is not positive definite: "
                             f"1/dt + theta*c = {self._shift:.6g}", 1)
-        self._factors = []
+        main, off = np.empty((2, grid.n_steps, grid.n_nodes))  # of B_1 .. B_M
         for rows in _level_blocks(grid, 1):
-            coupling = (theta / grid.dtheta**2) * geo.c_half[rows]  # theta c_{i+1/2} / dtheta^2
-            main = geo.sqrt_g[rows] * self._shift + coupling
-            main[:, 1:] += coupling[:, :-1]
-            main[:, 0] += coupling[:, -1]
-            self._factors += [_CyclicFactor(main[j], -coupling[j], rows.start + j)
-                              for j in range(main.shape[0])]
+            steps = slice(rows.start - 1, rows.stop - 1)
+            # theta c_{i+1/2} / dtheta^2
+            coupling = np.multiply(theta / grid.dtheta**2, geo.c_half[rows], out=off[steps])
+            block = np.multiply(geo.sqrt_g[rows], self._shift, out=main[steps])
+            block += coupling
+            block[:, 1:] += coupling[:, :-1]
+            block[:, 0] += coupling[:, -1]
+            np.negative(coupling, out=coupling)
+        self._factor = _CyclicFactor(main, off, 1)
         self._weight = None if divergence else geo.sqrt_g  # None: `run` carries B_k u_k itself
         self._load = None
         if samples is not None:  # (1 - theta) f_k + theta f_{k+1}, measure-weighted
@@ -229,28 +332,32 @@ class Propagator:
         geo, theta = self.geometry, self.config.theta
         beta, scale = (1.0 - theta) / theta, theta * self.grid.dt
         load = self._load if include_forcing else None
-        out = np.empty((self.grid.n_steps + 1, self.grid.n_nodes)) if keep_trajectory else None
+        out = np.empty((self.grid.n_steps + 1 if keep_trajectory else 2, self.grid.n_nodes))
         if keep_trajectory:
             out[0] = u
+        solve = self._factor.solver(out)
+        weight = self._weight
         if beta:  # beta r_{-1}
             flux = _flux_form_apply(geo.c_half[0], geo.sqrt_g[0], self.grid.dtheta, u)
-            density = geo.sqrt_g[0] if self._weight is None else 1.0
+            density = geo.sqrt_g[0] if weight is None else 1.0
             carried = (beta * density) * (self._shift * u - theta * flux)
-        if self._weight is None:  # a_k for one block of levels at a time
+        if weight is None:  # a_k for one block of levels at a time
             blocks = _level_blocks(self.grid, 0, self.grid.n_steps)
-            rates = (rate for rows in blocks for rate in geo.sqrt_g[rows] / scale)
+            rates = (rate for block in blocks for rate in geo.sqrt_g[block] / scale)
         else:
             rates = itertools.repeat(1.0 / scale)
-        for k, (factor, rate) in enumerate(zip(self._factors, rates)):
-            rhs = np.multiply(rate, u, out=out[k + 1] if keep_trajectory else None)
+        rows = range(1, self.grid.n_steps + 1) if keep_trajectory else itertools.cycle((1, 0))
+        for k, j, rate in zip(range(self.grid.n_steps), rows, rates):
+            rhs = np.multiply(rate, u, out[j])
             if load is not None:
                 rhs -= load[k]
             if beta:
                 rhs -= carried
-                carried = beta * rhs
-            if self._weight is not None:
-                rhs *= self._weight[k + 1]
-            u = factor.solve(rhs)
+                np.multiply(beta, rhs, carried)
+            if weight is not None:
+                rhs *= weight[k + 1]
+            solve(k, j)
+            u = rhs
         # The end-state check misses nothing because a non-finite value is
         # absorbing: every off-diagonal of each step matrix is nonzero (theta and
         # c_half > 0), so the cyclic solve spreads an inf or NaN in its right side to

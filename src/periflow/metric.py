@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import DegenerateMetricError
 from .fields import AmbientField, ParameterGrid, _require_shape
@@ -205,9 +204,12 @@ def laplace_beltrami_apply(metric: MetricSample, values: np.ndarray) -> np.ndarr
     return _flux_form_apply(metric.c_half, metric.sqrt_g, metric.dtheta, values)
 
 
-def laplace_beltrami_matrix(metric: MetricSample) -> sparse.csr_matrix:
-    """Cyclic tridiagonal CSR matrix realizing `laplace_beltrami_apply`: the
-    three diagonals plus the two periodic corners."""
+def laplace_beltrami_matrix(metric: MetricSample):
+    """Cyclic tridiagonal matrix realizing `laplace_beltrami_apply`, as a
+    scipy.sparse CSR matrix: the three diagonals plus the two periodic
+    corners.  No scenario calls it, so scipy.sparse loads only here."""
+    import scipy.sparse as sparse
+
     n = metric.n_nodes
     c_prev = np.roll(metric.c_half, 1)  # c_{i-1/2}
     scale = 1.0 / (metric.sqrt_g * metric.dtheta**2)

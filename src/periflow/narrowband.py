@@ -307,8 +307,8 @@ def lift_field(u_values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField) 
     spline (de Boor, ch. IV), whose second derivatives m / h^2, h = 2 pi / N,
     solve m[j-1] + 4 m[j] + m[j+1] = 6 (u[j+1] - 2 u[j] + u[j-1])."""
     u = _require_shape(u_values, np.shape(u_values)[:1], "surface values")
-    n, ones, second = u.size, np.ones(u.size), np.roll(u, -1) - 2.0 * u + np.roll(u, 1)
-    m = _CyclicFactor(4.0 * ones, ones, 0).solve(6.0 * second)
+    n, m = u.size, 6.0 * (np.roll(u, -1) - 2.0 * u + np.roll(u, 1))
+    _CyclicFactor(np.full((1, n), 4.0), np.ones((1, n)), 0).solver(m[None])(0, 0)
     h, mask = 2.0 * np.pi / n, np.isfinite(dist.theta_foot)
     j = np.floor(dist.theta_foot[mask] / h)
     t = (dist.theta_foot[mask] - j * h) / h  # foot / h - j would keep foot / h's n * eps rounding
@@ -466,9 +466,10 @@ def _flat_strip_step(values: np.ndarray, dt: float, half_width: float) -> np.nda
     off[0] = off[-1] = np.sqrt(2.0)
     mu, vectors = np.linalg.eigh((np.diag(off, 1) + np.diag(off, -1) - 2.0 * np.eye(n_y)) / hy**2)
     modes = vectors.T @ (values / (dt * scale[:, None]))
-    coupling = np.full(n_x, -1.0 / hx**2)
-    for j, mu_j in enumerate(mu):
-        modes[j] = _CyclicFactor(1.0 / dt - 2.0 * coupling - mu_j, coupling, 0).solve(modes[j])
+    coupling = np.full((n_y, n_x), -1.0 / hx**2)
+    solve = _CyclicFactor(1.0 / dt - 2.0 * coupling - mu[:, None], coupling, 0).solver(modes)
+    for j in range(n_y):
+        solve(j, j)
     return scale[:, None] * (vectors @ modes)
 
 

@@ -15,31 +15,33 @@ from periflow import (
     ParameterGrid,
     Propagator,
     assemble_metric,
-    band_average_extract,
     bean,
     breathing_circle,
-    build_band,
     build_frame,
     circle,
     commutator_check,
     compatibility_check,
     contraction_estimate,
-    eikonal_residual,
     fixed_point_solve,
-    flat_strip_step_equivalence,
     fourier_noise,
     greens_formula_check,
-    lift_field,
     mass_ledger,
     mean_and_mass,
     monodromy_solve,
-    os_operator_equivalence,
     periodicity_residuals,
     pullback_identity_check,
     rotating_ellipse,
     trace_identity,
 )
 from periflow.cli import parse_config, run_scenario
+from periflow.narrowband import (
+    band_average_extract,
+    build_band,
+    eikonal_residual,
+    flat_strip_step_equivalence,
+    lift_field,
+    os_operator_equivalence,
+)
 
 FAMILY_BUILDERS = {
     "circle": circle,
@@ -243,7 +245,7 @@ def test_criterion_8_appendix_suite():
         g, d = build_band(surface, 0.0, h, 0.2)
         lf = lift_field(u, g, d)
         exact = lift_field(-u, g, d)
-        from periflow import extended_operator_apply
+        from periflow.narrowband import extended_operator_apply
 
         applied = extended_operator_apply(lf, g, d)
         ext_errs.append(float(np.nanmax(np.abs((applied - exact)[g.interior_mask]))))

@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periflow import FAMILIES, ConfigError, build_band, contraction_estimate, evolution, lift_field
+from periflow import FAMILIES, ConfigError, contraction_estimate, evolution
 from periflow.cli import (SCENARIOS, ExperimentConfig, RunManifest, emit_field_csv, main,
                           parse_config, run_scenario)
+from periflow.narrowband import build_band, lift_field
 
 
 def write_config(tmp_path: Path, body: str, name: str = "run.cfg") -> Path:
@@ -318,6 +322,44 @@ SMALL_CONFIGS = {
     "identities": SMALL_HOLDER.replace("scenario = holder", "scenario = identities"),
     "holder": SMALL_HOLDER,
 }
+
+
+def fresh_python(code: str, *args) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports periflow from this
+    checkout, with `args` as its sys.argv[1:]."""
+    env = {**os.environ, "PYTHONPATH": str(Path(evolution.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True)
+
+
+# scenario -> the scipy module its config's parse loads; the others load none
+SCIPY_NEEDED = {"band-check": "scipy.spatial", "periodic-monodromy": "scipy.sparse.linalg"}
+
+
+def test_a_config_parse_loads_scipy_only_for_the_scenarios_that_need_it(tmp_path):
+    # a fresh interpreter per config, since the tests import scipy as an oracle
+    code = ("import sys, periflow, periflow.cli; periflow.cli.parse_config(sys.argv[1]); "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    for scenario, body in SMALL_CONFIGS.items():
+        run = fresh_python(code, write_config(tmp_path, body, f"{scenario}.cfg"))
+        assert run.returncode == 0, run.stderr
+        loaded = set(run.stdout.split())
+        if scenario in SCIPY_NEEDED:
+            assert SCIPY_NEEDED[scenario] in loaded, scenario
+        else:
+            assert not loaded, (scenario, sorted(loaded))
+
+
+def test_a_scenario_whose_module_does_not_import_exits_2(tmp_path):
+    code = ("import sys; sys.modules['scipy.spatial'] = None; from periflow.cli import main; "
+            "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+    run = fresh_python(code, write_config(tmp_path, SMALL_BAND), tmp_path / "o")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    [line] = run.stderr.splitlines()
+    assert line.startswith("config error: scenario band-check needs periflow.narrowband: ")
+    assert "scipy.spatial" in line
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

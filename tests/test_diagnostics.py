@@ -13,15 +13,14 @@ from periflow import (
     ParameterGrid,
     Propagator,
     breathing_circle,
-    build_band,
     build_frame,
     circle,
     compatibility_check,
     holder_estimate,
     interpolation_check,
-    lift_field,
     mass_ledger,
 )
+from periflow.narrowband import build_band, lift_field
 
 
 def static_field(grid, values):

@@ -24,12 +24,12 @@ from periflow import (
     greens_formula_check,
     holder_estimate,
     laplace_beltrami_apply,
-    lift_field,
     mass_ledger,
     mean_and_mass,
     tangential_gradient,
 )
 from periflow.expressions import compile_expression
+from periflow.narrowband import lift_field
 
 
 def make_grid(n, m, period=1.0):

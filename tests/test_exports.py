@@ -1,4 +1,6 @@
-"""Every annotation of the public API resolves to a type."""
+"""Every annotation of the public API resolves to a type: the package's
+exports and the band API, which `periflow.narrowband` defines and the
+package does not re-export."""
 
 import inspect
 import typing
@@ -6,11 +8,13 @@ import typing
 import pytest
 
 import periflow
+from periflow import narrowband
 
-EXPORTS = sorted(
-    name for name, obj in vars(periflow).items()
+PUBLIC = {
+    name: obj for module in (periflow, narrowband) for name, obj in vars(module).items()
     if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
-)
+    and (module is periflow or obj.__module__ == narrowband.__name__)
+}
 
 
 def annotated(obj):
@@ -24,7 +28,11 @@ def annotated(obj):
                 yield member
 
 
-@pytest.mark.parametrize("name", EXPORTS)
+def test_band_api_is_scanned():
+    assert {"build_band", "lift_field", "DistanceField", "NarrowBandGrid"} <= PUBLIC.keys()
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_type_hints_resolve(name):
-    for target in annotated(getattr(periflow, name)):
+    for target in annotated(PUBLIC[name]):
         typing.get_type_hints(target)

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +19,17 @@ from periflow import (
     BandError,
     ExtractionError,
     ProjectionError,
-    band_average_extract,
     bean,
-    build_band,
     circle,
+    narrowband,
+)
+from periflow.narrowband import (
+    band_average_extract,
+    build_band,
     eikonal_residual,
     extended_operator_apply,
     flat_strip_step_equivalence,
     lift_field,
-    narrowband,
     os_operator_equivalence,
     rescaled_gradient,
 )
@@ -384,13 +382,3 @@ def test_flat_strip_step_matches_sparse_lu_step_on_data_varying_in_y():
     expected = kronecker_strip_step(values, 1e-2, 0.2)
     got = narrowband._flat_strip_step(values, 1e-2, 0.2)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-
-def test_cli_import_loads_no_scipy_interpolate_ndimage_or_sparse_linalg():
-    # a fresh interpreter, since the tests import all three as oracles
-    code = ("import sys, periflow.cli; print([m for m in ('scipy.interpolate', 'scipy.ndimage',"
-            " 'scipy.sparse.linalg') if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": str(Path(narrowband.__file__).resolve().parents[1])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert run.stdout.strip() == "[]"

@@ -4,8 +4,10 @@ of the banded stepper against sparse and dense reference solves.
 Each property is drawn over random grid sizes N in [8, 256] (N in [3, 64]
 for the dense cyclic solve), all shipped families and random nodal fields;
 the band's block cull is drawn over families, times, spacings and widths,
-the band lift over N in [8, 2048] against scipy's periodic spline, and the
-interior mask over random masks against scipy's binary erosion.
+the band lift over N in [8, 2048] against scipy's periodic spline, the
+interior mask over random masks against scipy's binary erosion, and the
+cyclic factor and solve over N in [3, 3000], from either source of its
+LAPACK routines, against scipy.linalg's wrappers bit for bit.
 Runs are derandomized, so every run checks the same examples.
 """
 
@@ -18,6 +20,7 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
+from scipy.linalg import blas, lapack
 from scipy.ndimage import binary_erosion
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,18 +34,17 @@ from periflow import (
     Propagator,
     StepError,
     assemble_metric,
-    build_band,
     greens_formula_check,
     laplace_beltrami_apply,
     laplace_beltrami_matrix,
-    lift_field,
     mass_ledger,
     mean_and_mass,
     space_time_geometry,
 )
+from periflow import evolution
 from periflow.evolution import _CyclicFactor, _sample_levels
 from periflow.expressions import compile_expression
-from periflow.narrowband import _stencil_interior
+from periflow.narrowband import _stencil_interior, build_band, lift_field
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 FAMILY = st.sampled_from(sorted(FAMILIES))
@@ -324,21 +326,64 @@ def test_cyclic_solve_matches_dense_solve(n, seed):
                 off = -np.abs(off)
                 main = bound - 10.0 ** rng.uniform(-4.0, -1.0) * np.min(bound)
             with pytest.raises(StepError, match=r"^step matrix is not positive definite \("):
-                _CyclicFactor(main, off, level=0)
+                _CyclicFactor(main[None].copy(), off[None].copy(), level=0)
             continue
         # half positive definite: main above the Gershgorin radii by 1e-3 to 10
         main = bound + 10.0 ** rng.uniform(-3.0, 1.0, n)
         matrix = np.diag(main) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
         matrix[0, -1] = matrix[-1, 0] = off[-1]  # the periodic corners
-        factor = _CyclicFactor(main, off, level=0)
+        factor = _CyclicFactor(main[None].copy(), off[None].copy(), level=0)
         rhs = rng.normal(size=n)
         expected = np.linalg.solve(matrix, rhs)
-        got = factor.solve(rhs.copy())
+        got = rhs.copy()
+        factor.solver(got[None])(0, 0)
         error = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
         # forward error of a backward-stable solve: a modest multiple of
         # eps * cond (observed at most 0.9 eps * cond over 40 000 positive
         # definite draws)
         assert error <= 1e-12 * np.linalg.cond(matrix)
+
+
+def f2py_cyclic_solve(main, off, rhs):
+    """The cyclic solve through scipy.linalg's f2py wrappers: the factor and
+    the Sherman-Morrison step `_CyclicFactor` takes, as (d, e, z, x)."""
+    gamma = -main[0]
+    ratio = off[-1] / gamma
+    diag = main.copy()
+    diag[0] -= gamma
+    diag[-1] -= off[-1] * ratio
+    d, e, info = lapack.dpttrf(diag, off[:-1])
+    assert info == 0
+    w = np.zeros_like(main)
+    w[0], w[-1] = gamma, off[-1]
+    z = lapack.dpttrs(d, e, w)[0]
+    denominator = 1.0 + (z[0] + ratio * z[-1])
+    y = lapack.dpttrs(d, e, rhs.copy(), overwrite_b=1)[0]
+    return d, e, z, blas.daxpy(z, y, a=-(y[0] + ratio * y[-1]) / denominator)
+
+
+@pytest.mark.parametrize("source", ["default", "scipy"])
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(3, 3000), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_cyclic_factor_has_the_bits_of_scipy_lapack(source, n, k, seed):
+    # both sources of the three routines, numpy's bundled OpenBLAS (where this
+    # numpy has one) and scipy's Cython exports, against scipy.linalg's f2py wrappers
+    routines = evolution._LAPACK if source == "default" else evolution._scipy_lapack()
+    rng = np.random.default_rng(seed)
+    off = -rng.uniform(0.1, 1.0, (k, n))
+    main = np.abs(off) + np.abs(np.roll(off, 1, axis=1)) + 10.0 ** rng.uniform(-3.0, 1.0, (k, n))
+    rhs = rng.normal(size=(k, n))
+    expected = [f2py_cyclic_solve(main[j], off[j], rhs[j]) for j in range(k)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_LAPACK", routines)
+        factor = _CyclicFactor(main.copy(), off.copy(), level=0)
+    got = rhs.copy()
+    solve = factor.solver(got)
+    for j, (d, e, z, x) in enumerate(expected):
+        solve(j, j)
+        for ours, theirs in ((factor.d[j], d), (factor.e[j, :-1], e), (factor.z[j], z),
+                             (got[j], x)):
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
