@@ -128,7 +128,7 @@ _PRESETS = {
 # zero-order mode -> the [problem] key of its coefficient; the other modes read none
 _COEFFICIENT_KEYS = {"constant": "c0", "divergence_plus_constant": "alpha"}
 _GRID = {"n_nodes", "n_steps"}
-_STEPPING = _GRID | {"scheme", "zero_order", "c0", "alpha", "forcing"}
+_STEPPING = _GRID | {"family", "scheme", "zero_order", "c0", "alpha", "forcing"}
 _PERIODIC = _STEPPING | {"target_mean", "tol"}
 
 # INI (section, key) -> (ExperimentConfig field, value type); every other key
@@ -154,8 +154,9 @@ _KEYS = {
     ("output", "directory"): ("out_dir", str),
     ("output", "seed"): ("seed", int),
 }
-# the keys on which SCENARIOS rules; every run reads the others
-_RULED = {key for section, key in _KEYS if section in ("problem", "discretization")} - {"scenario"}
+# the keys on which SCENARIOS rules, with the [surface] family's parameters
+# going as `family` goes; every run reads the others
+_RULED = {key for section, key in _KEYS if section != "output"} - {"scenario", "period"}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -200,6 +201,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{key} is not read by {setting}")
     allowed = inspect.signature(FAMILIES[family]).parameters
     for key, text in surface_params.items():
+        if setting := cfg._unread_by("family"):
+            raise ConfigError(f"{key} is not read by {setting}")
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in [surface] for family {family!r}")
         cfg.surface_params[key] = _parse_value(key, text, float)
@@ -418,7 +421,7 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
         lift = band_dist.foot[..., 0]
         exact = -band_dist.curvature * band_dist.normal[..., 0]
         applied = extended_operator_apply(lift, band_grid, band_dist)
-        identity = float(np.nanmax(np.abs((applied - exact)[band_grid.interior_mask])))
+        identity = float(np.nanmax(np.abs((applied - exact)[band_grid.active_mask])))
         return identity, os_operator_equivalence(lift, applied, band_grid, band_dist)
 
     grid2, dist2 = build_band(surface, t, 2.0 * h, delta)
@@ -437,10 +440,9 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
 
 def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     t = 0.3 * cfg.period
-    rows = []
+    grid, rows = ParameterGrid(cfg.n_nodes, cfg.n_steps, cfg.period), []
     for name in ("circle", "breathing", "ellipse", "bean"):
         surface = FAMILIES[name](period=cfg.period)
-        grid = ParameterGrid(cfg.n_nodes, cfg.n_steps, cfg.period)
         frame = build_frame(surface, grid, t)
         metric = assemble_metric(surface, grid, t)
 
@@ -486,9 +488,9 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     manifest.check("interpolation_inequality", worst, 0.0)
 
 
-# scenario name -> (description, runner, the [problem] and [discretization] keys
-# it reads, the modules it loads beyond the numpy core); `parse_config` imports
-# those, so that a run that needs no scipy loads none
+# scenario name -> (description, runner, the `_RULED` keys it reads, the modules
+# it loads beyond the numpy core); `parse_config` imports those, so that a run
+# that needs no scipy loads none
 SCENARIOS = {
     "ivp": ("initial value solve with mass ledger", _scenario_ivp, _STEPPING | {"u0"}, ()),
     "ivp_decay": ("ivp preset: cosine initial data, no forcing, no zero-order term",
@@ -500,10 +502,11 @@ SCENARIOS = {
     "contraction": ("measure end-map contraction ratios against the decay bound",
                     _scenario_contraction, _PERIODIC | {"max_iter"}, ()),
     "band-check": ("narrow-band extension identity suite", _scenario_band,
-                   {"band_time", "band_h", "band_delta"}, ("periflow.narrowband",)),
+                   {"family", "band_time", "band_h", "band_delta"}, ("periflow.narrowband",)),
     "identities": ("operator identity residuals across the shipped families",
                    _scenario_identities, _GRID, ()),
-    "holder": ("Hölder estimator suite on a reference field", _scenario_holder, _GRID, ()),
+    "holder": ("Hölder estimator suite on a reference field", _scenario_holder,
+               _GRID | {"family"}, ()),
 }
 
 

@@ -12,17 +12,20 @@ tangential gradient of the extended parabolic operator, are
     A   = I + (1/s - 1) tau (x) tau,
     A^-1 = I + (s - 1) tau (x) tau,      det A = 1/s.
 
-Geometry is computed on a halo slightly wider than the active band so that
-every active node has full central stencils; identity checks are evaluated
-on the interior mask, the active nodes whose 5x5 window lies in the halo.
+Geometry is computed on a halo `_HALO_CELLS` cells wider than the active
+band.  |d| is 1-Lipschitz and a 5x5 window reaches 2 sqrt 2 cells, so every
+active node has its full central stencils in the halo, and operators and
+identity checks are evaluated on the active mask.
 `lift_field` interpolates values at the N parameters 2 pi j / N by their
 periodic cubic spline, solved by `evolution._CyclicFactor`.  One projection
 finds closest points: Newton on the chart, steps clipped to half a radian,
-from the nearest curve sample, with a multistart fallback run as one more
-Newton call, made by `build_band` on the grid nodes near the curve.  It
-first culls whole blocks of nodes by one KD query of the block centres,
-with the radius widened by the block's half-diagonal, so the projected
-nodes are exactly those a query of every node would keep.
+from the nearest curve sample; the foot frame comes from its last chart
+evaluation, and a point it does not converge on raises ProjectionError.
+`build_band` makes it on the grid nodes near the curve.  It first culls
+whole blocks of nodes by a KD query of the block centres, on the same tree
+of curve samples that gives the Newton starts, with the radius widened by
+the block's half-diagonal, so the projected nodes are exactly those a query
+of every node would keep.
 
 `flat_strip_step_equivalence` checks that the extension reduces to the
 surface problem on a flat periodic strip.  Its 2-d backward-Euler step is a
@@ -47,29 +50,27 @@ from .fields import _require_shape
 from .surfaces import SurfaceFamily, _frame_pieces, circle, orientation_sign
 from .tables import write_npy
 
-_HALO_CELLS = 4
+_HALO_CELLS = 4  # > 2 sqrt 2, the reach of a 5x5 stencil: active stencils lie in the halo
 _CULL_BLOCK = 8  # nodes per side of the blocks `build_band` culls by their centres
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 60
 _SAMPLE_COUNT = 1024  # curve samples: Newton starts and max|kappa|
-_MULTISTART = 8  # fallback Newton starts per failed point
 _EXTRACT_QUAD = 12  # Gauss-Legendre points per extraction ray
 _MIN_STRETCH = 0.1  # reach limit on 1 + d*kappa, i.e. on |A^-1|
 
 
 @dataclass(frozen=True)
 class NarrowBandGrid:
-    """Uniform Cartesian grid hosting the band, with node masks.  `build_band`
-    gives geometry to a halo `_HALO_CELLS` cells wider than the band, so that
-    interior nodes have full stencils; the halo is the nodes with
-    ``|d| < delta + _HALO_CELLS * h``, and no mask keeps it."""
+    """Uniform Cartesian grid hosting the band, with its active mask.
+    `build_band` gives geometry to a halo `_HALO_CELLS` cells wider than the
+    band, the nodes with ``|d| < delta + _HALO_CELLS * h``, so that every
+    active node has its full 5x5 stencil there; no mask keeps the halo."""
 
     xs: np.ndarray  # (nx,)
     ys: np.ndarray  # (ny,)
     h: float
     delta: float
     active_mask: np.ndarray  # (ny, nx) |d| < delta
-    interior_mask: np.ndarray  # active nodes with full two-layer stencils
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,7 +110,7 @@ def _curve_samples(surface: SurfaceFamily, t: float):
 
 def _newton_project(
     surface: SurfaceFamily, t: float, pts: np.ndarray, theta0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Newton, steps clipped to half a radian, for the stationarity condition
     g = -(x - X(theta)).X'(theta) = 0: after one chart evaluation at the
     start, a sweep is one step ``theta -= clip(g / g', +-0.5)`` and one
@@ -117,7 +118,8 @@ def _newton_project(
     the foot ``g' = |X'|^2 (1 + d kappa) >= |X'|^2 / 4`` inside the halo,
     which `build_band` limits to ``(delta + 4h) max|kappa| < 3/4``.
 
-    Returns refined parameters and a convergence mask."""
+    Returns the parameters, a convergence mask and the chart evaluation at
+    those parameters, X, X_theta and X_theta_theta: the last one made."""
     theta = theta0.astype(float)
     for sweep in range(_NEWTON_MAX_ITER + 1):
         X, Xd, Xdd, _, _ = surface.jet(theta, t)
@@ -129,51 +131,33 @@ def _newton_project(
         floor = 1e-14 * scale
         safe = np.where(np.abs(gp) > floor, gp, np.where(gp >= 0.0, floor, -floor))
         theta = theta - np.clip(g / safe, -0.5, 0.5)
-    return theta, np.abs(g) <= 10.0 * _NEWTON_TOL * scale
-
-
-def _point_geometry(surface: SurfaceFamily, t: float, theta: np.ndarray, sign: float):
-    """Frame pieces of the curve evaluated at arbitrary parameters."""
-    foot, xd, xdd, _, _ = surface.jet(theta, t)
-    _, tau, nu, kappa = _frame_pieces(xd, xdd, sign, t)
-    return foot, tau, nu, kappa
+    return theta, np.abs(g) <= 10.0 * _NEWTON_TOL * scale, X, Xd, Xdd
 
 
 def _closest_points(
-    surface: SurfaceFamily, t: float, pts: np.ndarray, curve, bound: float
+    surface: SurfaceFamily, t: float, pts: np.ndarray, curve, tree: cKDTree, bound: float
 ) -> tuple[np.ndarray, DistanceField]:
     """Closest-point geometry of the points whose nearest curve sample (of
-    `curve`, the `_curve_samples` tuple) lies within `bound`.
+    `curve`, the `_curve_samples` tuple, queried through `tree`, the KD tree
+    of its samples) lies within `bound`.
 
-    Newton, steps clipped to half a radian, starts at that nearest sample.
-    Points where it fails restart from their `_MULTISTART` nearest samples,
-    all in one Newton call, and keep the closest converged foot (of equal
-    ones, the first start's).  Returns the mask of the projected points and
-    their field of (P,) arrays; raises ProjectionError when every start of a
-    point fails.
+    Newton, steps clipped to half a radian, starts at that nearest sample;
+    the foot, its frame and curvature come from its last chart evaluation.
+    Returns the mask of the projected points and their field of (P,)
+    arrays; raises ProjectionError naming the first point Newton does not
+    converge on.
     """
-    theta_s, samples, sign, _ = curve
-    tree = cKDTree(samples)
+    theta_s, _, sign, _ = curve
     # cKDTree drops a point exactly at the bound, which the rule keeps
     coarse, idx = tree.query(pts, distance_upper_bound=np.nextafter(bound, np.inf))
     near = coarse <= bound
     pts = pts[near]
-    theta, ok = _newton_project(surface, t, pts, theta_s[idx[near]])
+    theta, ok, foot, xd, xdd = _newton_project(surface, t, pts, theta_s[idx[near]])
     if not np.all(ok):
-        bad = pts[~ok]
-        _, starts = tree.query(bad, k=_MULTISTART)
-        tries = np.repeat(bad, _MULTISTART, axis=0)
-        th_try, ok_try = _newton_project(surface, t, tries, theta_s[starts.ravel()])
-        d2 = np.sum((tries - surface.jet(th_try, t)[0]) ** 2, axis=1)
-        d2 = np.where(ok_try, d2, np.inf).reshape(-1, _MULTISTART)
-        best = np.argmin(d2, axis=1)  # the first of equal distances
-        failed = np.isinf(d2.min(axis=1))
-        if np.any(failed):
-            where = bad[failed][0]
-            raise ProjectionError(f"closest-point Newton failed near {where} at t={float(t)!r}",
-                                  location=where)
-        theta[~ok] = th_try[_MULTISTART * np.arange(bad.shape[0]) + best]
-    foot, tau, nu, kappa = _point_geometry(surface, t, theta, sign)
+        where = pts[~ok][0]
+        raise ProjectionError(f"closest-point Newton failed near {where} at t={float(t)!r}",
+                              location=where)
+    _, tau, nu, kappa = _frame_pieces(xd, xdd, sign, t)
     dist = np.einsum("pa,pa->p", pts - foot, nu)
     return near, DistanceField(dist, theta % (2.0 * np.pi), foot, nu, tau, kappa)
 
@@ -229,8 +213,8 @@ def build_band(
     centre_y = y_lo + h * (B * np.arange((ny + B - 1) // B) + 0.5 * (B - 1))
     CX, CY = np.meshgrid(centre_x, centre_y, indexing="xy")
     radius = bound + (B - 1) * h / np.sqrt(2.0) + h
-    reach, _ = cKDTree(samples).query(np.stack([CX.ravel(), CY.ravel()], axis=-1),
-                                      distance_upper_bound=radius)
+    tree = cKDTree(samples)
+    reach, _ = tree.query(np.stack([CX.ravel(), CY.ravel()], axis=-1), distance_upper_bound=radius)
     blocks = np.isfinite(reach).reshape(CX.shape)
     candidate = np.repeat(np.repeat(blocks, B, axis=0), B, axis=1)[:ny, :nx].ravel()
 
@@ -239,7 +223,7 @@ def build_band(
     XX, YY = np.meshgrid(xs, ys, indexing="xy")
     pts = np.stack([XX.ravel()[candidate], YY.ravel()[candidate]], axis=-1)
     near = np.zeros(ny * nx, dtype=bool)
-    near[candidate], flat = _closest_points(surface, t, pts, curve, bound)
+    near[candidate], flat = _closest_points(surface, t, pts, curve, tree, bound)
 
     def scatter(values):
         full = np.full((ny * nx, *values.shape[1:]), np.nan)
@@ -252,17 +236,9 @@ def build_band(
     active_mask = finite & (np.abs(field.dist) < delta)
     if not np.any(active_mask):
         raise BandError("no active nodes; grid spacing too coarse for this band")
-    interior_mask = active_mask & _stencil_interior(halo_mask)
     _require_reach(field.stretch[halo_mask], "gradient factor nearly singular inside the halo")
 
-    return NarrowBandGrid(xs, ys, h, delta, active_mask, interior_mask), field
-
-
-def _stencil_interior(mask: np.ndarray) -> np.ndarray:
-    """Nodes whose 5x5 window lies in `mask`; outside the rectangle is False."""
-    rows = np.pad(mask, 2)
-    rows = np.logical_and.reduce([rows[:, k : k + mask.shape[1]] for k in range(5)])
-    return np.logical_and.reduce([rows[k : k + mask.shape[0]] for k in range(5)])
+    return NarrowBandGrid(xs, ys, h, delta, active_mask), field
 
 
 # -- differential operators on the rectangle ---------------------------------
@@ -347,12 +323,11 @@ def extended_operator_apply(
 ) -> np.ndarray:
     """Apply the identity-metric extended operator D~.D~ u + u_nunu on the
     band: the rescaled divergence of the rescaled gradient plus the plain
-    second derivative along the normal.  Valid on the interior mask; NaN
-    elsewhere.
+    second derivative along the normal, on the active nodes; NaN elsewhere.
     """
     values = _require_shape(values, grid.shape, "band field")
     out = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
-    return np.where(grid.interior_mask, out, np.nan)
+    return np.where(grid.active_mask, out, np.nan)
 
 
 def band_average_extract(
@@ -369,7 +344,8 @@ def band_average_extract(
     interpolation.  Raises ExtractionError naming the surface node and theta
     of the first ray that leaves the valid band or the grid rectangle.
     """
-    foot, _, nu, _ = _point_geometry(surface, t, theta_nodes, _curve_samples(surface, t)[2])
+    foot, xd, xdd, _, _ = surface.jet(theta_nodes, t)
+    nu = _frame_pieces(xd, xdd, _curve_samples(surface, t)[2], t)[2]
     s_ref, w_ref = np.polynomial.legendre.leggauss(_EXTRACT_QUAD)
     s = s_ref * grid.delta
     w = w_ref * grid.delta
@@ -426,7 +402,7 @@ def eikonal_residual(grid: NarrowBandGrid, dist: DistanceField) -> float:
 def os_operator_equivalence(
     values: np.ndarray, applied: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
 ) -> float:
-    """Max interior difference between the weighted-divergence form
+    """Max difference over the active nodes between the weighted-divergence form
     (1/mu) div(mu A^-2 grad u) and the rescaled form D~.D~ u + u_nunu, with
     mu = det A = 1/s and A^-2 = I + (s^2 - 1) tau (x) tau; `applied` is the
     rescaled form, as `extended_operator_apply(values, grid, dist)` returns it."""
@@ -436,7 +412,7 @@ def os_operator_equivalence(
     flux = (g + along[..., None] * dist.tangent) / s[..., None]
     lhs = (_ddx(flux[..., 0], grid.h) + _ddy(flux[..., 1], grid.h)) * s
     diff = np.abs(lhs - applied)
-    return float(np.nanmax(diff[grid.interior_mask]))
+    return float(np.nanmax(diff[grid.active_mask]))
 
 
 def band_field_csv(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.ndimage import binary_erosion
+from scipy.spatial import cKDTree
 
 from periflow.diagnostics import _arc_coordinates, _holder_sups, _time_derivative
 from periflow.evolution import Forcing, IVPConfig, Propagator, _sample_levels
@@ -270,7 +270,8 @@ def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray)
     """Closest-point geometry of arbitrary points as a DistanceField of (P,)
     arrays; A, A^-1 and det A follow from its `stretch`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, field = _closest_points(surface, t, pts, _curve_samples(surface, t), np.inf)
+    curve = _curve_samples(surface, t)
+    _, field = _closest_points(surface, t, pts, curve, cKDTree(curve[1]), np.inf)
     _require_reach(field.stretch, "points beyond the curvature reach of the curve")
     return field
 
@@ -279,14 +280,15 @@ def full_rectangle_band(
     surface: SurfaceFamily, t: float, grid: NarrowBandGrid
 ) -> tuple[NarrowBandGrid, DistanceField]:
     """`build_band` without its block cull: `_closest_points` on every node of
-    the rectangle of `grid`, under the same bound, and the masks from that."""
+    the rectangle of `grid`, under the same bound, and the active mask from
+    that."""
     curve = _curve_samples(surface, t)
     samples = curve[1]
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
     XX, YY = grid.mesh()
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
     halo_delta = grid.delta + _HALO_CELLS * grid.h
-    near, flat = _closest_points(surface, t, pts, curve, halo_delta + chord)
+    near, flat = _closest_points(surface, t, pts, curve, cKDTree(samples), halo_delta + chord)
 
     def scatter(values):
         full = np.full((near.size, *values.shape[1:]), np.nan)
@@ -294,11 +296,8 @@ def full_rectangle_band(
         return full.reshape((*grid.shape, *values.shape[1:]))
 
     field = DistanceField(**{f.name: scatter(getattr(flat, f.name)) for f in fields(DistanceField)})
-    finite = np.isfinite(field.dist)
-    halo_mask = finite & (np.abs(field.dist) < halo_delta)
-    active_mask = finite & (np.abs(field.dist) < grid.delta)
-    interior_mask = active_mask & binary_erosion(halo_mask, structure=np.ones((5, 5)))
-    return replace(grid, active_mask=active_mask, interior_mask=interior_mask), field
+    active_mask = np.isfinite(field.dist) & (np.abs(field.dist) < grid.delta)
+    return replace(grid, active_mask=active_mask), field
 
 
 def kronecker_strip_step(values: np.ndarray, dt: float, half_width: float) -> np.ndarray:
@@ -324,9 +323,9 @@ def kronecker_strip_step(values: np.ndarray, dt: float, half_width: float) -> np
 def elliptic_part_identity_check(
     values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
 ) -> float:
-    """Max interior residual of the expanded elliptic-part identity for the
-    identity metric: D~.D~ u + u_nunu against the A^-1-contracted Hessian
-    plus first-order corrections."""
+    """Max residual over the active nodes of the expanded elliptic-part
+    identity for the identity metric: D~.D~ u + u_nunu against the
+    A^-1-contracted Hessian plus first-order corrections."""
     lhs = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
 
     tau_tau = np.einsum("...a,...b->...ab", dist.tangent, dist.tangent)
@@ -342,7 +341,7 @@ def elliptic_part_identity_check(
     div_nu = _rescaled_divergence(dist.normal, grid, dist)
     m3 = -div_nu * np.einsum("...a,...a->...", dist.normal, g)
     diff = np.abs(lhs - (m1 + m2 + m3))
-    return float(np.nanmax(diff[grid.interior_mask]))
+    return float(np.nanmax(diff[grid.active_mask]))
 
 
 # -- diagnostics ---------------------------------------------------------------
@@ -433,9 +432,7 @@ def norm_equivalence_check(
     sup_b, h_b = _band_holder(pts, lifted[act], alpha, _EQUIVALENCE_BUDGET, rng)
 
     g_band = _gradient(lifted, band_grid.h)
-    interior = band_grid.interior_mask
-    pts_i = np.stack([XX[interior], YY[interior]], axis=-1)
-    gsup_b, gh_b = _band_holder(pts_i, g_band[interior], alpha, _EQUIVALENCE_BUDGET, rng)
+    gsup_b, gh_b = _band_holder(pts, g_band[act], alpha, _EQUIVALENCE_BUDGET, rng)
 
     ratio0 = (sup_b + h_b) / (sup_m + h_m)
     ratio1 = (sup_b + gsup_b + gh_b) / (sup_m + gsup_m + gh_m)

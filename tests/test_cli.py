@@ -319,7 +319,9 @@ SMALL_CONFIGS = {
     "periodic-monodromy": SMALL_MONO,
     "contraction": SMALL_CONTRACTION,
     "band-check": SMALL_BAND,
-    "identities": SMALL_HOLDER.replace("scenario = holder", "scenario = identities"),
+    # it runs the four shipped families, so its config names none
+    "identities": SMALL_HOLDER.replace("scenario = holder", "scenario = identities")
+                              .replace("[surface]\nfamily = circle\n\n", ""),
     "holder": SMALL_HOLDER,
 }
 
@@ -651,20 +653,21 @@ def test_coefficient_key_the_zero_order_mode_does_not_read_exits_2(
     assert not (tmp_path / "o").exists()
 
 
-# the [problem] and [discretization] keys each scenario reads, stated here
-# apart from cli.SCENARIOS
+# the [problem] and [discretization] keys and the [surface] family each
+# scenario reads, stated here apart from cli.SCENARIOS
 GRID_KEYS = {"n_nodes", "n_steps"}
-STEPPING_KEYS = GRID_KEYS | {"scheme", "zero_order", "c0", "alpha", "forcing"}
+STEPPING_KEYS = GRID_KEYS | {"family", "scheme", "zero_order", "c0", "alpha", "forcing"}
 PERIODIC_KEYS = STEPPING_KEYS | {"target_mean", "tol"}
 READS = {
     "ivp": STEPPING_KEYS | {"u0"}, "ivp_decay": STEPPING_KEYS | {"u0"},
     "periodic-fixed": PERIODIC_KEYS | {"max_iter"}, "periodic-monodromy": PERIODIC_KEYS,
-    "contraction": PERIODIC_KEYS | {"max_iter"}, "identities": GRID_KEYS, "holder": GRID_KEYS,
-    "band-check": {"band_time", "band_h", "band_delta"},
+    "contraction": PERIODIC_KEYS | {"max_iter"}, "identities": GRID_KEYS,
+    "holder": GRID_KEYS | {"family"}, "band-check": {"family", "band_time", "band_h", "band_delta"},
 }
 # each of those keys -> (its section, a value that parses)
 KEY_VALUES = {
-    "zero_order": ("problem", "zero"), "c0": ("problem", "1.0"), "alpha": ("problem", "1.0"),
+    "family": ("surface", "bean"), "zero_order": ("problem", "zero"), "c0": ("problem", "1.0"),
+    "alpha": ("problem", "1.0"),
     "forcing": ("problem", "cos(theta)"), "u0": ("problem", "5 + sin(theta)"),
     "target_mean": ("problem", "7.0"), "tol": ("problem", "1e-10"), "max_iter": ("problem", "10"),
     "band_time": ("problem", "0.5"), "n_nodes": ("discretization", "32"),
@@ -688,11 +691,24 @@ def test_key_the_scenario_does_not_read_exits_2(tmp_path, capsys, scenario, key)
     section, value = KEY_VALUES[key]
     lines = {"problem": "c0 = 1.0\n" if scenario == "contraction" else "", "discretization": ""}
     lines[section] += f"{key} = {value}\n"
-    body = (f"[surface]\nfamily = breathing\n\n[problem]\nscenario = {scenario}\n"
+    body = (f"[surface]\nperiod = 1.0\n\n[problem]\nscenario = {scenario}\n"
             f"{lines['problem']}\n[discretization]\n{lines['discretization']}")
     path = write_config(tmp_path, body)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {key} is not read by scenario = {scenario}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("surface", ["family = circle", "family = bean\ndent = 0.1",
+                                     "radius = 2.0"])
+def test_identities_rejects_the_surface_keys_it_does_not_read(tmp_path, capsys, surface):
+    # it runs the four shipped families with their default parameters at `period`
+    body = SMALL_CONFIGS["identities"].replace(
+        "[problem]", f"[surface]\n{surface}\nperiod = 2.0\n\n[problem]")
+    path = write_config(tmp_path, body)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    key = surface.split(" = ")[0]
+    assert capsys.readouterr().err == f"config error: {key} is not read by scenario = identities\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -706,13 +722,16 @@ def test_manifest_records_only_the_keys_the_run_read(tmp_path):
     # no grid, stepping or periodic-solve key
     assert resolved_names(tmp_path / "band") == {"scenario", "surface_family", "period", "seed",
                                                  "band_time", "band_h", "band_delta"}
+    run_and_digest(tmp_path, SMALL_CONFIGS["identities"], "identities")  # no surface
+    assert resolved_names(tmp_path / "identities") == {"scenario", "period", "seed", "n_nodes",
+                                                       "n_steps"}
     run_and_digest(tmp_path, SMALL_IVP, "ivp")  # zero_order = divergence reads no coefficient
     ivp = resolved_names(tmp_path / "ivp")
     assert "zero_order" in ivp and not ivp & {"c0", "alpha"}
 
 
 # INI key -> its ExperimentConfig field, where the names differ
-FIELD_OF_KEY = {"forcing": "forcing_expr", "u0": "u0_expr"}
+FIELD_OF_KEY = {"family": "surface_family", "forcing": "forcing_expr", "u0": "u0_expr"}
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -729,8 +748,10 @@ def test_each_runner_reads_the_keys_its_scenario_declares(tmp_path, monkeypatch,
     monkeypatch.undo()
     read &= {f.name for f in dataclasses.fields(ExperimentConfig)}
     declared = {FIELD_OF_KEY.get(key, key) for key in SCENARIOS[scenario][2]}
-    # `scenario` picks the runner's branch; [surface] and [output] are outside the table
-    outside = {"scenario", "surface_family", "surface_params", "period", "out_dir", "seed"}
+    if "surface_family" in declared:  # the family's parameters go with it
+        declared.add("surface_params")
+    # `scenario` picks the runner's branch; `period` and [output] are outside the table
+    outside = {"scenario", "period", "out_dir", "seed"}
     assert read <= declared | outside
     in_use = {"constant": "c0", "divergence_plus_constant": "alpha"}.get(cfg.zero_order)
     assert declared - ({"c0", "alpha"} - {in_use}) <= read
@@ -821,8 +842,10 @@ def fuzzed_config(draw):
     conflicting preset."""
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
     period = draw(st.sampled_from([None, 0.5, 2.0]))
-    sections = {"surface": {"family": draw(st.sampled_from(sorted(FAMILIES)))},
-                "problem": {"scenario": scenario}, "discretization": {}, "output": {}}
+    sections = {"surface": {}, "problem": {"scenario": scenario}, "discretization": {},
+                "output": {}}
+    if "family" in READS[scenario]:
+        sections["surface"]["family"] = draw(st.sampled_from(sorted(FAMILIES)))
     if period is not None:
         sections["surface"]["period"] = repr(period)
     problem, disc = sections["problem"], sections["discretization"]

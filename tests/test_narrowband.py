@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from helpers import observed_orders
 from oracles import (
@@ -19,6 +18,7 @@ from periflow import (
     BandError,
     ExtractionError,
     ProjectionError,
+    SurfaceFamily,
     bean,
     circle,
     narrowband,
@@ -33,6 +33,7 @@ from periflow.narrowband import (
     os_operator_equivalence,
     rescaled_gradient,
 )
+from periflow.surfaces import _frame_pieces
 
 SURF_THETA = np.arange(1024) * (2.0 * np.pi / 1024)
 
@@ -95,37 +96,10 @@ def test_point_geometry_reproduces_band_fields():
         assert np.array_equal(getattr(geo, f.name), getattr(dist, f.name)[finite])
 
 
-def test_multistart_fallback_recovers_failed_points(monkeypatch):
-    grid, dist = bean_band()
-    finite, nodes = band_nodes(grid, dist)
-    newton, calls = narrowband._newton_project, []
-
-    def first_call_fails_some(surface, t, pts, theta0):
-        theta, ok = newton(surface, t, pts, theta0)
-        if not calls:
-            ok = ok.copy()
-            ok[::7] = False
-        calls.append(pts.shape[0])
-        return theta, ok
-
-    monkeypatch.setattr(narrowband, "_newton_project", first_call_fails_some)
-    grid_fb, dist_fb = bean_band()
-    assert len(calls) == 2 and calls[1] == 8 * ((calls[0] + 6) // 7)
-    assert np.array_equal(grid_fb.active_mask, grid.active_mask)
-    calls.clear()
-    geo = surface_point_geometry(bean(), 0.25, nodes)
-    assert len(calls) == 2
-    # Newton runs until its whole batch converges, so a point restarted in
-    # another batch can stop one sweep earlier: round-off, not bits
-    for f in fields(dist):
-        expected = getattr(dist, f.name)
-        assert np.allclose(getattr(dist_fb, f.name), expected, rtol=0.0, atol=1e-12, equal_nan=True)
-        assert np.allclose(getattr(geo, f.name), expected[finite], rtol=0.0, atol=1e-12)
-
-
 def test_projection_error_when_every_start_fails(monkeypatch):
     def never_converges(surface, t, pts, theta0):
-        return theta0.astype(float), np.zeros(pts.shape[0], dtype=bool)
+        theta = theta0.astype(float)
+        return (theta, np.zeros(pts.shape[0], dtype=bool), *surface.jet(theta, t)[:3])
 
     monkeypatch.setattr(narrowband, "_newton_project", never_converges)
     with pytest.raises(ProjectionError, match=r"at t=0\.25") as info:
@@ -136,31 +110,35 @@ def test_projection_error_when_every_start_fails(monkeypatch):
     assert np.array_equal(info.value.location, [0.0, 1.2])
 
 
-def test_fallback_keeps_the_closest_converged_start_and_the_first_of_a_tie(monkeypatch):
-    # from sample k, at offset m = k or k - 1024 from theta = 0, the fake
-    # returns theta = m / 10, converged where |m| >= 2: its results depend on
-    # the start alone, not on the batch the start sits in
-    curve = narrowband._curve_samples(circle(), 0.0)
-    step = curve[0][1]
+def test_band_geometry_is_newtons_last_chart_evaluation(monkeypatch):
+    # one chart pass per projection: after Newton's last evaluation no chart
+    # evaluation covers the projected nodes, and the band's frame is that
+    # evaluation's, bit for bit
+    surface, t, seen, returned = bean(), 0.25, [], []
 
-    def by_start(surface, t, pts, theta0):
-        m = np.round(theta0 / step).astype(int)
-        m = np.where(m >= 512, m - 1024, m)
-        return 0.1 * m, np.abs(m) >= 2
+    def counted_jet(theta, time):
+        seen.append(np.array(theta, copy=True))
+        return surface.jet(theta, time)
 
-    monkeypatch.setattr(narrowband, "_newton_project", by_start)
-    pts = np.array([[1.5, 0.0], [1.5, 0.005], [0.0, 1.5]])
-    _, field = narrowband._closest_points(circle(), 0.0, pts, curve, np.inf)
-    # the first point starts at m = 0 and the second at m = 1, so both
-    # restart; m = +-1 gives a closer foot than any converged start does
-    _, starts = cKDTree(curve[1]).query(pts[:2], k=narrowband._MULTISTART)
-    assert {0, 1, 1023, 2, 1022} <= set(starts[0]) and {1, 2, 1022} <= set(starts[1])
-    # the first point's feet at theta = +-0.2 are exactly as close
-    ends = circle().jet(np.array([0.2, -0.2]), 0.0)[0]
-    assert np.sum((pts[0] - ends[0]) ** 2) == np.sum((pts[0] - ends[1]) ** 2)
-    first_of_tie = 0.2 if list(starts[0]).index(2) < list(starts[0]).index(1022) else -0.2
-    expected = np.array([first_of_tie, 0.2, 25.6]) % (2.0 * np.pi)
-    assert np.array_equal(field.theta_foot, expected)
+    newton = narrowband._newton_project
+
+    def recording(*args):
+        out = newton(*args)
+        returned.append((len(seen), out[0]))
+        return out
+
+    monkeypatch.setattr(narrowband, "_newton_project", recording)
+    delta = default_band_width(surface, t)
+    _, dist = build_band(SurfaceFamily("counted", counted_jet, surface.period), t, delta / 8.0,
+                         delta)
+    [(last, theta)] = returned
+    assert np.array_equal(seen[last - 1], theta)
+    assert all(points.size < theta.size for points in seen[last:])
+    foot, xd, xdd, _, _ = surface.jet(theta, t)
+    _, tau, nu, kappa = _frame_pieces(xd, xdd, narrowband._curve_samples(surface, t)[2], t)
+    finite = np.isfinite(dist.dist)
+    for name, expected in (("foot", foot), ("tangent", tau), ("normal", nu), ("curvature", kappa)):
+        assert np.array_equal(getattr(dist, name)[finite].view(np.uint64), expected.view(np.uint64))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -169,24 +147,15 @@ def test_fallback_keeps_the_closest_converged_start_and_the_first_of_a_tie(monke
 # the halo at its limit: (delta + 4h) max|kappa| = 0.7499, so 1 + d kappa >= 0.25
 @example(family="ellipse", t=0.0, reach=0.2499, h=1.0 / 16.0)
 def test_first_newton_call_converges_at_every_projected_node(family, t, reach, h):
-    # the premise of Newton without a line search: no band node needs the
-    # multistart fallback.  A draw whose halo outgrows the curvature reach
-    # raises BandError and is skipped: none of the 60 draws here
-    surface, newton, flags = FAMILIES[family](), narrowband._newton_project, []
-
-    def recording(*args):
-        theta, ok = newton(*args)
-        flags.append(ok)
-        return theta, ok
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(narrowband, "_newton_project", recording)
-        try:
-            build_band(surface, t, h, reach / max_curvature(surface, t))
-        except BandError:
-            reject()
-    missed = int(np.sum(~flags[0]))
-    assert missed == 0, f"Newton missed {missed} of {flags[0].size} nodes; the fallback ran"
+    # the premise of Newton without a line search or a restart: it converges
+    # at every band node, so `build_band` raises no ProjectionError.  A draw
+    # whose halo outgrows the curvature reach raises BandError and is
+    # skipped: none of the 60 draws here
+    surface = FAMILIES[family]()
+    try:
+        build_band(surface, t, h, reach / max_curvature(surface, t))
+    except BandError:
+        reject()
 
 
 def test_band_rejects_too_wide():
@@ -255,11 +224,11 @@ def test_rescaled_gradient_of_lift_is_lifted_gradient():
         rg = rescaled_gradient(lifted, grid, dist)
         th = dist.theta_foot
         exact = np.stack([np.sin(th) ** 2, -np.sin(th) * np.cos(th)], axis=-1)
-        errs.append(np.nanmax(np.abs((rg - exact)[grid.interior_mask])))
+        errs.append(np.nanmax(np.abs((rg - exact)[grid.active_mask])))
     assert 3.0 <= errs[0] / errs[1] <= 5.5
     grid, dist = circle_band()
     zero = rescaled_gradient(exact_lift(lambda th: 0.0 * th + 2.0, grid, dist), grid, dist)
-    assert np.nanmax(np.abs(zero[grid.interior_mask])) == 0.0
+    assert np.nanmax(np.abs(zero[grid.active_mask])) == 0.0
 
 
 def test_extended_operator_identity_metric_second_order():
@@ -269,7 +238,7 @@ def test_extended_operator_identity_metric_second_order():
         lifted = exact_lift(np.cos, grid, dist)
         exact = exact_lift(lambda th: -np.cos(th), grid, dist)
         applied = extended_operator_apply(lifted, grid, dist)
-        errs.append(np.nanmax(np.abs((applied - exact)[grid.interior_mask])))
+        errs.append(np.nanmax(np.abs((applied - exact)[grid.active_mask])))
     for order in observed_orders(errs):
         assert abs(order - 2.0) <= 0.3
 
@@ -278,7 +247,7 @@ def test_extended_operator_constant_field():
     grid, dist = circle_band()
     const = np.where(np.isfinite(dist.dist), 4.0, np.nan)
     out = extended_operator_apply(const, grid, dist)
-    assert np.nanmax(np.abs(out[grid.interior_mask])) <= 1e-11
+    assert np.nanmax(np.abs(out[grid.active_mask])) <= 1e-11
 
 
 def test_extended_operator_on_distance_field():
@@ -288,7 +257,7 @@ def test_extended_operator_on_distance_field():
     for h in (1.0 / 64.0, 1.0 / 128.0):
         grid, dist = build_band(circle(), 0.0, h, 0.2)
         out = extended_operator_apply(dist.dist, grid, dist)
-        errs.append(np.nanmax(np.abs(out[grid.interior_mask])))
+        errs.append(np.nanmax(np.abs(out[grid.active_mask])))
     assert 3.0 <= errs[0] / errs[1] <= 5.5
 
 

@@ -1,6 +1,6 @@
 """The library is what the program runs, and the program uses all of it.
 
-Six scans of the package sources, each a function of the source directory,
+Seven scans of the package sources, each a function of the source directory,
 so that `test_scans_report_their_plants` can run them on a planted package:
 
 * `unreached`: every definition in `src/periflow` is reached from the CLI;
@@ -17,6 +17,9 @@ so that `test_scans_report_their_plants` can run them on a planted package:
 * `unread_fields`: every field of a dataclass, every property and every
   `self.<name>` assigned in an `__init__` is loaded as an attribute somewhere
   in `src`, matched by name as above.
+* `unread_constants`: every module-level name is loaded, by name or as an
+  attribute, somewhere in `src`, so a constant left behind by removed code
+  shows.
 * `random_draws`: the functions that call `np.random`, so that a result
   depends on no random draw its caller does not control.
 * `shape_error_sites`: the functions that build a `GridMismatchError`,
@@ -200,6 +203,21 @@ def unread_fields(src: Path) -> set[str]:
     return {qualname for qualname, name in members if name not in loaded}
 
 
+def unread_constants(src: Path) -> set[str]:
+    """Qualified names of the module-level assignment targets whose name no
+    name or attribute load in `src` reads."""
+    defined, loaded = set(), set()
+    for stem, tree in modules(src):
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {(f"{stem}.{sub.id}", sub.id) for target in targets
+                            for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+        loaded |= {getattr(sub, "id", None) or sub.attr for sub in ast.walk(tree)
+                   if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+    return {qualname for qualname, name in defined if name not in loaded}
+
+
 def scopes(src: Path) -> list[tuple[str, ast.AST]]:
     """(qualified name, node) of each function and method, and of each
     module-level statement under its module's name."""
@@ -258,12 +276,20 @@ def test_every_field_is_read_by_the_program():
     assert UNREAD_ALLOWED.keys() <= unread, "an allowed field is read now; drop it"
 
 
+def test_every_constant_is_read_by_the_program():
+    unread = unread_constants(SRC)
+    assert not unread, f"module-level names read by nothing in src: {sorted(unread)}"
+
+
 PLANTED = '''
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
+
+_OFFSET = 1.0
+_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -292,7 +318,7 @@ class Tally:
 
 
 def main():
-    doubled = scale(1.0, offset=1.0)  # a variable of the property's name, not a read of it
+    doubled = scale(1.0, offset=_OFFSET)  # a variable of the property's name, not a read of it
     return Report(doubled, 0.0).value + Tally(doubled).total
 '''
 
@@ -317,5 +343,6 @@ def test_scans_report_their_plants(tmp_path):
     assert overridden_defaults(tmp_path) == {"tool.scale.offset"}
     assert unread_fields(tmp_path) == {"tool.Report.unread", "tool.Report.doubled",
                                        "tool.Tally.first"}
+    assert unread_constants(tmp_path) == {"tool._STARTS"}
     assert random_draws(tmp_path) == {"tool.orphan"}
     assert shape_error_sites(tmp_path) == {"tool.Tally.__init__"}
