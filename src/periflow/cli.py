@@ -156,7 +156,7 @@ _KEYS = {
 }
 # the keys on which SCENARIOS rules, with the [surface] family's parameters
 # going as `family` goes; every run reads the others
-_RULED = {key for section, key in _KEYS if section != "output"} - {"scenario", "period"}
+_RULED = {key for _, key in _KEYS} - {"scenario", "period", "directory"}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -165,9 +165,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    # no section header is empty, so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
@@ -440,13 +444,13 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
 
 def _scenario_identities(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     t = 0.3 * cfg.period
-    grid, rows = ParameterGrid(cfg.n_nodes, cfg.n_steps, cfg.period), []
+    grid, rows = ParameterGrid(cfg.n_nodes, 4, cfg.period), []
     for name in ("circle", "breathing", "ellipse", "bean"):
         surface = FAMILIES[name](period=cfg.period)
         frame = build_frame(surface, grid, t)
         metric = assemble_metric(surface, grid, t)
 
-        _, x_th, x_thth, _, _ = surface.jet(grid.nodes, t)
+        _, x_th, x_thth, _ = surface.jet(grid.nodes, t)
         comm = commutator_check(frame, x_th[:, 0], x_thth[:, 0])  # the field x1 on the curve
         _, _, trace_diff = trace_identity(metric, frame)
         green = greens_formula_check(metric, np.cos(grid.nodes), np.sin(2.0 * grid.nodes))
@@ -500,11 +504,11 @@ SCENARIOS = {
     "periodic-monodromy": ("relaxed-periodic solve of the end-map system by Krylov shooting",
                            _scenario_periodic, _PERIODIC, ("scipy.sparse.linalg",)),
     "contraction": ("measure end-map contraction ratios against the decay bound",
-                    _scenario_contraction, _PERIODIC | {"max_iter"}, ()),
+                    _scenario_contraction, _PERIODIC | {"max_iter", "seed"}, ()),
     "band-check": ("narrow-band extension identity suite", _scenario_band,
                    {"family", "band_time", "band_h", "band_delta"}, ("periflow.narrowband",)),
     "identities": ("operator identity residuals across the shipped families",
-                   _scenario_identities, _GRID, ()),
+                   _scenario_identities, {"n_nodes"}, ()),
     "holder": ("Hölder estimator suite on a reference field", _scenario_holder,
                _GRID | {"family"}, ()),
 }
@@ -552,7 +556,8 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run one scenario from a config file")
     run_p.add_argument("--config", required=True, help="path to the INI config")
     run_p.add_argument("--out", default=None, help="output directory (overrides config)")
-    run_p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
+    run_p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed, read by contraction only (overrides config)")
     sub.add_parser("list-scenarios", help="list scenario names")
 
     try:
@@ -571,6 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if setting := cfg._unread_by("seed"):
+                raise ConfigError(f"seed is not read by {setting}")
             cfg.seed = _require_seed(args.seed)
         manifest = run_scenario(cfg, cfg.out_dir if args.out is None else args.out)
     except ConfigError as exc:

@@ -96,7 +96,7 @@ def assemble_metric(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Me
     theta = grid.nodes
     frame0 = build_frame(surface, grid, 0.0)
     g_ref = frame0.speed**2
-    _, xd, _, _, xtd = surface.jet(theta, t)
+    _, xd, _, xtd = surface.jet(theta, t)
     g_loc, dg_loc_dt, ratio = _local_metric(xd, xtd, g_ref, t)
 
     tau, nu = frame0.tangent, frame0.normal
@@ -191,7 +191,7 @@ def space_time_geometry(surface: SurfaceFamily, grid: ParameterGrid) -> SpaceTim
     min_rate = np.inf
     for rows in _level_blocks(grid):
         times = grid.times[rows, None]
-        _, xd, _, _, xtd = surface.jet(theta, times)
+        _, xd, _, xtd = surface.jet(theta, times)
         g, g_t, _ = _local_metric(xd, xtd, g_ref, times, rows.start)
         sqrt_g[rows], c_half[rows] = _scalar_metric(g)
         min_rate = min(min_rate, float(np.min(0.5 * g_t / g)))

@@ -102,7 +102,7 @@ def _curve_samples(surface: SurfaceFamily, t: float):
     """Equispaced sample parameters, their chart positions at time t, the
     orientation sign of the curve and max|kappa| over the samples."""
     theta_s = np.arange(_SAMPLE_COUNT) * (2.0 * np.pi / _SAMPLE_COUNT)
-    samples, xd, xdd, _, _ = surface.jet(theta_s, t)
+    samples, xd, xdd, _ = surface.jet(theta_s, t)
     sign = orientation_sign(samples)
     kappa = _frame_pieces(xd, xdd, sign, t)[3]
     return theta_s, samples, sign, float(np.max(np.abs(kappa)))
@@ -122,7 +122,7 @@ def _newton_project(
     those parameters, X, X_theta and X_theta_theta: the last one made."""
     theta = theta0.astype(float)
     for sweep in range(_NEWTON_MAX_ITER + 1):
-        X, Xd, Xdd, _, _ = surface.jet(theta, t)
+        X, Xd, Xdd, _ = surface.jet(theta, t)
         r, speed2 = pts - X, np.einsum("pa,pa->p", Xd, Xd)
         g, scale = -np.einsum("pa,pa->p", r, Xd), speed2 + 1e-30
         if sweep == _NEWTON_MAX_ITER or np.all(np.abs(g) <= _NEWTON_TOL * scale):
@@ -310,14 +310,6 @@ def _rescaled_divergence(vector: np.ndarray, grid: NarrowBandGrid, dist: Distanc
     return out
 
 
-def _elliptic_part(values: np.ndarray, flux: np.ndarray, grid: NarrowBandGrid, dist: DistanceField):
-    """D~ . flux + u_nunu; with flux = D~ u it is the identity-metric
-    elliptic part D~.D~ u + u_nunu."""
-    hess = _hessian(values, grid.h)
-    normal_second = np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
-    return _rescaled_divergence(flux, grid, dist) + normal_second
-
-
 def extended_operator_apply(
     values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
 ) -> np.ndarray:
@@ -326,7 +318,9 @@ def extended_operator_apply(
     second derivative along the normal, on the active nodes; NaN elsewhere.
     """
     values = _require_shape(values, grid.shape, "band field")
-    out = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
+    out = _rescaled_divergence(rescaled_gradient(values, grid, dist), grid, dist)
+    hess = _hessian(values, grid.h)
+    out += np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
     return np.where(grid.active_mask, out, np.nan)
 
 
@@ -344,7 +338,7 @@ def band_average_extract(
     interpolation.  Raises ExtractionError naming the surface node and theta
     of the first ray that leaves the valid band or the grid rectangle.
     """
-    foot, xd, xdd, _, _ = surface.jet(theta_nodes, t)
+    foot, xd, xdd, _ = surface.jet(theta_nodes, t)
     nu = _frame_pieces(xd, xdd, _curve_samples(surface, t)[2], t)[2]
     s_ref, w_ref = np.polynomial.legendre.leggauss(_EXTRACT_QUAD)
     s = s_ref * grid.delta

@@ -2,7 +2,7 @@
 
 A family is described by one jet: a function returning the global periodic
 chart ``X(theta, t)`` on ``theta in [0, 2*pi)`` together with its exact
-derivatives ``(X, X_theta, X_theta_theta, X_t, X_t_theta)``.  For ``N``
+derivatives ``(X, X_theta, X_theta_theta, X_t_theta)``.  For ``N``
 parameters each output has shape ``(N, 2)`` when ``t`` is a float, and
 ``(L, N, 2)`` when ``t`` is an ``(L, 1)`` column of times, whose row ``k``
 equals the float call at ``t[k, 0]``.  All frame quantities (unit normal,
@@ -40,13 +40,12 @@ _IMMERSION_FLOOR = 1e-12
 class SurfaceFamily:
     """Analytic description of a moving closed curve.
 
-    ``jet(theta, t)`` returns ``(X, X_theta, X_theta_theta, X_t, X_t_theta)``
-    as described in the module docstring.  The normal points outward for
-    either orientation of the chart: `orientation_sign` reads it from the
-    signed enclosed area (counterclockwise charts get sign +1).
+    ``jet(theta, t)`` returns the four stacks ``(X, X_theta, X_theta_theta,
+    X_t_theta)`` described in the module docstring.  The normal points
+    outward for either orientation of the chart: `orientation_sign` reads it
+    from the signed enclosed area (counterclockwise charts get sign +1).
     """
 
-    name: str
     jet: Callable[..., tuple[np.ndarray, ...]]
     period: float
 
@@ -88,7 +87,7 @@ def _phase(t, period: float):
 def _polar_jet(c, s, r, r_th, r_thth, r_t, r_tth):
     """Jet of the polar chart r(theta, t) * (c, s) from the jet of its radius,
     where ``c, s = cos theta, sin theta`` come from the caller, which may
-    need them for the radius too."""
+    need them for the radius too; ``r_t`` enters through X_t_theta."""
 
     def d_theta(f, f_th):  # d/dtheta of f * (cos, sin)
         return np.stack([f_th * c - f * s, f_th * s + f * c], axis=-1)
@@ -96,8 +95,7 @@ def _polar_jet(c, s, r, r_th, r_thth, r_t, r_tth):
     x_thth = np.stack(
         [r_thth * c - 2 * r_th * s - r * c, r_thth * s + 2 * r_th * c - r * s], axis=-1
     )
-    return (np.stack([r * c, r * s], axis=-1), d_theta(r, r_th), x_thth,
-            np.stack([r_t * c, r_t * s], axis=-1), d_theta(r_t, r_tth))
+    return np.stack([r * c, r * s], axis=-1), d_theta(r, r_th), x_thth, d_theta(r_t, r_tth)
 
 
 def circle(radius: float = 1.0, period: float = 1.0) -> SurfaceFamily:
@@ -108,7 +106,7 @@ def circle(radius: float = 1.0, period: float = 1.0) -> SurfaceFamily:
         zero = np.zeros(np.shape(t))
         return _polar_jet(np.cos(th), np.sin(th), zero + float(radius), zero, zero, zero, zero)
 
-    return SurfaceFamily("circle", jet, period)
+    return SurfaceFamily(jet, period)
 
 
 def breathing_circle(amplitude: float = 0.25, period: float = 1.0, r0: float = 1.0) -> SurfaceFamily:
@@ -124,7 +122,7 @@ def breathing_circle(amplitude: float = 0.25, period: float = 1.0, r0: float = 1
         r_t = r0 * a * np.cos(phi) * math.tau / T
         return _polar_jet(np.cos(th), np.sin(th), r, zero, zero, r_t, zero)
 
-    return SurfaceFamily("breathing_circle", jet, T)
+    return SurfaceFamily(jet, T)
 
 
 def rotating_ellipse(a: float = 2.0, b: float = 1.0, period: float = 1.0) -> SurfaceFamily:
@@ -144,11 +142,10 @@ def rotating_ellipse(a: float = 2.0, b: float = 1.0, period: float = 1.0) -> Sur
         # matmuls, since written-out products round differently; an (L, 1)
         # column gives (L, 1, N, 2), reshaped to (L, N, 2)
         shape = np.broadcast_shapes(np.shape(th), np.shape(t)) + (2,)
-        pairs = ((base, rot_tr), (base_dth, rot_tr), (-base, rot_tr),
-                 (base, drot_tr), (base_dth, drot_tr))
+        pairs = ((base, rot_tr), (base_dth, rot_tr), (-base, rot_tr), (base_dth, drot_tr))
         return tuple((v @ m).reshape(shape) for v, m in pairs)
 
-    return SurfaceFamily("rotating_ellipse", jet, T)
+    return SurfaceFamily(jet, T)
 
 
 def bean(
@@ -175,7 +172,7 @@ def bean(
             -p * sin_th * q * rate * math.tau / T,
         )
 
-    return SurfaceFamily("bean", jet, T)
+    return SurfaceFamily(jet, T)
 
 
 FAMILIES: dict[str, Callable[..., SurfaceFamily]] = {
@@ -219,7 +216,7 @@ def build_frame(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> Geomet
     Raises DegenerateSurfaceError when the immersion condition fails.
     """
     theta = grid.nodes
-    pos, xd, xdd, _, vel_dth = surface.jet(theta, t)
+    pos, xd, xdd, vel_dth = surface.jet(theta, t)
     sign = orientation_sign(pos)
     speed, tangent, normal, curvature = _frame_pieces(xd, xdd, sign, t)
     speed_dtheta = np.einsum("ia,ia->i", xd, xdd) / speed

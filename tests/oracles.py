@@ -42,12 +42,11 @@ from periflow.narrowband import (
     NarrowBandGrid,
     _closest_points,
     _curve_samples,
-    _elliptic_part,
     _gradient,
     _hessian,
     _require_reach,
     _rescaled_divergence,
-    rescaled_gradient,
+    extended_operator_apply,
 )
 from periflow.periodic import monodromy_solve
 from periflow.surfaces import (
@@ -73,10 +72,10 @@ def time_reversed(surface: SurfaceFamily) -> SurfaceFamily:
     T = surface.period
 
     def jet(theta, t):
-        x, x_th, x_thth, x_t, x_tth = surface.jet(theta, T - t)
-        return x, x_th, x_thth, -x_t, -x_tth
+        x, x_th, x_thth, x_tth = surface.jet(theta, T - t)
+        return x, x_th, x_thth, -x_tth
 
-    return SurfaceFamily(f"{surface.name}-reversed", jet, T)
+    return SurfaceFamily(jet, T)
 
 
 def projection(frame: GeometryFrame) -> np.ndarray:
@@ -112,7 +111,7 @@ def metric_dtheta(surface: SurfaceFamily, grid: ParameterGrid, t: float) -> np.n
     curve, from the identities tau' = -kappa*speed*nu and nu' = kappa*speed*tau."""
     frame0 = build_frame(surface, grid, 0.0)
     g_ref = frame0.speed**2
-    _, xd, xdd, _, xtd = surface.jet(grid.nodes, t)
+    _, xd, xdd, xtd = surface.jet(grid.nodes, t)
     g_loc, _, ratio = _local_metric(xd, xtd, g_ref, t)
     dg_loc_dth = 2.0 * np.einsum("ia,ia->i", xd, xdd)
     dg_ref_dth = 2.0 * frame0.speed * frame0.speed_dtheta
@@ -225,7 +224,7 @@ def dilation_rate(surface: SurfaceFamily, grid: ParameterGrid) -> np.ndarray:
     from the chart jet; the geometry keeps only its minimum."""
     g_ref = build_frame(surface, grid, 0.0).speed ** 2
     times = grid.times[:, None]
-    _, xd, _, _, xtd = surface.jet(grid.nodes, times)
+    _, xd, _, xtd = surface.jet(grid.nodes, times)
     g, g_t, _ = _local_metric(xd, xtd, g_ref, times, 0)
     return 0.5 * g_t / g
 
@@ -324,9 +323,10 @@ def elliptic_part_identity_check(
     values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
 ) -> float:
     """Max residual over the active nodes of the expanded elliptic-part
-    identity for the identity metric: D~.D~ u + u_nunu against the
-    A^-1-contracted Hessian plus first-order corrections."""
-    lhs = _elliptic_part(values, rescaled_gradient(values, grid, dist), grid, dist)
+    identity for the identity metric: D~.D~ u + u_nunu, as
+    `extended_operator_apply` applies it, against the A^-1-contracted Hessian
+    plus first-order corrections."""
+    lhs = extended_operator_apply(values, grid, dist)
 
     tau_tau = np.einsum("...a,...b->...ab", dist.tangent, dist.tangent)
     a_inv = np.eye(2) + (dist.stretch - 1.0)[..., None, None] * tau_tau

@@ -58,7 +58,7 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 def x1_derivatives(surface, grid, t):
     """Exact first and second theta derivatives of u = x1 on the curve."""
-    _, x_th, x_thth, _, _ = surface.jet(grid.nodes, t)
+    _, x_th, x_thth, _ = surface.jet(grid.nodes, t)
     return x_th[:, 0], x_thth[:, 0]
 
 

@@ -73,6 +73,29 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9\n[problem]\nscenario = ivp\n")  # Latin-1 e-acute
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: cannot read config file {path}: ")
+    assert "can't decode byte 0xe9" in line
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_that_cannot_be_read_exits_2(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, MINIMAL)
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config file {path}: [Errno 13] Permission denied\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_without_required_flag_exits_2():
     assert main(["run"]) == 2
 
@@ -289,19 +312,6 @@ def test_holder_manifest_records_the_grid_it_ran_on(tmp_path):
     assert "  n_nodes = 64" in lines and "  n_steps = 32" in lines
 
 
-def test_holder_csv_does_not_depend_on_the_seed(tmp_path):
-    # 64 x 33 points, the scenario's largest grid
-    body = SMALL_HOLDER.replace("n_nodes = 32", "n_nodes = 64").replace("n_steps = 16",
-                                                                          "n_steps = 32")
-    path = write_config(tmp_path, body)
-    tables = []
-    for seed in ("0", "5"):
-        out = tmp_path / f"seed{seed}"
-        assert main(["run", "--config", str(path), "--out", str(out), "--seed", seed]) == 0
-        tables.append((out / "holder.csv").read_bytes())
-    assert tables[0] == tables[1]
-
-
 SMALL_BAND = """
 [surface]
 family = breathing
@@ -319,9 +329,11 @@ SMALL_CONFIGS = {
     "periodic-monodromy": SMALL_MONO,
     "contraction": SMALL_CONTRACTION,
     "band-check": SMALL_BAND,
-    # it runs the four shipped families, so its config names none
+    # it runs the four shipped families on n_nodes, so its config names no
+    # family and no n_steps
     "identities": SMALL_HOLDER.replace("scenario = holder", "scenario = identities")
-                              .replace("[surface]\nfamily = circle\n\n", ""),
+                              .replace("[surface]\nfamily = circle\n\n", "")
+                              .replace("n_steps = 16\n", ""),
     "holder": SMALL_HOLDER,
 }
 
@@ -582,8 +594,8 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
 @pytest.mark.parametrize(
     "body, flags, message",
     [
-        (SMALL_HOLDER + "\n[output]\nseed = -1\n", [], "seed must be non-negative, got -1"),
-        (SMALL_HOLDER, ["--seed", "-1"], "seed must be non-negative, got -1"),
+        (SMALL_CONTRACTION + "\n[output]\nseed = -1\n", [], "seed must be non-negative, got -1"),
+        (SMALL_CONTRACTION, ["--seed", "-1"], "seed must be non-negative, got -1"),
         (SMALL_CONFIGS["periodic-fixed"].replace("target_mean = 1.0\n",
                                                  "target_mean = 1.0\nmax_iter = 0\n"),
          [], "max_iter must be at least 1"),
@@ -606,10 +618,14 @@ def test_bad_values_exit_2(tmp_path, capsys, surface, discretization):
          "r0 must be positive, got 0.0"),
         (SMALL_HOLDER.replace("family = circle\n", "family = ellipse\na = 0\n"), [],
          "semi-axes a and b must be positive, got a=0.0, b=1.0"),
+        # configparser would copy [DEFAULT] keys into every section, or drop them
+        ("[DEFAULT]\nn_nodes = 64\nbogus = 1\n", [], "unknown config section [DEFAULT]"),
+        ("[discretization]\nn_steps = 8\n\n[DEFAULT]\nn_nodes = 64\n", [],
+         "unknown config section [DEFAULT]"),
     ],
     ids=["seed-key", "seed-flag", "zero-max-iter", "custom-zero-order", "ivp-decay-forcing",
          "ivp-decay-zero-order", "contraction-zero-order", "zero-radius", "negative-radius",
-         "zero-r0", "zero-semi-axis"],
+         "zero-r0", "zero-semi-axis", "default-section", "default-section-beside-another"],
 )
 def test_bad_run_settings_exit_2(tmp_path, capsys, body, flags, message):
     path = write_config(tmp_path, body)
@@ -653,15 +669,15 @@ def test_coefficient_key_the_zero_order_mode_does_not_read_exits_2(
     assert not (tmp_path / "o").exists()
 
 
-# the [problem] and [discretization] keys and the [surface] family each
-# scenario reads, stated here apart from cli.SCENARIOS
+# the [problem], [discretization] and [output] keys but `directory`, and the
+# [surface] family, that each scenario reads, stated here apart from cli.SCENARIOS
 GRID_KEYS = {"n_nodes", "n_steps"}
 STEPPING_KEYS = GRID_KEYS | {"family", "scheme", "zero_order", "c0", "alpha", "forcing"}
 PERIODIC_KEYS = STEPPING_KEYS | {"target_mean", "tol"}
 READS = {
     "ivp": STEPPING_KEYS | {"u0"}, "ivp_decay": STEPPING_KEYS | {"u0"},
     "periodic-fixed": PERIODIC_KEYS | {"max_iter"}, "periodic-monodromy": PERIODIC_KEYS,
-    "contraction": PERIODIC_KEYS | {"max_iter"}, "identities": GRID_KEYS,
+    "contraction": PERIODIC_KEYS | {"max_iter", "seed"}, "identities": {"n_nodes"},
     "holder": GRID_KEYS | {"family"}, "band-check": {"family", "band_time", "band_h", "band_delta"},
 }
 # each of those keys -> (its section, a value that parses)
@@ -673,6 +689,7 @@ KEY_VALUES = {
     "band_time": ("problem", "0.5"), "n_nodes": ("discretization", "32"),
     "n_steps": ("discretization", "16"), "scheme": ("discretization", "backward_euler"),
     "band_h": ("discretization", "0.5"), "band_delta": ("discretization", "0.2"),
+    "seed": ("output", "3"),
 }
 
 
@@ -683,18 +700,25 @@ KEY_VALUES = {
      ("holder", "forcing"), ("holder", "target_mean"), ("holder", "band_time"),
      ("holder", "band_h"), ("band-check", "forcing"), ("band-check", "n_nodes"),
      ("identities", "scheme"), ("periodic-monodromy", "max_iter"), ("ivp", "target_mean"),
-     ("periodic-fixed", "band_h")],
+     ("periodic-fixed", "band_h"), ("identities", "n_steps"), ("holder", "seed"),
+     ("band-check", "seed"), ("ivp", "--seed")],
     ids=lambda value: value,
 )
 def test_key_the_scenario_does_not_read_exits_2(tmp_path, capsys, scenario, key):
-    # the manifest must not record a key the run did not read
+    # the manifest must not record a key the run did not read; `--seed` is
+    # the flag that overrides the [output] seed
+    flags = [key, "3"] if key.startswith("--") else []
+    key = key.removeprefix("--")
     section, value = KEY_VALUES[key]
-    lines = {"problem": "c0 = 1.0\n" if scenario == "contraction" else "", "discretization": ""}
-    lines[section] += f"{key} = {value}\n"
+    lines = {"problem": "c0 = 1.0\n" if scenario == "contraction" else "", "discretization": "",
+             "output": ""}
+    if not flags:
+        lines[section] += f"{key} = {value}\n"
     body = (f"[surface]\nperiod = 1.0\n\n[problem]\nscenario = {scenario}\n"
-            f"{lines['problem']}\n[discretization]\n{lines['discretization']}")
+            f"{lines['problem']}\n[discretization]\n{lines['discretization']}"
+            f"\n[output]\n{lines['output']}")
     path = write_config(tmp_path, body)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
     assert capsys.readouterr().err == f"config error: {key} is not read by scenario = {scenario}\n"
     assert not (tmp_path / "o").exists()
 
@@ -720,11 +744,12 @@ def resolved_names(out: Path) -> set[str]:
 def test_manifest_records_only_the_keys_the_run_read(tmp_path):
     run_and_digest(tmp_path, SMALL_BAND, "band")
     # no grid, stepping or periodic-solve key
-    assert resolved_names(tmp_path / "band") == {"scenario", "surface_family", "period", "seed",
+    assert resolved_names(tmp_path / "band") == {"scenario", "surface_family", "period",
                                                  "band_time", "band_h", "band_delta"}
     run_and_digest(tmp_path, SMALL_CONFIGS["identities"], "identities")  # no surface
-    assert resolved_names(tmp_path / "identities") == {"scenario", "period", "seed", "n_nodes",
-                                                       "n_steps"}
+    assert resolved_names(tmp_path / "identities") == {"scenario", "period", "n_nodes"}
+    run_and_digest(tmp_path, SMALL_CONTRACTION, "contraction")  # the one run that reads seed
+    assert "seed" in resolved_names(tmp_path / "contraction")
     run_and_digest(tmp_path, SMALL_IVP, "ivp")  # zero_order = divergence reads no coefficient
     ivp = resolved_names(tmp_path / "ivp")
     assert "zero_order" in ivp and not ivp & {"c0", "alpha"}
@@ -750,8 +775,8 @@ def test_each_runner_reads_the_keys_its_scenario_declares(tmp_path, monkeypatch,
     declared = {FIELD_OF_KEY.get(key, key) for key in SCENARIOS[scenario][2]}
     if "surface_family" in declared:  # the family's parameters go with it
         declared.add("surface_params")
-    # `scenario` picks the runner's branch; `period` and [output] are outside the table
-    outside = {"scenario", "period", "out_dir", "seed"}
+    # `scenario` picks the runner's branch; `period` and `directory` are outside the table
+    outside = {"scenario", "period", "out_dir"}
     assert read <= declared | outside
     in_use = {"constant": "c0", "divergence_plus_constant": "alpha"}.get(cfg.zero_order)
     assert declared - ({"c0", "alpha"} - {in_use}) <= read
@@ -877,6 +902,7 @@ def fuzzed_config(draw):
         disc["band_delta"] = repr(draw(st.sampled_from([0.15, 0.2])))
     else:
         disc["n_nodes"] = str(draw(st.integers(8, 32)))
+    if "n_steps" in READS[scenario]:
         disc["n_steps"] = str(draw(st.integers(4, 16)))
     if "scheme" in READS[scenario]:
         disc["scheme"] = draw(st.sampled_from(["backward_euler", "crank_nicolson"]))

@@ -129,12 +129,12 @@ def test_band_geometry_is_newtons_last_chart_evaluation(monkeypatch):
 
     monkeypatch.setattr(narrowband, "_newton_project", recording)
     delta = default_band_width(surface, t)
-    _, dist = build_band(SurfaceFamily("counted", counted_jet, surface.period), t, delta / 8.0,
+    _, dist = build_band(SurfaceFamily(counted_jet, surface.period), t, delta / 8.0,
                          delta)
     [(last, theta)] = returned
     assert np.array_equal(seen[last - 1], theta)
     assert all(points.size < theta.size for points in seen[last:])
-    foot, xd, xdd, _, _ = surface.jet(theta, t)
+    foot, xd, xdd, _ = surface.jet(theta, t)
     _, tau, nu, kappa = _frame_pieces(xd, xdd, narrowband._curve_samples(surface, t)[2], t)
     finite = np.isfinite(dist.dist)
     for name, expected in (("foot", foot), ("tangent", tau), ("normal", nu), ("curvature", kappa)):

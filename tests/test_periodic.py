@@ -322,7 +322,7 @@ def manufactured_problem(surface, grid, zero_order, k, phi, a):
     c = X_theta . X_t_theta / g in the divergence mode and 0 in the zero mode;
     both as (M+1, N) samples from the chart jets."""
     theta, t = grid.nodes, grid.times[:, None]
-    _, xd, xdd, _, xtd = surface.jet(theta, t)
+    _, xd, xdd, xtd = surface.jet(theta, t)
     g = np.einsum("...a,...a->...", xd, xd)
     g_theta = 2.0 * np.einsum("...a,...a->...", xd, xdd)
     phase = 2.0 * np.pi * t

@@ -1,6 +1,6 @@
 """The library is what the program runs, and the program uses all of it.
 
-Seven scans of the package sources, each a function of the source directory,
+Eight scans of the package sources, each a function of the source directory,
 so that `test_scans_report_their_plants` can run them on a planted package:
 
 * `unreached`: every definition in `src/periflow` is reached from the CLI;
@@ -20,6 +20,10 @@ so that `test_scans_report_their_plants` can run them on a planted package:
 * `unread_constants`: every module-level name is loaded, by name or as an
   attribute, somewhere in `src`, so a constant left behind by removed code
   shows.
+* `unread_jet_stacks`: every stack of the chart jet is read.  Some tuple
+  unpacking of `<x>.jet(...)` binds its position to a name other than `_`,
+  or some subscript `<x>.jet(...)[i]` takes it, and all unpackings have the
+  same width.
 * `random_draws`: the functions that call `np.random`, so that a result
   depends on no random draw its caller does not control.
 * `shape_error_sites`: the functions that build a `GridMismatchError`,
@@ -218,6 +222,26 @@ def unread_constants(src: Path) -> set[str]:
     return {qualname for qualname, name in defined if name not in loaded}
 
 
+def unread_jet_stacks(src: Path) -> set[str]:
+    """The jet positions no site reads, as "<position> of <width>", and
+    "widths <list>" when the unpackings of the jet disagree on its width."""
+    widths, read = set(), set()
+    for _, tree in modules(src):
+        for node in ast.walk(tree):
+            value = getattr(node, "value", None)
+            if not (isinstance(value, ast.Call) and getattr(value.func, "attr", None) == "jet"):
+                continue
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                read.add(node.slice.value)
+            for target in getattr(node, "targets", ()):
+                if isinstance(target, ast.Tuple):
+                    widths.add(len(target.elts))
+                    read |= {i for i, e in enumerate(target.elts)
+                             if not (isinstance(e, ast.Name) and e.id == "_")}
+    found = {f"widths {sorted(widths)}"} if len(widths) > 1 else set()
+    return found | {f"{i} of {width}" for width in widths for i in range(width) if i not in read}
+
+
 def scopes(src: Path) -> list[tuple[str, ast.AST]]:
     """(qualified name, node) of each function and method, and of each
     module-level statement under its module's name."""
@@ -317,10 +341,16 @@ class Tally:
         self.total, self.first = start, start
 
 
-def main():
+def main(surface):
     doubled = scale(1.0, offset=_OFFSET)  # a variable of the property's name, not a read of it
-    return Report(doubled, 0.0).value + Tally(doubled).total
+    position, _ = surface.jet(doubled, 0.0)  # no site reads the jet's second stack
+    return Report(doubled, 0.0).value + Tally(doubled).total + surface.jet(doubled, 1.0)[0]
 '''
+
+
+def test_every_jet_stack_is_read_by_the_program():
+    unread = unread_jet_stacks(SRC)
+    assert not unread, f"chart jet stacks read by nothing in src: {sorted(unread)}"
 
 
 def test_random_draws_are_left_to_the_caller():
@@ -344,5 +374,9 @@ def test_scans_report_their_plants(tmp_path):
     assert unread_fields(tmp_path) == {"tool.Report.unread", "tool.Report.doubled",
                                        "tool.Tally.first"}
     assert unread_constants(tmp_path) == {"tool._STARTS"}
+    assert unread_jet_stacks(tmp_path) == {"1 of 2"}
     assert random_draws(tmp_path) == {"tool.orphan"}
     assert shape_error_sites(tmp_path) == {"tool.Tally.__init__"}
+    # a wider unpacking reads position 1, and the widths disagree
+    (tmp_path / "wide.py").write_text("def chart(s):\n    x, y, z = s.jet(0.0, 0.0)\n")
+    assert unread_jet_stacks(tmp_path) == {"widths [2, 3]"}
