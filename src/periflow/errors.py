@@ -27,7 +27,9 @@ class StepError(PeriflowError):
 
 class NonuniquenessError(PeriflowError):
     """Mean-adjusted monodromy system is numerically singular, or its Krylov
-    solve did not converge; carries the system's spectral gap."""
+    solve did not converge; carries the system's injectivity indicator as
+    `spectral_gap`: |1 - lambda| at the eigenvalue nearest 1 when that is
+    1 to round-off, else the indicator the solve had certified."""
 
     def __init__(self, message: str, spectral_gap: float):
         super().__init__(message)

@@ -26,7 +26,9 @@ one of two rows used in turn.  One ``Propagator`` holds a run's grid, geometry,
 forcing load and factors, and no other ``(M+1, N)``-sized array; its
 ``run`` is the one entry point that steps, and a non-finite state, checked
 on entry and once per period, raises ``StepError`` naming its first time
-level and node.  The periodic solves reuse its factors, the ledgers its
+level and node.  ``run_transpose`` sweeps the same factors backwards to
+apply the transposed homogeneous period map, which the monodromy route's
+norm estimate needs.  The periodic solves reuse its factors, the ledgers its
 geometry and per-level forcing integrals, and
 ``periodic.contraction_estimate`` its ``rate_floor``, all it keeps of the
 zero-order term (see ``Propagator``).
@@ -366,3 +368,55 @@ class Propagator:
         if not np.all(np.isfinite(u)):
             _require_finite(out if keep_trajectory else self.run(u0, include_forcing), "state")
         return out if keep_trajectory else u
+
+    def run_transpose(self, y: np.ndarray, keep_trajectory: bool = False) -> np.ndarray:
+        """Apply the transpose of the homogeneous period map to the (N,) `y`.
+
+        `run` without forcing is S = B_M^-1 C_{M-1} ... B_1^-1 C_0, the
+        right side r_k = C_k u_k; C_k = W_k / s - beta B_k in the divergence
+        modes and W_{k+1} (1/s - beta W_k^-1 B_k) outside them, s = theta dt.
+        So S^T y sweeps from level M down: x = B_M^-1 y, x <- B_k^-1 C_k^T x
+        for k = M-1 .. 1 through the factors of `run` (each B_k is
+        symmetric), and last C_0^T x, one flux-form apply of B_0.  Returns
+        S^T y (N,), or with `keep_trajectory` the (M+1, N) sweep, row k the
+        state at level k and row 0 the result.  A non-finite state raises
+        StepError naming the level where the sweep first meets one."""
+        x = _require_shape(y, (self.grid.n_nodes,), "transposed state")
+        _require_finite(x[None], "transposed state")
+        geo, theta, n_steps = self.geometry, self.config.theta, self.grid.n_steps
+        beta, scale = (1.0 - theta) / theta, theta * self.grid.dt
+        out = np.empty((n_steps + 1 if keep_trajectory else 2, self.grid.n_nodes))
+        mixed = np.empty(self.grid.n_nodes)
+        solve = self._factor.solver(out)
+        # C_k^T x = rate_k x - B_k (mix_k x): rate_k = W_k / s and mix_k = beta in
+        # the divergence modes, else W_{k+1} / s and beta W_{k+1} / W_k
+        blocks = reversed(_level_blocks(self.grid, 0, n_steps))
+        if self._weight is None:
+            pairs = ((rate, beta) for b in blocks for rate in (geo.sqrt_g[b] / scale)[::-1])
+        else:
+            pairs = (pair for b in blocks for pair in zip(
+                (geo.sqrt_g[b.start + 1 : b.stop + 1] / scale)[::-1],
+                (beta * geo.sqrt_g[b.start + 1 : b.stop + 1] / geo.sqrt_g[b])[::-1]))
+        rows = iter(range(n_steps, -1, -1)) if keep_trajectory else itertools.cycle((1, 0))
+        j = next(rows)
+        out[j] = x
+        solve(n_steps - 1, j)
+        for k, (rate, mix) in zip(range(n_steps - 1, -1, -1), pairs):
+            x, j = out[j], next(rows)
+            np.multiply(rate, x, out[j])
+            if beta:
+                np.multiply(mix, x, mixed)
+            if k:
+                solve(k - 1, j)
+                if beta:
+                    out[j] -= mixed
+            elif beta:  # C_0^T x: B_0 applied to mix_0 x
+                flux = _flux_form_apply(geo.c_half[0], geo.sqrt_g[0], self.grid.dtheta, mixed)
+                out[j] -= geo.sqrt_g[0] * (self._shift * mixed - theta * flux)
+        x = out[j]
+        if not np.all(np.isfinite(x)):  # as in `run`, a non-finite value is absorbing
+            sweep = out if keep_trajectory else self.run_transpose(y, keep_trajectory=True)
+            level, node = np.argwhere(~np.isfinite(sweep[::-1]))[0]
+            raise StepError(f"transposed state is not finite at node {node}",
+                            n_steps - int(level))
+        return out if keep_trajectory else x

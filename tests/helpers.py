@@ -1,5 +1,5 @@
-"""Shared test utilities: ambient test fields, convergence-order fits and the
-dense monodromy oracle."""
+"""Shared test utilities: ambient test fields, convergence-order fits, the
+dense monodromy oracle and a period counter."""
 
 from __future__ import annotations
 
@@ -59,17 +59,37 @@ def linear_part(prop: Propagator) -> np.ndarray:
     )
 
 
-def dense_monodromy(prop: Propagator, target_mean: float = 0.0) -> tuple[np.ndarray, float]:
-    """Small-N oracle for `monodromy_solve`: the dense mean-reset end map
-    assembled one unit basis state at a time, a direct solve of the
-    fixed-point system and its smallest singular value.  Returns
-    (trajectory, sigma_min)."""
+def reset_part(prop: Propagator) -> np.ndarray:
+    """The N x N matrix of the mean-reset homogeneous end map K."""
     n = prop.grid.n_nodes
     weights0 = prop.geometry.weights0
     matrix = linear_part(prop)
-    offset = prop.run(np.zeros(n), keep_trajectory=False)
-    adjusted = matrix - np.outer(np.ones(n), weights0 @ matrix) / np.sum(weights0)
-    system = np.eye(n) - adjusted
-    rhs = mean_adjust(offset, weights0) + target_mean
-    sigma_min = float(np.linalg.svd(system, compute_uv=False)[-1])
+    return matrix - np.outer(np.ones(n), weights0 @ matrix) / np.sum(weights0)
+
+
+def dense_monodromy(prop: Propagator, target_mean: float = 0.0) -> tuple[np.ndarray, float]:
+    """Small-N oracle for `monodromy_solve`: the dense mean-reset end map
+    assembled one unit basis state at a time, a direct solve of the
+    fixed-point system and its smallest singular value in the inner product
+    of the time-zero measure W, that of W^1/2 (I - K) W^-1/2.  Returns
+    (trajectory, sigma_min)."""
+    n = prop.grid.n_nodes
+    weights0 = prop.geometry.weights0
+    system = np.eye(n) - reset_part(prop)
+    rhs = mean_adjust(prop.run(np.zeros(n), keep_trajectory=False), weights0) + target_mean
+    root = np.sqrt(weights0)
+    sigma_min = float(np.linalg.svd(root[:, None] * system / root, compute_uv=False)[-1])
     return prop.run(np.linalg.solve(system, rhs)), sigma_min
+
+
+def counting_periods(monkeypatch) -> list[str]:
+    """A list that gets the name of each `Propagator` period run from now
+    on, "run" or "run_transpose"."""
+    periods = []
+    for name in ("run", "run_transpose"):
+        def counted(self, *args, _method=getattr(Propagator, name), _name=name, **kwargs):
+            periods.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Propagator, name, counted)
+    return periods

@@ -347,7 +347,7 @@ def fresh_python(code: str, *args) -> subprocess.CompletedProcess:
 
 
 # scenario -> the scipy module its config's parse loads; the others load none
-SCIPY_NEEDED = {"band-check": "scipy.spatial", "periodic-monodromy": "scipy.sparse.linalg"}
+SCIPY_NEEDED = {"band-check": "scipy.spatial"}
 
 
 def test_a_config_parse_loads_scipy_only_for_the_scenarios_that_need_it(tmp_path):
@@ -362,6 +362,16 @@ def test_a_config_parse_loads_scipy_only_for_the_scenarios_that_need_it(tmp_path
             assert SCIPY_NEEDED[scenario] in loaded, scenario
         else:
             assert not loaded, (scenario, sorted(loaded))
+
+
+@pytest.mark.parametrize("scenario", ["ivp", "periodic-fixed", "periodic-monodromy"])
+def test_a_scenario_runs_to_exit_0_with_scipy_unimportable(tmp_path, scenario):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; from periflow.cli import main; "
+            "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+    run = fresh_python(code, write_config(tmp_path, SMALL_CONFIGS[scenario]), tmp_path / "o")
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "o" / "trajectory.npy").exists()
 
 
 def test_a_scenario_whose_module_does_not_import_exits_2(tmp_path):

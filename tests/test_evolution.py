@@ -135,6 +135,19 @@ def test_singular_step_matrix_raises_where_factorized(family, scheme, theta, n, 
     assert info.value.level == 1
 
 
+@pytest.mark.parametrize("keep_trajectory", [False, True])
+def test_transposed_sweep_names_the_level_where_it_overflows(keep_trajectory):
+    # on the unit circle B_k 1 = (1/dt + c) 1 = 1e-8/dt, so each solve scales a
+    # constant by 1e8 dt: 1e300 stays finite at level M and overflows at M - 1
+    m = 8
+    config = IVPConfig(16, m, "backward_euler", "constant", coefficient=-(1.0 - 1e-8) * m)
+    prop = Propagator(circle(), config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepError, match=r"^transposed state is not finite at node 0 ") as info:
+            prop.run_transpose(np.full(16, 1e300), keep_trajectory=keep_trajectory)
+    assert info.value.level == m - 1
+
+
 def test_forcing_closure_is_called_once_with_the_column_of_times():
     calls = []
 

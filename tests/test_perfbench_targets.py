@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from helpers import counting_periods
+from periflow import monodromy_solve
 from periflow.cli import parse_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -35,3 +37,17 @@ def test_every_workload_config_parses(tmp_path, monkeypatch):
             path = tmp_path / f"{workload}-{seed}.cfg"
             path.write_text(workloads.config_text(workload, seed))
             assert parse_config(path).scenario == scenario
+
+
+def test_the_monodromy_workload_solve_spends_eight_periods(tmp_path, monkeypatch):
+    # two Golub-Kahan steps of one forward and one transposed period each,
+    # the right side, two GMRES products and the trajectory
+    workloads = load("workloads", monkeypatch)
+    path = tmp_path / "monodromy.cfg"
+    path.write_text(workloads.config_text("monodromy-breathing-n256", 0))
+    cfg = parse_config(path)
+    prop = cfg.propagator()
+    periods = counting_periods(monkeypatch)
+    _, report = monodromy_solve(prop, cfg.target_mean)
+    assert periods.count("run_transpose") == 2 and len(periods) == 8
+    assert (report.norm_periods, report.solve_periods) == (4, 4)

@@ -27,6 +27,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import linear_part
 from oracles import dilation_rate, full_rectangle_band, laplace_beltrami, time_reversed
 from periflow import (
     FAMILIES,
@@ -40,6 +41,7 @@ from periflow import (
     laplace_beltrami_apply,
     laplace_beltrami_matrix,
     mass_ledger,
+    mean_adjust,
     mean_and_mass,
     space_time_geometry,
 )
@@ -253,6 +255,36 @@ def test_carried_right_side_holds_where_theta_dt_is_inexact(family, zero_order, 
     # 1/(theta dt) and every carried right side are rounded; after 999 steps
     # the last step still matches the sparse reference step
     long_period_last_step(family, zero_order, 1000, scheme)
+
+
+@PROPERTY
+@given(family=FAMILY, n=st.integers(8, 64), m=st.integers(4, 24), scheme=SCHEME,
+       zero_order=ZERO_ORDER, data=st.data())
+@example(family="bean", n=256, m=300, scheme="crank_nicolson", zero_order="zero",
+         data=None)  # several blocks of levels: the sweep crosses block edges backwards
+def test_transposed_period_is_the_adjoint_in_the_measure_inner_product(family, n, m, scheme,
+                                                                       zero_order, data):
+    # K x = mean_adjust(S x) with S the homogeneous period; the mean reset is
+    # orthogonal in <a, b>_W = a . (W b), W = weights0, so the W-adjoint of K
+    # is y -> W^-1 S^T W mean_adjust(y), S^T one transposed period
+    config = IVPConfig(n, m, scheme, zero_order, coefficient=0.8)
+    prop = Propagator(FAMILIES[family](), config)
+    w = prop.geometry.weights0
+    if data is None:
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(-10.0, 10.0, (2, n))
+    else:  # scaled to a largest entry of one, so no product underflows
+        x, y = (v / max(np.max(np.abs(v)), 1e-300) for v in (nodal_field(data, n),
+                                                              nodal_field(data, n)))
+    kx = mean_adjust(prop.run(x, include_forcing=False, keep_trajectory=False), w)
+    ky = prop.run_transpose(w * mean_adjust(y, w)) / w
+    norm = lambda v: math.sqrt(np.dot(v, w * v))
+    # the maps damp in these modes (c >= 0), so |K|_W is about 1 or less
+    assert abs(np.dot(kx, w * y) - np.dot(x, w * ky)) <= 1e-13 * norm(x) * norm(y)
+    if n <= 24:  # column j of S^T is the transposed period of the j-th unit state
+        dense = linear_part(prop)
+        transposed = np.column_stack([prop.run_transpose(e) for e in np.eye(n)])
+        assert np.max(np.abs(transposed - dense.T)) <= 1e-13 * np.max(np.abs(dense))
 
 
 SAMPLED_EXPRESSIONS = st.one_of(

@@ -54,16 +54,16 @@ UNSET_ALLOWED = {
        "through a subscript" for name in _FAMILY_PARAMETERS - {"surfaces.circle.radius",
                                                                "surfaces.circle.period"}},
 }
-# instance attribute -> why nothing in src reads it.  NonuniquenessError.spectral_gap
-# is the same kind of payload; the name match counts SolvabilityReport.spectral_gap's
-# reads for it
+# instance attribute -> why nothing in src reads it
 _PAYLOAD = ("the fault record for a caller that catches the error, kept as safety code; "
             "main prints the message, which names it already")
-UNREAD_ALLOWED = {"errors.StepError.level": _PAYLOAD, "errors.ProjectionError.location": _PAYLOAD}
+UNREAD_ALLOWED = {"errors.StepError.level": _PAYLOAD, "errors.ProjectionError.location": _PAYLOAD,
+                  "errors.NonuniquenessError.spectral_gap": _PAYLOAD}
 # function -> why its np.random call leaves the result to the caller
 RANDOM_ALLOWED = {
     "periodic.default_probes": "draws the noise probes from the caller's seed",
-    "periodic._eigenvalue_nearest_one": "a fixed ARPACK start vector, so reruns agree",
+    "periodic._start_vector": "a fixed start of the norm estimate and the eigenvalue "
+                              "search, so reruns agree",
 }
 # parameter -> why every call in src passes it
 OVERRIDDEN_ALLOWED = {
