@@ -1,7 +1,7 @@
 """Time-periodic advection-diffusion solves on periodically moving closed curves.
 
-The narrow-band check suite is imported from `periflow.narrowband`, which
-loads scipy.spatial; importing the package itself loads no scipy.
+The narrow-band check suite is imported from `periflow.narrowband`; neither
+it nor the package itself loads scipy.
 """
 
 __version__ = "0.1.0"

@@ -2,9 +2,7 @@
 
 Configs are INI files with sections [surface] [problem] [discretization]
 [output]; unknown keys, and keys the run does not read (`SCENARIOS` lists
-them), are rejected.  A config's parse also imports the modules its
-scenario needs beyond the numpy core (`SCENARIOS` lists them too): only
-`band-check` loads scipy, for `scipy.spatial`.  Every run writes its
+them), are rejected.  No scenario loads scipy.  Every run writes its
 data files through `tables` (the trajectory as `trajectory.npy`,
 everything else as CSV) plus a manifest listing the configuration it
 read, per-check pass/fail lines and the SHA-256 of each data file this run
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import importlib
 import inspect
 import math
 import sys
@@ -213,11 +210,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in [surface] for family {family!r}")
         cfg.surface_params[key] = _parse_value(key, text, float)
-    for module in SCENARIOS[cfg.scenario][3]:
-        try:
-            importlib.import_module(module)
-        except ImportError as exc:
-            raise ConfigError(f"scenario {cfg.scenario} needs {module}: {exc}") from exc
     _validate_config(cfg)
     return cfg
 
@@ -514,25 +506,23 @@ def _scenario_holder(cfg: ExperimentConfig, out: Path, manifest: RunManifest) ->
     manifest.check("interpolation_inequality", worst, 0.0)
 
 
-# scenario name -> (description, runner, the `_RULED` keys it reads, the modules
-# it loads beyond the numpy core); `parse_config` imports those, so that a run
-# that needs no scipy loads none
+# scenario name -> (description, runner, the `_RULED` keys it reads)
 SCENARIOS = {
-    "ivp": ("initial value solve with mass ledger", _scenario_ivp, _STEPPING | {"u0"}, ()),
+    "ivp": ("initial value solve with mass ledger", _scenario_ivp, _STEPPING | {"u0"}),
     "ivp_decay": ("ivp preset: cosine initial data, no forcing, no zero-order term",
-                  _scenario_ivp, _STEPPING | {"u0"}, ()),
+                  _scenario_ivp, _STEPPING | {"u0"}),
     "periodic-fixed": ("relaxed-periodic solve by the contraction iteration", _scenario_periodic,
-                       _PERIODIC | {"max_iter"}, ()),
+                       _PERIODIC | {"max_iter"}),
     "periodic-monodromy": ("relaxed-periodic solve of the end-map system by Krylov shooting",
-                           _scenario_periodic, _PERIODIC, ()),
+                           _scenario_periodic, _PERIODIC),
     "contraction": ("measure end-map contraction ratios against the decay bound",
-                    _scenario_contraction, _PERIODIC | {"max_iter", "seed"}, ()),
+                    _scenario_contraction, _PERIODIC | {"max_iter", "seed"}),
     "band-check": ("narrow-band extension identity suite", _scenario_band,
-                   {"family", "band_time", "band_h", "band_delta"}, ("periflow.narrowband",)),
+                   {"family", "band_time", "band_h", "band_delta"}),
     "identities": ("operator identity residuals across the shipped families",
-                   _scenario_identities, {"n_nodes"}, ()),
+                   _scenario_identities, {"n_nodes"}),
     "holder": ("Hölder estimator suite on a reference field", _scenario_holder,
-               _GRID | {"family"}, ()),
+               _GRID | {"family"}),
 }
 
 

@@ -21,11 +21,12 @@ periodic cubic spline, solved by `evolution._CyclicFactor`.  One projection
 finds closest points: Newton on the chart, steps clipped to half a radian,
 from the nearest curve sample; the foot frame comes from its last chart
 evaluation, and a point it does not converge on raises ProjectionError.
-`build_band` makes it on the grid nodes near the curve.  It first culls
-whole blocks of nodes by a KD query of the block centres, on the same tree
-of curve samples that gives the Newton starts, with the radius widened by
-the block's half-diagonal, so the projected nodes are exactly those a query
-of every node would keep.
+`build_band` makes it on the grid nodes near the curve.  `_nearest_samples`
+gives each node its nearest curve sample by a window sweep: each sample in
+turn visits the box of nodes within the bound of it and keeps the nodes it
+is strictly nearer to, so ties go to the lowest sample index, and the
+projected nodes are exactly those a nearest-sample query of every node
+would keep.
 
 `flat_strip_step_equivalence` checks that the extension reduces to the
 surface problem on a flat periodic strip.  Its 2-d backward-Euler step is a
@@ -42,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BandError, ExtractionError, ProjectionError
 from .evolution import IVPConfig, Propagator, _CyclicFactor
@@ -51,7 +51,6 @@ from .surfaces import SurfaceFamily, _frame_pieces, circle, orientation_sign
 from .tables import write_npy
 
 _HALO_CELLS = 4  # > 2 sqrt 2, the reach of a 5x5 stencil: active stencils lie in the halo
-_CULL_BLOCK = 8  # nodes per side of the blocks `build_band` culls by their centres
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 60
 _SAMPLE_COUNT = 1024  # curve samples: Newton starts and max|kappa|
@@ -134,32 +133,50 @@ def _newton_project(
     return theta, np.abs(g) <= 10.0 * _NEWTON_TOL * scale, X, Xd, Xdd
 
 
-def _closest_points(
-    surface: SurfaceFamily, t: float, pts: np.ndarray, curve, tree: cKDTree, bound: float
-) -> tuple[np.ndarray, DistanceField]:
-    """Closest-point geometry of the points whose nearest curve sample (of
-    `curve`, the `_curve_samples` tuple, queried through `tree`, the KD tree
-    of its samples) lies within `bound`.
+def _nearest_samples(
+    samples: np.ndarray, xs: np.ndarray, ys: np.ndarray, h: float, bound: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each node of the grid `xs` x `ys` (spacing `h`) to its
+    nearest curve sample, and that sample's index, as (ny, nx) arrays; exact
+    wherever the distance is at most `bound`, inf where no sample lies within
+    it.  The samples are swept in order, each over the box of nodes within
+    `bound` of it widened by one cell against rounding, and a node takes a
+    sample whose dx^2 + dy^2 is strictly below its best so far: a tie goes to
+    the lowest sample index."""
+    best = np.full((ys.size, xs.size), np.inf)
+    idx = np.zeros(best.shape, dtype=np.intp)
+    origin = np.array([xs[0], ys[0]])
+    lo = np.maximum(np.floor((samples - origin - bound) / h).astype(int) - 1, 0)
+    hi = np.ceil((samples - origin + bound) / h).astype(int) + 2  # exclusive
+    for k, ((sx, sy), (i0, j0), (i1, j1)) in enumerate(zip(samples, lo, hi)):
+        dx, dy = xs[i0:i1] - sx, ys[j0:j1] - sy
+        d2 = dx * dx + (dy * dy)[:, None]
+        window = best[j0:j1, i0:i1]
+        closer = d2 < window
+        np.copyto(window, d2, where=closer)
+        np.copyto(idx[j0:j1, i0:i1], k, where=closer)
+    return np.sqrt(best), idx
 
-    Newton, steps clipped to half a radian, starts at that nearest sample;
-    the foot, its frame and curvature come from its last chart evaluation.
-    Returns the mask of the projected points and their field of (P,)
-    arrays; raises ProjectionError naming the first point Newton does not
-    converge on.
+
+def _closest_points(
+    surface: SurfaceFamily, t: float, pts: np.ndarray, theta0: np.ndarray, sign: float
+) -> DistanceField:
+    """Closest-point geometry of the (P, 2) points `pts` as a field of (P,)
+    arrays, on the curve of orientation `sign` (see `_curve_samples`).
+
+    Newton, steps clipped to half a radian, starts at the parameters
+    `theta0`; the foot, its frame and curvature come from its last chart
+    evaluation.  Raises ProjectionError naming the first point Newton does
+    not converge on.
     """
-    theta_s, _, sign, _ = curve
-    # cKDTree drops a point exactly at the bound, which the rule keeps
-    coarse, idx = tree.query(pts, distance_upper_bound=np.nextafter(bound, np.inf))
-    near = coarse <= bound
-    pts = pts[near]
-    theta, ok, foot, xd, xdd = _newton_project(surface, t, pts, theta_s[idx[near]])
+    theta, ok, foot, xd, xdd = _newton_project(surface, t, pts, theta0)
     if not np.all(ok):
         where = pts[~ok][0]
         raise ProjectionError(f"closest-point Newton failed near {where} at t={float(t)!r}",
                               location=where)
     _, tau, nu, kappa = _frame_pieces(xd, xdd, sign, t)
     dist = np.einsum("pa,pa->p", pts - foot, nu)
-    return near, DistanceField(dist, theta % (2.0 * np.pi), foot, nu, tau, kappa)
+    return DistanceField(dist, theta % (2.0 * np.pi), foot, nu, tau, kappa)
 
 
 def _require_reach(stretch: np.ndarray, message: str) -> None:
@@ -186,8 +203,7 @@ def build_band(
     always have full central stencils.
     """
     _check_band_sizes(h, delta)
-    curve = _curve_samples(surface, t)
-    samples, kmax = curve[1], curve[3]
+    theta_s, samples, sign, kmax = _curve_samples(surface, t)
     if delta * kmax >= 0.5:
         raise BandError(
             f"band half-width {delta} too large: delta*max|kappa| = {delta * kmax:.3f} >= 0.5"
@@ -206,29 +222,16 @@ def build_band(
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
     bound = halo_delta + chord
 
-    # a node within `bound` of a sample lies in a block whose centre is within
-    # bound + (B-1)h/sqrt(2) of it; h more absorbs the rounding of the centres
-    B = _CULL_BLOCK
-    centre_x = x_lo + h * (B * np.arange((nx + B - 1) // B) + 0.5 * (B - 1))
-    centre_y = y_lo + h * (B * np.arange((ny + B - 1) // B) + 0.5 * (B - 1))
-    CX, CY = np.meshgrid(centre_x, centre_y, indexing="xy")
-    radius = bound + (B - 1) * h / np.sqrt(2.0) + h
-    tree = cKDTree(samples)
-    reach, _ = tree.query(np.stack([CX.ravel(), CY.ravel()], axis=-1), distance_upper_bound=radius)
-    blocks = np.isfinite(reach).reshape(CX.shape)
-    candidate = np.repeat(np.repeat(blocks, B, axis=0), B, axis=1)[:ny, :nx].ravel()
-
-    # a KD query answers each point alone, so the candidates' projection equals
-    # that of every node restricted to them
-    XX, YY = np.meshgrid(xs, ys, indexing="xy")
-    pts = np.stack([XX.ravel()[candidate], YY.ravel()[candidate]], axis=-1)
-    near = np.zeros(ny * nx, dtype=bool)
-    near[candidate], flat = _closest_points(surface, t, pts, curve, tree, bound)
+    coarse, idx = _nearest_samples(samples, xs, ys, h, bound)
+    near = coarse <= bound
+    rows, cols = np.nonzero(near)  # row-major, as are idx[near] and the scatter below
+    pts = np.stack([xs[cols], ys[rows]], axis=-1)
+    flat = _closest_points(surface, t, pts, theta_s[idx[near]], sign)
 
     def scatter(values):
-        full = np.full((ny * nx, *values.shape[1:]), np.nan)
+        full = np.full((ny, nx, *values.shape[1:]), np.nan)
         full[near] = values
-        return full.reshape((ny, nx, *values.shape[1:]))
+        return full
 
     field = DistanceField(**{f.name: scatter(getattr(flat, f.name)) for f in fields(DistanceField)})
     finite = np.isfinite(field.dist)

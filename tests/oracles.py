@@ -3,11 +3,11 @@ principle, the duality chain behind uniqueness, transport of the measure,
 band/surface norm equivalence, the ambient form of the operator with the
 exact theta derivative of the Cartesian metric it reads, and the commutator
 identity on differenced derivatives; the closest-point pass over every
-node of the band's rectangle, which the block cull of `build_band` must
-reproduce bit for bit; the flat-strip step by sparse LU of its
-Kronecker-assembled matrix, which the tensor-product step must match; and
-the Hölder sups by enumeration of all pairs of grid points, which the
-level-pair sweep of `holder_estimate` must match.
+node of the band's rectangle from a KD tree query, which the window sweep
+of `build_band` must reproduce bit for bit; the flat-strip step by sparse
+LU of its Kronecker-assembled matrix, which the tensor-product step must
+match; and the Hölder sups by enumeration of all pairs of grid points,
+which the level-pair sweep of `holder_estimate` must match.
 
 They read the library's private helpers, so they check the discretization
 the program uses; the tests, among them `test_acceptance.py` (criterion 9),
@@ -265,12 +265,19 @@ def default_band_width(surface: SurfaceFamily, t: float) -> float:
     return 0.2 / max_curvature(surface, t)
 
 
+def _tree_starts(curve, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distance from each point to its nearest sample of `curve` (the
+    `_curve_samples` tuple) and that sample's parameter, by a KD tree query."""
+    coarse, idx = cKDTree(curve[1]).query(pts)
+    return coarse, curve[0][idx]
+
+
 def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray) -> DistanceField:
     """Closest-point geometry of arbitrary points as a DistanceField of (P,)
     arrays; A, A^-1 and det A follow from its `stretch`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     curve = _curve_samples(surface, t)
-    _, field = _closest_points(surface, t, pts, curve, cKDTree(curve[1]), np.inf)
+    field = _closest_points(surface, t, pts, _tree_starts(curve, pts)[1], curve[2])
     _require_reach(field.stretch, "points beyond the curvature reach of the curve")
     return field
 
@@ -278,16 +285,19 @@ def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray)
 def full_rectangle_band(
     surface: SurfaceFamily, t: float, grid: NarrowBandGrid
 ) -> tuple[NarrowBandGrid, DistanceField]:
-    """`build_band` without its block cull: `_closest_points` on every node of
-    the rectangle of `grid`, under the same bound, and the active mask from
-    that."""
+    """`build_band` with a KD tree query in place of its window sweep: every
+    node of the rectangle of `grid` whose nearest curve sample lies within
+    the same bound is projected from that sample, and the active mask is
+    taken from the result."""
     curve = _curve_samples(surface, t)
     samples = curve[1]
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
     XX, YY = grid.mesh()
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
     halo_delta = grid.delta + _HALO_CELLS * grid.h
-    near, flat = _closest_points(surface, t, pts, curve, cKDTree(samples), halo_delta + chord)
+    coarse, theta0 = _tree_starts(curve, pts)
+    near = coarse <= halo_delta + chord
+    flat = _closest_points(surface, t, pts[near], theta0[near], curve[2])
 
     def scatter(values):
         full = np.full((near.size, *values.shape[1:]), np.nan)

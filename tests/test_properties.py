@@ -3,7 +3,8 @@ of the banded stepper against sparse and dense reference solves.
 
 Each property is drawn over random grid sizes N in [8, 256] (N in [3, 64]
 for the dense cyclic solve), all shipped families and random nodal fields;
-the band's block cull is drawn over families, times, spacings and widths,
+the band's window sweep over families, times, spacings and widths against
+a KD tree query, and over small random grids against a brute-force argmin;
 the band lift over N in [8, 2048] against scipy's periodic spline, the
 5 x 5 stencils of the active nodes, which lie in the halo by scipy's
 binary erosion, and the cyclic factor and solve over N in [3, 3000], from
@@ -48,7 +49,13 @@ from periflow import (
 from periflow import evolution
 from periflow.evolution import _CyclicFactor, _sample_levels
 from periflow.expressions import compile_expression
-from periflow.narrowband import _HALO_CELLS, _curve_samples, build_band, lift_field
+from periflow.narrowband import (
+    _HALO_CELLS,
+    _curve_samples,
+    _nearest_samples,
+    build_band,
+    lift_field,
+)
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 FAMILY = st.sampled_from(sorted(FAMILIES))
@@ -421,9 +428,9 @@ def test_cyclic_factor_has_the_bits_of_scipy_lapack(source, n, k, seed):
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
 @given(family=FAMILY, t=TIME, h=st.floats(1.0 / 256.0, 1.0 / 32.0), delta=st.floats(0.05, 0.2))
-# the seed-0 band workload: 651 x 646 nodes, so 8 x 8 blocks are partial on both axes
+# the seed-0 band workload: 651 x 646 nodes
 @example(family="bean", t=0.5239831268672519, h=1.0 / 256.0, delta=0.2)
-def test_block_cull_projects_exactly_the_nodes_a_full_query_keeps(family, t, h, delta):
+def test_window_sweep_projects_exactly_the_nodes_a_full_query_keeps(family, t, h, delta):
     surface = FAMILIES[family]()
     grid, dist = build_band(surface, t, h, delta)
     full_grid, full_dist = full_rectangle_band(surface, t, grid)
@@ -432,6 +439,39 @@ def test_block_cull_projects_exactly_the_nodes_a_full_query_keeps(family, t, h, 
     for f in fields(dist):
         assert np.array_equal(getattr(dist, f.name).view(np.uint64),
                               getattr(full_dist, f.name).view(np.uint64))
+
+
+@PROPERTY
+@given(nx=st.integers(1, 24), ny=st.integers(1, 24), h=st.floats(0.01, 1.0),
+       origin=st.floats(-10.0, 10.0), reach=st.floats(0.5, 4.0), count=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_nearest_samples_is_a_brute_force_argmin(nx, ny, h, origin, reach, count, seed):
+    # one origin on both axes puts node (i, i) on the diagonal, where the
+    # samples (P, Q) and (Q, P) are at exactly one distance: a planted tie
+    rng = np.random.default_rng(seed)
+    xs, ys = origin + h * np.arange(nx), origin + h * np.arange(ny)
+    span = h * max(nx, ny)
+    samples = origin + rng.uniform(-0.5 * span, 1.5 * span, (count, 2))
+    node = rng.integers(min(nx, ny))
+    X = xs[node]
+    P, Q = X + h * rng.uniform(-0.3, 0.3, 2)
+    samples = samples[np.hypot(*(samples - X).T) > 0.5 * h]  # the tie is the nearest
+    first, second = np.sort(rng.choice(samples.shape[0] + 2, 2, replace=False))
+    samples = np.insert(samples, [first, second - 1], [[P, Q], [Q, P]], axis=0)
+    bound = reach * h
+    coarse, idx = _nearest_samples(samples, xs, ys, h, bound)
+
+    dx = xs[None, None, :] - samples[:, 0, None, None]
+    dy = ys[None, :, None] - samples[:, 1, None, None]
+    squared = dx * dx + dy * dy  # (samples, ny, nx)
+    expected = np.argmin(squared, axis=0)  # the first of equal minima
+    dist = np.sqrt(np.min(squared, axis=0))
+    near = dist <= bound
+    assert squared[first, node, node] == squared[second, node, node]
+    assert near[node, node] and idx[node, node] == expected[node, node] == first
+    assert np.array_equal(coarse <= bound, near)
+    assert np.array_equal(idx[near], expected[near])
+    assert np.array_equal(coarse[near].view(np.uint64), dist[near].view(np.uint64))
 
 
 @PROPERTY
