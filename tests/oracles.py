@@ -4,7 +4,9 @@ band/surface norm equivalence, the ambient form of the operator with the
 exact theta derivative of the Cartesian metric it reads, and the commutator
 identity on differenced derivatives; the closest-point pass over every
 node of the band's rectangle from a KD tree query, which the window sweep
-of `build_band` must reproduce bit for bit; the flat-strip step by sparse
+of `build_band` must reproduce bit for bit, and the band operators on
+that NaN-padded rectangle, which the node-list operators must match bit
+for bit on the active nodes; the flat-strip step by sparse
 LU of its Kronecker-assembled matrix, which the tensor-product step must
 match; and the Hölder sups by enumeration of all pairs of grid points,
 which the level-pair sweep of `holder_estimate` must match.
@@ -42,12 +44,9 @@ from periflow.narrowband import (
     NarrowBandGrid,
     _closest_points,
     _curve_samples,
-    _gradient,
-    _hessian,
     _require_reach,
-    _rescaled_divergence,
-    extended_operator_apply,
 )
+from periflow.narrowband import _gradient as _band_gradient
 from periflow.periodic import monodromy_solve
 from periflow.surfaces import (
     GeometryFrame,
@@ -268,7 +267,7 @@ def default_band_width(surface: SurfaceFamily, t: float) -> float:
 def _tree_starts(curve, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distance from each point to its nearest sample of `curve` (the
     `_curve_samples` tuple) and that sample's parameter, by a KD tree query."""
-    coarse, idx = cKDTree(curve[1]).query(pts)
+    coarse, idx = cKDTree(curve[1][0]).query(pts)
     return coarse, curve[0][idx]
 
 
@@ -277,36 +276,147 @@ def surface_point_geometry(surface: SurfaceFamily, t: float, points: np.ndarray)
     arrays; A, A^-1 and det A follow from its `stretch`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     curve = _curve_samples(surface, t)
-    field = _closest_points(surface, t, pts, _tree_starts(curve, pts)[1], curve[2])
+    theta0 = _tree_starts(curve, pts)[1]
+    field = _closest_points(surface, t, pts, theta0, surface.jet(theta0, t)[:3], curve[2])
     _require_reach(field.stretch, "points beyond the curvature reach of the curve")
     return field
 
 
+@dataclass(frozen=True)
+class RectangleGrid:
+    """The rectangle of grid nodes that hosts a band, with (ny, nx) band
+    fields that are NaN off the band: the layout of `NarrowBandGrid` before
+    it became a list of its nodes, kept as the reference of its operators."""
+
+    xs: np.ndarray  # (nx,)
+    ys: np.ndarray  # (ny,)
+    h: float
+    delta: float
+    active_mask: np.ndarray  # (ny, nx) |d| < delta
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.ys.shape[0], self.xs.shape[0])
+
+
 def full_rectangle_band(
     surface: SurfaceFamily, t: float, grid: NarrowBandGrid
-) -> tuple[NarrowBandGrid, DistanceField]:
-    """`build_band` with a KD tree query in place of its window sweep: every
-    node of the rectangle of `grid` whose nearest curve sample lies within
-    the same bound is projected from that sample, and the active mask is
-    taken from the result."""
+) -> tuple[RectangleGrid, DistanceField]:
+    """`build_band` on the rectangle of `grid`, with a KD tree query in place
+    of its window sweep and a chart evaluation in place of its gathered
+    Newton starts: every node of the rectangle whose nearest curve sample
+    lies within the same bound is projected from that sample, the field is
+    NaN at the other nodes, and the active mask is taken from the result."""
     curve = _curve_samples(surface, t)
-    samples = curve[1]
+    samples = curve[1][0]
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
-    XX, YY = grid.mesh()
+    XX, YY = np.meshgrid(grid.xs, grid.ys, indexing="xy")
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
     halo_delta = grid.delta + _HALO_CELLS * grid.h
     coarse, theta0 = _tree_starts(curve, pts)
     near = coarse <= halo_delta + chord
-    flat = _closest_points(surface, t, pts[near], theta0[near], curve[2])
+    start = surface.jet(theta0[near], t)[:3]
+    flat = _closest_points(surface, t, pts[near], theta0[near], start, curve[2])
 
     def scatter(values):
         full = np.full((near.size, *values.shape[1:]), np.nan)
         full[near] = values
-        return full.reshape((*grid.shape, *values.shape[1:]))
+        return full.reshape((*XX.shape, *values.shape[1:]))
 
     field = DistanceField(**{f.name: scatter(getattr(flat, f.name)) for f in fields(DistanceField)})
     active_mask = np.isfinite(field.dist) & (np.abs(field.dist) < grid.delta)
-    return replace(grid, active_mask=active_mask), field
+    return RectangleGrid(grid.xs, grid.ys, grid.h, grid.delta, active_mask), field
+
+
+def on_rectangle(grid: NarrowBandGrid, values: np.ndarray) -> np.ndarray:
+    """The (P, ...) band field `values` on the (ny, nx) rectangle of `grid`,
+    NaN off the band."""
+    full = np.full((grid.ys.size, grid.xs.size, *values.shape[1:]), np.nan)
+    full[grid.rows, grid.cols] = values
+    return full
+
+
+# The band operators on the NaN-padded rectangle: the reference the
+# node-list operators of `narrowband` must match bit for bit on active nodes.
+
+
+def _ddx(F: np.ndarray, h: float) -> np.ndarray:
+    out = np.full_like(F, np.nan)
+    out[:, 1:-1] = (F[:, 2:] - F[:, :-2]) / (2.0 * h)
+    return out
+
+
+def _ddy(F: np.ndarray, h: float) -> np.ndarray:
+    out = np.full_like(F, np.nan)
+    out[1:-1, :] = (F[2:, :] - F[:-2, :]) / (2.0 * h)
+    return out
+
+
+def _gradient(F: np.ndarray, h: float) -> np.ndarray:
+    return np.stack([_ddx(F, h), _ddy(F, h)], axis=-1)
+
+
+def _hessian(F: np.ndarray, h: float) -> np.ndarray:
+    dxx = np.full_like(F, np.nan)
+    dyy = np.full_like(F, np.nan)
+    dxy = np.full_like(F, np.nan)
+    dxx[:, 1:-1] = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / h**2
+    dyy[1:-1, :] = (F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]) / h**2
+    dxy[1:-1, 1:-1] = (
+        F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]
+    ) / (4.0 * h**2)
+    out = np.empty(F.shape + (2, 2))
+    out[..., 0, 0] = dxx
+    out[..., 1, 1] = dyy
+    out[..., 0, 1] = dxy
+    out[..., 1, 0] = dxy
+    return out
+
+
+def rectangle_rescaled_gradient(
+    values: np.ndarray, grid: RectangleGrid, dist: DistanceField
+) -> np.ndarray:
+    """`narrowband.rescaled_gradient` on the rectangle."""
+    along = dist.stretch * np.einsum("...a,...a->...", dist.tangent, _gradient(values, grid.h))
+    return along[..., None] * dist.tangent
+
+
+def _rectangle_divergence(vector: np.ndarray, grid: RectangleGrid, dist: DistanceField):
+    """`narrowband._rescaled_divergence` on the rectangle."""
+    out = np.zeros(grid.shape)
+    for a in range(2):
+        out = out + rectangle_rescaled_gradient(vector[..., a], grid, dist)[..., a]
+    return out
+
+
+def rectangle_extended_operator_apply(
+    values: np.ndarray, grid: RectangleGrid, dist: DistanceField
+) -> np.ndarray:
+    """`narrowband.extended_operator_apply` on the rectangle."""
+    out = _rectangle_divergence(rectangle_rescaled_gradient(values, grid, dist), grid, dist)
+    hess = _hessian(values, grid.h)
+    out += np.einsum("...a,...ab,...b->...", dist.normal, hess, dist.normal)
+    return np.where(grid.active_mask, out, np.nan)
+
+
+def rectangle_eikonal_residual(grid: RectangleGrid, dist: DistanceField) -> float:
+    """`narrowband.eikonal_residual` on the rectangle."""
+    g = _gradient(dist.dist, grid.h)
+    mag = np.sqrt(np.einsum("...a,...a->...", g, g))
+    return float(np.nanmax(np.abs(mag[grid.active_mask] - 1.0)))
+
+
+def rectangle_os_operator_equivalence(
+    values: np.ndarray, applied: np.ndarray, grid: RectangleGrid, dist: DistanceField
+) -> float:
+    """`narrowband.os_operator_equivalence` on the rectangle."""
+    g = _gradient(values, grid.h)
+    s = dist.stretch
+    along = (s * s - 1.0) * np.einsum("...a,...a->...", dist.tangent, g)
+    flux = (g + along[..., None] * dist.tangent) / s[..., None]
+    lhs = (_ddx(flux[..., 0], grid.h) + _ddy(flux[..., 1], grid.h)) * s
+    diff = np.abs(lhs - applied)
+    return float(np.nanmax(diff[grid.active_mask]))
 
 
 def kronecker_strip_step(values: np.ndarray, dt: float, half_width: float) -> np.ndarray:
@@ -330,13 +440,13 @@ def kronecker_strip_step(values: np.ndarray, dt: float, half_width: float) -> np
 
 
 def elliptic_part_identity_check(
-    values: np.ndarray, grid: NarrowBandGrid, dist: DistanceField
+    values: np.ndarray, grid: RectangleGrid, dist: DistanceField
 ) -> float:
-    """Max residual over the active nodes of the expanded elliptic-part
-    identity for the identity metric: D~.D~ u + u_nunu, as
-    `extended_operator_apply` applies it, against the A^-1-contracted Hessian
-    plus first-order corrections."""
-    lhs = extended_operator_apply(values, grid, dist)
+    """Max residual over the active nodes of a rectangle band (see
+    `full_rectangle_band`) of the expanded elliptic-part identity for the
+    identity metric: D~.D~ u + u_nunu, as `extended_operator_apply` applies
+    it, against the A^-1-contracted Hessian plus first-order corrections."""
+    lhs = rectangle_extended_operator_apply(values, grid, dist)
 
     tau_tau = np.einsum("...a,...b->...ab", dist.tangent, dist.tangent)
     a_inv = np.eye(2) + (dist.stretch - 1.0)[..., None, None] * tau_tau
@@ -348,7 +458,7 @@ def elliptic_part_identity_check(
         for i in range(2):
             d_ainv[..., :, a, i] = _gradient(a_inv[..., a, i], grid.h)
     m2 = np.einsum("...ar,...rai,...i->...", a_inv, d_ainv, g)
-    div_nu = _rescaled_divergence(dist.normal, grid, dist)
+    div_nu = _rectangle_divergence(dist.normal, grid, dist)
     m3 = -div_nu * np.einsum("...a,...a->...", dist.normal, g)
     diff = np.abs(lhs - (m1 + m2 + m3))
     return float(np.nanmax(diff[grid.active_mask]))
@@ -441,7 +551,7 @@ def norm_equivalence_check(
     pts = np.stack([XX[act], YY[act]], axis=-1)
     sup_b, h_b = _band_holder(pts, lifted[act], alpha, _EQUIVALENCE_BUDGET, rng)
 
-    g_band = _gradient(lifted, band_grid.h)
+    g_band = _band_gradient(lifted, band_grid)
     gsup_b, gh_b = _band_holder(pts, g_band[act], alpha, _EQUIVALENCE_BUDGET, rng)
 
     ratio0 = (sup_b + h_b) / (sup_m + h_m)

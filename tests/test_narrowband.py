@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from helpers import observed_orders
 from oracles import (
     default_band_width,
     elliptic_part_identity_check,
+    full_rectangle_band,
     kronecker_strip_step,
     max_curvature,
     surface_point_geometry,
@@ -25,6 +26,7 @@ from periflow import (
 )
 from periflow.narrowband import (
     band_average_extract,
+    band_field_csv,
     build_band,
     eikonal_residual,
     extended_operator_apply,
@@ -97,9 +99,8 @@ def test_point_geometry_reproduces_band_fields():
 
 
 def test_projection_error_when_every_start_fails(monkeypatch):
-    def never_converges(surface, t, pts, theta0):
-        theta = theta0.astype(float)
-        return (theta, np.zeros(pts.shape[0], dtype=bool), *surface.jet(theta, t)[:3])
+    def never_converges(surface, t, pts, theta0, start):
+        return (theta0, np.zeros(pts.shape[0], dtype=bool), *start)
 
     monkeypatch.setattr(narrowband, "_newton_project", never_converges)
     with pytest.raises(ProjectionError, match=r"at t=0\.25") as info:
@@ -156,6 +157,50 @@ def test_first_newton_call_converges_at_every_projected_node(family, t, reach, h
         build_band(surface, t, h, reach / max_curvature(surface, t))
     except BandError:
         reject()
+
+
+def test_band_fields_are_node_lists(tmp_path):
+    # every band array is over the P band nodes in row-major order, and the
+    # neighbour table names node (row + i - 1, col + j - 1), or P off the band
+    grid, dist = bean_band()
+    n, rectangle = grid.active_mask.size, (grid.ys.size, grid.xs.size)
+    assert grid.shape == (n,) and grid.neighbours.shape == (3, 3, n)
+    for owner in (grid, dist):
+        for f in fields(owner):
+            value = getattr(owner, f.name)
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                assert value.shape[:2] != rectangle, f.name
+    for f in fields(dist):
+        assert getattr(dist, f.name).shape[0] == n, f.name
+    keys = grid.rows * grid.xs.size + grid.cols
+    assert np.all(np.diff(keys) > 0)
+    for i, j in np.ndindex(3, 3):
+        wanted = (grid.rows + i - 1) * grid.xs.size + grid.cols + j - 1
+        found = np.minimum(np.searchsorted(keys, wanted), n - 1)
+        assert np.array_equal(grid.neighbours[i, j], np.where(keys[found] == wanted, found, n))
+    values = lift_field(np.cos(SURF_THETA), grid, dist)
+    band_field_csv(grid, dist, values, tmp_path / "band.npy")
+    written, act = np.load(tmp_path / "band.npy"), grid.active_mask
+    assert np.array_equal(written[:, 0], grid.xs[grid.cols[act]])
+    assert np.array_equal(written[:, 1], grid.ys[grid.rows[act]])
+    assert np.array_equal(written[:, 2:], np.stack([dist.dist[act], values[act]], axis=1))
+
+
+def test_a_nan_at_an_active_node_fails_the_checks():
+    # the checks take np.max over the active nodes, so a NaN there is
+    # reported, not skipped as np.nanmax would
+    grid, dist = circle_band(1.0 / 32.0)
+    values = exact_lift(np.cos, grid, dist)
+    node = np.flatnonzero(grid.active_mask)[0]
+    assert np.isfinite(os_operator_equivalence(values, extended_operator_apply(values, grid, dist),
+                                               grid, dist))
+    assert np.isfinite(eikonal_residual(grid, dist))
+    values[node] = np.nan
+    assert np.isnan(os_operator_equivalence(values, extended_operator_apply(values, grid, dist),
+                                            grid, dist))
+    planted = dist.dist.copy()
+    planted[node] = np.nan
+    assert np.isnan(eikonal_residual(grid, replace(dist, dist=planted)))
 
 
 def test_band_rejects_too_wide():
@@ -324,7 +369,7 @@ def test_os_operator_equivalence_orders():
 def test_elliptic_part_identity_order():
     errs = []
     for h in (1.0 / 64.0, 1.0 / 128.0):
-        grid, dist = build_band(circle(), 0.0, h, 0.2)
+        grid, dist = full_rectangle_band(circle(), 0.0, build_band(circle(), 0.0, h, 0.2)[0])
         lifted = exact_lift(np.cos, grid, dist)
         errs.append(elliptic_part_identity_check(lifted, grid, dist))
     assert 2.8 <= errs[0] / errs[1] <= 5.8

@@ -4,12 +4,13 @@ of the banded stepper against sparse and dense reference solves.
 Each property is drawn over random grid sizes N in [8, 256] (N in [3, 64]
 for the dense cyclic solve), all shipped families and random nodal fields;
 the band's window sweep over families, times, spacings and widths against
-a KD tree query, and over small random grids against a brute-force argmin;
-the band lift over N in [8, 2048] against scipy's periodic spline, the
-5 x 5 stencils of the active nodes, which lie in the halo by scipy's
-binary erosion, and the cyclic factor and solve over N in [3, 3000], from
-either source of its LAPACK routines, against scipy.linalg's wrappers bit
-for bit.
+a KD tree query of its rectangle, and over small random grids against a
+brute-force argmin; the band operators on random data against their
+NaN-padded rectangle forms bit for bit; the band lift over N in [8, 2048]
+against scipy's periodic spline, the 5 x 5 stencils of the active nodes,
+which lie in the halo, read through the node lookup, and the cyclic factor
+and solve over N in [3, 3000], from either source of its LAPACK routines,
+against scipy.linalg's wrappers bit for bit.
 Runs are derandomized, so every run checks the same examples.
 """
 
@@ -23,13 +24,22 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
 from scipy.linalg import blas, lapack
-from scipy.ndimage import binary_erosion
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import linear_part
-from oracles import dilation_rate, full_rectangle_band, laplace_beltrami, time_reversed
+from oracles import (
+    dilation_rate,
+    full_rectangle_band,
+    laplace_beltrami,
+    on_rectangle,
+    rectangle_eikonal_residual,
+    rectangle_extended_operator_apply,
+    rectangle_os_operator_equivalence,
+    rectangle_rescaled_gradient,
+    time_reversed,
+)
 from periflow import (
     FAMILIES,
     BandError,
@@ -46,7 +56,7 @@ from periflow import (
     mean_and_mass,
     space_time_geometry,
 )
-from periflow import evolution
+from periflow import evolution, narrowband
 from periflow.evolution import _CyclicFactor, _sample_levels
 from periflow.expressions import compile_expression
 from periflow.narrowband import (
@@ -54,7 +64,11 @@ from periflow.narrowband import (
     _curve_samples,
     _nearest_samples,
     build_band,
+    eikonal_residual,
+    extended_operator_apply,
     lift_field,
+    os_operator_equivalence,
+    rescaled_gradient,
 )
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -434,11 +448,47 @@ def test_window_sweep_projects_exactly_the_nodes_a_full_query_keeps(family, t, h
     surface = FAMILIES[family]()
     grid, dist = build_band(surface, t, h, delta)
     full_grid, full_dist = full_rectangle_band(surface, t, grid)
-    # both sides threshold the same distance field, compared bit for bit below
-    assert np.array_equal(grid.active_mask, full_grid.active_mask)
+    # the band's nodes, in row-major order, are the rectangle's projected
+    # nodes, and both sides threshold the same distance field, compared bit
+    # for bit below
+    assert np.array_equal(np.nonzero(np.isfinite(full_dist.dist)), (grid.rows, grid.cols))
+    assert np.array_equal(full_grid.active_mask[grid.rows, grid.cols], grid.active_mask)
     for f in fields(dist):
         assert np.array_equal(getattr(dist, f.name).view(np.uint64),
-                              getattr(full_dist, f.name).view(np.uint64))
+                              getattr(full_dist, f.name)[grid.rows, grid.cols].view(np.uint64))
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(family=FAMILY, t=TIME, h=st.floats(1.0 / 128.0, 1.0 / 16.0), reach=st.floats(0.05, 0.45),
+       seed=st.integers(0, 2**32 - 1))
+def test_node_list_operators_have_the_bits_of_the_rectangle_operators(family, t, h, reach, seed):
+    # the band operators gather their differences through the neighbour
+    # table; on the NaN-padded rectangle they slice.  The arithmetic is the
+    # same, so every active node has the same bits, here on random data
+    surface = FAMILIES[family]()
+    try:
+        grid, dist = build_band(surface, t, h, reach / _curve_samples(surface, t)[3])
+    except BandError:
+        reject()
+    rect, rect_dist = full_rectangle_band(surface, t, grid)
+    values = np.random.default_rng(seed).normal(size=grid.shape)
+    rect_values = on_rectangle(grid, values)
+    act = grid.active_mask
+    at = grid.rows[act], grid.cols[act]
+    assert np.array_equal(rect.active_mask[at], act[act]) and rect.active_mask.sum() == act.sum()
+    assert np.array_equal(bits(rescaled_gradient(values, grid, dist)[act]),
+                          bits(rectangle_rescaled_gradient(rect_values, rect, rect_dist)[at]))
+    applied = extended_operator_apply(values, grid, dist)
+    rect_applied = rectangle_extended_operator_apply(rect_values, rect, rect_dist)
+    assert np.array_equal(bits(applied[act]), bits(rect_applied[at]))
+    assert np.all(np.isnan(applied[~act]))
+    assert bits(os_operator_equivalence(values, applied, grid, dist)) == bits(
+        rectangle_os_operator_equivalence(rect_values, rect_applied, rect, rect_dist))
+    assert bits(eikonal_residual(grid, dist)) == bits(rectangle_eikonal_residual(rect, rect_dist))
 
 
 @PROPERTY
@@ -531,5 +581,8 @@ def test_every_active_stencil_lies_in_the_halo(family, t, reach, h):
         grid, dist = build_band(surface, t, h, delta)
     except BandError:
         reject()
-    halo = np.abs(dist.dist) < delta + _HALO_CELLS * h  # NaN outside compares False
-    assert np.all(binary_erosion(halo, np.ones((5, 5)))[grid.active_mask])
+    # every node of each active node's 5 x 5 window is a band node in the halo
+    halo = np.append(np.abs(dist.dist) < delta + _HALO_CELLS * h, False)  # slot P: off the band
+    lookup = narrowband._node_lookup(grid.rows, grid.cols, grid.ys.size, grid.xs.size)
+    rows, cols, step = grid.rows[grid.active_mask], grid.cols[grid.active_mask], np.arange(-1, 4)
+    assert np.all(halo[lookup[rows + step[:, None, None], cols + step[None, :, None]]])
