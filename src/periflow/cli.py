@@ -405,6 +405,7 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
         band_average_extract,
         band_field_csv,
         build_band,
+        coarsen,
         eikonal_residual,
         extended_operator_apply,
         flat_strip_step_equivalence,
@@ -442,7 +443,7 @@ def _scenario_band(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
         identity = float(np.max(np.abs((applied - exact)[band_grid.active_mask])))
         return identity, os_operator_equivalence(lift, applied, band_grid, band_dist)
 
-    grid2, dist2 = build_band(surface, t, 2.0 * h, delta)
+    grid2, dist2 = coarsen(grid, dist)
     (err, os_res), (err2, os_res2) = band_errors(grid, dist), band_errors(grid2, dist2)
     order = math.log2(err2 / err) if err > 0 else float("inf")
     manifest.check("extension_identity_order", order, 2.0, passed=1.4 <= order <= 2.7)

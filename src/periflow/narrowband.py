@@ -18,7 +18,10 @@ a (P,) or (P, 2) array over them.  Geometry is computed on a halo
 5x5 window reaches 2 sqrt 2 cells, so every active node has its full
 central stencils in the halo; the operators difference gathers through the
 band's neighbour table, where a node off the band reads NaN, and are
-evaluated on the active mask.
+evaluated on the active mask.  The band check compares the grids at h and
+2h, and one projection serves both: `build_band` projects the grid at h out
+to the halo of the grid at 2h, and `coarsen` keeps its nodes on the 2h
+lattice.
 `lift_field` interpolates values at the N parameters 2 pi j / N by their
 periodic cubic spline, solved by `evolution._CyclicFactor`.  One projection
 finds closest points: Newton on the chart, steps clipped to half a radian,
@@ -26,11 +29,12 @@ from the nearest curve sample, in blocks of `metric._BLOCK_POINTS` points;
 its first chart evaluation is the sample's own, and the foot frame comes
 from its last one.  A point it does not converge on raises ProjectionError.
 `build_band` makes it on the grid nodes near the curve.  `_nearest_samples`
-gives each node its nearest curve sample by a window sweep: each sample in
-turn visits the box of nodes within the bound of it and keeps the nodes it
-is strictly nearer to, so ties go to the lowest sample index, and the
-projected nodes are exactly those a nearest-sample query of every node
-would keep.
+gives each node its nearest curve sample by a wedge sweep: each sample in
+turn visits the nodes within the bound of it that lie on its side of the
+bisectors with its two neighbours, its Voronoi wedge (Mauch 2003, the
+closest-point transform by scan conversion), and keeps the nodes it is
+strictly nearer to.  Ties go to the lowest sample index, and the projected
+nodes are exactly those a nearest-sample query of every node would keep.
 
 `flat_strip_step_equivalence` checks that the extension reduces to the
 surface problem on a flat periodic strip.  Its 2-d backward-Euler step is a
@@ -44,7 +48,7 @@ function by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,14 +65,18 @@ _NEWTON_MAX_ITER = 60
 _SAMPLE_COUNT = 1024  # curve samples: Newton starts and max|kappa|
 _EXTRACT_QUAD = 12  # Gauss-Legendre points per extraction ray
 _MIN_STRETCH = 0.1  # reach limit on 1 + d*kappa, i.e. on |A^-1|
+_SWEEP_SLACK = 1e-9  # relative widening of `_nearest_samples`' wedge tests
 
 
 @dataclass(frozen=True)
 class NarrowBandGrid:
     """The P nodes of a uniform Cartesian grid that carry band geometry, in
-    row-major order, node p at ``(xs[cols[p]], ys[rows[p]])``.  They are a
-    halo `_HALO_CELLS` cells wider than the band, ``|d| < delta + 4h``, so
-    every active node has its full 5x5 stencil there; no mask keeps it."""
+    row-major order, node p at ``(xs[cols[p]], ys[rows[p]])``.  They reach
+    a halo `_HALO_CELLS` cells wider than the band, ``|d| < delta + 4h``, so
+    every active node has its full 5x5 stencil there; no mask keeps it.  The
+    grid `build_band` makes reaches the halo of the grid at 2h,
+    ``delta + 8h``, within its rectangle, so that `coarsen` needs no
+    projection."""
 
     xs: np.ndarray  # (nx,)
     ys: np.ndarray  # (ny,)
@@ -126,8 +134,8 @@ def _newton_project(
     chart evaluation `start` there, (X, X_theta, X_theta_theta): a sweep is
     one step ``theta -= clip(g / g', +-0.5)`` and one evaluation, until every
     point converges.  It needs no line search: at the foot
-    ``g' = |X'|^2 (1 + d kappa) >= |X'|^2 / 4`` inside the halo, which
-    `build_band` limits to ``(delta + 4h) max|kappa| < 3/4``.
+    ``g' = |X'|^2 (1 + d kappa) >= |X'|^2 / 4`` inside the halo of the 2h
+    grid, which `build_band` limits to ``(delta + 8h) max|kappa| < 3/4``.
 
     Returns the parameters, a convergence mask and the chart evaluation at
     those parameters, X, X_theta and X_theta_theta: the last one made."""
@@ -150,24 +158,75 @@ def _nearest_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each node of the grid `xs` x `ys` (spacing `h`) to its
     nearest curve sample, and that sample's index, as (ny, nx) arrays; exact
-    wherever the distance is at most `bound`, inf where no sample lies within
-    it.  The samples are swept in order, each over the box of nodes within
-    `bound` of it widened by one cell against rounding, and a node takes a
-    sample whose dx^2 + dy^2 is strictly below its best so far: a tie goes to
-    the lowest sample index."""
-    best = np.full((ys.size, xs.size), np.inf)
-    idx = np.zeros(best.shape, dtype=np.intp)
-    origin = np.array([xs[0], ys[0]])
-    lo = np.maximum(np.floor((samples - origin - bound) / h).astype(int) - 1, 0)
-    hi = np.ceil((samples - origin + bound) / h).astype(int) + 2  # exclusive
-    for k, ((sx, sy), (i0, j0), (i1, j1)) in enumerate(zip(samples, lo, hi)):
-        dx, dy = xs[i0:i1] - sx, ys[j0:j1] - sy
-        d2 = dx * dx + (dy * dy)[:, None]
-        window = best[j0:j1, i0:i1]
-        closer = d2 < window
-        np.copyto(window, d2, where=closer)
-        np.copyto(idx[j0:j1, i0:i1], k, where=closer)
-    return np.sqrt(best), idx
+    wherever the distance is at most `bound`, above it or inf elsewhere.
+
+    Sample k visits only its closed Voronoi wedge: the nodes within `bound`
+    of it on its side of the bisectors with samples k - 1 and k + 1
+    (cyclically), each test widened by `_SWEEP_SLACK` against rounding.  A
+    node takes a visiting sample whose dx^2 + dy^2 is strictly below its
+    best so far, in sample order, so a tie goes to the lowest index.  This
+    is exact: a node's lowest-index nearest sample is no farther from it
+    than either neighbour of that sample, so it visits the node, and no
+    sample that visits is nearer.  The kept set, the indices and the
+    distances are those of every sample tried at every node."""
+    ny, nx, count = ys.size, xs.size, samples.shape[0]
+    reach = bound * (1.0 + _SWEEP_SLACK)
+    # k's side of its bisector with a neighbour s_k + e is e.(x - m) <= tol,
+    # m the midpoint; in the row at y it bounds the column u = (x - xs[0]) / h
+    # by the line a + b y, from above where e_x > 0 and from below where
+    # e_x < 0.  A bisector horizontal to within _SWEEP_SLACK bounds nothing
+    upper, lower = [], []
+    for e in (np.roll(samples, 1, axis=0) - samples, np.roll(samples, -1, axis=0) - samples):
+        length = np.hypot(e[:, 0], e[:, 1])
+        tol = _SWEEP_SLACK * (reach + length) * (reach + length + np.abs(samples).sum(axis=1))
+        steep = np.abs(e[:, 0]) > _SWEEP_SLACK * length
+        ex = np.where(steep, e[:, 0], 1.0)
+        m = samples + 0.5 * e
+        a = (m[:, 0] + (tol + e[:, 1] * m[:, 1]) / ex - xs[0]) / h
+        b = -e[:, 1] / (ex * h)
+        for lines, side, free in ((upper, e[:, 0] > 0.0, np.inf), (lower, e[:, 0] < 0.0, -np.inf)):
+            lines.append((np.where(steep & side, a, free), np.where(steep & side, b, 0.0)))
+    centre = (samples[:, 0] - xs[0]) / h
+    first = np.maximum(np.floor((samples[:, 1] - reach - ys[0]) / h), 0.0).astype(np.intp)
+    last = np.minimum(np.ceil((samples[:, 1] + reach - ys[0]) / h), ny - 1.0).astype(np.intp)
+
+    best, idx = np.full(ny * nx, np.inf), np.zeros(ny * nx, dtype=np.intp)
+    step = np.arange(int(2.0 * reach / h) + 3)
+    chunk = max(1, _BLOCK_POINTS // step.size)  # samples per chunk of (k, row) spans
+    for k0 in range(0, count, chunk):
+        ks = np.arange(k0, min(k0 + chunk, count))
+        # (k, row) spans: the columns of each row inside the disk and the wedge
+        row = np.minimum(first[ks, None] + step, ny - 1)
+        y = ys[row]
+        dy = y - samples[ks, 1, None]
+        chord2 = reach * reach - dy * dy
+        half = np.sqrt(np.maximum(chord2, 0.0)) / h
+        u_lo, u_hi = centre[ks, None] - half, centre[ks, None] + half
+        for a, b in upper:
+            u_hi = np.minimum(u_hi, a[ks, None] + b[ks, None] * y)
+        for a, b in lower:
+            u_lo = np.maximum(u_lo, a[ks, None] + b[ks, None] * y)
+        col0 = np.maximum(np.ceil(u_lo), 0.0)
+        width = np.minimum(np.floor(u_hi), nx - 1.0) - col0 + 1.0
+        width[(step > (last - first)[ks, None]) | (chord2 < 0.0) | (width < 0.0)] = 0.0
+        width = width.astype(np.intp).ravel()
+        keep = np.flatnonzero(width)
+        width = width[keep]
+        start = np.cumsum(width) - width
+        col = np.repeat(col0.ravel()[keep].astype(np.intp) - start, width)
+        col += np.arange(col.size)
+        k = np.repeat(np.repeat(ks, step.size)[keep], width)  # each visit's sample
+        dx = xs[col] - samples[k, 0]
+        d2 = dx * dx + np.repeat((dy * dy).ravel()[keep], width)
+        flat = np.repeat(row.ravel()[keep] * nx, width) + col
+        # the chunk's nearest visitor of each node, where it beats the
+        # samples before the chunk; the lowest index among equals
+        before = best[flat]
+        np.minimum.at(best, flat, d2)
+        won = (d2 < before) & (d2 == best[flat])
+        idx[flat[won]] = count
+        np.minimum.at(idx, flat[won], k[won])
+    return np.sqrt(best).reshape(ny, nx), idx.reshape(ny, nx)
 
 
 def _closest_points(
@@ -217,9 +276,30 @@ def _node_lookup(rows: np.ndarray, cols: np.ndarray, ny: int, nx: int) -> np.nda
     """(ny + 2, nx + 2) table of the index of the node at row r, column c in
     its entry (r + 1, c + 1), and P, the slot of no node, elsewhere: the
     rectangle padded by a cell on each side, where no band node lies."""
-    lookup = np.full((ny + 2, nx + 2), rows.size)
+    lookup = np.full((ny + 2, nx + 2), rows.size, dtype=np.int32)
     lookup[rows + 1, cols + 1] = np.arange(rows.size)
     return lookup
+
+
+def _band_grid(
+    xs: np.ndarray, ys: np.ndarray, h: float, delta: float, rows: np.ndarray, cols: np.ndarray,
+    dist: DistanceField,
+) -> NarrowBandGrid:
+    """The band grid of the nodes (rows, cols) of the grid `xs` x `ys`, in
+    row-major order, with geometry `dist`: its active mask and its neighbour
+    table, gathered from flat offsets into the padded lookup.  Raises
+    BandError when no node is active."""
+    active_mask = np.abs(dist.dist) < delta
+    if not np.any(active_mask):
+        raise BandError("no active nodes; grid spacing too coarse for this band")
+    width = xs.size + 2
+    lookup = _node_lookup(rows, cols, ys.size, xs.size).ravel()
+    at = (rows + 1) * width + cols + 1
+    # int32 halves the largest array of the band; numpy widens it per gather
+    neighbours = np.empty((3, 3, rows.size), np.int32)
+    for i, j in np.ndindex(3, 3):
+        neighbours[i, j] = lookup[at + ((i - 1) * width + j - 1)]
+    return NarrowBandGrid(xs, ys, h, delta, active_mask, rows, cols, neighbours)
 
 
 def build_band(
@@ -229,8 +309,11 @@ def build_band(
 
     Preconditions: ``h > 0`` and ``delta > 0`` (else ValueError), and
     ``delta * max|kappa| < 1/2`` (gradient factor stays invertible across
-    the band).  Nodes within ``delta + 4h`` get geometry so active nodes
-    always have full central stencils.
+    the band).  One projection serves the band at h and, through `coarsen`,
+    the band at 2h: every node of the rectangle within the 2h grid's halo
+    ``delta + 8h`` gets geometry, so active nodes of both grids always have
+    full central stencils.  Raises BandError unless
+    ``(delta + 8h) max|kappa| < 3/4``, the reach that Newton needs there.
     """
     _check_band_sizes(h, delta)
     theta_s, chart, sign, kmax = _curve_samples(surface, t)
@@ -238,12 +321,16 @@ def build_band(
         raise BandError(
             f"band half-width {delta} too large: delta*max|kappa| = {delta * kmax:.3f} >= 0.5"
         )
-    halo_delta = delta + _HALO_CELLS * h
-    if halo_delta * kmax >= 0.75:
+    reach_delta = delta + _HALO_CELLS * (2.0 * h)  # the 2h grid's halo
+    if reach_delta * kmax >= 0.75:
         raise BandError("halo exceeds the curvature reach; decrease h or delta")
 
+    # the rectangle reaches 2 cells past the halo at h, and so past the
+    # 2 sqrt 2 cells at 2h that the 2h grid's active stencils reach beyond
+    # the band.  It is not widened to the 2h halo: `_lagrange_interp` rounds
+    # x - xs[0], so a moved xs[0] would move the last bits of an extraction
     samples = chart[0]
-    margin = halo_delta + 2.0 * h
+    margin = delta + _HALO_CELLS * h + 2.0 * h
     x_lo = np.floor((samples[:, 0].min() - margin) / h) * h
     y_lo = np.floor((samples[:, 1].min() - margin) / h) * h
     nx = int(np.ceil((samples[:, 0].max() + margin - x_lo) / h)) + 1
@@ -251,25 +338,31 @@ def build_band(
     xs = x_lo + h * np.arange(nx)
     ys = y_lo + h * np.arange(ny)
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
-    bound = halo_delta + chord
+    bound = reach_delta + chord
 
     coarse, idx = _nearest_samples(samples, xs, ys, h, bound)
     rows, cols = np.nonzero(coarse <= bound)  # the band's nodes, in row-major order
     nearest = idx[rows, cols]
     del coarse, idx  # the last arrays over the rectangle
     field = _closest_points(surface, t, np.stack([xs[cols], ys[rows]], axis=-1),
-                            theta_s[nearest], tuple(s[nearest] for s in chart), sign)
-    halo_mask = np.abs(field.dist) < halo_delta
-    active_mask = np.abs(field.dist) < delta
-    if not np.any(active_mask):
-        raise BandError("no active nodes; grid spacing too coarse for this band")
-    _require_reach(field.stretch[halo_mask], "gradient factor nearly singular inside the halo")
+                            theta_s[nearest], tuple(np.take(s, nearest, axis=0) for s in chart),
+                            sign)
+    grid = _band_grid(xs, ys, h, delta, rows, cols, field)
+    _require_reach(field.stretch[np.abs(field.dist) < reach_delta],
+                   "gradient factor nearly singular inside the halo")
+    return grid, field
 
-    # int32 halves the largest array of the band; numpy widens it per gather
-    lookup, neighbours = _node_lookup(rows, cols, ny, nx), np.empty((3, 3, rows.size), np.int32)
-    for i, j in np.ndindex(3, 3):
-        neighbours[i, j] = lookup[rows + i, cols + j]
-    return NarrowBandGrid(xs, ys, h, delta, active_mask, rows, cols, neighbours), field
+
+def coarsen(grid: NarrowBandGrid, dist: DistanceField) -> tuple[NarrowBandGrid, DistanceField]:
+    """The band at spacing 2h from the band `build_band` makes at h: its
+    nodes on the lattice of multiples of 2h, with their geometry, on that
+    lattice's rows and columns of the rectangle.  It projects nothing.
+    Raises BandError when no node of it is active."""
+    c0, r0 = (int(round(float(v[0]) / grid.h)) % 2 for v in (grid.xs, grid.ys))
+    on = np.flatnonzero(((grid.cols - c0) % 2 == 0) & ((grid.rows - r0) % 2 == 0))
+    part = DistanceField(*(np.take(getattr(dist, f.name), on, axis=0) for f in fields(dist)))
+    return _band_grid(grid.xs[c0::2], grid.ys[r0::2], 2.0 * grid.h, grid.delta,
+                      (grid.rows[on] - r0) // 2, (grid.cols[on] - c0) // 2, part), part
 
 
 # -- differential operators on the band's nodes ------------------------------

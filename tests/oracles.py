@@ -303,16 +303,17 @@ def full_rectangle_band(
     surface: SurfaceFamily, t: float, grid: NarrowBandGrid
 ) -> tuple[RectangleGrid, DistanceField]:
     """`build_band` on the rectangle of `grid`, with a KD tree query in place
-    of its window sweep and a chart evaluation in place of its gathered
+    of its wedge sweep and a chart evaluation in place of its gathered
     Newton starts: every node of the rectangle whose nearest curve sample
-    lies within the same bound is projected from that sample, the field is
-    NaN at the other nodes, and the active mask is taken from the result."""
+    lies within the same bound, the 2h grid's halo plus a chord, is
+    projected from that sample, the field is NaN at the other nodes, and
+    the active mask is taken from the result."""
     curve = _curve_samples(surface, t)
     samples = curve[1][0]
     chord = float(np.max(np.linalg.norm(np.roll(samples, -1, axis=0) - samples, axis=1)))
     XX, YY = np.meshgrid(grid.xs, grid.ys, indexing="xy")
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
-    halo_delta = grid.delta + _HALO_CELLS * grid.h
+    halo_delta = grid.delta + _HALO_CELLS * (2.0 * grid.h)
     coarse, theta0 = _tree_starts(curve, pts)
     near = coarse <= halo_delta + chord
     start = surface.jet(theta0[near], t)[:3]

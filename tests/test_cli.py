@@ -338,6 +338,20 @@ SMALL_CONFIGS = {
 }
 
 
+def test_a_band_whose_2h_halo_outgrows_the_curvature_reach_fails_in_one_line(tmp_path):
+    # (delta + 4h) kappa = 0.55 < 3/4 <= (delta + 8h) kappa = 0.8 on the unit
+    # circle: the band at 2h cannot be projected, so the scenario fails with
+    # exit 1 and this line (the band at h, which serves both grids, raises it)
+    path = write_config(tmp_path, SMALL_BAND.replace("breathing", "circle")
+                        + "\n[discretization]\nband_h = 0.0625\nband_delta = 0.3\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert err.getvalue() == (f"scenario {path} failed: halo exceeds the curvature reach; "
+                              "decrease h or delta\n")
+
+
 def fresh_python(code: str, *args) -> subprocess.CompletedProcess:
     """`code` run by a fresh interpreter that imports periflow from this
     checkout, with `args` as its sys.argv[1:]."""

@@ -155,7 +155,9 @@ def test_holder_diagnostics_build_the_reference_frame_once(monkeypatch):
     values = sampled(grid, lambda th, t: np.cos(th) * math.exp(-t))
     holder_estimate(*values, circle(), alpha=0.5)
     assert len(calls) == 1
-    band_grid, band_dist = build_band(circle(), 0.0, 1.0 / 16.0, 0.3)
+    # (delta + 8h) kappa = 0.55 on the unit circle, below the 3/4 that a band
+    # projected for its 2h grid needs
+    band_grid, band_dist = build_band(circle(), 0.0, 1.0 / 32.0, 0.3)
     profile = np.cos(grid.nodes)
     lifted = lift_field(profile, band_grid, band_dist)
     norm_equivalence_check(profile, circle(), grid, band_grid, band_dist, lifted)

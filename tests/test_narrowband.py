@@ -28,6 +28,7 @@ from periflow.narrowband import (
     band_average_extract,
     band_field_csv,
     build_band,
+    coarsen,
     eikonal_residual,
     extended_operator_apply,
     flat_strip_step_equivalence,
@@ -45,7 +46,7 @@ def circle_band(h=1.0 / 128.0, delta=0.2):
 
 
 def halo(grid, dist):
-    """The nodes `build_band` gives geometry: |d| below the halo half-width."""
+    """The nodes of the grid's own halo: |d| below the halo half-width."""
     return np.abs(dist.dist) < grid.delta + narrowband._HALO_CELLS * grid.h
 
 
@@ -145,13 +146,14 @@ def test_band_geometry_is_newtons_last_chart_evaluation(monkeypatch):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), t=st.floats(0.0, 1.0, exclude_max=True),
        reach=st.floats(0.05, 0.49), h=st.sampled_from([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]))
-# the halo at its limit: (delta + 4h) max|kappa| = 0.7499, so 1 + d kappa >= 0.25
-@example(family="ellipse", t=0.0, reach=0.2499, h=1.0 / 16.0)
+# the projection at its limit: (delta + 8h) max|kappa| = 0.7499, so 1 + d kappa
+# >= 0.25 (it reaches the 2h grid's halo, so the limit moved from delta + 4h)
+@example(family="ellipse", t=0.0, reach=0.2499, h=1.0 / 32.0)
 def test_first_newton_call_converges_at_every_projected_node(family, t, reach, h):
     # the premise of Newton without a line search or a restart: it converges
     # at every band node, so `build_band` raises no ProjectionError.  A draw
-    # whose halo outgrows the curvature reach raises BandError and is
-    # skipped: none of the 60 draws here
+    # whose 2h grid's halo outgrows the curvature reach raises BandError and
+    # is skipped
     surface = FAMILIES[family]()
     try:
         build_band(surface, t, h, reach / max_curvature(surface, t))
@@ -160,24 +162,28 @@ def test_first_newton_call_converges_at_every_projected_node(family, t, reach, h
 
 
 def test_band_fields_are_node_lists(tmp_path):
-    # every band array is over the P band nodes in row-major order, and the
-    # neighbour table names node (row + i - 1, col + j - 1), or P off the band
+    # every band array of both grids is over the P band nodes in row-major
+    # order, and the neighbour table names node (row + i - 1, col + j - 1),
+    # or P off the band.  The band reaches the rectangle's edge, so the keys
+    # are taken in the rectangle padded by a cell, where no node lies
     grid, dist = bean_band()
-    n, rectangle = grid.active_mask.size, (grid.ys.size, grid.xs.size)
-    assert grid.shape == (n,) and grid.neighbours.shape == (3, 3, n)
-    for owner in (grid, dist):
-        for f in fields(owner):
-            value = getattr(owner, f.name)
-            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-                assert value.shape[:2] != rectangle, f.name
-    for f in fields(dist):
-        assert getattr(dist, f.name).shape[0] == n, f.name
-    keys = grid.rows * grid.xs.size + grid.cols
-    assert np.all(np.diff(keys) > 0)
-    for i, j in np.ndindex(3, 3):
-        wanted = (grid.rows + i - 1) * grid.xs.size + grid.cols + j - 1
-        found = np.minimum(np.searchsorted(keys, wanted), n - 1)
-        assert np.array_equal(grid.neighbours[i, j], np.where(keys[found] == wanted, found, n))
+    for band, band_dist in ((grid, dist), coarsen(grid, dist)):
+        n, rectangle = band.active_mask.size, (band.ys.size, band.xs.size)
+        assert band.shape == (n,) and band.neighbours.shape == (3, 3, n)
+        for owner in (band, band_dist):
+            for f in fields(owner):
+                value = getattr(owner, f.name)
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                    assert value.shape[:2] != rectangle, f.name
+        for f in fields(band_dist):
+            assert getattr(band_dist, f.name).shape[0] == n, f.name
+        width = band.xs.size + 2
+        keys = (band.rows + 1) * width + band.cols + 1
+        assert np.all(np.diff(keys) > 0)
+        for i, j in np.ndindex(3, 3):
+            wanted = (band.rows + i) * width + band.cols + j
+            found = np.minimum(np.searchsorted(keys, wanted), n - 1)
+            assert np.array_equal(band.neighbours[i, j], np.where(keys[found] == wanted, found, n))
     values = lift_field(np.cos(SURF_THETA), grid, dist)
     band_field_csv(grid, dist, values, tmp_path / "band.npy")
     written, act = np.load(tmp_path / "band.npy"), grid.active_mask
@@ -206,6 +212,24 @@ def test_a_nan_at_an_active_node_fails_the_checks():
 def test_band_rejects_too_wide():
     with pytest.raises(BandError):
         build_band(circle(), 0.0, 1.0 / 64.0, 0.6)  # delta*kappa = 0.6 >= 1/2
+
+
+def test_band_rejects_a_2h_halo_beyond_the_curvature_reach():
+    # (delta + 4h) kappa = 0.55 < 3/4 <= (delta + 8h) kappa = 0.8 on the unit
+    # circle: the projection also serves the 2h grid, so the band at h fails
+    message = r"^halo exceeds the curvature reach; decrease h or delta$"
+    with pytest.raises(BandError, match=message):
+        build_band(circle(), 0.0, 1.0 / 16.0, 0.3)
+
+
+def test_the_band_workload_keeps_its_seed_0_counts():
+    # band-bean-h256 at seed 0: one projection of 201 818 nodes, out to the
+    # 2h grid's halo, holds the active nodes of both grids, which two builds
+    # made before: 169 253 at h and 42 314 at 2h
+    grid, dist = build_band(bean(), 0.5239831268672519, 1.0 / 256.0, 0.2)
+    coarse, _ = coarsen(grid, dist)
+    assert grid.rows.size == 201_818
+    assert (int(grid.active_mask.sum()), int(coarse.active_mask.sum())) == (169_253, 42_314)
 
 
 @pytest.mark.parametrize("h, delta", [(0.0, 0.2), (-1.0 / 128.0, 0.2), (1.0 / 128.0, -0.2),

@@ -64,6 +64,7 @@ from periflow.narrowband import (
     _curve_samples,
     _nearest_samples,
     build_band,
+    coarsen,
     eikonal_residual,
     extended_operator_apply,
     lift_field,
@@ -462,6 +463,65 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+# a coarsened field against a 2h build off power-of-two h, in ulps of
+# max(1, |value|): at most 15 (curvature) over the four families at
+# h in {0.007, 0.01, 0.015, 0.03}, from coordinates at most 2.2 ulps apart
+FIELD_ULPS = 64
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(family=FAMILY, t=TIME, h=st.sampled_from([1.0 / 128.0, 1.0 / 64.0, 1.0 / 32.0, 0.01, 0.03]),
+       reach=st.floats(0.05, 0.3))
+@example(family="bean", t=0.5239831268672519, h=1.0 / 64.0, reach=0.3)
+@example(family="ellipse", t=0.0, h=0.01, reach=0.3)
+def test_coarsen_is_a_build_at_twice_the_spacing(family, t, h, reach):
+    # `coarsen` projects nothing, yet on every node it keeps it is the band
+    # that `build_band` projects at 2h, found by its lattice coordinates: same
+    # order, active mask and neighbours.  On power-of-two h a lattice point
+    # has one value in both rectangles and every field bit agrees; otherwise
+    # the two rectangles round a point's coordinates apart by an ulp, and the
+    # fields and the active mask follow within FIELD_ULPS
+    surface = FAMILIES[family]()
+    delta = reach / _curve_samples(surface, t)[3]
+    try:
+        ref, ref_dist = build_band(surface, t, 2.0 * h, delta)
+    except BandError:
+        reject()
+    grid, dist = coarsen(*build_band(surface, t, h, delta))
+    assert grid.h == ref.h
+
+    def lattice(band):  # (row, column) of the 2h lattice, as one row-major key
+        x, y = band.mesh()
+        row, col = (np.round(v / band.h).astype(np.int64) for v in (y, x))
+        return row * 2**32 + col
+
+    ref_keys, keys = lattice(ref), lattice(grid)
+    at = np.searchsorted(ref_keys, keys)
+    assert np.array_equal(ref_keys[np.minimum(at, ref_keys.size - 1)], keys)
+    assert np.all(np.diff(at) > 0)
+    remap = np.full(ref_keys.size + 1, keys.size)
+    remap[at] = np.arange(keys.size)
+    assert np.array_equal(grid.neighbours, remap[ref.neighbours[:, :, at]])
+    exact = math.frexp(h)[0] == 0.5
+    coords, ref_coords = np.stack(grid.mesh()), np.stack(ref.mesh())[:, at]
+    edge = np.abs(np.abs(ref_dist.dist) - delta) <= FIELD_ULPS * EPS * max(1.0, delta)
+    if exact:
+        assert np.array_equal(bits(coords), bits(ref_coords))
+        assert grid.active_mask.sum() == ref.active_mask.sum()
+    else:
+        assert np.all(np.abs(coords - ref_coords) <= 4 * EPS * np.maximum(1.0, np.abs(ref_coords)))
+    assert np.array_equal(grid.active_mask[~edge[at]], ref.active_mask[at][~edge[at]])
+    for f in fields(dist):
+        ours, theirs = getattr(dist, f.name), getattr(ref_dist, f.name)[at]
+        if exact:
+            assert np.array_equal(bits(ours), bits(theirs)), f.name
+            continue
+        apart = np.abs(ours - theirs)
+        if f.name == "theta_foot":  # mod 2 pi
+            apart = np.minimum(apart, 2.0 * np.pi - apart)
+        assert np.all(apart <= FIELD_ULPS * EPS * np.maximum(1.0, np.abs(theirs))), f.name
+
+
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(family=FAMILY, t=TIME, h=st.floats(1.0 / 128.0, 1.0 / 16.0), reach=st.floats(0.05, 0.45),
        seed=st.integers(0, 2**32 - 1))
@@ -491,13 +551,35 @@ def test_node_list_operators_have_the_bits_of_the_rectangle_operators(family, t,
     assert bits(eikonal_residual(grid, dist)) == bits(rectangle_eikonal_residual(rect, rect_dist))
 
 
+def assert_nearest_samples_are_the_argmin(samples, xs, ys, h, bound):
+    """`_nearest_samples` against the brute-force argmin over every sample
+    and node: the kept set, the indices (the first of equal minima) and the
+    distance bits.  Returns the squared distances (samples, ny, nx), the
+    brute-force index and the kept mask."""
+    coarse, idx = _nearest_samples(samples, xs, ys, h, bound)
+    dx = xs[None, None, :] - samples[:, 0, None, None]
+    dy = ys[None, :, None] - samples[:, 1, None, None]
+    squared = dx * dx + dy * dy  # (samples, ny, nx)
+    expected = np.argmin(squared, axis=0)  # the first of equal minima
+    dist = np.sqrt(np.min(squared, axis=0))
+    near = dist <= bound
+    assert np.array_equal(coarse <= bound, near)
+    assert np.array_equal(idx[near], expected[near])
+    assert np.array_equal(coarse[near].view(np.uint64), dist[near].view(np.uint64))
+    return squared, expected, near
+
+
 @PROPERTY
 @given(nx=st.integers(1, 24), ny=st.integers(1, 24), h=st.floats(0.01, 1.0),
        origin=st.floats(-10.0, 10.0), reach=st.floats(0.5, 4.0), count=st.integers(0, 40),
-       seed=st.integers(0, 2**32 - 1))
-def test_nearest_samples_is_a_brute_force_argmin(nx, ny, h, origin, reach, count, seed):
+       duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(nx=9, ny=9, h=0.1, origin=0.0, reach=2.0, count=0, duplicate=True, seed=0)
+def test_nearest_samples_is_a_brute_force_argmin(nx, ny, h, origin, reach, count, duplicate,
+                                                 seed):
     # one origin on both axes puts node (i, i) on the diagonal, where the
-    # samples (P, Q) and (Q, P) are at exactly one distance: a planted tie
+    # samples (P, Q) and (Q, P) are at exactly one distance: a planted tie.
+    # A duplicated sample has a zero-length bisector with its copy, which
+    # follows it; the copy never wins, since ties go to the lower index
     rng = np.random.default_rng(seed)
     xs, ys = origin + h * np.arange(nx), origin + h * np.arange(ny)
     span = h * max(nx, ny)
@@ -508,20 +590,55 @@ def test_nearest_samples_is_a_brute_force_argmin(nx, ny, h, origin, reach, count
     samples = samples[np.hypot(*(samples - X).T) > 0.5 * h]  # the tie is the nearest
     first, second = np.sort(rng.choice(samples.shape[0] + 2, 2, replace=False))
     samples = np.insert(samples, [first, second - 1], [[P, Q], [Q, P]], axis=0)
-    bound = reach * h
-    coarse, idx = _nearest_samples(samples, xs, ys, h, bound)
-
-    dx = xs[None, None, :] - samples[:, 0, None, None]
-    dy = ys[None, :, None] - samples[:, 1, None, None]
-    squared = dx * dx + dy * dy  # (samples, ny, nx)
-    expected = np.argmin(squared, axis=0)  # the first of equal minima
-    dist = np.sqrt(np.min(squared, axis=0))
-    near = dist <= bound
+    if duplicate:
+        copied = rng.integers(samples.shape[0])
+        samples = np.insert(samples, copied + 1, samples[copied], axis=0)
+        first, second = first + (first > copied), second + (second > copied)
+    squared, expected, near = assert_nearest_samples_are_the_argmin(samples, xs, ys, h, reach * h)
     assert squared[first, node, node] == squared[second, node, node]
-    assert near[node, node] and idx[node, node] == expected[node, node] == first
-    assert np.array_equal(coarse <= bound, near)
-    assert np.array_equal(idx[near], expected[near])
-    assert np.array_equal(coarse[near].view(np.uint64), dist[near].view(np.uint64))
+    assert near[node, node] and expected[node, node] == first
+    # the tie's node exactly on the bound is kept
+    on_bound = np.sqrt(squared[first, node, node])
+    assert assert_nearest_samples_are_the_argmin(samples, xs, ys, h, on_bound)[2][node, node]
+
+
+@pytest.mark.parametrize("samples", [[[0.23, 0.41]], [[0.23, 0.41], [0.57, 0.12]],
+                                     [[0.23, 0.41], [0.23, 0.41]]],
+                         ids=["one", "two", "two-equal"])
+def test_nearest_samples_of_one_or_two_samples_is_a_brute_force_argmin(samples):
+    # with one sample both neighbours are the sample itself, and with two
+    # both are the other one: zero-length or twice the same bisector
+    xs = ys = 0.1 * np.arange(7)
+    assert_nearest_samples_are_the_argmin(np.array(samples), xs, ys, 0.1, 0.35)
+
+
+def test_wedge_sweep_is_exact_where_far_apart_samples_share_a_node():
+    # a band at its curvature limit around the bean's dent puts samples more
+    # than 100 indices apart within the bound of one node, so the wedges of
+    # far-apart samples meet there; the sweep still matches the brute force
+    surface, t, h = FAMILIES["bean"](), 0.25, 1.0 / 32.0
+    _, chart, _, kmax = _curve_samples(surface, t)
+    delta = 0.74 / kmax - 8.0 * h  # (delta + 8h) max|kappa| = 0.74
+    grid, _ = build_band(surface, t, h, delta)
+    samples = chart[0]
+    chord = float(np.max(np.hypot(*(np.roll(samples, -1, axis=0) - samples).T)))
+    bound = delta + 8.0 * h + chord
+    coarse, idx = _nearest_samples(samples, grid.xs, grid.ys, h, bound)
+    dx, spread = grid.xs[None, :] - samples[:, 0, None], 0
+    for row, y in enumerate(grid.ys):  # one row of nodes against every sample
+        dy = y - samples[:, 1]
+        squared = dx * dx + (dy * dy)[:, None]
+        expected = np.argmin(squared, axis=0)
+        dist = np.sqrt(squared[expected, np.arange(grid.xs.size)])
+        near = dist <= bound
+        assert np.array_equal(coarse[row] <= bound, near)
+        assert np.array_equal(idx[row, near], expected[near])
+        assert np.array_equal(bits(coarse[row, near]), bits(dist[near]))
+        gap = np.abs(np.arange(samples.shape[0])[:, None] - expected)
+        gap = np.minimum(gap, samples.shape[0] - gap)
+        spread = max(spread, int(np.max(np.where(np.sqrt(squared) <= bound, gap, 0)[:, near],
+                                        initial=0)))
+    assert spread > 100
 
 
 @PROPERTY
@@ -570,19 +687,23 @@ def test_lift_needs_three_values(n):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(family=FAMILY, t=st.floats(0.0, 1.0, exclude_max=True), reach=st.floats(0.05, 0.2499),
        h=st.sampled_from([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0, 0.01, 0.03]))
-# the halo at its curvature limit, (delta + 4h) max|kappa| = 0.7499
-@example(family="ellipse", t=0.0, reach=0.2499, h=1.0 / 16.0)
+# the 2h grid's halo at its curvature limit, (delta + 8h) max|kappa| = 0.7499
+# (one projection serves both grids, so the limit moved from delta + 4h)
+@example(family="ellipse", t=0.0, reach=0.2499, h=1.0 / 32.0)
 def test_every_active_stencil_lies_in_the_halo(family, t, reach, h):
     # the operators read the 5 x 5 window of each active node, so the active
-    # mask needs no erosion: the halo is 4 > 2 sqrt 2 cells wider than the band
+    # mask needs no erosion: the halo is 4 > 2 sqrt 2 cells wider than the
+    # band, on the grid at h and on the one `coarsen` makes at 2h
     surface = FAMILIES[family]()
     delta = reach / _curve_samples(surface, t)[3]
     try:
-        grid, dist = build_band(surface, t, h, delta)
+        band = build_band(surface, t, h, delta)
     except BandError:
         reject()
-    # every node of each active node's 5 x 5 window is a band node in the halo
-    halo = np.append(np.abs(dist.dist) < delta + _HALO_CELLS * h, False)  # slot P: off the band
-    lookup = narrowband._node_lookup(grid.rows, grid.cols, grid.ys.size, grid.xs.size)
-    rows, cols, step = grid.rows[grid.active_mask], grid.cols[grid.active_mask], np.arange(-1, 4)
-    assert np.all(halo[lookup[rows + step[:, None, None], cols + step[None, :, None]]])
+    for grid, dist in (band, coarsen(*band)):
+        # every node of each active node's 5 x 5 window is a band node in the halo
+        halo = np.append(np.abs(dist.dist) < delta + _HALO_CELLS * grid.h, False)  # slot P
+        lookup = narrowband._node_lookup(grid.rows, grid.cols, grid.ys.size, grid.xs.size)
+        rows, cols = grid.rows[grid.active_mask], grid.cols[grid.active_mask]
+        step = np.arange(-1, 4)
+        assert np.all(halo[lookup[rows + step[:, None, None], cols + step[None, :, None]]])
