@@ -24,6 +24,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from periflow import cli, evolution
 from test_cli import SMALL_CONFIGS
@@ -35,9 +36,28 @@ SEEDS = (0, 1, 2)
 
 def fingerprint() -> dict:
     """What the record's bits depend on besides periflow: numpy, the source
-    of the stepper's LAPACK routines and the machine."""
+    of the stepper's LAPACK routines, the machine, the SIMD targets numpy's
+    ufuncs dispatch to, and the kernel set and thread count OpenBLAS picks
+    at load time (its DYNAMIC_ARCH builds choose kernels by CPU, and their
+    last bits differ)."""
     source = "numpy-openblas" if evolution._LAPACK[-1] is ctypes.c_int64 else "scipy"
-    return {"numpy": np.__version__, "lapack": source, "machine": platform.machine()}
+    features = _multiarray_umath.__cpu_features__
+    simd = [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
+    return {"numpy": np.__version__, "lapack": source, "machine": platform.machine(),
+            "simd": simd, "openblas": _openblas()}
+
+
+def _openblas() -> str:
+    """numpy's bundled OpenBLAS kernel set and thread count, or "" where
+    numpy links another BLAS."""
+    try:
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+        corename = library.scipy_openblas_get_corename64_
+        threads = library.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return ""
+    corename.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+    return f"{corename().decode()} x{threads()}"
 
 
 def configs() -> dict[str, str]:
